@@ -138,6 +138,11 @@ class TemplateIndex:
         level = min(max(level, 0), self.max_level)
         return dict(self._resolutions[level])
 
+    def resolution_of(self, level: int, attribute: str) -> float:
+        """One component of ``d̄_k`` (0 for attributes outside ``Y``), without copying the level's dict."""
+        level = min(max(level, 0), self.max_level)
+        return self._resolutions[level].get(attribute, 0.0)
+
     def level_spec(self, level: int) -> TemplateSpec:
         """The logical template ``R(X → Y, 2^level, d̄_level)``."""
         level = min(max(level, 0), self.max_level)

@@ -59,6 +59,9 @@ class TemplateFamily:
     def resolution(self, level: int) -> Dict[str, float]:
         return self.index.resolution(level)
 
+    def resolution_of(self, level: int, attribute: str) -> float:
+        return self.index.resolution_of(level, attribute)
+
     def fetch(
         self, x_value: Sequence[object], level: int, meter: Optional[AccessMeter] = None
     ) -> List[FetchedRow]:

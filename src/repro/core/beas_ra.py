@@ -71,8 +71,11 @@ def refine_bound_with_induced(
     induced = maximal_induced_query(query)
     induced_answers = executor.evaluate(induced)
 
-    d_rel, d_cov = distance_bounds(query, plan.resolution_map(), database.schema)
-    _, induced_cov = distance_bounds(induced, plan.resolution_map(), database.schema)
+    # Evaluating the induced query made the executor fetch (if it had not
+    # already), so these are the resolutions the data was fetched with.
+    resolutions = executor.resolutions
+    d_rel, _ = distance_bounds(query, resolutions, database.schema)
+    _, induced_cov = distance_bounds(induced, resolutions, database.schema)
 
     schema = query.output_schema(database.schema)
     distances = [attribute.distance for attribute in schema.attributes]

@@ -5,42 +5,35 @@ repeatedly upgrades the template whose next level yields the largest
 improvement of the accuracy lower bound ``L`` while keeping the plan's tariff
 within the budget ``B = α·|D|``.  Upgrading a step doubles its own ``N`` and
 therefore also the input bounds of every step downstream of it, so the tariff
-is re-derived from the whole plan after every candidate upgrade rather than
+is re-derived from the whole plan for every candidate upgrade rather than
 locally.
 
 The procedure terminates when no template can be upgraded without exceeding
 the budget (or all templates are at their maximum level), and returns the
 lower bound ``η`` of the final plan.
+
+**Cost.**  Everything that depends on the query or on the plan's shape — not
+on the levels chAT varies — is derived once per call: the attribute set ``L``
+ranges over (:func:`~repro.core.lower_bound.bound_attributes`, the only AST
+walk), which of those attributes each step fetches, and which earlier steps
+feed each step (:meth:`~repro.core.plan.FetchPlan.producers`).  ``L`` is a
+maximum over attributes of a maximum over the steps fetching them, i.e. a
+maximum over steps of each step's own worst resolution, so the state chAT
+carries is one float per step, and a candidate upgrade replaces exactly one
+of them.  With ``S`` steps, an iteration prices at most ``S`` candidates at
+``O(S)`` integer multiplications (tariff) plus ``O(S)`` float comparisons
+(bound) each; a step's worst resolution at a level is looked up once and
+kept.  There are at most ``Σ max_level`` iterations.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..algebra.ast import QueryNode
 from ..relational.schema import DatabaseSchema
-from .lower_bound import lower_bound
-from .plan import FetchPlan, FetchStep
-
-
-def _upgraded_tariff(plan: FetchPlan, step: FetchStep) -> int:
-    """Tariff of the plan if ``step`` were upgraded one level (non-mutating)."""
-    step.accessor.level += 1
-    try:
-        return plan.tariff()
-    finally:
-        step.accessor.level -= 1
-
-
-def _upgraded_bound(
-    plan: FetchPlan, step: FetchStep, query: QueryNode, db_schema: DatabaseSchema
-) -> float:
-    """Lower bound of the plan if ``step`` were upgraded one level (non-mutating)."""
-    step.accessor.level += 1
-    try:
-        return lower_bound(query, plan.resolution_map(), db_schema)
-    finally:
-        step.accessor.level -= 1
+from .lower_bound import bound_attributes, bound_of
+from .plan import FetchPlan, size_bounds
 
 
 def choose_access_templates(
@@ -56,26 +49,60 @@ def choose_access_templates(
     ``tariff(ξ_F) <= budget``; ties are broken by the smaller resulting
     tariff (cheaper upgrades first) and then by plan order.
     """
-    eta = lower_bound(query, plan.resolution_map(), db_schema)
+    steps = plan.steps
+    attributes = bound_attributes(query, db_schema)
+    # Per step, the fetched attributes L depends on.  Constraints and X
+    # attributes are fetched exactly, so only a template's Y side can matter.
+    bounded_by: List[Tuple[str, ...]] = [
+        ()
+        if step.accessor.is_constraint
+        else tuple(
+            attribute
+            for attribute in step.accessor.y
+            if attributes is None or f"{step.alias}.{attribute}" in attributes
+        )
+        for step in steps
+    ]
+    known: List[Dict[int, float]] = [{} for _ in steps]
+
+    def worst_at(index: int, level: int) -> float:
+        """Worst resolution among the step's bound-relevant attributes at ``level``."""
+        value = known[index].get(level)
+        if value is None:
+            accessor = steps[index].accessor
+            value = max((accessor.resolution_of(a, level) for a in bounded_by[index]), default=0.0)
+            known[index][level] = value
+        return value
+
+    producers = plan.producers()
+    ns = [step.accessor.n for step in steps]
+    worst = [worst_at(index, step.accessor.level) for index, step in enumerate(steps)]
+    eta = bound_of(max(worst, default=0.0))
 
     while True:
         best: Optional[Tuple[float, int, int]] = None  # (-gain, tariff, index)
-        best_step: Optional[FetchStep] = None
-        for index, step in enumerate(plan.steps):
-            if not step.accessor.can_upgrade():
+        for index, step in enumerate(steps):
+            accessor = step.accessor
+            if not accessor.can_upgrade():
                 continue
-            new_tariff = _upgraded_tariff(plan, step)
+            current_n, ns[index] = ns[index], accessor.n_at(accessor.level + 1)
+            new_tariff = sum(size_bounds(producers, ns))
+            ns[index] = current_n
             if new_tariff > budget:
                 continue
-            new_bound = _upgraded_bound(plan, step, query, db_schema)
-            gain = new_bound - eta
+            current_worst, worst[index] = worst[index], worst_at(index, accessor.level + 1)
+            gain = bound_of(max(worst)) - eta
+            worst[index] = current_worst
             key = (-gain, new_tariff, index)
             if best is None or key < best:
                 best = key
-                best_step = step
-        if best_step is None:
+        if best is None:
             break
-        best_step.accessor.level += 1
-        eta = lower_bound(query, plan.resolution_map(), db_schema)
+        index = best[2]
+        accessor = steps[index].accessor
+        accessor.level += 1
+        ns[index] = accessor.n
+        worst[index] = worst_at(index, accessor.level)
+        eta = bound_of(max(worst))
 
     return eta

@@ -98,6 +98,10 @@ class PlanExecutor:
         self.meter = meter
         self._step_frames: Dict[str, Frame] = {}
         self._atom_frames: Optional[Dict[str, Frame]] = None
+        #: Per qualified attribute, the resolution the data was fetched with
+        #: (set by :meth:`fetch`); every evaluation over the fetched data
+        #: relaxes by these, whatever happens to the plan's levels later.
+        self.resolutions: Dict[str, float] = {}
 
     # -- stage 1: fetching --------------------------------------------------------
     def fetch(self) -> Dict[str, Frame]:
@@ -105,6 +109,7 @@ class PlanExecutor:
         for step in self.plan.fetch_plan:
             self._step_frames[step.name] = self._run_step(step)
         self._atom_frames = self._build_atom_frames()
+        self.resolutions = self.plan.resolution_map()
         return self._step_frames
 
     def _step_schema(self, step: FetchStep) -> RelationSchema:
@@ -302,7 +307,7 @@ class PlanExecutor:
         evaluator = BeasEvaluator(
             self.database.schema,
             MappingProvider(self._atom_frames),
-            relaxation=self.plan.resolution_map(),
+            relaxation=self.resolutions,
             needed_attributes=self.plan.needed_attributes,
         )
         return evaluator.evaluate(query)

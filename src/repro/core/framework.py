@@ -163,6 +163,7 @@ class Beas:
                 f"but alpha={alpha} over the current database gives {budget}"
             )
         plan_seconds = time.perf_counter() - start
+        boundedly_evaluable = plan.boundedly_evaluable
 
         if enforce_budget and plan.tariff > budget:
             # The chase must cover every query atom with at least one fetch
@@ -179,7 +180,7 @@ class Beas:
                 # The (unexecuted) empty answer is never exact, but bounded
                 # evaluability is a property of the plan itself — report it.
                 exact=False,
-                boundedly_evaluable=plan.boundedly_evaluable,
+                boundedly_evaluable=boundedly_evaluable,
                 plan=plan,
                 plan_seconds=plan_seconds,
                 execution_seconds=0.0,
@@ -203,7 +204,7 @@ class Beas:
             budget=budget,
             tuples_accessed=meter.accessed,
             exact=plan.exact,
-            boundedly_evaluable=plan.boundedly_evaluable,
+            boundedly_evaluable=boundedly_evaluable,
             plan=plan,
             plan_seconds=plan_seconds,
             execution_seconds=execution_seconds,

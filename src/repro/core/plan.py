@@ -20,7 +20,7 @@ data access is needed to compute it, which is what lets BEAS promise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..access.schema import AccessConstraint, TemplateFamily
 from ..errors import PlanError
@@ -62,9 +62,13 @@ class Accessor:
     @property
     def n(self) -> int:
         """The cardinality bound ``N`` of the accessor at its current level."""
+        return self.n_at(self.level)
+
+    def n_at(self, level: int) -> int:
+        """The cardinality bound ``N`` the accessor would have at ``level``."""
         if self.constraint:
             return self.constraint.spec.n
-        return 2 ** min(self.level, self.family.max_level)
+        return 2 ** min(level, self.family.max_level)
 
     @property
     def max_level(self) -> int:
@@ -74,13 +78,15 @@ class Accessor:
         """Whether a higher-resolution template level is available."""
         return self.family is not None and self.level < self.family.max_level
 
-    def resolution_of(self, attribute: str) -> float:
-        """Resolution on one fetched attribute (0 for constraints / X attrs)."""
-        if self.constraint:
+    def resolution_of(self, attribute: str, level: Optional[int] = None) -> float:
+        """Resolution on one fetched attribute (0 for constraints / X attrs).
+
+        ``level`` defaults to the accessor's current level; chAT passes the
+        level a candidate upgrade would reach.
+        """
+        if self.constraint or attribute in self.family.x:
             return 0.0
-        if attribute in self.family.x:
-            return 0.0
-        return float(self.family.resolution(self.level).get(attribute, 0.0))
+        return float(self.family.resolution_of(self.level if level is None else level, attribute))
 
     def resolution(self) -> Dict[str, float]:
         """Resolutions of all Y attributes."""
@@ -161,6 +167,23 @@ class FetchStep:
         return f"FetchStep({self.describe()})"
 
 
+def size_bounds(producers: Sequence[Tuple[int, ...]], ns: Sequence[int]) -> List[int]:
+    """Upper bound of every step's output size, given each step's cardinality bound ``N``.
+
+    A step is fed at most the product of its producers' (already bounded)
+    output sizes — sources drawn from the same producing step are counted
+    once, their combinations cannot exceed that step's row bound — and
+    returns at most ``N`` tuples per input.  The tariff is the sum.
+    """
+    sizes: List[int] = []
+    for earlier, n in zip(producers, ns):
+        inputs = 1
+        for producer in earlier:
+            inputs *= max(1, sizes[producer])
+        sizes.append(inputs * n)
+    return sizes
+
+
 @dataclass
 class FetchPlan:
     """An ordered sequence of fetch steps (the fetching plan ``ξ_F``)."""
@@ -190,43 +213,37 @@ class FetchPlan:
         return list(seen)
 
     # -- tariff --------------------------------------------------------------
-    def estimated_inputs(self, step: FetchStep, output_sizes: Mapping[str, int]) -> int:
-        """Upper bound on the number of distinct ``X``-values fed to ``step``.
+    def producers(self) -> List[Tuple[int, ...]]:
+        """Per step, the positions of the distinct earlier steps its column sources read.
 
-        Constants contribute a factor of 1; column sources contribute the
-        (already bounded) output size of the producing step.  Sources drawn
-        from the same producing step are counted once — their combinations
-        cannot exceed that step's row bound.
+        This is the plan's whole dependency structure as far as the tariff is
+        concerned; it does not depend on template levels, so chAT derives it
+        once and re-prices candidate levels with :func:`size_bounds`.
+        Constants feed a step exactly one ``X``-value and so have no entry;
+        a source naming a step that is not earlier in the plan bounds nothing.
         """
-        bound = 1
-        counted_steps = set()
-        for source in step.sources:
-            if source.kind == "const":
-                continue
-            if source.step in counted_steps:
-                continue
-            counted_steps.add(source.step)
-            bound *= max(1, output_sizes.get(source.step, 1))
-        return bound
+        position: Dict[str, int] = {}
+        producers: List[Tuple[int, ...]] = []
+        for index, step in enumerate(self.steps):
+            earlier: List[int] = []
+            for source in step.sources:
+                producer = position.get(source.step) if source.kind != "const" else None
+                if producer is not None and producer not in earlier:
+                    earlier.append(producer)
+            producers.append(tuple(earlier))
+            position[step.name] = index
+        return producers
+
+    def _size_bounds(self) -> List[int]:
+        return size_bounds(self.producers(), [step.accessor.n for step in self.steps])
 
     def output_size_bounds(self) -> Dict[str, int]:
         """Upper bound of every step's output size, in plan order."""
-        sizes: Dict[str, int] = {}
-        for step in self.steps:
-            inputs = self.estimated_inputs(step, sizes)
-            sizes[step.name] = inputs * step.accessor.n
-        return sizes
+        return {step.name: size for step, size in zip(self.steps, self._size_bounds())}
 
     def tariff(self) -> int:
         """Worst-case number of tuples the plan can access (Section 5)."""
-        sizes: Dict[str, int] = {}
-        total = 0
-        for step in self.steps:
-            inputs = self.estimated_inputs(step, sizes)
-            fetched = inputs * step.accessor.n
-            sizes[step.name] = fetched
-            total += fetched
-        return total
+        return sum(self._size_bounds())
 
     def resolution_map(self) -> Dict[str, float]:
         """Per qualified attribute, the worst resolution it was fetched with.

@@ -64,13 +64,11 @@ class RelationSchema:
             raise SchemaError(f"relation {name!r} has duplicate attribute names: {names}")
         self.name = name
         self.attributes: Tuple[Attribute, ...] = tuple(attributes)
-        self._index: Dict[str, int] = {a.name: i for i, a in enumerate(self.attributes)}
+        #: Names of all attributes, in schema order.
+        self.attribute_names: Tuple[str, ...] = tuple(names)
+        self._index: Dict[str, int] = {a: i for i, a in enumerate(names)}
 
     # -- basic accessors -------------------------------------------------
-    @property
-    def attribute_names(self) -> Tuple[str, ...]:
-        """Names of all attributes, in schema order."""
-        return tuple(a.name for a in self.attributes)
 
     def __len__(self) -> int:
         return len(self.attributes)

@@ -253,6 +253,19 @@ class TestStoreDirKnob:
         gc.collect()
         assert not os.path.exists(path)  # last mapping gone -> file unlinked
 
+    def test_only_named_files_wait_for_the_device(self, store_dir, tmp_path, monkeypatch):
+        # An anonymous file is scratch (unlinked with its last mapping, swept
+        # at exit), and the executor builds one per fetch step: a flush there
+        # is a disk wait on every answer that protects nothing.  Files someone
+        # can reopen by name keep theirs.
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+        store = MmapStore.from_rows(4, MIXED_ROWS)
+        assert store.is_mapped and synced == []
+        store.save(tmp_path / f"named{FILE_SUFFIX}")
+        assert len(synced) == 1
+
     def test_cleanup_sweeps_leftovers(self, schema, store_dir):
         stores = [MmapStore.from_rows(4, MIXED_ROWS) for _ in range(3)]
         assert len(rpro_files(store_dir)) == 3
