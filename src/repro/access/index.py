@@ -18,7 +18,8 @@ Both indexes report entry counts so Exp-4 (Fig 6(k)) can measure index size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..relational.database import AccessMeter
 from ..relational.kdtree import KDTree
@@ -26,6 +27,9 @@ from ..relational.relation import Relation, Row
 from .template import TemplateSpec
 
 FetchedRow = Tuple[Row, float]  # (X ∪ Y values, represented-tuple count)
+# One value list per X ∪ Y attribute, plus the represented-tuple counts.
+FetchedColumns = Tuple[List[Sequence[object]], List[float]]
+
 
 
 class ConstraintIndex:
@@ -66,6 +70,34 @@ class ConstraintIndex:
             meter.charge(len(values), self.relation_name)
         key = tuple(x_value)
         return [(key + value, float(count)) for value, count in values.items()]
+
+    def fetch_columns(
+        self, x_values: Iterable[Sequence[object]], meter: Optional[AccessMeter] = None
+    ) -> FetchedColumns:
+        """:meth:`fetch` for a batch of ``X``-values, emitted column-wise.
+
+        The rows :meth:`fetch` would return for each ``X``-value in turn,
+        as one value list per ``X ∪ Y`` attribute plus the counts — what a
+        fetch step's frame is built from, without a tuple per row.  The
+        meter is charged per ``X``-value exactly as by :meth:`fetch`, so a
+        budget overrun raises at the same point.
+        """
+        keys: List[Tuple[object, ...]] = []
+        y_rows: List[Tuple[object, ...]] = []
+        weights: List[float] = []
+        for x_value in x_values:
+            key = tuple(x_value)
+            values = self._groups.get(key, {})
+            if meter is not None:
+                meter.charge(len(values), self.relation_name)
+            keys.extend(repeat(key, len(values)))
+            y_rows.extend(values)
+            weights.extend(map(float, values.values()))
+        if not y_rows:
+            return [[] for _ in self.x + self.y], weights
+        # Groups are small (at most N values, often one), so the stored key
+        # and value tuples are lined up first and transposed once.
+        return list(zip(*keys)) + list(zip(*y_rows)), weights
 
     def keys(self) -> List[Tuple[object, ...]]:
         return list(self._groups)
@@ -178,6 +210,33 @@ class TemplateIndex:
             meter.charge(len(reps), self.relation_name)
         key = tuple(x_value)
         return [(key + rep, float(count)) for rep, count in reps]
+
+    def fetch_columns(
+        self,
+        x_values: Iterable[Sequence[object]],
+        level: int,
+        meter: Optional[AccessMeter] = None,
+    ) -> FetchedColumns:
+        """:meth:`fetch` for a batch of ``X``-values, emitted column-wise
+        (see :meth:`ConstraintIndex.fetch_columns`; same metering)."""
+        level = min(max(level, 0), self.max_level)
+        x_columns: List[List[object]] = [[] for _ in self.x]
+        y_columns: List[List[object]] = [[] for _ in self.y]
+        weights: List[float] = []
+        for x_value in x_values:
+            key = tuple(x_value)
+            tree = self._trees.get(key)
+            if tree is None:
+                continue
+            frontier, counts = tree.level_columns(level)
+            if meter is not None:
+                meter.charge(len(counts), self.relation_name)
+            for column, value in zip(x_columns, key):
+                column.extend(repeat(value, len(counts)))
+            for column, values in zip(y_columns, frontier):
+                column.extend(values)
+            weights.extend(counts)
+        return x_columns + y_columns, weights
 
     def keys(self) -> List[Tuple[object, ...]]:
         """All distinct ``X``-values with a tree (``[()]`` when ``X = ∅``)."""

@@ -49,7 +49,7 @@ from ..algebra.spc import maximal_induced_query, to_spc
 from ..errors import QueryError
 from ..relational.database import Database
 from ..relational.distance import INFINITY, tuple_distance
-from ..relational.kernels import NearestNeighbors, naive_min_distance
+from ..relational.kernels import NearestNeighbors, max_min_distance, naive_min_distance
 from ..relational.relation import Relation, Row
 from ..relational.schema import RelationSchema
 
@@ -109,31 +109,11 @@ def max_coverage_distance(
 ) -> float:
     """``max_t δ_cov(Q, S, t)`` over all exact answers.
 
-    ``approx`` is indexed once (:class:`~repro.relational.kernels.NearestNeighbors`)
-    and queried per exact answer; distances are identical to calling
-    :func:`coverage_distance` per row.
+    ``approx`` is indexed once and queried per exact answer
+    (:func:`~repro.relational.kernels.max_min_distance`); distances are
+    identical to calling :func:`coverage_distance` per row.
     """
-    if len(exact) == 0:
-        return 0.0
-    if len(approx) == 0:
-        return INFINITY
-    # Index straight off the approximate relation's storage backend: a
-    # column-backed relation contributes its buffers without materializing
-    # row tuples, and a sharded one is indexed shard by shard (the kernel
-    # returns the per-shard minimum, equal to the global one).
-    neighbors = NearestNeighbors.from_store(approx.store, schema.attributes)
-    # The sweep over the exact answers likewise walks shard buffers directly
-    # when the exact relation is sharded (max is order-insensitive, so the
-    # shard-major visit order changes nothing).
-    worst = 0.0
-    for source in exact.store.shard_views():
-        for exact_row in source.iter_rows():
-            d = neighbors.min_distance(exact_row)
-            if d > worst:
-                worst = d
-            if worst == INFINITY:
-                return worst
-    return worst
+    return max_min_distance(exact.store, approx.store, schema.attributes)
 
 
 # ---------------------------------------------------------------------------

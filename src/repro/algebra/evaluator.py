@@ -77,7 +77,8 @@ class Frame:
     adopts a row list (the shape operator outputs are produced in); pass
     ``store=`` to adopt an existing backend without materializing tuples
     (the executor's fetch stage builds fetched frames on the base relation's
-    store class this way, so frames inherit the database's layout).
+    store class — its in-memory twin for an mmap-backed relation — this way,
+    so frames inherit the database's layout).
     """
 
     __slots__ = ("schema", "weights", "_store")
@@ -586,6 +587,15 @@ class Evaluator:
         per-row tuple is materialized for filtering.  Semantics are
         identical to the former row-at-a-time ``all(check(row) ...)`` loop
         on every backend at every chunk size.
+
+        Which comparisons run as one typed pass per chunk, with no Python
+        call per value: every strict comparison over a typed numeric column
+        (:meth:`~repro.algebra.predicates.CompareOp.column_mask`), and every
+        relaxed ``=``, ``<=``, ``<``, ``>=``, ``>`` under a built-in numeric
+        distance (``NUMERIC``, ``numeric_scaled``) between typed numeric
+        columns or such a column and a numeric constant.  Everything else
+        falls back to the per-value functions below (see
+        :meth:`_comparison_binder`).
         """
         if not condition:
             return frame
@@ -614,13 +624,26 @@ class Evaluator:
 
         Strict comparisons (no usable slack) delegate to
         :meth:`~repro.algebra.predicates.Comparison.chunk_binder` — the
-        single vectorized-dispatch implementation; only the relaxed
-        per-value loops live here (sliced to the engine's chunk windows).
+        single vectorized-dispatch implementation; only the relaxed binders
+        live here (sliced to the engine's chunk windows).
         An infinite resolution gives no usable relaxation: the accuracy
         bound is already 0, and relaxing by +inf would admit every tuple, so
         it falls back to the strict condition as well.  The returned binder
         is applied per (sub-)store by the program, so it must not capture
         whole-frame state.
+
+        A relaxed binder asks the attribute's distance for a column kernel
+        chunk by chunk (:meth:`~repro.relational.distance.DistanceFunction.within_mask`
+        / ``within_mask_pair``): typed ``array('d')`` / ``array('q')``
+        windows (or their mmap views) under ``NUMERIC`` / ``numeric_scaled``
+        against an int/float constant or another typed window compile to one
+        generator pass, bit-identical to the per-value result.  The
+        per-value path — :func:`_relaxed_attr_const` /
+        :func:`_relaxed_attr_attr`, the definition of the semantics —
+        evaluates the rest: object columns (any ``None``, string, ``bool``
+        or huge int demotes a column to a list), ``!=``, the trivial,
+        categorical, string-prefix and custom distances, and non-numeric
+        constants.
         """
         comparison = comparison.normalized()
         if comparison.is_attr_const:
@@ -661,7 +684,9 @@ class _RelaxedConstBinder:
     dataclass the binder rides inside compiled
     :class:`~repro.algebra.predicates.MaskProgram`\\s to the process-parallel
     shard executor's workers (op enums, constants and the built-in distance
-    functions all pickle).
+    functions all pickle).  Each chunk runs through the distance's column
+    kernel when it has one for that window, value by value otherwise (see
+    :meth:`Evaluator._comparison_binder`).
     """
 
     op: CompareOp
@@ -673,10 +698,21 @@ class _RelaxedConstBinder:
     def __call__(self, store: Store) -> ChunkMasker:
         column = store.column(self.position)
         op, constant, slack, distance = self.op, self.constant, self.slack, self.distance
-        return lambda lo, hi: bytearray(
-            _relaxed_attr_const(value, op, constant, slack, distance)
-            for value in chunk_window(column, lo, hi)
-        )
+        strict = op.value if op.is_inequality_range else None
+
+        def masker(lo: int, hi: int) -> bytearray:
+            window = chunk_window(column, lo, hi)
+            mask = None
+            if op is not CompareOp.NE:
+                mask = distance.within_mask(window, constant, slack, strict)
+            if mask is None:  # no column kernel for this column/constant/distance
+                mask = bytearray(
+                    _relaxed_attr_const(value, op, constant, slack, distance)
+                    for value in window
+                )
+            return mask
+
+        return masker
 
 
 @dataclass(frozen=True)
@@ -693,13 +729,22 @@ class _RelaxedPairBinder:
         left_column = store.column(self.left_position)
         right_column = store.column(self.right_position)
         op, slack, distance = self.op, self.slack, self.distance
-        return lambda lo, hi: bytearray(
-            _relaxed_attr_attr(lvalue, rvalue, op, slack, distance)
-            for lvalue, rvalue in zip(
-                chunk_window(left_column, lo, hi),
-                chunk_window(right_column, lo, hi),
-            )
-        )
+        strict = op.value if op.is_inequality_range else None
+
+        def masker(lo: int, hi: int) -> bytearray:
+            left = chunk_window(left_column, lo, hi)
+            right = chunk_window(right_column, lo, hi)
+            mask = None
+            if op is not CompareOp.NE:
+                mask = distance.within_mask_pair(left, right, slack, strict)
+            if mask is None:
+                mask = bytearray(
+                    _relaxed_attr_attr(lvalue, rvalue, op, slack, distance)
+                    for lvalue, rvalue in zip(left, right)
+                )
+            return mask
+
+        return masker
 
 
 def _relaxed_attr_const(value, op: CompareOp, constant, slack: float, distance) -> bool:

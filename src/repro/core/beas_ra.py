@@ -27,6 +27,7 @@ from ..algebra.spc import maximal_induced_query
 from ..errors import QueryError
 from ..relational.database import Database
 from ..relational.distance import INFINITY
+from ..relational.kernels import max_min_distance
 from ..relational.relation import Relation
 from ..relational.schema import DatabaseSchema
 from .executor import PlanExecutor
@@ -77,35 +78,11 @@ def refine_bound_with_induced(
     d_rel, _ = distance_bounds(query, resolutions, database.schema)
     _, induced_cov = distance_bounds(induced, resolutions, database.schema)
 
+    # d′ = max over induced answers of the distance to the nearest answer: the
+    # same one-sided Hausdorff sweep as RC coverage, so it runs through the
+    # same nearest-neighbour kernel (one probe per induced answer).
     schema = query.output_schema(database.schema)
-    distances = [attribute.distance for attribute in schema.attributes]
-
-    if len(induced_answers) == 0:
-        d_prime = 0.0
-    elif len(answers) == 0:
-        d_prime = INFINITY
-    else:
-        d_prime = 0.0
-        answer_rows = list(answers.rows)
-        for induced_row in induced_answers:
-            best = INFINITY
-            for answer_row in answer_rows:
-                worst_attr = 0.0
-                for a, b, dist in zip(answer_row, induced_row, distances):
-                    value = dist(a, b)
-                    if value > worst_attr:
-                        worst_attr = value
-                    if worst_attr >= best:
-                        break
-                if worst_attr < best:
-                    best = worst_attr
-                if best == 0.0:
-                    break
-            if best > d_prime:
-                d_prime = best
-            if d_prime == INFINITY:
-                break
-
+    d_prime = max_min_distance(induced_answers.store, answers.store, schema.attributes)
     if d_prime == INFINITY:
         return 0.0
     return 1.0 / (1.0 + max(d_rel, d_prime + induced_cov))

@@ -27,7 +27,7 @@ from ..algebra.spc import maximal_induced_query
 from ..errors import PlanError
 from ..relational.database import AccessMeter, Database
 from ..relational.kernels import RadiusMatcher
-from ..relational.relation import Relation, Row
+from ..relational.relation import Relation
 from ..relational.schema import Attribute, RelationSchema
 from ..relational.store import Store, gather_columns
 from .plan import BoundedPlan, FetchStep
@@ -161,26 +161,25 @@ class PlanExecutor:
     def _run_step(self, step: FetchStep) -> Frame:
         """Fetch one step's tuples into a frame.
 
-        The frame is bulk-built on the same storage backend as the base
-        relation it was fetched from, so a column- or shard-backed database
-        keeps its layout through the evaluation stage: relaxed selections
-        fan out per shard, and the set-difference guard / relaxed joins
-        build their distance kernels per shard instead of over one
-        monolithic buffer.
+        The accessor emits the whole step — every ``X``-value's sample —
+        column-wise (one value list per ``X ∪ Y`` attribute plus the
+        weights), and the frame is bulk-built from those columns on the same
+        storage layout as the base relation it was fetched from, so a
+        column- or shard-backed database keeps its layout through the
+        evaluation stage: relaxed selections fan out per shard, and the
+        set-difference guard / relaxed joins build their distance kernels
+        per shard instead of over one monolithic buffer.  Frames are scratch
+        data: over an mmap-backed relation they are built on its in-memory
+        twin (:meth:`~repro.relational.store.Store.in_memory_class`).
         """
         schema = self._step_schema(step)
-        rows: List[Row] = []
-        weights: List[float] = []
-        for x_value in self._input_values(step):
-            for fetched_row, count in step.accessor.fetch(x_value, self.meter):
-                rows.append(tuple(fetched_row))
-                weights.append(float(count))
+        columns, weights = step.accessor.fetch_columns(self._input_values(step), self.meter)
         # Use the base relation's store *class* directly rather than looking
         # its backend name up in the registry — a relation may be backed by
         # an unregistered store (e.g. an unregistered ShardedStore.configured
         # variant adopted via Relation(schema, store=...)).
-        store_cls = type(self.database.relation(step.relation).store)
-        return Frame(schema, weights=weights, store=store_cls.from_rows(len(schema), rows))
+        store_cls = type(self.database.relation(step.relation).store).in_memory_class()
+        return Frame(schema, weights=weights, store=store_cls.from_columns(len(schema), columns))
 
     # -- stage 2: per-atom frames ----------------------------------------------------
     def _build_atom_frames(self) -> Dict[str, Frame]:

@@ -151,7 +151,22 @@ class Beas:
         executing a plan whose tariff bound belongs to another α.
         """
         ast = self._as_ast(query)
-        fingerprint = query_fingerprint(ast)
+        return self._answer_ast(ast, query_fingerprint(ast), alpha, enforce_budget, plan)
+
+    def _answer_ast(
+        self,
+        ast: QueryNode,
+        fingerprint: str,
+        alpha: float,
+        enforce_budget: bool,
+        plan: Optional[BoundedPlan],
+    ) -> QueryResult:
+        """:meth:`answer` for an AST whose fingerprint the caller already holds.
+
+        The serving layer fingerprints a request to probe its caches before
+        it knows whether it must compute; on a miss it continues here, so a
+        recompute walks the AST's canonical form once, not twice.
+        """
         budget = self.database.budget_for(alpha)
 
         start = time.perf_counter()

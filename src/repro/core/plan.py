@@ -107,6 +107,16 @@ class Accessor:
             return self.constraint.fetch(x_value, meter)
         return self.family.fetch(x_value, self.level, meter)
 
+    def fetch_columns(self, x_values, meter=None):
+        """Fetch the samples of a batch of ``X``-values, column-wise.
+
+        One value list per ``X ∪ Y`` attribute plus the represented-tuple
+        counts (see :meth:`repro.access.index.ConstraintIndex.fetch_columns`).
+        """
+        if self.constraint:
+            return self.constraint.index.fetch_columns(x_values, meter)
+        return self.family.index.fetch_columns(x_values, self.level, meter)
+
     def describe(self) -> str:
         if self.constraint:
             return self.constraint.spec.describe()

@@ -16,8 +16,11 @@ Distances are used in three places:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
+
+from .store import _buffer_typecode
 
 INFINITY = math.inf
 
@@ -31,6 +34,17 @@ def is_real_number(value: object) -> bool:
     can sit in sorted columns and min/max bounds used for search pruning.
     """
     return isinstance(value, (int, float)) and value == value
+
+
+def numeric_typecode(values: object) -> Optional[str]:
+    """``"d"`` / ``"q"`` for a typed numeric column buffer, else ``None``.
+
+    Typed buffers are the in-memory ``array`` columns of a column store and
+    the ``memoryview`` casts an mmap-backed store exposes over its file;
+    both hold only floats (``"d"``) or machine ints (``"q"``).
+    """
+    code = _buffer_typecode(values)
+    return code if code in ("d", "q") else None
 
 
 def trivial_distance(x: object, y: object) -> float:
@@ -113,6 +127,94 @@ class DistanceFunction:
 
     def __call__(self, x: object, y: object) -> float:
         return self.func(x, y)
+
+    # -- column kernels ------------------------------------------------------
+    #
+    # ``self(v, c) <= slack`` for a whole column in one generator pass, for
+    # the built-in numeric distances over typed buffers.  A typed buffer
+    # holds only floats or machine ints (never ``None``), so
+    # ``absolute_difference``'s guards and ``float()`` coercions fall away:
+    # ``v - fc`` with ``fc = float(c)`` converts an int ``v`` exactly as
+    # ``float(v)`` does, and ``/ 1.0`` (the unscaled distance) is the
+    # identity on every float — each byte is the result of the same float
+    # operations, in the same order, as the per-value call.  The strict
+    # order test reads the operands as given (int/float comparison is exact).
+
+    def _scale(self) -> Optional[float]:
+        """The divisor of a built-in numeric distance, else ``None``."""
+        if self.func is absolute_difference:
+            return 1.0
+        if isinstance(self.func, ScaledDifference):
+            return self.func.scale
+        return None
+
+    def within_mask(
+        self,
+        values: Sequence[object],
+        constant: object,
+        slack: float,
+        strict: Optional[str] = None,
+    ) -> Optional[bytearray]:
+        """One 0/1 byte per value: ``self(v, constant) <= slack``.
+
+        ``strict`` (``"<="``, ``"<"``, ``">="`` or ``">"``) ORs in the order
+        test ``v strict constant`` — the relaxed order comparison of
+        Section 5.  Returns ``None`` when no column kernel applies
+        (``values`` is not a typed numeric buffer, the constant is not a
+        number, or the distance is not a built-in numeric one); the caller
+        then evaluates value by value.
+        """
+        scale = self._scale()
+        if (
+            scale is None
+            or numeric_typecode(values) is None
+            or not isinstance(constant, (int, float))
+        ):
+            return None
+        try:
+            fc = float(constant)
+        except OverflowError:  # an int beyond the float range: per-value raises the same
+            return None
+        if strict is None:
+            return bytearray(abs(v - fc) / scale <= slack for v in values)
+        if strict == "<=":
+            return bytearray(v <= constant or abs(v - fc) / scale <= slack for v in values)
+        if strict == "<":
+            return bytearray(v < constant or abs(v - fc) / scale <= slack for v in values)
+        if strict == ">=":
+            return bytearray(v >= constant or abs(v - fc) / scale <= slack for v in values)
+        if strict == ">":
+            return bytearray(v > constant or abs(v - fc) / scale <= slack for v in values)
+        raise ValueError(f"unknown order operator {strict!r}")
+
+    def within_mask_pair(
+        self,
+        left: Sequence[object],
+        right: Sequence[object],
+        slack: float,
+        strict: Optional[str] = None,
+    ) -> Optional[bytearray]:
+        """:meth:`within_mask` between two aligned columns: ``self(a, b) <= slack``."""
+        scale = self._scale()
+        codes = (numeric_typecode(left), numeric_typecode(right))
+        if scale is None or None in codes:
+            return None
+        # ``a - b`` is the distance's ``float(a) - float(b)`` as soon as one
+        # operand is a float; between two int columns it would be exact int
+        # arithmetic instead, so the left operand of the subtraction is read
+        # from a float image of the column.  The order test reads the ints.
+        rows = zip(left, right, array("d", left) if codes == ("q", "q") else left)
+        if strict is None:
+            return bytearray(abs(fa - b) / scale <= slack for _, b, fa in rows)
+        if strict == "<=":
+            return bytearray(a <= b or abs(fa - b) / scale <= slack for a, b, fa in rows)
+        if strict == "<":
+            return bytearray(a < b or abs(fa - b) / scale <= slack for a, b, fa in rows)
+        if strict == ">=":
+            return bytearray(a >= b or abs(fa - b) / scale <= slack for a, b, fa in rows)
+        if strict == ">":
+            return bytearray(a > b or abs(fa - b) / scale <= slack for a, b, fa in rows)
+        raise ValueError(f"unknown order operator {strict!r}")
 
 
 def categorical_distance(x: object, y: object) -> float:

@@ -145,6 +145,7 @@ class KDTree:
             self._build(list(range(size)), depth=0) if size else None
         )
         self._levels: Dict[int, List[KDNode]] = {}
+        self._level_columns: Dict[int, Tuple[Tuple[Row, ...], Tuple[float, ...]]] = {}
 
     def _master_rows(self) -> List[Row]:
         """All tuples in storage order (materialized lazily, then shared)."""
@@ -268,6 +269,23 @@ class KDTree:
     def representatives(self, level: int) -> List[Tuple[Row, int]]:
         """``(representative, subtree_size)`` pairs for the level frontier."""
         return [(node.representative, node.size) for node in self.level_nodes(level)]
+
+    def level_columns(self, level: int) -> Tuple[Tuple[Row, ...], Tuple[float, ...]]:
+        """:meth:`representatives` column-wise: per attribute the frontier's
+        values, plus the subtree sizes as floats (the weights a fetch emits).
+
+        Cached per level like the frontier itself: a batched fetch extends
+        its output columns with these instead of transposing the frontier's
+        row tuples on every call.  Treat as read-only.
+        """
+        cached = self._level_columns.get(level)
+        if cached is None:
+            nodes = self.level_nodes(level)
+            cached = self._level_columns[level] = (
+                tuple(zip(*(node.representative for node in nodes))),
+                tuple(float(node.size) for node in nodes),
+            )
+        return cached
 
     def resolution(self, level: int) -> Dict[str, float]:
         """Per-attribute resolution ``d̄_level`` of the level frontier.

@@ -1,15 +1,19 @@
 """Shared distance kernels for the library's distance-minimising hot paths.
 
-Three consumers used to spend O(n·m) nested loops comparing every pair of
+Four consumers used to spend O(n·m) nested loops comparing every pair of
 rows under per-attribute distance functions:
 
 * the **relaxed join** in :class:`repro.algebra.evaluator.Evaluator`
   (join keys loosened to "within slack" by access-template resolutions),
 * the **BEAS set-difference guard** in
   :class:`repro.core.executor.BeasEvaluator` (remove every left row within
-  the fetch resolution of some right row), and
+  the fetch resolution of some right row),
 * the **RC accuracy measure** in :mod:`repro.accuracy.rc` (coverage and
-  relevance are nearest-neighbour distances between answer sets).
+  relevance are nearest-neighbour distances between answer sets), and
+* **BEAS_RA's η′ refinement** in
+  :func:`repro.core.beas_ra.refine_bound_with_induced` (``d′``, the distance
+  from every answer of the maximal induced query to its nearest answer —
+  the same sweep as RC coverage, :func:`max_min_distance`).
 
 This module centralises those scans behind two kernels:
 
@@ -880,3 +884,32 @@ class ShardedNearestNeighbors:
                     for position in range(len(queries))
                 ]
         return [self.min_distance(values) for values in queries]
+
+
+def max_min_distance(queries: Store, indexed: Store, attributes: Sequence[Attribute]) -> float:
+    """``max_t min_s d(t, s)`` over the rows ``t`` of ``queries`` and ``s`` of ``indexed``.
+
+    The one-sided Hausdorff distance both the RC coverage measure
+    (``queries`` = exact answers, ``indexed`` = approximate answers) and
+    BEAS_RA's η′ refinement (induced answers vs. answers) are defined by.
+    ``indexed`` is indexed once (:class:`NearestNeighbors`, shard by shard
+    for a sharded store) and probed once per query row, so the result
+    equals a :func:`naive_min_distance` scan per row.  No query rows gives
+    0, nothing to match them against gives +inf.
+    """
+    if len(queries) == 0:
+        return 0.0
+    if len(indexed) == 0:
+        return INFINITY
+    neighbors = NearestNeighbors.from_store(indexed, attributes)
+    # max is order-insensitive, so a sharded ``queries`` is walked shard by
+    # shard straight off the shard buffers.
+    worst = 0.0
+    for source in queries.shard_views():
+        for row in source.iter_rows():
+            d = neighbors.min_distance(row)
+            if d > worst:
+                worst = d
+            if worst == INFINITY:
+                return worst
+    return worst

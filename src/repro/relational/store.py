@@ -91,6 +91,7 @@ import math
 import os
 import threading
 from array import array
+from functools import lru_cache
 from itertools import chain, compress
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
@@ -325,6 +326,17 @@ class Store:
         raise NotImplementedError
 
     # -- construction -------------------------------------------------------
+    @classmethod
+    def in_memory_class(cls) -> Type["Store"]:
+        """The class scratch stores laid out like this backend are built on.
+
+        ``cls`` itself, unless constructing one has effects beyond memory
+        (the mmap tier writes and maps a file per store): fetch frames are
+        transient per-query data and, like every operator output
+        (:func:`preferred_output_class`), never need to outlive the query.
+        """
+        return cls
+
     @classmethod
     def from_rows(cls, width: int, rows: Iterable[Sequence[object]]) -> "Store":
         """Build a store of ``width`` columns from row sequences."""
@@ -1024,6 +1036,15 @@ class ShardedStore(Store):
         configured._validate_shard_count()  # fail here, not at first use
         return configured
 
+    @classmethod
+    def in_memory_class(cls) -> Type["ShardedStore"]:
+        # Same shard count and partitioner over the shard backend's own
+        # in-memory class (itself for every backend but the mmap tier).
+        inner = backend_class(cls.shard_backend).in_memory_class()
+        if inner.backend == cls.shard_backend:
+            return cls
+        return _in_memory_sharded(cls, inner.backend)
+
     # -- shard access --------------------------------------------------------
     @property
     def shards(self) -> Tuple[Store, ...]:
@@ -1486,6 +1507,12 @@ class ShardedStore(Store):
             ]
             return cls._adopt(shards, shard_of)
         return cls.from_rows(width, zip(*columns))
+
+
+@lru_cache(maxsize=None)
+def _in_memory_sharded(cls: Type[ShardedStore], shard_backend: str) -> Type[ShardedStore]:
+    """``cls`` re-configured over ``shard_backend`` (one class per layout, not per call)."""
+    return cls.configured(name=cls.backend, shard_backend=shard_backend)
 
 
 def _is_sorted(shard_of: Sequence[int]) -> bool:

@@ -225,7 +225,7 @@ class QueryServer:
         # reads last — good enough for the envelope's observability role.
         before = parallel.affinity_stats()
         retries_before = parallel.dispatch_stats()["retries"]
-        result = self.beas.answer(ast, served_alpha, enforce_budget, plan=plan)
+        result = self.beas._answer_ast(ast, fingerprint, served_alpha, enforce_budget, plan)
         after = parallel.affinity_stats()
         retries_after = parallel.dispatch_stats()["retries"]
         if not plan_hit:

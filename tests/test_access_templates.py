@@ -140,6 +140,61 @@ class TestTemplateIndex:
         assert meter.accessed == len(fetched)
 
 
+class TestBatchFetch:
+    """``fetch_columns`` is ``fetch`` per ``X``-value, transposed — rows, weights and metering."""
+
+    KEYS = [("hotel",), ("nope",), ("bar",), ("hotel",)]
+
+    @staticmethod
+    def _rows(columns, weights):
+        return list(zip(zip(*columns), weights)) if weights else []
+
+    def test_constraint_batch_equals_fetch_per_value(self, poi_relation):
+        index = ConstraintIndex(poi_relation, ("type",), ("city", "price"))
+        one_by_one, batched = AccessMeter(), AccessMeter()
+        expected = [row for key in self.KEYS for row in index.fetch(key, one_by_one)]
+        columns, weights = index.fetch_columns(self.KEYS, batched)
+        assert self._rows(columns, weights) == expected
+        assert all(type(weight) is float for weight in weights)
+        assert (batched.accessed, batched.by_relation) == (one_by_one.accessed, one_by_one.by_relation)
+
+    def test_template_batch_equals_fetch_per_value(self, poi_relation):
+        index = TemplateIndex(poi_relation, ("type",), ("city", "price"))
+        for level in (-1, 0, 1, index.max_level, 99):
+            one_by_one, batched = AccessMeter(), AccessMeter()
+            expected = [row for key in self.KEYS for row in index.fetch(key, level, one_by_one)]
+            columns, weights = index.fetch_columns(self.KEYS, level, batched)
+            assert self._rows(columns, weights) == expected
+            assert all(type(weight) is float for weight in weights)
+            assert batched.accessed == one_by_one.accessed
+
+    def test_whole_relation_template_has_no_x_columns(self, poi_relation):
+        index = TemplateIndex(poi_relation, (), poi_relation.schema.attribute_names)
+        columns, weights = index.fetch_columns([()], 1)
+        assert len(columns) == 3 and self._rows(columns, weights) == index.fetch((), 1)
+
+    def test_nothing_fetched_still_has_one_column_per_attribute(self, poi_relation):
+        for index, extra in (
+            (ConstraintIndex(poi_relation, ("type",), ("city", "price")), ()),
+            (TemplateIndex(poi_relation, ("type",), ("city", "price")), (0,)),
+        ):
+            for keys in ([], [("nope",)]):
+                columns, weights = index.fetch_columns(keys, *extra)
+                assert [list(column) for column in columns] == [[], [], []] and weights == []
+
+    def test_budget_overrun_raises_at_the_same_x_value(self, poi_relation):
+        from repro.errors import BudgetExceededError
+
+        index = ConstraintIndex(poi_relation, ("type",), ("city", "price"))
+        one_by_one, batched = AccessMeter(budget=4), AccessMeter(budget=4)
+        with pytest.raises(BudgetExceededError):
+            for key in self.KEYS:
+                index.fetch(key, one_by_one)
+        with pytest.raises(BudgetExceededError):
+            index.fetch_columns(self.KEYS, batched)
+        assert batched.accessed == one_by_one.accessed
+
+
 class TestConformance:
     def test_constraint_index_conforms(self, poi_relation):
         index = ConstraintIndex(poi_relation, ("type", "city"), ("price",))

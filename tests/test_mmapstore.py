@@ -332,6 +332,49 @@ class TestDatasetDirectories:
 
 
 # ---------------------------------------------------------------------------
+# Fetch frames are scratch data: built in memory, whatever the base relation
+# ---------------------------------------------------------------------------
+
+
+class TestFetchFramesStayInMemory:
+    def test_in_memory_twins(self):
+        from repro.relational.store import ColumnStore, RowStore
+
+        assert MmapStore.in_memory_class() is ColumnStore
+        for cls in (RowStore, ColumnStore, ShardedStore, backend_class("sharded7")):
+            assert cls.in_memory_class() is cls
+        twin = MmapShardedStore.in_memory_class()
+        assert twin is MmapShardedStore.in_memory_class()  # one class per layout, not per call
+        assert issubclass(twin, ShardedStore) and twin is not MmapShardedStore
+        assert (twin.shard_count, twin.partitioner) == (
+            MmapShardedStore.shard_count,
+            MmapShardedStore.partitioner,
+        )
+        assert twin.shard_backend == "column"
+
+    @pytest.mark.parametrize("backend_name", ["mmap", "mmap-sharded"])
+    def test_fetching_over_mapped_relations_writes_no_file(self, tiny_db, store_dir, backend_name):
+        from repro.core.executor import PlanExecutor
+
+        db = to_backend(tiny_db, backend_name)
+        reference = Beas(tiny_db, constraints=_tiny_constraints())
+        beas = Beas(db, constraints=_tiny_constraints())
+        before = rpro_files(store_dir)
+        assert before  # the base relations themselves are mapped files
+        for sql in RESTART_QUERIES:
+            plan = beas.plan(sql, 1.0)
+            executor = PlanExecutor(db, plan)
+            for frame in executor.fetch().values():
+                stores = [frame.store, *getattr(frame.store, "shards", ())]
+                assert not any(isinstance(store, MmapStore) for store in stores)
+            assert rpro_files(store_dir) == before
+            assert_identical(executor.execute(), reference.answer(sql, 1.0).rows)
+        for name in db.relation_names:  # base relations stay mmap-backed
+            stores = getattr(db.relation(name).store, "shards", None) or [db.relation(name).store]
+            assert all(store.is_mapped or len(store) == 0 for store in stores)
+
+
+# ---------------------------------------------------------------------------
 # Crash-restart: reopen from disk, answers and epochs survive
 # ---------------------------------------------------------------------------
 

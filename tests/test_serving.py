@@ -540,6 +540,32 @@ class TestQueryServer:
         replay = server.serve(QUERIES[0], alpha=0.5)
         assert not replay.result_cache_hit and replay.plan_cache_hit
 
+    def test_a_request_is_fingerprinted_once(self, tiny_beas, monkeypatch):
+        """Miss, plan hit or result hit: the server's fingerprint is the one the engine reports."""
+        from repro.core import framework
+        from repro.serving import server as server_module
+
+        calls = [0]
+
+        def counted(ast):
+            calls[0] += 1
+            return query_fingerprint(ast)
+
+        monkeypatch.setattr(server_module, "query_fingerprint", counted)
+        monkeypatch.setattr(framework, "query_fingerprint", counted)
+        server = QueryServer(tiny_beas)
+        for expected_hit in (False, True):
+            calls[0] = 0
+            envelope = server.serve(QUERIES[2], alpha=0.5)
+            assert envelope.result_cache_hit is expected_hit
+            assert calls[0] == 1
+            assert envelope.result.fingerprint == envelope.fingerprint == query_fingerprint(
+                parse_query(QUERIES[2])
+            )
+        calls[0] = 0
+        assert tiny_beas.answer(QUERIES[2], alpha=0.5).fingerprint == envelope.fingerprint
+        assert calls[0] == 1
+
     def test_mismatched_plan_budget_rejected(self, tiny_beas):
         plan = tiny_beas.plan(QUERIES[0], alpha=0.25)
         with pytest.raises(ValueError):
