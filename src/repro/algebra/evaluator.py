@@ -64,6 +64,7 @@ from .predicates import (
     MaskProgram,
     cached_program,
     chunk_window,
+    may_name,
 )
 from .spc import SPCQuery, to_spc
 
@@ -269,13 +270,21 @@ class Evaluator:
 
     # -- SPC evaluation (join-aware) ----------------------------------------------
     def _eval_spc(self, query: SPCQuery) -> Frame:
+        # Joins carry the output columns and the operands of attr/attr
+        # predicates; a column only its own atom's filter names is dead after it.
+        live: List[AttrRef] = []
+        if query.output and len(query.atoms) > 1:
+            live = list(query.output)
+            for comparison in query.condition:
+                if comparison.is_attr_attr:
+                    live.extend(comparison.attributes())
         frames: Dict[str, Frame] = {}
         for alias, relation_name in query.atoms.items():
             frame = self._scan_frame(Scan(relation_name, alias))
             local = self._local_condition(query, alias, frame.schema)
             if local:
                 frame = self._filter(frame, local)
-            frames[alias] = frame
+            frames[alias] = self._live_frame(frame, live) if live else frame
 
         joined = self._join_all(frames, query)
 
@@ -290,6 +299,23 @@ class Evaluator:
         if query.output:
             joined = self._project_frame(joined, query.output)
         return joined
+
+    @staticmethod
+    def _live_frame(frame: Frame, live: Sequence[AttrRef]) -> Frame:
+        """``frame`` without the columns no ``live`` reference can name.
+
+        Not on the row store, where projecting rebuilds every tuple and costs
+        more than carrying dead values.  An atom no reference names keeps its
+        first column: it still contributes its rows to the join.
+        """
+        if isinstance(frame.store, RowStore):
+            return frame
+        names = frame.schema.attribute_names
+        keep = [p for p, name in enumerate(names) if any(may_name(ref, name) for ref in live)] or [0]
+        if len(keep) == len(names):
+            return frame
+        schema = RelationSchema(frame.schema.name, tuple(frame.schema.attributes[p] for p in keep))
+        return Frame(schema, weights=frame.weights, store=frame.store.project(keep))
 
     def _local_condition(self, query: SPCQuery, alias: str, schema: RelationSchema) -> Conjunction:
         """Attr/const predicates of ``query`` touching only atom ``alias``."""

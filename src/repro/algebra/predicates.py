@@ -340,6 +340,23 @@ class Const:
 Operand = Union[AttrRef, Const]
 
 
+def may_name(ref: AttrRef, name: str) -> bool:
+    """Whether ``ref`` can resolve to the attribute called ``name``.
+
+    The candidate rule of :func:`resolve_position`: the qualified name, or
+    the attribute as a suffix under the reference's alias (any alias when it
+    has none).  A schema keeping every attribute a reference may name
+    resolves it as the full schema does — same attribute, same ambiguity.
+    """
+    if not name.endswith(ref.attribute):  # every form below ends with it
+        return False
+    if name == ref.qualified:
+        return True
+    if name != ref.attribute and not name.endswith(f".{ref.attribute}"):
+        return False
+    return not ref.alias or name.startswith(f"{ref.alias}.")
+
+
 def resolve_position(schema: RelationSchema, ref: AttrRef) -> int:
     """Column position of ``ref`` within ``schema``.
 
@@ -351,17 +368,7 @@ def resolve_position(schema: RelationSchema, ref: AttrRef) -> int:
     qualified = ref.qualified
     if qualified in schema:
         return schema.position(qualified)
-    candidates = [
-        name
-        for name in schema.attribute_names
-        if name == ref.attribute or name.endswith(f".{ref.attribute}")
-    ]
-    if ref.alias:
-        candidates = [
-            name
-            for name in candidates
-            if name.startswith(f"{ref.alias}.") or name == qualified
-        ]
+    candidates = [name for name in schema.attribute_names if may_name(ref, name)]
     if len(candidates) == 1:
         return schema.position(candidates[0])
     if not candidates:

@@ -52,7 +52,25 @@ class BeasEvaluator(Evaluator):
     shard-backed, the guard indexes each shard independently and merges
     (``any_match`` over the shards).  The set of surviving rows is
     identical to the nested-loop scan on every backend.
+
+    ``frames`` (optional) memoises the frame of every sub-query evaluated:
+    the guard evaluates ``Q2`` and then ``Q̂2`` — the same tree unless ``Q2``
+    nests a difference — and the η′ refinement evaluates ``Q1`` again.
+    Frames are never mutated, so one may go to two consumers.
     """
+
+    def __init__(self, *args, frames: Optional[Dict[QueryNode, Frame]] = None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._frames = frames
+
+    def _eval(self, node: QueryNode) -> Frame:
+        frames = self._frames
+        if frames is None:
+            return super()._eval(node)
+        frame = frames.get(node)
+        if frame is None:
+            frame = frames[node] = super()._eval(node)
+        return frame
 
     def _eval_difference(self, node: Difference) -> Frame:
         left = self._eval(node.left)
@@ -102,6 +120,10 @@ class PlanExecutor:
         #: (set by :meth:`fetch`); every evaluation over the fetched data
         #: relaxes by these, whatever happens to the plan's levels later.
         self.resolutions: Dict[str, float] = {}
+        #: Evaluated sub-query → frame, shared by every :meth:`evaluate` of
+        #: this answer (one set of fetched frames, one relaxation map).  Only
+        #: a set difference names a sub-query twice; no other tree is hashed.
+        self._frames: Optional[Dict[QueryNode, Frame]] = {} if plan.query.has_difference() else None
 
     # -- stage 1: fetching --------------------------------------------------------
     def fetch(self) -> Dict[str, Frame]:
@@ -300,16 +322,19 @@ class PlanExecutor:
     # -- stage 3: evaluation ------------------------------------------------------------
     def evaluate(self, query: Optional[QueryNode] = None) -> Relation:
         """Evaluate ``query`` (default: the plan's query) over the fetched data."""
+        return self._evaluator().evaluate(query if query is not None else self.plan.query)
+
+    def _evaluator(self) -> BeasEvaluator:
+        """An evaluator over the fetched data (fetching first if needed)."""
         if self._atom_frames is None:
             self.fetch()
-        query = query if query is not None else self.plan.query
-        evaluator = BeasEvaluator(
+        return BeasEvaluator(
             self.database.schema,
             MappingProvider(self._atom_frames),
             relaxation=self.resolutions,
             needed_attributes=self.plan.needed_attributes,
+            frames=self._frames,
         )
-        return evaluator.evaluate(query)
 
     def execute(self) -> Relation:
         """Fetch (if needed) and evaluate the plan's query."""

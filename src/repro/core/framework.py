@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple, Union
 
 from ..access.builder import AccessSchemaBuilder, ConstraintSpec, FamilySpec
 from ..access.schema import AccessSchema
@@ -32,6 +33,21 @@ from .executor import PlanExecutor
 from .plan import BoundedPlan
 
 QueryLike = Union[str, QueryNode]
+
+# Distinct SQL texts remembered per engine; a statement is a few hundred
+# bytes of frozen AST plus a 64-character digest.
+STATEMENT_MEMO_CAPACITY = 1024
+
+
+def _statement(text: str) -> Tuple[QueryNode, str]:
+    """``(AST, fingerprint)`` of a SQL text — what each engine memoises.
+
+    A pure function of the text with a frozen result, so a memoised entry
+    is valid for ever: no epoch term, nothing to invalidate.  A text that
+    does not parse raises, so it is never stored and raises again next time.
+    """
+    ast = parse_query(text)
+    return ast, query_fingerprint(ast)
 
 
 @dataclass
@@ -106,14 +122,30 @@ class Beas:
             builder = AccessSchemaBuilder(database, max_level=max_level)
             access_schema = builder.build(constraints=constraints, families=families)
         self.access_schema = access_schema
+        #: Bounded LRU memo of :func:`_statement` (thread-safe; ``cache_info()``
+        #: / ``cache_clear()``), shared by everything that resolves a text.
+        self.statements = lru_cache(maxsize=STATEMENT_MEMO_CAPACITY)(_statement)
 
     # -- helpers -----------------------------------------------------------------
     def _as_ast(self, query: QueryLike) -> QueryNode:
         if isinstance(query, str):
-            return parse_query(query)
+            return self.statements(query)[0]
         if isinstance(query, QueryNode):
             return query
         raise QueryError(f"unsupported query object {type(query).__name__}")
+
+    def _resolve(self, query: QueryLike) -> Tuple[QueryNode, str]:
+        """``(AST, fingerprint)`` of a query; the one place a SQL text is resolved.
+
+        ``answer`` and the serving layer both come through here, so a text
+        either of them has seen is neither parsed nor fingerprinted again.
+        A :class:`QueryNode` is fingerprinted as it is — hashing it to look
+        it up would cost what the fingerprint does.
+        """
+        if isinstance(query, str):
+            return self.statements(query)
+        ast = self._as_ast(query)
+        return ast, query_fingerprint(ast)
 
     # -- planning -----------------------------------------------------------------
     def plan(self, query: QueryLike, alpha: float) -> BoundedPlan:
@@ -150,8 +182,8 @@ class Beas:
         — a mismatched budget raises :exc:`ValueError` rather than silently
         executing a plan whose tariff bound belongs to another α.
         """
-        ast = self._as_ast(query)
-        return self._answer_ast(ast, query_fingerprint(ast), alpha, enforce_budget, plan)
+        ast, fingerprint = self._resolve(query)
+        return self._answer_ast(ast, fingerprint, alpha, enforce_budget, plan)
 
     def _answer_ast(
         self,

@@ -92,8 +92,9 @@ import os
 import threading
 from array import array
 from functools import lru_cache
-from itertools import chain, compress
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from itertools import accumulate, chain, compress
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 Row = Tuple[object, ...]
 
@@ -132,6 +133,14 @@ def _uniform_typecode(parts: Sequence[Sequence[object]]) -> Optional[str]:
         if len(part) and _buffer_typecode(part) != typecode:
             return None
     return typecode
+
+
+def _gather(buffer: Sequence[object], indices: Sequence[int]) -> Sequence[object]:
+    """``buffer``'s values at ``indices``, in one C-level call for all of them."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(buffer)
+    return [buffer[index] for index in indices]
+
 
 # ColumnStore buffer kinds.
 _KIND_EMPTY = "empty"  # no values yet: becomes typed on first append
@@ -241,6 +250,12 @@ class Store:
         """
         column = self.column(position)
         return list(map(column.__getitem__, indices))
+
+    def gather_indices(self, indices: Sequence[int]) -> Sequence[int]:
+        """``indices`` as :meth:`gather_column` reads them fastest: a builder of
+        several columns calls this once and passes the result to every gather
+        (a partitioned backend translates into its own layout here, once)."""
+        return indices
 
     # -- whole-store evaluation ---------------------------------------------
     def eval_mask(self, masker: Callable[["Store"], Sequence[int]]) -> bytearray:
@@ -579,15 +594,15 @@ class ColumnStore(Store):
         return list(self._cols)
 
     def gather_column(self, position: int, indices: Sequence[int]) -> Sequence[object]:
-        # Typed buffers gather into typed buffers: one C-speed map per
+        # Typed buffers gather into typed buffers: one C-level call per
         # column, no per-value boxing beyond what the array stores.
         kind = self._kinds[position]
-        getter = self._cols[position].__getitem__
+        values = _gather(self._cols[position], indices)
         if kind is _KIND_FLOAT:
-            return array("d", map(getter, indices))
+            return array("d", values)
         if kind is _KIND_INT:
-            return array("q", map(getter, indices))
-        return list(map(getter, indices))
+            return array("q", values)
+        return list(values)
 
     # -- derivation ---------------------------------------------------------
     def select_mask(self, mask: Sequence[int]) -> "ColumnStore":
@@ -945,6 +960,14 @@ def _in_pool_worker() -> bool:
     return threading.current_thread().name.startswith(_POOL_THREAD_PREFIX)
 
 
+class _ShardGather(NamedTuple):
+    """Row indices of one :class:`ShardedStore`, translated once for every column."""
+
+    indices: Sequence[int]
+    positions: Sequence[int]  # of the indices, in the concatenation of the shard buffers
+    hit: Tuple[int, ...]  # the shards they fall in, ascending
+
+
 class ShardedStore(Store):
     """Partitioned backend: rows split across per-shard :class:`ColumnStore`\\s.
 
@@ -983,7 +1006,7 @@ class ShardedStore(Store):
         "_shards",
         "_shard_of",
         "_contiguous",
-        "_locals_cache",
+        "_concat_cache",
         "_positions_cache",
         "_row_cache",
         "_publication",
@@ -1002,7 +1025,7 @@ class ShardedStore(Store):
         self._shards: List[Store] = [shard_cls(width) for _ in range(self.shard_count)]
         self._shard_of = bytearray()
         self._contiguous = True
-        self._locals_cache: Optional[Sequence[int]] = None
+        self._concat_cache: Optional[Sequence[int]] = None
         self._positions_cache: Optional[List[Sequence[int]]] = None
         self._row_cache: Optional[List[Row]] = None
         self._publication = None  # shared-memory publication (parallel.py)
@@ -1105,14 +1128,14 @@ class ShardedStore(Store):
         out._contiguous = (
             contiguous if contiguous is not None else _is_sorted(shard_of)
         )
-        out._locals_cache = None
+        out._concat_cache = None
         out._positions_cache = None
         out._row_cache = None
         out._publication = None
         return out
 
     def _invalidate(self) -> None:
-        self._locals_cache = None
+        self._concat_cache = None
         self._positions_cache = None
         self._row_cache = None
         self.bump_epoch()
@@ -1147,7 +1170,7 @@ class ShardedStore(Store):
         self._shards = state["shards"]
         self._shard_of = bytearray(state["shard_of"])
         self._contiguous = state["contiguous"]
-        self._locals_cache = None
+        self._concat_cache = None
         self._positions_cache = None
         self._row_cache = None
         self._publication = None
@@ -1169,16 +1192,28 @@ class ShardedStore(Store):
             self._positions_cache = positions
         return self._positions_cache
 
-    def _locals(self) -> Sequence[int]:
-        """Per-global-row local index within its shard (cached)."""
-        if self._locals_cache is None:
-            counters = [0] * len(self._shards)
-            out = array("q", bytes(8 * len(self._shard_of)))
-            for index, shard in enumerate(self._shard_of):
-                out[index] = counters[shard]
-                counters[shard] += 1
-            self._locals_cache = out
-        return self._locals_cache
+    def _offsets(self) -> List[int]:
+        """Where each shard starts in the concatenation of the shard buffers."""
+        return list(accumulate(map(len, self._shards), initial=0))
+
+    def _concat(self) -> Sequence[int]:
+        """Per global row, its position in the concatenation of the shard buffers (cached).
+
+        Minus the shard's :meth:`_offsets` entry, it is the row's index
+        within its shard; a gather is one :func:`_gather` of these positions,
+        then one over the concatenated shard buffers per column.
+        """
+        if self._concat_cache is None:
+            if self._contiguous:
+                self._concat_cache = range(len(self._shard_of))
+            else:
+                cursors = self._offsets()
+                out = array("q", bytes(8 * len(self._shard_of)))
+                for index, shard in enumerate(self._shard_of):
+                    out[index] = cursors[shard]
+                    cursors[shard] += 1
+                self._concat_cache = out
+        return self._concat_cache
 
     # -- size / mutation ----------------------------------------------------
     def __len__(self) -> int:
@@ -1202,7 +1237,8 @@ class ShardedStore(Store):
             index += size
         if not 0 <= index < size:
             raise IndexError(f"row index {index} out of range")
-        return self._shards[self._shard_of[index]].row(self._locals()[index])
+        shard = self._shard_of[index]
+        return self._shards[shard].row(self._concat()[index] - self._offsets()[shard])
 
     def iter_rows(self) -> Iterator[Row]:
         if self._row_cache is not None:
@@ -1246,35 +1282,49 @@ class ShardedStore(Store):
             return chain.from_iterable(parts)
         return (next(parts[shard]) for shard in self._shard_of)
 
+    def gather_indices(self, indices: Sequence[int]) -> Sequence[int]:
+        if len(self._shards) == 1 or isinstance(indices, _ShardGather):
+            return indices
+        positions = indices if self._contiguous else _gather(self._concat(), indices)
+        hit = tuple(sorted(set(_gather(self._shard_of, indices))))
+        return _ShardGather(indices, positions, hit)
+
     def gather_column(self, position: int, indices: Sequence[int]) -> Sequence[object]:
         if len(self._shards) == 1:
             return self._shards[0].gather_column(position, indices)
-        # Split the requested indices per shard (remembering each one's
-        # output slot), gather within each shard, then scatter the per-shard
-        # results back into the requested order.
-        shard_of = self._shard_of
-        locals_ = self._locals()
+        composed = self.gather_indices(indices)
+        if _shard_executor == "process":
+            gathered = self._process_gather(position, composed.indices)
+            if gathered is not None:
+                return gathered
+        # The same buffer kinds as an unsharded gather: typed when every
+        # shard actually hit holds the column in one typecode.
+        columns = [shard.column(position) for shard in self._shards]
+        typecode = _uniform_typecode([columns[shard] for shard in composed.hit])
+        values = _gather(_concat_buffers(columns), composed.positions)
+        return array(typecode, values) if typecode is not None else list(values)
+
+    def _process_gather(self, position: int, indices: Sequence[int]) -> Optional[Sequence[object]]:
+        """:meth:`gather_column` on the workers holding the shards, or ``None``.
+
+        Ships (position, per-shard local indices) and gets the gathered
+        buffers back; the pool takes large gathers only, so only those are
+        split per shard.
+        """
+        from . import parallel
+
+        if len(indices) < parallel.get_process_min_rows() or not parallel.process_eligible(self):
+            return None
+        shard_of, concat, offsets = self._shard_of, self._concat(), self._offsets()
         per_shard: List[List[int]] = [[] for _ in self._shards]
         slots: List[List[int]] = [[] for _ in self._shards]
         for slot, index in enumerate(indices):
             shard = shard_of[index]
-            per_shard[shard].append(locals_[index])
+            per_shard[shard].append(concat[index] - offsets[shard])
             slots[shard].append(slot)
-        parts: Optional[List[Sequence[object]]] = None
-        if _shard_executor == "process":
-            from . import parallel
-
-            # Ships only (position, per-shard local indices); the gathered
-            # buffers come back — the shard payloads themselves never
-            # re-cross the boundary.
-            parts = parallel.process_gather(self, position, per_shard)
+        parts = parallel.process_gather(self, position, per_shard)
         if parts is None:
-            parts = self.map_shards(
-                lambda shard, local: shard.gather_column(position, local), per_shard
-            )
-        # Scatter the per-shard gathers back into request order — into a
-        # typed buffer when every (non-empty) part is one, so sharded
-        # gathers keep the same buffer kinds as unsharded ones.
+            return None
         typecode = _uniform_typecode(parts)
         out: Sequence[object]
         if typecode is not None:
@@ -1409,14 +1459,13 @@ class ShardedStore(Store):
         return self._adopt(shards, shard_of, contiguous=self._contiguous)
 
     def take(self, indices: Sequence[int]) -> "ShardedStore":
-        shard_of = self._shard_of
-        locals_ = self._locals()
+        shard_of, concat, offsets = self._shard_of, self._concat(), self._offsets()
         per_shard: List[List[int]] = [[] for _ in self._shards]
         new_shard_of = bytearray(len(indices))
         for position, index in enumerate(indices):
             shard = shard_of[index]
             new_shard_of[position] = shard
-            per_shard[shard].append(locals_[index])
+            per_shard[shard].append(concat[index] - offsets[shard])
         shards = self.map_shards(lambda shard, idx: shard.take(idx), per_shard)
         return self._adopt(shards, new_shard_of)
 
@@ -1681,6 +1730,8 @@ def gather_pairs(
             left.width + right.width,
             [left_rows[i] + right_rows[j] for i, j in zip(left_indices, right_indices)],
         )
+    # One translation of the matched indices per side, not one per column.
+    left_indices, right_indices = left.gather_indices(left_indices), right.gather_indices(right_indices)
     sources: List[GatherSource] = [
         (left, position, left_indices) for position in range(left.width)
     ]
@@ -1712,9 +1763,10 @@ def vstack_gather(
             rows = store.row_list()
             out_rows.extend(rows[index] for index in indices)
         return RowStore(width, out_rows)
+    prepared = [(store, store.gather_indices(indices)) for store, indices in parts]
     columns: List[Sequence[object]] = []
     for position in range(width):
-        gathered = [store.gather_column(position, indices) for store, indices in parts]
+        gathered = [store.gather_column(position, indices) for store, indices in prepared]
         columns.append(_concat_buffers(gathered))
     if issubclass(backend_cls, ColumnStore):
         return backend_cls.adopt_columns(columns)  # fresh buffers by contract

@@ -51,6 +51,10 @@ from .cache import DEFAULT_MAX_ENTRIES, MISSING, CacheBackend, make_cache
 from .envelope import ServingEnvelope
 from .stats import ServingStats
 
+# ``query_fingerprint`` is not called here (requests resolve through
+# ``Beas._resolve``); ``benchmarks/e2e/spans.py`` replaces it by name.
+__all__ = ["DEFAULT_PROGRAM_CACHE_CAPACITY", "QueryServer", "query_fingerprint"]
+
 # Compiled-program cache capacity the server enables when the knob is still
 # at its batch default (0 = disabled).  A few hundred programs covers any
 # realistic set of hot query shapes; each entry is a handful of small frozen
@@ -182,8 +186,7 @@ class QueryServer:
 
     def _serve_admitted(self, query, alpha, ticket, enforce_budget, start):
         """The cache-then-compute path, run while holding an admission slot."""
-        ast = self.beas._as_ast(query)
-        fingerprint = query_fingerprint(ast)
+        ast, fingerprint = self.beas._resolve(query)
         epoch = self.beas.database.publication_epoch
         served_alpha = ticket.served_alpha
         degraded_reason = "admission-load" if ticket.degraded else None
@@ -251,9 +254,10 @@ class QueryServer:
 
     # -- maintenance --------------------------------------------------------------
     def clear_caches(self) -> None:
-        """Drop every cached result and plan (stats are kept)."""
+        """Drop every cached result, plan and statement (stats are kept)."""
         self.result_cache.clear()
         self.plan_cache.clear()
+        self.beas.statements.cache_clear()
 
     def cache_info(self) -> dict:
         """Result- and plan-cache internals plus the live admission load.
@@ -263,9 +267,11 @@ class QueryServer:
         counts, ``None`` when no plan is installed) make one call enough to
         diagnose a degraded server.
         """
+        memo = self.beas.statements.cache_info()
         return {
             "result_cache": self.result_cache.info(),
             "plan_cache": self.plan_cache.info(),
+            "statements": {"size": memo.currsize, "capacity": memo.maxsize, "hits": memo.hits, "misses": memo.misses},
             "in_flight": self.admission.in_flight,
             "policy": self.admission.policy,
             "max_concurrency": self.admission.max_concurrency,

@@ -22,8 +22,9 @@ import random
 import pytest
 
 from repro import Beas, ConstraintSpec, Database, FamilySpec, Relation
+from repro.algebra.ast import Difference
 from repro.relational import parallel
-from repro.relational.distance import CATEGORICAL, NUMERIC, numeric_scaled
+from repro.relational.distance import CATEGORICAL, NUMERIC, numeric_scaled, resolve
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.relational.store import (
     ShardedStore,
@@ -108,6 +109,17 @@ def assert_identical(left: Relation, right: Relation):
     assert left.schema.attribute_names == right.schema.attribute_names
     lrows, rrows = list(left), list(right)
     assert [identity_key(r) for r in lrows] == [identity_key(r) for r in rrows]
+
+
+def union_compatible(ast, schema) -> bool:
+    """Every ``except`` pairs numeric with numeric columns (else distances raise on str vs float)."""
+    for node in ast.walk():
+        if isinstance(node, Difference):
+            left = node.left.output_schema(schema).attributes
+            right = node.right.output_schema(schema).attributes
+            if any(resolve(a.distance).numeric != resolve(b.distance).numeric for a, b in zip(left, right)):
+                return False
+    return True
 
 
 def to_backend(database: Database, backend: str) -> Database:

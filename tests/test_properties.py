@@ -1,10 +1,13 @@
 """Property-based tests of the BEAS end-to-end guarantees (hypothesis)."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import Beas, QueryServer, Relation
 from repro.accuracy.rc import rc_accuracy
 from repro.algebra.sql import parse_query
+from repro.workloads import social
 
 
 QUERY_TEMPLATES = [
@@ -72,3 +75,34 @@ def test_set_difference_never_returns_negated_tuples(social_beas, city, alpha):
     negated = social_beas.answer_exact(negative).to_set()
     result = social_beas.answer(sql, alpha)
     assert not (result.rows.to_set() & negated)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="access-schema indexes are never rebuilt after a mutation (ROADMAP open item 4(c)): "
+    "an exact plan answers from the indexes of the database as it was when the engine was built",
+)
+def test_an_exact_answer_follows_a_mutation():
+    """Halve ``poi`` and ask for all of it at α = 1: an exact plan must return the 250 rows left.
+
+    Today it returns the 500 the index was built over, with ``exact=True`` and
+    ``η = 1.0``; the serving layer rotates its key (the epoch moved) and then
+    recomputes the same stale answer.
+    """
+    workload = social.generate(persons=200, pois=500)
+    database = workload.database
+    beas = Beas(database, constraints=workload.constraints, families=workload.families)
+    server = QueryServer(beas)
+    sql = "select p.address, p.type, p.city, p.price from poi as p where p.price >= 0"
+    before = server.serve(sql, 1.0)
+    assert len(before.rows) == 500 and before.result.exact and before.eta == 1.0
+
+    poi = database.relation("poi")
+    database.set_relation("poi", Relation(poi.schema, poi.rows[:250]))
+    truth = beas.answer_exact(sql)
+    assert len(truth) == 250
+
+    after = server.serve(sql, 1.0)
+    assert not after.result_cache_hit and after.publication_epoch > before.publication_epoch
+    assert after.result.exact and after.eta == 1.0
+    assert sorted(after.rows.rows) == sorted(truth.rows)  # 500 stale rows today

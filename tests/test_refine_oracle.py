@@ -21,12 +21,13 @@ from repro.core.executor import PlanExecutor
 from repro.core.lower_bound import distance_bounds
 from repro.experiments import build_beas
 from repro.relational.database import AccessMeter
-from repro.relational.distance import DistanceFunction, resolve
+from repro.relational.distance import DistanceFunction
 from repro.relational.kernels import NearestNeighbors
 from repro.relational.relation import Relation
 from repro.workloads import QueryGenerator, airca, tfacc
 
 import refine_oracle
+from conftest import union_compatible
 
 ALPHAS = {"tpch": (0.01, 0.02, 0.05), "airca": (0.5, 1.0), "tfacc": (0.25, 1.0), "social": (0.05, 0.2)}
 QUERIES_PER_WORKLOAD = 8
@@ -42,17 +43,6 @@ def engines(tpch_workload, tpch_beas, social_workload, social_beas):
         "tfacc": (small_tfacc, build_beas(small_tfacc)),
         "social": (social_workload, social_beas),
     }
-
-
-def _union_compatible(ast, schema) -> bool:
-    """Every ``except`` pairs numeric with numeric columns (else distances raise on str vs float)."""
-    for node in ast.walk():
-        if type(node).__name__ == "Difference":
-            left = node.left.output_schema(schema).attributes
-            right = node.right.output_schema(schema).attributes
-            if any(resolve(a.distance).numeric != resolve(b.distance).numeric for a, b in zip(left, right)):
-                return False
-    return True
 
 
 def _executed(beas, ast, alpha):
@@ -73,7 +63,7 @@ def test_eta_prime_matches_the_nested_scan(name, engines):
     for index in range(QUERIES_PER_WORKLOAD):
         query = generator.ra(num_products=index % 3, num_selections=3 + index % 3)
         ast = query.ast
-        if not _union_compatible(ast, beas.database.schema):
+        if not union_compatible(ast, beas.database.schema):
             continue
         for alpha in ALPHAS[name]:
             executed = _executed(beas, ast, alpha)
@@ -173,7 +163,7 @@ def test_refinement_probes_once_per_induced_answer(engines, monkeypatch):
     checked = 0
     for index in range(QUERIES_PER_WORKLOAD):
         ast = generator.ra(num_products=index % 3, num_selections=3 + index % 3).ast
-        if not _union_compatible(ast, beas.database.schema):
+        if not union_compatible(ast, beas.database.schema):
             continue
         plan, executor, answers = _executed(beas, ast, 1.0)
         induced = executor.evaluate(maximal_induced_query(ast))

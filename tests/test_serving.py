@@ -540,8 +540,8 @@ class TestQueryServer:
         replay = server.serve(QUERIES[0], alpha=0.5)
         assert not replay.result_cache_hit and replay.plan_cache_hit
 
-    def test_a_request_is_fingerprinted_once(self, tiny_beas, monkeypatch):
-        """Miss, plan hit or result hit: the server's fingerprint is the one the engine reports."""
+    def test_a_text_is_fingerprinted_once(self, tiny_beas, monkeypatch):
+        """Miss, result hit or a later ``Beas.answer``: one fingerprint per text, the one the engine reports."""
         from repro.core import framework
         from repro.serving import server as server_module
 
@@ -555,16 +555,17 @@ class TestQueryServer:
         monkeypatch.setattr(framework, "query_fingerprint", counted)
         server = QueryServer(tiny_beas)
         for expected_hit in (False, True):
-            calls[0] = 0
             envelope = server.serve(QUERIES[2], alpha=0.5)
             assert envelope.result_cache_hit is expected_hit
             assert calls[0] == 1
             assert envelope.result.fingerprint == envelope.fingerprint == query_fingerprint(
                 parse_query(QUERIES[2])
             )
-        calls[0] = 0
         assert tiny_beas.answer(QUERIES[2], alpha=0.5).fingerprint == envelope.fingerprint
         assert calls[0] == 1
+        # A QueryNode is not looked up: it is fingerprinted per request, as before.
+        assert server.serve(parse_query(QUERIES[2]), alpha=0.5).fingerprint == envelope.fingerprint
+        assert calls[0] == 2
 
     def test_mismatched_plan_budget_rejected(self, tiny_beas):
         plan = tiny_beas.plan(QUERIES[0], alpha=0.25)
@@ -653,12 +654,15 @@ class TestQueryServer:
         assert info["in_flight"] == 0
         assert info["policy"] in ("reject", "queue", "degrade-alpha")
         assert info["program_cache"]["capacity"] >= 0
+        server.serve(QUERIES[0], alpha=0.25)
+        assert server.cache_info()["statements"] == {"size": 1, "capacity": 1024, "hits": 1, "misses": 1}
 
     def test_clear_caches(self, tiny_beas):
         server = QueryServer(tiny_beas)
         server.serve(QUERIES[0], alpha=0.5)
         server.clear_caches()
         assert len(server.result_cache) == 0 and len(server.plan_cache) == 0
+        assert server.cache_info()["statements"]["size"] == 0
         assert not server.serve(QUERIES[0], alpha=0.5).result_cache_hit
 
 

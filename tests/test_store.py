@@ -21,6 +21,7 @@ from repro import Beas, Database, Relation, parse_query
 from repro.algebra.evaluator import DatabaseProvider, Evaluator, evaluate_exact
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import SchemaError
+from repro.relational import store as store_module
 from repro.relational.distance import CATEGORICAL, NUMERIC
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import (
@@ -754,3 +755,62 @@ class TestGatherBuilders:
         mixed = cls.from_rows(1, [(i,) for i in range(10)] + [("s",)])
         gathered = mixed.gather_column(0, [10, 3, 0])
         assert list(gathered) == ["s", 3, 0]
+
+    def test_gather_kind_follows_the_shards_actually_hit(self):
+        """Typed when every shard *hit* holds the column typed — not every shard of the store."""
+        from array import array
+
+        cls = ShardedStore.configured(4, "round_robin")
+        rows = [(float(i),) for i in range(40)]
+        rows[2] = (None,)  # shard 2's column is a plain list now
+        store = cls.from_rows(1, rows)
+        clean = [index for index in range(40) if index % 4 != 2]
+        for indices in (clean, clean[::-1], [0, 0, 39]):
+            gathered = store.gather_column(0, indices)
+            assert isinstance(gathered, array) and gathered.typecode == "d"
+            assert list(gathered) == [float(index) for index in indices]
+        touched = store.gather_column(0, [6, 2, 1])
+        assert isinstance(touched, list) and touched == [6.0, None, 1.0]
+        assert store.gather_column(0, []) == []
+        assert list(store.gather_column(0, [5])) == [5.0]
+
+    @pytest.mark.parametrize("partitioner", ["hash", "round_robin", "range"])
+    def test_sharded_gather_pairs_translates_indices_once_per_side(self, partitioner, monkeypatch):
+        """Twelve columns a side, two translations — not one per column (and not one Python step per value)."""
+        cls = ShardedStore.configured(4, partitioner)
+        rows = [tuple(float(i * j) if j % 2 else f"s{i}-{j}" for j in range(12)) for i in range(60)]
+        left, right = cls.from_rows(12, rows), cls.from_rows(12, rows[::-1])
+        translated, per_column = [], []
+        original_indices, original_column = cls.gather_indices, cls.gather_column
+
+        def counting_indices(store, indices):
+            if not isinstance(indices, store_module._ShardGather):
+                translated.append(store)
+            return original_indices(store, indices)
+
+        def counting_column(store, position, indices):
+            per_column.append(type(indices))
+            return original_column(store, position, indices)
+
+        monkeypatch.setattr(cls, "gather_indices", counting_indices)
+        monkeypatch.setattr(cls, "gather_column", counting_column)
+        left_indices = [59, 0, 0, 17, 42, 3]
+        right_indices = [1, 1, 58, 30, 7, 7]
+        out = gather_pairs(left, left_indices, right, right_indices)
+        assert translated == [left, right]
+        assert per_column == [store_module._ShardGather] * 24
+        expected = [rows[i] + rows[::-1][j] for i, j in zip(left_indices, right_indices)]
+        assert [identity_key(r) for r in out.row_list()] == [identity_key(r) for r in expected]
+
+    def test_the_row_index_is_eight_bytes_a_row_and_none_when_contiguous(self):
+        from array import array
+
+        interleaved = ShardedStore.configured(4, "round_robin").from_rows(1, [(i,) for i in range(10)])
+        concat = interleaved._concat()  # noqa: SLF001
+        assert isinstance(concat, array) and concat.itemsize == 8
+        assert list(concat) == [0, 3, 6, 8, 1, 4, 7, 9, 2, 5]
+        assert [interleaved.row(index) for index in range(10)] == [(i,) for i in range(10)]
+        contiguous = ShardedStore.configured(4, "range").from_rows(1, [(i,) for i in range(10)])
+        assert contiguous._concat() == range(10)  # noqa: SLF001
+        interleaved.append((10,))
+        assert list(interleaved.gather_column(0, [10, 0])) == [10, 0]  # the cached index was dropped
