@@ -14,22 +14,52 @@ Two index kinds (Section 4.1, "Implementation"):
   distance across all groups.
 
 Both indexes report entry counts so Exp-4 (Fig 6(k)) can measure index size.
+
+**Layout of a constraint index.**  The resource the paper bounds is tuples
+accessed through these indexes, so a fetch step — hundreds of ``X``-values
+against one index — must cost a dictionary lookup per ``X``-value and
+nothing per fetched tuple.  The index is therefore one table in compressed
+sparse row form: an *entry* is a distinct ``(X, Y)`` value of ``D_R``; the
+table holds one column buffer per ``X ∪ Y`` attribute (the buffer
+:func:`~repro.relational.store._typed_buffer` chooses: a column that is all
+``float`` / all machine ``int`` at build time is an ``array`` — the store's
+one rule decides, at build time, once) beside the duplicate counts as an
+``array('d')``; and ``_rows`` maps each ``X``-value to the row numbers of
+its entries.  Entries are laid out grouped by ``X``-value in first-seen
+order, ``Y``-values in first-seen order within a group — the order a scan
+of ``D_R`` meets them, which is the order :meth:`ConstraintIndex.fetch`
+has always answered in and so the row order of every fetched frame — which
+makes every ``_rows`` value a ``range``.  A batch fetch is then
+``map(_rows.get, keys)``, one ``chain`` of the row numbers, and one gather
+per column; typed columns leave as ``array`` buffers a store adopts by copy.
+Every fetched value, the ``X`` columns included, is the stored one: asked for
+``1.0`` where ``D_R`` holds ``1``, a fetch answers with the tuples of ``D_R``.
+
+Nothing reads ``_rows`` values as anything but a ``Sequence[int]``: appending
+a tuple to ``D_R`` (ROADMAP item 1(c)) adds its entry at the end of the
+table and replaces the ``X``-value's ``range`` by a list with the new row
+number last, leaving every other group's rows — and first-seen order —
+untouched; ``n`` becomes a ``max`` with the grown group's length, and a typed
+column that meets a value of another type is demoted to a list first, as a
+``ColumnStore`` buffer is.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from array import array
+from collections import Counter
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..relational.database import AccessMeter
 from ..relational.kdtree import KDTree
 from ..relational.relation import Relation, Row
+from ..relational.store import _concat_buffers, _gather, _typed_buffer
 from .template import TemplateSpec
 
 FetchedRow = Tuple[Row, float]  # (X ∪ Y values, represented-tuple count)
-# One value list per X ∪ Y attribute, plus the represented-tuple counts.
+# One value buffer per X ∪ Y attribute, plus the represented-tuple counts.
 FetchedColumns = Tuple[List[Sequence[object]], List[float]]
-
 
 
 class ConstraintIndex:
@@ -39,19 +69,26 @@ class ConstraintIndex:
         self.relation_name = relation.schema.name
         self.x = tuple(x)
         self.y = tuple(y)
-        schema = relation.schema
-        x_positions = schema.positions(self.x)
-        y_positions = schema.positions(self.y)
-        # Each group stores its distinct Y-values together with the number of
-        # base tuples carrying that value (Section 7's duplicate counts, used
-        # by sum/count/avg evaluation over fetched data).
-        self._groups: Dict[Tuple[object, ...], Dict[Tuple[object, ...], int]] = {}
-        for row in relation:
-            key = tuple(row[p] for p in x_positions)
-            value = tuple(row[p] for p in y_positions)
-            bucket = self._groups.setdefault(key, {})
-            bucket[value] = bucket.get(value, 0) + 1
-        self.n = max((len(v) for v in self._groups.values()), default=1)
+        store, schema = relation.store, relation.schema
+        # Each entry is a distinct (X, Y) value together with the number of
+        # base tuples carrying it (Section 7's duplicate counts, used by
+        # sum/count/avg evaluation over fetched data).  The key columns are
+        # read column-wise: no store materialises its row tuples for an index.
+        x_keys = store.key_tuples(schema.positions(self.x))
+        pairs = Counter(zip(x_keys, store.key_tuples(schema.positions(self.y))))
+        groups: Dict[Row, List[Row]] = {}
+        for (key, value), count in pairs.items():
+            groups.setdefault(key, []).append(key + value + (count,))
+        # Transposed: the X ∪ Y columns, then the counts (all empty over an empty relation).
+        columns = list(zip(*chain.from_iterable(groups.values()))) or [()] * (len(self.x + self.y) + 1)
+        self._counts = array("d", columns.pop())
+        self._columns = [_typed_buffer(column)[1] for column in columns]
+        self._rows: Dict[Row, Sequence[int]] = {}
+        start = 0
+        for key, entries in groups.items():
+            self._rows[key] = range(start, start + len(entries))
+            start += len(entries)
+        self.n = max(map(len, self._rows.values()), default=1)
 
     def spec(self, declared_n: Optional[int] = None) -> TemplateSpec:
         """The logical template realised by this index (resolution 0)."""
@@ -65,11 +102,10 @@ class ConstraintIndex:
 
     def fetch(self, x_value: Sequence[object], meter: Optional[AccessMeter] = None) -> List[FetchedRow]:
         """All exact ``Y``-values for ``x_value`` with their duplicate counts."""
-        values = self._groups.get(tuple(x_value), {})
+        rows = self._rows.get(tuple(x_value), ())
         if meter is not None:
-            meter.charge(len(values), self.relation_name)
-        key = tuple(x_value)
-        return [(key + value, float(count)) for value, count in values.items()]
+            meter.charge(len(rows), self.relation_name)
+        return [(tuple(column[row] for column in self._columns), self._counts[row]) for row in rows]
 
     def fetch_columns(
         self, x_values: Iterable[Sequence[object]], meter: Optional[AccessMeter] = None
@@ -77,35 +113,29 @@ class ConstraintIndex:
         """:meth:`fetch` for a batch of ``X``-values, emitted column-wise.
 
         The rows :meth:`fetch` would return for each ``X``-value in turn,
-        as one value list per ``X ∪ Y`` attribute plus the counts — what a
+        as one value buffer per ``X ∪ Y`` attribute plus the counts — what a
         fetch step's frame is built from, without a tuple per row.  The
-        meter is charged per ``X``-value exactly as by :meth:`fetch`, so a
-        budget overrun raises at the same point.
+        meter is charged every ``X``-value's group size before a value is
+        read (:meth:`AccessMeter.charge_many`), so a budget overrun raises
+        exactly where charging them through :meth:`fetch` would.
         """
-        keys: List[Tuple[object, ...]] = []
-        y_rows: List[Tuple[object, ...]] = []
-        weights: List[float] = []
-        for x_value in x_values:
-            key = tuple(x_value)
-            values = self._groups.get(key, {})
-            if meter is not None:
-                meter.charge(len(values), self.relation_name)
-            keys.extend(repeat(key, len(values)))
-            y_rows.extend(values)
-            weights.extend(map(float, values.values()))
-        if not y_rows:
-            return [[] for _ in self.x + self.y], weights
-        # Groups are small (at most N values, often one), so the stored key
-        # and value tuples are lined up first and transposed once.
-        return list(zip(*keys)) + list(zip(*y_rows)), weights
+        spans = list(map(self._rows.get, map(tuple, x_values), repeat(())))
+        if meter is not None:
+            meter.charge_many(map(len, spans), self.relation_name)
+        rows = list(chain.from_iterable(spans))
+        columns: List[Sequence[object]] = []
+        for column in self._columns:
+            values = _gather(column, rows)
+            columns.append(array(column.typecode, values) if isinstance(column, array) else list(values))
+        return columns, list(_gather(self._counts, rows))
 
     def keys(self) -> List[Tuple[object, ...]]:
-        return list(self._groups)
+        return list(self._rows)
 
     @property
     def entry_count(self) -> int:
         """Number of (X, Y) entries stored."""
-        return sum(len(v) for v in self._groups.values())
+        return len(self._counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"ConstraintIndex({self.relation_name}: {self.x} -> {self.y}, N={self.n})"
@@ -130,20 +160,15 @@ class TemplateIndex:
         self.y = tuple(y)
         schema = relation.schema
         self._y_schema = schema.project(self.y, name=f"{schema.name}_y")
-        x_positions = schema.positions(self.x)
-        y_positions = schema.positions(self.y)
+        store = relation.store
+        groups: Dict[Row, List[Row]] = {}
+        x_keys = store.key_tuples(schema.positions(self.x))
+        for key, value in zip(x_keys, store.key_tuples(schema.positions(self.y))):
+            groups.setdefault(key, []).append(value)
 
-        groups: Dict[Tuple[object, ...], List[Tuple[object, ...]]] = {}
-        for row in relation:
-            key = tuple(row[p] for p in x_positions)
-            groups.setdefault(key, []).append(tuple(row[p] for p in y_positions))
-
-        self._trees: Dict[Tuple[object, ...], KDTree] = {}
-        max_group = 1
-        for key, rows in groups.items():
-            y_relation = Relation(self._y_schema, rows)
-            self._trees[key] = KDTree(y_relation)
-            max_group = max(max_group, len(set(rows)))
+        self._trees: Dict[Row, KDTree] = {
+            key: KDTree(Relation(self._y_schema, rows)) for key, rows in groups.items()
+        }
 
         # The deepest level worth materialising: beyond it every frontier node
         # is a single tuple and the resolution is 0.
@@ -220,23 +245,17 @@ class TemplateIndex:
         """:meth:`fetch` for a batch of ``X``-values, emitted column-wise
         (see :meth:`ConstraintIndex.fetch_columns`; same metering)."""
         level = min(max(level, 0), self.max_level)
-        x_columns: List[List[object]] = [[] for _ in self.x]
-        y_columns: List[List[object]] = [[] for _ in self.y]
-        weights: List[float] = []
-        for x_value in x_values:
-            key = tuple(x_value)
-            tree = self._trees.get(key)
-            if tree is None:
-                continue
-            frontier, counts = tree.level_columns(level)
-            if meter is not None:
-                meter.charge(len(counts), self.relation_name)
-            for column, value in zip(x_columns, key):
-                column.extend(repeat(value, len(counts)))
-            for column, values in zip(y_columns, frontier):
-                column.extend(values)
-            weights.extend(counts)
-        return x_columns + y_columns, weights
+        keys = list(filter(self._trees.__contains__, map(tuple, x_values)))
+        if not keys:
+            return [[] for _ in self.x + self.y], []
+        # Per tree its frontier's columns and counts, cached by the tree per level.
+        frontiers, counts = zip(*(self._trees[key].level_columns(level) for key in keys))
+        sizes = list(map(len, counts))
+        if meter is not None:
+            meter.charge_many(sizes, self.relation_name)
+        x_columns = [list(chain.from_iterable(map(repeat, values, sizes))) for values in zip(*keys)]
+        y_columns = [_concat_buffers(parts) for parts in zip(*frontiers)]
+        return x_columns + y_columns, list(chain.from_iterable(counts))
 
     def keys(self) -> List[Tuple[object, ...]]:
         """All distinct ``X``-values with a tree (``[()]`` when ``X = ∅``)."""

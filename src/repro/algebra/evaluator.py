@@ -31,7 +31,8 @@ the pipeline unless the output backend itself is row-major
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
+from operator import mul
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import EvaluationError
@@ -40,7 +41,7 @@ from ..relational.distance import INFINITY
 from ..relational.kernels import RadiusMatcher
 from ..relational.relation import Relation, Row
 from ..relational.schema import DatabaseSchema, RelationSchema
-from ..relational.store import RowStore, Store, gather_pairs, preferred_output_class, vstack_gather
+from ..relational.store import RowStore, Store, _gather, gather_pairs, preferred_output_class, vstack_gather
 from .ast import (
     Difference,
     GroupBy,
@@ -408,31 +409,16 @@ class Evaluator:
         # noise, so such keys keep their strict equality semantics.
         slack = [0.0 if s == INFINITY else s for s in slack]
         out_schema = RelationSchema("⋈", left.schema.attributes + right.schema.attributes)
-        left_indices: List[int] = []
-        right_indices: List[int] = []
-        weights: List[float] = []
-        left_weights, right_weights = left.weights, right.weights
-
         positions_left = left.schema.positions(keys_left)
         positions_right = right.schema.positions(keys_right)
 
-        emit_left = left_indices.append
-        emit_right = right_indices.append
-        emit_weight = weights.append
         if all(s == 0.0 for s in slack):
             # Join keys are extracted column-at-a-time on both sides; rows
             # are only ever named by index.
             buckets: Dict[Tuple[object, ...], List[int]] = {}
             for i, key in enumerate(right.key_tuples(positions_right)):
                 buckets.setdefault(key, []).append(i)
-            for i, key in enumerate(left.key_tuples(positions_left)):
-                hits = buckets.get(key)
-                if hits:
-                    weight = left_weights[i]
-                    for j in hits:
-                        emit_left(i)
-                        emit_right(j)
-                        emit_weight(weight * right_weights[j])
+            all_hits = map(buckets.get, left.key_tuples(positions_left))
         else:
             # Relaxed join: within-slack matching through the distance
             # kernels, indexed straight from the build side's column buffers.
@@ -446,16 +432,22 @@ class Evaluator:
                 right.store, positions_right, distances, slack
             )
             all_hits = matcher.matches_many(list(left.key_tuples(positions_left)))
-            for i, hits in enumerate(all_hits):
-                if hits:
-                    weight = left_weights[i]
-                    for j in hits:
-                        emit_left(i)
-                        emit_right(j)
-                        emit_weight(weight * right_weights[j])
 
-        store = gather_pairs(left.store, left_indices, right.store, right_indices)
-        return Frame(out_schema, weights=weights, store=store)
+        # One step per probe row, not per pair: a bucket's pairs are
+        # emitted by extending both index lists.
+        left_indices: List[int] = []
+        right_indices: List[int] = []
+        emit_left, emit_right = left_indices.append, right_indices.append
+        extend_left, extend_right = left_indices.extend, right_indices.extend
+        for i, hits in enumerate(all_hits):
+            if hits:
+                if len(hits) == 1:
+                    emit_left(i)
+                    emit_right(hits[0])
+                else:
+                    extend_left(repeat(i, len(hits)))
+                    extend_right(hits)
+        return self._paired_frame(out_schema, left, left_indices, right, right_indices)
 
     @staticmethod
     def _paired_frame(
@@ -466,11 +458,7 @@ class Evaluator:
         right_indices: Sequence[int],
     ) -> Frame:
         """Materialize matched index pairs as a frame by per-column gather."""
-        left_weights, right_weights = left.weights, right.weights
-        weights = [
-            left_weights[i] * right_weights[j]
-            for i, j in zip(left_indices, right_indices)
-        ]
+        weights = list(map(mul, _gather(left.weights, left_indices), _gather(right.weights, right_indices)))
         store = gather_pairs(left.store, left_indices, right.store, right_indices)
         return Frame(schema, weights=weights, store=store)
 

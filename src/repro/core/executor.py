@@ -19,6 +19,7 @@ stages:
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.ast import Difference, QueryNode
@@ -143,42 +144,48 @@ class PlanExecutor:
         return RelationSchema(step.name, attrs)
 
     def _input_values(self, step: FetchStep) -> List[Tuple[object, ...]]:
-        """All ``X``-value combinations fed to the step's accessor."""
-        const_values: Dict[str, object] = {}
+        """All distinct ``X``-value combinations fed to the step's accessor.
+
+        A constant supplies its attribute unless a producing step's column
+        does; the distinct values of each producing step (read column-wise,
+        in first-seen order) are combined as a product, first step slowest.
+        """
+        constants: Dict[str, object] = {}
         by_step: Dict[str, List[Tuple[str, str]]] = {}
         for source in step.sources:
             if source.kind == "const":
-                const_values[source.attribute] = source.value
+                constants[source.attribute] = source.value
             else:
                 by_step.setdefault(source.step, []).append((source.attribute, source.column))
 
-        group_choices: List[List[Dict[str, object]]] = []
+        x_order = step.accessor.x
+        # Where each X attribute is read from: (producing group, place in its tuples).
+        origin: Dict[str, Tuple[int, int]] = {}
+        groups: List[List[Tuple[object, ...]]] = []
         for step_name, pairs in by_step.items():
             frame = self._step_frames.get(step_name)
             if frame is None:
                 raise PlanError(f"fetch step {step.name} reads from {step_name} before it ran")
             positions = [frame.schema.position(column) for _, column in pairs]
-            seen: Dict[Tuple[object, ...], None] = {}
-            for values in frame.key_tuples(positions):
-                seen.setdefault(values, None)
-            group_choices.append(
-                [dict(zip((attr for attr, _ in pairs), values)) for values in seen]
-            )
+            supplied = tuple(attribute for attribute, _ in pairs)
+            origin.update((attribute, (len(groups), place)) for place, attribute in enumerate(supplied))
+            groups.append(list(dict.fromkeys(frame.key_tuples(positions))))
+        if not groups:
+            return [tuple(constants[a] for a in x_order)]
+        if len(groups) == 1 and supplied == x_order:
+            return groups[0]
 
-        x_order = step.accessor.x
-        combos: List[Tuple[object, ...]] = []
-        seen_combo: Dict[Tuple[object, ...], None] = {}
-        if group_choices:
-            for parts in itertools.product(*group_choices):
-                merged = dict(const_values)
-                for part in parts:
-                    merged.update(part)
-                value = tuple(merged[a] for a in x_order)
-                seen_combo.setdefault(value, None)
-            combos = list(seen_combo)
-        else:
-            combos = [tuple(const_values[a] for a in x_order)]
-        return combos
+        combinations = list(itertools.product(*groups))
+        if not combinations:
+            return []
+        parts = list(zip(*combinations))
+        columns = [
+            map(itemgetter(origin[a][1]), parts[origin[a][0]])
+            if a in origin
+            else itertools.repeat(constants[a], len(combinations))
+            for a in x_order
+        ]
+        return list(dict.fromkeys(zip(*columns)))
 
     def _run_step(self, step: FetchStep) -> Frame:
         """Fetch one step's tuples into a frame.

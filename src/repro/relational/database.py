@@ -11,11 +11,10 @@ access-template fetch — goes through :meth:`Database.count_access`, and an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..errors import BudgetExceededError, SchemaError
-from .index import HashIndex, SortedIndex
-from .relation import Relation, Row
+from .relation import Relation
 from .schema import DatabaseSchema
 
 
@@ -30,6 +29,15 @@ class AccessMeter:
         enforce: when ``False`` the budget is recorded but not enforced
             (used by baselines that intentionally over-access, and by exact
             evaluation for measuring ground truth cost).
+
+    :meth:`charge` is the definition; :meth:`charge_many` is how a fetch
+    step pays for all of its ``X``-values at once, *before* it reads any
+    value.  Its contract is equivalence: ``charge_many(counts, r)`` leaves
+    the meter exactly as ``for c in counts: charge(c, r)`` would — the same
+    ``accessed``, the same ``by_relation`` (an entry appears even when every
+    count is 0, none when ``counts`` is empty), and when the budget is
+    overrun the same ``BudgetExceededError(accessed, budget)`` raised at the
+    same prefix of ``counts`` with the meter stopped there.
     """
 
     budget: Optional[int] = None
@@ -46,6 +54,27 @@ class AccessMeter:
             self.by_relation[relation_name] = self.by_relation.get(relation_name, 0) + count
         if self.enforce and self.budget is not None and self.accessed > self.budget:
             raise BudgetExceededError(self.accessed, self.budget)
+
+    def charge_many(self, counts: Iterable[int], relation_name: str = "") -> None:
+        """:meth:`charge` every count in turn, in one addition when that is the same.
+
+        Counts are non-negative, so no prefix overruns a budget the total
+        stays within; only a batch that would cross it (or holds a count
+        :meth:`charge` rejects) is replayed count by count, to stop where
+        the loop would have.
+        """
+        counts = list(counts)
+        if not counts:
+            return
+        total = sum(counts)
+        over = self.enforce and self.budget is not None and self.accessed + total > self.budget
+        if over or min(counts) < 0:
+            for count in counts:
+                self.charge(count, relation_name)
+            return
+        self.accessed += total
+        if relation_name:
+            self.by_relation[relation_name] = self.by_relation.get(relation_name, 0) + total
 
     def remaining(self) -> Optional[int]:
         """Budget still available, or ``None`` when unbounded."""
@@ -65,8 +94,6 @@ class Database:
     def __init__(self, schema: DatabaseSchema, relations: Optional[Mapping[str, Relation]] = None) -> None:
         self.schema = schema
         self._relations: Dict[str, Relation] = {}
-        self._hash_indexes: Dict[Tuple[str, Tuple[str, ...]], HashIndex] = {}
-        self._sorted_indexes: Dict[Tuple[str, str], SortedIndex] = {}
         self._epoch_base = 0
         for rel_schema in schema:
             self._relations[rel_schema.name] = Relation(rel_schema)
@@ -100,13 +127,6 @@ class Database:
             # starts back at 0: fold the outgoing store's contribution (plus
             # one for the replacement itself) into the base term.
             self._epoch_base += previous.store.epoch + 1
-        # Any cached indexes over the old instance are now stale.
-        self._hash_indexes = {
-            key: idx for key, idx in self._hash_indexes.items() if key[0] != name
-        }
-        self._sorted_indexes = {
-            key: idx for key, idx in self._sorted_indexes.items() if key[0] != name
-        }
 
     # -- size accounting ------------------------------------------------------
     @property
@@ -181,33 +201,6 @@ class Database:
         if meter is not None:
             meter.charge(len(relation), name)
         return relation
-
-    def hash_index(self, name: str, key_attributes: Sequence[str]) -> HashIndex:
-        """A (cached) hash index on ``key_attributes`` of relation ``name``."""
-        key = (name, tuple(key_attributes))
-        if key not in self._hash_indexes:
-            self._hash_indexes[key] = HashIndex(self.relation(name), key_attributes)
-        return self._hash_indexes[key]
-
-    def sorted_index(self, name: str, attribute: str) -> SortedIndex:
-        """A (cached) sorted index on one attribute of relation ``name``."""
-        key = (name, attribute)
-        if key not in self._sorted_indexes:
-            self._sorted_indexes[key] = SortedIndex(self.relation(name), attribute)
-        return self._sorted_indexes[key]
-
-    def lookup(
-        self,
-        name: str,
-        key_attributes: Sequence[str],
-        key_value: Sequence[object],
-        meter: Optional[AccessMeter] = None,
-    ) -> List[Row]:
-        """Index lookup charging one access per returned tuple."""
-        rows = self.hash_index(name, key_attributes).lookup(key_value)
-        if meter is not None:
-            meter.charge(len(rows), name)
-        return rows
 
     # -- misc -----------------------------------------------------------------
     def copy_subset(self, fractions: Mapping[str, float]) -> "Database":

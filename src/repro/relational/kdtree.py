@@ -50,11 +50,13 @@ shards) or interleaves its shard buffers into whole columns transparently.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .distance import INFINITY, is_real_number
 from .relation import Relation, Row, value_sort_key
 from .schema import RelationSchema
+from .store import _typed_buffer
 
 
 def _shard_executor_is_process() -> bool:
@@ -145,7 +147,7 @@ class KDTree:
             self._build(list(range(size)), depth=0) if size else None
         )
         self._levels: Dict[int, List[KDNode]] = {}
-        self._level_columns: Dict[int, Tuple[Tuple[Row, ...], Tuple[float, ...]]] = {}
+        self._level_columns: Dict[int, Tuple[List[Sequence[object]], array]] = {}
 
     def _master_rows(self) -> List[Row]:
         """All tuples in storage order (materialized lazily, then shared)."""
@@ -270,20 +272,22 @@ class KDTree:
         """``(representative, subtree_size)`` pairs for the level frontier."""
         return [(node.representative, node.size) for node in self.level_nodes(level)]
 
-    def level_columns(self, level: int) -> Tuple[Tuple[Row, ...], Tuple[float, ...]]:
+    def level_columns(self, level: int) -> Tuple[List[Sequence[object]], array]:
         """:meth:`representatives` column-wise: per attribute the frontier's
         values, plus the subtree sizes as floats (the weights a fetch emits).
 
-        Cached per level like the frontier itself: a batched fetch extends
-        its output columns with these instead of transposing the frontier's
-        row tuples on every call.  Treat as read-only.
+        Cached per level like the frontier itself, each column in the buffer
+        :func:`~repro.relational.store._typed_buffer` chooses for it (an
+        ``array`` when the frontier's values are all ``float`` or all
+        machine ``int``), so a batched fetch hands a store buffers it adopts
+        without looking at a value.  Treat as read-only.
         """
         cached = self._level_columns.get(level)
         if cached is None:
             nodes = self.level_nodes(level)
             cached = self._level_columns[level] = (
-                tuple(zip(*(node.representative for node in nodes))),
-                tuple(float(node.size) for node in nodes),
+                [_typed_buffer(column)[1] for column in zip(*(node.representative for node in nodes))],
+                array("d", [node.size for node in nodes]),
             )
         return cached
 

@@ -85,12 +85,6 @@ class TestDatabase:
         db.scan("r", meter)
         assert meter.accessed == 100
 
-    def test_lookup_charges_only_returned(self, db):
-        meter = db.meter()
-        rows = db.lookup("r", ["a"], (3,), meter)
-        assert rows == [(3, 6)]
-        assert meter.accessed == 1
-
     def test_meter_with_alpha(self, db):
         meter = db.meter(alpha=0.1)
         assert meter.budget == 15
@@ -113,9 +107,3 @@ class TestDatabase:
     def test_copy_subset(self, db):
         smaller = db.copy_subset({"r": 0.5, "s": 0.1})
         assert smaller.relation_sizes() == {"r": 50, "s": 5}
-
-    def test_indexes_cached_and_invalidated(self, db):
-        index_a = db.hash_index("r", ["a"])
-        assert db.hash_index("r", ["a"]) is index_a
-        db.set_relation("r", Relation(db.schema.relation("r"), [(1, 2)]))
-        assert db.hash_index("r", ["a"]) is not index_a
