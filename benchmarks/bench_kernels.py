@@ -32,7 +32,7 @@ at several worker counts over a large range-partitioned sharded relation:
 ``parallel_mask_eval`` (the fused-mask engine through ``Store.eval_mask``)
 and ``parallel_radius_batch`` (the radius kernel's ``matches_many`` batch
 API) each record serial / thread / process seconds per worker count —
-process mode publishes the shard buffers to shared memory once and ships
+process mode publishes each shard's buffers as a mapped file once and ships
 only programs/parameters per query.  Every record carries an
 ``executor_config`` block (executor, workers, cpu_count) so entries from
 different modes stay distinguishable across PRs; a single-core machine
@@ -61,19 +61,13 @@ the per-relation restart cost the RAM-resident backends pay;
 ``mmap`` backend next to the in-RAM ``column`` backend on identical
 data, pinning the steady-state cost of reading through a file mapping.
 
-Part 7 measures what sticky shard→worker **affinity routing**
-(:func:`repro.relational.store.set_shard_affinity`) buys on the
-kernel-index workloads: with routing off, a repeat batch query lands on
-whichever pool worker grabs it, so warm per-worker caches (decoded
-shard stores, KD-trees, nearest-neighbour indexes) miss and rebuild;
-with routing on, every shard's work returns to its rendezvous-home
-worker and repeat queries run entirely against warm caches.
-``affinity_kd_radius`` / ``affinity_nn_batch`` record cold and warm
-(mean-of-repeats) batch latency in both modes plus the warm speedup;
-``affinity_select_gather`` audits the fused select+gather operator —
-one boundary crossing per fused call, exact payload bytes returned.
-Both modes are cross-checked against the serial reference, and each
-mode starts from a fully cold pool (``parallel.shutdown()``).
+Part 7 audits the fused select+gather operator of the process executor's
+affinity router (``affinity_select_gather``): one boundary crossing per
+fused call, exact payload bytes returned, home-worker vs stolen tasks —
+cross-checked against the serial reference.  (The off-vs-on routing legs
+recorded in earlier ``BENCH_kernels.json`` files — warm kernel batches
+61× / 185× faster with routing on — went with the knob that selected
+them.)
 
 ``--backends`` restricts which storage backends parts 2–3 and 6 exercise
 (comma-separated, e.g. ``--backends row,sharded``; part 1 is
@@ -560,7 +554,7 @@ COLUMNAR_ENGINE_OPS = {
 
 
 # ---------------------------------------------------------------------------
-# Shard executors: serial vs thread vs process over shared-memory buffers
+# Shard executors: serial vs thread vs process over mapped shard files
 # ---------------------------------------------------------------------------
 
 PARALLEL_SCALE = 100_000
@@ -574,16 +568,11 @@ def executor_config() -> dict:
     """The pinned executor/worker configuration a record was measured under."""
     import os
 
-    from repro.relational.store import (
-        get_shard_affinity,
-        get_shard_executor,
-        get_shard_workers,
-    )
+    from repro.relational.store import get_shard_executor, get_shard_workers
 
     return {
         "executor": get_shard_executor(),
         "workers": get_shard_workers(),
-        "affinity": get_shard_affinity(),
         "cpu_count": os.cpu_count(),
     }
 
@@ -610,7 +599,7 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
     """Time mask evaluation and radius-kernel batches per executor × workers.
 
     Process mode is timed *warm*: the first (untimed) query publishes the
-    shard buffers to shared memory and spawns the pool, so the timed runs
+    shard buffers as mapped files and spawns the pool, so the timed runs
     measure the steady state the executor is designed for — per query, only
     the compiled program / the query parameters cross the process boundary.
     Every executor's results are cross-checked against the serial reference,
@@ -658,7 +647,7 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
             for mode in EXECUTOR_SWEEP:
                 set_shard_executor(mode)
                 configs[mode] = executor_config()
-                # Warm-up: publishes shared-memory segments / spawns the
+                # Warm-up: publishes the shard files / spawns the
                 # pool in process mode; a no-op cost-wise for the others.
                 warm_mask = bytes(SELECTION_CONDITION.mask(store, schema))
                 seconds, masks = _timed_best(
@@ -717,46 +706,27 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Sticky shard→worker affinity routing (process executor, PR 9)
+# Fused select+gather on the affinity router (process executor, PR 9)
 # ---------------------------------------------------------------------------
 
 AFFINITY_SCALE = 40_000
 AFFINITY_SHARDS = 4
-AFFINITY_REPEATS = 3
-AFFINITY_BATCH = 6
-AFFINITY_MODES = ("off", "on")
 
 
-def bench_affinity_section(size: int, repeats: int = AFFINITY_REPEATS) -> list:
-    """Warm repeat-query latency with affinity routing off vs on.
+def bench_affinity_section(size: int) -> list:
+    """Audit the fused select+gather operator's one-crossing contract.
 
-    The workloads are the kernel-index batches — exactly where worker-side
-    caches carry real state: a KD-forest radius batch (each worker builds
-    one KD-tree per shard it serves) and a nearest-neighbour batch (bucket
-    map + per-bucket trees).  Protocol, per workload × mode: start from a
-    fully cold pool (``parallel.shutdown()``), pay one untimed-separately
-    *cold* batch (pool spawn + shared-memory publication + first index
-    build), then time ``repeats`` identical batches and record their mean
-    as the *warm* number.  With routing off the shared pool hands a
-    shard's task to whichever worker grabs it, so early repeats keep
-    paying store decodes and index rebuilds on cache-cold workers; with
-    routing on every shard's task returns to its rendezvous-home worker
-    and repeats rebuild nothing.  Workers == shards so stickiness, not
-    parallelism, is what's being measured (``cpu_count`` is recorded, as
-    in part 4).  Every answer is cross-checked against the serial
-    reference, and the fused select+gather record additionally audits the
-    one-crossing contract: ``boundary_crossings`` counts fused rounds
-    (each shard crossed once) and ``result_bytes`` the exact mask +
-    typed-buffer payload that came back.
+    After one cold warm-up call (publish + spawn), one timed
+    ``select_gather`` over a range-partitioned store with workers == shards:
+    ``boundary_crossings`` counts fused rounds (each shard crossed once) and
+    ``result_bytes`` the exact mask + typed-buffer payload that came back;
+    ``home_worker_tasks`` / ``stolen_tasks`` are the router's verdicts.  The
+    answer is cross-checked against the serial reference.
     """
     from repro.relational import parallel
-    from repro.relational.kdtree import KDForest
-    from repro.relational.kernels import ShardedNearestNeighbors
     from repro.relational.store import (
         ShardedStore,
-        get_shard_affinity,
         get_shard_executor,
-        set_shard_affinity,
         set_shard_executor,
         set_shard_workers,
     )
@@ -766,66 +736,18 @@ def bench_affinity_section(size: int, repeats: int = AFFINITY_REPEATS) -> list:
     store = ShardedStore.configured(AFFINITY_SHARDS, "range").from_rows(
         len(WIDE_SCHEMA), rows
     )
-    relation = Relation(WIDE_SCHEMA, store=store)
-    # Radius 0.0 on the trivial id key (exact match) + a narrow band on the
-    # numeric attributes: per-query work stays small, so index builds —
-    # the state affinity keeps warm — dominate each batch.
-    radii = [0.0, 3.0, 3.0, 3.0, 3.0]
-    kd_queries = [(rows[rng.randrange(size)], radii) for _ in range(AFFINITY_BATCH)]
-    nn_queries = [rows[rng.randrange(size)] for _ in range(AFFINITY_BATCH)]
-    forest = KDForest(relation, max_leaf_size=8)
-    neighbors = ShardedNearestNeighbors(store, WIDE_SCHEMA.attributes)
-    workloads = (
-        ("affinity_kd_radius", lambda: forest.within_radius_indices_many(kd_queries)),
-        ("affinity_nn_batch", lambda: neighbors.min_distance_many(nn_queries)),
-    )
     program = SELECTION_CONDITION.program(WIDE_SCHEMA)
 
     previous_mode = get_shard_executor()
-    previous_affinity = get_shard_affinity()
     previous_workers = set_shard_workers(AFFINITY_SHARDS)
     records = []
     try:
         set_shard_executor("serial")
-        references = {name: fn() for name, fn in workloads}
         ref_mask, ref_store = store.select_gather(program.run_part)
         reference_rows = [ref_store.row(i) for i in range(len(ref_store))]
 
-        set_shard_executor("process")
-        for name, fn in workloads:
-            timings = {}
-            for mode in AFFINITY_MODES:
-                set_shard_affinity(mode)
-                parallel.shutdown()  # cold pool, cold worker caches
-                cold_seconds, out = _timed(fn)
-                assert out == references[name]  # two-mode differential
-                warm_total = 0.0
-                for _ in range(repeats):
-                    seconds, out = _timed(fn)
-                    assert out == references[name]
-                    warm_total += seconds
-                timings[mode] = (cold_seconds, warm_total / repeats)
-            off_cold, off_warm = timings["off"]
-            on_cold, on_warm = timings["on"]
-            records.append(
-                {
-                    "kernel": name,
-                    "size": size,
-                    "shards": AFFINITY_SHARDS,
-                    "workers": AFFINITY_SHARDS,
-                    "queries": AFFINITY_BATCH,
-                    "repeats": repeats,
-                    "off_cold_seconds": round(off_cold, 6),
-                    "off_warm_seconds": round(off_warm, 6),
-                    "on_cold_seconds": round(on_cold, 6),
-                    "on_warm_seconds": round(on_warm, 6),
-                    "warm_speedup": round(off_warm / max(on_warm, 1e-9), 2),
-                    "executor_config": executor_config(),
-                }
-            )
-
         # Fused select+gather: one crossing per shard, payload accounted.
-        set_shard_affinity("on")
+        set_shard_executor("process")
         parallel.shutdown()
         store.select_gather(program.run_part)  # cold warm-up (publish + spawn)
         before = parallel.select_gather_stats()
@@ -855,7 +777,6 @@ def bench_affinity_section(size: int, repeats: int = AFFINITY_REPEATS) -> list:
         )
     finally:
         set_shard_executor(previous_mode)
-        set_shard_affinity(previous_affinity)
         set_shard_workers(previous_workers)
         parallel.shutdown()
     return records
@@ -1244,37 +1165,6 @@ def run(
             )
         )
     if affinity_results:
-        warm_records = [r for r in affinity_results if "warm_speedup" in r]
-        print(
-            format_table(
-                [
-                    "operation",
-                    "size",
-                    "off cold s",
-                    "off warm s",
-                    "on cold s",
-                    "on warm s",
-                    "warm speedup",
-                ],
-                [
-                    [
-                        r["kernel"],
-                        r["size"],
-                        r["off_cold_seconds"],
-                        r["off_warm_seconds"],
-                        r["on_cold_seconds"],
-                        r["on_warm_seconds"],
-                        f"{r['warm_speedup']}x",
-                    ]
-                    for r in warm_records
-                ],
-                title=(
-                    "Affinity routing: repeat-batch latency, off vs on "
-                    f"(workers = shards = {AFFINITY_SHARDS}) -> {destination}"
-                ),
-            )
-        )
-        fused_records = [r for r in affinity_results if "boundary_crossings" in r]
         print(
             format_table(
                 ["operation", "size", "rows out", "crossings", "result bytes", "warm s"],
@@ -1287,7 +1177,7 @@ def run(
                         r["result_bytes"],
                         r["warm_seconds"],
                     ]
-                    for r in fused_records
+                    for r in affinity_results
                 ],
                 title=f"Fused select+gather boundary accounting -> {destination}",
             )

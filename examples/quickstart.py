@@ -163,12 +163,12 @@ def main() -> None:
     #
     #   set_shard_executor("serial")   every shard on the calling thread
     #   set_shard_executor("thread")   bounded ThreadPoolExecutor (default)
-    #   set_shard_executor("process")  process pool over shared memory
+    #   set_shard_executor("process")  worker processes over mapped files
     #
     # "process" is the one that buys real CPU parallelism for pure-Python
-    # work: the first query publishes each shard's column buffers into
-    # multiprocessing.shared_memory once, worker processes decode and cache
-    # them, and every later query ships only the compiled mask program / the
+    # work: the first query publishes each shard's column buffers as one
+    # .rpro file, worker processes mmap it and keep it warm, and every
+    # later query ships only the compiled mask program / the
     # kernel query parameters — never the data.  Routing is automatic and
     # conservative: only picklable whole-store computations (fused mask
     # programs, kernel batch queries like RadiusMatcher.matches_many, KD
@@ -176,7 +176,7 @@ def main() -> None:
     # (below get_process_min_rows(), default 4096 rows — under that, the
     # round-trip costs more than the work) and anything unpicklable fall
     # back to the thread path with bit-identical results.  Mutating a store
-    # retires its shared-memory segments; the next query republishes.
+    # unlinks its published files; the next query republishes.
     #
     # Pool sizing: set_shard_workers(n) bounds BOTH pools (values < 1 raise;
     # None restores os.cpu_count()).  Environment overrides at import time:

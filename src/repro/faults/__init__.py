@@ -19,8 +19,8 @@ freely.  The catalogue (see ``src/repro/faults/README.md``):
 ``parallel.worker.kill``    worker process exits hard (``os._exit``) mid-task
 ``parallel.worker.slow``    worker sleeps ``arg`` seconds before the task
 ``parallel.dispatch.broken`` parent-side synthetic ``BrokenProcessPool`` at submit
-``shm.publish.unlink``      a shard's shared-memory segment vanishes right
-                            after publication (the unlink race)
+``parallel.publish.unlink`` a shard's published file vanishes right after
+                            publication (the unlink race)
 ``mmap.open.corrupt``       opening a dataset file raises
                             :exc:`~repro.errors.CorruptShardError` (marked
                             injected — healthy files are never quarantined)
@@ -88,7 +88,7 @@ KNOWN_SITES = frozenset(
         "parallel.worker.kill",
         "parallel.worker.slow",
         "parallel.dispatch.broken",
-        "shm.publish.unlink",
+        "parallel.publish.unlink",
         "mmap.open.corrupt",
         "mmap.open.missing",
         "serving.cache.get",

@@ -154,7 +154,7 @@ class Database:
         """Monotonic epoch identifying the current contents of ``D``.
 
         Advances whenever any relation's store mutates in place (the same
-        events that retire shared-memory publications — see
+        events that retire process-mode publications — see
         :attr:`repro.relational.store.Store.epoch`) or a relation instance
         is replaced via :meth:`set_relation`.  The serving layer keys its
         result / plan caches on ``(fingerprint, α, publication_epoch)``, so

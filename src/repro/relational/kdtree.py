@@ -562,12 +562,10 @@ class KDForest:
         or more queries ships to the worker processes holding the shard
         buffers — each worker builds (and caches) one KD-tree per shard and
         answers every query, so only the query parameters cross the process
-        boundary.  With affinity routing on (the default — see
-        :func:`repro.relational.store.set_shard_affinity`), every batch for
-        a given shard lands on the same rendezvous-home worker, so the
-        cached KD-tree is rebuilt at most once per worker lifetime rather
-        than once per (worker, shard) pairing the old free-for-all dispatch
-        happened to produce.  Single-query calls (and therefore
+        boundary.  Every batch for a given shard lands on the same
+        rendezvous-home worker (see :mod:`repro.relational.parallel`), so
+        the cached KD-tree is built at most once per worker lifetime.
+        Single-query calls (and therefore
         :meth:`within_radius_indices` / :meth:`within_radius`) stay on the
         parent-side trees, like the radius matcher's per-query path — one
         query cannot amortize a pool round trip per shard.  Results are

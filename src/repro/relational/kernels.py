@@ -606,7 +606,7 @@ class ShardedRadiusMatcher:
 
         Batches route through the affinity queues (see
         :mod:`repro.relational.parallel`): each shard's task lands on its
-        rendezvous-home worker, where the decoded store and the cached
+        rendezvous-home worker, where the mapped store and the cached
         bucket matcher from earlier batches are already warm.
         """
         if get_shard_executor() != "process" or not queries:

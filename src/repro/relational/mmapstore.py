@@ -1,15 +1,31 @@
 """Persistent mmap-backed storage tier: on-disk typed columns, zero-copy reads.
 
 Every other backend is RAM-resident and rebuilt from scratch on restart.
-:class:`MmapStore` moves the PR-5 typed-column codec
-(:func:`repro.relational.parallel.encode_store`) onto disk: a store's column
-buffers live in one file under the dataset directory, laid out so that a
-reader needs **no decode step** — the file is ``mmap``'d and each typed
-column becomes a ``memoryview`` cast straight over the mapping.  Reads are
-zero-copy, a reopened store is bit-identical to the one that was saved, and
-worker processes map the same file directly instead of round-tripping
-payloads through ``multiprocessing.shared_memory`` (see
-:class:`repro.relational.parallel.FilePublication`).
+:class:`MmapStore` keeps a store's column buffers in one file under the
+dataset directory, laid out so that a reader needs **no decode step** — the
+file is ``mmap``'d and each typed column becomes a ``memoryview`` cast
+straight over the mapping.  Reads are zero-copy and a reopened store is
+bit-identical to the one that was saved.  The same file is how shard buffers
+reach worker processes: an mmap-backed shard hands out its own
+``(token, path)`` handle (:meth:`MmapStore.file_handle`), any other shard is
+written once by :func:`write_anonymous`, and workers :meth:`MmapStore.open`
+either (see :class:`repro.relational.parallel.ShardPublication`).
+
+Saving and reopening a dataset::
+
+    save_database(db, "/data/my-dataset")     # any source backend
+    db = open_database("/data/my-dataset")    # mmap-backed relations
+
+    store = MmapStore.from_rows(3, rows)      # persists anonymously, reads via mmap
+    store.save("/data/emp.rpro")              # durable, atomic (tmp + rename)
+    again = MmapStore.open("/data/emp.rpro")  # maps in place; epoch restored
+
+What survives a restart: every value bit-identically (NaN, ``-0.0``,
+mixed-type columns), the shard layout of sharded sources, each store's
+mutation epoch and the database's publication epoch — a restart is not a
+mutation, so serving-layer cache keys minted before it stay valid after it.
+A schema with unpicklable distance callables is left out of the manifest;
+pass ``schema=`` to :func:`open_database` then.
 
 File format (``RPROMM02``)::
 
@@ -22,11 +38,7 @@ where each column descriptor is ``(tag, typecode, offset, nbytes)`` —
 ``"arr"`` columns are raw ``array('d')``/``array('q')`` bytes (cast in place
 on open), ``"obj"`` columns are pickled value lists, ``"empty"`` columns
 carry no payload.  Offsets are relative to the aligned payload base; 8-byte
-alignment is what makes ``memoryview.cast`` legal on the typed slices.  The
-**epoch** rides in the header, so a store reopened after a restart reports
-the same mutation epoch it was saved with and the serving layer's
-epoch-keyed caches stay correct across the restart (a reopen is not a
-mutation).
+alignment is what makes ``memoryview.cast`` legal on the typed slices.
 
 Integrity (``REPRO_CHECKSUM`` / :func:`set_checksum_mode` — ``off``,
 ``header`` (default) or ``full``): the header trailer carries
@@ -37,10 +49,9 @@ check raises :exc:`~repro.errors.CorruptShardError` after *quarantining*
 the damaged file (renamed aside with a ``.quarantined`` suffix) so a
 crash-restart loop cannot spin on the same bad bytes — callers on the
 parallel read path treat it as fatal and fall back to the thread path over
-the in-memory buffers.  Legacy ``RPROMM01`` files (no checksums) still open,
-unverified.  The ``mmap.open.missing`` / ``mmap.open.corrupt`` fault sites
-(:mod:`repro.faults`) fire here; injected corruption never quarantines a
-healthy file.
+the in-memory buffers.  The ``mmap.open.missing`` / ``mmap.open.corrupt``
+fault sites (:mod:`repro.faults`) fire here; injected corruption never
+quarantines a healthy file.
 
 Store states:
 
@@ -108,8 +119,6 @@ from .store import (
 )
 
 _MAGIC = b"RPROMM02"
-_MAGIC_V1 = b"RPROMM01"
-_MANIFEST_FORMATS = frozenset({"RPROMM01", "RPROMM02"})
 _ALIGN = 8
 _CRC_BYTES = 4
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -245,10 +254,10 @@ def set_checksum_mode(mode: Optional[str]) -> str:
 # Anonymous-file lifecycle
 # ---------------------------------------------------------------------------
 
-# Paths of anonymous files whose mappings are still (or were recently) live.
-# Per-file finalizers unlink eagerly when the last mapping dies; the atexit
-# sweep catches whatever the GC had not collected yet, so a test session
-# leaves no stray ``anon-*.rpro`` behind.
+# Paths of anonymous files not yet released: a store's ``anon-*`` file is
+# unlinked by a finalizer when its last mapping dies, a publication's
+# ``pub-*`` files when it retires; the atexit sweep catches whatever the GC
+# had not collected yet, so a test session leaves neither kind behind.
 _ANON_LOCK = threading.Lock()
 _ANON_FILES: set = set()
 _cleanup_registered = False
@@ -263,7 +272,8 @@ def _register_cleanup_locked() -> None:
         atexit.register(cleanup_store_dir)
 
 
-def _forget_anonymous(path: str) -> None:
+def forget_anonymous(path: str) -> None:
+    """Unlink one anonymous file now (idempotent)."""
     with _ANON_LOCK:
         _ANON_FILES.discard(path)
     try:
@@ -272,11 +282,14 @@ def _forget_anonymous(path: str) -> None:
         pass
 
 
-def _track_anonymous(mapped: "_MappedFile") -> None:
+def _write_anonymous(prefix: str, blob: bytes) -> str:
+    """Write ``blob``, without an fsync, to a fresh tracked file under the store directory."""
+    path = os.path.join(get_store_dir(), f"{prefix}-{uuid.uuid4().hex}{FILE_SUFFIX}")
+    _write_blob(path, blob, durable=False)
     with _ANON_LOCK:
-        _ANON_FILES.add(mapped.path)
+        _ANON_FILES.add(path)
         _register_cleanup_locked()
-    mapped.finalizer = weakref.finalize(mapped, _forget_anonymous, mapped.path)
+    return path
 
 
 def cleanup_store_dir() -> None:
@@ -416,6 +429,15 @@ class _MappedFile:
         self.finalizer = None
 
 
+def _file_token(path: str, stat: os.stat_result) -> str:
+    """The file's identity (path, inode, mtime, size) as a worker cache key.
+
+    A rewritten file gets a new token, so a worker-side cache entry can never
+    answer for it.
+    """
+    return f"{path}:{stat.st_ino}:{stat.st_mtime_ns}:{stat.st_size}"
+
+
 def _quarantine_file(path: str) -> Optional[str]:
     """Rename a damaged dataset file aside; returns the new path (or None).
 
@@ -461,40 +483,31 @@ def _map_file(path: str):
             corrupt("truncated before header")
         mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     data = memoryview(mm)
-    magic = bytes(data[: len(_MAGIC)])
-    if magic == _MAGIC:
-        trailer = _CRC_BYTES
-    elif magic == _MAGIC_V1:
-        trailer = 0  # legacy file: no checksums recorded, opens unverified
-    else:
+    if bytes(data[: len(_MAGIC)]) != _MAGIC:
         raise ValueError(f"{path!r} is not a repro dataset file (bad magic)")
     header_length = int.from_bytes(data[len(_MAGIC): len(_MAGIC) + 8], "little")
     header_end = len(_MAGIC) + 8 + header_length
-    if header_end + trailer > stat.st_size:
+    if header_end + _CRC_BYTES > stat.st_size:
         corrupt("truncated header")
     header_bytes = data[len(_MAGIC) + 8: header_end]
-    if trailer and verify != "off":
+    if verify != "off":
         expected = int.from_bytes(data[header_end: header_end + _CRC_BYTES], "little")
         if zlib.crc32(header_bytes) != expected:
             corrupt("header checksum mismatch")
     try:
         header = pickle.loads(header_bytes)
         descriptors = list(header["columns"])
+        column_crcs = header["column_crcs"]
     except Exception as exc:
         corrupt(f"undecodable header ({type(exc).__name__})")
-    base = _aligned(header_end + trailer)
-    column_crcs = header.get("column_crcs")
+    base = _aligned(header_end + _CRC_BYTES)
     kinds: List[str] = []
     cols: List[Sequence[object]] = []
     for index, (tag, typecode, offset, nbytes) in enumerate(descriptors):
         if base + offset + nbytes > stat.st_size:
             corrupt(f"column {index} payload truncated")
         chunk = data[base + offset: base + offset + nbytes]
-        if (
-            verify == "full"
-            and column_crcs is not None
-            and zlib.crc32(chunk) != column_crcs[index]
-        ):
+        if verify == "full" and zlib.crc32(chunk) != column_crcs[index]:
             corrupt(f"column {index} payload checksum mismatch")
         if tag == "arr":
             view = chunk.cast(typecode)
@@ -514,8 +527,7 @@ def _map_file(path: str):
                 corrupt(f"column {index} payload undecodable ({type(exc).__name__})")
             kinds.append(_KIND_OBJECT if values else _KIND_EMPTY)
             cols.append(values)
-    token = f"{path}:{stat.st_ino}:{stat.st_mtime_ns}:{stat.st_size}"
-    return _MappedFile(path, mm, token), header, kinds, cols
+    return _MappedFile(path, mm, _file_token(path, stat)), header, kinds, cols
 
 
 def _thaw(buffer: Sequence[object]) -> Sequence[object]:
@@ -576,7 +588,7 @@ class MmapStore(ColumnStore):
     def _attach(self, path: str, anonymous: bool) -> None:
         mapped, header, kinds, cols = _map_file(path)
         if anonymous:
-            _track_anonymous(mapped)
+            mapped.finalizer = weakref.finalize(mapped, forget_anonymous, path)
         self.width = header["width"]
         self._kinds = kinds
         self._cols = cols
@@ -589,8 +601,7 @@ class MmapStore(ColumnStore):
         """Write freshly-built buffers to an anonymous file and map them.
 
         A store whose object columns cannot pickle stays detached — it is
-        still a fully valid (bit-identical) in-memory store, mirroring how
-        unpublishable stores fall back on the shared-memory path.
+        still a fully valid (bit-identical) in-memory store.
         """
         if self._mapped is not None or self._length == 0:
             return
@@ -600,18 +611,14 @@ class MmapStore(ColumnStore):
             )
         except Exception:
             return
-        path = os.path.join(get_store_dir(), f"anon-{uuid.uuid4().hex}{FILE_SUFFIX}")
-        _write_blob(path, blob, durable=False)
+        path = _write_anonymous("anon", blob)
         try:
             self._attach(path, anonymous=True)
         except (CorruptShardError, FileNotFoundError, OSError):
             # The reopen failed (or a fault plan made it fail): stay
             # detached — the in-memory buffers are still bit-identical —
             # and drop the orphaned file.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            forget_anonymous(path)
 
     def _materialize(self) -> None:
         """Thaw every mapped buffer into a private in-memory one.
@@ -641,18 +648,16 @@ class MmapStore(ColumnStore):
         mapped = self._mapped
         return mapped.path if mapped is not None else None
 
-    def file_handle(self):
-        """A ``("file", token, path)`` handle for process workers, if mapped.
+    def file_handle(self) -> Optional[Tuple[str, str]]:
+        """The ``(token, path)`` handle process workers map, if mapped.
 
-        The token pins the file's identity (inode, mtime, size), so a
-        worker-side cache entry can never answer for a rewritten file.
-        Detached stores return ``None`` — the parent falls back to the
-        shared-memory publication path.
+        Detached stores return ``None`` — a publication then writes their
+        buffers with :func:`write_anonymous`.
         """
         mapped = self._mapped
         if mapped is None:
             return None
-        return ("file", mapped.token, mapped.path)
+        return (mapped.token, mapped.path)
 
     # -- mutation ------------------------------------------------------------
     def append(self, row: Sequence[object]) -> None:
@@ -707,8 +712,7 @@ class MmapStore(ColumnStore):
     def __reduce__(self):
         # Mapped stores hold memoryviews and an mmap object — neither
         # pickles.  Ship the typed buffers as raw bytes instead; the rebuilt
-        # store is detached (the file path means nothing in another process
-        # unless shipped as a file handle, which parallel.py does instead).
+        # store is detached (parallel.py ships file handles instead).
         columns: List[Tuple[Optional[str], object]] = []
         for kind, col in zip(self._kinds, self._cols):
             typecode = _KIND_TYPECODES.get(kind)
@@ -753,9 +757,8 @@ def _rebuild_detached(
 
 # The sharded variant: mmap-backed shards under the standard partitioned
 # layout.  Range partitioning keeps shards contiguous, so whole-column reads
-# concatenate the mapped views at C speed — and every shard exposes a file
-# handle, which is what lets process-mode queries skip the shared-memory
-# publication lifecycle entirely.
+# concatenate the mapped views at C speed — and every shard hands out its own
+# file, so a process-mode publication writes nothing.
 MmapShardedStore = ShardedStore.configured(
     4, "range", name="mmap-sharded", shard_backend=MmapStore.backend
 )
@@ -781,9 +784,26 @@ def _store_buffers(store: Store) -> Tuple[List[str], List[Sequence[object]]]:
     return kinds, cols
 
 
-def _write_store_file(path: str, store: Store) -> None:
+def _store_blob(store: Store) -> bytes:
     kinds, cols = _store_buffers(store)
-    _write_blob(path, _encode_file(store.width, len(store), store.epoch, kinds, cols))
+    return _encode_file(store.width, len(store), store.epoch, kinds, cols)
+
+
+def _write_store_file(path: str, store: Store) -> None:
+    _write_blob(path, _store_blob(store))
+
+
+def write_anonymous(store: Store) -> Tuple[str, str]:
+    """Write any store's buffers to a ``pub-*`` file; its ``(token, path)`` handle.
+
+    How a shard with no file of its own reaches worker processes, which
+    :meth:`MmapStore.open` the path.  An empty store is written too — the
+    worker needs the file to learn its width.  Raises whatever :mod:`pickle`
+    raises for unpicklable object-column values.  The caller owns the file
+    and releases it with :func:`forget_anonymous`.
+    """
+    path = _write_anonymous("pub", _store_blob(store))
+    return (_file_token(path, os.stat(path)), path)
 
 
 def save_database(database: Database, directory: os.PathLike) -> str:
@@ -854,7 +874,7 @@ def open_database(
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     with open(manifest_path, "rb") as handle:
         manifest = pickle.loads(handle.read())
-    if manifest.get("format") not in _MANIFEST_FORMATS:
+    if manifest.get("format") != _MAGIC.decode("ascii"):
         raise ValueError(f"{manifest_path!r} is not a repro dataset manifest")
     if schema is None:
         schema = manifest.get("schema")

@@ -1,95 +1,90 @@
-"""Process-parallel shard execution over shared-memory buffers.
+"""Process-parallel shard execution: shards published as files, one router.
 
 The sharded backend's fan-out seam (:meth:`ShardedStore.map_shards` /
-:meth:`ShardedStore.eval_mask`) ran on a GIL-bound thread pool, so
-pure-Python chunk masks and distance kernels gained concurrency but no real
-CPU parallelism.  This module adds the third execution mode behind
-:func:`repro.relational.store.set_shard_executor`: a lazily spawned, bounded
-**process pool** whose workers hold each shard's column buffers, decoded
-once from :mod:`multiprocessing.shared_memory` segments.
+:meth:`ShardedStore.eval_mask`) runs on a GIL-bound thread pool, so
+pure-Python chunk masks and distance kernels gain concurrency but no real
+CPU parallelism.  This module is the third execution mode behind
+:func:`repro.relational.store.set_shard_executor`: worker processes that map
+each shard's column buffers from a file.  There is one of each mechanism:
 
-The contract that makes this fast is *publish once, query many*:
+* **Publication = files.**  The first process-mode query against a sharded
+  store builds its :class:`ShardPublication`: one ``.rpro`` file per shard
+  (:mod:`repro.relational.mmapstore`).  A shard that already lives in a
+  mapped file hands out that file; any other shard (column, row, nested
+  sharded) is written once, without an fsync, as a ``pub-*`` file under
+  :func:`~repro.relational.mmapstore.get_store_dir`.  Every handle has one
+  shape, ``(token, path)``: workers :meth:`MmapStore.open
+  <repro.relational.mmapstore.MmapStore.open>` the path — typed columns are
+  read in place through the page cache, nothing is copied or decoded — and
+  keep the mapped store in a per-process LRU cache keyed by the token, which
+  also pins the file's identity (inode, mtime, size).  A store whose object
+  values do not pickle is remembered as unpublishable and stays on the
+  thread path.
+* **Queries** ship only small picklable descriptions of the work: a compiled
+  :class:`~repro.algebra.predicates.MaskProgram` (or any picklable masker)
+  for :func:`process_eval_mask`, ``(position, indices)`` for
+  :func:`process_gather`, ``(positions, distances, thresholds, query
+  batch)`` for the radius kernel, attribute lists for nearest-neighbour
+  batches, and ``(schema, leaf size, query batch)`` for KD-tree radius
+  queries.  Workers answer with masks / gathered buffers / index lists /
+  distances; shard buffers never cross the boundary.
+* **Invalidation** is by replacement: mutating a sharded store retires its
+  publication (the files it wrote are unlinked; see
+  :meth:`ShardedStore._retire_publication`), as do garbage collection of
+  the store, :func:`shutdown` and interpreter exit, and the next query
+  publishes fresh files under new names.  Worker caches are keyed by token,
+  so a stale entry can never answer a query; it ages out of the LRU.
+* **Start method: forkserver, never fork.**  Pools are created lazily, so
+  the parent usually runs threads by then (the shard thread pool, a server's
+  request threads), and a child forked from a threaded parent can inherit a
+  lock held by a thread that does not exist in the child and wait on it
+  forever.  Workers therefore fork from the single-threaded forkserver,
+  which preloads this package once so a respawn costs about what a fork
+  does; platforms without forkserver use ``spawn``.
+* **Dispatch = the affinity router.**  The :class:`_AffinityRouter` keeps
+  one dedicated single-worker queue (*slot*) per configured worker and
+  routes every task by **rendezvous hashing** its handle token — the home
+  slot is the argmax over slots of ``blake2b(token | slot index | slot
+  generation)``, deterministic across processes and hash seeds.  Each
+  shard's mapped store and cached kernel indexes therefore live on exactly
+  one warm worker across queries.  Overflow **work-stealing** keeps slots
+  busy when shards outnumber workers: a task whose home slot already has a
+  queue is diverted to an idle slot (any worker can resolve any handle —
+  stealing costs cache warmth, never correctness).  Routing counters are
+  exposed through :func:`affinity_stats`; the serving layer reports them per
+  request.
+* **Retire = kill.**  A slot whose worker died (``BrokenProcessPool``) or
+  overran the dispatch deadline is repaired alone: its pool is retired by
+  :func:`_retire_pool` — shut down, then the worker process killed and
+  joined, because ``shutdown(wait=False)`` merely abandons a running task
+  and a wedged worker would otherwise outlive the deadline and block
+  interpreter exit — and its *generation* is bumped, which re-draws that
+  slot's rendezvous scores: tokens only ever move from or to the repaired
+  slot.  :func:`shutdown` and :func:`reset_process_pool` (worker-count
+  changes; a full re-hash) retire slots with work in flight the same way.
 
-* **Publication** — the first process-mode query against a sharded store
-  encodes every shard's column buffers (typed ``array`` buffers as raw
-  bytes, object columns by pickle) into one shared-memory segment per shard
-  (:class:`ShardPublication`).  Workers attach by segment name, decode into
-  a private :class:`~repro.relational.store.ColumnStore`, close the mapping,
-  and keep the decoded store in a per-process LRU cache keyed by the segment
-  name — so a shard's payload crosses the process boundary **once per
-  worker**, not once per query.
-* **No publication for mmap-backed shards** — a store whose shards already
-  live in on-disk files (:mod:`repro.relational.mmapstore`) skips the
-  shared-memory lifecycle entirely: :func:`publication_for` short-circuits
-  to a :class:`FilePublication` of ``("file", token, path)`` handles and
-  workers ``mmap`` each file directly, so shard payloads never cross the
-  process boundary and there is nothing to unlink on retirement.
-* **Queries** — subsequent calls ship only small picklable descriptions of
-  the work: a compiled :class:`~repro.algebra.predicates.MaskProgram` (or
-  any picklable masker) for :func:`process_eval_mask`, ``(position,
-  indices)`` for :func:`process_gather`, ``(positions, distances,
-  thresholds, query batch)`` for the radius kernel, attribute lists for
-  nearest-neighbour batches, and ``(schema, leaf size, query batch)`` for
-  KD-tree radius queries.  Workers answer with masks / gathered buffers /
-  index lists / distances; shard buffers never re-cross the boundary.
-* **Invalidation** — mutating a sharded store retires its publication
-  (segments are unlinked; see :meth:`ShardedStore._retire_publication`), and
-  the next query publishes fresh segments under new names.  Worker caches
-  are keyed by segment name, so stale entries can never answer a query; they
-  simply age out of the LRU.
+**Fused select+gather.**  Selection ships as **one whole operator** instead
+of a mask round-trip plus central gather: :func:`process_select_gather`
+sends each shard's worker ``(pickled masker, output column positions,
+optional per-shard α-budget slice ⌈α·|shard|⌉)`` and receives ``(mask bytes,
+packed typed-column payloads)`` — the gathered buffers in
+:func:`_encode_buffer` form, typed ``array`` columns as raw bytes — so a
+select→gather crosses the process boundary exactly once per shard.  Workers
+short-circuit the payload (``None``) when every row survives or there is
+nothing to gather; budget slices truncate with the same
+:func:`~repro.relational.store._truncate_mask` the serial and thread paths
+use.  :meth:`ShardedStore.select_gather` adopts the returned buffers as
+fresh column stores; :func:`select_gather_stats` accounts the round-trip
+bytes.
 
-**Affinity routing.**  With :func:`repro.relational.store.set_shard_affinity`
-``"on"`` (the default; ``REPRO_SHARD_AFFINITY`` overrides at import time),
-shard tasks no longer go to a free-for-all shared pool: the
-:class:`_AffinityRouter` keeps one dedicated single-worker queue (*slot*)
-per configured worker and routes every task by **rendezvous hashing** its
-publication handle token — the home slot is the argmax over slots of
-``blake2b(token | slot index | slot generation)``, deterministic across
-processes and hash seeds.  Each shard's decoded store and cached kernel
-indexes therefore live on exactly one warm worker across queries.  Overflow
-**work-stealing** keeps slots busy when shards outnumber workers: a task
-whose home slot already has a queue is diverted to an idle slot (any worker
-can resolve any handle — stealing costs cache warmth, never correctness).
-A dead worker (``BrokenProcessPool``) repairs only its own slot: the pool is
-rebuilt and the slot's *generation* is bumped, which re-draws that slot's
-rendezvous scores — tokens only ever move from or to the repaired slot,
-every other assignment is untouched.  :func:`reset_process_pool` (worker
-count or affinity-mode changes) discards the router wholesale for a full
-re-hash.  Routing hit/steal/re-hash counters are exposed through
-:func:`affinity_stats`; the serving layer reports them per request.
-
-**Fused select+gather.**  On top of the sticky routing, selection ships as
-**one whole operator** instead of a mask round-trip plus central gather:
-:func:`process_select_gather` sends each shard's worker ``(pickled
-masker, output column positions, optional per-shard α-budget slice
-⌈α·|shard|⌉)`` and receives ``(mask bytes, packed typed-column payloads)``
-— the gathered buffers in :func:`_encode_buffer` form, typed ``array``
-columns as raw bytes — so a select→gather crosses the process boundary
-exactly once per shard.  Workers short-circuit the payload (``None``) when
-every row survives or there is nothing to gather; budget slices truncate
-with the same :func:`~repro.relational.store._truncate_mask` the serial and
-thread paths use.  :meth:`ShardedStore.select_gather` adopts the returned
-buffers as fresh column stores; :func:`select_gather_stats` accounts the
-round-trip bytes.
-
-**Fallbacks.**  Everything here degrades gracefully to the thread path: the
-parent returns ``None`` (and the caller falls back) when the store is
-smaller than :func:`get_process_min_rows`, when the work or its parameters
-fail to pickle, when the platform cannot create shared memory or process
-pools (the payload then ships inline inside the task, still cached by
-token), when called from inside a worker (no nested pools), or after
-repeated pool failures.  Results are bit-identical across ``"serial"``,
-``"thread"`` and ``"process"`` modes — with affinity on or off — the
-cross-backend conformance matrix and the hypothesis properties in
+**Fallbacks.**  Everything here degrades to the thread path: the parent
+returns ``None`` (and the caller falls back) when the store is smaller than
+:func:`get_process_min_rows`, when the work, its parameters or the store's
+object values fail to pickle, when called from inside a worker (no nested
+pools), or after repeated pool failures (the circuit breaker).  Results are
+bit-identical across ``"serial"``, ``"thread"`` and ``"process"`` modes —
+the cross-backend conformance matrix and the hypothesis properties in
 ``tests/test_parallel.py`` enforce this.
-
-**Lifecycle.**  One cleanup hook, registered on first use, shuts the pool
-and the affinity router down and unlinks every live segment at interpreter
-exit, so test runs and the benchmark harness terminate without
-``resource_tracker`` warnings; :func:`reset_process_pool` (called by
-:func:`~repro.relational.store.set_shard_workers` and
-:func:`~repro.relational.store.set_shard_affinity`) retires both early so
-the next query re-creates them at the new bound/topology.
 """
 
 from __future__ import annotations
@@ -100,7 +95,6 @@ import os
 import pickle
 import threading
 import time
-import uuid
 import weakref
 from array import array
 from collections import OrderedDict
@@ -111,6 +105,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..errors import CorruptShardError
+from .mmapstore import MmapStore, forget_anonymous, write_anonymous
 from .store import (
     ColumnStore,
     Store,
@@ -119,19 +114,14 @@ from .store import (
     _KIND_INT,
     _KIND_OBJECT,
     _truncate_mask,
-    get_shard_affinity,
     get_shard_workers,
 )
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-# A shard payload handle: ("shm", token, payload_size) for a shared-memory
-# segment named ``token``; ("inline", token, payload_bytes) when shared
-# memory is unavailable (the payload rides inside the task; workers still
-# cache the decoded store under the token); or ("file", token, path) for an
-# mmap-backed shard — the worker maps the file directly and no payload
-# crosses the process boundary at all.
-Handle = Tuple[str, str, object]
+# A published shard: ``(token, path)`` of the ``.rpro`` file workers map.
+# The token keys the worker-side caches and the router's rendezvous hash.
+Handle = Tuple[str, str]
 
 DEFAULT_PROCESS_MIN_ROWS = 4096
 
@@ -337,65 +327,10 @@ def set_breaker_cooldown(seconds: Optional[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shard payload codec
+# Result codec: gathered column buffers on the trip back
 # ---------------------------------------------------------------------------
 
 _TYPECODE_KINDS = {"d": _KIND_FLOAT, "q": _KIND_INT}
-
-
-def encode_store(store: Store) -> bytes:
-    """Serialize one shard's payload for the worker-side cache.
-
-    Column stores are encoded column-by-column — typed buffers as
-    ``(typecode, raw bytes)`` at C speed, object columns by value — without
-    dragging along derived caches.  Any other shard backend (row stores,
-    nested sharded layouts) falls back to pickling the store itself.  Either
-    way :func:`decode_store` rebuilds a store whose values are bit-identical
-    to the original's.
-    """
-    if isinstance(store, ColumnStore):
-        columns: List[Tuple[str, Optional[str], object]] = []
-        for column in store.columns():
-            if isinstance(column, array):
-                columns.append(("arr", column.typecode, column.tobytes()))
-            elif isinstance(column, memoryview):
-                # A mapped MmapStore column: same raw-bytes encoding, read
-                # straight off the file mapping.
-                columns.append(("arr", column.format, column.tobytes()))
-            else:
-                columns.append(("obj", None, list(column)))
-        spec = ("columns", store.width, len(store), columns)
-    else:
-        spec = ("pickled", store)
-    return pickle.dumps(spec, _PICKLE_PROTOCOL)
-
-
-def decode_store(payload: bytes) -> Store:
-    """Rebuild a shard store from :func:`encode_store` output."""
-    spec = pickle.loads(payload)
-    if spec[0] == "pickled":
-        return spec[1]
-    _, width, length, columns = spec
-    kinds: List[str] = []
-    cols: List[Sequence[object]] = []
-    for tag, typecode, data in columns:
-        if tag == "arr":
-            buf = array(typecode)
-            buf.frombytes(data)
-            if len(buf):
-                kinds.append(_TYPECODE_KINDS.get(typecode, _KIND_OBJECT))
-                cols.append(buf if typecode in _TYPECODE_KINDS else list(buf))
-            else:
-                kinds.append(_KIND_EMPTY)
-                cols.append([])
-        else:
-            values = list(data)
-            kinds.append(_KIND_OBJECT if values else _KIND_EMPTY)
-            cols.append(values)
-    shell = ColumnStore(width)
-    out = shell._adopt(kinds, cols, length)
-    out.width = width  # _adopt infers width from the buffers; keep 0-column stores honest
-    return out
 
 
 def _encode_buffer(buffer: Sequence[object]) -> Tuple[str, Optional[str], object]:
@@ -415,144 +350,63 @@ def _decode_buffer(encoded: Tuple[str, Optional[str], object]) -> Sequence[objec
 
 
 # ---------------------------------------------------------------------------
-# Publication: parent-side shared-memory segments, one per shard
+# Publication: one mapped file per shard
 # ---------------------------------------------------------------------------
 
-# Every live segment, by name.  The single atexit hook unlinks whatever is
-# still here; publications remove their own names when retired, so releases
-# are idempotent no matter which cleanup path fires first.
-_SEGMENT_REGISTRY: Dict[str, object] = {}
 _publish_lock = threading.Lock()
-_shared_memory_broken = False
+
+# Live publications, so shutdown() can unlink the files they wrote without
+# knowing which stores hold them.
+_publications: "weakref.WeakSet[ShardPublication]" = weakref.WeakSet()
 
 
-def _release_segments(names: Sequence[str]) -> None:
-    for name in names:
-        # repro: ignore[STATE001] dict.pop is atomic under the GIL and releases
-        # are idempotent; the concurrent release paths (retire, GC finalizer,
-        # atexit) must never block on each other.
-        segment = _SEGMENT_REGISTRY.pop(name, None)
-        if segment is None:
-            continue
-        try:
-            segment.close()
-            segment.unlink()
-        # repro: ignore[EXC001] releases are idempotent by design: a segment
-        # already unlinked by a concurrent cleanup path is the success case.
-        except OSError:  # pragma: no cover - already gone
-            pass
-
-
-def _publish_payload(payload: bytes) -> Handle:
-    """Copy one shard payload into a fresh shared-memory segment.
-
-    Falls back to an inline handle (payload shipped inside each task until a
-    worker caches it) when the platform cannot provide shared memory.
-    """
-    global _shared_memory_broken
-    if not _shared_memory_broken:
-        try:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(1, len(payload))
-            )
-            segment.buf[: len(payload)] = payload
-            # repro: ignore[STATE001] only reached while publication_for holds
-            # _publish_lock; fresh segment names never collide.
-            _SEGMENT_REGISTRY[segment.name] = segment
-            return ("shm", segment.name, len(payload))
-        # repro: ignore[EXC001] platform without shared memory: the latch is
-        # recorded and every publication degrades to inline handles — the
-        # documented fallback, not a swallow.
-        except (ImportError, OSError, ValueError):
-            # repro: ignore[STATE001] only reached under _publish_lock, and the
-            # flag is a monotonic latch (False -> True).
-            _shared_memory_broken = True
-    return ("inline", uuid.uuid4().hex, payload)
+def _forget_files(paths: Sequence[str]) -> None:
+    for path in paths:
+        forget_anonymous(path)
 
 
 class ShardPublication:
-    """A sharded store's per-shard payloads, published for worker processes.
+    """A sharded store's shards as files worker processes can map.
 
     Created lazily by :func:`publication_for` on the first process-mode
-    query; owned by the store (``ShardedStore._publication``) and retired —
-    segments unlinked, names dropped from the registry — when the store
-    mutates, is garbage collected, or the process exits.
+    query and owned by the store (``ShardedStore._publication``).  A mapped
+    :class:`~repro.relational.mmapstore.MmapStore` shard hands out its own
+    file, which stays the store's; every other shard is written once by
+    :func:`~repro.relational.mmapstore.write_anonymous`, and those files are
+    unlinked when the publication retires — on mutation of the store, its
+    garbage collection, :func:`shutdown` or interpreter exit.
     """
 
-    __slots__ = ("handles", "_finalizer", "__weakref__")
+    __slots__ = ("handles", "written", "_finalizer", "__weakref__")
 
     def __init__(self, store: Store) -> None:
         handles: List[Handle] = []
-        names: List[str] = []
+        written: List[str] = []
         try:
             for shard in store.shards:
-                handle = _publish_payload(encode_store(shard))
+                handle = shard.file_handle() if isinstance(shard, MmapStore) else None
+                if handle is None:
+                    handle = write_anonymous(shard)
+                    written.append(handle[1])
                 handles.append(handle)
-                if handle[0] == "shm":
-                    names.append(handle[1])
         except Exception:
-            # A shard that cannot be encoded (e.g. an unpicklable value in
-            # an object column) must not leak the siblings already
-            # published before the failure surfaced.
-            _release_segments(names)
+            # A shard that cannot be written (an unpicklable value in an
+            # object column) must not leak the siblings written before it.
+            _forget_files(written)
             raise
         self.handles = handles
-        # GC of an unretired publication must not leak segments; the
-        # finalizer shares the idempotent release path with retire() and
-        # the atexit hook.
-        self._finalizer = weakref.finalize(self, _release_segments, names)
+        self.written = written  # paths of the files this publication owns
+        # GC of an unretired publication must not leak files either; the
+        # finalizer is the one idempotent release path retire() shares.
+        self._finalizer = weakref.finalize(self, _forget_files, written)
 
     def retire(self) -> None:
-        """Unlink this publication's segments (idempotent)."""
+        """Unlink the files this publication wrote (idempotent)."""
         self._finalizer()
 
 
-class FilePublication:
-    """Per-shard file handles for mmap-backed shards — nothing to publish.
-
-    Shards whose buffers already live in on-disk files need no
-    shared-memory lifecycle at all: workers ``mmap`` the files directly
-    (see :func:`_resolve_store`), so there are no segments to create,
-    track, or unlink, and :meth:`retire` is a no-op.  Invalidation still
-    works the usual way — mutating a shard detaches it from its file, the
-    store's ``_invalidate`` drops this publication, and the next
-    process-mode query republishes (over shared memory, since the mutated
-    shard no longer has a file handle).
-    """
-
-    __slots__ = ("handles",)
-
-    def __init__(self, handles: Sequence[Handle]) -> None:
-        self.handles: List[Handle] = list(handles)
-
-    def retire(self) -> None:
-        """Nothing to release — the files belong to the stores."""
-
-
-def _file_handles(store: Store) -> Optional[List[Handle]]:
-    """Per-shard ``("file", token, path)`` handles, or ``None``.
-
-    Duck-typed so this module never imports the mmap tier: any shard
-    exposing a non-``None`` ``file_handle()`` participates.  One shard
-    without a handle (a detached/mutated mmap shard, or any other backend)
-    disqualifies the whole store — mixed publications would complicate
-    retirement for no gain, and the shared-memory path handles mixed
-    layouts already.
-    """
-    handles: List[Handle] = []
-    for shard in getattr(store, "shards", ()):
-        getter = getattr(shard, "file_handle", None)
-        handle = getter() if getter is not None else None
-        if handle is None:
-            return None
-        handles.append(handle)
-    return handles or None
-
-
 class _Unpublishable:
-    """Sentinel publication for stores whose payloads cannot be encoded.
+    """Sentinel publication for stores whose shards cannot be written.
 
     Remembered on the store so every later process-mode query skips
     straight to the thread path instead of re-attempting (and re-failing)
@@ -570,37 +424,24 @@ _UNPUBLISHABLE = _Unpublishable()
 
 
 def _publication_live(publication) -> bool:
-    """Whether every resource behind ``publication``'s handles still exists.
+    """Whether every file behind ``publication``'s handles still exists.
 
-    :func:`shutdown` unlinks all live segments without knowing which stores
-    hold publications over them; a store queried again afterwards must
-    republish rather than hand workers names that no longer resolve.  File
-    handles go stale differently — someone deleting the dataset file out
-    from under a long-lived store — and are likewise replaced (or fallen
-    back from) instead of shipped to workers that would only hit ENOENT.
+    :func:`shutdown` retires every live publication without telling the
+    stores that hold them, and a dataset file can be deleted out from under
+    a long-lived store; either way the store must republish (or fall back)
+    rather than hand workers paths that only raise ENOENT.
     """
-    for handle in publication.handles:
-        kind = handle[0]
-        if kind == "shm" and handle[1] not in _SEGMENT_REGISTRY:
-            return False
-        if kind == "file" and not os.path.exists(handle[2]):
-            return False
-    return True
+    return all(os.path.exists(path) for _token, path in publication.handles)
 
 
 def publication_for(store: Store):
     """The store's live publication, created (or re-created) on first use.
 
-    Stores whose shards are all mmap-backed short-circuit to a
-    :class:`FilePublication` — no shared-memory segments are created and
-    nothing needs retiring; workers map the files directly.  Otherwise a
-    :class:`ShardPublication` copies each shard's payload into shared
-    memory.  Returns ``None`` — the caller falls back to the thread path —
-    when the store's payloads cannot be published (unpicklable
-    object-column values); the failure is remembered until the next
-    mutation.  A publication whose segments were unlinked behind the
-    store's back (a :func:`shutdown` between queries) is replaced with a
-    fresh one.
+    Returns ``None`` — the caller falls back to the thread path — when the
+    store's shards cannot be published (unpicklable object-column values);
+    the failure is remembered until the next mutation.  A publication whose
+    files were unlinked behind the store's back (a :func:`shutdown` between
+    queries) is replaced with a fresh one.
     """
     publication = getattr(store, "_publication", None)
     if publication is not None and publication is not _UNPUBLISHABLE:
@@ -613,27 +454,20 @@ def publication_for(store: Store):
         if publication is None or not _publication_live(publication):
             if publication is not None:
                 publication.retire()
-            handles = _file_handles(store)
-            if handles is not None:
-                publication = FilePublication(handles)
-                store._publication = publication
-                return publication
-            _register_cleanup()
             try:
                 publication = ShardPublication(store)
             except Exception:  # repro: ignore[EXC001] unpublishable payload is remembered; callers fall back to threads
                 store._publication = _UNPUBLISHABLE
                 return None
+            _publications.add(publication)
             store._publication = publication
-            if faults.inject("shm.publish.unlink"):
-                # Simulated unlink race: one freshly published segment
-                # vanishes before any worker attaches.  Workers then hit
+            if faults.inject("parallel.publish.unlink"):
+                # Simulated unlink race: one freshly published file vanishes
+                # before any worker maps it.  Workers then hit
                 # FileNotFoundError, dispatch strikes the breaker and falls
                 # back; the next query notices the dead handle via
                 # _publication_live and republishes.
-                names = [h[1] for h in publication.handles if h[0] == "shm"]
-                if names:
-                    _release_segments(names[:1])
+                _forget_files(publication.written[:1])
     return publication
 
 
@@ -641,9 +475,7 @@ def publication_for(store: Store):
 # Process pool lifecycle
 # ---------------------------------------------------------------------------
 
-_pool = None
-_pool_workers: Optional[int] = None
-_router = None  # the _AffinityRouter when shard affinity is "on"
+_router = None  # the live _AffinityRouter, created on first use
 _pool_lock = threading.Lock()
 
 # -- circuit breaker state (all guarded by _pool_lock) -----------------------
@@ -661,10 +493,10 @@ _breaker_probe_inflight = False
 _breaker_trips = 0
 _breaker_recoveries = 0
 
-# Monotonic pool-incarnation counter: each spawned pool (shared or per-slot)
-# gets the next value as its workers' fault-plan nonce, so a repaired
-# worker's injected-fault draws differ from its dead predecessor's — a
-# kill/heal cycle terminates instead of re-killing every replacement.
+# Monotonic pool-incarnation counter: each spawned slot pool gets the next
+# value as its worker's fault-plan nonce, so a repaired worker's
+# injected-fault draws differ from its dead predecessor's — a kill/heal
+# cycle terminates instead of re-killing every replacement.
 _pool_incarnation = 0
 _cleanup_registered = False
 
@@ -677,7 +509,7 @@ _cleanup_lock = threading.Lock()
 
 
 def _register_cleanup() -> None:
-    """Register the single process-wide cleanup hook (pool + segments)."""
+    """Register the single process-wide cleanup hook (:func:`shutdown`)."""
     global _cleanup_registered
     with _cleanup_lock:
         if not _cleanup_registered:
@@ -686,124 +518,92 @@ def _register_cleanup() -> None:
 
 
 def shutdown() -> None:
-    """Shut the process pool and affinity router down; unlink every segment.
+    """Stop every worker and unlink every published file.
 
     Registered once with :mod:`atexit` on first use; safe to call directly
-    (e.g. by a benchmark harness) — the next process-mode query starts
-    fresh.
+    (e.g. by a benchmark harness) — the next process-mode query republishes
+    and starts fresh workers.  Returns promptly even with a task in flight:
+    that worker is killed, not waited for.
     """
-    global _pool, _pool_workers, _router
-    with _pool_lock:
-        stale, _pool, _pool_workers = _pool, None, None
-        stale_router, _router = _router, None
-    if stale is not None:
-        stale.shutdown(wait=True, cancel_futures=True)
-    if stale_router is not None:
-        stale_router.close(wait=True)
-    _release_segments(list(_SEGMENT_REGISTRY))
+    reset_process_pool()
+    with _publish_lock:
+        live = list(_publications)
+    for publication in live:
+        publication.retire()
 
 
 def reset_process_pool() -> None:
-    """Retire the pool/router so the next query re-creates them as configured.
+    """Retire the router so the next query re-creates it as configured.
 
     Called by :func:`repro.relational.store.set_shard_workers` and
-    :func:`repro.relational.store.set_shard_affinity`; published segments
-    stay alive (they are sized by the data, not the pool).  Discarding the
-    router is the *full re-hash*: the replacement starts with fresh slots at
-    generation zero, so every token is rendezvous-scored anew.
+    :func:`repro.faults.set_fault_plan`; publications stay alive (they are
+    sized by the data, not the pool).  Discarding the router is the *full
+    re-hash*: the replacement starts with fresh slots at generation zero,
+    so every token is rendezvous-scored anew.
     """
-    global _pool, _pool_workers, _router
+    global _router
     with _pool_lock:
-        stale, _pool, _pool_workers = _pool, None, None
-        stale_router, _router = _router, None
+        stale, _router = _router, None
     if stale is not None:
-        stale.shutdown(wait=False, cancel_futures=True)
-    if stale_router is not None:
-        stale_router.close(wait=False)
+        stale.close()
+
+
+_RETIRE_JOIN_SECONDS = 5.0
+
+
+def _retire_pool(pool) -> None:
+    """Shut down a pool whose running task will never be awaited.
+
+    ``shutdown(wait=False, cancel_futures=True)`` cancels what is queued but
+    only abandons the task a worker is running, so a wedged worker would
+    live until it woke (never, for a real wedge) and block interpreter exit
+    on ``concurrent.futures``' join.  The workers are killed instead.
+    """
+    # ProcessPoolExecutor grows kill_workers() only in 3.14; on 3.9-3.12 the
+    # worker table is the private ``_processes`` dict (pid -> Process), which
+    # shutdown() drops — so it is read first, and only here.
+    workers = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        worker.kill()
+    for worker in workers:
+        worker.join(_RETIRE_JOIN_SECONDS)
 
 
 def _mp_context():
+    """The start method of every worker: ``forkserver``, else ``spawn``.
+
+    Never ``fork``: pools are created lazily and respawned on repair, when
+    the parent runs threads (the shard thread pool, a server's request
+    threads), and a child forked then can wait forever on a lock some parent
+    thread held at that instant.  The forkserver is single-threaded and
+    imports this package once, so each later worker is a cheap fork of it.
+    """
     import multiprocessing
 
-    # fork keeps worker start cheap and inherits the imported package, but
-    # forking a process that already runs threads (the shard thread pool,
-    # a server's request threads) can deadlock the children and trips
-    # CPython 3.12+'s fork-in-threaded-process warning — so fork is only
-    # preferred while the process is still single-threaded (e.g. the pool
-    # probe at session start); otherwise forkserver (children fork from a
-    # single-threaded server) and spawn come first.  Workers never rely on
-    # inherited state either way (_worker_init resets it).
-    if threading.active_count() == 1:
-        preferred = ("fork", "forkserver", "spawn")
-    else:
-        preferred = ("forkserver", "spawn", "fork")
-    for method in preferred:
-        try:
-            return multiprocessing.get_context(method)
-        except ValueError:  # pragma: no cover - platform-dependent
-            continue
-    return multiprocessing  # pragma: no cover - no start methods at all
-
-
-def _context_method(context) -> str:
     try:
-        return context.get_start_method()
-    except Exception:  # pragma: no cover - bare multiprocessing module
-        return "fork"
+        context = multiprocessing.get_context("forkserver")
+    except ValueError:  # pragma: no cover - platform without forkserver
+        return multiprocessing.get_context("spawn")
+    context.set_forkserver_preload(["__main__", __name__])
+    return context
 
 
-def _worker_initargs(context) -> Tuple[str, Optional[str], str]:
-    """Initializer arguments for a fresh pool's workers.
+def _worker_initargs() -> Tuple[Optional[str], str]:
+    """Initializer arguments for a fresh pool's worker.
 
-    Ships the start method, the active fault-plan spec (workers must run
-    the same chaos the parent does), and this pool's incarnation number as
-    the plan nonce (see :data:`_pool_incarnation`).
+    Ships the active fault-plan spec (workers must run the same chaos the
+    parent does) and this pool's incarnation number as the plan nonce (see
+    :data:`_pool_incarnation`).
     """
     global _pool_incarnation
     with _pool_lock:
         _pool_incarnation += 1
         incarnation = _pool_incarnation
-    return (_context_method(context), faults.active_spec(), str(incarnation))
+    return (faults.active_spec(), str(incarnation))
 
 
 _pool_create_lock = threading.Lock()
-
-
-def _ensure_pool():
-    """The lazily-created bounded process pool (or ``None`` when unavailable)."""
-    global _pool, _pool_workers, _pool_failures
-    workers = get_shard_workers()
-    with _pool_lock:
-        if _pool is not None and _pool_workers == workers:
-            return _pool
-    # Serialize creation: two threads racing on first use must end up
-    # sharing one pool, not each spawning a full set of worker processes
-    # with one of them silently leaked.
-    with _pool_create_lock:
-        with _pool_lock:
-            if _pool is not None and _pool_workers == workers:
-                return _pool
-            stale, _pool, _pool_workers = _pool, None, None
-        if stale is not None:
-            stale.shutdown(wait=False, cancel_futures=True)
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = _mp_context()
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=_worker_initargs(context),
-            )
-        except (ImportError, OSError, ValueError):  # pragma: no cover - platform
-            with _pool_lock:
-                _pool_failures = _MAX_POOL_FAILURES
-            return None
-        _register_cleanup()
-        with _pool_lock:
-            _pool, _pool_workers = pool, workers
-        return pool
 
 
 # ---------------------------------------------------------------------------
@@ -847,11 +647,11 @@ class _AffinityRouter:
     Tokens never queue anywhere *but* their home unless the home already has
     :data:`_STEAL_THRESHOLD` tasks in flight and another slot is idle — then
     the overflow task is stolen by the least-loaded idle slot (counted in
-    ``steals``; results are identical either way, the thief merely decodes
-    cold).  A ``BrokenProcessPool`` repairs only the broken slot via
-    :meth:`repair`: fresh pool, bumped generation — after which a token's
-    assignment can change only *from* or *to* the repaired slot, because
-    every other slot's scores are untouched.
+    ``steals``; results are identical either way, the thief merely maps the
+    file cold).  A dead or wedged worker repairs only its own slot via
+    :meth:`repair`: the pool is retired (worker killed), the generation
+    bumped — after which a token's assignment can change only *from* or *to*
+    the repaired slot, because every other slot's scores are untouched.
     """
 
     def __init__(self, slot_count: int) -> None:
@@ -946,12 +746,11 @@ class _AffinityRouter:
     def _create_pool():
         from concurrent.futures import ProcessPoolExecutor
 
-        context = _mp_context()
         return ProcessPoolExecutor(
             max_workers=1,
-            mp_context=context,
+            mp_context=_mp_context(),
             initializer=_worker_init,
-            initargs=_worker_initargs(context),
+            initargs=_worker_initargs(),
         )
 
     def _task_done(self, slot: _AffinitySlot) -> None:
@@ -959,7 +758,7 @@ class _AffinityRouter:
             slot.inflight = max(0, slot.inflight - 1)
 
     def repair(self, slot: _AffinitySlot) -> None:
-        """Replace a dead slot's pool and re-draw its rendezvous scores."""
+        """Retire a dead or wedged slot's pool and re-draw its rendezvous scores."""
         with self._lock:
             stale, slot.pool = slot.pool, None
             slot.generation += 1
@@ -967,18 +766,29 @@ class _AffinityRouter:
             self.rehashes += 1
             self._route_cache.clear()
         if stale is not None:
-            stale.shutdown(wait=False, cancel_futures=True)
+            _retire_pool(stale)
 
-    def close(self, wait: bool = True) -> None:
-        """Shut every slot pool down (the router is dead afterwards)."""
+    def close(self) -> None:
+        """Stop every slot's worker (the router is dead afterwards).
+
+        An idle worker exits on its own; one with a task in flight is
+        killed, so closing never waits for a task.
+        """
         with self._lock:
-            stale = [slot.pool for slot in self._slots if slot.pool is not None]
+            stale = [
+                (slot.pool, slot.inflight > 0)
+                for slot in self._slots
+                if slot.pool is not None
+            ]
             for slot in self._slots:
                 slot.pool = None
                 slot.inflight = 0
             self._route_cache.clear()
-        for pool in stale:
-            pool.shutdown(wait=wait, cancel_futures=True)
+        for pool, busy in stale:
+            if busy:
+                _retire_pool(pool)
+            else:
+                pool.shutdown(wait=True, cancel_futures=True)
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -991,17 +801,15 @@ class _AffinityRouter:
             }
 
 
-def _ensure_router():
-    """The affinity router (or ``None`` when affinity is off).
+def _ensure_router() -> _AffinityRouter:
+    """The affinity router at the current worker count.
 
-    Created lazily at the current worker count — one single-worker slot per
-    configured worker, pools spawned on first routed task.  A worker-count
-    or affinity-mode change discards it via :func:`reset_process_pool`
-    (full re-hash); slot-level failures repair in place instead.
+    Created lazily — one single-worker slot per configured worker, pools
+    spawned on first routed task.  A worker-count change discards it via
+    :func:`reset_process_pool` (full re-hash); slot-level failures repair in
+    place instead.
     """
     global _router
-    if get_shard_affinity() != "on":
-        return None
     workers = get_shard_workers()
     with _pool_lock:
         if _router is not None and _router.slot_count == workers:
@@ -1012,7 +820,7 @@ def _ensure_router():
                 return _router
             stale, _router = _router, None
         if stale is not None:
-            stale.close(wait=False)
+            stale.close()
         router = _AffinityRouter(workers)
         _register_cleanup()
         with _pool_lock:
@@ -1021,7 +829,7 @@ def _ensure_router():
 
 
 def affinity_stats() -> Dict[str, int]:
-    """Parent-side routing counters (all zero while the router is inactive).
+    """Parent-side routing counters (all zero until the router exists).
 
     ``hits`` counts tasks executed on their rendezvous home slot, ``steals``
     tasks diverted to an idle slot by work-stealing overflow, ``rehashes``
@@ -1054,18 +862,6 @@ def _breaker_strike() -> None:
     """One consecutive-failure strike that keeps healthy router slots warm."""
     with _pool_lock:
         _strike_locked()
-
-
-def _pool_failed() -> None:
-    """Record a broken pool; the breaker trips after consecutive failures.
-
-    A successful submission round resets the counter, so transient races
-    (a store mutated between publish and worker attach, a worker killed by
-    the OS) cost one retired pool each but can never permanently disable
-    process mode in a long-lived session.
-    """
-    _breaker_strike()
-    reset_process_pool()
 
 
 def _breaker_allows() -> bool:
@@ -1189,14 +985,14 @@ def process_eligible(store: Store) -> bool:
 def probe_process_executor() -> bool:
     """Whether a worker round-trip actually works on this platform.
 
-    Spawns the pool (or the home router slot, under affinity) if needed and
-    runs one trivial task; used by test harnesses to decide whether
-    process-mode legs are meaningful.  The wait is bounded by
-    :func:`get_probe_timeout` — a pool that wedges during spawn trips the
-    failure breaker and the probe reports ``False`` promptly instead of
-    stalling the first query behind a 60-second result wait.  When the
-    breaker is open, a successful probe through the half-open window closes
-    it again — the explicit recovery check harnesses can call.
+    Spawns the probe token's home router slot if needed and runs one
+    trivial task; used by test harnesses to decide whether process-mode legs
+    are meaningful.  The wait is bounded by :func:`get_probe_timeout` — a
+    pool that wedges during spawn trips the failure breaker and the probe
+    reports ``False`` promptly instead of stalling the first query behind a
+    60-second result wait.  When the breaker is open, a successful probe
+    through the half-open window closes it again — the explicit recovery
+    check harnesses can call.
     """
     if _IN_PROCESS_WORKER:
         return False
@@ -1204,16 +1000,7 @@ def probe_process_executor() -> bool:
     if token is None:
         return False
     try:
-        router = _ensure_router()
-        if router is not None:
-            future, _slot = router.submit("__probe__", _worker_ping)
-        else:
-            pool = _ensure_pool()
-            if pool is None:
-                _breaker_exit(token, False)
-                return False
-        if router is None:
-            future = pool.submit(_worker_ping)
+        future, _slot = _ensure_router().submit("__probe__", _worker_ping)
         alive = bool(future.result(timeout=_probe_timeout))
         _breaker_exit(token, alive)
         return alive
@@ -1227,7 +1014,7 @@ def probe_process_executor() -> bool:
 # counts re-submission rounds, ``timeouts`` futures abandoned at the
 # dispatch deadline, ``reroutes`` tasks re-routed away from a failed slot,
 # ``fallbacks`` dispatches that gave up to the thread path, ``fatal``
-# publication-level failures (vanished segment, corrupt shard file).
+# publication-level failures (vanished or corrupt shard file).
 _dispatch_lock = threading.Lock()
 _DISPATCH_COUNTS = {
     "retries": 0,
@@ -1264,8 +1051,7 @@ class _RoundOutcome:
 
 
 def _dispatch_round(
-    router,
-    pool,
+    router: _AffinityRouter,
     fn: Callable,
     tasks: Sequence[Tuple[Handle, Tuple]],
     pending: Sequence[int],
@@ -1277,36 +1063,33 @@ def _dispatch_round(
     Successful task results land in ``results``; everything else is
     classified into the outcome: per-task failures (broken worker, deadline
     timeout — eligible for retry on another slot), a *fatal* publication
-    failure (vanished segment / corrupt or missing shard file — retrying
-    the same handles cannot help), or a no-verdict cancellation by a
-    concurrent pool reset.
+    failure (vanished, corrupt or missing shard file — retrying the same
+    handles cannot help), or a no-verdict cancellation by a concurrent pool
+    reset.
     """
     from concurrent.futures.process import BrokenProcessPool
 
     outcome = _RoundOutcome()
     futures: Dict[int, object] = {}
-    slots: Dict[int, Optional[_AffinitySlot]] = {}
+    slots: Dict[int, _AffinitySlot] = {}
     try:
         for index in pending:
             handle, args = tasks[index]
             if faults.inject("parallel.dispatch.broken"):
                 raise BrokenProcessPool("injected dispatch fault")
-            if router is not None:
-                previous_slot = avoid.get(index, -1)
-                if previous_slot >= 0:
-                    future, slot = router.submit_avoiding(
-                        handle[1], previous_slot, fn, handle, *args
-                    )
-                else:
-                    future, slot = router.submit(handle[1], fn, handle, *args)
+            previous_slot = avoid.get(index, -1)
+            if previous_slot >= 0:
+                future, slot = router.submit_avoiding(
+                    handle[0], previous_slot, fn, handle, *args
+                )
             else:
-                future, slot = pool.submit(fn, handle, *args), None
+                future, slot = router.submit(handle[0], fn, handle, *args)
             futures[index] = future
             slots[index] = slot
     except (BrokenProcessPool, RuntimeError, OSError, ValueError, ImportError):
         # The pool broke (or was shut down under us) at submission time —
         # infrastructure, not the computation.  Reset so the next round
-        # re-creates the executor, and mark everything not yet submitted
+        # re-creates the router, and mark everything not yet submitted
         # (plus whatever was) as failed for retry.
         for future in futures.values():
             future.cancel()
@@ -1316,51 +1099,29 @@ def _dispatch_round(
 
     deadline = _dispatch_deadline
     started = time.monotonic()
-    self_reset = False
     repaired: set = set()
     for index, future in sorted(futures.items()):
         remaining = max(0.0, deadline - (time.monotonic() - started))
         try:
             results[index] = future.result(timeout=remaining)
-        except FuturesTimeoutError:
-            # Wedged worker (or fault-injected sleep) past the dispatch
-            # deadline: abandon the future, retire the slot so the stuck
-            # worker cannot poison the next round, and retry elsewhere.
-            _note_dispatch("timeouts")
-            future.cancel()
+        except (FuturesTimeoutError, BrokenProcessPool) as exc:
+            # A worker wedged past the dispatch deadline (or a fault-injected
+            # sleep), or a dead one.  Repairing its slot kills the worker, so
+            # the deadline holds for the worker too and it cannot poison the
+            # next round; the task retries elsewhere.
+            if isinstance(exc, FuturesTimeoutError):
+                _note_dispatch("timeouts")
+                future.cancel()
             slot = slots[index]
-            if slot is not None:
-                if slot.index not in repaired:
-                    repaired.add(slot.index)
-                    router.repair(slot)
-                avoid[index] = slot.index
-            elif not self_reset:
-                self_reset = True
-                reset_process_pool()
+            if slot.index not in repaired:
+                repaired.add(slot.index)
+                router.repair(slot)
+            avoid[index] = slot.index
             outcome.failed.append(index)
-        # repro: ignore[EXC001] self-reset cancellations retry; concurrent-reset
-        # cancellations abort with no breaker verdict (the resetter already
-        # replaced the pool) — neither is a swallow.
+        # repro: ignore[EXC001] a concurrent reset_process_pool cancelled us;
+        # the resetter already replaced the router — no breaker verdict.
         except CancelledError:
-            if self_reset:
-                # Our own deadline reset cancelled the rest of the shared
-                # pool's queue; those tasks simply retry next round.
-                outcome.failed.append(index)
-            else:
-                # A concurrent reset_process_pool cancelled us; the
-                # resetter already replaced the pool — no verdict.
-                outcome.cancelled = True
-        except BrokenProcessPool:
-            slot = slots[index]
-            if slot is not None:
-                if slot.index not in repaired:
-                    repaired.add(slot.index)
-                    router.repair(slot)
-                avoid[index] = slot.index
-            elif not self_reset:
-                self_reset = True
-                reset_process_pool()
-            outcome.failed.append(index)
+            outcome.cancelled = True
         # repro: ignore[EXC001] fatal publication loss: the caller exits its
         # breaker token with a strike and falls back to the thread path; the
         # next query republishes (_publication_live sees the dead handle).
@@ -1396,12 +1157,7 @@ def _dispatch_with_retries(
             backoff = _retry_backoff * (2 ** (attempt - 1))
             if backoff > 0:
                 time.sleep(backoff)
-        router = _ensure_router()
-        pool = None if router is not None else _ensure_pool()
-        if router is None and pool is None:
-            _note_dispatch("fallbacks")
-            return None, False
-        outcome = _dispatch_round(router, pool, fn, tasks, pending, avoid, results)
+        outcome = _dispatch_round(_ensure_router(), fn, tasks, pending, avoid, results)
         if outcome.cancelled:
             return None, None
         if outcome.fatal:
@@ -1420,12 +1176,11 @@ def _submit_per_shard(
 ) -> Optional[List[object]]:
     """Run ``fn(handle, *args)`` for every shard; ``None`` on infra failure.
 
-    With shard affinity on, every task is routed through the affinity
-    router by its handle token — the shard's dedicated warm worker, with
-    work-stealing overflow; otherwise tasks go to the shared free-for-all
-    pool.  Infrastructure failures (a broken pool, a worker past the
-    dispatch deadline, a segment that vanished under a concurrent mutation)
-    are retried up to :func:`get_dispatch_retries` times on alternate
+    Every task is routed through the affinity router by its handle token —
+    the shard's dedicated warm worker, with work-stealing overflow.
+    Infrastructure failures (a broken pool, a worker past the dispatch
+    deadline, a file that vanished under a concurrent mutation) are
+    retried up to :func:`get_dispatch_retries` times on alternate
     slots, then trigger the thread-path fallback; genuine application
     errors raised by the shipped computation propagate to the caller
     exactly as they would on the thread path.  Every dispatch holds a
@@ -1638,7 +1393,7 @@ def radius_matches_many(
 ) -> Optional[List[List[object]]]:
     """Batch radius-kernel queries per shard on the process pool.
 
-    Each worker builds (once, keyed by segment + spec) a
+    Each worker builds (once, keyed by token + spec) a
     :class:`~repro.relational.kernels.RadiusMatcher` over its shard's
     buffers and answers the whole query batch; per query only the key
     values cross the boundary.  Returns per-shard lists of per-query
@@ -1717,8 +1472,8 @@ _INDEX_CACHE: "OrderedDict[Tuple[str, str, bytes], object]" = OrderedDict()
 _STORE_CACHE_LIMIT = 64
 _INDEX_CACHE_LIMIT = 64
 
-# Worker-private cold-work counters: how many shard payloads this worker
-# decoded and how many kernel indexes it built.  Under sticky affinity a
+# Worker-private cold-work counters: how many shard files this worker
+# mapped and how many kernel indexes it built.  Under sticky affinity a
 # repeated query should add zero to either — _worker_cache_stats ships them
 # back so tests and the benchmark can assert/score cache warmth per slot.
 _CACHE_STATS = {"store_decodes": 0, "index_builds": 0}
@@ -1730,12 +1485,11 @@ def _worker_cache_stats() -> Dict[str, int]:
 
 
 def worker_cache_stats(timeout: Optional[float] = None) -> Optional[List[Dict[str, int]]]:
-    """Per-slot worker cold-work counters, in slot order (router only).
+    """Per-slot worker cold-work counters, in slot order.
 
     Queries every *live* slot of the affinity router (slots whose pool has
     never spawned report zeros without spawning one).  Returns ``None``
-    when the router is inactive — the shared pool's workers cannot be
-    addressed individually, so there is nothing meaningful to collect.
+    while no router exists — there are no workers to ask.
     """
     router = _router
     if router is None:
@@ -1754,36 +1508,23 @@ def worker_cache_stats(timeout: Optional[float] = None) -> Optional[List[Dict[st
     return stats
 
 
-_WORKER_START_METHOD = "fork"
-
-
-def _worker_init(
-    start_method: str = "fork",
-    fault_spec: Optional[str] = None,
-    fault_nonce: str = "",
-) -> None:
+def _worker_init(fault_spec: Optional[str] = None, fault_nonce: str = "") -> None:
     """Initializer run in every worker process.
 
     Marks the process as a worker (no nested pools, no publications) and
-    neutralizes any executor state inherited across ``fork`` — the parent's
-    pools do not exist here, and per-shard work inside a worker is small by
-    construction, so workers always run sequentially.  The parent's active
-    fault plan ships along as its spec, re-seeded under this pool's
-    incarnation nonce so each worker generation draws its own deterministic
-    fault sequence (see :func:`_worker_initargs`).
+    pins its own shard execution to one sequential worker — per-shard work
+    inside a worker is small by construction.  The parent's active fault
+    plan ships along as its spec, re-seeded under this pool's incarnation
+    nonce so each worker generation draws its own deterministic fault
+    sequence (see :func:`_worker_initargs`).
     """
-    global _IN_PROCESS_WORKER, _WORKER_START_METHOD
+    global _IN_PROCESS_WORKER
     # The initializer runs once per worker process before any task is
     # scheduled, so these writes cannot race with anything.
     _IN_PROCESS_WORKER = True  # repro: ignore[STATE001] pre-task worker init
-    _WORKER_START_METHOD = start_method  # repro: ignore[STATE001] pre-task worker init
-    _STORE_CACHE.clear()  # repro: ignore[STATE001] pre-task worker init
-    _INDEX_CACHE.clear()  # repro: ignore[STATE001] pre-task worker init
-    _CACHE_STATS.update(store_decodes=0, index_builds=0)  # repro: ignore[STATE001] pre-task worker init
     faults._install_worker_plan(fault_spec, fault_nonce)
     from . import store as store_module
 
-    store_module._shard_pool = None
     store_module._shard_workers = 1
     store_module._shard_executor = "thread"
 
@@ -1807,68 +1548,22 @@ def _worker_fault_probe() -> None:
         time.sleep(faults.fault_arg("parallel.worker.slow", 0.05))
 
 
-def _untrack_segment(shm: object) -> None:
-    """Drop a worker-side attach from the resource tracker (spawn only).
-
-    Attaching registers the segment with the attaching process's tracker;
-    under ``spawn`` that is a *different* tracker from the parent's, which
-    would try to unlink the segment again when the worker exits (the
-    well-known ``resource_tracker`` warning).  The worker only ever reads
-    and copies, so it forgets the registration immediately.  Under ``fork``
-    — and ``forkserver``, whose server process inherits the parent's
-    tracker fd and hands it to every child — the tracker process is
-    *shared* with the parent: unregistering here would strip the parent's
-    own registration and make the parent's final ``unlink`` trip a
-    KeyError inside the tracker, so those workers leave the registration
-    alone.
-    """
-    if _WORKER_START_METHOD in ("fork", "forkserver"):
-        return
-    try:  # pragma: no cover - depends on CPython internals staying put
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    # repro: ignore[EXC001] best-effort hygiene around a private CPython API;
-    # failure means an extra tracker warning at worker exit, never a wrong
-    # or missing answer.
-    except Exception:
-        pass
-
-
-def _read_segment(name: str, size: int) -> bytes:
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        return bytes(shm.buf[:size])
-    finally:
-        shm.close()
-        _untrack_segment(shm)
-
-
 def _resolve_store(handle: Handle) -> Store:
-    """The decoded shard store for ``handle`` (worker-side LRU cache).
+    """The mapped shard store for ``handle`` (worker-side LRU cache).
 
-    ``"file"`` handles skip decoding entirely: the worker ``mmap``s the
-    shard's on-disk file and reads the typed columns in place — the payload
-    never crosses the process boundary at all.  The token pins the file's
-    identity (path, inode, mtime, size), so a rewritten file can never be
-    answered from a stale cache entry.
+    The worker ``mmap``s the shard's file and reads the typed columns in
+    place — the buffers never cross the process boundary.  The token pins
+    the file's identity (path, inode, mtime, size), so a rewritten file can
+    never be answered from a stale cache entry.
     """
-    kind, token, extra = handle
+    token, path = handle
     cached = _STORE_CACHE.get(token)
     if cached is not None:
         # Worker-process-private caches: pool workers execute tasks strictly
         # sequentially, so no lock is needed (or wanted) on this hot path.
         _STORE_CACHE.move_to_end(token)  # repro: ignore[STATE001] worker-private cache
         return cached
-    if kind == "file":
-        from .mmapstore import MmapStore
-
-        store = MmapStore.open(extra)
-    else:
-        payload = _read_segment(token, extra) if kind == "shm" else extra
-        store = decode_store(payload)
+    store = MmapStore.open(path)
     _CACHE_STATS["store_decodes"] += 1  # repro: ignore[STATE001] worker-private counter
     _STORE_CACHE[token] = store  # repro: ignore[STATE001] worker-private cache
     while len(_STORE_CACHE) > _STORE_CACHE_LIMIT:
@@ -1955,7 +1650,7 @@ def _worker_radius_matches(
             size=len(store),
         )
 
-    matcher = _cached_index(handle[1], "radius", spec, build)
+    matcher = _cached_index(handle[0], "radius", spec, build)
     queries = pickle.loads(batch)
     if want_indices:
         return [matcher.matches(values) for values in queries]
@@ -1974,7 +1669,7 @@ def _worker_nn_min(handle: Handle, spec: bytes, batch: bytes) -> List[float]:
             None, attributes, columns=store.columns(), size=len(store)
         )
 
-    index = _cached_index(handle[1], "nn", spec, build)
+    index = _cached_index(handle[0], "nn", spec, build)
     return [index.min_distance(values) for values in pickle.loads(batch)]
 
 
@@ -1989,7 +1684,7 @@ def _worker_kd_radius(handle: Handle, spec: bytes, batch: bytes) -> List[List[in
         schema, max_leaf_size = pickle.loads(spec)
         return KDTree(Relation(schema, store=store), max_leaf_size=max_leaf_size)
 
-    tree = _cached_index(handle[1], "kd", spec, build)
+    tree = _cached_index(handle[0], "kd", spec, build)
     return [
         tree.within_radius_indices(values, radii)
         for values, radii in pickle.loads(batch)

@@ -29,8 +29,8 @@ Three backends ship with the library:
   a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
   (``"thread"``, the default; :func:`set_shard_workers` bounds it), or —
   for picklable whole-store computations — on the process pool of
-  :mod:`repro.relational.parallel` (``"process"``), whose workers hold the
-  shard buffers decoded once from shared memory.  The distance kernels /
+  :mod:`repro.relational.parallel` (``"process"``), whose workers map the
+  shard buffers from files.  The distance kernels /
   KD-tree consumers build one index per shard and merge results.  See
   :meth:`ShardedStore.configured` for fixing shard count / partitioner
   and registering the variant as its own backend name.
@@ -183,7 +183,7 @@ class Store:
 
         Every mutating operation (``append``/``extend``; on a sharded store,
         anything that routes through ``_invalidate`` — the same event that
-        retires a shared-memory publication) bumps the counter.  Freshly
+        retires a process-mode publication) bumps the counter.  Freshly
         built and derived stores start at 0: the epoch identifies *versions
         of one live store*, not contents.  The serving layer aggregates the
         per-store epochs into a per-database *publication epoch*
@@ -794,26 +794,8 @@ def _env_executor_mode(name: str) -> str:
     return mode
 
 
-AFFINITY_MODES = ("on", "off")
-DEFAULT_SHARD_AFFINITY = "on"
-
-
-def _env_affinity_mode(name: str) -> str:
-    """Parse an affinity-mode environment override (unset means the default)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return DEFAULT_SHARD_AFFINITY
-    mode = raw.strip().lower()
-    if mode not in AFFINITY_MODES:
-        raise ValueError(
-            f"{name} must be one of {AFFINITY_MODES}, got {raw!r}"
-        )
-    return mode
-
-
 _shard_workers: Optional[int] = _env_worker_count("REPRO_SHARD_WORKERS")
 _shard_executor: str = _env_executor_mode("REPRO_SHARD_EXECUTOR")
-_shard_affinity: str = _env_affinity_mode("REPRO_SHARD_AFFINITY")
 
 
 def get_shard_workers() -> int:
@@ -863,9 +845,9 @@ def set_shard_executor(mode: Optional[str]) -> str:
       (the default; real parallelism only for work that releases the GIL).
     * ``"process"`` — picklable whole-store computations (fused
       :class:`~repro.algebra.predicates.MaskProgram`\\s, kernel batch
-      queries) run on the process pool of
-      :mod:`repro.relational.parallel`, whose workers hold each shard's
-      column buffers decoded from shared memory; everything else — and any
+      queries) run on the worker processes of
+      :mod:`repro.relational.parallel`, which map each shard's column
+      buffers from a file and keep them warm; everything else — and any
       computation that fails to pickle or any store below the
       :func:`repro.relational.parallel.get_process_min_rows` threshold —
       falls back to the thread path automatically.
@@ -886,48 +868,8 @@ def set_shard_executor(mode: Optional[str]) -> str:
     return previous
 
 
-def get_shard_affinity() -> str:
-    """Whether process-mode shard work uses sticky worker affinity (``"on"``/``"off"``)."""
-    return _shard_affinity
-
-
-def set_shard_affinity(mode: Optional[str]) -> str:
-    """Toggle sticky shard→worker affinity routing; returns the previous mode.
-
-    * ``"on"`` (the default) — process-mode shard work routes through the
-      affinity router of :mod:`repro.relational.parallel`: a rendezvous-hash
-      table maps each shard's publication token to a dedicated single-worker
-      queue (with work-stealing overflow), so a shard's decoded store and
-      cached kernel indexes stay on one warm worker across queries, and
-      fused ``select_gather`` operators ship whole (mask + gather in one
-      boundary crossing).
-    * ``"off"`` — the pre-affinity behaviour: one shared process pool whose
-      free-for-all task queue assigns shard work to any idle worker, and
-      selection materializes centrally after the mask round-trip.
-
-    Results are bit-identical either way — the knob trades cache warmth
-    against scheduling freedom, never values.  ``None`` restores the
-    default; an unknown mode raises :exc:`ValueError`.
-    ``REPRO_SHARD_AFFINITY`` overrides the default at import time.  Changing
-    the mode retires the running process pool/router so the next query
-    rebuilds the right topology.
-    """
-    global _shard_affinity
-    if mode is None:
-        mode = DEFAULT_SHARD_AFFINITY
-    if mode not in AFFINITY_MODES:
-        raise ValueError(
-            f"shard affinity must be one of {AFFINITY_MODES}, got {mode!r}"
-        )
-    previous = _shard_affinity
-    if mode != previous:
-        _shard_affinity = mode
-        _reset_process_pool()
-    return previous
-
-
 def _reset_process_pool() -> None:
-    """Shut down the process pool if the parallel module is loaded (lazy import)."""
+    """Retire the worker processes if the parallel module is loaded (lazy import)."""
     import sys
 
     parallel = sys.modules.get(__package__ + ".parallel")
@@ -1028,7 +970,7 @@ class ShardedStore(Store):
         self._concat_cache: Optional[Sequence[int]] = None
         self._positions_cache: Optional[List[Sequence[int]]] = None
         self._row_cache: Optional[List[Row]] = None
-        self._publication = None  # shared-memory publication (parallel.py)
+        self._publication = None  # the shards as mapped files (parallel.py)
 
     @classmethod
     def configured(
@@ -1142,12 +1084,12 @@ class ShardedStore(Store):
         self._retire_publication()
 
     def _retire_publication(self) -> None:
-        """Drop the shared-memory publication after a mutation.
+        """Drop the publication after a mutation.
 
-        Worker processes cache decoded shard payloads by segment name, so
-        invalidation is by *replacement*: the old segments are unlinked here
-        and the next process-mode query publishes fresh ones under new names
-        (stale worker cache entries age out of the workers' LRU).
+        Worker processes cache mapped shard files by token, so invalidation
+        is by *replacement*: the files the publication wrote are unlinked
+        here and the next process-mode query publishes fresh ones under new
+        names (stale worker cache entries age out of the workers' LRU).
         """
         publication = self._publication
         if publication is not None:
@@ -1156,7 +1098,7 @@ class ShardedStore(Store):
 
     # Pickling a sharded store (e.g. as the shard payload of a *nested*
     # sharded layout crossing into a worker process) must not drag the
-    # process-local shared-memory publication along.
+    # process-local publication along.
     def __getstate__(self):
         return {
             "width": self.width,
@@ -1377,23 +1319,23 @@ class ShardedStore(Store):
     ) -> Tuple[bytearray, "ShardedStore"]:
         """Fused select+gather, shipped whole to the shard workers.
 
-        In process mode with :func:`get_shard_affinity` ``"on"``, each shard's
-        worker receives ``(pickled masker, output column positions, optional
-        α-budget slice)`` in **one** task, evaluates the mask over its warm
-        decoded store, gathers the surviving rows' columns locally, and ships
-        back ``(mask bytes, packed typed-column payloads)`` — one boundary
-        crossing per shard instead of mask-out + central gather (see
+        In process mode each shard's worker receives ``(pickled masker,
+        output column positions, optional α-budget slice)`` in **one** task,
+        evaluates the mask over its warm mapped store, gathers the surviving
+        rows' columns locally, and ships back ``(mask bytes, packed
+        typed-column payloads)`` — one boundary crossing per shard instead of
+        mask-out + central gather (see
         :func:`repro.relational.parallel.process_select_gather` for the wire
         format).  The parent stitches the masks into global order and adopts
         the returned buffers as fresh per-shard column stores.
 
-        Every fallback — affinity off, thread/serial executors, small or
-        unpublishable stores — computes the identical result through
+        Every fallback — thread/serial executors, small or unpublishable
+        stores — computes the identical result through
         :meth:`_shard_masks` + per-shard :meth:`~Store.select_mask`, with the
         same per-shard truncation, so the conformance matrix proves
         equivalence across all paths.
         """
-        if _shard_executor == "process" and _shard_affinity == "on":
+        if _shard_executor == "process":
             from . import parallel
 
             fused = parallel.process_select_gather(

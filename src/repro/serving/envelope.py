@@ -54,8 +54,7 @@ class ServingEnvelope:
             (misses) — deltas of
             :func:`repro.relational.parallel.affinity_stats` around the
             execution.  Both are 0 on a result-cache hit (nothing was
-            computed) and whenever the affinity router is inactive
-            (serial/thread executors, or ``set_shard_affinity("off")``).
+            computed) and under the serial/thread executors.
         dispatch_retries: process-dispatch retry rounds
             (:func:`repro.relational.parallel.dispatch_stats` delta) spent
             computing this answer — 0 on cache hits and on the

@@ -6,6 +6,6 @@ modules are tiny and dependency-free, so the cost is negligible.  Each rule
 lives in its own module named after its id.
 """
 
-from . import det001, exc001, knob001, reg001, ship001, shm001, state001
+from . import det001, exc001, knob001, reg001, ship001, state001
 
-__all__ = ["det001", "exc001", "knob001", "reg001", "ship001", "shm001", "state001"]
+__all__ = ["det001", "exc001", "knob001", "reg001", "ship001", "state001"]

@@ -12,13 +12,12 @@ The rule is scoped by naming convention: every ``except`` handler whose
 enclosing function name starts with one of the dispatch/publication
 prefixes (``submit``/``_submit``, ``dispatch_``/``_dispatch``, ``probe_``,
 ``publish``/``_publish``/``publication``, ``_release``, ``_worker``,
-``_untrack``, ``_resolve``, ``_read_segment``, ``shutdown``) must do at
-least one of:
+``_resolve``, ``shutdown``) must do at least one of:
 
 * **re-raise** — contain a ``raise`` statement (bare or typed), or
 * **feed the breaker** — call one of the breaker-vocabulary functions
-  (``_pool_failed``, ``_breaker_strike``, ``_breaker_exit``,
-  ``_strike_locked``, ``reset_process_pool``, ``repair``), or
+  (``_breaker_strike``, ``_breaker_exit``, ``_strike_locked``,
+  ``reset_process_pool``, ``repair``), or
 * carry an explicit ``# repro: ignore[EXC001] <why this swallow is safe>``
   on the ``except`` line (or a justification comment block directly above
   it).
@@ -45,15 +44,12 @@ SCOPE_PREFIXES = (
     "publication",
     "_release",
     "_worker",
-    "_untrack",
     "_resolve",
-    "_read_segment",
     "shutdown",
 )
 
 BREAKER_VOCABULARY = frozenset(
     {
-        "_pool_failed",
         "_breaker_strike",
         "_breaker_exit",
         "_strike_locked",

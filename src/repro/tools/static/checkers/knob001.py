@@ -33,7 +33,6 @@ DOCUMENTED_ENV_OVERRIDES = frozenset(
     {
         "REPRO_SHARD_WORKERS",
         "REPRO_SHARD_EXECUTOR",
-        "REPRO_SHARD_AFFINITY",
         "REPRO_SERVING_CACHE",
         "REPRO_SERVING_POLICY",
         "REPRO_STORE_DIR",

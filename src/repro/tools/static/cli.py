@@ -23,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based invariant analyzer for the repro codebase: picklability "
-            "of shipped work, shared-memory lifecycle, backend registration, "
+            "of shipped work, dispatch-path exception handling, backend registration, "
             "knob hygiene, shared mutable state, and determinism."
         ),
     )

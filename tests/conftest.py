@@ -8,16 +8,24 @@ column, the sharded defaults, the 1-/7-shard variants registered below, and
 any backend a later PR registers at import time — **crossed with the shard
 executors** that matter for that platform: every backend case runs under
 the default ``"thread"`` executor and again under ``"process"`` (the
-process-pool/shared-memory executor of :mod:`repro.relational.parallel`),
-with the process-mode size threshold forced to 1 so even the small test
-relations genuinely round-trip through worker processes.  Use
-:func:`assert_identical` / :func:`to_backend` to phrase differential
-assertions against the row-backed reference.
+worker processes of :mod:`repro.relational.parallel`, which map each shard
+from a published file), with the process-mode size threshold forced to 1 so
+even the small test relations genuinely round-trip through worker
+processes.  Use :func:`assert_identical` / :func:`to_backend` to phrase
+differential assertions against the row-backed reference.
+
+:func:`pytest_unconfigure` is the suite's exit watchdog: a run whose
+interpreter is still alive 15 s after the last test is killed with exit
+status 3 and a list of the children it was waiting for.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -25,6 +33,7 @@ from repro import Beas, ConstraintSpec, Database, FamilySpec, Relation
 from repro.algebra.ast import Difference
 from repro.relational import parallel
 from repro.relational.distance import CATEGORICAL, NUMERIC, numeric_scaled, resolve
+from repro.relational.mmapstore import set_store_dir
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.relational.store import (
     ShardedStore,
@@ -85,6 +94,17 @@ def backend(request):
             parallel.set_process_min_rows(previous_min_rows)
 
 
+@pytest.fixture
+def store_dir(tmp_path):
+    """Pin the anonymous / published file directory to this test's tmpdir."""
+    directory = tmp_path / "store"
+    previous = set_store_dir(directory)
+    try:
+        yield str(directory)
+    finally:
+        set_store_dir(previous)
+
+
 def pytest_generate_tests(metafunc):
     """Parametrize ``backend``-taking tests over backends × shard executors."""
     if "backend" in metafunc.fixturenames:
@@ -97,6 +117,34 @@ def pytest_generate_tests(metafunc):
             ],
             indirect=True,
         )
+
+
+EXIT_WATCHDOG_SECONDS = 15.0
+
+
+def pytest_unconfigure(config):
+    """Stop the workers, then refuse to let the interpreter hang at exit.
+
+    A worker that outlives :func:`parallel.shutdown` is joined by
+    ``concurrent.futures``' exit hook, which used to stall the suite for a
+    minute or for ever after its last test.  The daemon timer turns such a
+    stall into a red run that names the children responsible.
+    """
+    parallel.shutdown()
+
+    def still_alive():
+        children = [(child.pid, child.name) for child in multiprocessing.active_children()]
+        print(
+            f"\nexit watchdog: interpreter still alive {EXIT_WATCHDOG_SECONDS:.0f} s "
+            f"after the last test; live children: {children}",
+            file=sys.stderr,
+            flush=True,
+        )
+        os._exit(3)
+
+    watchdog = threading.Timer(EXIT_WATCHDOG_SECONDS, still_alive)
+    watchdog.daemon = True
+    watchdog.start()
 
 
 def identity_key(row):

@@ -8,11 +8,11 @@ _UNDOCUMENTED = os.environ.get("REPRO_SECRET_KNOB")
 _SERVING_UNDOCUMENTED = os.environ.get("REPRO_SERVING_SECRET_TIER")
 # Nor is this storage-tier knob (REPRO_STORE_DIR is documented; this is not).
 _STORE_UNDOCUMENTED = os.environ.get("REPRO_STORE_SCRATCH_DIR")
-# REPRO_SHARD_AFFINITY is documented; this steal-tuning sibling is not.
-_AFFINITY_UNDOCUMENTED = os.environ.get("REPRO_SHARD_AFFINITY_STEAL_DEPTH")
+# REPRO_SHARD_EXECUTOR is documented; this start-method sibling is not.
+_EXECUTOR_UNDOCUMENTED = os.environ.get("REPRO_SHARD_EXECUTOR_START_METHOD")
 _policy = "queue"
 _store_dir = None
-_affinity = "on"
+_executor = "thread"
 
 
 def set_chunk_rows(count):
@@ -30,9 +30,9 @@ def set_store_dir(path):
     _store_dir = path  # accepts 0, b"", ... without complaint
 
 
-def set_affinity(mode):
-    global _affinity
-    _affinity = mode  # accepts "sticky-ish", 42, ... without complaint
+def set_executor(mode):
+    global _executor
+    _executor = mode  # accepts "threads", 42, ... without complaint
 
 
 # A resilience-flavoured knob that is *not* in the documented allowlist

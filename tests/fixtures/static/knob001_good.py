@@ -54,16 +54,18 @@ _cache_backend = _parse_choice("REPRO_SERVING_CACHE", ("lru-ttl", "none"), "lru-
 _policy = _parse_choice(
     "REPRO_SERVING_POLICY", ("reject", "queue", "degrade-alpha"), "queue"
 )
-# Affinity-routing knob vocabulary: a documented on/off env override read
+# Shard-executor knob vocabulary: a documented mode env override read
 # through the same parameterized helper, plus a validated setter.
-_affinity = _parse_choice("REPRO_SHARD_AFFINITY", ("on", "off"), "on")
+_executor = _parse_choice(
+    "REPRO_SHARD_EXECUTOR", ("serial", "thread", "process"), "thread"
+)
 
 
-def set_affinity(mode):
-    global _affinity
-    if mode not in ("on", "off"):
-        raise ValueError(f"affinity mode must be 'on' or 'off', got {mode!r}")
-    _affinity = mode
+def set_executor(mode):
+    global _executor
+    if mode not in ("serial", "thread", "process"):
+        raise ValueError(f"executor mode must be serial/thread/process, got {mode!r}")
+    _executor = mode
 
 
 def set_admission_policy(policy):

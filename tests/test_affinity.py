@@ -1,14 +1,11 @@
 """Sticky shard→worker affinity routing and the fused select+gather operator.
 
 Covers the routing table itself (deterministic rendezvous mapping, work
-stealing, slot repair after worker death), the knobs
-(``set_shard_affinity`` / ``REPRO_SHARD_AFFINITY``, the probe timeout), the
-warm-cache contract (a repeated query rebuilds zero decoded stores and zero
-kernel indexes), and bit-identity of the fused ``select_gather`` path —
-with and without per-shard α-budget slices — against the serial reference.
-
-The shared-pool (non-router) failure paths stay covered in
-``test_parallel.py``; here the router is the subject.
+stealing, slot repair after worker death), the probe timeout, the
+warm-cache contract (a repeated query maps zero shard files again and
+rebuilds zero kernel indexes), and bit-identity of the fused
+``select_gather`` path — with and without per-shard α-budget slices —
+against the serial reference.
 """
 
 from __future__ import annotations
@@ -26,14 +23,9 @@ from repro.relational.kdtree import KDForest
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import (
-    AFFINITY_MODES,
-    DEFAULT_SHARD_AFFINITY,
-    _env_affinity_mode,
     _truncate_mask,
-    get_shard_affinity,
     get_shard_executor,
     get_shard_workers,
-    set_shard_affinity,
     set_shard_executor,
     set_shard_workers,
     shard_budget_slices,
@@ -72,13 +64,11 @@ def store_rows(store):
 @pytest.fixture
 def affinity_guard():
     """Snapshot and restore every knob these tests may flip."""
-    previous_affinity = get_shard_affinity()
     previous_executor = get_shard_executor()
     previous_min = parallel.get_process_min_rows()
     previous_workers = get_shard_workers()
     previous_probe = parallel.get_probe_timeout()
     yield
-    set_shard_affinity(previous_affinity)
     set_shard_executor(previous_executor)
     parallel.set_process_min_rows(
         None if previous_min == parallel.DEFAULT_PROCESS_MIN_ROWS else previous_min
@@ -95,44 +85,8 @@ def force_process():
 
 
 # ---------------------------------------------------------------------------
-# Knobs: set_shard_affinity / REPRO_SHARD_AFFINITY / probe timeout
+# Knob: the probe timeout
 # ---------------------------------------------------------------------------
-
-class TestAffinityKnob:
-    def test_modes_tuple_and_default(self):
-        assert AFFINITY_MODES == ("on", "off")
-        assert DEFAULT_SHARD_AFFINITY == "on"
-
-    def test_set_shard_affinity_validates(self):
-        for junk in ("sticky", "", "true", "ON ", 1, 0.5):
-            with pytest.raises(ValueError):
-                set_shard_affinity(junk)
-
-    def test_set_shard_affinity_roundtrip(self, affinity_guard):
-        previous = set_shard_affinity("off")
-        assert get_shard_affinity() == "off"
-        assert set_shard_affinity("off") == "off"  # same value: no-op
-        assert set_shard_affinity(None) == "off"  # None restores the default
-        assert get_shard_affinity() == DEFAULT_SHARD_AFFINITY
-        set_shard_affinity(previous)
-
-    def test_env_affinity_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_AFFINITY", raising=False)
-        assert _env_affinity_mode("REPRO_SHARD_AFFINITY") == DEFAULT_SHARD_AFFINITY
-        monkeypatch.setenv("REPRO_SHARD_AFFINITY", "  ")
-        assert _env_affinity_mode("REPRO_SHARD_AFFINITY") == DEFAULT_SHARD_AFFINITY
-        monkeypatch.setenv("REPRO_SHARD_AFFINITY", " Off ")
-        assert _env_affinity_mode("REPRO_SHARD_AFFINITY") == "off"
-        # The classic YAML gotcha: an unquoted `on` in a workflow file
-        # reaches the process as "true" — which must fail loudly, not be
-        # silently coerced to either mode.
-        monkeypatch.setenv("REPRO_SHARD_AFFINITY", "true")
-        with pytest.raises(ValueError):
-            _env_affinity_mode("REPRO_SHARD_AFFINITY")
-        monkeypatch.setenv("REPRO_SHARD_AFFINITY", "sticky")
-        with pytest.raises(ValueError):
-            _env_affinity_mode("REPRO_SHARD_AFFINITY")
-
 
 class TestProbeTimeout:
     def test_validates(self):
@@ -265,17 +219,12 @@ class TestRouter:
         }
 
     def test_ensure_router_lifecycle(self, affinity_guard):
-        set_shard_affinity("on")
         router = parallel._ensure_router()
-        assert router is not None
         assert router.slot_count == get_shard_workers()
         assert parallel._ensure_router() is router  # memoized
         parallel.reset_process_pool()  # full re-hash: the router is discarded
         assert parallel._router is None
-        fresh = parallel._ensure_router()
-        assert fresh is not None and fresh is not router
-        set_shard_affinity("off")  # the kill switch: no router at all
-        assert parallel._ensure_router() is None
+        # Until the next query creates one there is nothing to count or ask.
         assert parallel.affinity_stats() == {
             "hits": 0,
             "steals": 0,
@@ -284,6 +233,8 @@ class TestRouter:
             "slots": 0,
         }
         assert parallel.worker_cache_stats() is None
+        fresh = parallel._ensure_router()
+        assert fresh is not router
 
     def test_broken_slot_repairs_in_place_and_falls_back(
         self, affinity_guard, monkeypatch

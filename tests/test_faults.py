@@ -24,6 +24,7 @@ backend × executor) lives in ``benchmarks/bench_chaos.py`` and the
 
 from __future__ import annotations
 
+import os
 import random
 import time
 
@@ -118,6 +119,23 @@ def breaker_guard():
 def force_process():
     set_shard_executor("process")
     parallel.set_process_min_rows(1)
+
+
+def wait_until_gone(pids, seconds):
+    """The pids still alive ``seconds`` from now (empty when all exited)."""
+    deadline = time.monotonic() + seconds
+    alive = list(pids)
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.02)
+        survivors = []
+        for pid in alive:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                continue
+            survivors.append(pid)
+        alive = survivors
+    return alive
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +430,7 @@ class TestDispatchResilience:
         assert parallel.breaker_state()["state"] == "closed"
 
     def test_wedged_worker_hits_the_dispatch_deadline(
-        self, plan_guard, executor_guard, breaker_guard
+        self, plan_guard, executor_guard, breaker_guard, monkeypatch
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference_mask(relation)
@@ -421,16 +439,40 @@ class TestDispatchResilience:
         parallel.set_dispatch_retries(1)
         parallel.set_dispatch_deadline(0.3)
         timeouts_before = parallel.dispatch_stats()["timeouts"]
+        wedged = []  # pids of every worker retired at the deadline
+        retire_pool = parallel._retire_pool
+
+        def recording_retire(pool):
+            wedged.extend(pool._processes)
+            retire_pool(pool)
+
+        monkeypatch.setattr(parallel, "_retire_pool", recording_retire)
         started = time.monotonic()
         faults.set_fault_plan("seed=2;parallel.worker.slow:p=1,arg=30")
         try:
             assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            elapsed = time.monotonic() - started
+            # The deadline is a deadline for the worker too: every process
+            # that held a 30 s sleep is gone, not abandoned to wake later.
+            assert wedged
+            assert wait_until_gone(wedged, 2.0) == []
+
+            # Same for shutdown(): a sleeping task in flight is killed, not
+            # waited for (this is what used to stall interpreter exit).
+            future, slot = parallel._ensure_router().submit(
+                "wedge", parallel._worker_fault_probe
+            )
+            while not future.running():
+                assert time.monotonic() - started < 30.0
+                time.sleep(0.01)
+            sleeper = list(slot.pool._processes)
+            stopping = time.monotonic()
+            parallel.shutdown()
+            assert time.monotonic() - stopping < 2.0
+            assert sleeper and wait_until_gone(sleeper, 2.0) == []
         finally:
             faults.set_fault_plan(None, reset_pools=False)
-            # Don't leave wedged (30s-sleeping) workers behind for later
-            # tests; this test is not the no-reset acceptance check.
             parallel.reset_process_pool()
-        elapsed = time.monotonic() - started
         assert parallel.dispatch_stats()["timeouts"] > timeouts_before
         # Zero hangs past the deadline: bounded rounds, not a 30s stall.
         assert elapsed < 15.0
@@ -443,12 +485,12 @@ class TestDispatchResilience:
         force_process()
         parallel.set_retry_backoff(0.0)
         fatal_before = parallel.dispatch_stats()["fatal"]
-        faults.set_fault_plan("seed=4;shm.publish.unlink:at=1")
+        faults.set_fault_plan("seed=4;parallel.publish.unlink:at=1")
         try:
             assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
         finally:
             faults.set_fault_plan(None, reset_pools=False)
-        # The vanished segment is fatal for this publication (retrying the
+        # The vanished file is fatal for this publication (retrying the
         # same handles cannot help) — one clean fallback, no wrong answer.
         assert parallel.dispatch_stats()["fatal"] > fatal_before
         # The next query republishes and the process path works again.

@@ -9,9 +9,9 @@ The load-bearing guarantees under test:
 * **Restart is not a mutation** — the mutation epoch rides in the file
   header and the publication epoch in the dataset manifest, so caches
   keyed on them stay valid across a close-and-reopen.
-* **Zero shared memory** — process-mode queries over mmap-backed shards
-  publish file handles (:class:`~repro.relational.parallel.FilePublication`),
-  never ``multiprocessing.shared_memory`` segments.
+* **Nothing to publish** — process-mode queries over mmap-backed shards
+  hand workers the shards' own files; the
+  :class:`~repro.relational.parallel.ShardPublication` writes nothing.
 * **Hygiene** — anonymous construction-time files are reference-counted
   and swept; test runs leave no stray ``.rpro`` files behind.
 
@@ -49,7 +49,7 @@ from repro.relational.mmapstore import (
     set_checksum_mode,
     set_store_dir,
 )
-from repro.relational.parallel import FilePublication, publication_for
+from repro.relational.parallel import publication_for
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import (
     ShardedStore,
@@ -76,17 +76,6 @@ def schema():
         "t",
         [Attribute("id"), Attribute("cat"), Attribute("x"), Attribute("y")],
     )
-
-
-@pytest.fixture
-def store_dir(tmp_path):
-    """Pin the anonymous-file directory to this test's tmpdir."""
-    directory = tmp_path / "store"
-    previous = set_store_dir(directory)
-    try:
-        yield str(directory)
-    finally:
-        set_store_dir(previous)
 
 
 def rpro_files(directory):
@@ -447,7 +436,7 @@ def test_restart_preserves_serving_cache_keys(tiny_db, store_dir, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Process execution: file handles instead of shared memory
+# Process execution: workers map the shards' own files
 # ---------------------------------------------------------------------------
 
 
@@ -462,7 +451,7 @@ class TestProcessExecution:
         # file and caches the store under its identity token.
         store = MmapStore.from_rows(4, MIXED_ROWS)
         handle = store.file_handle()
-        assert handle is not None and handle[0] == "file"
+        assert handle is not None and handle[1] == store.path
         resolved = parallel._resolve_store(handle)
         assert [identity_key(r) for r in resolved.row_list()] == [
             identity_key(r) for r in store.row_list()
@@ -474,23 +463,23 @@ class TestProcessExecution:
         store.append((6, "d", 1.5, 2))
         assert store.file_handle() is None
 
-    def test_publication_is_file_backed(self, tiny_db, store_dir):
+    def test_publication_hands_out_the_shards_own_files(self, tiny_db, store_dir):
         db = to_backend(tiny_db, "mmap-sharded")
         store = db.relation("emp").store
         publication = publication_for(store)
-        assert isinstance(publication, FilePublication)
-        assert all(handle[0] == "file" for handle in publication.handles)
-        publication.retire()  # no-op: nothing to unlink, nothing to unregister
+        assert publication.handles == [shard.file_handle() for shard in store.shards]
+        assert publication.written == []
+        publication.retire()  # nothing of its own to unlink
+        assert all(os.path.exists(shard.path) for shard in store.shards)
 
     @needs_process
-    def test_process_queries_use_zero_shared_memory(self, tiny_db, store_dir):
+    def test_process_queries_write_no_publication_file(self, tiny_db, store_dir):
         previous_executor = set_shard_executor("process")
         previous_min_rows = parallel.set_process_min_rows(1)
         try:
             db = to_backend(tiny_db, "mmap-sharded")
             beas = Beas(db, constraints=_tiny_constraints())
             reference = Beas(tiny_db, constraints=_tiny_constraints())
-            segments_before = set(parallel._SEGMENT_REGISTRY)
             for sql in RESTART_QUERIES:
                 got = beas.answer(sql, alpha=0.9)
                 assert_identical(got.rows, reference.answer(sql, alpha=0.9).rows)
@@ -499,10 +488,9 @@ class TestProcessExecution:
             store = db.relation("emp").store
             gathered = store.gather_column(0, list(range(len(store))))
             assert list(gathered) == [row[0] for row in tiny_db.relation("emp").rows]
-            # The store published file handles; the shared-memory segment
-            # registry never grew.
-            assert isinstance(store._publication, FilePublication)
-            assert set(parallel._SEGMENT_REGISTRY) == segments_before
+            # The workers mapped the shards' own files: nothing was written.
+            assert store._publication.written == []
+            assert not [name for name in os.listdir(store_dir) if name.startswith("pub-")]
         finally:
             set_shard_executor(previous_executor)
             parallel.set_process_min_rows(previous_min_rows)
@@ -653,30 +641,16 @@ class TestCorruptFiles:
         set_checksum_mode(None)
         assert get_checksum_mode() == DEFAULT_CHECKSUM_MODE
 
-    def test_legacy_v1_files_still_open(self, store_dir, tmp_path, checksum_guard):
-        # RPROMM01 predates checksums; those files open unverified.
-        from array import array
-
-        payload = array("d", [1.5, 2.5, 3.5]).tobytes()
-        header = pickle.dumps(
-            {
-                "width": 1,
-                "length": 3,
-                "epoch": 7,
-                "meta": None,
-                "columns": [("arr", "d", 0, len(payload))],
-            }
-        )
-        base = -(-(8 + 8 + len(header)) // 8) * 8
-        blob = b"RPROMM01" + len(header).to_bytes(8, "little") + header
-        blob += b"\x00" * (base - len(blob)) + payload
+    def test_legacy_v1_magic_is_not_a_dataset_file(self, store_dir, tmp_path):
+        # RPROMM01 (no checksums) is no longer read: it could only ever be
+        # opened unverified, whatever set_checksum_mode said.
         path = str(tmp_path / f"legacy{FILE_SUFFIX}")
         with open(path, "wb") as handle:
-            handle.write(blob)
-        set_checksum_mode("full")
-        reopened = MmapStore.open(path)
-        assert [row[0] for row in reopened.row_list()] == [1.5, 2.5, 3.5]
-        assert reopened.epoch == 7
+            handle.write(b"RPROMM01" + (0).to_bytes(8, "little") + b"\x00" * 16)
+        with pytest.raises(ValueError, match="bad magic") as excinfo:
+            MmapStore.open(path)
+        assert not isinstance(excinfo.value, CorruptShardError)
+        assert os.path.exists(path)  # left in place, not quarantined
 
     def test_crash_restart_over_quarantined_shard(
         self, tiny_db, store_dir, tmp_path, checksum_guard

@@ -1,15 +1,16 @@
-"""Process-parallel shard execution: knobs, codec, workers, and equivalence.
+"""Process-parallel shard execution: knobs, publication, workers, and equivalence.
 
 Three layers of coverage for :mod:`repro.relational.parallel`:
 
 * **Unit** — knob validation (including the import-time environment
-  overrides), the shard payload codec, and the worker functions called
-  in-process through inline handles (exactly the code worker processes run,
-  minus the process boundary).
+  overrides), the publish → resolve round trip of every kind of shard, and
+  the worker functions called in-process through handles of files written
+  under ``tmp_path`` (exactly the code worker processes run, minus the
+  process boundary).
 * **End-to-end** — real pool round trips: masks, gathers, kernel batches and
   KD radius queries under ``executor="process"`` must be bit-identical to
   the serial/thread paths, including after a shard mutation retires the
-  published segments.
+  published files.
 * **Property** — a hypothesis invariant that serial, thread and process
   mask evaluation agree on None/NaN/mixed/string columns.
 
@@ -20,13 +21,17 @@ every ``backend``-fixture test under the process executor, so whole-query
 
 from __future__ import annotations
 
+import gc
+import os
 import pickle
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Beas, ConstraintSpec, QueryServer
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.relational import parallel
 from repro.relational.distance import NUMERIC, TRIVIAL
@@ -39,12 +44,12 @@ from repro.relational.kernels import (
     naive_min_distance,
     naive_radius_matches,
 )
+from repro.relational.mmapstore import MmapStore, write_anonymous
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import (
     ColumnStore,
     EXECUTOR_MODES,
-    RowStore,
     ShardedStore,
     _env_executor_mode,
     _env_worker_count,
@@ -54,7 +59,7 @@ from repro.relational.store import (
     set_shard_workers,
 )
 
-from conftest import SHARD_EXECUTORS, identity_key
+from conftest import SHARD_EXECUTORS, identity_key, to_backend
 
 PROCESS_OK = "process" in SHARD_EXECUTORS
 needs_process = pytest.mark.skipif(
@@ -83,6 +88,10 @@ def make_rows(count: int, seed: int = 11):
         (rng.randrange(max(1, count // 50)), rng.uniform(0, 100), rng.uniform(0, 100))
         for _ in range(count)
     ]
+
+
+def published_files(directory):
+    return sorted(name for name in os.listdir(directory) if name.startswith("pub-"))
 
 
 @pytest.fixture
@@ -170,7 +179,7 @@ class TestKnobs:
 
 
 # ---------------------------------------------------------------------------
-# Shard payload codec
+# Publication: every kind of shard reaches a worker bit-identically
 # ---------------------------------------------------------------------------
 
 MIXED_COLUMNS = [
@@ -178,10 +187,20 @@ MIXED_COLUMNS = [
     [1, -(2**62), 0, 7],                           # int buffer
     [None, "s", 3, 2.0],                           # object column
     ["a", "b", "c", "d"],                          # strings
+    [2**63, -(2**64), 0, 1],                       # ints beyond the typed buffer
+    [1, 2.0, 3, 4.5],                              # mixed int/float stays mixed
 ]
 
 
-class TestCodec:
+def resolve_published(store):
+    """Publish ``store`` and resolve every handle the way a worker does."""
+    publication = parallel.publication_for(store)
+    assert publication is not None
+    assert len(publication.handles) == len(store.shards)
+    return [parallel._resolve_store(handle) for handle in publication.handles]
+
+
+class TestPublicationRoundTrip:
     def assert_identical_stores(self, left, right):
         assert len(left) == len(right)
         assert left.width == right.width
@@ -189,28 +208,37 @@ class TestCodec:
             identity_key(r) for r in right.iter_rows()
         ]
 
-    def test_column_store_roundtrip(self):
-        store = ColumnStore.from_columns(len(MIXED_COLUMNS), MIXED_COLUMNS)
-        decoded = parallel.decode_store(parallel.encode_store(store))
-        assert isinstance(decoded, ColumnStore)
-        self.assert_identical_stores(store, decoded)
-        # Typed buffers stay typed through the codec.
-        assert decoded._kinds[:2] == store._kinds[:2]
+    @pytest.mark.parametrize("shard_backend", ["column", "row", "sharded", "mmap"])
+    def test_shards_resolve_with_values_and_types(self, store_dir, shard_backend):
+        # "sharded" shards are the nested layout: each is flattened into
+        # one file in its own global row order.
+        cls = ShardedStore.configured(2, "range", shard_backend=shard_backend)
+        store = cls.from_columns(len(MIXED_COLUMNS), MIXED_COLUMNS)
+        for shard, resolved in zip(store.shards, resolve_published(store)):
+            assert isinstance(resolved, MmapStore)
+            self.assert_identical_stores(shard, resolved)
+            if shard_backend == "column":
+                assert resolved._kinds == shard._kinds  # typed buffers stay typed
 
-    def test_empty_and_zero_width_stores(self):
-        empty = ColumnStore.from_columns(3, [[], [], []])
-        decoded = parallel.decode_store(parallel.encode_store(empty))
-        self.assert_identical_stores(empty, decoded)
+    def test_empty_and_zero_width_stores(self, store_dir):
+        cls = ShardedStore.configured(2, "range")
+        empty = cls.from_columns(3, [[], [], []])
+        for shard, resolved in zip(empty.shards, resolve_published(empty)):
+            self.assert_identical_stores(shard, resolved)
+            assert resolved.width == 3
 
-        zero_width = ColumnStore(0)
-        decoded = parallel.decode_store(parallel.encode_store(zero_width))
-        assert decoded.width == 0 and len(decoded) == 0
+        zero_width = cls(0)
+        for resolved in resolve_published(zero_width):
+            assert resolved.width == 0 and len(resolved) == 0
 
-    def test_row_store_falls_back_to_pickle(self):
-        store = RowStore.from_rows(2, [(1, "a"), (2.0, None)])
-        decoded = parallel.decode_store(parallel.encode_store(store))
-        assert isinstance(decoded, RowStore)
-        self.assert_identical_stores(store, decoded)
+    def test_mapped_shards_hand_out_their_own_files(self, store_dir):
+        cls = ShardedStore.configured(2, "range", shard_backend="mmap")
+        store = cls.from_columns(len(MIXED_COLUMNS), MIXED_COLUMNS)
+        publication = parallel.publication_for(store)
+        assert publication.handles == [shard.file_handle() for shard in store.shards]
+        assert publication.written == [] and published_files(store_dir) == []
+        publication.retire()  # the files are the stores', not the publication's
+        assert all(os.path.exists(path) for _token, path in publication.handles)
 
     def test_sharded_store_pickles_without_publication(self, executor_guard):
         rows = make_rows(64)
@@ -230,34 +258,75 @@ class TestCodec:
         objects = [None, "x", 3]
         assert parallel._decode_buffer(parallel._encode_buffer(objects)) == objects
 
+    def test_files_follow_the_publication(self, store_dir, executor_guard):
+        """Mutation, GC of the store, and shutdown() each leave no file behind."""
+        store = ShardedStore.from_rows(3, make_rows(64))
+        assert parallel.publication_for(store) is not None
+        assert len(published_files(store_dir)) == len(store.shards)
+        store.append((1, 2.0, 3.0))
+        assert published_files(store_dir) == []
+
+        assert parallel.publication_for(store) is not None
+        assert len(published_files(store_dir)) == len(store.shards)
+        del store
+        gc.collect()
+        assert published_files(store_dir) == []
+
+        store = ShardedStore.from_rows(3, make_rows(64))
+        stale = parallel.publication_for(store)
+        parallel.shutdown()
+        assert published_files(store_dir) == []
+        # A store queried again after shutdown() republishes.
+        fresh = parallel.publication_for(store)
+        assert fresh is not stale
+        assert len(published_files(store_dir)) == len(store.shards)
+        self.assert_identical_stores(store.shards[0], parallel._resolve_store(fresh.handles[0]))
+
 
 # ---------------------------------------------------------------------------
-# Worker functions, driven in-process through inline handles
+# Worker functions, driven in-process through handles of files in tmp_path
 # ---------------------------------------------------------------------------
 
-def inline_handle(store, token):
-    return ("inline", token, parallel.encode_store(store))
+def file_handle(store, token=None):
+    """A worker handle for ``store``: its buffers written under the store dir."""
+    written_token, path = write_anonymous(store)
+    return (token or written_token, path)
 
 
 class TestWorkerFunctions:
-    def test_eval_mask_matches_direct_evaluation(self):
+    def test_eval_mask_matches_direct_evaluation(self, store_dir):
         store = ColumnStore.from_rows(3, make_rows(200))
         program = CONDITION.program(SCHEMA)
         masker = pickle.dumps(program.run_part)
-        out = parallel._worker_eval_mask(inline_handle(store, "t-mask"), masker)
+        out = parallel._worker_eval_mask(file_handle(store), masker)
         assert bytearray(out) == program.run_part(store)
 
-    def test_gather_roundtrip(self):
+    def test_gather_roundtrip(self, store_dir):
         store = ColumnStore.from_rows(3, make_rows(50))
-        encoded = parallel._worker_gather(inline_handle(store, "t-gather"), 1, [4, 4, 0, 49])
+        encoded = parallel._worker_gather(file_handle(store), 1, [4, 4, 0, 49])
         assert list(parallel._decode_buffer(encoded)) == list(
             store.gather_column(1, [4, 4, 0, 49])
         )
 
-    def test_radius_and_nn_and_kd_workers(self):
+    def test_select_gather_worker(self, store_dir):
+        store = ColumnStore.from_rows(3, make_rows(200))
+        program = CONDITION.program(SCHEMA)
+        masker = pickle.dumps(program.run_part)
+        handle = file_handle(store)
+        mask, payloads = parallel._worker_select_gather(handle, masker, [0, 2], 5)
+        expected = program.run_part(store)
+        indices = [i for i, bit in enumerate(expected) if bit][:5]
+        assert [i for i, bit in enumerate(mask) if bit] == indices
+        assert [list(parallel._decode_buffer(p)) for p in payloads] == [
+            list(store.gather_column(position, indices)) for position in (0, 2)
+        ]
+        # Nothing to gather: the payload is short-circuited.
+        assert parallel._worker_select_gather(handle, masker, [], None) == (bytes(expected), None)
+
+    def test_radius_and_nn_and_kd_workers(self, store_dir):
         rows = make_rows(120)
         store = ColumnStore.from_rows(3, rows)
-        handle = inline_handle(store, "t-kernels")
+        handle = file_handle(store)
         spec = pickle.dumps(([0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0]))
         queries = [rows[i][:2] for i in range(0, 120, 17)]
         batch = pickle.dumps(queries)
@@ -283,12 +352,12 @@ class TestWorkerFunctions:
         expected = naive_radius_matches(rows[5], rows, [0, 1, 2], distances, [0.0, 3.0, 5.0])
         assert sorted(indices) == expected
 
-    def test_store_cache_lru_eviction(self, monkeypatch):
+    def test_store_cache_lru_eviction(self, store_dir, monkeypatch):
         monkeypatch.setattr(parallel, "_STORE_CACHE_LIMIT", 2)
         parallel._STORE_CACHE.clear()
         parallel._INDEX_CACHE.clear()
         stores = [ColumnStore.from_rows(3, make_rows(8, seed=s)) for s in range(3)]
-        handles = [inline_handle(store, f"lru-{i}") for i, store in enumerate(stores)]
+        handles = [file_handle(store, f"lru-{i}") for i, store in enumerate(stores)]
         masker = pickle.dumps(CONDITION.program(SCHEMA).run_part)
 
         parallel._worker_eval_mask(handles[0], masker)
@@ -311,20 +380,17 @@ class TestWorkerInternals:
     """Worker-process plumbing, driven in-process (coverage cannot see the
     real workers, so the exact code they run is exercised here directly)."""
 
-    def test_worker_init_neutralizes_inherited_state(self):
+    def test_worker_init_pins_sequential_execution(self):
         from repro.relational import store as store_module
 
         saved = (
             parallel._IN_PROCESS_WORKER,
-            parallel._WORKER_START_METHOD,
             store_module._shard_workers,
             store_module._shard_executor,
-            store_module._shard_pool,
         )
         try:
-            parallel._worker_init("spawn")
+            parallel._worker_init()
             assert parallel._IN_PROCESS_WORKER is True
-            assert parallel._WORKER_START_METHOD == "spawn"
             assert store_module._shard_workers == 1
             assert store_module._shard_executor == "thread"
             assert parallel._worker_ping() is True
@@ -334,66 +400,52 @@ class TestWorkerInternals:
         finally:
             (
                 parallel._IN_PROCESS_WORKER,
-                parallel._WORKER_START_METHOD,
                 store_module._shard_workers,
                 store_module._shard_executor,
-                store_module._shard_pool,
             ) = saved
 
     @needs_process
-    def test_read_segment_roundtrip_and_untracking(self):
-        payload = b"shard-payload-bytes"
-        handle = parallel._publish_payload(payload)
-        assert handle[0] == "shm"
-        try:
-            assert parallel._read_segment(handle[1], handle[2]) == payload
-        finally:
-            parallel._release_segments([handle[1]])
-
-    def test_untrack_segment_modes(self):
-        class FakeShm:
-            _name = "/psm_does_not_exist"
-
-        saved = parallel._WORKER_START_METHOD
-        try:
-            parallel._WORKER_START_METHOD = "fork"
-            parallel._untrack_segment(FakeShm())  # shared tracker: left alone
-            parallel._WORKER_START_METHOD = "spawn"
-            parallel._untrack_segment(FakeShm())  # unknown name: swallowed
-        finally:
-            parallel._WORKER_START_METHOD = saved
-
-    def test_decode_empty_typed_column(self):
-        payload = pickle.dumps(("columns", 1, 0, [("arr", "d", b"")]))
-        store = parallel.decode_store(payload)
-        assert store.width == 1 and len(store) == 0
-
-    def test_publish_falls_back_inline_when_shm_unavailable(
-        self, executor_guard, monkeypatch
+    def test_pools_never_fork_a_threaded_parent(
+        self, tiny_db, executor_guard, monkeypatch
     ):
-        monkeypatch.setattr(parallel, "_shared_memory_broken", True)
-        handle = parallel._publish_payload(b"abc")
-        assert handle[0] == "inline" and handle[2] == b"abc"
-        if PROCESS_OK:
-            # End to end: inline handles still reach the workers correctly.
-            relation = Relation(SCHEMA, make_rows(2500), backend="sharded")
-            force_process()
-            process_mask = bytes(CONDITION.mask(relation.store, SCHEMA))
-            assert all(h[0] == "inline" for h in relation.store._publication.handles)
-            set_shard_executor("serial")
-            assert process_mask == bytes(CONDITION.mask(relation.store, SCHEMA))
+        """A pool created while the shard thread pool and a QueryServer
+        request thread are alive asks for forkserver (or spawn), never fork."""
+        import multiprocessing
 
-    def test_publish_detects_broken_shared_memory(self, monkeypatch):
-        import multiprocessing.shared_memory as shm_module
+        from repro.relational import store as store_module
 
-        def broken(*args, **kwargs):
-            raise OSError("no /dev/shm")
+        asked = []
+        get_context = multiprocessing.get_context
 
-        monkeypatch.setattr(shm_module, "SharedMemory", broken)
-        monkeypatch.setattr(parallel, "_shared_memory_broken", False)
-        handle = parallel._publish_payload(b"xyz")
-        assert handle[0] == "inline"
-        assert parallel._shared_memory_broken is True
+        def recording_get_context(method=None):
+            asked.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
+        store_module._pool().submit(int).result()  # the shard thread pool is up
+        server = QueryServer(
+            Beas(
+                to_backend(tiny_db, "sharded"),
+                constraints=[ConstraintSpec("emp", ("eid",), ("dept", "salary", "grade"), n=1)],
+            )
+        )
+        force_process()
+        parallel.reset_process_pool()  # the request below must create the pools
+        hits_before = parallel.affinity_stats()["hits"]
+        threads_seen = []
+
+        def request():
+            threads_seen.append(threading.active_count())
+            server.serve("SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2", alpha=1.0)
+
+        thread = threading.Thread(target=request, name="request-thread")
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        assert threads_seen[0] > 2  # main + request thread + shard pool threads
+        assert parallel._router is not None
+        assert parallel.affinity_stats()["hits"] > hits_before  # workers really ran
+        assert asked and "fork" not in asked
 
     def test_unpicklable_specs_return_none(self, executor_guard):
         from repro.relational.distance import DistanceFunction
@@ -434,26 +486,25 @@ class TestWorkerInternals:
             is None
         )
 
-    def test_unpublishable_payload_falls_back_without_leaking(self, executor_guard):
-        import threading
-
+    def test_unpublishable_payload_falls_back_without_leaking(
+        self, store_dir, executor_guard
+    ):
         rows = make_rows(3000)
         rows[-1] = (threading.Lock(), 1.0, 2.0)  # unpicklable object-column value
         cls = ShardedStore.configured(4, "range")  # bad value isolated in last shard
         store = cls.from_rows(3, rows)
         force_process()
-        registry_before = set(parallel._SEGMENT_REGISTRY)
 
         assert parallel.publication_for(store) is None
         assert store._publication is parallel._UNPUBLISHABLE
-        # The good shards published before the failure must not leak, and
+        # The good shards written before the failure must not leak, and
         # repeated queries must not re-attempt (and re-leak) the encode.
-        assert set(parallel._SEGMENT_REGISTRY) == registry_before
+        assert os.listdir(store_dir) == []
         condition = Conjunction.of(
             [Comparison(AttrRef(None, "x"), CompareOp.LE, Const(60.0))]
         )
         process_mask = bytes(condition.mask(store, SCHEMA))
-        assert set(parallel._SEGMENT_REGISTRY) == registry_before
+        assert os.listdir(store_dir) == []
         set_shard_executor("serial")
         assert process_mask == bytes(condition.mask(store, SCHEMA))
 
@@ -463,24 +514,21 @@ class TestWorkerInternals:
         assert store._publication is None
 
     @needs_process
-    def test_ensure_pool_is_race_free(self):
-        import threading
-
+    def test_ensure_router_is_race_free(self):
         parallel.reset_process_pool()
-        pools = []
+        routers = []
         barrier = threading.Barrier(2)
 
         def create():
             barrier.wait()
-            pools.append(parallel._ensure_pool())
+            routers.append(parallel._ensure_router())
 
         threads = [threading.Thread(target=create) for _ in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert pools[0] is not None
-        assert pools[0] is pools[1]  # one shared pool, nothing leaked
+        assert routers[0] is routers[1]  # one shared router, nothing leaked
 
     @needs_process
     def test_broken_pool_submission_falls_back(self, executor_guard, monkeypatch):
@@ -490,19 +538,27 @@ class TestWorkerInternals:
             def submit(self, *args, **kwargs):
                 raise BrokenProcessPool("boom")
 
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
+        parallel.reset_process_pool()
         failures_before = parallel._pool_failures
-        # Pin the shared-pool path: the affinity router's failure handling
-        # (slot repair) is covered separately in test_affinity.py.
-        monkeypatch.setattr(parallel, "_ensure_router", lambda: None)
-        monkeypatch.setattr(parallel, "_ensure_pool", lambda: FakePool())
-        program = CONDITION.program(SCHEMA)
-        assert parallel.process_eval_mask(relation.store, program.run_part) is None
-        assert parallel._pool_failures == failures_before + 1
-        assert parallel.probe_process_executor() is False
-        monkeypatch.undo()
-        parallel._pool_failures = failures_before
+        previous_backoff = parallel.set_retry_backoff(0.0)
+        monkeypatch.setattr(
+            parallel._AffinityRouter, "_create_pool", staticmethod(FakePool)
+        )
+        try:
+            program = CONDITION.program(SCHEMA)
+            assert parallel.process_eval_mask(relation.store, program.run_part) is None
+            assert parallel._pool_failures == failures_before + 1
+            assert parallel.probe_process_executor() is False
+        finally:
+            monkeypatch.undo()
+            parallel.reset_process_pool()
+            parallel.set_retry_backoff(previous_backoff)
+            parallel._pool_failures = failures_before
         # The thread fallback keeps the query correct throughout.
         set_shard_executor("serial")
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
@@ -513,31 +569,35 @@ class TestWorkerInternals:
     def test_cancelled_futures_fall_back_without_breaker_strike(
         self, executor_guard, monkeypatch
     ):
-        from concurrent.futures import CancelledError
-
-        class CancelledFuture:
-            def result(self, timeout=None):
-                raise CancelledError()
-
-            def cancel(self):
-                return True
+        from concurrent.futures import Future
 
         class CancellingPool:
             def submit(self, *args, **kwargs):
-                return CancelledFuture()
+                future = Future()
+                future.cancel()
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
         set_shard_executor("serial")
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
         set_shard_executor("process")
+        parallel.reset_process_pool()
         failures_before = parallel._pool_failures
-        monkeypatch.setattr(parallel, "_ensure_router", lambda: None)
-        monkeypatch.setattr(parallel, "_ensure_pool", lambda: CancellingPool())
-        # A concurrent reset cancelling the futures degrades to the thread
-        # path (correct answer) without counting against the breaker.
-        assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
-        assert parallel._pool_failures == failures_before
+        monkeypatch.setattr(
+            parallel._AffinityRouter, "_create_pool", staticmethod(CancellingPool)
+        )
+        try:
+            # A concurrent reset cancelling the futures degrades to the thread
+            # path (correct answer) without counting against the breaker.
+            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            assert parallel._pool_failures == failures_before
+        finally:
+            monkeypatch.undo()
+            parallel.reset_process_pool()
 
     @needs_process
     def test_success_resets_failure_breaker(self, executor_guard):
@@ -554,7 +614,7 @@ class TestWorkerInternals:
     def test_reset_pool_with_live_pool(self):
         assert parallel.probe_process_executor() is True  # ensures a live pool
         parallel.reset_process_pool()
-        assert parallel._pool is None
+        assert parallel._router is None
         assert parallel.probe_process_executor() is True  # respawns cleanly
 
 
@@ -655,20 +715,33 @@ class TestProcessExecution:
         CONDITION.mask(relation.store, SCHEMA)
         publication = relation.store._publication
         assert publication is not None
-        before = {h[1] for h in publication.handles if h[0] == "shm"}
-        assert before <= set(parallel._SEGMENT_REGISTRY)
+        before = set(publication.written)
+        assert before and all(os.path.exists(path) for path in before)
 
-        relation.append((999, 10.0, 90.0))  # mutation retires the segments
+        relation.append((999, 10.0, 90.0))  # mutation retires the files
         assert relation.store._publication is None
-        assert not (before & set(parallel._SEGMENT_REGISTRY))
+        assert not any(os.path.exists(path) for path in before)
 
         process_mask = bytes(CONDITION.mask(relation.store, SCHEMA))
         set_shard_executor("serial")
         assert process_mask == bytes(CONDITION.mask(relation.store, SCHEMA))
-        # The fresh publication uses fresh segment names: stale worker cache
+        # The fresh publication uses fresh file names: stale worker cache
         # entries can never answer for the mutated store.
-        fresh = {h[1] for h in relation.store._publication.handles if h[0] == "shm"}
-        assert not (fresh & before)
+        assert not (set(relation.store._publication.written) & before)
+
+    def test_store_with_an_empty_shard_still_dispatches(self, executor_guard):
+        cls = ShardedStore.configured(4, "range")
+        store = cls.from_rows(3, make_rows(3))
+        assert [len(shard) for shard in store.shards] == [1, 1, 1, 0]
+        set_shard_executor("serial")
+        reference = bytes(CONDITION.mask(store, SCHEMA))
+        force_process()
+        fallbacks_before = parallel.dispatch_stats()["fallbacks"]
+        parts = parallel.process_eval_mask(store, CONDITION.program(SCHEMA).run_part)
+        # The empty shard has a file like any other, and a worker answered for it.
+        assert parts is not None and [len(part) for part in parts] == [1, 1, 1, 0]
+        assert bytes(CONDITION.mask(store, SCHEMA)) == reference
+        assert parallel.dispatch_stats()["fallbacks"] == fallbacks_before
 
     def test_unpicklable_masker_falls_back(self, executor_guard):
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
@@ -702,16 +775,26 @@ class TestProcessExecution:
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
 
         # A pool that cannot be created: every process attempt falls back.
-        # (Router pinned off so the shared-pool creation failure is what runs.)
-        monkeypatch.setattr(parallel, "_ensure_router", lambda: None)
-        monkeypatch.setattr(parallel, "_ensure_pool", lambda: None)
-        assert parallel.process_eval_mask(relation.store, CONDITION.program(SCHEMA).run_part) is None
-        assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
-        monkeypatch.undo()
+        def no_pool():
+            raise OSError("cannot start a worker process")
+
+        parallel.reset_process_pool()
+        failures_before = parallel._pool_failures
+        previous_backoff = parallel.set_retry_backoff(0.0)
+        monkeypatch.setattr(
+            parallel._AffinityRouter, "_create_pool", staticmethod(no_pool)
+        )
+        try:
+            assert parallel.process_eval_mask(relation.store, CONDITION.program(SCHEMA).run_part) is None
+            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+        finally:
+            monkeypatch.undo()
+            parallel.set_retry_backoff(previous_backoff)
+            parallel._pool_failures = failures_before
 
         # Repeated infrastructure failures trip the breaker...
         for _ in range(parallel._MAX_POOL_FAILURES):
-            parallel._pool_failed()
+            parallel._breaker_strike()
         assert not parallel.process_eligible(relation.store)
         assert not parallel.probe_process_executor()
         # ...and the breaker is resettable (new sessions start clean).
@@ -727,10 +810,10 @@ class TestProcessExecution:
         stale_publication = relation.store._publication
         failures_before = parallel._pool_failures
         parallel.shutdown()  # the explicit cleanup hook body
-        assert not parallel._SEGMENT_REGISTRY
+        assert not any(os.path.exists(path) for path in stale_publication.written)
         # After a full shutdown the next query republishes and respawns —
         # including for the store whose publication the shutdown orphaned
-        # (its stale segment names must not poison workers or trip the
+        # (its stale file names must not poison workers or trip the
         # failure breaker).
         assert bytes(CONDITION.mask(relation.store, SCHEMA)) == expected
         assert relation.store._publication is not stale_publication
@@ -747,6 +830,33 @@ class TestProcessExecution:
         # A computation's own error is not an infrastructure failure: it
         # must not count toward the breaker or silently re-run on threads.
         assert parallel._pool_failures == failures_before
+
+
+def test_no_cell_of_the_matrix_needs_shared_memory(backend, monkeypatch):
+    """With ``SharedMemory`` unusable, every backend × executor cell still
+    dispatches (no fallback) and agrees with the row-store reference."""
+    import multiprocessing.shared_memory as shm_module
+
+    def unavailable(*args, **kwargs):
+        raise OSError("no /dev/shm on this host")
+
+    monkeypatch.setattr(shm_module, "SharedMemory", unavailable)
+    rows = make_rows(600)
+    store = Relation(SCHEMA, rows, backend=backend).store
+    reference = Relation(SCHEMA, rows, backend="row").store
+    run_part = CONDITION.program(SCHEMA).run_part
+    fallbacks_before = parallel.dispatch_stats()["fallbacks"]
+
+    assert bytes(CONDITION.mask(store, SCHEMA)) == bytes(CONDITION.mask(reference, SCHEMA))
+    mask, selected = store.select_gather(run_part)
+    reference_mask, reference_selected = reference.select_gather(run_part)
+    assert bytes(mask) == bytes(reference_mask)
+    assert [identity_key(row) for row in selected.iter_rows()] == [
+        identity_key(row) for row in reference_selected.iter_rows()
+    ]
+    indices = [5, 5, 599, 0, 123]
+    assert list(store.gather_column(1, indices)) == list(reference.gather_column(1, indices))
+    assert parallel.dispatch_stats()["fallbacks"] == fallbacks_before
 
 
 # ---------------------------------------------------------------------------

@@ -677,7 +677,7 @@ def test_mutation_invalidates_result_cache(tiny_db, backend_name, executor):
     """The result cache never serves a pre-mutation answer after a mutation.
 
     Mutating any relation store — including a :class:`ShardedStore`, where
-    the same ``_invalidate`` call retires the shared-memory publication —
+    the same ``_invalidate`` call retires the process-mode publication —
     advances the publication epoch and thereby rotates every cache key.
     """
     from repro import ConstraintSpec

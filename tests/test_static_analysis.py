@@ -4,8 +4,7 @@ Three layers: the framework itself (registry, suppression parsing, JSON
 reporter schema, CLI exit codes), one good+bad fixture pair per rule under
 ``tests/fixtures/static/``, and the self-run contract — ``src/repro`` must
 be clean under every registered rule, and deliberately re-introducing a
-known violation (an unpicklable lambda binder, an unlinked shared-memory
-segment) must fail the gate.
+known violation (an unpicklable lambda binder) must fail the gate.
 """
 
 import json
@@ -31,7 +30,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "static"
 SRC_TREE = REPO_ROOT / "src" / "repro"
 
-ALL_RULES = ("SHIP001", "SHM001", "REG001", "KNOB001", "STATE001", "DET001", "EXC001")
+ALL_RULES = ("SHIP001", "REG001", "KNOB001", "STATE001", "DET001", "EXC001")
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +67,6 @@ def test_ship001_specific_sites():
     assert "local_binder" in messages
     assert "NakedBinder" in messages or "@dataclass" in messages
     assert "InnerBinder" in messages
-
-
-def test_shm001_specific_sites():
-    report = analyze_paths([FIXTURES / "shm001_bad.py"], rules=["SHM001"])
-    messages = " | ".join(finding.message for finding in report.findings)
-    assert "unlink" in messages
-    assert "atexit" in messages
 
 
 def test_det001_specific_sites():
@@ -235,7 +227,7 @@ def test_parse_suppressions_multiple_rules():
     )
     assert suppressions.covers("STATE001", 1)
     assert suppressions.covers("DET001", 1)
-    assert not suppressions.covers("SHM001", 1)
+    assert not suppressions.covers("REG001", 1)
     assert not suppressions.covers("STATE001", 2)
 
 
@@ -333,7 +325,7 @@ def test_cli_list_rules(capsys):
 def test_cli_output_file(tmp_path, capsys):
     destination = tmp_path / "report.json"
     code = cli_main(
-        [str(FIXTURES / "shm001_bad.py"), "--output", str(destination)]
+        [str(FIXTURES / "state001_bad.py"), "--output", str(destination)]
     )
     capsys.readouterr()  # human report on stdout, JSON in the file
     assert code == 1
@@ -369,20 +361,6 @@ def test_gate_fails_on_lambda_binder(tmp_path):
     assert cli_main([str(target)]) == 1
     report = analyze_paths([target])
     assert {finding.rule for finding in report.findings} == {"SHIP001"}
-
-
-def test_gate_fails_on_unlinked_shared_memory(tmp_path):
-    target = tmp_path / "regression.py"
-    target.write_text(
-        "from multiprocessing import shared_memory\n"
-        "def publish(payload):\n"
-        "    segment = shared_memory.SharedMemory(create=True, size=len(payload))\n"
-        "    segment.buf[: len(payload)] = payload\n"
-        "    return segment.name\n"
-    )
-    assert cli_main([str(target)]) == 1
-    report = analyze_paths([target])
-    assert {finding.rule for finding in report.findings} == {"SHM001"}
 
 
 def test_finding_format_is_clickable():
