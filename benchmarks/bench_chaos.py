@@ -42,7 +42,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro import faults  # noqa: E402
+from repro import configure, current_config, faults  # noqa: E402
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 from repro.experiments import build_beas, format_table  # noqa: E402
@@ -50,13 +50,7 @@ from repro.relational import parallel  # noqa: E402
 from repro.relational.distance import NUMERIC, TRIVIAL  # noqa: E402
 from repro.relational.relation import Relation  # noqa: E402
 from repro.relational.schema import Attribute, RelationSchema  # noqa: E402
-from repro.relational.store import (  # noqa: E402
-    get_shard_executor,
-    get_shard_workers,
-    list_backends,
-    set_shard_executor,
-    set_shard_workers,
-)
+from repro.relational.store import list_backends  # noqa: E402
 from repro.serving import QueryServer  # noqa: E402
 from repro.workloads import tpch  # noqa: E402
 from repro.workloads.querygen import QueryGenerator  # noqa: E402
@@ -113,16 +107,14 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
     answers must stay bit-identical within :data:`HEAL_BUDGET_SECONDS`.
     """
     relation = Relation(SCHEMA, rows, backend=backend)
-    set_shard_executor("serial")
+    configure(shard_executor="serial")
     reference = bytes(CONDITION.mask(relation.store, SCHEMA))
-    set_shard_executor(executor)
+    configure(shard_executor=executor)
 
     # A query is a hang if it outlives every legitimate bounded path:
     # (retries + 1) rounds against the dispatch deadline, plus margin for
     # pool respawns and the thread fallback actually computing the answer.
-    deadline = parallel.get_dispatch_deadline()
-    rounds = parallel.get_dispatch_retries() + 1
-    hang_budget = deadline * rounds + 30.0
+    hang_budget = parallel.DISPATCH_DEADLINE * (parallel.DISPATCH_RETRIES + 1) + 30.0
 
     identical = typed_errors = wrong = hangs = 0
     latencies = []
@@ -230,35 +222,24 @@ def soak_serving(queries: int, kill_p: float, smoke: bool) -> dict:
 
 
 def run(rows: int, queries: int, kill_p: float, smoke: bool) -> dict:
-    previous_executor = get_shard_executor()
-    previous_min_rows = parallel.get_process_min_rows()
-    previous_workers = get_shard_workers()
     # A single-core host reports one shard worker, which disables the
     # process path entirely (process_eligible needs > 1) — the soak is
     # about resilience, not speedup, so force a small worker pool.
-    set_shard_workers(max(2, previous_workers))
+    previous = configure(shard_workers=max(2, current_config().worker_count))
     process_ok = parallel.probe_process_executor()
     executors = ("serial", "thread", "process") if process_ok else ("serial", "thread")
     combos = []
     data = make_rows(rows)
     # Small cooldown/backoff so a tripped breaker reaches its half-open
     # probe inside the heal budget; restored below.
-    parallel.set_breaker_cooldown(0.25)
-    parallel.set_retry_backoff(0.01)
-    parallel.set_process_min_rows(1)
+    configure(breaker_cooldown=0.25, retry_backoff=0.01, process_min_rows=1)
     try:
         for backend in list_backends():
             for executor in executors:
                 combos.append(soak_combo(backend, executor, data, queries, kill_p))
         serving = soak_serving(queries, kill_p, smoke)
     finally:
-        parallel.set_breaker_cooldown(None)
-        parallel.set_retry_backoff(None)
-        parallel.set_process_min_rows(
-            None if previous_min_rows == parallel.DEFAULT_PROCESS_MIN_ROWS else previous_min_rows
-        )
-        set_shard_workers(previous_workers)
-        set_shard_executor(previous_executor)
+        configure(previous)
         parallel.reset_process_pool()  # retire soak workers; not part of the heal assert
     return {
         "benchmark": (

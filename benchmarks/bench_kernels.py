@@ -27,7 +27,7 @@ column stores) at several shard counts, against the row baseline —
 ``sharded_scan`` / ``sharded_selection`` / ``sharded_join`` / ``sharded_rc``
 entries record how partition-parallel execution scales with shard count.
 
-Part 4 sweeps the **shard executors** (`repro.relational.store.set_shard_executor`)
+Part 4 sweeps the **shard executors** (the `shard_executor` setting of `repro.config`)
 at several worker counts over a large range-partitioned sharded relation:
 ``parallel_mask_eval`` (the fused-mask engine through ``Store.eval_mask``)
 and ``parallel_radius_batch`` (the radius kernel's ``matches_many`` batch
@@ -568,11 +568,11 @@ def executor_config() -> dict:
     """The pinned executor/worker configuration a record was measured under."""
     import os
 
-    from repro.relational.store import get_shard_executor, get_shard_workers
+    from repro import current_config
 
     return {
-        "executor": get_shard_executor(),
-        "workers": get_shard_workers(),
+        "executor": current_config().shard_executor,
+        "workers": current_config().worker_count,
         "cpu_count": os.cpu_count(),
     }
 
@@ -605,13 +605,9 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
     Every executor's results are cross-checked against the serial reference,
     so the sweep doubles as a three-way differential test.
     """
+    from repro import configure
     from repro.relational import parallel
     from repro.relational.kernels import RadiusMatcher
-    from repro.relational.store import (
-        get_shard_executor,
-        set_shard_executor,
-        set_shard_workers,
-    )
 
     rng = random.Random(size)
     relation, rows = _parallel_relation(size, rng)
@@ -631,21 +627,19 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
     probes = [(rng.uniform(0, 100.0),) for _ in range(queries)]
 
     records = []
-    previous_mode = get_shard_executor()
-    # set_shard_workers returns the *raw* previous setting (None = default),
-    # captured before the sweep so the finally block can restore an
+    # Captured before the sweep so the finally block can restore an
     # environment-derived bound even if the sweep fails early.
-    previous_workers = set_shard_workers(worker_counts[0])
+    previous = configure(shard_workers=worker_counts[0])
     try:
         for workers in worker_counts:
-            set_shard_workers(workers)
+            configure(shard_workers=workers)
             mask_seconds: dict = {}
             radius_seconds: dict = {}
             reference_mask = None
             reference_hits = None
             configs = {}
             for mode in EXECUTOR_SWEEP:
-                set_shard_executor(mode)
+                configure(shard_executor=mode)
                 configs[mode] = executor_config()
                 # Warm-up: publishes the shard files / spawns the
                 # pool in process mode; a no-op cost-wise for the others.
@@ -699,8 +693,7 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
                     }
                 )
     finally:
-        set_shard_executor(previous_mode)
-        set_shard_workers(previous_workers)
+        configure(previous)
         parallel.shutdown()
     return records
 
@@ -723,13 +716,9 @@ def bench_affinity_section(size: int) -> list:
     ``home_worker_tasks`` / ``stolen_tasks`` are the router's verdicts.  The
     answer is cross-checked against the serial reference.
     """
+    from repro import configure
     from repro.relational import parallel
-    from repro.relational.store import (
-        ShardedStore,
-        get_shard_executor,
-        set_shard_executor,
-        set_shard_workers,
-    )
+    from repro.relational.store import ShardedStore
 
     rng = random.Random(size)
     rows = _wide_rows(size, rng)
@@ -738,16 +727,15 @@ def bench_affinity_section(size: int) -> list:
     )
     program = SELECTION_CONDITION.program(WIDE_SCHEMA)
 
-    previous_mode = get_shard_executor()
-    previous_workers = set_shard_workers(AFFINITY_SHARDS)
+    previous = configure(shard_workers=AFFINITY_SHARDS)
     records = []
     try:
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         ref_mask, ref_store = store.select_gather(program.run_part)
         reference_rows = [ref_store.row(i) for i in range(len(ref_store))]
 
         # Fused select+gather: one crossing per shard, payload accounted.
-        set_shard_executor("process")
+        configure(shard_executor="process")
         parallel.shutdown()
         store.select_gather(program.run_part)  # cold warm-up (publish + spawn)
         before = parallel.select_gather_stats()
@@ -776,8 +764,7 @@ def bench_affinity_section(size: int) -> list:
             }
         )
     finally:
-        set_shard_executor(previous_mode)
-        set_shard_workers(previous_workers)
+        configure(previous)
         parallel.shutdown()
     return records
 
@@ -806,14 +793,9 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
     """
     import tempfile
 
-    from repro import faults
+    from repro import configure, current_config, faults
     from repro.relational import parallel
-    from repro.relational.mmapstore import CHECKSUM_MODES, MmapStore, set_checksum_mode
-    from repro.relational.store import (
-        get_shard_executor,
-        set_shard_executor,
-        set_shard_workers,
-    )
+    from repro.relational.mmapstore import CHECKSUM_MODES, MmapStore
 
     records = []
     if "mmap" in backends:
@@ -831,16 +813,17 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
 
             mode_seconds = {}
             reference = None
+            previous = current_config()
             try:
                 for mode in CHECKSUM_MODES:
-                    set_checksum_mode(mode)
+                    configure(checksum_mode=mode)
                     seconds, out = _timed_best(cold_read)
                     mode_seconds[mode] = seconds
                     if reference is None:
                         reference = out
                     assert out == reference  # verification must not change reads
             finally:
-                set_checksum_mode(None)
+                configure(previous)
             off = max(mode_seconds["off"], 1e-9)
             records.append(
                 {
@@ -858,14 +841,14 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
         rng = random.Random(size)
         relation, _rows = _parallel_relation(size, rng)
         store, schema = relation.store, relation.schema
-        previous_mode = get_shard_executor()
-        previous_workers = set_shard_workers(2)
-        previous_min = parallel.get_process_min_rows()
-        parallel.set_process_min_rows(1)
-        parallel.set_retry_backoff(0.0)
-        parallel.set_breaker_cooldown(0.25)
+        previous = configure(
+            shard_executor="process",
+            shard_workers=2,
+            process_min_rows=1,
+            retry_backoff=0.0,
+            breaker_cooldown=0.25,
+        )
         try:
-            set_shard_executor("process")
             reference = bytes(SELECTION_CONDITION.mask(store, schema))  # warm-up
             healthy_seconds, healthy = _timed_best(
                 lambda: bytes(SELECTION_CONDITION.mask(store, schema))
@@ -911,13 +894,7 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
                 }
             )
         finally:
-            parallel.set_retry_backoff(None)
-            parallel.set_breaker_cooldown(None)
-            parallel.set_process_min_rows(
-                None if previous_min == parallel.DEFAULT_PROCESS_MIN_ROWS else previous_min
-            )
-            set_shard_executor(previous_mode)
-            set_shard_workers(previous_workers)
+            configure(previous)
             parallel.shutdown()
     return records
 

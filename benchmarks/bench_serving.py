@@ -39,10 +39,9 @@ from typing import List, Optional, Sequence
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro import Beas  # noqa: E402
+from repro import Beas, configure, current_config  # noqa: E402
 from repro.algebra import predicates  # noqa: E402
 from repro.experiments import format_table  # noqa: E402
-from repro.relational.store import get_shard_executor, get_shard_workers  # noqa: E402
 from repro.serving import (  # noqa: E402
     AdmissionController,
     QueryServer,
@@ -62,8 +61,8 @@ CELLS = (("lru-ttl", "queue"), ("none", "queue"), ("lru-ttl", "degrade-alpha"))
 def executor_config() -> dict:
     """The pinned executor/worker configuration a record was measured under."""
     return {
-        "executor": get_shard_executor(),
-        "workers": get_shard_workers(),
+        "executor": current_config().shard_executor,
+        "workers": current_config().worker_count,
         "cpu_count": os.cpu_count(),
     }
 
@@ -218,7 +217,7 @@ def run(
     requests_per_thread = (
         requests_per_thread if requests_per_thread is not None else (8 if smoke else 40)
     )
-    previous_capacity = predicates.get_program_cache_capacity()
+    previous = current_config()
     streams: List[dict] = []
     speedups: List[dict] = []
     try:
@@ -239,7 +238,7 @@ def run(
             speedup["workload"] = name
             speedups.append(speedup)
     finally:
-        predicates.set_program_cache_capacity(previous_capacity)
+        configure(previous)
         predicates.clear_program_cache()
 
     serving = {

@@ -13,8 +13,8 @@ attribute, ``array('d')``/``array('q')`` for pure float/int columns), or
 horizontally partitioned (``backend="sharded"`` — per-shard column stores
 split by a hash / round-robin / range partitioner, with shard-parallel
 selection and per-shard distance kernels / KD-trees).  The whole pipeline —
-selection via *fused chunked* predicate mask programs (configurable chunk
-size, selectivity-ordered short-circuiting), *index-pair* hash joins whose
+selection via *fused chunked* predicate mask programs (selectivity-ordered
+short-circuiting), *index-pair* hash joins whose
 outputs are materialized by per-column gather (``Store.take`` /
 ``Store.gather_column``), KD-tree construction, RC accuracy sweeps — reads
 through the backend and returns bit-identical answers on every backend;
@@ -35,7 +35,7 @@ def to_column_backend(database: Database) -> Database:
     """Rebuild every relation of ``database`` on the columnar backend.
 
     (A process-wide default can be set instead with
-    ``repro.relational.set_default_backend("column")``, and individual
+    ``repro.configure(default_backend="column")``, and individual
     relations can be built columnar directly via
     ``Relation(schema, rows, backend="column")`` or
     ``Relation.from_columns(schema, {"price": [...], ...})``.)
@@ -125,11 +125,8 @@ def main() -> None:
     # stores (4 shards, round-robin by default).  Selections fan out one
     # vectorized mask per shard, and the distance kernels / KD-trees build
     # one index per shard and merge — same answers, partition-parallel work.
-    from repro.relational import (
-        ShardedStore,
-        register_backend,
-        set_shard_workers,
-    )
+    from repro import configure
+    from repro.relational import ShardedStore, register_backend
 
     sharded_poi = workload.database.relation("poi").with_backend("sharded")
     sharded_hotels = sharded_poi.select(
@@ -159,11 +156,15 @@ def main() -> None:
     print(f"sharded8 (range) shard sizes: {[len(s) for s in eight.store.shards]}")
 
     # --- Shard executors: serial / thread / process -----------------------
-    # How per-shard work actually runs is a knob, orthogonal to the layout:
+    # How per-shard work actually runs is a setting, orthogonal to the
+    # layout.  Every process-wide setting is a field of the one repro.Config
+    # (the table is the repro.config module docstring), changed by
+    # configure(), which returns the previous Config so that
+    # configure(previous) restores it:
     #
-    #   set_shard_executor("serial")   every shard on the calling thread
-    #   set_shard_executor("thread")   bounded ThreadPoolExecutor (default)
-    #   set_shard_executor("process")  worker processes over mapped files
+    #   configure(shard_executor="serial")   every shard on the calling thread
+    #   configure(shard_executor="thread")   bounded ThreadPoolExecutor (default)
+    #   configure(shard_executor="process")  worker processes over mapped files
     #
     # "process" is the one that buys real CPU parallelism for pure-Python
     # work: the first query publishes each shard's column buffers as one
@@ -173,22 +174,20 @@ def main() -> None:
     # conservative: only picklable whole-store computations (fused mask
     # programs, kernel batch queries like RadiusMatcher.matches_many, KD
     # radius batches) cross the boundary; per-row callables, small stores
-    # (below get_process_min_rows(), default 4096 rows — under that, the
-    # round-trip costs more than the work) and anything unpicklable fall
+    # (below the process_min_rows setting, default 4096 rows — under that,
+    # the round-trip costs more than the work) and anything unpicklable fall
     # back to the thread path with bit-identical results.  Mutating a store
     # unlinks its published files; the next query republishes.
     #
-    # Pool sizing: set_shard_workers(n) bounds BOTH pools (values < 1 raise;
-    # None restores os.cpu_count()).  Environment overrides at import time:
-    # REPRO_SHARD_WORKERS=4 REPRO_SHARD_EXECUTOR=process python app.py
+    # Pool sizing: configure(shard_workers=n) bounds BOTH pools (values < 1
+    # raise; None restores os.cpu_count()).  Environment overrides at import
+    # time: REPRO_SHARD_WORKERS=4 REPRO_SHARD_EXECUTOR=process python app.py
     #
     # Rule of thumb: "process" pays off once per-shard work dominates the
     # ~millisecond task round-trip — i.e. shards of >= ~25k rows under
     # selective masks, or kernel batches of hundreds of probes — and only
     # with real spare cores ("thread" and "process" tie on one CPU).
-    from repro.relational import set_shard_executor
-
-    previous_executor = set_shard_executor("process")
+    previous = configure(shard_executor="process")
     process_hotels = sharded_poi.select(
         Conjunction.of(
             [
@@ -197,42 +196,23 @@ def main() -> None:
             ]
         )
     )
-    set_shard_executor(previous_executor)
+    configure(previous)
     assert process_hotels == cheap_hotels
     print("process-executor σ over poi agrees with the thread/serial paths")
 
     # Per-row *callable* predicates always scan sequentially in global row
     # order (they may be stateful); only vectorized predicates fan out per
-    # shard.  set_shard_workers(1) forces the sequential fallback everywhere.
-    set_shard_workers(1)
+    # shard.  shard_workers=1 forces the sequential fallback everywhere.
+    configure(shard_workers=1)
     assert eight.select(lambda row: row[1] == "hotel").store.backend == "sharded8"
-    set_shard_workers(None)  # restore the default (os.cpu_count())
+    configure(shard_workers=None)  # restore the default (os.cpu_count())
 
     # --- Columnar execution engine ---------------------------------------
     # Conjunctions do not evaluate one whole column at a time: they compile
     # to a fused chunked MaskProgram that processes the store in blocks
     # (4096 rows by default), fuses every comparison per block, orders the
     # comparisons by their observed selectivity and short-circuits blocks
-    # that go all-zero.  The chunk size is a knob — results are bit-identical
-    # at every setting, only the cache footprint / short-circuit granularity
-    # changes.
-    from repro.algebra.predicates import get_mask_chunk_size, set_mask_chunk_size
-
-    previous = set_mask_chunk_size(1024)  # e.g. tighter blocks for small caches
-    small_chunk = poi.select(
-        Conjunction.of(
-            [
-                Comparison(AttrRef(None, "type"), CompareOp.EQ, Const("hotel")),
-                Comparison(AttrRef(None, "price"), CompareOp.LE, Const(95.0)),
-            ]
-        )
-    )
-    set_mask_chunk_size(previous)
-    assert small_chunk == cheap_hotels
-    print(
-        f"fused chunked selection agrees at chunk_size=1024 "
-        f"(default {get_mask_chunk_size()})"
-    )
+    # that go all-zero.
 
     # Joins and products are index-pair joins: the hash/radius kernels emit
     # matched (left_index, right_index) pairs and the output frame is built

@@ -57,6 +57,11 @@ def main() -> None:
     )
 
     # 3. Degrade-alpha under load: occupy every admission slot, then serve.
+    # (The policy is named per controller here.  A controller built without
+    # one takes the process-wide ``admission_policy`` setting —
+    # ``repro.configure(admission_policy="degrade-alpha")``; the settings
+    # table is the ``repro.config`` module docstring.  Which cache a server
+    # uses is its own argument: ``QueryServer(beas, result_cache="none")``.)
     admission = AdmissionController(max_concurrency=2, policy="degrade-alpha")
     loaded = QueryServer(beas, admission=admission)
     admission.admit(0.2)

@@ -36,6 +36,8 @@ from .algebra import (
     parse_query,
     query_fingerprint,
 )
+from .config import Config, configure
+from .config import current as current_config
 from .core import Beas, BoundedPlan, QueryResult
 from .errors import (
     AccessSchemaError,
@@ -65,20 +67,12 @@ from .relational import (
     Store,
     TRIVIAL,
     build_schema,
-    get_default_backend,
-    get_process_min_rows,
-    get_shard_executor,
-    get_shard_workers,
     key_attribute,
     list_backends,
     numeric_attribute,
     numeric_scaled,
     register_backend,
     register_partitioner,
-    set_default_backend,
-    set_process_min_rows,
-    set_shard_executor,
-    set_shard_workers,
 )
 from .serving import (
     AdmissionController,
@@ -87,12 +81,8 @@ from .serving import (
     QueryServer,
     ServingEnvelope,
     ServingStats,
-    get_admission_policy,
-    get_result_cache,
     list_cache_backends,
     register_cache_backend,
-    set_admission_policy,
-    set_result_cache,
 )
 
 __version__ = "0.3.0"
@@ -112,6 +102,7 @@ __all__ = [
     "CATEGORICAL",
     "CacheBackend",
     "ColumnStore",
+    "Config",
     "CompareOp",
     "Comparison",
     "Conjunction",
@@ -151,14 +142,10 @@ __all__ = [
     "TemplateSpec",
     "Union",
     "build_schema",
+    "configure",
+    "current_config",
     "evaluate_exact",
     "f_measure",
-    "get_admission_policy",
-    "get_default_backend",
-    "get_process_min_rows",
-    "get_result_cache",
-    "get_shard_executor",
-    "get_shard_workers",
     "key_attribute",
     "list_backends",
     "list_cache_backends",
@@ -171,10 +158,4 @@ __all__ = [
     "register_backend",
     "register_cache_backend",
     "register_partitioner",
-    "set_admission_policy",
-    "set_default_backend",
-    "set_process_min_rows",
-    "set_result_cache",
-    "set_shard_executor",
-    "set_shard_workers",
 ]

@@ -1,7 +1,6 @@
-"""Accuracy measures: RC (the paper's), MAC, F-measure and Hausdorff."""
+"""Accuracy measures: RC (the paper's), MAC and F-measure."""
 
 from .fmeasure import FMeasureResult, f_measure
-from .hausdorff import directed_distance, hausdorff_accuracy, hausdorff_distance
 from .mac import MACResult, mac_accuracy, mac_distance
 from .rc import (
     RCResult,
@@ -19,10 +18,7 @@ __all__ = [
     "RCResult",
     "RelevanceCandidate",
     "coverage_distance",
-    "directed_distance",
     "f_measure",
-    "hausdorff_accuracy",
-    "hausdorff_distance",
     "mac_accuracy",
     "mac_distance",
     "max_coverage_distance",

@@ -21,9 +21,9 @@ path (:meth:`repro.relational.relation.Relation.select` accepts both).
 **Fused chunked evaluation.**  A :class:`Conjunction` does not evaluate its
 comparisons one whole column at a time; it compiles to a
 :class:`MaskProgram` — one block-wise pass over the store in chunks of
-:func:`get_mask_chunk_size` rows (a cache-friendly window, configurable via
-:func:`set_mask_chunk_size` or per call) that *fuses* every comparison per
-chunk.  Within each chunk the comparisons run in ascending order of their
+:data:`MASK_CHUNK_SIZE` rows (a cache-friendly window; ``chunk_size=``
+overrides it per call) that *fuses* every comparison per chunk.  Within
+each chunk the comparisons run in ascending order of their
 *observed selectivity* (pass rates measured on the chunks evaluated so
 far), and evaluation of the remaining comparisons short-circuits the moment
 the chunk's accumulated mask goes all-zero — so a selective leading
@@ -45,40 +45,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+from .. import config
 from ..errors import QueryError
 from ..relational.schema import RelationSchema
 from ..relational.store import Store, all_ones, and_masks
 
-# Rows per block of the fused chunked evaluation.  4096 keeps the working
-# set (a handful of column slices plus masks) well inside L2 while leaving
-# per-chunk Python overhead negligible.
-DEFAULT_MASK_CHUNK_SIZE = 4096
-
-_mask_chunk_size = DEFAULT_MASK_CHUNK_SIZE
-
-
-def get_mask_chunk_size() -> int:
-    """The process-wide chunk size used by fused mask evaluation."""
-    return _mask_chunk_size
-
-
-def set_mask_chunk_size(size: Optional[int]) -> int:
-    """Set the fused-evaluation chunk size; returns the previous setting.
-
-    ``None`` restores :data:`DEFAULT_MASK_CHUNK_SIZE`.  Any positive size is
-    legal — results are identical at every chunk size; only the memory /
-    short-circuit granularity changes.
-    """
-    global _mask_chunk_size
-    previous = _mask_chunk_size
-    if size is None:
-        _mask_chunk_size = DEFAULT_MASK_CHUNK_SIZE
-    else:
-        size = int(size)
-        if size <= 0:
-            raise ValueError(f"mask chunk size must be positive, got {size}")
-        _mask_chunk_size = size
-    return previous
+# Rows per block of the fused chunked evaluation, read at run time.  4096
+# keeps the working set (a handful of column slices plus masks) well inside
+# L2 while leaving per-chunk Python overhead negligible; results are
+# identical at every chunk size.
+MASK_CHUNK_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -92,41 +68,24 @@ def set_mask_chunk_size(size: Optional[int]) -> int:
 # attribute names, chunk size).  Programs are safe to share: a MaskProgram
 # holds only frozen binders and keeps its adaptive selectivity state local to
 # each ``run_part`` call, so concurrent reuse across threads cannot race.
-# The cache is off by default (capacity 0 — batch reproductions pay nothing);
-# the serving facade turns it on.
+# The cache is off by default (the ``program_cache_capacity`` setting of
+# repro.config is 0 — batch reproductions pay nothing); the serving facade
+# turns it on.
 
 _program_cache_lock = threading.Lock()
 _program_cache: "OrderedDict[tuple, MaskProgram]" = OrderedDict()
-_program_cache_capacity = 0
 _program_cache_hits = 0
 _program_cache_misses = 0
 
 
-def get_program_cache_capacity() -> int:
-    """The capacity of the compiled-``MaskProgram`` cache (0 = disabled)."""
-    return _program_cache_capacity
-
-
-def set_program_cache_capacity(capacity: Optional[int]) -> int:
-    """Bound the compiled-program cache at ``capacity`` entries.
-
-    ``0`` (the default) disables memoization entirely; ``None`` is treated
-    as 0.  A negative capacity raises :exc:`ValueError`.  Shrinking the
-    capacity evicts least-recently-used entries immediately.  Returns the
-    previous capacity.
-    """
-    global _program_cache_capacity
-    if capacity is None:
-        capacity = 0
-    capacity = int(capacity)
-    if capacity < 0:
-        raise ValueError(f"program cache capacity must be >= 0, got {capacity}")
+def _on_configure(previous: config.Config, new: config.Config) -> None:
+    """Evict least-recently-used programs at once when the capacity shrinks."""
     with _program_cache_lock:
-        previous = _program_cache_capacity
-        _program_cache_capacity = capacity
-        while len(_program_cache) > capacity:
+        while len(_program_cache) > new.program_cache_capacity:
             _program_cache.popitem(last=False)
-    return previous
+
+
+config.subscribe(_on_configure)
 
 
 def clear_program_cache() -> None:
@@ -143,7 +102,7 @@ def program_cache_info() -> dict:
     with _program_cache_lock:
         return {
             "size": len(_program_cache),
-            "capacity": _program_cache_capacity,
+            "capacity": config.current().program_cache_capacity,
             "hits": _program_cache_hits,
             "misses": _program_cache_misses,
         }
@@ -161,7 +120,7 @@ def cached_program(
     way; only the compile work is saved.
     """
     global _program_cache_hits, _program_cache_misses
-    if _program_cache_capacity <= 0:
+    if config.current().program_cache_capacity <= 0:
         return condition.program(schema, chunk_size)
     key = (condition, schema.attribute_names, chunk_size)
     try:
@@ -176,9 +135,10 @@ def cached_program(
     program = condition.program(schema, chunk_size)
     with _program_cache_lock:
         _program_cache_misses += 1
-        if _program_cache_capacity > 0:
+        capacity = config.current().program_cache_capacity  # may have shrunk meanwhile
+        if capacity > 0:
             _program_cache[key] = program
-            while len(_program_cache) > _program_cache_capacity:
+            while len(_program_cache) > capacity:
                 _program_cache.popitem(last=False)
     return program
 
@@ -267,7 +227,7 @@ class MaskProgram:
         self, binders: Sequence[ChunkBinder], chunk_size: Optional[int] = None
     ) -> None:
         self.binders = list(binders)
-        self.chunk_size = chunk_size  # None: read the knob at run time
+        self.chunk_size = chunk_size  # None: read MASK_CHUNK_SIZE at run time
 
     def mask(self, store: Store) -> bytearray:
         """Evaluate the program over ``store``: one 0/1 byte per row."""
@@ -278,7 +238,7 @@ class MaskProgram:
     def run_part(self, part: Store) -> bytearray:
         """The chunked pass over one unsharded (sub-)store."""
         size = len(part)
-        chunk = self.chunk_size if self.chunk_size is not None else _mask_chunk_size
+        chunk = self.chunk_size if self.chunk_size is not None else MASK_CHUNK_SIZE
         maskers = [bind(part) for bind in self.binders]
         if len(maskers) == 1:
             return maskers[0](0, size)  # nothing to fuse or reorder
@@ -651,7 +611,7 @@ class Conjunction:
         The empty conjunction selects every row.  Everything else compiles
         to a :class:`MaskProgram` (see the module docstring): the
         comparisons are fused block-wise in chunks of ``chunk_size`` rows
-        (default: the :func:`set_mask_chunk_size` knob), ordered per chunk
+        (default: :data:`MASK_CHUNK_SIZE`), ordered per chunk
         by observed selectivity, short-circuiting once a chunk's mask is all
         zero.  The program runs through
         :meth:`~repro.relational.store.Store.eval_mask`, so a sharded

@@ -6,9 +6,10 @@ testable.  Production seams carry named **injection probes** —
 ``faults.inject("parallel.worker.kill")`` — that are compiled to a no-op
 fast path (one ``is None`` check) while no plan is installed, and fire
 deterministically from a seeded per-site RNG while one is.  The chaos
-harness (``benchmarks/bench_chaos.py``), the ``tests-chaos`` CI leg, and
-the targeted resilience tests all drive the same probes, so the failure
-paths they exercise are the exact branches production traffic would take.
+harness (``benchmarks/bench_chaos.py``), the chaos row of the
+``tests-modes`` CI job, and the targeted resilience tests all drive the
+same probes, so the failure paths they exercise are the exact branches
+production traffic would take.
 
 **Sites.**  Every probe names a seam in :data:`KNOWN_SITES`; installing a
 plan that names anything else raises :exc:`ValueError` (catching typos is
@@ -321,7 +322,10 @@ def _env_fault_plan(name: str) -> Optional[FaultPlan]:
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
         return None
-    return FaultPlan.parse(raw.strip())
+    try:
+        return FaultPlan.parse(raw.strip())
+    except ValueError as exc:
+        raise ValueError(f"{name}={raw!r}: {exc}") from None
 
 
 _plan: Optional[FaultPlan] = _env_fault_plan("REPRO_FAULT_PLAN")

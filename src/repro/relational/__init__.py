@@ -1,5 +1,6 @@
 """Relational substrate: schemas, relations, databases, KD-trees."""
 
+from .. import config
 from .database import AccessMeter, Database
 from .distance import (
     CATEGORICAL,
@@ -27,9 +28,8 @@ from .mmapstore import (  # registers the "mmap" / "mmap-sharded" backends
     get_store_dir,
     open_database,
     save_database,
-    set_store_dir,
 )
-from .parallel import get_process_min_rows, probe_process_executor, set_process_min_rows
+from .parallel import probe_process_executor
 from .relation import Relation, Row
 from .schema import (
     Attribute,
@@ -45,22 +45,15 @@ from .store import (
     RowStore,
     ShardedStore,
     Store,
-    apply_env_default_backend,
     available_backends,
     backend_class,
     gather_columns,
     gather_pairs,
-    get_default_backend,
-    get_shard_executor,
-    get_shard_workers,
     list_backends,
     make_store,
     preferred_output_class,
     register_backend,
     register_partitioner,
-    set_default_backend,
-    set_shard_executor,
-    set_shard_workers,
     vstack_gather,
 )
 
@@ -94,17 +87,12 @@ __all__ = [
     "STRING_PREFIX",
     "TRIVIAL",
     "EXECUTOR_MODES",
-    "apply_env_default_backend",
     "available_backends",
     "backend_class",
     "build_schema",
     "cleanup_store_dir",
     "gather_columns",
     "gather_pairs",
-    "get_default_backend",
-    "get_process_min_rows",
-    "get_shard_executor",
-    "get_shard_workers",
     "get_store_dir",
     "key_attribute",
     "list_backends",
@@ -117,16 +105,14 @@ __all__ = [
     "register_backend",
     "register_partitioner",
     "save_database",
-    "set_default_backend",
-    "set_process_min_rows",
-    "set_shard_executor",
-    "set_shard_workers",
-    "set_store_dir",
     "tuple_distance",
     "vstack_gather",
 ]
 
-# The environment override for the process-wide default backend is applied
-# here — after every in-tree backend (including the mmap tier above) has
-# registered — so ``REPRO_DEFAULT_BACKEND=mmap`` works out of the box.
-apply_env_default_backend()
+# REPRO_DEFAULT_BACKEND is the one variable repro.config could not check
+# when it parsed the environment: the registry was empty then.  Every
+# in-tree backend (including the mmap tier above) is registered now.
+try:
+    backend_class(config.current().default_backend)
+except ValueError as exc:
+    raise ValueError(f"REPRO_DEFAULT_BACKEND: {exc}") from None

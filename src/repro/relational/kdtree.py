@@ -53,16 +53,11 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import config
 from .distance import INFINITY, is_real_number
 from .relation import Relation, Row, value_sort_key
 from .schema import RelationSchema
 from .store import _typed_buffer
-
-
-def _shard_executor_is_process() -> bool:
-    from .store import get_shard_executor
-
-    return get_shard_executor() == "process"
 
 
 class KDNode:
@@ -558,7 +553,7 @@ class KDForest:
         """:meth:`within_radius_indices` for a batch of ``(values, radii)`` queries.
 
         Under the process executor
-        (:func:`repro.relational.store.set_shard_executor`), a batch of two
+        (the ``shard_executor`` setting, :mod:`repro.config`), a batch of two
         or more queries ships to the worker processes holding the shard
         buffers — each worker builds (and caches) one KD-tree per shard and
         answers every query, so only the query parameters cross the process
@@ -577,7 +572,7 @@ class KDForest:
             tree = self.trees[0]
             return [tree.within_radius_indices(v, r) for v, r in queries]
         parts: Optional[List[List[List[int]]]] = None
-        if len(queries) > 1 and _shard_executor_is_process():
+        if len(queries) > 1 and config.current().shard_executor == "process":
             from . import parallel
 
             parts = parallel.kd_within_radius_many(

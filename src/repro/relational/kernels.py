@@ -79,11 +79,12 @@ from bisect import bisect_left
 from math import isnan
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .. import config
 from .distance import DistanceFunction, INFINITY, is_real_number
 from .kdtree import KDTree
 from .relation import Relation, Row
 from .schema import Attribute, RelationSchema
-from .store import Store, get_shard_executor
+from .store import Store
 
 # Key kinds (see classify_key).
 KIND_DROP = "drop"  # threshold admits every pair: key can be ignored
@@ -529,7 +530,7 @@ class ShardedRadiusMatcher:
     emission-order contract of :meth:`RadiusMatcher.matches`.
 
     Sub-matchers are built **lazily**: under the process executor
-    (:func:`repro.relational.store.set_shard_executor`) the batch queries
+    (the ``shard_executor`` setting, :mod:`repro.config`) the batch queries
     (:meth:`matches_many` / :meth:`any_match_many`) ship ``(positions,
     distances, thresholds)`` plus the query values to worker processes that
     hold the shard buffers and build one matcher per shard there — the
@@ -609,7 +610,7 @@ class ShardedRadiusMatcher:
         rendezvous-home worker, where the mapped store and the cached
         bucket matcher from earlier batches are already warm.
         """
-        if get_shard_executor() != "process" or not queries:
+        if config.current().shard_executor != "process" or not queries:
             return None
         # Workers build plain RadiusMatchers; a subclass with overridden
         # behavior must keep its answers, so it stays on the local path.
@@ -871,7 +872,7 @@ class ShardedNearestNeighbors:
         # Subclassed indexes keep their overridden behavior: workers build
         # plain NearestNeighbors, so only the base class ships batches.
         if (
-            get_shard_executor() == "process"
+            config.current().shard_executor == "process"
             and queries
             and self._index_cls is NearestNeighbors
         ):

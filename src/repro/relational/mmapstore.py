@@ -40,8 +40,8 @@ on open), ``"obj"`` columns are pickled value lists, ``"empty"`` columns
 carry no payload.  Offsets are relative to the aligned payload base; 8-byte
 alignment is what makes ``memoryview.cast`` legal on the typed slices.
 
-Integrity (``REPRO_CHECKSUM`` / :func:`set_checksum_mode` — ``off``,
-``header`` (default) or ``full``): the header trailer carries
+Integrity (the ``checksum_mode`` setting — ``off``, ``header`` (default) or
+``full``; see :mod:`repro.config`): the header trailer carries
 ``zlib.crc32`` of the pickled header, and ``column_crcs`` carries one CRC
 per column payload.  ``header`` verifies the structural metadata on every
 open; ``full`` additionally reads and verifies every payload.  A failed
@@ -80,10 +80,9 @@ shard for sharded sources) plus a manifest carrying the schema and the
 database's publication epoch; :func:`open_database` rebuilds the whole
 database over mapped stores and restores the persisted epoch exactly.
 
-Environment knobs (documented in the KNOB001 allowlist): ``REPRO_STORE_DIR``
-fixes the dataset directory (default: a lazily-created temporary directory),
-``REPRO_DEFAULT_BACKEND`` — applied by :mod:`repro.relational` after this
-module registers ``"mmap"`` and ``"mmap-sharded"`` — makes the tier the
+Settings (:mod:`repro.config`): ``store_dir`` fixes the dataset directory
+(default: a lazily-created temporary directory), ``checksum_mode`` how much
+is verified on open, and ``default_backend="mmap"`` makes the tier the
 process-wide default.
 """
 
@@ -101,7 +100,7 @@ import zlib
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from .. import faults
+from .. import config, faults
 from ..errors import CorruptShardError
 from .database import Database
 from .relation import Relation
@@ -132,122 +131,39 @@ _KIND_TYPECODES = {_KIND_FLOAT: "d", _KIND_INT: "q"}
 
 
 # ---------------------------------------------------------------------------
-# Store directory (REPRO_STORE_DIR knob)
+# Store directory
 # ---------------------------------------------------------------------------
 
 _store_dir_lock = threading.Lock()
-_store_dir: Optional[str] = None
-_store_dir_is_default = False  # a tempdir this module created and may remove
-
-
-def _env_store_dir(name: str) -> Optional[str]:
-    """Parse a store-directory environment override (unset/blank means None)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    return raw.strip()
+_temp_dir: Optional[str] = None  # created, and removed at exit, by this module
 
 
 def get_store_dir() -> str:
     """The directory anonymous dataset files are written under.
 
-    Resolution order: the :func:`set_store_dir` knob, the
-    ``REPRO_STORE_DIR`` environment variable, then a lazily-created
-    temporary directory (removed at interpreter exit once empty).  The
-    directory is created if missing.
+    The ``store_dir`` setting (:mod:`repro.config`) when there is one, else
+    a lazily-created temporary directory (removed at interpreter exit once
+    empty).  The directory is created if missing.
     """
-    global _store_dir, _store_dir_is_default
-    with _store_dir_lock:
-        if _store_dir is None:
-            configured = _env_store_dir("REPRO_STORE_DIR")
-            if configured is not None:
-                _store_dir = os.path.abspath(os.path.expanduser(configured))
-                _store_dir_is_default = False
-            else:
-                _store_dir = tempfile.mkdtemp(prefix="repro-store-")
-                _store_dir_is_default = True
-            _register_cleanup_locked()
-        directory = _store_dir
+    global _temp_dir
+    directory = config.current().store_dir
+    if directory is None:
+        with _store_dir_lock:
+            if _temp_dir is None:
+                _temp_dir = tempfile.mkdtemp(prefix="repro-store-")
+                _register_cleanup_locked()
+            directory = _temp_dir
     os.makedirs(directory, exist_ok=True)
     return directory
 
 
+# benchmarks/e2e imports this name; it goes when the benchmark's own PR
+# re-points it at ``configure``.
 def set_store_dir(path: Optional[str]) -> Optional[str]:
-    """Set the dataset directory; returns the previous setting.
-
-    ``None`` restores lazy resolution (``REPRO_STORE_DIR`` or a fresh
-    temporary directory).  The directory is created eagerly so a bad path
-    fails here, with :exc:`ValueError`, rather than at the first persist.
-    """
-    global _store_dir, _store_dir_is_default
-    if path is not None:
-        if not isinstance(path, (str, os.PathLike)):
-            raise TypeError(
-                f"store directory must be a path or None, got {type(path).__name__}"
-            )
-        path = os.path.abspath(os.path.expanduser(os.fspath(path)))
-        if not path:
-            raise ValueError("store directory must be non-empty")
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(f"store directory {path!r} is not usable: {exc}") from exc
-    with _store_dir_lock:
-        previous = _store_dir
-        _store_dir = path
-        _store_dir_is_default = False
-    return previous
+    return config.configure(store_dir=path).store_dir
 
 
-# ---------------------------------------------------------------------------
-# Checksum verification (REPRO_CHECKSUM knob)
-# ---------------------------------------------------------------------------
-
-CHECKSUM_MODES = ("off", "header", "full")
-DEFAULT_CHECKSUM_MODE = "header"
-
-
-def _env_checksum_mode(name: str) -> Optional[str]:
-    """Parse a checksum-mode environment override (unset/invalid means None)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    value = raw.strip().lower()
-    return value if value in CHECKSUM_MODES else None
-
-
-_checksum_mode = _env_checksum_mode("REPRO_CHECKSUM")
-if _checksum_mode is None:
-    _checksum_mode = DEFAULT_CHECKSUM_MODE
-
-
-def get_checksum_mode() -> str:
-    """How much of a dataset file is CRC-verified on open."""
-    return _checksum_mode
-
-
-def set_checksum_mode(mode: Optional[str]) -> str:
-    """Set the open-time verification mode; returns the previous setting.
-
-    ``"off"`` skips verification, ``"header"`` (the default) verifies the
-    structural metadata, ``"full"`` also reads and verifies every column
-    payload.  ``None`` restores :data:`DEFAULT_CHECKSUM_MODE` (the
-    ``REPRO_CHECKSUM`` environment override applies only at import time);
-    anything else raises :exc:`ValueError`.  Write-side behaviour: CRCs are
-    always recorded (they are cheap), so files written under ``off`` still
-    verify later.
-    """
-    global _checksum_mode
-    previous = _checksum_mode
-    if mode is None:
-        _checksum_mode = DEFAULT_CHECKSUM_MODE
-        return previous
-    if not isinstance(mode, str) or mode.lower() not in CHECKSUM_MODES:
-        raise ValueError(
-            f"checksum mode must be one of {CHECKSUM_MODES} or None, got {mode!r}"
-        )
-    _checksum_mode = mode.lower()
-    return previous
+CHECKSUM_MODES = config.CHECKSUM_MODES
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +225,7 @@ def cleanup_store_dir() -> None:
         except OSError:
             pass
     with _store_dir_lock:
-        directory = _store_dir if _store_dir_is_default else None
+        directory = _temp_dir
     if directory is not None:
         try:
             os.rmdir(directory)
@@ -463,7 +379,7 @@ def _map_file(path: str):
 
     Typed columns come back as read-only memoryviews cast over the mapping
     (zero-copy); object columns are unpickled lists.  Structural damage and
-    checksum mismatches (per :func:`get_checksum_mode`) quarantine the file
+    checksum mismatches (per the ``checksum_mode`` setting) quarantine the file
     and raise :exc:`~repro.errors.CorruptShardError`; a file that is not a
     dataset file at all (bad magic) raises plain :exc:`ValueError` and is
     left where it is.
@@ -476,7 +392,7 @@ def _map_file(path: str):
     def corrupt(reason: str) -> None:
         raise CorruptShardError(path, reason, quarantined_to=_quarantine_file(path))
 
-    verify = _checksum_mode
+    verify = config.current().checksum_mode
     with open(path, "rb") as handle:
         stat = os.fstat(handle.fileno())
         if stat.st_size < len(_MAGIC) + 8:

@@ -4,7 +4,7 @@ The sharded backend's fan-out seam (:meth:`ShardedStore.map_shards` /
 :meth:`ShardedStore.eval_mask`) runs on a GIL-bound thread pool, so
 pure-Python chunk masks and distance kernels gain concurrency but no real
 CPU parallelism.  This module is the third execution mode behind
-:func:`repro.relational.store.set_shard_executor`: worker processes that map
+the ``shard_executor`` setting (:mod:`repro.config`): worker processes that map
 each shard's column buffers from a file.  There is one of each mechanism:
 
 * **Publication = files.**  The first process-mode query against a sharded
@@ -60,8 +60,16 @@ each shard's column buffers from a file.  There is one of each mechanism:
   and a wedged worker would otherwise outlive the deadline and block
   interpreter exit — and its *generation* is bumped, which re-draws that
   slot's rendezvous scores: tokens only ever move from or to the repaired
-  slot.  :func:`shutdown` and :func:`reset_process_pool` (worker-count
-  changes; a full re-hash) retire slots with work in flight the same way.
+  slot.  :func:`shutdown` and :func:`reset_process_pool` (a full re-hash)
+  retire slots with work in flight the same way.
+* **Settings travel by value.**  A worker imports the package afresh, so
+  every pool's initializer receives the parent's
+  :class:`~repro.config.Config` and installs it with ``shard_workers=1``
+  and ``shard_executor="thread"``.  Changing a setting the workers read
+  (``checksum_mode``) or the pool width (``shard_workers``) retires the
+  router, so no worker outlives the settings it was spawned with; the
+  settings this module reads — ``process_min_rows``, ``retry_backoff``,
+  ``breaker_cooldown`` — are documented in :mod:`repro.config`.
 
 **Fused select+gather.**  Selection ships as **one whole operator** instead
 of a mask round-trip plus central gather: :func:`process_select_gather`
@@ -79,7 +87,7 @@ bytes.
 
 **Fallbacks.**  Everything here degrades to the thread path: the parent
 returns ``None`` (and the caller falls back) when the store is smaller than
-:func:`get_process_min_rows`, when the work, its parameters or the store's
+the ``process_min_rows`` setting, when the work, its parameters or the store's
 object values fail to pickle, when called from inside a worker (no nested
 pools), or after repeated pool failures (the circuit breaker).  Results are
 bit-identical across ``"serial"``, ``"thread"`` and ``"process"`` modes —
@@ -100,10 +108,11 @@ from array import array
 from collections import OrderedDict
 from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from dataclasses import replace
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import faults
+from .. import config, faults
 from ..errors import CorruptShardError
 from .mmapstore import MmapStore, forget_anonymous, write_anonymous
 from .store import (
@@ -114,7 +123,6 @@ from .store import (
     _KIND_INT,
     _KIND_OBJECT,
     _truncate_mask,
-    get_shard_workers,
 )
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -123,207 +131,24 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 # The token keys the worker-side caches and the router's rendezvous hash.
 Handle = Tuple[str, str]
 
-DEFAULT_PROCESS_MIN_ROWS = 4096
+# Fixed bounds of the dispatch path, read at call time (the fault tests
+# shrink them with ``monkeypatch.setattr``).  ``DISPATCH_RETRIES`` is the
+# number of extra submission rounds a failed per-shard dispatch may retry on
+# alternate slots; ``DISPATCH_DEADLINE`` the seconds one round may wait for
+# its shard results, so a wedged worker stalls a query for at most
+# ``deadline × (1 + retries)`` before the thread path answers it;
+# ``PROBE_TIMEOUT`` the seconds :func:`probe_process_executor` and
+# :func:`worker_cache_stats` wait for a round trip, so a pool that wedges
+# during spawn trips the breaker promptly instead of stalling the caller.
+DISPATCH_RETRIES = 2
+DISPATCH_DEADLINE = 30.0
+PROBE_TIMEOUT = 10.0
 
-_process_min_rows = DEFAULT_PROCESS_MIN_ROWS
 
-
-def get_process_min_rows() -> int:
-    """Stores smaller than this stay on the thread path in process mode."""
-    return _process_min_rows
-
-
+# benchmarks/e2e calls this name (``None`` = the default); it goes when the
+# benchmark's own PR re-points it at ``configure``.
 def set_process_min_rows(count: Optional[int]) -> int:
-    """Set the process-mode size threshold; returns the previous setting.
-
-    ``None`` restores :data:`DEFAULT_PROCESS_MIN_ROWS`; values below 1 raise
-    :exc:`ValueError`.  Shipping work to another process costs task pickling
-    and a result round-trip, so it only pays off once per-shard work
-    dominates — lower the threshold in tests to force tiny stores through
-    the worker machinery.
-    """
-    global _process_min_rows
-    previous = _process_min_rows
-    if count is None:
-        _process_min_rows = DEFAULT_PROCESS_MIN_ROWS
-        return previous
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"process min rows must be >= 1, got {count}")
-    _process_min_rows = count
-    return previous
-
-
-DEFAULT_PROBE_TIMEOUT = 10.0
-
-_probe_timeout = DEFAULT_PROBE_TIMEOUT
-
-
-def get_probe_timeout() -> float:
-    """Seconds :func:`probe_process_executor` waits for the ping round-trip."""
-    return _probe_timeout
-
-
-def set_probe_timeout(seconds: Optional[float]) -> float:
-    """Bound the executor-probe wait; returns the previous setting.
-
-    ``None`` restores :data:`DEFAULT_PROBE_TIMEOUT`; values that are not
-    positive finite numbers raise :exc:`ValueError`.  A wedged pool (a
-    worker that hangs during spawn, a sandbox that silently swallows the
-    task) used to stall the first probing caller for a full minute; now the
-    probe gives up after this many seconds and trips the failure breaker
-    instead, so the session degrades to the thread path promptly.
-    """
-    global _probe_timeout
-    previous = _probe_timeout
-    if seconds is None:
-        _probe_timeout = DEFAULT_PROBE_TIMEOUT
-        return previous
-    seconds = float(seconds)
-    if not seconds > 0:
-        raise ValueError(f"probe timeout must be > 0 seconds, got {seconds}")
-    _probe_timeout = seconds
-    return previous
-
-
-DEFAULT_DISPATCH_RETRIES = 2
-
-
-def _env_retry_count(name: str) -> Optional[int]:
-    """Parse a retry-count environment override (unset/invalid means None)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 0 else None
-
-
-_dispatch_retries = _env_retry_count("REPRO_DISPATCH_RETRIES")
-if _dispatch_retries is None:
-    _dispatch_retries = DEFAULT_DISPATCH_RETRIES
-
-
-def get_dispatch_retries() -> int:
-    """Extra submission rounds a failed per-shard dispatch may retry."""
-    return _dispatch_retries
-
-
-def set_dispatch_retries(count: Optional[int]) -> int:
-    """Set the dispatch retry bound; returns the previous setting.
-
-    ``None`` restores :data:`DEFAULT_DISPATCH_RETRIES` (the
-    ``REPRO_DISPATCH_RETRIES`` environment override applies only at import
-    time); negative or non-integer values raise :exc:`ValueError`.  ``0``
-    disables retries entirely — any shard-task failure falls straight back
-    to the thread path.
-    """
-    global _dispatch_retries
-    previous = _dispatch_retries
-    if count is None:
-        _dispatch_retries = DEFAULT_DISPATCH_RETRIES
-        return previous
-    try:
-        count = int(count)
-    except (TypeError, ValueError):
-        raise ValueError(f"dispatch retries must be an integer >= 0, got {count!r}")
-    if count < 0:
-        raise ValueError(f"dispatch retries must be >= 0, got {count}")
-    _dispatch_retries = count
-    return previous
-
-
-DEFAULT_DISPATCH_DEADLINE = 30.0
-
-_dispatch_deadline = DEFAULT_DISPATCH_DEADLINE
-
-
-def get_dispatch_deadline() -> float:
-    """Seconds one dispatch round may wait for its shard results."""
-    return _dispatch_deadline
-
-
-def set_dispatch_deadline(seconds: Optional[float]) -> float:
-    """Bound each dispatch round's result wait; returns the previous setting.
-
-    ``None`` restores :data:`DEFAULT_DISPATCH_DEADLINE`; values that are not
-    positive finite numbers raise :exc:`ValueError`.  A worker that wedges
-    mid-task (or a fault-injected sleep) can therefore stall a query for at
-    most ``deadline × (1 + retries)`` before the thread path answers it —
-    never indefinitely.
-    """
-    global _dispatch_deadline
-    previous = _dispatch_deadline
-    if seconds is None:
-        _dispatch_deadline = DEFAULT_DISPATCH_DEADLINE
-        return previous
-    seconds = float(seconds)
-    if not seconds > 0 or seconds == float("inf"):
-        raise ValueError(f"dispatch deadline must be a positive finite number, got {seconds}")
-    _dispatch_deadline = seconds
-    return previous
-
-
-DEFAULT_RETRY_BACKOFF = 0.05
-
-_retry_backoff = DEFAULT_RETRY_BACKOFF
-
-
-def get_retry_backoff() -> float:
-    """Base seconds slept before a retry round (doubles per round)."""
-    return _retry_backoff
-
-
-def set_retry_backoff(seconds: Optional[float]) -> float:
-    """Set the exponential-backoff base; returns the previous setting.
-
-    ``None`` restores :data:`DEFAULT_RETRY_BACKOFF`; negative or non-finite
-    values raise :exc:`ValueError` (``0`` retries immediately — useful in
-    tests).  Round ``n`` (1-based) sleeps ``base · 2^(n-1)`` seconds, giving
-    a freshly repaired worker slot time to finish spawning before the
-    re-routed tasks land on it.
-    """
-    global _retry_backoff
-    previous = _retry_backoff
-    if seconds is None:
-        _retry_backoff = DEFAULT_RETRY_BACKOFF
-        return previous
-    seconds = float(seconds)
-    if not seconds >= 0 or seconds == float("inf"):
-        raise ValueError(f"retry backoff must be a finite number >= 0, got {seconds}")
-    _retry_backoff = seconds
-    return previous
-
-
-DEFAULT_BREAKER_COOLDOWN = 30.0
-
-_breaker_cooldown = DEFAULT_BREAKER_COOLDOWN
-
-
-def get_breaker_cooldown() -> float:
-    """Seconds the tripped breaker stays open before a half-open probe."""
-    return _breaker_cooldown
-
-
-def set_breaker_cooldown(seconds: Optional[float]) -> float:
-    """Set the open-state cooldown; returns the previous setting.
-
-    ``None`` restores :data:`DEFAULT_BREAKER_COOLDOWN`; values that are not
-    positive finite numbers raise :exc:`ValueError`.  Tests shrink this to
-    milliseconds to exercise the half-open recovery path promptly.
-    """
-    global _breaker_cooldown
-    previous = _breaker_cooldown
-    if seconds is None:
-        _breaker_cooldown = DEFAULT_BREAKER_COOLDOWN
-        return previous
-    seconds = float(seconds)
-    if not seconds > 0 or seconds == float("inf"):
-        raise ValueError(f"breaker cooldown must be a positive finite number, got {seconds}")
-    _breaker_cooldown = seconds
-    return previous
+    return config.configure(process_min_rows=count).process_min_rows
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +306,7 @@ _pool_lock = threading.Lock()
 # -- circuit breaker state (all guarded by _pool_lock) -----------------------
 # _pool_failures counts *consecutive* dispatch failures; at
 # _MAX_POOL_FAILURES the breaker is OPEN: process dispatch is refused until
-# get_breaker_cooldown() seconds pass, after which exactly one dispatch is
+# the ``breaker_cooldown`` setting's seconds pass, after which exactly one dispatch is
 # admitted HALF-OPEN as a recovery probe — success closes the breaker
 # (counter reset), failure re-opens it and restarts the cooldown.  A healed
 # pool therefore re-enables itself without anyone calling
@@ -535,17 +360,33 @@ def shutdown() -> None:
 def reset_process_pool() -> None:
     """Retire the router so the next query re-creates it as configured.
 
-    Called by :func:`repro.relational.store.set_shard_workers` and
-    :func:`repro.faults.set_fault_plan`; publications stay alive (they are
-    sized by the data, not the pool).  Discarding the router is the *full
-    re-hash*: the replacement starts with fresh slots at generation zero,
-    so every token is rendezvous-scored anew.
+    Called when a setting the workers carry changes (:func:`_on_configure`)
+    and by :func:`repro.faults.set_fault_plan`; publications stay alive
+    (they are sized by the data, not the pool).  Discarding the router is
+    the *full re-hash*: the replacement starts with fresh slots at
+    generation zero, so every token is rendezvous-scored anew.
     """
     global _router
     with _pool_lock:
         stale, _router = _router, None
     if stale is not None:
         stale.close()
+
+
+def _on_configure(previous: config.Config, new: config.Config) -> None:
+    """Retire the router when what it was built from changes.
+
+    That is the one setting its workers read (``checksum_mode``) and its
+    width (``shard_workers``, resolved); the workers the next dispatch
+    spawns carry the new values.  Nothing else does: executor flips and
+    threshold changes are parent-side decisions, so they keep the warm
+    pools.
+    """
+    if (previous.checksum_mode, previous.worker_count) != (new.checksum_mode, new.worker_count):
+        reset_process_pool()
+
+
+config.subscribe(_on_configure)
 
 
 _RETIRE_JOIN_SECONDS = 5.0
@@ -589,18 +430,20 @@ def _mp_context():
     return context
 
 
-def _worker_initargs() -> Tuple[Optional[str], str]:
+def _worker_initargs() -> Tuple[config.Config, Optional[str], str]:
     """Initializer arguments for a fresh pool's worker.
 
-    Ships the active fault-plan spec (workers must run the same chaos the
-    parent does) and this pool's incarnation number as the plan nonce (see
+    Ships the parent's settings by value (a worker imports the package
+    afresh and would otherwise run under the defaults), the active
+    fault-plan spec (workers must run the same chaos the parent does) and
+    this pool's incarnation number as the plan nonce (see
     :data:`_pool_incarnation`).
     """
     global _pool_incarnation
     with _pool_lock:
         _pool_incarnation += 1
         incarnation = _pool_incarnation
-    return (faults.active_spec(), str(incarnation))
+    return (config.current(), faults.active_spec(), str(incarnation))
 
 
 _pool_create_lock = threading.Lock()
@@ -810,7 +653,7 @@ def _ensure_router() -> _AffinityRouter:
     place instead.
     """
     global _router
-    workers = get_shard_workers()
+    workers = config.current().worker_count
     with _pool_lock:
         if _router is not None and _router.slot_count == workers:
             return _router
@@ -881,7 +724,7 @@ def _breaker_allows() -> bool:
         if _breaker_opened_at is None:
             _breaker_opened_at = now
             return False
-        if now - _breaker_opened_at < _breaker_cooldown:
+        if now - _breaker_opened_at < config.current().breaker_cooldown:
             return False
         return not _breaker_probe_inflight
 
@@ -904,7 +747,7 @@ def _breaker_enter() -> Optional[str]:
         if _breaker_opened_at is None:
             _breaker_opened_at = now
             return None
-        if now - _breaker_opened_at < _breaker_cooldown:
+        if now - _breaker_opened_at < config.current().breaker_cooldown:
             return None
         if _breaker_probe_inflight:
             return None
@@ -952,7 +795,7 @@ def breaker_state() -> Dict[str, object]:
         probing = _breaker_probe_inflight
         trips = _breaker_trips
         recoveries = _breaker_recoveries
-        cooldown = _breaker_cooldown
+        cooldown = config.current().breaker_cooldown
     if failures < _MAX_POOL_FAILURES:
         state = "closed"
         remaining = 0.0
@@ -973,11 +816,12 @@ def breaker_state() -> Dict[str, object]:
 
 def process_eligible(store: Store) -> bool:
     """Whether a whole-store computation on ``store`` should try the pool."""
+    settings = config.current()
     return (
         not _IN_PROCESS_WORKER
         and len(getattr(store, "shards", ())) > 1
-        and len(store) >= _process_min_rows
-        and get_shard_workers() > 1
+        and len(store) >= settings.process_min_rows
+        and settings.worker_count > 1
         and _breaker_allows()
     )
 
@@ -987,7 +831,7 @@ def probe_process_executor() -> bool:
 
     Spawns the probe token's home router slot if needed and runs one
     trivial task; used by test harnesses to decide whether process-mode legs
-    are meaningful.  The wait is bounded by :func:`get_probe_timeout` — a
+    are meaningful.  The wait is bounded by :data:`PROBE_TIMEOUT` — a
     pool that wedges during spawn trips the failure breaker and the probe
     reports ``False`` promptly instead of stalling the first query behind a
     60-second result wait.  When the breaker is open, a successful probe
@@ -1001,7 +845,7 @@ def probe_process_executor() -> bool:
         return False
     try:
         future, _slot = _ensure_router().submit("__probe__", _worker_ping)
-        alive = bool(future.result(timeout=_probe_timeout))
+        alive = bool(future.result(timeout=PROBE_TIMEOUT))
         _breaker_exit(token, alive)
         return alive
     except Exception:
@@ -1033,8 +877,8 @@ def dispatch_stats() -> Dict[str, object]:
     """Dispatch-resilience counters plus the live breaker snapshot."""
     with _dispatch_lock:
         counts = dict(_DISPATCH_COUNTS)
-    counts["configured_retries"] = _dispatch_retries
-    counts["deadline_seconds"] = _dispatch_deadline
+    counts["configured_retries"] = DISPATCH_RETRIES
+    counts["deadline_seconds"] = DISPATCH_DEADLINE
     counts["breaker"] = breaker_state()
     return counts
 
@@ -1097,7 +941,7 @@ def _dispatch_round(
         outcome.failed = list(pending)
         return outcome
 
-    deadline = _dispatch_deadline
+    deadline = DISPATCH_DEADLINE
     started = time.monotonic()
     repaired: set = set()
     for index, future in sorted(futures.items()):
@@ -1150,11 +994,10 @@ def _dispatch_with_retries(
     results: List[object] = [None] * len(tasks)
     pending: List[int] = list(range(len(tasks)))
     avoid: Dict[int, int] = {}
-    retries = _dispatch_retries
-    for attempt in range(retries + 1):
+    for attempt in range(DISPATCH_RETRIES + 1):
         if attempt:
             _note_dispatch("retries")
-            backoff = _retry_backoff * (2 ** (attempt - 1))
+            backoff = config.current().retry_backoff * (2 ** (attempt - 1))
             if backoff > 0:
                 time.sleep(backoff)
         outcome = _dispatch_round(_ensure_router(), fn, tasks, pending, avoid, results)
@@ -1180,7 +1023,7 @@ def _submit_per_shard(
     the shard's dedicated warm worker, with work-stealing overflow.
     Infrastructure failures (a broken pool, a worker past the dispatch
     deadline, a file that vanished under a concurrent mutation) are
-    retried up to :func:`get_dispatch_retries` times on alternate
+    retried up to :data:`DISPATCH_RETRIES` times on alternate
     slots, then trigger the thread-path fallback; genuine application
     errors raised by the shipped computation propagate to the caller
     exactly as they would on the thread path.  Every dispatch holds a
@@ -1253,7 +1096,7 @@ def process_gather(
     """
     if not process_eligible(store):
         return None
-    if sum(len(indices) for indices in per_shard_indices) < _process_min_rows:
+    if sum(len(indices) for indices in per_shard_indices) < config.current().process_min_rows:
         return None
     results = _submit_per_shard(
         store,
@@ -1494,7 +1337,7 @@ def worker_cache_stats(timeout: Optional[float] = None) -> Optional[List[Dict[st
     router = _router
     if router is None:
         return None
-    wait = _probe_timeout if timeout is None else timeout
+    wait = PROBE_TIMEOUT if timeout is None else timeout
     stats: List[Dict[str, int]] = []
     for slot in router._slots:
         pool = slot.pool
@@ -1508,25 +1351,25 @@ def worker_cache_stats(timeout: Optional[float] = None) -> Optional[List[Dict[st
     return stats
 
 
-def _worker_init(fault_spec: Optional[str] = None, fault_nonce: str = "") -> None:
+def _worker_init(
+    settings: config.Config, fault_spec: Optional[str] = None, fault_nonce: str = ""
+) -> None:
     """Initializer run in every worker process.
 
     Marks the process as a worker (no nested pools, no publications) and
-    pins its own shard execution to one sequential worker — per-shard work
-    inside a worker is small by construction.  The parent's active fault
-    plan ships along as its spec, re-seeded under this pool's incarnation
-    nonce so each worker generation draws its own deterministic fault
-    sequence (see :func:`_worker_initargs`).
+    installs the parent's settings with its own shard execution pinned to
+    one sequential worker — per-shard work inside a worker is small by
+    construction.  The parent's active fault plan ships along as its spec,
+    re-seeded under this pool's incarnation nonce so each worker generation
+    draws its own deterministic fault sequence (see
+    :func:`_worker_initargs`).
     """
     global _IN_PROCESS_WORKER
     # The initializer runs once per worker process before any task is
-    # scheduled, so these writes cannot race with anything.
+    # scheduled, so this write cannot race with anything.
     _IN_PROCESS_WORKER = True  # repro: ignore[STATE001] pre-task worker init
     faults._install_worker_plan(fault_spec, fault_nonce)
-    from . import store as store_module
-
-    store_module._shard_workers = 1
-    store_module._shard_executor = "thread"
+    config.configure(replace(settings, shard_workers=1, shard_executor="thread"))
 
 
 def _worker_ping() -> bool:

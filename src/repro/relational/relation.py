@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .. import config
 from ..errors import SchemaError
 from .schema import RelationSchema
 from .store import Store, make_store
@@ -57,7 +58,7 @@ class Relation:
         rows: optional initial tuples.
         backend: storage backend name (``"row"``, ``"column"``, or any
             registered third-party backend); ``None`` uses the process-wide
-            default (:func:`repro.relational.store.get_default_backend`).
+            default (the ``default_backend`` setting, :mod:`repro.config`).
         store: pre-built store to adopt instead of creating one (internal
             fast path used by derived relations; the store must not be
             shared with another mutating owner).
@@ -97,9 +98,9 @@ class Relation:
                     f"tuple of arity {len(row)} does not match schema "
                     f"{self.schema.name}({len(self.schema)} attributes)"
                 )
-        from .store import backend_class, get_default_backend
+        from .store import backend_class
 
-        name = backend if backend is not None else get_default_backend()
+        name = backend if backend is not None else config.current().default_backend
         self._store = backend_class(name).from_rows(width, materialized)
 
     # -- construction -----------------------------------------------------
@@ -149,9 +150,9 @@ class Relation:
         lengths = {len(column) for column in ordered}
         if len(lengths) > 1:
             raise SchemaError(f"columns have unequal lengths: {sorted(lengths)}")
-        from .store import backend_class, get_default_backend
+        from .store import backend_class
 
-        name = backend if backend is not None else get_default_backend()
+        name = backend if backend is not None else config.current().default_backend
         store = backend_class(name).from_columns(len(schema), ordered)
         return cls(schema, store=store)
 

@@ -25,9 +25,10 @@ Three backends ship with the library:
   (``"hash"``, ``"round_robin"`` or ``"range"``), while the store still
   presents the rows in their original insertion order.  Predicate masks,
   selections and scans fan out per shard on the configured **shard
-  executor** (:func:`set_shard_executor`): sequentially (``"serial"``), on
-  a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-  (``"thread"``, the default; :func:`set_shard_workers` bounds it), or —
+  executor** (the ``shard_executor`` setting, see :mod:`repro.config`):
+  sequentially (``"serial"``), on a bounded
+  :class:`~concurrent.futures.ThreadPoolExecutor` (``"thread"``, the
+  default; ``shard_workers`` bounds it), or —
   for picklable whole-store computations — on the process pool of
   :mod:`repro.relational.parallel` (``"process"``), whose workers map the
   shard buffers from files.  The distance kernels /
@@ -52,9 +53,8 @@ treat those views and in-memory ``array`` buffers interchangeably.
 
 **Choosing a backend.**  Per relation via
 ``Relation(schema, rows, backend="column")`` /
-``Relation.from_columns(...)``, or process-wide via
-:func:`set_default_backend` (``REPRO_DEFAULT_BACKEND`` overrides the default
-at import time; see :func:`apply_env_default_backend`).  Derived relations
+``Relation.from_columns(...)``, or process-wide via the ``default_backend``
+setting (:mod:`repro.config`).  Derived relations
 (project/select/distinct/...) inherit their source's backend.
 
 **Adding a third-party backend.**  Subclass :class:`Store` and implement the
@@ -70,7 +70,7 @@ register it with :func:`register_backend`::
         ...
 
     register_backend("fancy", FancyStore)
-    set_default_backend("fancy")         # or Relation(..., backend="fancy")
+    configure(default_backend="fancy")   # or Relation(..., backend="fancy")
 
 Every backend must preserve **value identity**: a value read back from the
 store must be equal to — and of the same type as — the value that was
@@ -88,13 +88,14 @@ relation/frame for mutation purposes; derived stores are always fresh copies.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from array import array
 from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type
+
+from .. import config
 
 Row = Tuple[object, ...]
 
@@ -751,13 +752,10 @@ register_partitioner("range", _range_partition)
 
 
 # Shard-parallel execution: one process-wide bounded ThreadPoolExecutor,
-# created lazily.  ``None`` workers means "decide from os.cpu_count()";
-# resolving to 1 worker disables the pool entirely (sequential fallback).
-# Both knobs accept environment overrides at import time:
-# ``REPRO_SHARD_WORKERS`` (an integer >= 1) and ``REPRO_SHARD_EXECUTOR``
-# (one of the :data:`EXECUTOR_MODES`).
-EXECUTOR_MODES = ("serial", "thread", "process")
-DEFAULT_SHARD_EXECUTOR = "thread"
+# created lazily at ``config.current().worker_count`` threads; one worker
+# disables the pool entirely (sequential fallback).  The ``shard_executor``
+# and ``shard_workers`` settings are documented in :mod:`repro.config`.
+EXECUTOR_MODES = config.EXECUTOR_MODES
 
 _shard_pool = None  # type: Optional[object]
 _shard_pool_lock = threading.Lock()
@@ -765,116 +763,28 @@ _PARALLEL_MIN_ROWS = 4096  # below this, pool overhead dominates
 _POOL_THREAD_PREFIX = "repro-shard"
 
 
-def _env_worker_count(name: str) -> Optional[int]:
-    """Parse a worker-count environment override (unset/blank means None)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def _env_executor_mode(name: str) -> str:
-    """Parse an executor-mode environment override (unset means the default)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return DEFAULT_SHARD_EXECUTOR
-    mode = raw.strip().lower()
-    if mode not in EXECUTOR_MODES:
-        raise ValueError(
-            f"{name} must be one of {EXECUTOR_MODES}, got {raw!r}"
-        )
-    return mode
-
-
-_shard_workers: Optional[int] = _env_worker_count("REPRO_SHARD_WORKERS")
-_shard_executor: str = _env_executor_mode("REPRO_SHARD_EXECUTOR")
-
-
-def get_shard_workers() -> int:
-    """The resolved worker count used for shard-parallel execution."""
-    if _shard_workers is not None:
-        return max(1, _shard_workers)
-    return max(1, os.cpu_count() or 1)
-
-
+# benchmarks/e2e imports these two names; they go when its own PR re-points
+# it at ``configure``.
 def set_shard_workers(count: Optional[int]) -> Optional[int]:
-    """Bound the shard pools at ``count`` workers; returns the previous setting.
-
-    ``None`` restores the default (``os.cpu_count()``); ``1`` forces the
-    sequential fallback; anything below 1 raises :exc:`ValueError`.  The
-    running pools (thread *and* process, if any) are shut down so the next
-    parallel operation re-creates them at the new bound; setting the current
-    value again is a no-op that keeps warm pools alive.
-    """
-    global _shard_workers, _shard_pool
-    if count is not None:
-        count = int(count)
-        if count < 1:
-            raise ValueError(f"shard worker count must be >= 1, got {count}")
-    with _shard_pool_lock:
-        previous = _shard_workers
-        if count == previous:
-            return previous
-        _shard_workers = count
-        stale = _shard_pool
-        _shard_pool = None
-    if stale is not None:
-        stale.shutdown(wait=True)
-    _reset_process_pool()
-    return previous
-
-
-def get_shard_executor() -> str:
-    """The execution mode used for shard-parallel work (see :data:`EXECUTOR_MODES`)."""
-    return _shard_executor
+    return config.configure(shard_workers=count).shard_workers
 
 
 def set_shard_executor(mode: Optional[str]) -> str:
-    """Choose how per-shard work is executed; returns the previous mode.
-
-    * ``"serial"`` — every shard runs sequentially on the calling thread.
-    * ``"thread"`` — the bounded process-wide :class:`ThreadPoolExecutor`
-      (the default; real parallelism only for work that releases the GIL).
-    * ``"process"`` — picklable whole-store computations (fused
-      :class:`~repro.algebra.predicates.MaskProgram`\\s, kernel batch
-      queries) run on the worker processes of
-      :mod:`repro.relational.parallel`, which map each shard's column
-      buffers from a file and keep them warm; everything else — and any
-      computation that fails to pickle or any store below the
-      :func:`repro.relational.parallel.get_process_min_rows` threshold —
-      falls back to the thread path automatically.
-
-    ``None`` restores the default (``"thread"``).  An unknown mode raises
-    :exc:`ValueError`.  ``REPRO_SHARD_EXECUTOR`` overrides the default at
-    import time.
-    """
-    global _shard_executor
-    if mode is None:
-        mode = DEFAULT_SHARD_EXECUTOR
-    if mode not in EXECUTOR_MODES:
-        raise ValueError(
-            f"shard executor must be one of {EXECUTOR_MODES}, got {mode!r}"
-        )
-    previous = _shard_executor
-    _shard_executor = mode
-    return previous
+    return config.configure(shard_executor=mode).shard_executor
 
 
-def _reset_process_pool() -> None:
-    """Retire the worker processes if the parallel module is loaded (lazy import)."""
-    import sys
+def _on_configure(previous: config.Config, new: config.Config) -> None:
+    """Retire the thread pool when the worker count changes; the next use re-creates it."""
+    global _shard_pool
+    if previous.worker_count == new.worker_count:
+        return
+    with _shard_pool_lock:
+        stale, _shard_pool = _shard_pool, None
+    if stale is not None:
+        stale.shutdown(wait=True)
 
-    parallel = sys.modules.get(__package__ + ".parallel")
-    if parallel is not None:
-        parallel.reset_process_pool()
+
+config.subscribe(_on_configure)
 
 
 def _pool():
@@ -885,7 +795,7 @@ def _pool():
             from concurrent.futures import ThreadPoolExecutor
 
             _shard_pool = ThreadPoolExecutor(
-                max_workers=get_shard_workers(), thread_name_prefix=_POOL_THREAD_PREFIX
+                max_workers=config.current().worker_count, thread_name_prefix=_POOL_THREAD_PREFIX
             )
         return _shard_pool
 
@@ -933,7 +843,7 @@ class ShardedStore(Store):
     Derived stores (``select_mask``/``take``/``project``/``head``) preserve
     the shard structure: each surviving row stays in its shard, with
     per-shard work fanned out through :meth:`map_shards` (thread pool when
-    the store is large and :func:`get_shard_workers` allows, sequential
+    the store is large and ``shard_workers`` allows, sequential
     otherwise).  The bit-identity contract is unchanged: values, types and
     global row order match the row/column backends exactly.
     """
@@ -1033,24 +943,24 @@ class ShardedStore(Store):
 
         Extra ``args_per_shard`` sequences are zipped alongside the shards
         (one element per shard).  Runs on the bounded thread pool when the
-        store is large enough, :func:`get_shard_workers` resolves to more
-        than one worker and :func:`get_shard_executor` is not ``"serial"``;
+        store is large enough, ``shard_workers`` resolves to more than one
+        worker and ``shard_executor`` is not ``"serial"``;
         ``parallel=True``/``False`` forces either path.  (Process-mode
         execution does not route through here — arbitrary per-shard
         callables cannot cross a process boundary; see :meth:`eval_mask`.)
         """
         shards = self._shards
+        settings = config.current()
         if parallel is None:
             parallel = (
-                _shard_executor != "serial"
+                settings.shard_executor != "serial"
                 and len(shards) > 1
                 and len(self._shard_of) >= _PARALLEL_MIN_ROWS
-                and get_shard_workers() > 1
             )
         if (
             parallel
             and len(shards) > 1
-            and get_shard_workers() > 1
+            and settings.worker_count > 1
             # Re-entrant submission from a pool worker would deadlock the
             # bounded pool; nested shard work runs sequentially instead.
             and not _in_pool_worker()
@@ -1235,7 +1145,7 @@ class ShardedStore(Store):
         if len(self._shards) == 1:
             return self._shards[0].gather_column(position, indices)
         composed = self.gather_indices(indices)
-        if _shard_executor == "process":
+        if config.current().shard_executor == "process":
             gathered = self._process_gather(position, composed.indices)
             if gathered is not None:
                 return gathered
@@ -1255,7 +1165,7 @@ class ShardedStore(Store):
         """
         from . import parallel
 
-        if len(indices) < parallel.get_process_min_rows() or not parallel.process_eligible(self):
+        if len(indices) < config.current().process_min_rows or not parallel.process_eligible(self):
             return None
         shard_of, concat, offsets = self._shard_of, self._concat(), self._offsets()
         per_shard: List[List[int]] = [[] for _ in self._shards]
@@ -1289,7 +1199,7 @@ class ShardedStore(Store):
         unavailable.
         """
         parts: Optional[List[Sequence[int]]] = None
-        if _shard_executor == "process":
+        if config.current().shard_executor == "process":
             from . import parallel
 
             parts = parallel.process_eval_mask(self, masker)
@@ -1335,7 +1245,7 @@ class ShardedStore(Store):
         same per-shard truncation, so the conformance matrix proves
         equivalence across all paths.
         """
-        if _shard_executor == "process":
+        if config.current().shard_executor == "process":
             from . import parallel
 
             fused = parallel.process_select_gather(
@@ -1526,7 +1436,8 @@ _BACKENDS: Dict[str, Type[Store]] = {
     ShardedStore.backend: ShardedStore,
 }
 
-_default_backend = RowStore.backend
+for _name in _BACKENDS:
+    config.declare_backend(_name)
 
 
 def register_backend(name: str, store_class: Type[Store]) -> None:
@@ -1534,6 +1445,7 @@ def register_backend(name: str, store_class: Type[Store]) -> None:
     if not name:
         raise ValueError("backend name must be non-empty")
     _BACKENDS[name] = store_class
+    config.declare_backend(name)
 
 
 def list_backends() -> Tuple[str, ...]:
@@ -1561,47 +1473,9 @@ def backend_class(name: str) -> Type[Store]:
         ) from None
 
 
-def get_default_backend() -> str:
-    """The backend used when ``Relation(..., backend=None)``."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> str:
-    """Set the process-wide default backend; returns the previous default."""
-    global _default_backend
-    backend_class(name)  # validate
-    previous = _default_backend
-    _default_backend = name
-    return previous
-
-
-def _env_default_backend(name: str) -> Optional[str]:
-    """Parse a default-backend environment override (unset/blank means None)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    return raw.strip().lower()
-
-
-def apply_env_default_backend() -> Optional[str]:
-    """Apply the ``REPRO_DEFAULT_BACKEND`` override; returns the applied name.
-
-    Called by :mod:`repro.relational` at the end of its import, once every
-    in-tree backend — including the mmap tier, which registers *after* this
-    module loads — is in the registry.  Resolving the override here at
-    import time would spuriously reject those later registrations.  An
-    unknown name raises :exc:`ValueError` (via :func:`set_default_backend`).
-    """
-    name = _env_default_backend("REPRO_DEFAULT_BACKEND")
-    if name is None:
-        return None
-    set_default_backend(name)
-    return name
-
-
 def make_store(width: int, backend: Optional[str] = None) -> Store:
     """An empty store of ``width`` columns using ``backend`` (or the default)."""
-    cls = backend_class(backend if backend is not None else _default_backend)
+    cls = backend_class(backend if backend is not None else config.current().default_backend)
     return cls(width)
 
 

@@ -20,26 +20,20 @@ Quick start::
 from .admission import (
     ADMISSION_POLICIES,
     ALPHA_DEGRADE_LADDER,
-    DEFAULT_ADMISSION_POLICY,
     DEFAULT_MAX_CONCURRENCY,
     AdmissionController,
     AdmissionTicket,
-    get_admission_policy,
-    set_admission_policy,
 )
 from .cache import (
     DEFAULT_MAX_ENTRIES,
-    DEFAULT_RESULT_CACHE,
     MISSING,
     CacheBackend,
     LRUTTLCache,
     NullCache,
     cache_backend_class,
-    get_result_cache,
     list_cache_backends,
     make_cache,
     register_cache_backend,
-    set_result_cache,
 )
 from .envelope import ServingEnvelope
 from .server import DEFAULT_PROGRAM_CACHE_CAPACITY, QueryServer
@@ -48,11 +42,9 @@ from .stats import ServingStats, percentile
 __all__ = [
     "ADMISSION_POLICIES",
     "ALPHA_DEGRADE_LADDER",
-    "DEFAULT_ADMISSION_POLICY",
     "DEFAULT_MAX_CONCURRENCY",
     "DEFAULT_MAX_ENTRIES",
     "DEFAULT_PROGRAM_CACHE_CAPACITY",
-    "DEFAULT_RESULT_CACHE",
     "MISSING",
     "AdmissionController",
     "AdmissionTicket",
@@ -63,12 +55,8 @@ __all__ = [
     "ServingEnvelope",
     "ServingStats",
     "cache_backend_class",
-    "get_admission_policy",
-    "get_result_cache",
     "list_cache_backends",
     "make_cache",
     "percentile",
     "register_cache_backend",
-    "set_admission_policy",
-    "set_result_cache",
 ]

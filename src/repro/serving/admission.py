@@ -24,22 +24,21 @@ policies:
     under pressure the server trades the accuracy bound η (reported in the
     response envelope) for throughput, instead of latency or availability.
 
-The process-wide default policy is the :func:`set_admission_policy` knob,
-overridable at import time via ``REPRO_SERVING_POLICY``.
+The process-wide default policy is the ``admission_policy`` setting
+(:mod:`repro.config`).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .. import config
 from ..errors import ServerOverloadedError, ServingError
 
-ADMISSION_POLICIES = ("reject", "queue", "degrade-alpha")
-DEFAULT_ADMISSION_POLICY = "queue"
+ADMISSION_POLICIES = config.ADMISSION_POLICIES
 DEFAULT_MAX_CONCURRENCY = 8
 
 # Multiplier ladder for degrade-alpha: rung k serves alpha * LADDER[k],
@@ -47,46 +46,6 @@ DEFAULT_MAX_CONCURRENCY = 8
 # halving halves the access budget; the 1/16 floor keeps budget_for() legal
 # (alpha stays > 0) and the answer non-trivial.
 ALPHA_DEGRADE_LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625)
-
-
-def _env_admission_policy(name: str) -> str:
-    """Parse an admission-policy environment override (unset means default)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return DEFAULT_ADMISSION_POLICY
-    policy = raw.strip().lower()
-    if policy not in ADMISSION_POLICIES:
-        raise ValueError(
-            f"{name} must be one of {ADMISSION_POLICIES}, got {raw!r}"
-        )
-    return policy
-
-
-_admission_policy: str = _env_admission_policy("REPRO_SERVING_POLICY")
-
-
-def get_admission_policy() -> str:
-    """The admission policy new :class:`AdmissionController`\\s default to."""
-    return _admission_policy
-
-
-def set_admission_policy(policy: Optional[str]) -> str:
-    """Set the default admission policy; returns the previous setting.
-
-    ``None`` restores the default (``"queue"``); an unknown policy raises
-    :exc:`ValueError`.  ``REPRO_SERVING_POLICY`` overrides the default at
-    import time.  Existing controllers keep the policy they were built with.
-    """
-    global _admission_policy
-    if policy is None:
-        policy = DEFAULT_ADMISSION_POLICY
-    if policy not in ADMISSION_POLICIES:
-        raise ValueError(
-            f"admission policy must be one of {ADMISSION_POLICIES}, got {policy!r}"
-        )
-    previous = _admission_policy
-    _admission_policy = policy
-    return previous
 
 
 @dataclass(frozen=True)
@@ -129,7 +88,7 @@ class AdmissionController:
                 f"max_concurrency must be >= 1, got {max_concurrency}"
             )
         if policy is None:
-            policy = get_admission_policy()
+            policy = config.current().admission_policy
         if policy not in ADMISSION_POLICIES:
             raise ValueError(
                 f"admission policy must be one of {ADMISSION_POLICIES}, got {policy!r}"

@@ -20,14 +20,14 @@ Backends ship in-tree:
     turns caching off without any conditional code in the server.
 
 Third parties register their own (memcached, disk, ...) with
-:func:`register_cache_backend`; the process-wide default backend is the
-:func:`set_result_cache` knob, overridable at import time via the
-``REPRO_SERVING_CACHE`` environment variable.
+:func:`register_cache_backend`.  A server names its backends itself
+(``QueryServer(result_cache=..., plan_cache=...)``, resolved by
+:func:`make_cache`); the cache is not among the process-wide settings of
+:mod:`repro.config`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -186,9 +186,9 @@ class LRUTTLCache(CacheBackend):
 class NullCache(CacheBackend):
     """A cache that caches nothing — every ``get`` misses, ``put`` is a no-op.
 
-    Selecting it (``set_result_cache("none")`` or
-    ``REPRO_SERVING_CACHE=none``) disables caching uniformly: the server
-    code path is identical, only nothing is ever found.
+    Selecting it (``QueryServer(result_cache="none")``) disables caching
+    uniformly: the server code path is identical, only nothing is ever
+    found.
     """
 
     backend = "none"
@@ -230,15 +230,13 @@ class NullCache(CacheBackend):
 
 
 # ---------------------------------------------------------------------------
-# Backend registry and process-wide default
+# Backend registry
 # ---------------------------------------------------------------------------
 
 _CACHE_BACKENDS: Dict[str, Type[CacheBackend]] = {
     LRUTTLCache.backend: LRUTTLCache,
     NullCache.backend: NullCache,
 }
-
-DEFAULT_RESULT_CACHE = LRUTTLCache.backend
 
 
 def register_cache_backend(name: str, cache_class: Type[CacheBackend]) -> None:
@@ -263,45 +261,6 @@ def cache_backend_class(name: str) -> Type[CacheBackend]:
         ) from None
 
 
-def _env_cache_backend(name: str) -> str:
-    """Parse a cache-backend environment override (unset means the default)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return DEFAULT_RESULT_CACHE
-    backend = raw.strip().lower()
-    if backend not in _CACHE_BACKENDS:
-        raise ValueError(
-            f"{name} must be one of {sorted(_CACHE_BACKENDS)}, got {raw!r}"
-        )
-    return backend
-
-
-_result_cache_backend: str = _env_cache_backend("REPRO_SERVING_CACHE")
-
-
-def get_result_cache() -> str:
-    """The cache backend new :class:`~repro.serving.server.QueryServer`\\s use."""
-    return _result_cache_backend
-
-
-def set_result_cache(name: Optional[str]) -> str:
-    """Set the default serving cache backend; returns the previous setting.
-
-    ``None`` restores the default (``"lru-ttl"``); ``"none"`` disables
-    caching for newly-built servers; an unregistered name raises
-    :exc:`ValueError`.  ``REPRO_SERVING_CACHE`` overrides the default at
-    import time.  Existing servers keep the cache instances they were built
-    with.
-    """
-    global _result_cache_backend
-    if name is None:
-        name = DEFAULT_RESULT_CACHE
-    cache_backend_class(name)  # validate
-    previous = _result_cache_backend
-    _result_cache_backend = name
-    return previous
-
-
 def make_cache(
     spec: object = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
@@ -309,15 +268,15 @@ def make_cache(
 ) -> CacheBackend:
     """Resolve a cache spec to a live backend instance.
 
-    ``None`` builds the process default (:func:`get_result_cache`); a string
-    builds that registered backend; a :class:`CacheBackend` instance is
+    ``None`` builds an :class:`LRUTTLCache`; a string builds that registered
+    backend (``"none"`` disables caching); a :class:`CacheBackend` instance is
     returned as-is (``max_entries`` / ``ttl_seconds`` are ignored for
     instances — they were fixed at construction).
     """
     if isinstance(spec, CacheBackend):
         return spec
     if spec is None:
-        spec = get_result_cache()
+        spec = LRUTTLCache.backend
     if not isinstance(spec, str):
         raise ValueError(
             f"cache spec must be None, a backend name, or a CacheBackend "

@@ -14,8 +14,8 @@ a resource ratio α — but is built for *many* requests over a long lifetime:
    only — a :class:`~repro.core.framework.BoundedPlan` depends on nothing
    else, so a mutation that leaves ``⌊α·|D|⌋`` unchanged keeps its plans)
    skips re-planning, and execution reuses compiled mask programs
-   via the :func:`repro.algebra.predicates.set_program_cache_capacity`
-   knob (enabled by the server unless already configured);
+   through the ``program_cache_capacity`` setting of :mod:`repro.config`
+   (raised by the server unless already configured);
 4. everything is **observable** through
    :class:`~repro.serving.stats.ServingStats`.
 
@@ -39,13 +39,12 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .. import faults
+from .. import config, faults
 from ..algebra import predicates
 from ..algebra.ast import query_fingerprint
 from ..core.framework import Beas, QueryLike
 from ..errors import FaultInjectedError
 from ..relational import parallel
-from ..relational.store import get_shard_executor
 from .admission import AdmissionController
 from .cache import DEFAULT_MAX_ENTRIES, MISSING, CacheBackend, make_cache
 from .envelope import ServingEnvelope
@@ -55,7 +54,7 @@ from .stats import ServingStats
 # ``Beas._resolve``); ``benchmarks/e2e/spans.py`` replaces it by name.
 __all__ = ["DEFAULT_PROGRAM_CACHE_CAPACITY", "QueryServer", "query_fingerprint"]
 
-# Compiled-program cache capacity the server enables when the knob is still
+# Compiled-program cache capacity the server enables when the setting is still
 # at its batch default (0 = disabled).  A few hundred programs covers any
 # realistic set of hot query shapes; each entry is a handful of small frozen
 # binder objects.
@@ -68,20 +67,18 @@ class QueryServer:
     Args:
         beas: the engine (database + access schema) to serve.
         result_cache / plan_cache: a :class:`CacheBackend` instance, a
-            registered backend name, or ``None`` for the process default
-            (:func:`repro.serving.cache.get_result_cache` — overridable via
-            ``REPRO_SERVING_CACHE``).
+            registered backend name, or ``None`` for an
+            :class:`~repro.serving.cache.LRUTTLCache`.
         admission: a preconfigured :class:`AdmissionController`; ``None``
-            builds one with the default concurrency target and the process
-            default policy (:func:`repro.serving.admission.get_admission_policy`
-            — overridable via ``REPRO_SERVING_POLICY``).
+            builds one with the default concurrency target and the
+            ``admission_policy`` setting (:mod:`repro.config`).
         stats: a :class:`ServingStats` to record into; ``None`` builds one.
         max_entries / ttl_seconds: forwarded when caches are built from a
             name or the default (ignored for instances).
         program_cache_capacity: compiled-mask-program cache size to enable
-            at construction; only applied when the process-wide knob is
-            still 0 (never shrinks a capacity someone already set).
-            ``None`` leaves the knob alone.
+            at construction; only applied when the process-wide setting
+            is still 0 (never shrinks a capacity someone already set).
+            ``None`` leaves the setting alone.
     """
 
     def __init__(
@@ -102,9 +99,9 @@ class QueryServer:
         self.stats = stats if stats is not None else ServingStats()
         if (
             program_cache_capacity is not None
-            and predicates.get_program_cache_capacity() == 0
+            and config.current().program_cache_capacity == 0
         ):
-            predicates.set_program_cache_capacity(program_cache_capacity)
+            config.configure(program_cache_capacity=program_cache_capacity)
 
     # -- serving -----------------------------------------------------------------
     def serve(
@@ -173,7 +170,7 @@ class QueryServer:
         paper's accuracy-for-resources trade applied to failure instead of
         load.
         """
-        if get_shard_executor() != "process":
+        if config.current().shard_executor != "process":
             return served_alpha, None
         state = parallel.breaker_state()["state"]
         if state == "closed":

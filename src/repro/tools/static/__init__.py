@@ -5,9 +5,9 @@ script) runs an AST-based checker suite over the tree and fails on any
 violation of the invariants PRs 2–5 introduced but no runtime test can see
 until they break under load: picklability of work shipped to process
 workers (SHIP001), backend registration for the conformance matrix
-(REG001), knob validation and documented env overrides (KNOB001), lock
-discipline around module state (STATE001), and determinism of
-result-producing code (DET001).
+(REG001), settings and ``REPRO_*`` reads kept in ``repro.config``
+(KNOB001), lock discipline around module state (STATE001), and determinism
+of result-producing code (DET001).
 
 See ``README.md`` next to this file for the rule catalogue and suppression
 syntax, and :mod:`repro.tools.static.core` for the framework (checker

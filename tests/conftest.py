@@ -29,20 +29,12 @@ import threading
 
 import pytest
 
-from repro import Beas, ConstraintSpec, Database, FamilySpec, Relation
+from repro import Beas, ConstraintSpec, Database, FamilySpec, Relation, configure, current_config
 from repro.algebra.ast import Difference
 from repro.relational import parallel
 from repro.relational.distance import CATEGORICAL, NUMERIC, numeric_scaled, resolve
-from repro.relational.mmapstore import set_store_dir
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
-from repro.relational.store import (
-    ShardedStore,
-    get_shard_workers,
-    list_backends,
-    register_backend,
-    set_shard_executor,
-    set_shard_workers,
-)
+from repro.relational.store import ShardedStore, list_backends, register_backend
 from repro.workloads import social, tpch
 
 # ---------------------------------------------------------------------------
@@ -61,8 +53,8 @@ for _name, _cls in (
 
 # Shard-parallel execution needs more than one worker to engage; single-core
 # CI boxes would otherwise silently test the sequential fallback only.
-if get_shard_workers() < 2:
-    set_shard_workers(2)
+if current_config().worker_count < 2:
+    configure(shard_workers=2)
 
 # One process pool for the whole session (probing spawns it); when the
 # platform cannot run worker processes at all, the matrix collapses to the
@@ -70,6 +62,20 @@ if get_shard_workers() < 2:
 SHARD_EXECUTORS = (
     ("thread", "process") if parallel.probe_process_executor() else ("thread",)
 )
+
+
+@pytest.fixture(autouse=True)
+def _restore_config():
+    """Every test leaves the process-wide settings as it found them.
+
+    Tests therefore just call ``configure(...)``; nothing they set
+    needs a ``try``/``finally``.  (Restoring ``checksum_mode`` or
+    ``shard_workers`` retires the worker pool, as changing them did.)
+    """
+    snapshot = current_config()
+    yield
+    if current_config() != snapshot:
+        configure(snapshot)
 
 
 @pytest.fixture
@@ -82,27 +88,18 @@ def backend(request):
     test relations actually cross into the worker processes.
     """
     name, executor = request.param
-    previous_executor = set_shard_executor(executor)
-    previous_min_rows = (
-        parallel.set_process_min_rows(1) if executor == "process" else None
-    )
-    try:
-        yield name
-    finally:
-        set_shard_executor(previous_executor)
-        if previous_min_rows is not None:
-            parallel.set_process_min_rows(previous_min_rows)
+    configure(shard_executor=executor)
+    if executor == "process":
+        configure(process_min_rows=1)
+    return name
 
 
 @pytest.fixture
 def store_dir(tmp_path):
     """Pin the anonymous / published file directory to this test's tmpdir."""
     directory = tmp_path / "store"
-    previous = set_store_dir(directory)
-    try:
-        yield str(directory)
-    finally:
-        set_store_dir(previous)
+    configure(store_dir=directory)
+    return str(directory)
 
 
 def pytest_generate_tests(metafunc):

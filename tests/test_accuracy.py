@@ -1,10 +1,9 @@
-"""Tests for the accuracy measures: RC, MAC, F-measure, Hausdorff."""
+"""Tests for the accuracy measures: RC, MAC, F-measure."""
 
 
 import pytest
 
 from repro.accuracy.fmeasure import f_measure
-from repro.accuracy.hausdorff import hausdorff_accuracy, hausdorff_distance
 from repro.accuracy.mac import mac_accuracy
 from repro.accuracy.rc import rc_accuracy
 from repro.algebra.evaluator import evaluate_exact
@@ -175,18 +174,6 @@ class TestOtherMeasures:
         exact = evaluate_exact(q, tiny_db)
         schema = output_schema(tiny_db, sql)
         assert mac_accuracy(Relation(schema), exact, schema).accuracy == 0.0
-
-    def test_hausdorff_bounds_mac(self, tiny_db):
-        sql = "select e.salary from emp as e where e.salary <= 50"
-        q = parse_query(sql)
-        exact = evaluate_exact(q, tiny_db)
-        schema = output_schema(tiny_db, sql)
-        perturbed = Relation(schema, [(v + 2.0,) for (v,) in exact.rows])
-        # Hausdorff (max-based) distance is at least the MAC (mean-based) one.
-        assert hausdorff_distance(perturbed, exact, schema) >= 0.0
-        assert hausdorff_accuracy(perturbed, exact, schema) <= mac_accuracy(
-            perturbed, exact, schema
-        ).accuracy + 1e-9
 
     def test_rc_coverage_relates_to_hausdorff_direction(self, tiny_db):
         sql = "select e.salary from emp as e where e.salary <= 50"

@@ -16,20 +16,14 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro import configure, current_config
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.relational import parallel
 from repro.relational.distance import NUMERIC, TRIVIAL
 from repro.relational.kdtree import KDForest
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.store import (
-    _truncate_mask,
-    get_shard_executor,
-    get_shard_workers,
-    set_shard_executor,
-    set_shard_workers,
-    shard_budget_slices,
-)
+from repro.relational.store import _truncate_mask, shard_budget_slices
 
 from conftest import SHARD_EXECUTORS, identity_key
 
@@ -61,50 +55,17 @@ def store_rows(store):
     return [identity_key(store.row(index)) for index in range(len(store))]
 
 
-@pytest.fixture
-def affinity_guard():
-    """Snapshot and restore every knob these tests may flip."""
-    previous_executor = get_shard_executor()
-    previous_min = parallel.get_process_min_rows()
-    previous_workers = get_shard_workers()
-    previous_probe = parallel.get_probe_timeout()
-    yield
-    set_shard_executor(previous_executor)
-    parallel.set_process_min_rows(
-        None if previous_min == parallel.DEFAULT_PROCESS_MIN_ROWS else previous_min
-    )
-    set_shard_workers(previous_workers)
-    parallel.set_probe_timeout(
-        None if previous_probe == parallel.DEFAULT_PROBE_TIMEOUT else previous_probe
-    )
-
-
 def force_process():
-    set_shard_executor("process")
-    parallel.set_process_min_rows(1)
+    configure(shard_executor="process", process_min_rows=1)
 
 
 # ---------------------------------------------------------------------------
-# Knob: the probe timeout
+# The probe timeout
 # ---------------------------------------------------------------------------
 
 class TestProbeTimeout:
-    def test_validates(self):
-        for bad in (0, -1, -0.5, float("nan")):
-            with pytest.raises(ValueError):
-                parallel.set_probe_timeout(bad)
-
-    def test_roundtrip(self, affinity_guard):
-        previous = parallel.set_probe_timeout(5.0)
-        assert parallel.get_probe_timeout() == 5.0
-        parallel.set_probe_timeout(None)
-        assert parallel.get_probe_timeout() == parallel.DEFAULT_PROBE_TIMEOUT
-        parallel.set_probe_timeout(
-            None if previous == parallel.DEFAULT_PROBE_TIMEOUT else previous
-        )
-
     def test_wedged_probe_times_out_and_strikes_breaker(
-        self, affinity_guard, monkeypatch
+        self, monkeypatch
     ):
         """A pool that wedges during spawn must fail the probe within the
         configured timeout and count against the breaker — not stall the
@@ -116,7 +77,7 @@ class TestProbeTimeout:
 
         failures_before = parallel._pool_failures
         monkeypatch.setattr(parallel, "_ensure_router", lambda: WedgedRouter())
-        parallel.set_probe_timeout(0.05)
+        monkeypatch.setattr(parallel, "PROBE_TIMEOUT", 0.05)
         try:
             assert parallel.probe_process_executor() is False
             assert parallel._pool_failures == failures_before + 1
@@ -218,9 +179,9 @@ class TestRouter:
             "slots": 1,
         }
 
-    def test_ensure_router_lifecycle(self, affinity_guard):
+    def test_ensure_router_lifecycle(self):
         router = parallel._ensure_router()
-        assert router.slot_count == get_shard_workers()
+        assert router.slot_count == current_config().worker_count
         assert parallel._ensure_router() is router  # memoized
         parallel.reset_process_pool()  # full re-hash: the router is discarded
         assert parallel._router is None
@@ -237,13 +198,13 @@ class TestRouter:
         assert fresh is not router
 
     def test_broken_slot_repairs_in_place_and_falls_back(
-        self, affinity_guard, monkeypatch
+        self, monkeypatch
     ):
         """Dead workers on the router repair only their slot: the query
         falls back to threads (correct answer), the breaker takes a single
         strike, and the repair is visible as a rehash."""
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
         force_process()
         parallel.reset_process_pool()
@@ -267,7 +228,7 @@ class TestRouter:
 
 @needs_process
 class TestWarmCaches:
-    def test_repeat_query_rebuilds_zero_indexes(self, affinity_guard, monkeypatch):
+    def test_repeat_query_rebuilds_zero_indexes(self, monkeypatch):
         # Workers ≈ shards — the regime the router exists for — and
         # stealing pinned off so the routing is purely sticky (a steal
         # lands on a cold thief by design; that path is covered above).
@@ -275,7 +236,7 @@ class TestWarmCaches:
         rows = make_rows(1200)
         relation = Relation(SCHEMA, rows, backend="sharded")
         shard_count = len(relation.store.shards)
-        set_shard_workers(shard_count)
+        configure(shard_workers=shard_count)
         force_process()
         parallel.reset_process_pool()
 
@@ -337,21 +298,19 @@ class TestSelectGather:
         store = relation.store
         for alpha in (None, 0.0, 0.3, 1.0):
             limits = None if alpha is None else shard_budget_slices(store, alpha)
-            previous = set_shard_executor("serial")
-            try:
-                ref_mask, ref_store = store.select_gather(program.run_part, limits)
-                reference = store_rows(ref_store)
-            finally:
-                set_shard_executor(previous)
+            cell = configure(shard_executor="serial")
+            ref_mask, ref_store = store.select_gather(program.run_part, limits)
+            reference = store_rows(ref_store)
+            configure(cell)
             mask, selected = store.select_gather(program.run_part, limits)
             assert bytes(mask) == bytes(ref_mask), f"alpha={alpha}"
             assert store_rows(selected) == reference, f"alpha={alpha}"
 
     @needs_process
-    def test_fused_path_crosses_once_and_counts_bytes(self, affinity_guard):
+    def test_fused_path_crosses_once_and_counts_bytes(self):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         program = CONDITION.program(SCHEMA)
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         ref_mask, ref_store = relation.store.select_gather(program.run_part)
         reference = store_rows(ref_store)
         force_process()
@@ -366,14 +325,14 @@ class TestSelectGather:
         assert after["result_bytes"] > before["result_bytes"]
 
     @needs_process
-    def test_fused_object_columns_round_trip(self, affinity_guard):
+    def test_fused_object_columns_round_trip(self):
         rows = [
             (f"id-{index % 37}", float(index % 100), float((index * 7) % 100))
             for index in range(2000)
         ]
         relation = Relation(SCHEMA, rows, backend="sharded")
         program = CONDITION.program(SCHEMA)
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         ref_mask, ref_store = relation.store.select_gather(program.run_part)
         reference = store_rows(ref_store)
         force_process()
@@ -385,7 +344,7 @@ class TestSelectGather:
         assert after["object_values"] > before["object_values"]
 
     @needs_process
-    def test_all_survivors_short_circuits_to_identity(self, affinity_guard):
+    def test_all_survivors_short_circuits_to_identity(self):
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         keep_all = Conjunction.of(
             [Comparison(AttrRef(None, "x"), CompareOp.LE, Const(1000.0))]

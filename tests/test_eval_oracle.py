@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Beas
+from repro import Beas, configure
 from repro.algebra.ast import Difference, GroupBy
 from repro.algebra.evaluator import DatabaseProvider, Evaluator
 from repro.algebra.predicates import AttrRef
@@ -25,7 +25,7 @@ from repro.algebra.sql import parse_query
 from repro.core.executor import BeasEvaluator, PlanExecutor
 from repro.experiments import build_beas
 from repro.relational.database import AccessMeter
-from repro.relational.store import gather_pairs, list_backends, set_shard_executor
+from repro.relational.store import gather_pairs, list_backends
 from repro.workloads import QueryGenerator, airca, tfacc
 
 import eval_oracle
@@ -98,11 +98,8 @@ def corpora(tpch_workload, tpch_beas, social_workload, social_beas):
 def cell(request):
     """One (backend, shard executor) cell; the executor is applied for the test's duration."""
     backend_name, executor = request.param
-    previous = set_shard_executor(executor)
-    try:
-        yield backend_name
-    finally:
-        set_shard_executor(previous)
+    configure(shard_executor=executor)
+    return backend_name
 
 
 # Only a partitioned backend runs anything on the shard executor.

@@ -19,7 +19,7 @@ Four layers of coverage for PR 10's failure-handling substrate:
 
 The whole-suite version of the same contract (kills at p=0.1 across every
 backend × executor) lives in ``benchmarks/bench_chaos.py`` and the
-``tests-chaos`` CI leg.
+chaos row of the ``tests-modes`` CI job.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import time
 
 import pytest
 
-from repro import QueryServer, faults
+from repro import QueryServer, configure, faults
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import FaultInjectedError, ReproError
 from repro.faults import FaultPlan, FaultRule
@@ -38,7 +38,6 @@ from repro.relational import parallel
 from repro.relational.distance import NUMERIC, TRIVIAL
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.store import get_shard_executor, set_shard_executor
 
 from conftest import SHARD_EXECUTORS, assert_identical
 
@@ -77,48 +76,20 @@ def plan_guard():
 
 
 @pytest.fixture
-def executor_guard():
-    previous_mode = get_shard_executor()
-    previous_min = parallel.get_process_min_rows()
-    yield
-    set_shard_executor(previous_mode)
-    parallel.set_process_min_rows(
-        None if previous_min == parallel.DEFAULT_PROCESS_MIN_ROWS else previous_min
-    )
-
-
-@pytest.fixture
 def breaker_guard():
-    """Snapshot and restore the breaker state and resilience knobs."""
+    """Snapshot and restore the breaker state (the settings restore themselves)."""
     failures = parallel._pool_failures
     opened_at = parallel._breaker_opened_at
-    cooldown = parallel.get_breaker_cooldown()
-    retries = parallel.get_dispatch_retries()
-    deadline = parallel.get_dispatch_deadline()
-    backoff = parallel.get_retry_backoff()
     try:
         yield
     finally:
         parallel._pool_failures = failures
         parallel._breaker_opened_at = opened_at
         parallel._breaker_probe_inflight = False
-        parallel.set_breaker_cooldown(
-            None if cooldown == parallel.DEFAULT_BREAKER_COOLDOWN else cooldown
-        )
-        parallel.set_dispatch_retries(
-            None if retries == parallel.DEFAULT_DISPATCH_RETRIES else retries
-        )
-        parallel.set_dispatch_deadline(
-            None if deadline == parallel.DEFAULT_DISPATCH_DEADLINE else deadline
-        )
-        parallel.set_retry_backoff(
-            None if backoff == parallel.DEFAULT_RETRY_BACKOFF else backoff
-        )
 
 
 def force_process():
-    set_shard_executor("process")
-    parallel.set_process_min_rows(1)
+    configure(shard_executor="process", process_min_rows=1)
 
 
 def wait_until_gone(pids, seconds):
@@ -279,17 +250,6 @@ class TestFaultKnob:
         monkeypatch.setenv("REPRO_FAULT_PLAN_PROBE", "   ")
         assert faults._env_fault_plan("REPRO_FAULT_PLAN_PROBE") is None
 
-    def test_set_dispatch_retries_validates(self, breaker_guard):
-        with pytest.raises(ValueError):
-            parallel.set_dispatch_retries(-1)
-        with pytest.raises(ValueError):
-            parallel.set_dispatch_retries("many")
-        previous = parallel.set_dispatch_retries(5)
-        assert parallel.get_dispatch_retries() == 5
-        assert parallel.set_dispatch_retries(None) == 5
-        assert parallel.get_dispatch_retries() == parallel.DEFAULT_DISPATCH_RETRIES
-        parallel.set_dispatch_retries(previous)
-
 
 # ---------------------------------------------------------------------------
 # Circuit breaker: half-open recovery (the fails-on-old-code regression)
@@ -302,7 +262,7 @@ class TestBreakerRecovery:
         # process executor for the life of the interpreter; only an explicit
         # reset_process_pool() cleared it.  The breaker must now re-admit a
         # probe after the cooldown and close itself on success.
-        parallel.set_breaker_cooldown(0.05)
+        configure(breaker_cooldown=0.05)
         for _ in range(parallel._MAX_POOL_FAILURES):
             parallel._breaker_strike()
         state = parallel.breaker_state()
@@ -324,7 +284,7 @@ class TestBreakerRecovery:
         assert closed["recoveries"] == recoveries_before + 1
 
     def test_failed_probe_restarts_the_cooldown(self, breaker_guard):
-        parallel.set_breaker_cooldown(0.05)
+        configure(breaker_cooldown=0.05)
         for _ in range(parallel._MAX_POOL_FAILURES):
             parallel._breaker_strike()
         time.sleep(0.06)
@@ -356,7 +316,8 @@ class TestBreakerRecovery:
         stats = parallel.dispatch_stats()
         for key in ("retries", "timeouts", "fallbacks", "fatal"):
             assert isinstance(stats[key], int)
-        assert stats["configured_retries"] == parallel.get_dispatch_retries()
+        assert stats["configured_retries"] == parallel.DISPATCH_RETRIES
+        assert stats["deadline_seconds"] == parallel.DISPATCH_DEADLINE
         assert stats["breaker"]["state"] in ("closed", "open", "half-open")
 
 
@@ -368,20 +329,18 @@ class TestBreakerRecovery:
 @needs_process
 class TestDispatchResilience:
     def _reference_mask(self, relation):
-        previous = get_shard_executor()
-        set_shard_executor("serial")
-        try:
-            return bytes(CONDITION.mask(relation.store, SCHEMA))
-        finally:
-            set_shard_executor(previous)
+        previous = configure(shard_executor="serial")
+        mask = bytes(CONDITION.mask(relation.store, SCHEMA))
+        configure(previous)
+        return mask
 
     def test_injected_broken_pool_is_retried(
-        self, plan_guard, executor_guard, breaker_guard
+        self, plan_guard, breaker_guard
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference_mask(relation)
         force_process()
-        parallel.set_retry_backoff(0.0)
+        configure(retry_backoff=0.0)
         retries_before = parallel.dispatch_stats()["retries"]
         faults.set_fault_plan("seed=3;parallel.dispatch.broken:at=1")
         try:
@@ -394,12 +353,12 @@ class TestDispatchResilience:
         assert stats["breaker"]["state"] == "closed"
 
     def test_worker_kill_mid_query_stays_bit_identical(
-        self, plan_guard, executor_guard, breaker_guard
+        self, plan_guard, breaker_guard
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference_mask(relation)
         force_process()
-        parallel.set_retry_backoff(0.0)
+        configure(retry_backoff=0.0)
         # Every worker incarnation dies on its first task; retries re-route
         # and respawn until the rounds run out, then the thread fallback
         # serves the exact same bytes.
@@ -410,14 +369,14 @@ class TestDispatchResilience:
             faults.set_fault_plan(None, reset_pools=False)
 
     def test_kill_then_heal_restores_process_path(
-        self, plan_guard, executor_guard, breaker_guard
+        self, plan_guard, breaker_guard
     ):
         # The acceptance criterion: a kill/heal cycle restores the process
         # path WITHOUT reset_process_pool().
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference_mask(relation)
         force_process()
-        parallel.set_retry_backoff(0.0)
+        configure(retry_backoff=0.0)
         faults.set_fault_plan("seed=5;parallel.worker.kill:at=1")
         try:
             assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
@@ -430,14 +389,14 @@ class TestDispatchResilience:
         assert parallel.breaker_state()["state"] == "closed"
 
     def test_wedged_worker_hits_the_dispatch_deadline(
-        self, plan_guard, executor_guard, breaker_guard, monkeypatch
+        self, plan_guard, breaker_guard, monkeypatch
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference_mask(relation)
         force_process()
-        parallel.set_retry_backoff(0.0)
-        parallel.set_dispatch_retries(1)
-        parallel.set_dispatch_deadline(0.3)
+        configure(retry_backoff=0.0)
+        monkeypatch.setattr(parallel, "DISPATCH_RETRIES", 1)
+        monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.3)
         timeouts_before = parallel.dispatch_stats()["timeouts"]
         wedged = []  # pids of every worker retired at the deadline
         retire_pool = parallel._retire_pool
@@ -478,12 +437,12 @@ class TestDispatchResilience:
         assert elapsed < 15.0
 
     def test_publication_unlink_race_falls_back(
-        self, plan_guard, executor_guard, breaker_guard
+        self, plan_guard, breaker_guard
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference_mask(relation)
         force_process()
-        parallel.set_retry_backoff(0.0)
+        configure(retry_backoff=0.0)
         fatal_before = parallel.dispatch_stats()["fatal"]
         faults.set_fault_plan("seed=4;parallel.publish.unlink:at=1")
         try:
@@ -525,11 +484,11 @@ class TestServingResilience:
         assert server.serve(query, alpha=0.5).result_cache_hit
 
     def test_open_breaker_degrades_served_alpha(
-        self, tiny_beas, executor_guard, breaker_guard
+        self, tiny_beas, breaker_guard
     ):
         server = QueryServer(tiny_beas)
         query = "SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2"
-        set_shard_executor("process" if PROCESS_OK else "thread")
+        configure(shard_executor="process" if PROCESS_OK else "thread")
         if not PROCESS_OK:
             pytest.skip("process pool unavailable on this platform")
         healthy = server.serve(query, alpha=0.5)
@@ -558,12 +517,12 @@ class TestServingResilience:
         assert counters["degraded[executor-breaker-open]"] == 1
 
     def test_degrade_floors_at_the_ladder_bottom(
-        self, tiny_beas, executor_guard, breaker_guard
+        self, tiny_beas, breaker_guard
     ):
         if not PROCESS_OK:
             pytest.skip("process pool unavailable on this platform")
         server = QueryServer(tiny_beas)
-        set_shard_executor("process")
+        configure(shard_executor="process")
         floor = 0.5 * server.admission.ladder[-1]
         for _ in range(parallel._MAX_POOL_FAILURES):
             parallel._breaker_strike()

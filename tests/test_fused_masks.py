@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra import predicates
 from repro.algebra.evaluator import DatabaseProvider, Evaluator
 from repro.algebra.predicates import (
     AttrRef,
@@ -23,10 +24,7 @@ from repro.algebra.predicates import (
     Comparison,
     Conjunction,
     Const,
-    DEFAULT_MASK_CHUNK_SIZE,
     MaskProgram,
-    get_mask_chunk_size,
-    set_mask_chunk_size,
 )
 from repro.relational.database import Database
 from repro.relational.distance import CATEGORICAL, NUMERIC
@@ -118,23 +116,20 @@ class TestFusedMaskDifferential:
         assert condition.mask(store, SCHEMA, chunk_size=chunk_size) == expected
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_selection_identical_across_chunk_sizes(self, backend, chunk_size):
+    def test_selection_identical_across_chunk_sizes(self, backend, chunk_size, monkeypatch):
         rows = _mixed_rows(count=77, seed=9)
         base = Relation(SCHEMA, rows, backend="row")
         other = Relation(SCHEMA, rows, backend=backend)
-        previous = set_mask_chunk_size(chunk_size)
-        try:
-            for condition in CONDITIONS:
-                assert_identical(base.select(condition), other.select(condition))
-        finally:
-            set_mask_chunk_size(previous)
+        monkeypatch.setattr(predicates, "MASK_CHUNK_SIZE", chunk_size)
+        for condition in CONDITIONS:
+            assert_identical(base.select(condition), other.select(condition))
 
     def test_empty_store(self, backend):
         store = backend_class(backend).from_rows(len(SCHEMA), [])
         for condition in CONDITIONS:
             assert condition.mask(store, SCHEMA, chunk_size=1) == bytearray()
 
-    def test_relaxed_filter_chunked(self, backend, tiny_db):
+    def test_relaxed_filter_chunked(self, backend, tiny_db, monkeypatch):
         # The evaluator's relaxed selections run through the same fused
         # engine; relaxation must not depend on the chunk size either.
         node_sql = "select e.eid from emp as e where e.salary <= 40"
@@ -144,57 +139,36 @@ class TestFusedMaskDifferential:
         relaxation = {"e.salary": 5.0}
         reference = None
         for chunk_size in CHUNK_SIZES:
-            previous = set_mask_chunk_size(chunk_size)
-            try:
-                database = Database(
-                    tiny_db.schema,
-                    {
-                        name: Relation(
-                            tiny_db.relation(name).schema,
-                            tiny_db.relation(name).rows,
-                            backend=backend,
-                        )
-                        for name in tiny_db.relation_names
-                    },
-                )
-                result = Evaluator(
-                    database.schema, DatabaseProvider(database), relaxation=relaxation
-                ).evaluate(node)
-            finally:
-                set_mask_chunk_size(previous)
+            monkeypatch.setattr(predicates, "MASK_CHUNK_SIZE", chunk_size)
+            database = Database(
+                tiny_db.schema,
+                {
+                    name: Relation(
+                        tiny_db.relation(name).schema,
+                        tiny_db.relation(name).rows,
+                        backend=backend,
+                    )
+                    for name in tiny_db.relation_names
+                },
+            )
+            result = Evaluator(
+                database.schema, DatabaseProvider(database), relaxation=relaxation
+            ).evaluate(node)
             if reference is None:
                 reference = result
             else:
                 assert_identical(reference, result)
 
 
-class TestChunkKnob:
-    def test_set_and_restore(self):
-        previous = set_mask_chunk_size(13)
-        try:
-            assert get_mask_chunk_size() == 13
-            assert set_mask_chunk_size(None) == 13
-            assert get_mask_chunk_size() == DEFAULT_MASK_CHUNK_SIZE
-        finally:
-            set_mask_chunk_size(previous if previous != DEFAULT_MASK_CHUNK_SIZE else None)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            set_mask_chunk_size(0)
-        with pytest.raises(ValueError):
-            set_mask_chunk_size(-4)
-
-    def test_program_chunk_override_beats_knob(self):
+class TestChunkSize:
+    def test_program_chunk_override_beats_the_constant(self, monkeypatch):
         rows = _mixed_rows(count=30)
         store = backend_class("column").from_rows(len(SCHEMA), rows)
         condition = CONDITIONS[1]
-        previous = set_mask_chunk_size(5)
-        try:
-            explicit = condition.program(SCHEMA, chunk_size=2)
-            assert explicit.chunk_size == 2
-            assert explicit.mask(store) == condition.mask(store, SCHEMA)
-        finally:
-            set_mask_chunk_size(previous)
+        monkeypatch.setattr(predicates, "MASK_CHUNK_SIZE", 5)
+        explicit = condition.program(SCHEMA, chunk_size=2)
+        assert explicit.chunk_size == 2
+        assert explicit.mask(store) == condition.mask(store, SCHEMA)
 
     def test_empty_program_selects_everything(self):
         store = backend_class("column").from_rows(len(SCHEMA), _mixed_rows(count=5))

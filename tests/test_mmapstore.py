@@ -32,31 +32,22 @@ import pickle
 import pytest
 
 from conftest import SHARD_EXECUTORS, assert_identical, identity_key, to_backend
-from repro import Beas, ConstraintSpec, QueryServer, Relation, faults
+from repro import Beas, ConstraintSpec, QueryServer, Relation, configure, faults
 from repro.errors import CorruptShardError
 from repro.relational import parallel
 from repro.relational.mmapstore import (
-    DEFAULT_CHECKSUM_MODE,
     FILE_SUFFIX,
     MANIFEST_NAME,
     MmapShardedStore,
     MmapStore,
     cleanup_store_dir,
-    get_checksum_mode,
     get_store_dir,
     open_database,
     save_database,
-    set_checksum_mode,
-    set_store_dir,
 )
 from repro.relational.parallel import publication_for
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.store import (
-    ShardedStore,
-    backend_class,
-    list_backends,
-    set_shard_executor,
-)
+from repro.relational.store import ShardedStore, backend_class, list_backends
 
 NAN = float("nan")
 
@@ -202,37 +193,20 @@ class TestMmapStoreRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Store-directory knob and anonymous-file hygiene
+# The store directory and anonymous-file hygiene
 # ---------------------------------------------------------------------------
 
 
-class TestStoreDirKnob:
-    def test_set_store_dir_validates(self, tmp_path):
-        with pytest.raises(TypeError):
-            set_store_dir(123)
-        blocker = tmp_path / "a-file"
-        blocker.write_text("occupied")
-        with pytest.raises(ValueError):
-            set_store_dir(blocker / "child")  # cannot mkdir under a file
-
-    def test_set_store_dir_round_trips(self, tmp_path):
+class TestStoreDir:
+    def test_store_dir_round_trips(self, tmp_path):
         first = tmp_path / "first"
-        previous = set_store_dir(first)
-        try:
-            assert get_store_dir() == str(first)
-            assert set_store_dir(tmp_path / "second") == str(first)
-        finally:
-            set_store_dir(previous)
-
-    def test_env_override(self, monkeypatch, tmp_path):
-        target = tmp_path / "from-env"
-        monkeypatch.setenv("REPRO_STORE_DIR", str(target))
-        previous = set_store_dir(None)  # back to lazy resolution
-        try:
-            assert get_store_dir() == str(target)
-            assert os.path.isdir(target)
-        finally:
-            set_store_dir(previous)
+        configure(store_dir=first)
+        assert get_store_dir() == str(first)
+        assert os.path.isdir(first)
+        assert configure(store_dir=tmp_path / "second").store_dir == str(first)
+        configure(store_dir=None)  # the lazily created temporary directory
+        assert os.path.isdir(get_store_dir())
+        assert not get_store_dir().startswith(str(tmp_path))
 
     def test_anonymous_files_are_reference_counted(self, schema, store_dir):
         store = MmapStore.from_rows(4, MIXED_ROWS)
@@ -474,26 +448,21 @@ class TestProcessExecution:
 
     @needs_process
     def test_process_queries_write_no_publication_file(self, tiny_db, store_dir):
-        previous_executor = set_shard_executor("process")
-        previous_min_rows = parallel.set_process_min_rows(1)
-        try:
-            db = to_backend(tiny_db, "mmap-sharded")
-            beas = Beas(db, constraints=_tiny_constraints())
-            reference = Beas(tiny_db, constraints=_tiny_constraints())
-            for sql in RESTART_QUERIES:
-                got = beas.answer(sql, alpha=0.9)
-                assert_identical(got.rows, reference.answer(sql, alpha=0.9).rows)
-            # A shard-parallel gather forces a round trip through the
-            # worker pool (query plans above may stay on index paths).
-            store = db.relation("emp").store
-            gathered = store.gather_column(0, list(range(len(store))))
-            assert list(gathered) == [row[0] for row in tiny_db.relation("emp").rows]
-            # The workers mapped the shards' own files: nothing was written.
-            assert store._publication.written == []
-            assert not [name for name in os.listdir(store_dir) if name.startswith("pub-")]
-        finally:
-            set_shard_executor(previous_executor)
-            parallel.set_process_min_rows(previous_min_rows)
+        configure(shard_executor="process", process_min_rows=1)
+        db = to_backend(tiny_db, "mmap-sharded")
+        beas = Beas(db, constraints=_tiny_constraints())
+        reference = Beas(tiny_db, constraints=_tiny_constraints())
+        for sql in RESTART_QUERIES:
+            got = beas.answer(sql, alpha=0.9)
+            assert_identical(got.rows, reference.answer(sql, alpha=0.9).rows)
+        # A shard-parallel gather forces a round trip through the
+        # worker pool (query plans above may stay on index paths).
+        store = db.relation("emp").store
+        gathered = store.gather_column(0, list(range(len(store))))
+        assert list(gathered) == [row[0] for row in tiny_db.relation("emp").rows]
+        # The workers mapped the shards' own files: nothing was written.
+        assert store._publication.written == []
+        assert not [name for name in os.listdir(store_dir) if name.startswith("pub-")]
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +485,6 @@ def test_nan_and_negative_zero_survive_the_file(store_dir, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def checksum_guard():
-    previous = get_checksum_mode()
-    try:
-        yield
-    finally:
-        set_checksum_mode(previous)
-
-
 def _flip_byte(path, offset):
     """Flip one byte of ``path`` in place (negative offsets from the end)."""
     with open(path, "r+b") as handle:
@@ -545,7 +505,7 @@ class TestCorruptFiles:
         return path
 
     def test_truncated_before_header_quarantines(
-        self, store_dir, tmp_path, checksum_guard
+        self, store_dir, tmp_path
     ):
         path = self._saved(tmp_path)
         with open(path, "r+b") as handle:
@@ -557,7 +517,7 @@ class TestCorruptFiles:
         assert not os.path.exists(path)
         assert os.path.exists(excinfo.value.quarantined_to)
 
-    def test_truncated_header_quarantines(self, store_dir, tmp_path, checksum_guard):
+    def test_truncated_header_quarantines(self, store_dir, tmp_path):
         path = self._saved(tmp_path)
         with open(path, "r+b") as handle:
             handle.truncate(20)  # magic + length survive, header does not
@@ -566,10 +526,10 @@ class TestCorruptFiles:
         assert excinfo.value.quarantined_to is not None
 
     def test_header_bit_flip_caught_by_default_mode(
-        self, store_dir, tmp_path, checksum_guard
+        self, store_dir, tmp_path
     ):
         path = self._saved(tmp_path)
-        set_checksum_mode(None)  # the default mode verifies the header
+        configure(checksum_mode=None)  # the default mode verifies the header
         _flip_byte(path, len(b"RPROMM02") + 8 + 3)
         with pytest.raises(CorruptShardError) as excinfo:
             MmapStore.open(path)
@@ -577,16 +537,16 @@ class TestCorruptFiles:
         assert excinfo.value.quarantined_to is not None
 
     def test_payload_bit_flip_caught_by_full_mode(
-        self, store_dir, tmp_path, checksum_guard
+        self, store_dir, tmp_path
     ):
         path = self._saved(tmp_path)
-        set_checksum_mode("full")
+        configure(checksum_mode="full")
         _flip_byte(path, -1)  # last payload byte
         with pytest.raises(CorruptShardError) as excinfo:
             MmapStore.open(path)
         assert "checksum mismatch" in excinfo.value.reason
 
-    def test_corrupt_error_is_a_value_error(self, store_dir, tmp_path, checksum_guard):
+    def test_corrupt_error_is_a_value_error(self, store_dir, tmp_path):
         # Pre-checksum callers caught ValueError for any malformed file;
         # the typed error must keep satisfying them.
         path = self._saved(tmp_path)
@@ -595,7 +555,7 @@ class TestCorruptFiles:
         with pytest.raises(ValueError):
             MmapStore.open(path)
 
-    def test_quarantined_file_not_reopened(self, store_dir, tmp_path, checksum_guard):
+    def test_quarantined_file_not_reopened(self, store_dir, tmp_path):
         path = self._saved(tmp_path)
         with open(path, "r+b") as handle:
             handle.truncate(20)
@@ -607,7 +567,7 @@ class TestCorruptFiles:
             MmapStore.open(path)
 
     def test_bad_magic_is_plain_value_error_no_quarantine(
-        self, store_dir, tmp_path, checksum_guard
+        self, store_dir, tmp_path
     ):
         # A file that was never ours is not "corrupt" — leave it alone.
         path = str(tmp_path / f"alien{FILE_SUFFIX}")
@@ -618,32 +578,21 @@ class TestCorruptFiles:
         assert not isinstance(excinfo.value, CorruptShardError)
         assert os.path.exists(path)
 
-    def test_off_mode_skips_verification(self, store_dir, tmp_path, checksum_guard):
+    def test_off_mode_skips_verification(self, store_dir, tmp_path):
         store = MmapStore.from_rows(1, [(1.5,), (2.5,), (3.5,)])
         path = str(tmp_path / f"floats{FILE_SUFFIX}")
         store.save(path)
-        set_checksum_mode("off")
+        configure(checksum_mode="off")
         _flip_byte(path, -1)  # arr payload damage: structurally still parseable
         reopened = MmapStore.open(path)
         assert reopened.is_mapped  # opened unverified, by explicit request
-        set_checksum_mode("full")  # the same damage is caught once asked for
+        configure(checksum_mode="full")  # the same damage is caught once asked for
         with pytest.raises(CorruptShardError):
             MmapStore.open(path)
 
-    def test_set_checksum_mode_validates(self, checksum_guard):
-        previous = set_checksum_mode("full")
-        assert get_checksum_mode() == "full"
-        assert set_checksum_mode(previous) == "full"
-        with pytest.raises(ValueError):
-            set_checksum_mode("paranoid")
-        with pytest.raises(ValueError):
-            set_checksum_mode(2)
-        set_checksum_mode(None)
-        assert get_checksum_mode() == DEFAULT_CHECKSUM_MODE
-
     def test_legacy_v1_magic_is_not_a_dataset_file(self, store_dir, tmp_path):
         # RPROMM01 (no checksums) is no longer read: it could only ever be
-        # opened unverified, whatever set_checksum_mode said.
+        # opened unverified, whatever ``checksum_mode`` said.
         path = str(tmp_path / f"legacy{FILE_SUFFIX}")
         with open(path, "wb") as handle:
             handle.write(b"RPROMM01" + (0).to_bytes(8, "little") + b"\x00" * 16)
@@ -653,7 +602,7 @@ class TestCorruptFiles:
         assert os.path.exists(path)  # left in place, not quarantined
 
     def test_crash_restart_over_quarantined_shard(
-        self, tiny_db, store_dir, tmp_path, checksum_guard
+        self, tiny_db, store_dir, tmp_path
     ):
         dataset = tmp_path / "dataset"
         save_database(tiny_db, dataset)

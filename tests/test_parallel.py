@@ -1,12 +1,11 @@
-"""Process-parallel shard execution: knobs, publication, workers, and equivalence.
+"""Process-parallel shard execution: publication, workers, settings, and equivalence.
 
 Three layers of coverage for :mod:`repro.relational.parallel`:
 
-* **Unit** — knob validation (including the import-time environment
-  overrides), the publish → resolve round trip of every kind of shard, and
+* **Unit** — the publish → resolve round trip of every kind of shard, and
   the worker functions called in-process through handles of files written
   under ``tmp_path`` (exactly the code worker processes run, minus the
-  process boundary).
+  process boundary).  (What the settings accept is ``tests/test_config.py``.)
 * **End-to-end** — real pool round trips: masks, gathers, kernel batches and
   KD radius queries under ``executor="process"`` must be bit-identical to
   the serial/thread paths, including after a shard mutation retires the
@@ -21,18 +20,21 @@ every ``backend``-fixture test under the process executor, so whole-query
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import os
 import pickle
 import random
+import shutil
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Beas, ConstraintSpec, QueryServer
+from repro import Beas, ConstraintSpec, QueryServer, configure, current_config
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
+from repro.errors import CorruptShardError
 from repro.relational import parallel
 from repro.relational.distance import NUMERIC, TRIVIAL
 from repro.relational.kdtree import KDForest
@@ -47,17 +49,7 @@ from repro.relational.kernels import (
 from repro.relational.mmapstore import MmapStore, write_anonymous
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.store import (
-    ColumnStore,
-    EXECUTOR_MODES,
-    ShardedStore,
-    _env_executor_mode,
-    _env_worker_count,
-    get_shard_executor,
-    get_shard_workers,
-    set_shard_executor,
-    set_shard_workers,
-)
+from repro.relational.store import ColumnStore, EXECUTOR_MODES, ShardedStore
 
 from conftest import SHARD_EXECUTORS, identity_key, to_backend
 
@@ -94,88 +86,8 @@ def published_files(directory):
     return sorted(name for name in os.listdir(directory) if name.startswith("pub-"))
 
 
-@pytest.fixture
-def executor_guard():
-    """Snapshot and restore the executor-related process-wide knobs."""
-    previous_mode = get_shard_executor()
-    previous_min = parallel.get_process_min_rows()
-    yield
-    set_shard_executor(previous_mode)
-    parallel.set_process_min_rows(
-        None if previous_min == parallel.DEFAULT_PROCESS_MIN_ROWS else previous_min
-    )
-
-
 def force_process():
-    set_shard_executor("process")
-    parallel.set_process_min_rows(1)
-
-
-# ---------------------------------------------------------------------------
-# Knob validation and environment overrides
-# ---------------------------------------------------------------------------
-
-class TestKnobs:
-    def test_set_shard_workers_rejects_non_positive(self):
-        for bad in (0, -1, -100):
-            with pytest.raises(ValueError):
-                set_shard_workers(bad)
-
-    def test_set_shard_workers_roundtrip(self):
-        previous = set_shard_workers(3)
-        try:
-            assert get_shard_workers() == 3
-            assert set_shard_workers(3) == 3  # same value: warm pools survive
-        finally:
-            set_shard_workers(previous)
-
-    def test_set_shard_executor_validates(self, executor_guard):
-        with pytest.raises(ValueError):
-            set_shard_executor("threads")  # typo must not silently misbehave
-        with pytest.raises(ValueError):
-            set_shard_executor("")
-        previous = set_shard_executor("serial")
-        assert get_shard_executor() == "serial"
-        assert set_shard_executor(None) == "serial"  # None restores the default
-        assert get_shard_executor() == "thread"
-        set_shard_executor(previous)
-
-    def test_executor_modes_tuple(self):
-        assert EXECUTOR_MODES == ("serial", "thread", "process")
-
-    def test_set_process_min_rows_validates(self, executor_guard):
-        with pytest.raises(ValueError):
-            parallel.set_process_min_rows(0)
-        with pytest.raises(ValueError):
-            parallel.set_process_min_rows(-5)
-        previous = parallel.set_process_min_rows(7)
-        assert parallel.get_process_min_rows() == 7
-        parallel.set_process_min_rows(None)
-        assert parallel.get_process_min_rows() == parallel.DEFAULT_PROCESS_MIN_ROWS
-        parallel.set_process_min_rows(previous)
-
-    def test_env_worker_count_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_WORKERS", raising=False)
-        assert _env_worker_count("REPRO_SHARD_WORKERS") is None
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "  ")
-        assert _env_worker_count("REPRO_SHARD_WORKERS") is None
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "8")
-        assert _env_worker_count("REPRO_SHARD_WORKERS") == 8
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "0")
-        with pytest.raises(ValueError):
-            _env_worker_count("REPRO_SHARD_WORKERS")
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "four")
-        with pytest.raises(ValueError):
-            _env_worker_count("REPRO_SHARD_WORKERS")
-
-    def test_env_executor_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_EXECUTOR", raising=False)
-        assert _env_executor_mode("REPRO_SHARD_EXECUTOR") == "thread"
-        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "Process")
-        assert _env_executor_mode("REPRO_SHARD_EXECUTOR") == "process"
-        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "gpu")
-        with pytest.raises(ValueError):
-            _env_executor_mode("REPRO_SHARD_EXECUTOR")
+    configure(shard_executor="process", process_min_rows=1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +152,7 @@ class TestPublicationRoundTrip:
         publication.retire()  # the files are the stores', not the publication's
         assert all(os.path.exists(path) for _token, path in publication.handles)
 
-    def test_sharded_store_pickles_without_publication(self, executor_guard):
+    def test_sharded_store_pickles_without_publication(self):
         rows = make_rows(64)
         store = ShardedStore.from_rows(3, rows)
         if PROCESS_OK:
@@ -258,7 +170,7 @@ class TestPublicationRoundTrip:
         objects = [None, "x", 3]
         assert parallel._decode_buffer(parallel._encode_buffer(objects)) == objects
 
-    def test_files_follow_the_publication(self, store_dir, executor_guard):
+    def test_files_follow_the_publication(self, store_dir):
         """Mutation, GC of the store, and shutdown() each leave no file behind."""
         store = ShardedStore.from_rows(3, make_rows(64))
         assert parallel.publication_for(store) is not None
@@ -380,33 +292,23 @@ class TestWorkerInternals:
     """Worker-process plumbing, driven in-process (coverage cannot see the
     real workers, so the exact code they run is exercised here directly)."""
 
-    def test_worker_init_pins_sequential_execution(self):
-        from repro.relational import store as store_module
-
-        saved = (
-            parallel._IN_PROCESS_WORKER,
-            store_module._shard_workers,
-            store_module._shard_executor,
+    def test_worker_init_pins_sequential_execution(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_IN_PROCESS_WORKER", False)  # undone after the test
+        configure(shard_executor="process", checksum_mode="full")
+        shipped = current_config()
+        parallel._worker_init(shipped)
+        assert parallel._IN_PROCESS_WORKER is True
+        assert current_config() == dataclasses.replace(
+            shipped, shard_workers=1, shard_executor="thread"
         )
-        try:
-            parallel._worker_init()
-            assert parallel._IN_PROCESS_WORKER is True
-            assert store_module._shard_workers == 1
-            assert store_module._shard_executor == "thread"
-            assert parallel._worker_ping() is True
-            # A worker never spawns nested pools or publications.
-            relation = Relation(SCHEMA, make_rows(50), backend="sharded")
-            assert not parallel.process_eligible(relation.store)
-        finally:
-            (
-                parallel._IN_PROCESS_WORKER,
-                store_module._shard_workers,
-                store_module._shard_executor,
-            ) = saved
+        assert parallel._worker_ping() is True
+        # A worker never spawns nested pools or publications.
+        relation = Relation(SCHEMA, make_rows(50), backend="sharded")
+        assert not parallel.process_eligible(relation.store)
 
     @needs_process
     def test_pools_never_fork_a_threaded_parent(
-        self, tiny_db, executor_guard, monkeypatch
+        self, tiny_db, monkeypatch
     ):
         """A pool created while the shard thread pool and a QueryServer
         request thread are alive asks for forkserver (or spawn), never fork."""
@@ -447,7 +349,7 @@ class TestWorkerInternals:
         assert parallel.affinity_stats()["hits"] > hits_before  # workers really ran
         assert asked and "fork" not in asked
 
-    def test_unpicklable_specs_return_none(self, executor_guard):
+    def test_unpicklable_specs_return_none(self):
         from repro.relational.distance import DistanceFunction
 
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
@@ -487,7 +389,7 @@ class TestWorkerInternals:
         )
 
     def test_unpublishable_payload_falls_back_without_leaking(
-        self, store_dir, executor_guard
+        self, store_dir
     ):
         rows = make_rows(3000)
         rows[-1] = (threading.Lock(), 1.0, 2.0)  # unpicklable object-column value
@@ -505,7 +407,7 @@ class TestWorkerInternals:
         )
         process_mask = bytes(condition.mask(store, SCHEMA))
         assert os.listdir(store_dir) == []
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         assert process_mask == bytes(condition.mask(store, SCHEMA))
 
         # Mutation clears the sentinel like any publication: a store that
@@ -531,7 +433,7 @@ class TestWorkerInternals:
         assert routers[0] is routers[1]  # one shared router, nothing leaked
 
     @needs_process
-    def test_broken_pool_submission_falls_back(self, executor_guard, monkeypatch):
+    def test_broken_pool_submission_falls_back(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
         class FakePool:
@@ -545,7 +447,7 @@ class TestWorkerInternals:
         force_process()
         parallel.reset_process_pool()
         failures_before = parallel._pool_failures
-        previous_backoff = parallel.set_retry_backoff(0.0)
+        configure(retry_backoff=0.0)
         monkeypatch.setattr(
             parallel._AffinityRouter, "_create_pool", staticmethod(FakePool)
         )
@@ -557,17 +459,16 @@ class TestWorkerInternals:
         finally:
             monkeypatch.undo()
             parallel.reset_process_pool()
-            parallel.set_retry_backoff(previous_backoff)
             parallel._pool_failures = failures_before
         # The thread fallback keeps the query correct throughout.
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
-        set_shard_executor("process")
+        configure(shard_executor="process")
         assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
 
     @needs_process
     def test_cancelled_futures_fall_back_without_breaker_strike(
-        self, executor_guard, monkeypatch
+        self, monkeypatch
     ):
         from concurrent.futures import Future
 
@@ -582,9 +483,9 @@ class TestWorkerInternals:
 
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
-        set_shard_executor("process")
+        configure(shard_executor="process")
         parallel.reset_process_pool()
         failures_before = parallel._pool_failures
         monkeypatch.setattr(
@@ -600,7 +501,7 @@ class TestWorkerInternals:
             parallel.reset_process_pool()
 
     @needs_process
-    def test_success_resets_failure_breaker(self, executor_guard):
+    def test_success_resets_failure_breaker(self):
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
         parallel._pool_failures = parallel._MAX_POOL_FAILURES - 1
@@ -624,31 +525,31 @@ class TestWorkerInternals:
 
 @needs_process
 class TestProcessExecution:
-    def test_masks_bit_identical_across_executors(self, executor_guard):
+    def test_masks_bit_identical_across_executors(self):
         relation = Relation(SCHEMA, make_rows(5000), backend="sharded")
         masks = {}
         for mode in EXECUTOR_MODES:
-            set_shard_executor(mode)
-            parallel.set_process_min_rows(1)
+            configure(shard_executor=mode)
+            configure(process_min_rows=1)
             masks[mode] = bytes(CONDITION.mask(relation.store, SCHEMA))
         assert masks["serial"] == masks["thread"] == masks["process"]
 
-    def test_gather_identical_across_executors(self, executor_guard):
+    def test_gather_identical_across_executors(self):
         relation = Relation(SCHEMA, make_rows(600), backend="sharded")
         indices = [5, 5, 599, 0, 123, 123, 7]  # duplicates, out of order
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         expected = [list(relation.store.gather_column(p, indices)) for p in range(3)]
         force_process()
         gathered = [list(relation.store.gather_column(p, indices)) for p in range(3)]
         assert gathered == expected
 
-    def test_kernel_batches_identical(self, executor_guard):
+    def test_kernel_batches_identical(self):
         rows = make_rows(800)
         relation = Relation(SCHEMA, rows, backend="sharded")
         queries = [rows[i][:2] for i in range(0, 800, 31)]
         full = [rows[i] for i in range(0, 800, 57)]
 
-        set_shard_executor("thread")
+        configure(shard_executor="thread")
         matcher = RadiusMatcher.from_store(relation.store, [0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0])
         assert isinstance(matcher, ShardedRadiusMatcher)
         expected_matches = matcher.matches_many(queries)
@@ -665,7 +566,7 @@ class TestProcessExecution:
         neighbors = NearestNeighbors.from_store(relation.store, SCHEMA.attributes)
         assert neighbors.min_distance_many(full) == expected_min
 
-    def test_subclassed_kernels_stay_on_local_path(self, executor_guard):
+    def test_subclassed_kernels_stay_on_local_path(self):
         """A RadiusMatcher/NearestNeighbors subclass keeps its overridden
         behavior in batch calls: workers build base-class kernels, so
         subclasses must not ship to the pool."""
@@ -695,11 +596,11 @@ class TestProcessExecution:
         )
         assert neighbors.min_distance_many([rows[0]]) == [-1.0]
 
-    def test_kd_forest_batch_identical(self, executor_guard):
+    def test_kd_forest_batch_identical(self):
         rows = make_rows(400)
         relation = Relation(SCHEMA, rows, backend="sharded")
         queries = [(rows[i], [0.0, 4.0, 6.0]) for i in range(0, 400, 41)]
-        set_shard_executor("thread")
+        configure(shard_executor="thread")
         expected = [
             sorted(hits)
             for hits in KDForest(relation, max_leaf_size=4).within_radius_indices_many(queries)
@@ -709,7 +610,7 @@ class TestProcessExecution:
         assert [sorted(hits) for hits in forest.within_radius_indices_many(queries)] == expected
         assert sorted(forest.within_radius_indices(*queries[0])) == expected[0]
 
-    def test_mutation_retires_publication(self, executor_guard):
+    def test_mutation_retires_publication(self):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         force_process()
         CONDITION.mask(relation.store, SCHEMA)
@@ -723,17 +624,17 @@ class TestProcessExecution:
         assert not any(os.path.exists(path) for path in before)
 
         process_mask = bytes(CONDITION.mask(relation.store, SCHEMA))
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         assert process_mask == bytes(CONDITION.mask(relation.store, SCHEMA))
         # The fresh publication uses fresh file names: stale worker cache
         # entries can never answer for the mutated store.
         assert not (set(relation.store._publication.written) & before)
 
-    def test_store_with_an_empty_shard_still_dispatches(self, executor_guard):
+    def test_store_with_an_empty_shard_still_dispatches(self):
         cls = ShardedStore.configured(4, "range")
         store = cls.from_rows(3, make_rows(3))
         assert [len(shard) for shard in store.shards] == [1, 1, 1, 0]
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         reference = bytes(CONDITION.mask(store, SCHEMA))
         force_process()
         fallbacks_before = parallel.dispatch_stats()["fallbacks"]
@@ -743,21 +644,21 @@ class TestProcessExecution:
         assert bytes(CONDITION.mask(store, SCHEMA)) == reference
         assert parallel.dispatch_stats()["fallbacks"] == fallbacks_before
 
-    def test_unpicklable_masker_falls_back(self, executor_guard):
+    def test_unpicklable_masker_falls_back(self):
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
         seen = bytearray(relation.store.eval_mask(lambda part: bytearray(b"\x01" * len(part))))
         assert seen == bytearray(b"\x01" * len(relation))
 
-    def test_small_store_skips_process(self, executor_guard):
+    def test_small_store_skips_process(self):
         relation = Relation(SCHEMA, make_rows(40), backend="sharded")
-        set_shard_executor("process")  # default threshold: 40 rows stay local
+        configure(shard_executor="process")  # default threshold: 40 rows stay local
         mask = CONDITION.mask(relation.store, SCHEMA)
         assert relation.store._publication is None
-        set_shard_executor("serial")
+        configure(shard_executor="serial")
         assert mask == CONDITION.mask(relation.store, SCHEMA)
 
-    def test_unpicklable_distance_falls_back_locally(self, executor_guard):
+    def test_unpicklable_distance_falls_back_locally(self):
         from repro.relational.distance import DistanceFunction
 
         rows = make_rows(900)
@@ -769,7 +670,7 @@ class TestProcessExecution:
         for values, hits in zip(queries, matcher.matches_many(queries)):
             assert hits == naive_radius_matches(values, rows, [1], [custom], [2.0])
 
-    def test_pool_failure_counter_disables_and_resets(self, executor_guard, monkeypatch):
+    def test_pool_failure_counter_disables_and_resets(self, monkeypatch):
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
@@ -780,7 +681,7 @@ class TestProcessExecution:
 
         parallel.reset_process_pool()
         failures_before = parallel._pool_failures
-        previous_backoff = parallel.set_retry_backoff(0.0)
+        configure(retry_backoff=0.0)
         monkeypatch.setattr(
             parallel._AffinityRouter, "_create_pool", staticmethod(no_pool)
         )
@@ -789,7 +690,6 @@ class TestProcessExecution:
             assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
         finally:
             monkeypatch.undo()
-            parallel.set_retry_backoff(previous_backoff)
             parallel._pool_failures = failures_before
 
         # Repeated infrastructure failures trip the breaker...
@@ -801,7 +701,7 @@ class TestProcessExecution:
         parallel._pool_failures = 0
         assert parallel.process_eligible(relation.store)
 
-    def test_reset_and_probe(self, executor_guard):
+    def test_reset_and_probe(self):
         parallel.reset_process_pool()
         assert parallel.probe_process_executor() is True
         force_process()
@@ -821,7 +721,7 @@ class TestProcessExecution:
         relation2 = Relation(SCHEMA, make_rows(2000), backend="sharded")
         assert bytes(CONDITION.mask(relation2.store, SCHEMA)) == expected
 
-    def test_application_errors_propagate_from_workers(self, executor_guard):
+    def test_application_errors_propagate_from_workers(self):
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
         failures_before = parallel._pool_failures
@@ -830,6 +730,55 @@ class TestProcessExecution:
         # A computation's own error is not an infrastructure failure: it
         # must not count toward the breaker or silently re-run on threads.
         assert parallel._pool_failures == failures_before
+
+
+@needs_process
+class TestWorkerSettings:
+    """A worker imports the package afresh; the parent's ``Config`` must reach it."""
+
+    @staticmethod
+    def ask_worker(fn):
+        future, _slot = parallel._ensure_router().submit("settings-probe", fn)
+        return future.result(timeout=30)
+
+    def test_a_worker_runs_under_its_parents_settings(self):
+        configure(checksum_mode="full", process_min_rows=1)
+        assert self.ask_worker(current_config) == dataclasses.replace(
+            current_config(), shard_workers=1, shard_executor="thread"
+        )
+        # A setting the workers read: the router is retired, and the workers
+        # the next dispatch spawns carry the new value.
+        configure(checksum_mode="off")
+        assert parallel.affinity_stats()["slots"] == 0
+        assert self.ask_worker(current_config).checksum_mode == "off"
+        # Parent-side decisions keep the warm worker.
+        pid = self.ask_worker(os.getpid)
+        configure(shard_executor="process", process_min_rows=7)
+        assert self.ask_worker(os.getpid) == pid
+
+    def test_full_checksums_are_verified_inside_the_workers(self, store_dir, tmp_path):
+        relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
+        configure(shard_executor="serial")
+        reference = bytes(CONDITION.mask(relation.store, SCHEMA))
+        configure(shard_executor="process", process_min_rows=1, checksum_mode="full")
+        victim = parallel.publication_for(relation.store).written[-1]
+        with open(victim, "r+b") as handle:  # flip the last payload byte
+            handle.seek(-1, os.SEEK_END)
+            byte = handle.read(1)
+            handle.seek(-1, os.SEEK_END)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        # What a parent-side open of that file does (on a copy: a failed
+        # open quarantines the file it was given).
+        copy = shutil.copy(victim, tmp_path / "copy.rpro")
+        with pytest.raises(CorruptShardError, match="checksum mismatch"):
+            MmapStore.open(copy)
+        # The worker's open must do the same: the dispatch is fatal, and the
+        # thread fallback answers from the parent's own, undamaged buffers.
+        fatal_before = parallel.dispatch_stats()["fatal"]
+        assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+        assert parallel.dispatch_stats()["fatal"] == fatal_before + 1
+        assert os.path.exists(victim + ".quarantined")  # caught by the open, not by luck
+        parallel._pool_failures = 0  # the strike this cost is not the next test's
 
 
 def test_no_cell_of_the_matrix_needs_shared_memory(backend, monkeypatch):
@@ -887,14 +836,9 @@ def test_executors_agree_on_mixed_columns(rows):
     None/NaN/mixed/string columns (the satellite hypothesis property)."""
     cls = ShardedStore.configured(3, "round_robin")
     store = cls.from_rows(2, rows)
-    previous_mode = get_shard_executor()
-    previous_min = parallel.set_process_min_rows(1)
-    try:
-        results = {}
-        for mode in EXECUTOR_MODES:
-            set_shard_executor(mode)
-            results[mode] = bytes(MIXED_CONDITION.mask(store, MIXED_SCHEMA))
-        assert results["serial"] == results["thread"] == results["process"]
-    finally:
-        set_shard_executor(previous_mode)
-        parallel.set_process_min_rows(previous_min)
+    configure(process_min_rows=1)
+    results = {}
+    for mode in EXECUTOR_MODES:
+        configure(shard_executor=mode)
+        results[mode] = bytes(MIXED_CONDITION.mask(store, MIXED_SCHEMA))
+    assert results["serial"] == results["thread"] == results["process"]

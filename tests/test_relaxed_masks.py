@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import current_config
 from repro.algebra.ast import Scan, Select
 from repro.algebra.evaluator import (
     DatabaseProvider,
@@ -49,7 +50,6 @@ from repro.relational.distance import (
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
-from repro.relational.store import get_shard_executor
 
 NAN, INF = float("nan"), float("inf")
 BIG = 2**53
@@ -114,7 +114,7 @@ def _chunked(binder, chunk):
 def _grid(distance):
     """(operators, constants, slacks, chunk sizes) — thinned when every mask is a worker round trip."""
     constants = NUMERIC_CONSTANTS if distance.numeric else OTHER_CONSTANTS
-    if get_shard_executor() == "process":
+    if current_config().shard_executor == "process":
         return list(CompareOp), constants[::3], SLACKS[:1], CHUNKS[1:2]
     return list(CompareOp), constants, SLACKS, CHUNKS
 

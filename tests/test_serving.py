@@ -24,11 +24,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_identical, to_backend
-from repro import Beas, QueryServer, parse_query, query_fingerprint
+from repro import Beas, QueryServer, configure, parse_query, query_fingerprint
 from repro.algebra import predicates
 from repro.algebra.ast import Scan
 from repro.errors import QueryError, ServerOverloadedError, ServingError
-from repro.relational.store import list_backends, set_shard_executor
+from repro.relational.store import list_backends
 from repro.serving import (
     ALPHA_DEGRADE_LADDER,
     AdmissionController,
@@ -38,17 +38,11 @@ from repro.serving import (
     NullCache,
     ServingStats,
     cache_backend_class,
-    get_admission_policy,
-    get_result_cache,
     list_cache_backends,
     make_cache,
     percentile,
     register_cache_backend,
-    set_admission_policy,
-    set_result_cache,
 )
-from repro.serving.admission import _env_admission_policy
-from repro.serving.cache import _env_cache_backend
 
 QUERIES = [
     "SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2",
@@ -59,18 +53,10 @@ QUERIES = [
 
 
 @pytest.fixture(autouse=True)
-def _reset_serving_knobs():
-    """Serving knobs and the program cache are process-wide: restore them."""
-    previous_capacity = predicates.get_program_cache_capacity()
-    previous_cache = get_result_cache()
-    previous_policy = get_admission_policy()
-    try:
-        yield
-    finally:
-        predicates.set_program_cache_capacity(previous_capacity)
-        predicates.clear_program_cache()
-        set_result_cache(previous_cache)
-        set_admission_policy(previous_policy)
+def _clear_program_cache():
+    """The program cache is process-wide: empty it (conftest restores the settings)."""
+    yield
+    predicates.clear_program_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +140,6 @@ class TestPublicationEpoch:
 
 
 class TestProgramCache:
-    def test_capacity_knob_validates(self):
-        with pytest.raises(ValueError):
-            predicates.set_program_cache_capacity(-1)
-
     def test_disabled_by_default_then_hits_when_enabled(self, tiny_db):
         from repro.algebra.predicates import (
             AttrRef,
@@ -171,13 +153,13 @@ class TestProgramCache:
         cond = Conjunction.of(
             [Comparison(AttrRef(None, "salary"), CompareOp.LE, Const(60.0))]
         )
-        predicates.set_program_cache_capacity(0)
+        configure(program_cache_capacity=0)
         predicates.clear_program_cache()
         p1 = predicates.cached_program(cond, schema)
         p2 = predicates.cached_program(cond, schema)
         assert p1 is not p2  # disabled: fresh compile each time
 
-        predicates.set_program_cache_capacity(4)
+        configure(program_cache_capacity=4)
         p3 = predicates.cached_program(cond, schema)
         p4 = predicates.cached_program(cond, schema)
         assert p3 is p4
@@ -197,7 +179,7 @@ class TestProgramCache:
         )
 
         schema = tiny_db.relation("emp").schema
-        predicates.set_program_cache_capacity(2)
+        configure(program_cache_capacity=2)
         predicates.clear_program_cache()
         for threshold in (10.0, 20.0, 30.0):
             cond = Conjunction.of(
@@ -206,9 +188,26 @@ class TestProgramCache:
             predicates.cached_program(cond, schema)
         assert predicates.program_cache_info()["size"] == 2
 
-    def test_shrinking_capacity_evicts(self):
-        predicates.set_program_cache_capacity(8)
-        predicates.set_program_cache_capacity(0)
+    def test_shrinking_capacity_evicts(self, tiny_db):
+        from repro.algebra.predicates import (
+            AttrRef,
+            CompareOp,
+            Comparison,
+            Conjunction,
+            Const,
+        )
+
+        schema = tiny_db.relation("emp").schema
+        configure(program_cache_capacity=8)
+        predicates.clear_program_cache()
+        for threshold in (10.0, 20.0, 30.0):
+            cond = Conjunction.of(
+                [Comparison(AttrRef(None, "salary"), CompareOp.LE, Const(threshold))]
+            )
+            predicates.cached_program(cond, schema)
+        configure(program_cache_capacity=1)
+        assert predicates.program_cache_info()["size"] == 1
+        configure(program_cache_capacity=0)
         assert predicates.program_cache_info()["size"] == 0
 
 
@@ -318,32 +317,17 @@ class TestCacheBackends:
 
             cache_module._CACHE_BACKENDS.pop("test-dict", None)
 
-    def test_set_result_cache_knob(self):
-        previous = set_result_cache("none")
-        assert get_result_cache() == "none"
-        assert isinstance(make_cache(None), NullCache)
-        assert set_result_cache(None) == "none"  # None restores the default
-        assert get_result_cache() == "lru-ttl"
-        set_result_cache(previous)
-        with pytest.raises(ValueError):
-            set_result_cache("bogus")
-
     def test_make_cache_specs(self):
         instance = LRUTTLCache(max_entries=3)
         assert make_cache(instance) is instance
         built = make_cache("lru-ttl", max_entries=7, ttl_seconds=9.0)
         assert built.max_entries == 7 and built.ttl_seconds == 9.0
+        assert isinstance(make_cache(None), LRUTTLCache)
+        assert isinstance(make_cache("none"), NullCache)
+        with pytest.raises(ValueError):
+            make_cache("bogus")
         with pytest.raises(ValueError):
             make_cache(42)
-
-    def test_env_override_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_CACHE", "none")
-        assert _env_cache_backend("REPRO_SERVING_CACHE") == "none"
-        monkeypatch.setenv("REPRO_SERVING_CACHE", "bogus")
-        with pytest.raises(ValueError):
-            _env_cache_backend("REPRO_SERVING_CACHE")
-        monkeypatch.delenv("REPRO_SERVING_CACHE")
-        assert _env_cache_backend("REPRO_SERVING_CACHE") == "lru-ttl"
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +336,9 @@ class TestCacheBackends:
 
 
 class TestAdmission:
-    def test_policy_knob_validates(self):
-        with pytest.raises(ValueError):
-            set_admission_policy("best-effort")
-        previous = set_admission_policy("reject")
-        assert get_admission_policy() == "reject"
-        assert AdmissionController().policy == "reject"  # default comes from knob
-        set_admission_policy(previous)
-
-    def test_env_override_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_POLICY", "degrade-alpha")
-        assert _env_admission_policy("REPRO_SERVING_POLICY") == "degrade-alpha"
-        monkeypatch.setenv("REPRO_SERVING_POLICY", "bogus")
-        with pytest.raises(ValueError):
-            _env_admission_policy("REPRO_SERVING_POLICY")
+    def test_default_policy_is_the_setting(self):
+        configure(admission_policy="reject")
+        assert AdmissionController().policy == "reject"
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -682,34 +655,31 @@ def test_mutation_invalidates_result_cache(tiny_db, backend_name, executor):
     """
     from repro import ConstraintSpec
 
-    previous = set_shard_executor(executor)
-    try:
-        db = to_backend(tiny_db, backend_name)
-        beas = Beas(
-            db,
-            constraints=[ConstraintSpec("dept", ("did",), ("name", "budget"), n=1)],
-        )
-        server = QueryServer(beas)
-        sql = "SELECT e.eid FROM emp e WHERE e.dept = 2"
-        cold = server.serve(sql, alpha=0.9)
-        warm = server.serve(sql, alpha=0.9)
-        assert warm.result_cache_hit
+    configure(shard_executor=executor)
+    db = to_backend(tiny_db, backend_name)
+    beas = Beas(
+        db,
+        constraints=[ConstraintSpec("dept", ("did",), ("name", "budget"), n=1)],
+    )
+    server = QueryServer(beas)
+    sql = "SELECT e.eid FROM emp e WHERE e.dept = 2"
+    cold = server.serve(sql, alpha=0.9)
+    warm = server.serve(sql, alpha=0.9)
+    assert warm.result_cache_hit
 
-        # Mutate mid-stream: the sharded backends retire their publication
-        # here, and every backend bumps its epoch.
-        db.relation("emp").append((997, 2, 61.0, "g2"))
+    # Mutate mid-stream: the sharded backends retire their publication
+    # here, and every backend bumps its epoch.
+    db.relation("emp").append((997, 2, 61.0, "g2"))
 
-        post = server.serve(sql, alpha=0.9)
-        assert not post.result_cache_hit  # the stale entry was never consulted
-        assert not post.plan_cache_hit
-        assert post.publication_epoch > warm.publication_epoch
-        # The served answer is exactly what an uncached engine computes now.
-        assert_identical(post.rows, beas.answer(sql, alpha=0.9).rows)
-        # And hitting again post-mutation caches under the new epoch.
-        assert server.serve(sql, alpha=0.9).result_cache_hit
-        assert cold.fingerprint == post.fingerprint  # same query, new epoch
-    finally:
-        set_shard_executor(previous)
+    post = server.serve(sql, alpha=0.9)
+    assert not post.result_cache_hit  # the stale entry was never consulted
+    assert not post.plan_cache_hit
+    assert post.publication_epoch > warm.publication_epoch
+    # The served answer is exactly what an uncached engine computes now.
+    assert_identical(post.rows, beas.answer(sql, alpha=0.9).rows)
+    # And hitting again post-mutation caches under the new epoch.
+    assert server.serve(sql, alpha=0.9).result_cache_hit
+    assert cold.fingerprint == post.fingerprint  # same query, new epoch
 
 
 def test_plan_cache_survives_budget_preserving_append(tiny_beas):

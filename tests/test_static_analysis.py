@@ -77,6 +77,21 @@ def test_det001_specific_sites():
     assert "set" in messages
 
 
+def test_knob001_specific_sites():
+    report = analyze_paths([FIXTURES / "knob001_bad.py"], rules=["KNOB001"])
+    messages = [finding.message for finding in report.findings]
+    # Every REPRO_* read (call, getenv, subscript), the computed name, both setters.
+    assert len(messages) == 6
+    for variable in ("REPRO_CHECKSUM", "REPRO_SECRET_KNOB", "REPRO_STRICT"):
+        assert sum(variable in message for message in messages) == 1
+    assert sum("computed variable name" in message for message in messages) == 1
+    for setter in ("set_admission_policy", "set_store_dir"):
+        assert sum(setter in message for message in messages) == 1
+    # The two modules that own process-wide state are where those things live.
+    owners = [SRC_TREE / "config.py", SRC_TREE / "faults" / "__init__.py"]
+    assert analyze_paths(owners, rules=["KNOB001"]).findings == []
+
+
 def test_exc001_specific_sites():
     report = analyze_paths([FIXTURES / "exc001_bad.py"], rules=["EXC001"])
     messages = " | ".join(finding.message for finding in report.findings)

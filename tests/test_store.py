@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Beas, Database, Relation, parse_query
+from repro import Beas, Database, Relation, configure, current_config, parse_query
 from repro.algebra.evaluator import DatabaseProvider, Evaluator, evaluate_exact
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import SchemaError
@@ -33,14 +33,10 @@ from repro.relational.store import (
     backend_class,
     gather_columns,
     gather_pairs,
-    get_default_backend,
-    get_shard_workers,
     list_backends,
     make_store,
     preferred_output_class,
     register_backend,
-    set_default_backend,
-    set_shard_workers,
     vstack_gather,
 )
 from repro.workloads import social
@@ -152,14 +148,12 @@ class TestStores:
         assert backend_class("sharded") is ShardedStore
         with pytest.raises(ValueError):
             backend_class("no-such-backend")
-        previous = set_default_backend("column")
-        try:
-            assert get_default_backend() == "column"
-            assert isinstance(make_store(3), ColumnStore)
-            assert Relation(RelationSchema("r", [Attribute("a")])).backend == "column"
-        finally:
-            set_default_backend(previous)
-        assert get_default_backend() == previous
+        previous = configure(default_backend="column")
+        assert current_config().default_backend == "column"
+        assert isinstance(make_store(3), ColumnStore)
+        assert Relation(RelationSchema("r", [Attribute("a")])).backend == "column"
+        configure(previous)
+        assert current_config().default_backend == previous.default_backend
 
     def test_register_third_backend(self):
         class TaggedRowStore(RowStore):
@@ -272,22 +266,16 @@ class TestShardedStore:
         cls = ShardedStore.configured(4, "round_robin")
         store = cls.from_rows(2, [(i, float(i)) for i in range(500)])
         sizes_seq = store.map_shards(len, parallel=False)
-        previous = set_shard_workers(4)
-        try:
-            sizes_par = store.map_shards(len, parallel=True)
-        finally:
-            set_shard_workers(previous)
+        configure(shard_workers=4)
+        sizes_par = store.map_shards(len, parallel=True)
         assert sizes_seq == sizes_par == [len(s) for s in store.shards]
 
     def test_shard_worker_configuration(self):
-        previous = set_shard_workers(3)
-        try:
-            assert get_shard_workers() == 3
-            inner = set_shard_workers(None)
-            assert inner == 3
-            assert get_shard_workers() >= 1
-        finally:
-            set_shard_workers(previous)
+        configure(shard_workers=3)
+        assert current_config().worker_count == 3
+        inner = configure(shard_workers=None)
+        assert inner.shard_workers == 3
+        assert current_config().worker_count >= 1
 
     def test_configured_registration_and_validation(self):
         cls = ShardedStore.configured(2, "range", name="test-sharded2")
@@ -318,12 +306,9 @@ class TestShardedStore:
             2, "range", name="test-outer-sharded", shard_backend="test-inner-sharded"
         )
         store = outer.from_rows(2, [(i, float(i)) for i in range(10000)])
-        previous = set_shard_workers(2)
-        try:
-            mask = bytearray((1 if i % 2 == 0 else 0) for i in range(10000))
-            kept = store.select_mask(mask)  # must not hang
-        finally:
-            set_shard_workers(previous)
+        configure(shard_workers=2)
+        mask = bytearray((1 if i % 2 == 0 else 0) for i in range(10000))
+        kept = store.select_mask(mask)  # must not hang
         assert kept.row_list() == [(i, float(i)) for i in range(10000) if i % 2 == 0]
 
     def test_shard_views(self):
