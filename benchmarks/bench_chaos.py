@@ -5,14 +5,17 @@ to *failure* instead of load: a fault may cost served α or latency, never
 correctness or availability.  With a seeded fault plan killing process
 workers mid-query (``parallel.worker.kill`` at a configurable probability,
 plus jittering ``parallel.worker.slow`` sleeps), every storage backend ×
-shard-executor combination must keep each query either **bit-identical** to
-its pre-computed serial reference or failing with a **typed**
-:exc:`~repro.errors.ReproError` — never a wrong answer, never a hang past
-the dispatch deadline budget.  After the plan is cleared, the process path
-must *heal itself*: the soak asserts the circuit breaker returns to
-``closed`` and answers stay bit-identical without anyone calling
-``reset_process_pool()`` — slot repair and the half-open recovery probe are
-the only healing mechanisms allowed.
+shard-executor combination must keep each query — a fused
+``select_gather``, the one operation the process executor ships — either
+**bit-identical** (mask bytes and selected rows) to its pre-computed serial
+reference or failing with a **typed** :exc:`~repro.errors.ReproError` —
+never a wrong answer, never a hang past the dispatch deadline budget.  After
+the plan is cleared, the process path must *heal itself*: the soak asserts
+the circuit breaker returns to ``closed`` and answers stay bit-identical
+without anyone calling ``reset_process_pool()`` — slot repair and the
+half-open recovery probe are the only healing mechanisms allowed.  A
+process cell over a partitioned store must also have routed tasks to the
+workers: a soak that never touched a worker proves nothing.
 
 A second section soaks the serving layer: a :class:`~repro.serving.server.QueryServer`
 over the CI-scale tpch workload with the result/plan cache raising on
@@ -87,6 +90,18 @@ def rows_identical(left, right) -> bool:
     return [identity_key(r) for r in left] == [identity_key(r) for r in right]
 
 
+def select_answer(store, masker):
+    """One fused select+gather: its mask bytes and selected rows."""
+    mask, selected = store.select_gather(masker)
+    return bytes(mask), [identity_key(row) for row in selected.iter_rows()]
+
+
+def routed_tasks() -> int:
+    """Tasks the affinity router has placed so far (home hits + steals)."""
+    stats = parallel.affinity_stats()
+    return stats["hits"] + stats["steals"]
+
+
 def chaos_plan(kill_p: float) -> str:
     """The soak's fault plan: worker kills plus small worker-latency jitter."""
     return (
@@ -99,17 +114,31 @@ def chaos_plan(kill_p: float) -> str:
 def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -> dict:
     """Soak one backend × executor cell and verify it heals afterwards.
 
-    Phase 1 (reference): the query's answer bytes under the serial executor,
-    no faults.  Phase 2 (soak): the fault plan installed, ``queries``
-    evaluations — each must be bit-identical or raise a typed ReproError
-    within the deadline budget.  Phase 3 (heal): plan cleared *without*
-    ``reset_process_pool()``; the breaker must return to ``closed`` and
-    answers must stay bit-identical within :data:`HEAL_BUDGET_SECONDS`.
+    Phase 1 (reference): the fused select+gather's mask bytes and selected
+    rows under the serial executor, no faults.  Phase 2 (soak): the fault
+    plan installed, ``queries`` evaluations — each must be bit-identical or
+    raise a typed ReproError within the deadline budget.  Phase 3 (heal):
+    plan cleared *without* ``reset_process_pool()``; the breaker must return
+    to ``closed`` and answers must stay bit-identical within
+    :data:`HEAL_BUDGET_SECONDS`.  ``routed_tasks`` counts the tasks the
+    affinity router placed on workers over both phases.
     """
     relation = Relation(SCHEMA, rows, backend=backend)
+    masker = CONDITION.program(SCHEMA).run_part
     configure(shard_executor="serial")
-    reference = bytes(CONDITION.mask(relation.store, SCHEMA))
+    reference = select_answer(relation.store, masker)
     configure(shard_executor=executor)
+    routed = 0
+
+    def answer():
+        # Per-query deltas: a pool that breaks at submission is replaced
+        # with a fresh router, whose counters start again from zero.
+        nonlocal routed
+        before = routed_tasks()
+        try:
+            return select_answer(relation.store, masker)
+        finally:
+            routed += max(0, routed_tasks() - before)
 
     # A query is a hang if it outlives every legitimate bounded path:
     # (retries + 1) rounds against the dispatch deadline, plus margin for
@@ -124,11 +153,11 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
         for _ in range(queries):
             start = time.perf_counter()
             try:
-                answer = bytes(CONDITION.mask(relation.store, SCHEMA))
+                got = answer()
             except ReproError:
                 typed_errors += 1
             else:
-                if answer == reference:
+                if got == reference:
                     identical += 1
                 else:
                     wrong += 1
@@ -149,8 +178,7 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
     healed = False
     while time.perf_counter() - heal_started < HEAL_BUDGET_SECONDS:
         heal_queries += 1
-        answer = bytes(CONDITION.mask(relation.store, SCHEMA))
-        if answer != reference:
+        if answer() != reference:
             wrong += 1
             break
         if parallel.breaker_state()["state"] == "closed":
@@ -163,6 +191,7 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
     return {
         "backend": backend,
         "executor": executor,
+        "shards": len(getattr(relation.store, "shards", ())) or 1,
         "rows": len(rows),
         "queries": queries,
         "kill_probability": kill_p,
@@ -176,6 +205,7 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
         "healed_without_reset": healed,
         "heal_queries": heal_queries,
         "heal_seconds": round(time.perf_counter() - heal_started, 6),
+        "routed_tasks": routed,
         "dispatch_delta": {
             key: dispatch_after[key] - dispatch_before[key]
             for key in ("retries", "timeouts", "fallbacks", "fatal")
@@ -283,6 +313,8 @@ def check_report(report: dict) -> list:
             "max_seconds",
             "dispatch_delta",
             "breaker",
+            "shards",
+            "routed_tasks",
         ):
             if key not in record:
                 problems.append(f"{where}: missing field {key!r}")
@@ -296,6 +328,9 @@ def check_report(report: dict) -> list:
                 problems.append(f"{where}: did not heal without reset_process_pool()")
             if record["identical"] + record["typed_errors"] != record["queries"]:
                 problems.append(f"{where}: answers neither identical nor typed errors")
+            partitioned = record["shards"] > 1
+            if record["executor"] == "process" and partitioned and not record["routed_tasks"]:
+                problems.append(f"{where}: routed no task to a worker (the soak proved nothing)")
     serving = report["serving"]
     if serving.get("wrong_answers"):
         problems.append(f"serving: {serving['wrong_answers']} wrong answers")
@@ -339,7 +374,7 @@ def main() -> None:
         args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(
         format_table(
-            ["backend", "executor", "ok", "typed", "wrong", "hangs", "healed", "max s"],
+            ["backend", "executor", "ok", "typed", "wrong", "hangs", "healed", "routed", "max s"],
             [
                 [
                     c["backend"],
@@ -349,6 +384,7 @@ def main() -> None:
                     c["wrong_answers"],
                     c["hangs"],
                     "yes" if c["healed_without_reset"] else "NO",
+                    c["routed_tasks"],
                     c["max_seconds"],
                 ]
                 for c in report["combos"]

@@ -27,17 +27,18 @@ column stores) at several shard counts, against the row baseline —
 ``sharded_scan`` / ``sharded_selection`` / ``sharded_join`` / ``sharded_rc``
 entries record how partition-parallel execution scales with shard count.
 
-Part 4 sweeps the **shard executors** (the `shard_executor` setting of `repro.config`)
-at several worker counts over a large range-partitioned sharded relation:
-``parallel_mask_eval`` (the fused-mask engine through ``Store.eval_mask``)
-and ``parallel_radius_batch`` (the radius kernel's ``matches_many`` batch
-API) each record serial / thread / process seconds per worker count —
-process mode publishes each shard's buffers as a mapped file once and ships
-only programs/parameters per query.  Every record carries an
-``executor_config`` block (executor, workers, cpu_count) so entries from
-different modes stay distinguishable across PRs; a single-core machine
-cannot show real multi-worker speedups, which is exactly what the recorded
-``cpu_count`` makes visible.
+Part 4 sweeps the serial and thread **shard executors** (the
+`shard_executor` setting of `repro.config`) at several worker counts over a
+large range-partitioned sharded relation: ``parallel_mask_eval`` (the
+fused-mask engine through ``Store.eval_mask``) and
+``parallel_radius_batch`` (the radius kernel's ``matches_many`` batch API)
+each record serial / thread seconds per worker count.  Neither operation
+ships under the process executor — it runs them on threads — so a process
+leg would time the thread path under another name; the one operation that
+ships is audited in part 7.  Every record carries an ``executor_config``
+block (executor, workers, cpu_count) so entries stay distinguishable across
+PRs; a single-core machine cannot show real multi-worker speedups, which is
+exactly what the recorded ``cpu_count`` makes visible.
 
 Part 5 times the columnar-execution engine added on top of the storage
 layer:
@@ -554,14 +555,14 @@ COLUMNAR_ENGINE_OPS = {
 
 
 # ---------------------------------------------------------------------------
-# Shard executors: serial vs thread vs process over mapped shard files
+# Shard executors: serial vs thread
 # ---------------------------------------------------------------------------
 
 PARALLEL_SCALE = 100_000
 PARALLEL_SHARDS = 4
 PARALLEL_WORKER_COUNTS = (1, 2, 4)
 PARALLEL_QUERY_COUNT = 1_000
-EXECUTOR_SWEEP = ("serial", "thread", "process")
+EXECUTOR_SWEEP = ("serial", "thread")
 
 
 def executor_config() -> dict:
@@ -598,15 +599,10 @@ def _parallel_relation(size: int, rng: random.Random):
 def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
     """Time mask evaluation and radius-kernel batches per executor × workers.
 
-    Process mode is timed *warm*: the first (untimed) query publishes the
-    shard buffers as mapped files and spawns the pool, so the timed runs
-    measure the steady state the executor is designed for — per query, only
-    the compiled program / the query parameters cross the process boundary.
-    Every executor's results are cross-checked against the serial reference,
-    so the sweep doubles as a three-way differential test.
+    The thread executor's results are cross-checked against the serial
+    reference, so the sweep doubles as a differential test.
     """
     from repro import configure
-    from repro.relational import parallel
     from repro.relational.kernels import RadiusMatcher
 
     rng = random.Random(size)
@@ -614,13 +610,9 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
     store = relation.store
     schema = relation.schema
     # The radius workload carries slack on one numeric key, so every probe
-    # is a banded sort-merge walk over each shard's sorted column: the
-    # per-shard index is cheap to build (one C-speed sort, so a worker
-    # seeing a shard for the first time pays milliseconds, not seconds)
-    # while the per-query distance walks dominate the pool round-trip —
-    # the regime where executor differences mean something.  (A
-    # hash-bucketed key would answer in microseconds and time nothing but
-    # IPC; a multi-key KD workload times worker-side index builds.)
+    # is a banded sort-merge walk over the sorted column: the index is cheap
+    # to build (one C-speed sort) while the per-query distance walks
+    # dominate.
     radius_positions = [1]
     radius_distances = [NUMERIC]
     radius_slack = [1.0]
@@ -641,8 +633,6 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
             for mode in EXECUTOR_SWEEP:
                 configure(shard_executor=mode)
                 configs[mode] = executor_config()
-                # Warm-up: publishes the shard files / spawns the
-                # pool in process mode; a no-op cost-wise for the others.
                 warm_mask = bytes(SELECTION_CONDITION.mask(store, schema))
                 seconds, masks = _timed_best(
                     lambda: [
@@ -657,7 +647,7 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
                 matcher = RadiusMatcher.from_store(
                     store, radius_positions, radius_distances, radius_slack
                 )
-                matcher.matches_many(probes[:2])  # warm-up (publish/index)
+                matcher.matches_many(probes[:2])  # warm-up
                 seconds, hits = _timed_best(lambda: matcher.matches_many(probes))
                 radius_seconds[mode] = seconds
                 if reference_hits is None:
@@ -676,25 +666,18 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
                         "queries": queries,
                         "serial_seconds": round(seconds["serial"], 6),
                         "thread_seconds": round(seconds["thread"], 6),
-                        "process_seconds": round(seconds["process"], 6),
-                        "process_vs_thread": round(
-                            seconds["thread"] / max(seconds["process"], 1e-9), 2
+                        "thread_vs_serial": round(
+                            seconds["serial"] / max(seconds["thread"], 1e-9), 2
                         ),
-                        "process_vs_serial": round(
-                            seconds["serial"] / max(seconds["process"], 1e-9), 2
-                        ),
-                        # At 1 worker, process (and thread) mode falls back
-                        # to the sequential path by design; flag whether the
-                        # process pool genuinely executed the timed leg so
-                        # cross-record comparisons don't read a fallback
-                        # measurement as a real process data point.
-                        "process_engaged": workers > 1,
-                        "executor_config": configs["process"],
+                        # At 1 worker, thread mode falls back to the
+                        # sequential path by design; flag whether the pool
+                        # genuinely executed the timed leg.
+                        "thread_engaged": workers > 1,
+                        "executor_config": configs["thread"],
                     }
                 )
     finally:
         configure(previous)
-        parallel.shutdown()
     return records
 
 
@@ -786,10 +769,13 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
     ``full`` — additionally every column payload), so the integrity tax is
     pinned next to the mmap section's cold-open win.  ``recovery_after_kill``
     measures the failure path itself on the process executor: a warm healthy
-    mask query, the same query with a seeded ``parallel.worker.kill`` plan
-    (the answer must stay bit-identical — retries and slot repair absorb the
-    death), and the time for the path to heal — breaker back to ``closed``
-    with no ``reset_process_pool()`` — once the plan is cleared.
+    fused ``select_gather`` (the one operation that ships), the same query
+    with a seeded ``parallel.worker.kill`` plan (mask and selected rows must
+    stay bit-identical — retries and slot repair absorb the death), and the
+    time for the path to heal — breaker back to ``closed`` with no
+    ``reset_process_pool()`` — once the plan is cleared.  ``routed_tasks``
+    counts the tasks the router placed from the kill on, so a run that
+    never reached a worker is visible as 0.
     """
     import tempfile
 
@@ -848,18 +834,25 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
             retry_backoff=0.0,
             breaker_cooldown=0.25,
         )
+        program = SELECTION_CONDITION.program(schema)
+
+        def fused():
+            mask, selected = store.select_gather(program.run_part)
+            return bytes(mask), selected.row_list()
+
         try:
-            reference = bytes(SELECTION_CONDITION.mask(store, schema))  # warm-up
-            healthy_seconds, healthy = _timed_best(
-                lambda: bytes(SELECTION_CONDITION.mask(store, schema))
-            )
+            configure(shard_executor="serial")
+            reference = fused()
+            configure(shard_executor="process")
+            assert fused() == reference  # warm-up (publish + spawn)
+            healthy_seconds, healthy = _timed_best(fused)
             assert healthy == reference
             before = parallel.dispatch_stats()
             faults.set_fault_plan("seed=1301;parallel.worker.kill:at=1")
+            # Installing the plan retires the router: count from its successor.
+            routed_before = parallel.affinity_stats()
             try:
-                killed_seconds, killed = _timed(
-                    lambda: bytes(SELECTION_CONDITION.mask(store, schema))
-                )
+                killed_seconds, killed = _timed(fused)
             finally:
                 faults.set_fault_plan(None, reset_pools=False)
             assert killed == reference  # a kill costs latency, never bits
@@ -867,12 +860,13 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
             heal_queries = 0
             while time.perf_counter() - heal_started < 60.0:
                 heal_queries += 1
-                assert bytes(SELECTION_CONDITION.mask(store, schema)) == reference
+                assert fused() == reference
                 if parallel.breaker_state()["state"] == "closed":
                     break
                 time.sleep(0.05)
             recovery_seconds = time.perf_counter() - heal_started
             after = parallel.dispatch_stats()
+            routed_after = parallel.affinity_stats()
             records.append(
                 {
                     "kernel": "recovery_after_kill",
@@ -886,6 +880,9 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
                     "recovery_seconds": round(recovery_seconds, 6),
                     "heal_queries": heal_queries,
                     "healed_without_reset": after["breaker"]["state"] == "closed",
+                    "routed_tasks": sum(
+                        routed_after[key] - routed_before[key] for key in ("hits", "steals")
+                    ),
                     "dispatch_delta": {
                         key: after[key] - before[key]
                         for key in ("retries", "timeouts", "fallbacks", "fatal")
@@ -1113,15 +1110,7 @@ def run(
     if parallel_results:
         print(
             format_table(
-                [
-                    "operation",
-                    "workers",
-                    "size",
-                    "serial s",
-                    "thread s",
-                    "process s",
-                    "proc/thread",
-                ],
+                ["operation", "workers", "size", "serial s", "thread s", "serial/thread"],
                 [
                     [
                         r["kernel"],
@@ -1129,13 +1118,12 @@ def run(
                         r["size"],
                         r["serial_seconds"],
                         r["thread_seconds"],
-                        r["process_seconds"],
-                        f"{r['process_vs_thread']}x",
+                        f"{r['thread_vs_serial']}x",
                     ]
                     for r in parallel_results
                 ],
                 title=(
-                    "Shard executors: serial vs thread vs process "
+                    "Shard executors: serial vs thread "
                     f"(cpu_count={parallel_results[0]['executor_config']['cpu_count']}) "
                     f"-> {destination}"
                 ),
@@ -1216,7 +1204,7 @@ def run(
     if kill_records:
         print(
             format_table(
-                ["operation", "size", "healthy s", "killed s", "recovery s", "healed"],
+                ["operation", "size", "healthy s", "killed s", "recovery s", "healed", "routed"],
                 [
                     [
                         r["kernel"],
@@ -1225,6 +1213,7 @@ def run(
                         r["killed_query_seconds"],
                         r["recovery_seconds"],
                         "yes" if r["healed_without_reset"] else "NO",
+                        r["routed_tasks"],
                     ]
                     for r in kill_records
                 ],

@@ -12,7 +12,7 @@ per row), column-wise (``backend="column"`` — one contiguous buffer per
 attribute, ``array('d')``/``array('q')`` for pure float/int columns), or
 horizontally partitioned (``backend="sharded"`` — per-shard column stores
 split by a hash / round-robin / range partitioner, with shard-parallel
-selection and per-shard distance kernels / KD-trees).  The whole pipeline —
+selection).  The whole pipeline —
 selection via *fused chunked* predicate mask programs (selectivity-ordered
 short-circuiting), *index-pair* hash joins whose
 outputs are materialized by per-column gather (``Store.take`` /
@@ -123,8 +123,7 @@ def main() -> None:
     # --- Sharded storage -------------------------------------------------
     # backend="sharded" partitions each relation across per-shard column
     # stores (4 shards, round-robin by default).  Selections fan out one
-    # vectorized mask per shard, and the distance kernels / KD-trees build
-    # one index per shard and merge — same answers, partition-parallel work.
+    # vectorized mask per shard — same answers, partition-parallel work.
     from repro import configure
     from repro.relational import ShardedStore, register_backend
 
@@ -169,24 +168,20 @@ def main() -> None:
     # "process" is the one that buys real CPU parallelism for pure-Python
     # work: the first query publishes each shard's column buffers as one
     # .rpro file, worker processes mmap it and keep it warm, and every
-    # later query ships only the compiled mask program / the
-    # kernel query parameters — never the data.  Routing is automatic and
-    # conservative: only picklable whole-store computations (fused mask
-    # programs, kernel batch queries like RadiusMatcher.matches_many, KD
-    # radius batches) cross the boundary; per-row callables, small stores
-    # (below the process_min_rows setting, default 4096 rows — under that,
-    # the round-trip costs more than the work) and anything unpicklable fall
+    # later query ships only the compiled mask program — never the data.
+    # Exactly one operation crosses the boundary: the fused select+gather
+    # (a selection whose reply, mask plus surviving rows, is smaller than
+    # its input).  Everything else — bare masks, gathers, distance kernels —
+    # runs on the thread path.  Per-row callables, small stores (below the
+    # process_min_rows setting, default 4096 rows — under that, the
+    # round-trip costs more than the work) and anything unpicklable fall
     # back to the thread path with bit-identical results.  Mutating a store
     # unlinks its published files; the next query republishes.
     #
     # Pool sizing: configure(shard_workers=n) bounds BOTH pools (values < 1
     # raise; None restores os.cpu_count()).  Environment overrides at import
     # time: REPRO_SHARD_WORKERS=4 REPRO_SHARD_EXECUTOR=process python app.py
-    #
-    # Rule of thumb: "process" pays off once per-shard work dominates the
-    # ~millisecond task round-trip — i.e. shards of >= ~25k rows under
-    # selective masks, or kernel batches of hundreds of probes — and only
-    # with real spare cores ("thread" and "process" tie on one CPU).
+    # "thread" and "process" tie on one CPU.
     previous = configure(shard_executor="process")
     process_hotels = sharded_poi.select(
         Conjunction.of(

@@ -531,9 +531,9 @@ class Comparison:
         """
         # A one-binder program: run_part short-circuits to a single
         # whole-(sub-)store masker call, so this is exactly the former
-        # closure-per-shard evaluation — but the masker shipped through
-        # ``eval_mask`` is picklable, which lets a process-mode sharded
-        # store evaluate it in worker processes.
+        # closure-per-shard evaluation — but the masker is picklable, which
+        # lets a process-mode sharded store's fused ``select_gather`` ship
+        # the same program to its worker processes.
         return MaskProgram([self.chunk_binder(schema)]).mask(store)
 
     def chunk_binder(self, schema: RelationSchema) -> ChunkBinder:

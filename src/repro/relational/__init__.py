@@ -12,12 +12,10 @@ from .distance import (
     numeric_scaled,
     tuple_distance,
 )
-from .kdtree import KDForest, KDNode, KDTree
+from .kdtree import KDNode, KDTree
 from .kernels import (
     NearestNeighbors,
     RadiusMatcher,
-    ShardedNearestNeighbors,
-    ShardedRadiusMatcher,
     naive_min_distance,
     naive_radius_matches,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "DatabaseSchema",
     "DistanceFunction",
     "INFINITY",
-    "KDForest",
     "KDNode",
     "KDTree",
     "MmapShardedStore",
@@ -80,8 +77,6 @@ __all__ = [
     "RelationSchema",
     "Row",
     "RowStore",
-    "ShardedNearestNeighbors",
-    "ShardedRadiusMatcher",
     "ShardedStore",
     "Store",
     "STRING_PREFIX",

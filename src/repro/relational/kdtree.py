@@ -38,14 +38,9 @@ exceeds the radius (or the best distance found so far).  Pruning assumes
 numeric distance functions are monotone in ``|x - y|`` (true for the built-in
 absolute and scaled distances); candidate tuples at the leaves are always
 checked with the *exact* distance functions, so results are identical to a
-full nested-loop scan.
-
-For relations on the sharded backend, :class:`KDForest` builds one KD-tree
-per shard (shard-parallel when the pool allows) and merges within-radius /
-nearest-neighbour answers across the trees — the partition-parallel layout
-the distance kernels also use per shard.  A single monolithic :class:`KDTree`
-over a sharded relation still works: the store concatenates (range-partitioned
-shards) or interleaves its shard buffers into whole columns transparently.
+full nested-loop scan.  A tree over a sharded relation reads the store's
+whole columns, which concatenate (range-partitioned shards) or interleave
+the shard buffers transparently.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import config
 from .distance import INFINITY, is_real_number
 from .relation import Relation, Row, value_sort_key
 from .schema import RelationSchema
@@ -461,147 +455,3 @@ class KDTree:
             f"height={self.height})"
         )
 
-
-class KDForest:
-    """Per-partition KD-trees over one relation, queried independently and merged.
-
-    For a relation on the sharded backend
-    (:class:`~repro.relational.store.ShardedStore`) the forest builds **one
-    KD-tree per shard** — each over that shard's (typed) column buffers —
-    and answers search queries by querying every tree and merging:
-
-    * :meth:`within_radius` — the union of the per-tree match sets.  The
-      shards partition the relation's rows, so the union over the partition
-      equals a single tree's answer over all rows (up to row order, which
-      the single-tree contract already leaves open).
-    * :meth:`nearest_distance` — the minimum over the per-tree minima, which
-      equals the global minimum for the same reason.
-
-    Tree construction fans out through
-    :meth:`~repro.relational.store.ShardedStore.map_shards`, so on a
-    multi-worker pool the per-shard builds run concurrently; each tree is
-    also smaller than a monolithic one (better search pruning per query).
-    On a non-sharded relation the forest degenerates to a single tree.
-
-    The level/representative API of :class:`KDTree` (access-template
-    resolutions) is deliberately *not* offered here: resolutions are a
-    whole-relation property, so access schemas keep building one tree.
-    """
-
-    def __init__(self, relation: Relation, max_leaf_size: int = 1) -> None:
-        self.relation = relation
-        self.schema: RelationSchema = relation.schema
-        self.max_leaf_size = max_leaf_size
-        self._trees: Optional[List[KDTree]] = None
-
-    @property
-    def trees(self) -> List[KDTree]:
-        """The parent-side per-shard trees (built lazily on first local query).
-
-        Under the process executor the batch radius queries never touch
-        these — the workers build their own tree per shard — so a forest
-        used purely through :meth:`within_radius_indices_many` costs the
-        parent nothing to construct.
-        """
-        if self._trees is None:
-            store = self.relation.store
-            if getattr(store, "shards", None) is None:
-                self._trees = [
-                    KDTree(self.relation, max_leaf_size=self.max_leaf_size)
-                ]
-            else:
-                # Each shard is wrapped in a read-only relation view (stores
-                # are adopted, not copied — the forest never mutates them).
-                schema, max_leaf_size = self.schema, self.max_leaf_size
-                self._trees = store.map_shards(
-                    lambda shard: KDTree(
-                        Relation(schema, store=shard), max_leaf_size=max_leaf_size
-                    )
-                )
-        return self._trees
-
-    @property
-    def tree_count(self) -> int:
-        return len(self.trees)
-
-    def __len__(self) -> int:
-        return len(self.relation)
-
-    def within_radius(self, values: Sequence[object], radii: Sequence[float]) -> List[Row]:
-        """All rows within ``radii`` of ``values`` on every attribute (merged)."""
-        out: List[Row] = []
-        for tree in self.trees:
-            out.extend(tree.within_radius(values, radii))
-        return out
-
-    def within_radius_indices(
-        self, values: Sequence[object], radii: Sequence[float]
-    ) -> List[int]:
-        """Global row indices (in the relation's order) of all matches.
-
-        Per-tree indices are shard-local; each is mapped through the sharded
-        store's :meth:`~repro.relational.store.ShardedStore.shard_indices`
-        table back to the relation's global row order, so the result is
-        interchangeable with :meth:`KDTree.within_radius_indices` over an
-        unsharded copy (as an index *set* — traversal order differs).
-        """
-        return self.within_radius_indices_many([(values, radii)])[0]
-
-    def within_radius_indices_many(
-        self, queries: Sequence[Tuple[Sequence[object], Sequence[float]]]
-    ) -> List[List[int]]:
-        """:meth:`within_radius_indices` for a batch of ``(values, radii)`` queries.
-
-        Under the process executor
-        (the ``shard_executor`` setting, :mod:`repro.config`), a batch of two
-        or more queries ships to the worker processes holding the shard
-        buffers — each worker builds (and caches) one KD-tree per shard and
-        answers every query, so only the query parameters cross the process
-        boundary.  Every batch for a given shard lands on the same
-        rendezvous-home worker (see :mod:`repro.relational.parallel`), so
-        the cached KD-tree is built at most once per worker lifetime.
-        Single-query calls (and therefore
-        :meth:`within_radius_indices` / :meth:`within_radius`) stay on the
-        parent-side trees, like the radius matcher's per-query path — one
-        query cannot amortize a pool round trip per shard.  Results are
-        identical either way.
-        """
-        queries = list(queries)
-        store = self.relation.store
-        if getattr(store, "shards", None) is None:
-            tree = self.trees[0]
-            return [tree.within_radius_indices(v, r) for v, r in queries]
-        parts: Optional[List[List[List[int]]]] = None
-        if len(queries) > 1 and config.current().shard_executor == "process":
-            from . import parallel
-
-            parts = parallel.kd_within_radius_many(
-                store, self.schema, self.max_leaf_size, queries
-            )
-        if parts is None:
-            parts = [
-                [tree.within_radius_indices(v, r) for v, r in queries]
-                for tree in self.trees
-            ]
-        out: List[List[int]] = []
-        for position in range(len(queries)):
-            merged: List[int] = []
-            for shard, per_query in enumerate(parts):
-                index_map = store.shard_indices(shard)
-                merged.extend(index_map[index] for index in per_query[position])
-            out.append(merged)
-        return out
-
-    def nearest_distance(self, values: Sequence[object]) -> float:
-        """Minimum tuple distance over every shard's tree (``+inf`` when empty)."""
-        best = INFINITY
-        for tree in self.trees:
-            d = tree.nearest_distance(values)
-            if d < best:
-                best = d
-            if best == 0.0:
-                break
-        return best
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"KDForest({self.schema.name}, {self.tree_count} trees, {len(self)} rows)"

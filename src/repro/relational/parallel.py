@@ -5,7 +5,8 @@ The sharded backend's fan-out seam (:meth:`ShardedStore.map_shards` /
 pure-Python chunk masks and distance kernels gain concurrency but no real
 CPU parallelism.  This module is the third execution mode behind
 the ``shard_executor`` setting (:mod:`repro.config`): worker processes that map
-each shard's column buffers from a file.  There is one of each mechanism:
+each shard's column buffers from a file and run one operation on it, the
+fused select+gather.  There is one of each mechanism:
 
 * **Publication = files.**  The first process-mode query against a sharded
   store builds its :class:`ShardPublication`: one ``.rpro`` file per shard
@@ -20,20 +21,13 @@ each shard's column buffers from a file.  There is one of each mechanism:
   also pins the file's identity (inode, mtime, size).  A store whose object
   values do not pickle is remembered as unpublishable and stays on the
   thread path.
-* **Queries** ship only small picklable descriptions of the work: a compiled
-  :class:`~repro.algebra.predicates.MaskProgram` (or any picklable masker)
-  for :func:`process_eval_mask`, ``(position, indices)`` for
-  :func:`process_gather`, ``(positions, distances, thresholds, query
-  batch)`` for the radius kernel, attribute lists for nearest-neighbour
-  batches, and ``(schema, leaf size, query batch)`` for KD-tree radius
-  queries.  Workers answer with masks / gathered buffers / index lists /
-  distances; shard buffers never cross the boundary.
 * **Invalidation** is by replacement: mutating a sharded store retires its
   publication (the files it wrote are unlinked; see
   :meth:`ShardedStore._retire_publication`), as do garbage collection of
   the store, :func:`shutdown` and interpreter exit, and the next query
-  publishes fresh files under new names.  Worker caches are keyed by token,
-  so a stale entry can never answer a query; it ages out of the LRU.
+  publishes fresh files under new names.  The worker's store cache is keyed
+  by token, so a stale entry can never answer a query; it ages out of the
+  LRU.
 * **Start method: forkserver, never fork.**  Pools are created lazily, so
   the parent usually runs threads by then (the shard thread pool, a server's
   request threads), and a child forked from a threaded parent can inherit a
@@ -46,13 +40,12 @@ each shard's column buffers from a file.  There is one of each mechanism:
   routes every task by **rendezvous hashing** its handle token — the home
   slot is the argmax over slots of ``blake2b(token | slot index | slot
   generation)``, deterministic across processes and hash seeds.  Each
-  shard's mapped store and cached kernel indexes therefore live on exactly
-  one warm worker across queries.  Overflow **work-stealing** keeps slots
-  busy when shards outnumber workers: a task whose home slot already has a
-  queue is diverted to an idle slot (any worker can resolve any handle —
-  stealing costs cache warmth, never correctness).  Routing counters are
-  exposed through :func:`affinity_stats`; the serving layer reports them per
-  request.
+  shard's mapped store therefore lives on exactly one warm worker across
+  queries.  Overflow **work-stealing** keeps slots busy when shards
+  outnumber workers: a task whose home slot already has a queue is diverted
+  to an idle slot (any worker can resolve any handle — stealing costs cache
+  warmth, never correctness).  Routing counters are exposed through
+  :func:`affinity_stats`; the serving layer reports them per request.
 * **Retire = kill.**  A slot whose worker died (``BrokenProcessPool``) or
   overran the dispatch deadline is repaired alone: its pool is retired by
   :func:`_retire_pool` — shut down, then the worker process killed and
@@ -71,19 +64,27 @@ each shard's column buffers from a file.  There is one of each mechanism:
   settings this module reads — ``process_min_rows``, ``retry_backoff``,
   ``breaker_cooldown`` — are documented in :mod:`repro.config`.
 
-**Fused select+gather.**  Selection ships as **one whole operator** instead
-of a mask round-trip plus central gather: :func:`process_select_gather`
-sends each shard's worker ``(pickled masker, output column positions,
-optional per-shard α-budget slice ⌈α·|shard|⌉)`` and receives ``(mask bytes,
-packed typed-column payloads)`` — the gathered buffers in
-:func:`_encode_buffer` form, typed ``array`` columns as raw bytes — so a
-select→gather crosses the process boundary exactly once per shard.  Workers
-short-circuit the payload (``None``) when every row survives or there is
-nothing to gather; budget slices truncate with the same
-:func:`~repro.relational.store._truncate_mask` the serial and thread paths
-use.  :meth:`ShardedStore.select_gather` adopts the returned buffers as
-fresh column stores; :func:`select_gather_stats` accounts the round-trip
-bytes.
+**One operation ships: the fused select+gather.**  A worker runs exactly one
+kind of shard task, :func:`_worker_select_gather` — the one whole-shard
+operation whose reply (a mask plus the surviving rows) is smaller than its
+input.  :func:`process_select_gather` sends each shard's worker ``(pickled
+masker, output column positions, optional per-shard α-budget slice
+⌈α·|shard|⌉)`` and receives ``(mask bytes, packed typed-column payloads)`` —
+the gathered buffers in :func:`_encode_buffer` form, typed ``array``
+columns as raw bytes — so a select→gather crosses the process boundary
+exactly once per shard.  Workers short-circuit the payload (``None``) when
+every row survives or there is nothing to gather; budget slices truncate
+with the same :func:`~repro.relational.store._truncate_mask` the serial and
+thread paths use.  :meth:`ShardedStore.select_gather` adopts the returned
+buffers as fresh column stores; :func:`select_gather_stats` accounts the
+round-trip bytes.  Everything else a sharded store does — bare masks,
+gathers, distance-kernel and KD-tree probes — runs in the parent on the
+thread/serial path.  Those used to ship as well; on the benchmark's
+``tfacc_sharded`` workload (``cpu_count`` 2, one full pass) the fused
+operator was called 309 times and shipped 43, while the mask round-trip
+(266 calls), kernel radius batches (5) and nearest-neighbour / KD batches
+(0) never shipped and the gather shipped once, and running all of them on
+threads left the pass time and every answer unchanged.
 
 **Fallbacks.**  Everything here degrades to the thread path: the parent
 returns ``None`` (and the caller falls back) when the store is smaller than
@@ -128,7 +129,7 @@ from .store import (
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 # A published shard: ``(token, path)`` of the ``.rpro`` file workers map.
-# The token keys the worker-side caches and the router's rendezvous hash.
+# The token keys the worker-side store cache and the router's rendezvous hash.
 Handle = Tuple[str, str]
 
 # Fixed bounds of the dispatch path, read at call time (the fault tests
@@ -962,10 +963,16 @@ def _dispatch_round(
                 router.repair(slot)
             avoid[index] = slot.index
             outcome.failed.append(index)
-        # repro: ignore[EXC001] a concurrent reset_process_pool cancelled us;
-        # the resetter already replaced the router — no breaker verdict.
+        # repro: ignore[EXC001] either this round's own repair of the slot
+        # cancelled the task queued behind the wedged one (it failed with its
+        # slot: retry elsewhere), or a concurrent reset_process_pool did — the
+        # resetter already replaced the router, so no breaker verdict.
         except CancelledError:
-            outcome.cancelled = True
+            if slots[index].index in repaired:
+                avoid[index] = slots[index].index
+                outcome.failed.append(index)
+            else:
+                outcome.cancelled = True
         # repro: ignore[EXC001] fatal publication loss: the caller exits its
         # breaker token with a strike and falls back to the thread path; the
         # next query republishes (_publication_live sees the dead handle).
@@ -1058,54 +1065,6 @@ def _dumps(obj: object) -> Optional[bytes]:
         return pickle.dumps(obj, _PICKLE_PROTOCOL)
     except Exception:
         return None
-
-
-def process_eval_mask(
-    store: Store, masker: Callable[[Store], Sequence[int]]
-) -> Optional[List[bytearray]]:
-    """Evaluate a picklable masker once per shard on the process pool.
-
-    Returns per-shard masks in shard order, or ``None`` (thread fallback)
-    when the store is too small, the masker does not pickle, or the pool is
-    unavailable.  The masker is typically a compiled
-    :class:`~repro.algebra.predicates.MaskProgram`'s bound ``run_part`` —
-    per query only that program crosses the process boundary.
-    """
-    if not process_eligible(store):
-        return None
-    payload = _dumps(masker)
-    if payload is None:
-        return None
-    results = _submit_per_shard(
-        store, _worker_eval_mask, [(payload,)] * len(store.shards)
-    )
-    if results is None:
-        return None
-    return [bytearray(result) for result in results]
-
-
-def process_gather(
-    store: Store, position: int, per_shard_indices: Sequence[Sequence[int]]
-) -> Optional[List[Sequence[object]]]:
-    """Gather one column's per-shard index lists on the process pool.
-
-    Ships ``(position, local indices)`` per shard and receives the gathered
-    buffers (typed arrays stay typed); ``None`` falls back to the thread
-    path.  Only worth the round-trip for large gathers, so the eligibility
-    threshold applies to the number of gathered rows as well.
-    """
-    if not process_eligible(store):
-        return None
-    if sum(len(indices) for indices in per_shard_indices) < config.current().process_min_rows:
-        return None
-    results = _submit_per_shard(
-        store,
-        _worker_gather,
-        [(position, list(indices)) for indices in per_shard_indices],
-    )
-    if results is None:
-        return None
-    return [_decode_buffer(result) for result in results]
 
 
 # Fused select+gather accounting (parent side): how many fused calls ran,
@@ -1226,84 +1185,16 @@ def process_select_gather(
     return masks, buffers
 
 
-def radius_matches_many(
-    store: Store,
-    positions: Sequence[int],
-    distances: Sequence[object],
-    thresholds: Sequence[float],
-    queries: Sequence[Sequence[object]],
-    want_indices: bool = True,
-) -> Optional[List[List[object]]]:
-    """Batch radius-kernel queries per shard on the process pool.
-
-    Each worker builds (once, keyed by token + spec) a
-    :class:`~repro.relational.kernels.RadiusMatcher` over its shard's
-    buffers and answers the whole query batch; per query only the key
-    values cross the boundary.  Returns per-shard lists of per-query
-    shard-local match indices (``want_indices``) or booleans (the
-    ``any_match`` variant); ``None`` falls back to the local path.
-    """
-    if not process_eligible(store):
-        return None
-    spec = _dumps((list(positions), list(distances), list(thresholds)))
-    if spec is None:
-        return None
-    batch = _dumps(list(queries))
-    if batch is None:
-        return None
-    return _submit_per_shard(
-        store,
-        _worker_radius_matches,
-        [(spec, batch, want_indices)] * len(store.shards),
-    )
+# Pinned by benchmarks/e2e: ``spans.install`` wraps these five names, so they
+# must exist.  Nothing in the package calls them — they are the operations
+# that used to ship besides the fused select+gather — and they go when the
+# benchmark's own PR stops naming them.
+def _not_shipped(*_args, **_kwargs) -> None:
+    return None
 
 
-def nn_min_distance_many(
-    store: Store,
-    attributes: Sequence[object],
-    queries: Sequence[Sequence[object]],
-) -> Optional[List[List[float]]]:
-    """Batch nearest-neighbour minima per shard on the process pool.
-
-    Returns per-shard lists of per-query minimum tuple distances (the
-    global minimum is the min over shards); ``None`` falls back.
-    """
-    if not process_eligible(store):
-        return None
-    spec = _dumps(list(attributes))
-    if spec is None:
-        return None
-    batch = _dumps(list(queries))
-    if batch is None:
-        return None
-    return _submit_per_shard(
-        store, _worker_nn_min, [(spec, batch)] * len(store.shards)
-    )
-
-
-def kd_within_radius_many(
-    store: Store,
-    schema: object,
-    max_leaf_size: int,
-    queries: Sequence[Tuple[Sequence[object], Sequence[float]]],
-) -> Optional[List[List[List[int]]]]:
-    """Batch KD-tree within-radius queries per shard on the process pool.
-
-    Each worker builds (and caches) one KD-tree over its shard and answers
-    every ``(values, radii)`` query with shard-local row indices; ``None``
-    falls back to the local forest.
-    """
-    if not process_eligible(store):
-        return None
-    spec = _dumps((schema, int(max_leaf_size)))
-    if spec is None:
-        return None
-    batch = _dumps([(list(values), list(radii)) for values, radii in queries])
-    if batch is None:
-        return None
-    return _submit_per_shard(
-        store, _worker_kd_radius, [(spec, batch)] * len(store.shards)
-    )
+process_eval_mask = process_gather = _not_shipped
+radius_matches_many = nn_min_distance_many = kd_within_radius_many = _not_shipped
 
 
 # ---------------------------------------------------------------------------
@@ -1311,15 +1202,13 @@ def kd_within_radius_many(
 # ---------------------------------------------------------------------------
 
 _STORE_CACHE: "OrderedDict[str, Store]" = OrderedDict()
-_INDEX_CACHE: "OrderedDict[Tuple[str, str, bytes], object]" = OrderedDict()
 _STORE_CACHE_LIMIT = 64
-_INDEX_CACHE_LIMIT = 64
 
-# Worker-private cold-work counters: how many shard files this worker
-# mapped and how many kernel indexes it built.  Under sticky affinity a
-# repeated query should add zero to either — _worker_cache_stats ships them
-# back so tests and the benchmark can assert/score cache warmth per slot.
-_CACHE_STATS = {"store_decodes": 0, "index_builds": 0}
+# Worker-private cold-work counter: how many shard files this worker mapped.
+# Under sticky affinity a repeated query should add zero — _worker_cache_stats
+# ships it back so tests and the benchmark can assert/score cache warmth per
+# slot.
+_CACHE_STATS = {"store_decodes": 0}
 
 
 def _worker_cache_stats() -> Dict[str, int]:
@@ -1340,14 +1229,16 @@ def worker_cache_stats(timeout: Optional[float] = None) -> Optional[List[Dict[st
     wait = PROBE_TIMEOUT if timeout is None else timeout
     stats: List[Dict[str, int]] = []
     for slot in router._slots:
-        pool = slot.pool
-        if pool is None:
-            stats.append({"store_decodes": 0, "index_builds": 0})
-            continue
-        try:
-            stats.append(pool.submit(_worker_cache_stats).result(timeout=wait))
-        except Exception:
-            stats.append({"store_decodes": 0, "index_builds": 0})
+        row = {"store_decodes": 0}
+        if slot.pool is not None:
+            try:
+                row = slot.pool.submit(_worker_cache_stats).result(timeout=wait)
+            except Exception:
+                pass
+        # "index_builds" is pinned by benchmarks/e2e (replay.py sums it); no
+        # worker builds an index.  It goes when the benchmark stops reading it.
+        row["index_builds"] = 0
+        stats.append(row)
     return stats
 
 
@@ -1410,40 +1301,8 @@ def _resolve_store(handle: Handle) -> Store:
     _CACHE_STATS["store_decodes"] += 1  # repro: ignore[STATE001] worker-private counter
     _STORE_CACHE[token] = store  # repro: ignore[STATE001] worker-private cache
     while len(_STORE_CACHE) > _STORE_CACHE_LIMIT:
-        stale, _ = _STORE_CACHE.popitem(last=False)  # repro: ignore[STATE001] worker-private cache
-        for key in [k for k in _INDEX_CACHE if k[0] == stale]:
-            del _INDEX_CACHE[key]  # repro: ignore[STATE001] worker-private cache
+        _STORE_CACHE.popitem(last=False)  # repro: ignore[STATE001] worker-private cache
     return store
-
-
-def _cached_index(token: str, kind: str, spec: bytes, build: Callable[[], object]):
-    key = (token, kind, spec)
-    index = _INDEX_CACHE.get(key)
-    if index is None:
-        index = build()
-        # Worker-private cache; see _resolve_store for why no lock is taken.
-        _CACHE_STATS["index_builds"] += 1  # repro: ignore[STATE001] worker-private counter
-        _INDEX_CACHE[key] = index  # repro: ignore[STATE001] worker-private cache
-        while len(_INDEX_CACHE) > _INDEX_CACHE_LIMIT:
-            _INDEX_CACHE.popitem(last=False)  # repro: ignore[STATE001] worker-private cache
-    else:
-        _INDEX_CACHE.move_to_end(key)  # repro: ignore[STATE001] worker-private cache
-    return index
-
-
-def _worker_eval_mask(handle: Handle, masker_payload: bytes) -> bytes:
-    _worker_fault_probe()
-    store = _resolve_store(handle)
-    masker = pickle.loads(masker_payload)
-    return bytes(masker(store))
-
-
-def _worker_gather(
-    handle: Handle, position: int, indices: Sequence[int]
-) -> Tuple[str, Optional[str], object]:
-    _worker_fault_probe()
-    store = _resolve_store(handle)
-    return _encode_buffer(store.gather_column(position, indices))
 
 
 def _worker_select_gather(
@@ -1471,64 +1330,4 @@ def _worker_select_gather(
     return bytes(mask), [
         _encode_buffer(store.gather_column(position, indices))
         for position in positions
-    ]
-
-
-def _worker_radius_matches(
-    handle: Handle, spec: bytes, batch: bytes, want_indices: bool
-) -> List[object]:
-    _worker_fault_probe()
-    store = _resolve_store(handle)
-
-    def build():
-        from .kernels import RadiusMatcher
-
-        positions, distances, thresholds = pickle.loads(spec)
-        return RadiusMatcher(
-            None,
-            positions,
-            distances,
-            thresholds,
-            key_columns=[store.column(p) for p in positions],
-            size=len(store),
-        )
-
-    matcher = _cached_index(handle[0], "radius", spec, build)
-    queries = pickle.loads(batch)
-    if want_indices:
-        return [matcher.matches(values) for values in queries]
-    return [matcher.any_match(values) for values in queries]
-
-
-def _worker_nn_min(handle: Handle, spec: bytes, batch: bytes) -> List[float]:
-    _worker_fault_probe()
-    store = _resolve_store(handle)
-
-    def build():
-        from .kernels import NearestNeighbors
-
-        attributes = pickle.loads(spec)
-        return NearestNeighbors(
-            None, attributes, columns=store.columns(), size=len(store)
-        )
-
-    index = _cached_index(handle[0], "nn", spec, build)
-    return [index.min_distance(values) for values in pickle.loads(batch)]
-
-
-def _worker_kd_radius(handle: Handle, spec: bytes, batch: bytes) -> List[List[int]]:
-    _worker_fault_probe()
-    store = _resolve_store(handle)
-
-    def build():
-        from .kdtree import KDTree
-        from .relation import Relation
-
-        schema, max_leaf_size = pickle.loads(spec)
-        return KDTree(Relation(schema, store=store), max_leaf_size=max_leaf_size)
-
-    tree = _cached_index(handle[0], "kd", spec, build)
-    return [
-        tree.within_radius_indices(values, radii)
-        for values, radii in pickle.loads(batch)
     ]

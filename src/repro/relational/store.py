@@ -28,11 +28,11 @@ Three backends ship with the library:
   executor** (the ``shard_executor`` setting, see :mod:`repro.config`):
   sequentially (``"serial"``), on a bounded
   :class:`~concurrent.futures.ThreadPoolExecutor` (``"thread"``, the
-  default; ``shard_workers`` bounds it), or —
-  for picklable whole-store computations — on the process pool of
+  default; ``shard_workers`` bounds it), or — for the fused
+  :meth:`~ShardedStore.select_gather` — on the process pool of
   :mod:`repro.relational.parallel` (``"process"``), whose workers map the
-  shard buffers from files.  The distance kernels /
-  KD-tree consumers build one index per shard and merge results.  See
+  shard buffers from files.  The distance kernels and KD-trees index a
+  sharded store through its whole columns, like any other store.  See
   :meth:`ShardedStore.configured` for fixing shard count / partitioner
   and registering the variant as its own backend name.
 
@@ -945,9 +945,9 @@ class ShardedStore(Store):
         (one element per shard).  Runs on the bounded thread pool when the
         store is large enough, ``shard_workers`` resolves to more than one
         worker and ``shard_executor`` is not ``"serial"``;
-        ``parallel=True``/``False`` forces either path.  (Process-mode
-        execution does not route through here — arbitrary per-shard
-        callables cannot cross a process boundary; see :meth:`eval_mask`.)
+        ``parallel=True``/``False`` forces either path.  Under the process
+        executor this is still the thread pool: the only work that reaches a
+        worker process is the fused :meth:`select_gather`.
         """
         shards = self._shards
         settings = config.current()
@@ -1145,10 +1145,6 @@ class ShardedStore(Store):
         if len(self._shards) == 1:
             return self._shards[0].gather_column(position, indices)
         composed = self.gather_indices(indices)
-        if config.current().shard_executor == "process":
-            gathered = self._process_gather(position, composed.indices)
-            if gathered is not None:
-                return gathered
         # The same buffer kinds as an unsharded gather: typed when every
         # shard actually hit holds the column in one typecode.
         columns = [shard.column(position) for shard in self._shards]
@@ -1156,56 +1152,16 @@ class ShardedStore(Store):
         values = _gather(_concat_buffers(columns), composed.positions)
         return array(typecode, values) if typecode is not None else list(values)
 
-    def _process_gather(self, position: int, indices: Sequence[int]) -> Optional[Sequence[object]]:
-        """:meth:`gather_column` on the workers holding the shards, or ``None``.
-
-        Ships (position, per-shard local indices) and gets the gathered
-        buffers back; the pool takes large gathers only, so only those are
-        split per shard.
-        """
-        from . import parallel
-
-        if len(indices) < config.current().process_min_rows or not parallel.process_eligible(self):
-            return None
-        shard_of, concat, offsets = self._shard_of, self._concat(), self._offsets()
-        per_shard: List[List[int]] = [[] for _ in self._shards]
-        slots: List[List[int]] = [[] for _ in self._shards]
-        for slot, index in enumerate(indices):
-            shard = shard_of[index]
-            per_shard[shard].append(concat[index] - offsets[shard])
-            slots[shard].append(slot)
-        parts = parallel.process_gather(self, position, per_shard)
-        if parts is None:
-            return None
-        typecode = _uniform_typecode(parts)
-        out: Sequence[object]
-        if typecode is not None:
-            out = array(typecode, bytes(array(typecode).itemsize * len(indices)))
-        else:
-            out = [None] * len(indices)
-        for shard_slots, part in zip(slots, parts):
-            for slot, value in zip(shard_slots, part):
-                out[slot] = value
-        return out
-
     # -- whole-store evaluation ---------------------------------------------
     def _shard_masks(self, masker: Callable[[Store], Sequence[int]]) -> List[Sequence[int]]:
-        """Per-shard masks in shard-local order (process pool or thread fan-out).
+        """Per-shard masks in shard-local order, fanned out by :meth:`map_shards`.
 
-        Ships the pickled masker (a compiled MaskProgram's bound
-        ``run_part``, typically) to the worker processes holding this
-        store's shard buffers; falls through to the thread path for small
-        stores, unpicklable maskers, or when process execution is
-        unavailable.
+        Never shipped to worker processes — only the fused
+        :meth:`select_gather` crosses the process boundary — so a select
+        whose fused dispatch gave up lands here, on threads, instead of
+        reaching the pool a second time.
         """
-        parts: Optional[List[Sequence[int]]] = None
-        if config.current().shard_executor == "process":
-            from . import parallel
-
-            parts = parallel.process_eval_mask(self, masker)
-        if parts is None:
-            parts = self.map_shards(masker)
-        return parts
+        return self.map_shards(masker)
 
     def _stitch_masks(self, parts: Sequence[Sequence[int]]) -> bytearray:
         """Merge per-shard masks (shard-local order) into one global mask."""
@@ -1229,21 +1185,21 @@ class ShardedStore(Store):
     ) -> Tuple[bytearray, "ShardedStore"]:
         """Fused select+gather, shipped whole to the shard workers.
 
-        In process mode each shard's worker receives ``(pickled masker,
-        output column positions, optional α-budget slice)`` in **one** task,
-        evaluates the mask over its warm mapped store, gathers the surviving
-        rows' columns locally, and ships back ``(mask bytes, packed
-        typed-column payloads)`` — one boundary crossing per shard instead of
-        mask-out + central gather (see
+        The one operation the process executor ships.  Each shard's worker
+        receives ``(pickled masker, output column positions, optional
+        α-budget slice)`` in **one** task, evaluates the mask over its warm
+        mapped store, gathers the surviving rows' columns locally, and ships
+        back ``(mask bytes, packed typed-column payloads)`` — one boundary
+        crossing per shard instead of mask-out + central gather (see
         :func:`repro.relational.parallel.process_select_gather` for the wire
         format).  The parent stitches the masks into global order and adopts
         the returned buffers as fresh per-shard column stores.
 
         Every fallback — thread/serial executors, small or unpublishable
-        stores — computes the identical result through
-        :meth:`_shard_masks` + per-shard :meth:`~Store.select_mask`, with the
-        same per-shard truncation, so the conformance matrix proves
-        equivalence across all paths.
+        stores, a dispatch that gave up — computes the identical result on
+        threads through :meth:`_shard_masks` + per-shard
+        :meth:`~Store.select_mask`, with the same per-shard truncation, so
+        the conformance matrix proves equivalence across all paths.
         """
         if config.current().shard_executor == "process":
             from . import parallel

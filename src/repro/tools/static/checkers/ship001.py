@@ -1,17 +1,19 @@
 """SHIP001 — everything shipped to worker processes must be picklable.
 
-PR 5 routed ``Store.eval_mask`` through a process pool: compiled
-:class:`~repro.algebra.predicates.MaskProgram`\\s (and the binders they
-hold) are pickled and shipped to workers.  A lambda, a function defined
-inside another function, or a local class in a binder position pickles
-never — and the failure is silent, because the executor falls back to the
-thread path, quietly erasing the parallelism the caller asked for.
+The process executor ships one operation, the fused select+gather
+(``ShardedStore.select_gather`` → ``parallel.process_select_gather``): its
+masker — a compiled :class:`~repro.algebra.predicates.MaskProgram`'s
+``run_part``, with the binders the program holds — is pickled and shipped
+to workers.  A lambda, a function defined inside another function, or a
+local class in a binder position pickles never — and the failure is
+silent, because the executor falls back to the thread path, quietly
+erasing the parallelism the caller asked for.
 
 The rule therefore guards two conventions:
 
 * arguments of shipping constructors/calls (``MaskProgram(...)``,
-  ``eval_mask(...)``, ``process_eval_mask(...)``, or any call with a
-  ``binder``/``binders``/``masker`` keyword) must not contain lambdas or
+  ``select_gather(...)``, ``process_select_gather(...)``, or any call with
+  a ``binder``/``binders``/``masker`` keyword) must not contain lambdas or
   references to functions/classes defined in the enclosing function;
 * every class named ``*Binder`` must be declared at module level and
   decorated with ``@dataclass`` — the shape the existing binder fleet
@@ -26,7 +28,7 @@ from typing import Iterator, List, Set
 
 from ..core import Checker, Finding, ModuleContext, call_name, register_checker
 
-SHIP_CALLS = frozenset({"MaskProgram", "eval_mask", "process_eval_mask"})
+SHIP_CALLS = frozenset({"MaskProgram", "select_gather", "process_select_gather"})
 SHIP_KEYWORDS = frozenset({"binder", "binders", "masker", "maskers"})
 _DATACLASS_NAMES = frozenset({"dataclass"})
 

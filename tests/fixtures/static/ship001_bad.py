@@ -16,8 +16,8 @@ def compile_program(store):
 
     program = MaskProgram([lambda part: part])  # lambda binder
     other = MaskProgram([local_binder])  # closure binder
-    mask = store.eval_mask(masker=lambda part: bytearray(len(part)))
-    return program, other, mask
+    selected = store.select_gather(lambda part: bytearray(len(part)))  # lambda masker
+    return program, other, selected
 
 
 def nested_binder_class():

@@ -19,4 +19,4 @@ class ConstBinder:
 
 def compile_program(store, comparisons):
     program = MaskProgram([ConstBinder(0, 1.5) for _ in comparisons])
-    return store.eval_mask(program)
+    return store.select_gather(program)

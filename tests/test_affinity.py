@@ -2,10 +2,9 @@
 
 Covers the routing table itself (deterministic rendezvous mapping, work
 stealing, slot repair after worker death), the probe timeout, the
-warm-cache contract (a repeated query maps zero shard files again and
-rebuilds zero kernel indexes), and bit-identity of the fused
-``select_gather`` path — with and without per-shard α-budget slices —
-against the serial reference.
+warm-cache contract (a repeated query maps zero shard files again), and
+bit-identity of the fused ``select_gather`` path — with and without
+per-shard α-budget slices — against the serial reference.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro import configure, current_config
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.relational import parallel
 from repro.relational.distance import NUMERIC, TRIVIAL
-from repro.relational.kdtree import KDForest
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import _truncate_mask, shard_budget_slices
@@ -204,8 +202,9 @@ class TestRouter:
         falls back to threads (correct answer), the breaker takes a single
         strike, and the repair is visible as a rehash."""
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
+        program = CONDITION.program(SCHEMA)
         configure(shard_executor="serial")
-        reference = bytes(CONDITION.mask(relation.store, SCHEMA))
+        ref_mask, ref_store = relation.store.select_gather(program.run_part)
         force_process()
         parallel.reset_process_pool()
         monkeypatch.setattr(
@@ -213,7 +212,9 @@ class TestRouter:
         )
         failures_before = parallel._pool_failures
         try:
-            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            mask, selected = relation.store.select_gather(program.run_part)
+            assert bytes(mask) == bytes(ref_mask)
+            assert store_rows(selected) == store_rows(ref_store)
             assert parallel.affinity_stats()["rehashes"] >= 1
             assert parallel._pool_failures == failures_before + 1
         finally:
@@ -228,33 +229,30 @@ class TestRouter:
 
 @needs_process
 class TestWarmCaches:
-    def test_repeat_query_rebuilds_zero_indexes(self, monkeypatch):
+    def test_repeat_select_maps_no_shard_file_again(self, monkeypatch):
         # Workers ≈ shards — the regime the router exists for — and
         # stealing pinned off so the routing is purely sticky (a steal
         # lands on a cold thief by design; that path is covered above).
         monkeypatch.setattr(parallel, "_STEAL_THRESHOLD", 10**6)
-        rows = make_rows(1200)
-        relation = Relation(SCHEMA, rows, backend="sharded")
+        relation = Relation(SCHEMA, make_rows(1200), backend="sharded")
         shard_count = len(relation.store.shards)
         configure(shard_workers=shard_count)
         force_process()
         parallel.reset_process_pool()
+        program = CONDITION.program(SCHEMA)
 
-        queries = [(rows[index], [0.0, 4.0, 6.0]) for index in (3, 77, 400)]
-        forest = KDForest(relation, max_leaf_size=4)
-        first = forest.within_radius_indices_many(queries)
+        first_mask, first = relation.store.select_gather(program.run_part)
         warm = parallel.worker_cache_stats()
         assert warm is not None
-        # Every shard decoded and indexed exactly once, somewhere.
+        # Every shard mapped exactly once, somewhere; no worker builds an index.
         assert sum(stat["store_decodes"] for stat in warm) == shard_count
-        assert sum(stat["index_builds"] for stat in warm) == shard_count
+        assert all(stat["index_builds"] == 0 for stat in warm)
 
-        second = forest.within_radius_indices_many(queries)
-        assert second == first
-        after = parallel.worker_cache_stats()
-        # The repeated query hit only warm workers: zero new decodes,
-        # zero rebuilt kernel indexes.
-        assert after == warm
+        second_mask, second = relation.store.select_gather(program.run_part)
+        assert bytes(second_mask) == bytes(first_mask)
+        assert store_rows(second) == store_rows(first)
+        # The repeated query hit only warm workers: zero new decodes.
+        assert parallel.worker_cache_stats() == warm
 
         parallel.reset_process_pool()
 

@@ -19,14 +19,17 @@ Four layers of coverage for PR 10's failure-handling substrate:
 
 The whole-suite version of the same contract (kills at p=0.1 across every
 backend × executor) lives in ``benchmarks/bench_chaos.py`` and the
-chaos row of the ``tests-modes`` CI job.
+chaos row of the ``tests-modes`` CI job; the contract its report check
+enforces is tested here.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +42,7 @@ from repro.relational.distance import NUMERIC, TRIVIAL
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 
-from conftest import SHARD_EXECUTORS, assert_identical
+from conftest import SHARD_EXECUTORS, assert_identical, identity_key
 
 PROCESS_OK = "process" in SHARD_EXECUTORS
 needs_process = pytest.mark.skipif(
@@ -90,6 +93,12 @@ def breaker_guard():
 
 def force_process():
     configure(shard_executor="process", process_min_rows=1)
+
+
+def select_answer(store):
+    """The fused select+gather under the current executor: mask bytes, selected rows."""
+    mask, selected = store.select_gather(CONDITION.program(SCHEMA).run_part)
+    return bytes(mask), [identity_key(row) for row in selected.iter_rows()]
 
 
 def wait_until_gone(pids, seconds):
@@ -328,23 +337,23 @@ class TestBreakerRecovery:
 
 @needs_process
 class TestDispatchResilience:
-    def _reference_mask(self, relation):
+    def _reference(self, relation):
         previous = configure(shard_executor="serial")
-        mask = bytes(CONDITION.mask(relation.store, SCHEMA))
+        answer = select_answer(relation.store)
         configure(previous)
-        return mask
+        return answer
 
     def test_injected_broken_pool_is_retried(
         self, plan_guard, breaker_guard
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
-        reference = self._reference_mask(relation)
+        reference = self._reference(relation)
         force_process()
         configure(retry_backoff=0.0)
         retries_before = parallel.dispatch_stats()["retries"]
         faults.set_fault_plan("seed=3;parallel.dispatch.broken:at=1")
         try:
-            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            assert select_answer(relation.store) == reference
         finally:
             faults.set_fault_plan(None, reset_pools=False)
         stats = parallel.dispatch_stats()
@@ -356,7 +365,7 @@ class TestDispatchResilience:
         self, plan_guard, breaker_guard
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
-        reference = self._reference_mask(relation)
+        reference = self._reference(relation)
         force_process()
         configure(retry_backoff=0.0)
         # Every worker incarnation dies on its first task; retries re-route
@@ -364,7 +373,7 @@ class TestDispatchResilience:
         # serves the exact same bytes.
         faults.set_fault_plan("seed=5;parallel.worker.kill:at=1")
         try:
-            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            assert select_answer(relation.store) == reference
         finally:
             faults.set_fault_plan(None, reset_pools=False)
 
@@ -374,25 +383,25 @@ class TestDispatchResilience:
         # The acceptance criterion: a kill/heal cycle restores the process
         # path WITHOUT reset_process_pool().
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
-        reference = self._reference_mask(relation)
+        reference = self._reference(relation)
         force_process()
         configure(retry_backoff=0.0)
         faults.set_fault_plan("seed=5;parallel.worker.kill:at=1")
         try:
-            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            assert select_answer(relation.store) == reference
         finally:
             faults.set_fault_plan(None, reset_pools=False)  # heal
         # Workers spawned while the plan was live may still carry it; the
         # dispatch absorbs their deaths and re-routes to clean respawns.
         for _ in range(3):
-            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            assert select_answer(relation.store) == reference
         assert parallel.breaker_state()["state"] == "closed"
 
     def test_wedged_worker_hits_the_dispatch_deadline(
         self, plan_guard, breaker_guard, monkeypatch
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
-        reference = self._reference_mask(relation)
+        reference = self._reference(relation)
         force_process()
         configure(retry_backoff=0.0)
         monkeypatch.setattr(parallel, "DISPATCH_RETRIES", 1)
@@ -409,7 +418,7 @@ class TestDispatchResilience:
         started = time.monotonic()
         faults.set_fault_plan("seed=2;parallel.worker.slow:p=1,arg=30")
         try:
-            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            assert select_answer(relation.store) == reference
             elapsed = time.monotonic() - started
             # The deadline is a deadline for the worker too: every process
             # that held a 30 s sleep is gone, not abandoned to wake later.
@@ -440,20 +449,73 @@ class TestDispatchResilience:
         self, plan_guard, breaker_guard
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
-        reference = self._reference_mask(relation)
+        reference = self._reference(relation)
         force_process()
         configure(retry_backoff=0.0)
         fatal_before = parallel.dispatch_stats()["fatal"]
         faults.set_fault_plan("seed=4;parallel.publish.unlink:at=1")
         try:
-            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            assert select_answer(relation.store) == reference
         finally:
             faults.set_fault_plan(None, reset_pools=False)
         # The vanished file is fatal for this publication (retrying the
         # same handles cannot help) — one clean fallback, no wrong answer.
         assert parallel.dispatch_stats()["fatal"] > fatal_before
         # The next query republishes and the process path works again.
-        assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+        assert select_answer(relation.store) == reference
+
+
+def load_chaos_bench():
+    """``benchmarks/bench_chaos.py`` as a module (it is a script, not a package)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_chaos.py"
+    spec = importlib.util.spec_from_file_location("bench_chaos", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestChaosReport:
+    @staticmethod
+    def cell(executor, shards, routed):
+        return {
+            "backend": "sharded" if shards > 1 else "column",
+            "executor": executor,
+            "shards": shards,
+            "queries": 2,
+            "identical": 2,
+            "typed_errors": 0,
+            "wrong_answers": 0,
+            "hangs": 0,
+            "healed_without_reset": True,
+            "p50_seconds": 0.0,
+            "max_seconds": 0.0,
+            "dispatch_delta": {},
+            "breaker": {"state": "closed"},
+            "routed_tasks": routed,
+        }
+
+    def test_a_process_cell_that_routed_nothing_fails_the_check(self):
+        """A process cell over a partitioned store that placed no task on a
+        worker proved nothing; unpartitioned and thread cells never route."""
+        check_report = load_chaos_bench().check_report
+        report = {
+            "benchmark": "chaos soak",
+            "plan": "seed=1",
+            "summary": {},
+            "serving": {"wrong_answers": 0, "result_cache_errors": 0, "plan_cache_errors": 0},
+            "combos": [
+                self.cell("process", 4, 3),
+                self.cell("thread", 4, 0),
+                self.cell("process", 1, 0),
+            ],
+        }
+        assert check_report(report) == []
+        report["combos"].append(self.cell("process", 4, 0))
+        assert check_report(report) == [
+            "sharded×process: routed no task to a worker (the soak proved nothing)"
+        ]
+        del report["combos"][-1]["routed_tasks"]
+        assert check_report(report) == ["sharded×process: missing field 'routed_tasks'"]
 
 
 # ---------------------------------------------------------------------------

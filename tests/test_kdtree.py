@@ -191,19 +191,17 @@ class TestIndexQueries:
         tree = KDTree(make_relation([]))
         assert tree.within_radius_indices((0.0, 0.0, "t0"), [1.0, 1.0, 1.0]) == []
 
-    def test_forest_indices_are_global(self):
-        from repro.relational.kdtree import KDForest
-
+    def test_sharded_tree_indices_are_global(self):
+        """A tree over a sharded relation answers in global row positions,
+        exactly like a tree over the same rows in one store."""
         rng = random.Random(5)
         rows = [(rng.uniform(0, 50), rng.uniform(0, 10), f"t{i % 3}") for i in range(90)]
         schema = make_relation([]).schema
-        plain = Relation(schema, rows)
-        sharded = Relation(schema, rows, backend="sharded")
-        forest = KDForest(sharded, max_leaf_size=2)
-        reference = KDTree(plain, max_leaf_size=2)
+        sharded = KDTree(Relation(schema, rows, backend="sharded"), max_leaf_size=2)
+        reference = KDTree(Relation(schema, rows), max_leaf_size=2)
         for _ in range(10):
             query = (rng.uniform(0, 50), rng.uniform(0, 10), f"t{rng.randrange(3)}")
             radii = [rng.uniform(0, 10), rng.uniform(0, 2), 0.5]
-            assert sorted(forest.within_radius_indices(query, radii)) == sorted(
+            assert sorted(sharded.within_radius_indices(query, radii)) == sorted(
                 reference.within_radius_indices(query, radii)
             )

@@ -33,6 +33,7 @@ import pytest
 
 from conftest import SHARD_EXECUTORS, assert_identical, identity_key, to_backend
 from repro import Beas, ConstraintSpec, QueryServer, Relation, configure, faults
+from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import CorruptShardError
 from repro.relational import parallel
 from repro.relational.mmapstore import (
@@ -455,13 +456,20 @@ class TestProcessExecution:
         for sql in RESTART_QUERIES:
             got = beas.answer(sql, alpha=0.9)
             assert_identical(got.rows, reference.answer(sql, alpha=0.9).rows)
-        # A shard-parallel gather forces a round trip through the
-        # worker pool (query plans above may stay on index paths).
-        store = db.relation("emp").store
-        gathered = store.gather_column(0, list(range(len(store))))
-        assert list(gathered) == [row[0] for row in tiny_db.relation("emp").rows]
+        # A fused select+gather forces a round trip through the worker
+        # pool (query plans above may stay on index paths).
+        emp = db.relation("emp")
+        program = Conjunction.of(
+            [Comparison(AttrRef(None, "salary"), CompareOp.LE, Const(60.0))]
+        ).program(emp.schema)
+        calls_before = parallel.select_gather_stats()["calls"]
+        _mask, selected = emp.store.select_gather(program.run_part)
+        assert parallel.select_gather_stats()["calls"] == calls_before + 1
+        assert [identity_key(row) for row in selected.iter_rows()] == [
+            identity_key(row) for row in tiny_db.relation("emp").rows if row[2] <= 60.0
+        ]
         # The workers mapped the shards' own files: nothing was written.
-        assert store._publication.written == []
+        assert emp.store._publication.written == []
         assert not [name for name in os.listdir(store_dir) if name.startswith("pub-")]
 
 

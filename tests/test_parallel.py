@@ -3,15 +3,17 @@
 Three layers of coverage for :mod:`repro.relational.parallel`:
 
 * **Unit** — the publish → resolve round trip of every kind of shard, and
-  the worker functions called in-process through handles of files written
+  the worker function called in-process through handles of files written
   under ``tmp_path`` (exactly the code worker processes run, minus the
   process boundary).  (What the settings accept is ``tests/test_config.py``.)
-* **End-to-end** — real pool round trips: masks, gathers, kernel batches and
-  KD radius queries under ``executor="process"`` must be bit-identical to
-  the serial/thread paths, including after a shard mutation retires the
-  published files.
+* **End-to-end** — real pool round trips: the fused select+gather — the one
+  operation that ships — under ``executor="process"`` must be bit-identical
+  to the serial/thread paths, including after a shard mutation retires the
+  published files; masks, gathers and kernel batches on a sharded store stay
+  on threads under the process executor and answer identically too, and
+  nothing but the fused operator is ever submitted to a worker.
 * **Property** — a hypothesis invariant that serial, thread and process
-  mask evaluation agree on None/NaN/mixed/string columns.
+  select+gather agree on None/NaN/mixed/string columns.
 
 The cross-backend conformance matrix in ``conftest.py`` additionally runs
 every ``backend``-fixture test under the process executor, so whole-query
@@ -32,17 +34,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Beas, ConstraintSpec, QueryServer, configure, current_config
+from repro import Beas, ConstraintSpec, QueryServer, configure, current_config, faults
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import CorruptShardError
+from repro.experiments import build_beas
 from repro.relational import parallel
 from repro.relational.distance import NUMERIC, TRIVIAL
-from repro.relational.kdtree import KDForest
 from repro.relational.kernels import (
     NearestNeighbors,
     RadiusMatcher,
-    ShardedNearestNeighbors,
-    ShardedRadiusMatcher,
     naive_min_distance,
     naive_radius_matches,
 )
@@ -50,8 +50,10 @@ from repro.relational.mmapstore import MmapStore, write_anonymous
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import ColumnStore, EXECUTOR_MODES, ShardedStore
+from repro.workloads import tfacc
+from repro.workloads.querygen import QueryGenerator
 
-from conftest import SHARD_EXECUTORS, identity_key, to_backend
+from conftest import SHARD_EXECUTORS, identity_key, to_backend, union_compatible
 
 PROCESS_OK = "process" in SHARD_EXECUTORS
 needs_process = pytest.mark.skipif(
@@ -74,6 +76,11 @@ def _raising_masker(part):
     raise RuntimeError("application bug in masker")
 
 
+def _every_other_row(part):
+    """A picklable masker keeping rows 0, 2, 4, ... (a strict subset)."""
+    return bytearray((index + 1) % 2 for index in range(len(part)))
+
+
 def make_rows(count: int, seed: int = 11):
     rng = random.Random(seed)
     return [
@@ -88,6 +95,12 @@ def published_files(directory):
 
 def force_process():
     configure(shard_executor="process", process_min_rows=1)
+
+
+def select_answer(store, masker=None):
+    """``store.select_gather`` under the current executor: mask bytes, selected rows."""
+    mask, selected = store.select_gather(masker or CONDITION.program(SCHEMA).run_part)
+    return bytes(mask), [identity_key(row) for row in selected.iter_rows()]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +170,7 @@ class TestPublicationRoundTrip:
         store = ShardedStore.from_rows(3, rows)
         if PROCESS_OK:
             force_process()
-            CONDITION.mask(store, SCHEMA)  # force a publication
+            select_answer(store)  # force a publication
         clone = pickle.loads(pickle.dumps(store))
         assert clone._publication is None
         self.assert_identical_stores(store, clone)
@@ -207,18 +220,42 @@ def file_handle(store, token=None):
 
 class TestWorkerFunctions:
     def test_eval_mask_matches_direct_evaluation(self, store_dir):
+        """The mask a worker evaluates over the mapped shard file is the mask
+        the parent evaluates over its own buffers, and an α-budget slice
+        keeps exactly the first ``limit`` survivors of it."""
         store = ColumnStore.from_rows(3, make_rows(200))
         program = CONDITION.program(SCHEMA)
         masker = pickle.dumps(program.run_part)
-        out = parallel._worker_eval_mask(file_handle(store), masker)
-        assert bytearray(out) == program.run_part(store)
+        handle = file_handle(store)
+        direct = store.eval_mask(program.run_part)
+        mask, payloads = parallel._worker_select_gather(handle, masker, [], None)
+        assert bytearray(mask) == direct
+        assert payloads is None
+        survivors = [i for i, bit in enumerate(direct) if bit]
+        assert len(survivors) > 7
+        limited, _ = parallel._worker_select_gather(handle, masker, [], 7)
+        assert [i for i, bit in enumerate(limited) if bit] == survivors[:7]
 
     def test_gather_roundtrip(self, store_dir):
-        store = ColumnStore.from_rows(3, make_rows(50))
-        encoded = parallel._worker_gather(file_handle(store), 1, [4, 4, 0, 49])
-        assert list(parallel._decode_buffer(encoded)) == list(
-            store.gather_column(1, [4, 4, 0, 49])
+        """Every buffer kind a worker gathers comes back with its values and
+        its kind: adopted, it is the store the parent would have selected."""
+        store = ColumnStore.from_columns(len(MIXED_COLUMNS), MIXED_COLUMNS)
+        positions = list(range(store.width))
+        mask, payloads = parallel._worker_select_gather(
+            file_handle(store), pickle.dumps(_every_other_row), positions, None
         )
+        assert bytearray(mask) == _every_other_row(store)
+        local = store.select_mask(mask)
+        decoded = [parallel._decode_buffer(payload) for payload in payloads]
+        for position, buffer in zip(positions, decoded):
+            assert [identity_key((v,)) for v in buffer] == [
+                identity_key((v,)) for v in local.column(position)
+            ]
+        adopted = parallel.adopt_gathered(decoded, len(local))
+        assert adopted._kinds == local._kinds  # typed buffers stay typed
+        assert [identity_key(r) for r in adopted.iter_rows()] == [
+            identity_key(r) for r in local.iter_rows()
+        ]
 
     def test_select_gather_worker(self, store_dir):
         store = ColumnStore.from_rows(3, make_rows(200))
@@ -235,57 +272,21 @@ class TestWorkerFunctions:
         # Nothing to gather: the payload is short-circuited.
         assert parallel._worker_select_gather(handle, masker, [], None) == (bytes(expected), None)
 
-    def test_radius_and_nn_and_kd_workers(self, store_dir):
-        rows = make_rows(120)
-        store = ColumnStore.from_rows(3, rows)
-        handle = file_handle(store)
-        spec = pickle.dumps(([0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0]))
-        queries = [rows[i][:2] for i in range(0, 120, 17)]
-        batch = pickle.dumps(queries)
-
-        per_query = parallel._worker_radius_matches(handle, spec, batch, True)
-        flags = parallel._worker_radius_matches(handle, spec, batch, False)
-        for values, matches, flag in zip(queries, per_query, flags):
-            expected = naive_radius_matches(values, rows, [0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0])
-            assert matches == expected
-            assert flag == bool(expected)
-
-        nn_spec = pickle.dumps(list(SCHEMA.attributes))
-        nn_batch = pickle.dumps([rows[3], rows[77]])
-        distances = [a.distance for a in SCHEMA.attributes]
-        assert parallel._worker_nn_min(handle, nn_spec, nn_batch) == [
-            naive_min_distance(rows[3], rows, distances),
-            naive_min_distance(rows[77], rows, distances),
-        ]
-
-        kd_spec = pickle.dumps((SCHEMA, 4))
-        kd_batch = pickle.dumps([((rows[5][0], rows[5][1], rows[5][2]), [0.0, 3.0, 5.0])])
-        [indices] = parallel._worker_kd_radius(handle, kd_spec, kd_batch)
-        expected = naive_radius_matches(rows[5], rows, [0, 1, 2], distances, [0.0, 3.0, 5.0])
-        assert sorted(indices) == expected
-
     def test_store_cache_lru_eviction(self, store_dir, monkeypatch):
         monkeypatch.setattr(parallel, "_STORE_CACHE_LIMIT", 2)
         parallel._STORE_CACHE.clear()
-        parallel._INDEX_CACHE.clear()
         stores = [ColumnStore.from_rows(3, make_rows(8, seed=s)) for s in range(3)]
         handles = [file_handle(store, f"lru-{i}") for i, store in enumerate(stores)]
         masker = pickle.dumps(CONDITION.program(SCHEMA).run_part)
 
-        parallel._worker_eval_mask(handles[0], masker)
-        spec = pickle.dumps(([0], [TRIVIAL], [0.0]))
-        parallel._worker_radius_matches(handles[0], spec, pickle.dumps([(0,)]), True)
-        assert ("lru-0", "radius", spec) in parallel._INDEX_CACHE
-
-        parallel._worker_eval_mask(handles[1], masker)
-        parallel._worker_eval_mask(handles[2], masker)
+        for handle in handles:
+            parallel._worker_select_gather(handle, masker, [0], None)
         assert "lru-0" not in parallel._STORE_CACHE  # oldest evicted
-        assert ("lru-0", "radius", spec) not in parallel._INDEX_CACHE  # deps dropped
         # Cached entries are reused (move_to_end path) and re-resolvable.
-        parallel._worker_eval_mask(handles[2], masker)
-        parallel._worker_eval_mask(handles[0], masker)
+        parallel._worker_select_gather(handles[2], masker, [0], None)
+        parallel._worker_select_gather(handles[0], masker, [0], None)
+        assert list(parallel._STORE_CACHE) == ["lru-2", "lru-0"]
         parallel._STORE_CACHE.clear()
-        parallel._INDEX_CACHE.clear()
 
 
 class TestWorkerInternals:
@@ -349,45 +350,6 @@ class TestWorkerInternals:
         assert parallel.affinity_stats()["hits"] > hits_before  # workers really ran
         assert asked and "fork" not in asked
 
-    def test_unpicklable_specs_return_none(self):
-        from repro.relational.distance import DistanceFunction
-
-        relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
-        force_process()
-        bad_distance = DistanceFunction("bad", lambda x, y: 0.0)
-        assert (
-            parallel.radius_matches_many(
-                relation.store, [0], [bad_distance], [0.0], [(1,)]
-            )
-            is None
-        )
-        bad_attr = Attribute("a", bad_distance)
-        assert parallel.nn_min_distance_many(relation.store, [bad_attr], [(1,)]) is None
-        bad_schema = RelationSchema("b", [bad_attr])
-        assert (
-            parallel.kd_within_radius_many(relation.store, bad_schema, 1, [((1,), [0.0])])
-            is None
-        )
-        # Unpicklable query values fall back the same way.
-        assert (
-            parallel.radius_matches_many(
-                relation.store, [0], [TRIVIAL], [0.0], [(lambda: None,)]
-            )
-            is None
-        )
-        assert (
-            parallel.nn_min_distance_many(
-                relation.store, list(SCHEMA.attributes), [(lambda: None,)]
-            )
-            is None
-        )
-        assert (
-            parallel.kd_within_radius_many(
-                relation.store, SCHEMA, 1, [((lambda: None,), [0.0])]
-            )
-            is None
-        )
-
     def test_unpublishable_payload_falls_back_without_leaking(
         self, store_dir
     ):
@@ -405,10 +367,11 @@ class TestWorkerInternals:
         condition = Conjunction.of(
             [Comparison(AttrRef(None, "x"), CompareOp.LE, Const(60.0))]
         )
-        process_mask = bytes(condition.mask(store, SCHEMA))
+        masker = condition.program(SCHEMA).run_part
+        process_answer = select_answer(store, masker)
         assert os.listdir(store_dir) == []
         configure(shard_executor="serial")
-        assert process_mask == bytes(condition.mask(store, SCHEMA))
+        assert process_answer == select_answer(store, masker)
 
         # Mutation clears the sentinel like any publication: a store that
         # sheds its unpicklable values becomes publishable again.
@@ -453,7 +416,7 @@ class TestWorkerInternals:
         )
         try:
             program = CONDITION.program(SCHEMA)
-            assert parallel.process_eval_mask(relation.store, program.run_part) is None
+            assert parallel.process_select_gather(relation.store, program.run_part, range(3)) is None
             assert parallel._pool_failures == failures_before + 1
             assert parallel.probe_process_executor() is False
         finally:
@@ -462,9 +425,9 @@ class TestWorkerInternals:
             parallel._pool_failures = failures_before
         # The thread fallback keeps the query correct throughout.
         configure(shard_executor="serial")
-        reference = bytes(CONDITION.mask(relation.store, SCHEMA))
+        reference = select_answer(relation.store)
         configure(shard_executor="process")
-        assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+        assert select_answer(relation.store) == reference
 
     @needs_process
     def test_cancelled_futures_fall_back_without_breaker_strike(
@@ -484,7 +447,7 @@ class TestWorkerInternals:
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
         configure(shard_executor="serial")
-        reference = bytes(CONDITION.mask(relation.store, SCHEMA))
+        reference = select_answer(relation.store)
         configure(shard_executor="process")
         parallel.reset_process_pool()
         failures_before = parallel._pool_failures
@@ -494,11 +457,40 @@ class TestWorkerInternals:
         try:
             # A concurrent reset cancelling the futures degrades to the thread
             # path (correct answer) without counting against the breaker.
-            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            assert select_answer(relation.store) == reference
             assert parallel._pool_failures == failures_before
         finally:
             monkeypatch.undo()
             parallel.reset_process_pool()
+
+    @needs_process
+    def test_unpicklable_specs_return_none(self):
+        """Work that cannot cross the boundary answers ``None`` (run it in the
+        parent): the fused select+gather with a masker that does not pickle,
+        and each name pinned for the benchmark, whatever it is handed."""
+        from repro.relational.distance import DistanceFunction
+
+        relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
+        force_process()
+        assert parallel.process_eligible(relation.store)
+        calls_before = parallel.select_gather_stats()["calls"]
+        assert parallel.process_select_gather(relation.store, lambda part: part, range(3)) is None
+        assert parallel.select_gather_stats()["calls"] == calls_before
+        assert relation.store._publication is None  # nothing was dispatched
+
+        bad_distance = DistanceFunction("bad", lambda x, y: 0.0)
+        bad_attr = Attribute("a", bad_distance)
+        pinned = (
+            parallel.process_eval_mask(relation.store, CONDITION.program(SCHEMA).run_part),
+            parallel.process_gather(relation.store, 0, [0, 1]),
+            parallel.radius_matches_many(relation.store, [0], [bad_distance], [0.0], [(1,)]),
+            parallel.nn_min_distance_many(relation.store, [bad_attr], [(1,)]),
+            parallel.kd_within_radius_many(
+                relation.store, RelationSchema("b", [bad_attr]), 1, [((1,), [0.0])]
+            ),
+        )
+        assert pinned == (None,) * 5
+        assert relation.store._publication is None
 
     @needs_process
     def test_success_resets_failure_breaker(self):
@@ -506,10 +498,40 @@ class TestWorkerInternals:
         force_process()
         parallel._pool_failures = parallel._MAX_POOL_FAILURES - 1
         program = CONDITION.program(SCHEMA)
-        assert parallel.process_eval_mask(relation.store, program.run_part) is not None
+        assert parallel.process_select_gather(relation.store, program.run_part, range(3)) is not None
         # One good round clears the strikes: only *consecutive* failures
         # can disable process mode.
         assert parallel._pool_failures == 0
+
+    @needs_process
+    def test_one_select_reaches_the_pool_once(self, monkeypatch):
+        """A fused select whose dispatch gives up answers on threads: the
+        same work is not sent to the pool a second time as a bare mask."""
+        relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
+        configure(shard_executor="serial")
+        reference = select_answer(relation.store)
+        configure(shard_executor="process", process_min_rows=1, retry_backoff=0.0)
+        monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.5)
+        monkeypatch.setattr(parallel, "DISPATCH_RETRIES", 1)
+        dispatches = []
+        dispatch = parallel._dispatch_with_retries
+
+        def counting_dispatch(publication, fn, args_per_shard):
+            dispatches.append(fn.__name__)
+            return dispatch(publication, fn, args_per_shard)
+
+        monkeypatch.setattr(parallel, "_dispatch_with_retries", counting_dispatch)
+        failures_before = parallel._pool_failures
+        fallbacks_before = parallel.dispatch_stats()["fallbacks"]
+        previous_plan = faults.set_fault_plan("parallel.worker.slow:p=1,arg=3.0")
+        try:
+            assert select_answer(relation.store) == reference
+        finally:
+            faults.set_fault_plan(previous_plan, reset_pools=False)
+            parallel.reset_process_pool()
+            parallel._pool_failures = failures_before
+        assert dispatches == ["_worker_select_gather"]
+        assert parallel.dispatch_stats()["fallbacks"] == fallbacks_before + 1
 
     @needs_process
     def test_reset_pool_with_live_pool(self):
@@ -544,76 +566,78 @@ class TestProcessExecution:
         assert gathered == expected
 
     def test_kernel_batches_identical(self):
+        """A sharded store's kernels answer exactly like a column store's and
+        the nested loops, under the thread and the process executor."""
         rows = make_rows(800)
-        relation = Relation(SCHEMA, rows, backend="sharded")
+        sharded = Relation(SCHEMA, rows, backend="sharded").store
+        column = Relation(SCHEMA, rows, backend="column").store
         queries = [rows[i][:2] for i in range(0, 800, 31)]
         full = [rows[i] for i in range(0, 800, 57)]
+        key = ([0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0])
+        expected = [naive_radius_matches(values, rows, *key) for values in queries]
+        distances = [a.distance for a in SCHEMA.attributes]
+        expected_min = [naive_min_distance(values, rows, distances) for values in full]
 
-        configure(shard_executor="thread")
-        matcher = RadiusMatcher.from_store(relation.store, [0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0])
-        assert isinstance(matcher, ShardedRadiusMatcher)
-        expected_matches = matcher.matches_many(queries)
-        expected_any = matcher.any_match_many(queries)
-        neighbors = NearestNeighbors.from_store(relation.store, SCHEMA.attributes)
-        assert isinstance(neighbors, ShardedNearestNeighbors)
-        expected_min = neighbors.min_distance_many(full)
-
-        force_process()
-        matcher = RadiusMatcher.from_store(relation.store, [0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0])
-        assert matcher.matches_many(queries) == expected_matches
-        assert matcher.any_match_many(queries) == expected_any
-        assert matcher.matches(queries[0]) == expected_matches[0]  # per-query stays local
-        neighbors = NearestNeighbors.from_store(relation.store, SCHEMA.attributes)
-        assert neighbors.min_distance_many(full) == expected_min
+        for executor in ("thread", "process"):
+            configure(shard_executor=executor, process_min_rows=1)
+            for store in (sharded, column):
+                matcher = RadiusMatcher.from_store(store, *key)
+                assert matcher.matches_many(queries) == expected
+                assert matcher.any_match_many(queries) == [bool(hits) for hits in expected]
+                assert matcher.matches(queries[0]) == expected[0]
+                neighbors = NearestNeighbors.from_store(store, SCHEMA.attributes)
+                assert [neighbors.min_distance(values) for values in full] == expected_min
 
     def test_subclassed_kernels_stay_on_local_path(self):
-        """A RadiusMatcher/NearestNeighbors subclass keeps its overridden
-        behavior in batch calls: workers build base-class kernels, so
-        subclasses must not ship to the pool."""
+        """A RadiusMatcher/NearestNeighbors subclass built over a sharded store
+        under the process executor is one local kernel of that subclass: its
+        overrides answer every batch call, and nothing is published."""
 
         class MutedMatcher(RadiusMatcher):
             def matches(self, values):
                 return []  # deliberately different from the base behavior
 
-        rows = make_rows(600)
-        relation = Relation(SCHEMA, rows, backend="sharded")
-        force_process()
-        base = ShardedRadiusMatcher(relation.store, [0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0])
-        assert base.matches_many([rows[0][:2]]) != [[]]  # the row matches itself
-        muted = ShardedRadiusMatcher(
-            relation.store, [0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0],
-            matcher_cls=MutedMatcher,
-        )
-        # The override survived under executor="process" (no pool shipping).
-        assert muted.matches_many([rows[0][:2]]) == [[]]
-
         class TaggedNeighbors(NearestNeighbors):
             def min_distance(self, values):
                 return -1.0
 
-        neighbors = ShardedNearestNeighbors(
-            relation.store, SCHEMA.attributes, index_cls=TaggedNeighbors
-        )
-        assert neighbors.min_distance_many([rows[0]]) == [-1.0]
-
-    def test_kd_forest_batch_identical(self):
-        rows = make_rows(400)
+        rows = make_rows(600)
         relation = Relation(SCHEMA, rows, backend="sharded")
-        queries = [(rows[i], [0.0, 4.0, 6.0]) for i in range(0, 400, 41)]
-        configure(shard_executor="thread")
-        expected = [
-            sorted(hits)
-            for hits in KDForest(relation, max_leaf_size=4).within_radius_indices_many(queries)
-        ]
         force_process()
-        forest = KDForest(relation, max_leaf_size=4)
-        assert [sorted(hits) for hits in forest.within_radius_indices_many(queries)] == expected
-        assert sorted(forest.within_radius_indices(*queries[0])) == expected[0]
+        key = ([0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0])
+        base = RadiusMatcher.from_store(relation.store, *key)
+        assert type(base) is RadiusMatcher
+        assert base.matches_many([rows[0][:2]]) != [[]]  # the row matches itself
+        muted = MutedMatcher.from_store(relation.store, *key)
+        assert type(muted) is MutedMatcher
+        assert muted.matches_many([rows[0][:2]]) == [[]]
+        assert muted.any_match_many([rows[0][:2]]) == [True]  # any_match is not overridden
+
+        neighbors = TaggedNeighbors.from_relation(relation)
+        assert type(neighbors) is TaggedNeighbors
+        assert neighbors.min_distance(rows[0]) == -1.0
+        assert relation.store._publication is None
+
+    def test_bare_masks_and_gathers_stay_in_the_parent(self):
+        """Only the fused select+gather ships: a bare mask and a bare gather
+        over a sharded store answer on threads under the process executor,
+        publishing nothing and dispatching nothing."""
+        relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
+        indices = [5, 5, 1999, 0, 123, 123, 7]  # duplicates, out of order
+        configure(shard_executor="serial")
+        mask = bytes(CONDITION.mask(relation.store, SCHEMA))
+        gathered = [list(relation.store.gather_column(p, indices)) for p in range(3)]
+        force_process()
+        hits_before = parallel.affinity_stats()["hits"]
+        assert bytes(CONDITION.mask(relation.store, SCHEMA)) == mask
+        assert [list(relation.store.gather_column(p, indices)) for p in range(3)] == gathered
+        assert relation.store._publication is None
+        assert parallel.affinity_stats()["hits"] == hits_before
 
     def test_mutation_retires_publication(self):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         force_process()
-        CONDITION.mask(relation.store, SCHEMA)
+        select_answer(relation.store)
         publication = relation.store._publication
         assert publication is not None
         before = set(publication.written)
@@ -623,9 +647,9 @@ class TestProcessExecution:
         assert relation.store._publication is None
         assert not any(os.path.exists(path) for path in before)
 
-        process_mask = bytes(CONDITION.mask(relation.store, SCHEMA))
+        process_answer = select_answer(relation.store)
         configure(shard_executor="serial")
-        assert process_mask == bytes(CONDITION.mask(relation.store, SCHEMA))
+        assert process_answer == select_answer(relation.store)
         # The fresh publication uses fresh file names: stale worker cache
         # entries can never answer for the mutated store.
         assert not (set(relation.store._publication.written) & before)
@@ -635,28 +659,31 @@ class TestProcessExecution:
         store = cls.from_rows(3, make_rows(3))
         assert [len(shard) for shard in store.shards] == [1, 1, 1, 0]
         configure(shard_executor="serial")
-        reference = bytes(CONDITION.mask(store, SCHEMA))
+        reference = select_answer(store)
         force_process()
         fallbacks_before = parallel.dispatch_stats()["fallbacks"]
-        parts = parallel.process_eval_mask(store, CONDITION.program(SCHEMA).run_part)
+        fused = parallel.process_select_gather(store, CONDITION.program(SCHEMA).run_part, range(3))
         # The empty shard has a file like any other, and a worker answered for it.
-        assert parts is not None and [len(part) for part in parts] == [1, 1, 1, 0]
-        assert bytes(CONDITION.mask(store, SCHEMA)) == reference
+        assert fused is not None and [len(mask) for mask in fused[0]] == [1, 1, 1, 0]
+        assert select_answer(store) == reference
         assert parallel.dispatch_stats()["fallbacks"] == fallbacks_before
 
     def test_unpicklable_masker_falls_back(self):
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
-        seen = bytearray(relation.store.eval_mask(lambda part: bytearray(b"\x01" * len(part))))
-        assert seen == bytearray(b"\x01" * len(relation))
+        calls_before = parallel.select_gather_stats()["calls"]
+        mask, selected = relation.store.select_gather(lambda part: bytearray(b"\x01" * len(part)))
+        assert mask == bytearray(b"\x01" * len(relation))
+        assert selected is relation.store
+        assert parallel.select_gather_stats()["calls"] == calls_before  # nothing shipped
 
     def test_small_store_skips_process(self):
         relation = Relation(SCHEMA, make_rows(40), backend="sharded")
         configure(shard_executor="process")  # default threshold: 40 rows stay local
-        mask = CONDITION.mask(relation.store, SCHEMA)
+        answer = select_answer(relation.store)
         assert relation.store._publication is None
         configure(shard_executor="serial")
-        assert mask == CONDITION.mask(relation.store, SCHEMA)
+        assert answer == select_answer(relation.store)
 
     def test_unpicklable_distance_falls_back_locally(self):
         from repro.relational.distance import DistanceFunction
@@ -673,7 +700,7 @@ class TestProcessExecution:
     def test_pool_failure_counter_disables_and_resets(self, monkeypatch):
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
-        reference = bytes(CONDITION.mask(relation.store, SCHEMA))
+        reference = select_answer(relation.store)
 
         # A pool that cannot be created: every process attempt falls back.
         def no_pool():
@@ -686,8 +713,9 @@ class TestProcessExecution:
             parallel._AffinityRouter, "_create_pool", staticmethod(no_pool)
         )
         try:
-            assert parallel.process_eval_mask(relation.store, CONDITION.program(SCHEMA).run_part) is None
-            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            program = CONDITION.program(SCHEMA)
+            assert parallel.process_select_gather(relation.store, program.run_part, range(3)) is None
+            assert select_answer(relation.store) == reference
         finally:
             monkeypatch.undo()
             parallel._pool_failures = failures_before
@@ -706,7 +734,7 @@ class TestProcessExecution:
         assert parallel.probe_process_executor() is True
         force_process()
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
-        expected = bytes(CONDITION.mask(relation.store, SCHEMA))
+        expected = select_answer(relation.store)
         stale_publication = relation.store._publication
         failures_before = parallel._pool_failures
         parallel.shutdown()  # the explicit cleanup hook body
@@ -715,18 +743,18 @@ class TestProcessExecution:
         # including for the store whose publication the shutdown orphaned
         # (its stale file names must not poison workers or trip the
         # failure breaker).
-        assert bytes(CONDITION.mask(relation.store, SCHEMA)) == expected
+        assert select_answer(relation.store) == expected
         assert relation.store._publication is not stale_publication
         assert parallel._pool_failures == failures_before
         relation2 = Relation(SCHEMA, make_rows(2000), backend="sharded")
-        assert bytes(CONDITION.mask(relation2.store, SCHEMA)) == expected
+        assert select_answer(relation2.store) == expected
 
     def test_application_errors_propagate_from_workers(self):
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
         failures_before = parallel._pool_failures
         with pytest.raises(RuntimeError, match="application bug"):
-            relation.store.eval_mask(_raising_masker)
+            relation.store.select_gather(_raising_masker)
         # A computation's own error is not an infrastructure failure: it
         # must not count toward the breaker or silently re-run on threads.
         assert parallel._pool_failures == failures_before
@@ -759,7 +787,7 @@ class TestWorkerSettings:
     def test_full_checksums_are_verified_inside_the_workers(self, store_dir, tmp_path):
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         configure(shard_executor="serial")
-        reference = bytes(CONDITION.mask(relation.store, SCHEMA))
+        reference = select_answer(relation.store)
         configure(shard_executor="process", process_min_rows=1, checksum_mode="full")
         victim = parallel.publication_for(relation.store).written[-1]
         with open(victim, "r+b") as handle:  # flip the last payload byte
@@ -775,7 +803,7 @@ class TestWorkerSettings:
         # The worker's open must do the same: the dispatch is fatal, and the
         # thread fallback answers from the parent's own, undamaged buffers.
         fatal_before = parallel.dispatch_stats()["fatal"]
-        assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+        assert select_answer(relation.store) == reference
         assert parallel.dispatch_stats()["fatal"] == fatal_before + 1
         assert os.path.exists(victim + ".quarantined")  # caught by the open, not by luck
         parallel._pool_failures = 0  # the strike this cost is not the next test's
@@ -808,6 +836,38 @@ def test_no_cell_of_the_matrix_needs_shared_memory(backend, monkeypatch):
     assert parallel.dispatch_stats()["fallbacks"] == fallbacks_before
 
 
+@needs_process
+def test_only_the_fused_select_gather_reaches_a_worker(monkeypatch):
+    """Answering a generated workload over the sharded backend under the
+    process executor submits no shard task but the fused select+gather."""
+    workload = tfacc.generate(accidents=250, stops=80)
+    database = to_backend(workload.database, "sharded")
+    beas = Beas(database, access_schema=build_beas(workload).access_schema)
+    submitted = []
+    submit = parallel._AffinityRouter.submit
+    submit_avoiding = parallel._AffinityRouter.submit_avoiding
+
+    def recording_submit(router, token, fn, *args):
+        submitted.append(fn.__name__)
+        return submit(router, token, fn, *args)
+
+    def recording_submit_avoiding(router, token, avoid_index, fn, *args):
+        submitted.append(fn.__name__)
+        return submit_avoiding(router, token, avoid_index, fn, *args)
+
+    monkeypatch.setattr(parallel._AffinityRouter, "submit", recording_submit)
+    monkeypatch.setattr(parallel._AffinityRouter, "submit_avoiding", recording_submit_avoiding)
+    configure(shard_executor="process", process_min_rows=1, shard_workers=2)
+    for query in QueryGenerator(workload, seed=7).workload_mix(12):
+        if not union_compatible(query.ast, database.schema):
+            continue
+        for alpha in (0.25, 1.0):
+            beas.answer(query.ast, alpha)
+        beas.answer_exact(query.ast)
+    assert set(submitted) <= {"_worker_select_gather", "_worker_ping", "_worker_cache_stats"}
+    assert "_worker_select_gather" in submitted
+
+
 # ---------------------------------------------------------------------------
 # Property: executors agree on awkward columns
 # ---------------------------------------------------------------------------
@@ -832,13 +892,14 @@ MIXED_CONDITION = Conjunction.of(
 @settings(max_examples=25, deadline=None)
 @given(rows=st.lists(st.tuples(VALUES, VALUES), min_size=0, max_size=40))
 def test_executors_agree_on_mixed_columns(rows):
-    """Serial, thread and process mask evaluation are bit-identical on
+    """Serial, thread and process select+gather are bit-identical on
     None/NaN/mixed/string columns (the satellite hypothesis property)."""
     cls = ShardedStore.configured(3, "round_robin")
     store = cls.from_rows(2, rows)
+    masker = MIXED_CONDITION.program(MIXED_SCHEMA).run_part
     configure(process_min_rows=1)
     results = {}
     for mode in EXECUTOR_MODES:
         configure(shard_executor=mode)
-        results[mode] = bytes(MIXED_CONDITION.mask(store, MIXED_SCHEMA))
+        results[mode] = select_answer(store, masker)
     assert results["serial"] == results["thread"] == results["process"]

@@ -7,11 +7,14 @@ Two families of invariants:
   row order, multiplicity, values and value types — for every partitioner
   and shard count, including ``None``, NaN, mixed int/float columns, bools
   and ints beyond 64 bits.
-* **Shard-merged search equals unsharded search**: per-shard KD-trees
-  (:class:`repro.relational.kdtree.KDForest`) and per-shard kernels
-  (:class:`~repro.relational.kernels.ShardedRadiusMatcher`,
-  :class:`~repro.relational.kernels.ShardedNearestNeighbors`) return exactly
-  the single-index / naive nested-loop answers.
+* **Sharded search equals unsharded search**: a KD-tree over a sharded
+  relation and the distance kernels built over a sharded store
+  (:meth:`RadiusMatcher.from_store
+  <repro.relational.kernels.RadiusMatcher.from_store>`,
+  :meth:`NearestNeighbors.from_store
+  <repro.relational.kernels.NearestNeighbors.from_store>`) answer exactly
+  like the same tree or kernels over an unsharded store and the naive
+  nested loops.
 
 Separate from ``test_store.py`` so the matrix tests there still run in
 environments without the optional ``hypothesis`` extra.
@@ -28,17 +31,15 @@ from hypothesis import strategies as st
 
 from repro import Relation
 from repro.relational.distance import NUMERIC, TRIVIAL
-from repro.relational.kdtree import KDForest, KDTree
+from repro.relational.kdtree import KDTree
 from repro.relational.kernels import (
     NearestNeighbors,
     RadiusMatcher,
-    ShardedNearestNeighbors,
-    ShardedRadiusMatcher,
     naive_min_distance,
     naive_radius_matches,
 )
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.store import RowStore, ShardedStore
+from repro.relational.store import ColumnStore, RowStore, ShardedStore
 
 from conftest import identity_key
 
@@ -134,23 +135,25 @@ def test_selection_round_trip_preserves_order(rows, shards, partitioner, mask_se
     shards=SHARD_COUNTS,
     partitioner=PARTITIONERS,
 )
-def test_forest_radius_and_nearest_equal_single_tree(rows, query, radii, shards, partitioner):
-    """Per-shard KD-trees merged == one tree over all rows (and == naive)."""
+def test_sharded_tree_radius_and_nearest_equal_single_tree(rows, query, radii, shards, partitioner):
+    """A KD-tree over a sharded relation == one tree over a row store (and == naive)."""
     single = Relation(SEARCH_SCHEMA, rows, backend="row")
     cls = ShardedStore.configured(shards, partitioner)
     sharded = Relation(SEARCH_SCHEMA, store=cls.from_rows(3, [tuple(r) for r in rows]))
 
     tree = KDTree(single, max_leaf_size=2)
-    forest = KDForest(sharded, max_leaf_size=2)
-    assert forest.tree_count == shards
+    sharded_tree = KDTree(sharded, max_leaf_size=2)
 
-    merged = sorted(identity_key(r) for r in forest.within_radius(query, list(radii)))
+    assert sorted(sharded_tree.within_radius_indices(query, list(radii))) == sorted(
+        tree.within_radius_indices(query, list(radii))
+    )
+    merged = sorted(identity_key(r) for r in sharded_tree.within_radius(query, list(radii)))
     alone = sorted(identity_key(r) for r in tree.within_radius(query, list(radii)))
     assert merged == alone
 
-    assert forest.nearest_distance(query) == tree.nearest_distance(query)
+    assert sharded_tree.nearest_distance(query) == tree.nearest_distance(query)
     distances = [a.distance for a in SEARCH_SCHEMA.attributes]
-    assert forest.nearest_distance(query) == naive_min_distance(query, rows, distances)
+    assert sharded_tree.nearest_distance(query) == naive_min_distance(query, rows, distances)
 
 
 @settings(max_examples=50, deadline=None)
@@ -168,16 +171,18 @@ def test_sharded_kernels_equal_naive(rows, query, slack, shards, partitioner):
     thresholds = [0.0, slack]
     cls = ShardedStore.configured(shards, partitioner)
     store = cls.from_rows(3, [tuple(r) for r in rows])
+    column = ColumnStore.from_rows(3, [tuple(r) for r in rows])
 
     matcher = RadiusMatcher.from_store(store, positions, distances, thresholds)
-    assert isinstance(matcher, ShardedRadiusMatcher)
+    unsharded = RadiusMatcher.from_store(column, positions, distances, thresholds)
     assert len(matcher) == len(rows)
     expected = naive_radius_matches(query, rows, positions, distances, thresholds)
-    assert matcher.matches(query) == expected
-    assert matcher.any_match(query) == bool(expected)
+    assert matcher.matches(query) == unsharded.matches(query) == expected
+    assert matcher.any_match(query) == unsharded.any_match(query) == bool(expected)
 
     neighbors = NearestNeighbors.from_store(store, SEARCH_SCHEMA.attributes)
-    assert isinstance(neighbors, ShardedNearestNeighbors)
     assert len(neighbors) == len(rows)
     all_distances = [a.distance for a in SEARCH_SCHEMA.attributes]
-    assert neighbors.min_distance(query) == naive_min_distance(query, rows, all_distances)
+    expected_min = naive_min_distance(query, rows, all_distances)
+    assert neighbors.min_distance(query) == expected_min
+    assert NearestNeighbors.from_store(column, SEARCH_SCHEMA.attributes).min_distance(query) == expected_min

@@ -371,7 +371,7 @@ def test_gate_fails_on_lambda_binder(tmp_path):
     target = tmp_path / "regression.py"
     target.write_text(
         "def compile_program(store):\n"
-        "    return store.eval_mask(masker=lambda part: bytearray(len(part)))\n"
+        "    return store.select_gather(lambda part: bytearray(len(part)))\n"
     )
     assert cli_main([str(target)]) == 1
     report = analyze_paths([target])
