@@ -115,13 +115,8 @@ def run_cell(
 ) -> dict:
     """One closed-loop run: ``threads`` clients looping over the query pool."""
     admission = AdmissionController(max_concurrency=max(2, threads // 2), policy=policy)
-    server = QueryServer(
-        beas,
-        result_cache=cache,
-        plan_cache=cache,
-        admission=admission,
-        stats=ServingStats(),
-    )
+    beas.clear_plans()  # every cell starts from a cold plan memo
+    server = QueryServer(beas, result_cache=cache, admission=admission, stats=ServingStats())
     errors: List[BaseException] = []
     barrier = threading.Barrier(threads)
 
@@ -176,15 +171,17 @@ def measure_warm_speedup(beas: Beas, queries: Sequence[object], repeats: int) ->
     The acceptance bar for the serving layer: a repeated query answered from
     the warm result cache must be at least ~5x faster than paying plan +
     execute every time.  Cold runs call ``Beas.answer`` directly (no server
-    in the loop at all), warm runs go through a pre-warmed server.
+    in the loop at all, and the plan memo cleared before each call), warm
+    runs go through a pre-warmed server.
     """
-    server = QueryServer(beas, result_cache="lru-ttl", plan_cache="lru-ttl")
+    server = QueryServer(beas, result_cache="lru-ttl")
     for query in queries:
         server.serve(query, alpha=ALPHA)  # populate
 
     started = time.perf_counter()
     for _ in range(repeats):
         for query in queries:
+            beas.clear_plans()
             beas.answer(query, alpha=ALPHA)
     cold_seconds = time.perf_counter() - started
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import QueryError
-from ..relational.distance import NUMERIC
+from ..relational.distance import NUMERIC, resolve
 from ..relational.schema import Attribute, DatabaseSchema, RelationSchema
 from .aggregates import AggregateFunction
 from .predicates import AttrRef, Comparison, Conjunction, resolve_position
@@ -286,11 +286,12 @@ def query_fingerprint(query: QueryNode) -> str:
     """Canonical hex fingerprint of a query AST.
 
     The single identity used for query-shaped keying everywhere: the
-    serving layer's result / plan cache keys (crossed with α and the
-    database's publication epoch) and :attr:`QueryResult.fingerprint` both
-    carry it.  Computed from :func:`canonical_form`, so it is stable across
-    processes and sessions (no ``id()``/hash-seed dependence) and
-    insensitive to how the AST object was produced.
+    serving layer's result cache keys (crossed with α and the database's
+    publication epoch), the engine's plan memo keys (crossed with the
+    budget) and :attr:`QueryResult.fingerprint` all carry it.  Computed
+    from :func:`canonical_form`, so it is stable across processes and
+    sessions (no ``id()``/hash-seed dependence) and insensitive to how the
+    AST object was produced.
     """
     if not isinstance(query, QueryNode):
         raise QueryError(
@@ -298,6 +299,22 @@ def query_fingerprint(query: QueryNode) -> str:
         )
     payload = repr(canonical_form(query)).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
+
+
+def check_difference_types(query: QueryNode, db_schema: DatabaseSchema) -> None:
+    """Raise :exc:`QueryError` if a set difference pairs a numeric column with a non-numeric one.
+
+    Whether two such rows are ever compared depends on what α fetched, so the
+    query must fail before any plan or scan.  Not part of
+    :meth:`Difference.output_schema`: callers inspect the children of such
+    differences through it (e.g. to drop them from a generated corpus).
+    """
+    for node in query.walk():
+        if isinstance(node, Difference):
+            left, right = node.left.output_schema(db_schema), node.right.output_schema(db_schema)
+            pairs = zip(left.attributes, right.attributes)
+            if any(resolve(a.distance).numeric != resolve(b.distance).numeric for a, b in pairs):
+                raise QueryError("difference pairs numeric and non-numeric columns")
 
 
 # -- attribute resolution -------------------------------------------------------

@@ -11,14 +11,16 @@ meter enforcing the budget, and returns the answers with the accuracy bound
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
 from ..access.builder import AccessSchemaBuilder, ConstraintSpec, FamilySpec
 from ..access.schema import AccessSchema
-from ..algebra.ast import QueryNode, query_fingerprint
+from ..algebra.ast import QueryNode, check_difference_types, query_fingerprint
 from ..algebra.evaluator import evaluate_exact
 from ..algebra.spc import classify
 from ..algebra.sql import parse_query
@@ -37,6 +39,9 @@ QueryLike = Union[str, QueryNode]
 # Distinct SQL texts remembered per engine; a statement is a few hundred
 # bytes of frozen AST plus a 64-character digest.
 STATEMENT_MEMO_CAPACITY = 1024
+# Bounded plans remembered per engine, keyed on ``(fingerprint, budget)``; a
+# plan is a few fetch steps over shared indexes plus the frozen AST.
+PLAN_MEMO_CAPACITY = 512
 
 
 def _statement(text: str) -> Tuple[QueryNode, str]:
@@ -68,11 +73,10 @@ class QueryResult:
         plan_seconds / execution_seconds: wall-clock timings of the two phases.
         query_class: ``"SPC"``, ``"RA"``, ``"agg(SPC)"`` or ``"agg(RA)"``.
         fingerprint: the canonical query fingerprint
-            (:func:`repro.algebra.ast.query_fingerprint`) the serving layer
-            keys result / plan caches on; ``alpha`` above is the α the answer
-            was actually *served* at (admission control may have degraded it
-            below the α the client requested — the serving envelope records
-            both).
+            (:func:`repro.algebra.ast.query_fingerprint`) the plan memo and
+            the serving layer's result cache key on; ``alpha`` above is the α
+            the answer was *served* at (the serving envelope also records
+            the α the client requested).
     """
 
     rows: Relation
@@ -125,6 +129,10 @@ class Beas:
         #: Bounded LRU memo of :func:`_statement` (thread-safe; ``cache_info()``
         #: / ``cache_clear()``), shared by everything that resolves a text.
         self.statements = lru_cache(maxsize=STATEMENT_MEMO_CAPACITY)(_statement)
+        #: Bounded LRU ``(fingerprint, budget) → BoundedPlan`` behind ``answer``,
+        #: ``plan`` and ``explain`` (:meth:`_memo_plan`); written under a lock.
+        self.plans: OrderedDict[Tuple[str, int], BoundedPlan] = OrderedDict()
+        self._plans_lock = threading.Lock()
 
     # -- helpers -----------------------------------------------------------------
     def _as_ast(self, query: QueryLike) -> QueryNode:
@@ -149,17 +157,39 @@ class Beas:
 
     # -- planning -----------------------------------------------------------------
     def plan(self, query: QueryLike, alpha: float) -> BoundedPlan:
-        """Generate the α-bounded plan for ``query`` without executing it."""
-        return self._plan_ast(self._as_ast(query), self.database.budget_for(alpha))
+        """The α-bounded plan for ``query`` (from the plan memo), not executed."""
+        ast, fingerprint = self._resolve(query)
+        return self._memo_plan(ast, fingerprint, self.database.budget_for(alpha))[0]
+
+    def _memo_plan(self, ast: QueryNode, fingerprint: str, budget: int) -> Tuple[BoundedPlan, bool]:
+        """The plan for ``ast`` at ``budget``, and whether :attr:`plans` held it.
+
+        Planning reads no data (Section 2.2): a plan is a function of the
+        query, the access schema and ``⌊α·|D|⌋``, so an entry stays valid
+        for as long as its key does — a mutation that moves the budget
+        misses, one that does not hits.  A miss plans outside the lock; when
+        two threads race, the first plan stored wins and both return it.
+        """
+        key = (fingerprint, budget)
+        with self._plans_lock:
+            plan = self.plans.get(key)
+            if plan is not None:
+                self.plans.move_to_end(key)
+                return plan, True
+        plan = self._plan_ast(ast, budget)
+        with self._plans_lock:
+            plan = self.plans.setdefault(key, plan)
+            while len(self.plans) > PLAN_MEMO_CAPACITY:
+                self.plans.popitem(last=False)
+        return plan, False
+
+    def clear_plans(self) -> None:
+        """Empty the plan memo."""
+        with self._plans_lock:
+            self.plans.clear()
 
     def _plan_ast(self, ast: QueryNode, budget: int) -> BoundedPlan:
-        """Plan an already-normalized AST (the shared core of plan/answer).
-
-        ``plan`` and ``answer`` both resolve the query to an AST exactly
-        once and route here, so answering never pays the parse/normalize
-        work twice — and the serving layer can plan against a budget it
-        computed itself (for a degraded α) without re-deriving the AST.
-        """
+        """Plan ``ast`` at ``budget`` — the memo's miss path, never memoised."""
         if ast.has_aggregate():
             return plan_aggregate(ast, self.database.schema, self.access_schema, budget)
         if ast.is_spc():
@@ -172,18 +202,14 @@ class Beas:
         query: QueryLike,
         alpha: float,
         enforce_budget: bool = True,
-        plan: Optional[BoundedPlan] = None,
     ) -> QueryResult:
         """Answer ``query`` accessing at most ``α·|D|`` tuples (C3 + C4 in Fig. 2).
 
-        ``plan`` optionally supplies a precomputed :class:`BoundedPlan` (the
-        serving layer's plan cache reuses plans across requests); it must
-        have been generated for the same query at the same budget ``⌊α·|D|⌋``
-        — a mismatched budget raises :exc:`ValueError` rather than silently
-        executing a plan whose tariff bound belongs to another α.
+        The plan comes from the engine's plan memo: the chase and chAT run
+        once per query and budget ``⌊α·|D|⌋``, not once per call.
         """
         ast, fingerprint = self._resolve(query)
-        return self._answer_ast(ast, fingerprint, alpha, enforce_budget, plan)
+        return self._answer_ast(ast, fingerprint, alpha, enforce_budget)[0]
 
     def _answer_ast(
         self,
@@ -191,24 +217,16 @@ class Beas:
         fingerprint: str,
         alpha: float,
         enforce_budget: bool,
-        plan: Optional[BoundedPlan],
-    ) -> QueryResult:
-        """:meth:`answer` for an AST whose fingerprint the caller already holds.
+    ) -> Tuple[QueryResult, bool]:
+        """:meth:`answer` for a resolved query, and whether the plan was a memo hit.
 
-        The serving layer fingerprints a request to probe its caches before
-        it knows whether it must compute; on a miss it continues here, so a
-        recompute walks the AST's canonical form once, not twice.
+        The serving layer resolves a request to probe its result cache before
+        it knows whether it must compute; on a miss it continues here.
         """
         budget = self.database.budget_for(alpha)
 
         start = time.perf_counter()
-        if plan is None:
-            plan = self._plan_ast(ast, budget)
-        elif plan.budget != budget:
-            raise ValueError(
-                f"precomputed plan was generated for budget {plan.budget}, "
-                f"but alpha={alpha} over the current database gives {budget}"
-            )
+        plan, plan_hit = self._memo_plan(ast, fingerprint, budget)
         plan_seconds = time.perf_counter() - start
         boundedly_evaluable = plan.boundedly_evaluable
 
@@ -233,7 +251,7 @@ class Beas:
                 execution_seconds=0.0,
                 query_class=classify(ast),
                 fingerprint=fingerprint,
-            )
+            ), plan_hit
 
         meter = AccessMeter(budget=budget, enforce=enforce_budget)
         start = time.perf_counter()
@@ -257,11 +275,17 @@ class Beas:
             execution_seconds=execution_seconds,
             query_class=classify(ast),
             fingerprint=fingerprint,
-        )
+        ), plan_hit
 
     def answer_exact(self, query: QueryLike, meter: Optional[AccessMeter] = None) -> Relation:
-        """Ground-truth answers ``Q(D)`` by full (unbounded) evaluation."""
-        return evaluate_exact(self._as_ast(query), self.database, meter)
+        """Ground-truth answers ``Q(D)`` by full (unbounded) evaluation.
+
+        An ill-typed query raises :exc:`QueryError` here as it does from
+        :meth:`answer`, before any scan.
+        """
+        ast = self._as_ast(query)
+        check_difference_types(ast, self.database.schema)
+        return evaluate_exact(ast, self.database, meter)
 
     # -- analysis -----------------------------------------------------------------
     def alpha_exact(self, query: QueryLike) -> float:

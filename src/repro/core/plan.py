@@ -299,6 +299,9 @@ class FetchPlan:
 class BoundedPlan:
     """A complete α-bounded plan: fetching plan + metadata for evaluation.
 
+    Plans are shared and read-only after planning: :class:`Beas` memoises
+    one per query and budget and hands the same object to every caller.
+
     Attributes:
         query: the query AST the plan answers.
         fetch_plan: the fetching plan ``ξ_F`` (already budget-constrained).

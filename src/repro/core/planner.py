@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..access.schema import AccessSchema
-from ..algebra.ast import GroupBy, Project, QueryNode, Select
+from ..algebra.ast import GroupBy, Project, QueryNode, Select, check_difference_types
 from ..algebra.predicates import AttrRef
 from ..algebra.spc import max_spc_subqueries, to_spc
 from ..algebra.tableau import build_tableau
@@ -62,6 +62,7 @@ def generate_plan(
     """Generate an α-bounded plan (fetching plan + bound η) for any RA_aggr query."""
     if budget <= 0:
         raise PlanError(f"budget must be positive, got {budget}")
+    check_difference_types(query, db_schema)  # no plan at any budget
 
     subqueries = max_spc_subqueries(query)
     if not subqueries:

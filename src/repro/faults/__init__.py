@@ -26,8 +26,8 @@ freely.  The catalogue (see ``src/repro/faults/README.md``):
                             :exc:`~repro.errors.CorruptShardError` (marked
                             injected — healthy files are never quarantined)
 ``mmap.open.missing``       opening a dataset file raises ``FileNotFoundError``
-``serving.cache.get``       the serving result/plan cache raises on lookup
-``serving.cache.put``       the serving result/plan cache raises on store
+``serving.cache.get``       the serving result cache raises on lookup
+``serving.cache.put``       the serving result cache raises on store
 ========================== ====================================================
 
 **Plan format** (``REPRO_FAULT_PLAN`` env override, :func:`set_fault_plan`

@@ -157,9 +157,9 @@ class Database:
         events that retire process-mode publications — see
         :attr:`repro.relational.store.Store.epoch`) or a relation instance
         is replaced via :meth:`set_relation`.  The serving layer keys its
-        result / plan caches on ``(fingerprint, α, publication_epoch)``, so
-        a cache entry computed before a mutation can never answer a query
-        after it — invalidation is by key rotation, exactly like the
+        result cache on ``(fingerprint, α, enforce_budget,
+        publication_epoch)``, so a result computed before a mutation can
+        never answer a query after it — invalidation is by key rotation, exactly like the
         republish-on-mutation scheme of the process-parallel executor.
         """
         return self._epoch_base + sum(

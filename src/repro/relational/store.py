@@ -189,8 +189,8 @@ class Store:
         of one live store*, not contents.  The serving layer aggregates the
         per-store epochs into a per-database *publication epoch*
         (:attr:`repro.relational.database.Database.publication_epoch`) and
-        keys its result/plan caches on it, so a mutated store can never
-        answer a query from a stale cache entry.
+        keys its result cache on it, so a mutated store can never answer a
+        query from a stale cache entry.
         """
         return getattr(self, "_epoch", 0)
 

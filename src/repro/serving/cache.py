@@ -21,7 +21,7 @@ Backends ship in-tree:
 
 Third parties register their own (memcached, disk, ...) with
 :func:`register_cache_backend`.  A server names its backends itself
-(``QueryServer(result_cache=..., plan_cache=...)``, resolved by
+(``QueryServer(result_cache=...)``, resolved by
 :func:`make_cache`); the cache is not among the process-wide settings of
 :mod:`repro.config`.
 """

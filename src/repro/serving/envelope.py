@@ -35,9 +35,10 @@ class ServingEnvelope:
             against; a mutation after this epoch means fresher answers
             exist (and will be computed on the next request, since the
             epoch is part of the cache key).
-        result_cache_hit / plan_cache_hit: where the answer / plan came
-            from.  ``plan_cache_hit`` is always ``False`` on a result hit
-            (the plan cache is not consulted).
+        result_cache_hit / plan_cache_hit: whether the answer came from the
+            result cache / the plan from the engine's plan memo
+            (:meth:`Beas._memo_plan`).  ``plan_cache_hit`` is always
+            ``False`` on a result hit (the memo is not consulted).
         degraded: whether the served α is lower than the requested one —
             stepped down by admission load or by the executor breaker.
         degraded_reason: why (``None`` when not degraded):

@@ -10,17 +10,15 @@ a resource ratio α — but is built for *many* requests over a long lifetime:
    ``(fingerprint, served α, enforce_budget, publication epoch)`` — the
    epoch term makes mutation invalidation automatic (see
    ``serving/README.md`` for the key anatomy);
-3. on a result miss, the **plan cache** (keyed by fingerprint × budget
-   only — a :class:`~repro.core.framework.BoundedPlan` depends on nothing
-   else, so a mutation that leaves ``⌊α·|D|⌋`` unchanged keeps its plans)
-   skips re-planning, and execution reuses compiled mask programs
-   through the ``program_cache_capacity`` setting of :mod:`repro.config`
-   (raised by the server unless already configured);
+3. on a result miss, the engine's plan memo (:meth:`Beas._memo_plan`,
+   keyed by fingerprint × budget) skips re-planning, and execution reuses
+   compiled mask programs through the ``program_cache_capacity`` setting
+   of :mod:`repro.config` (raised by the server unless already configured);
 4. everything is **observable** through
    :class:`~repro.serving.stats.ServingStats`.
 
 Resilience: a fault anywhere below the server costs served α or latency,
-never correctness or availability.  Cache backends are consulted through
+never correctness or availability.  The result cache is consulted through
 guarded wrappers — an erroring backend (or the ``serving.cache.get`` /
 ``serving.cache.put`` fault sites) is treated as a miss and counted, and
 the request recomputes.  When the process-executor circuit breaker
@@ -42,7 +40,7 @@ from typing import Optional
 from .. import config, faults
 from ..algebra import predicates
 from ..algebra.ast import query_fingerprint
-from ..core.framework import Beas, QueryLike
+from ..core.framework import PLAN_MEMO_CAPACITY, Beas, QueryLike
 from ..errors import FaultInjectedError
 from ..relational import parallel
 from .admission import AdmissionController
@@ -66,15 +64,15 @@ class QueryServer:
 
     Args:
         beas: the engine (database + access schema) to serve.
-        result_cache / plan_cache: a :class:`CacheBackend` instance, a
-            registered backend name, or ``None`` for an
+        result_cache: a :class:`CacheBackend` instance, a registered
+            backend name, or ``None`` for an
             :class:`~repro.serving.cache.LRUTTLCache`.
         admission: a preconfigured :class:`AdmissionController`; ``None``
             builds one with the default concurrency target and the
             ``admission_policy`` setting (:mod:`repro.config`).
         stats: a :class:`ServingStats` to record into; ``None`` builds one.
-        max_entries / ttl_seconds: forwarded when caches are built from a
-            name or the default (ignored for instances).
+        max_entries / ttl_seconds: forwarded when the cache is built from a
+            name or the default (ignored for an instance).
         program_cache_capacity: compiled-mask-program cache size to enable
             at construction; only applied when the process-wide setting
             is still 0 (never shrinks a capacity someone already set).
@@ -85,7 +83,6 @@ class QueryServer:
         self,
         beas: Beas,
         result_cache: object = None,
-        plan_cache: object = None,
         admission: Optional[AdmissionController] = None,
         stats: Optional[ServingStats] = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
@@ -94,7 +91,6 @@ class QueryServer:
     ) -> None:
         self.beas = beas
         self.result_cache: CacheBackend = make_cache(result_cache, max_entries, ttl_seconds)
-        self.plan_cache: CacheBackend = make_cache(plan_cache, max_entries, ttl_seconds)
         self.admission = admission if admission is not None else AdmissionController()
         self.stats = stats if stats is not None else ServingStats()
         if (
@@ -140,24 +136,24 @@ class QueryServer:
         return envelope
 
     # -- resilience helpers ------------------------------------------------------
-    def _cache_get(self, cache, key, kind: str):
-        """Guarded cache read: an erroring backend is a miss, never a failure."""
+    def _cache_get(self, key):
+        """Guarded result-cache read: an erroring backend is a miss, never a failure."""
         try:
             if faults.inject("serving.cache.get"):
-                raise FaultInjectedError(f"injected {kind}-cache get fault")
-            return cache.get(key)
+                raise FaultInjectedError("injected result-cache get fault")
+            return self.result_cache.get(key)
         except Exception:
-            self.stats.count(f"{kind}_cache_errors")
+            self.stats.count("result_cache_errors")
             return MISSING
 
-    def _cache_put(self, cache, key, value, kind: str) -> None:
-        """Guarded cache write: a failed put only costs the next request."""
+    def _cache_put(self, key, value) -> None:
+        """Guarded result-cache write: a failed put only costs the next request."""
         try:
             if faults.inject("serving.cache.put"):
-                raise FaultInjectedError(f"injected {kind}-cache put fault")
-            cache.put(key, value)
+                raise FaultInjectedError("injected result-cache put fault")
+            self.result_cache.put(key, value)
         except Exception:
-            self.stats.count(f"{kind}_cache_errors")
+            self.stats.count("result_cache_errors")
 
     def _breaker_degrade(self, alpha: float, served_alpha: float):
         """One extra ladder rung while the process executor is unhealthy.
@@ -193,7 +189,7 @@ class QueryServer:
         degraded = degraded_reason is not None
 
         result_key = (fingerprint, served_alpha, enforce_budget, epoch)
-        cached = self._cache_get(self.result_cache, result_key, "result")
+        cached = self._cache_get(result_key)
         if cached is not MISSING:
             return ServingEnvelope(
                 result=cached,
@@ -210,27 +206,15 @@ class QueryServer:
                 degraded_reason=degraded_reason,
             )
 
-        budget = self.beas.database.budget_for(served_alpha)
-        # No epoch term: a BoundedPlan is a function of the query shape and
-        # the access budget alone, so plans survive mutations that leave
-        # ⌊α·|D|⌋ unchanged.  Results stay epoch-keyed above.
-        plan_key = (fingerprint, budget)
-        plan = self._cache_get(self.plan_cache, plan_key, "plan")
-        plan_hit = plan is not MISSING
-        if not plan_hit:
-            plan = None
-
         # Router counters are process-global, so under concurrent requests
         # the delta attributes overlapping submissions to whichever request
         # reads last — good enough for the envelope's observability role.
         before = parallel.affinity_stats()
         retries_before = parallel.dispatch_stats()["retries"]
-        result = self.beas._answer_ast(ast, fingerprint, served_alpha, enforce_budget, plan)
+        result, plan_hit = self.beas._answer_ast(ast, fingerprint, served_alpha, enforce_budget)
         after = parallel.affinity_stats()
         retries_after = parallel.dispatch_stats()["retries"]
-        if not plan_hit:
-            self._cache_put(self.plan_cache, plan_key, result.plan, "plan")
-        self._cache_put(self.result_cache, result_key, result, "result")
+        self._cache_put(result_key, result)
         return ServingEnvelope(
             result=result,
             requested_alpha=alpha,
@@ -253,11 +237,11 @@ class QueryServer:
     def clear_caches(self) -> None:
         """Drop every cached result, plan and statement (stats are kept)."""
         self.result_cache.clear()
-        self.plan_cache.clear()
+        self.beas.clear_plans()
         self.beas.statements.cache_clear()
 
     def cache_info(self) -> dict:
-        """Result- and plan-cache internals plus the live admission load.
+        """Result-cache, plan-memo and statement-memo sizes plus the live admission load.
 
         The ``dispatch`` section (retry/timeout counters and the breaker
         snapshot) and the ``faults`` section (active fault-plan fire
@@ -267,7 +251,7 @@ class QueryServer:
         memo = self.beas.statements.cache_info()
         return {
             "result_cache": self.result_cache.info(),
-            "plan_cache": self.plan_cache.info(),
+            "plans": {"size": len(self.beas.plans), "capacity": PLAN_MEMO_CAPACITY},
             "statements": {"size": memo.currsize, "capacity": memo.maxsize, "hits": memo.hits, "misses": memo.misses},
             "in_flight": self.admission.in_flight,
             "policy": self.admission.policy,

@@ -86,7 +86,7 @@ class ServingStats:
             key = "result_cache_hits" if result_cache_hit else "result_cache_misses"
             self._counters[key] = self._counters.get(key, 0) + 1
             if not result_cache_hit:
-                # The plan cache is only consulted on a result miss.
+                # The plan memo is only consulted on a result miss.
                 key = "plan_cache_hits" if plan_cache_hit else "plan_cache_misses"
                 self._counters[key] = self._counters.get(key, 0) + 1
             if degraded:

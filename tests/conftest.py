@@ -30,9 +30,10 @@ import threading
 import pytest
 
 from repro import Beas, ConstraintSpec, Database, FamilySpec, Relation, configure, current_config
-from repro.algebra.ast import Difference
+from repro.algebra.ast import check_difference_types
+from repro.errors import QueryError
 from repro.relational import parallel
-from repro.relational.distance import CATEGORICAL, NUMERIC, numeric_scaled, resolve
+from repro.relational.distance import CATEGORICAL, NUMERIC, numeric_scaled
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.relational.store import ShardedStore, list_backends, register_backend
 from repro.workloads import social, tpch
@@ -157,13 +158,11 @@ def assert_identical(left: Relation, right: Relation):
 
 
 def union_compatible(ast, schema) -> bool:
-    """Every ``except`` pairs numeric with numeric columns (else distances raise on str vs float)."""
-    for node in ast.walk():
-        if isinstance(node, Difference):
-            left = node.left.output_schema(schema).attributes
-            right = node.right.output_schema(schema).attributes
-            if any(resolve(a.distance).numeric != resolve(b.distance).numeric for a, b in zip(left, right)):
-                return False
+    """Every ``except`` pairs numeric with numeric columns (else the engine refuses the query)."""
+    try:
+        check_difference_types(ast, schema)
+    except QueryError:
+        return False
     return True
 
 

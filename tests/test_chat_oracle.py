@@ -22,6 +22,7 @@ from repro.experiments import build_beas
 from repro.workloads import QueryGenerator, airca, tfacc
 
 import chat_oracle
+from conftest import union_compatible
 
 ALPHAS = (0.002, 0.01, 0.05, 0.2, 0.5, 1.0)
 QUERIES_PER_WORKLOAD = 12
@@ -45,6 +46,7 @@ def planned(engines):
     out = {}
     for name, (workload, beas) in engines.items():
         queries = QueryGenerator(workload, seed=5).workload_mix(QUERIES_PER_WORKLOAD, require_nonempty=False)
+        queries = [query for query in queries if union_compatible(query.ast, beas.database.schema)]
         out[name] = [
             (
                 query,

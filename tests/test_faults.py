@@ -502,7 +502,7 @@ class TestChaosReport:
             "benchmark": "chaos soak",
             "plan": "seed=1",
             "summary": {},
-            "serving": {"wrong_answers": 0, "result_cache_errors": 0, "plan_cache_errors": 0},
+            "serving": {"wrong_answers": 0, "result_cache_errors": 0},
             "combos": [
                 self.cell("process", 4, 3),
                 self.cell("thread", 4, 0),
@@ -540,7 +540,6 @@ class TestServingResilience:
             faults.set_fault_plan(None, reset_pools=False)
         counters = server.stats.snapshot()["counters"]
         assert counters["result_cache_errors"] >= 2
-        assert counters["plan_cache_errors"] >= 2
         # Healed: the next request caches and hits again.
         server.serve(query, alpha=0.5)
         assert server.serve(query, alpha=0.5).result_cache_hit

@@ -400,10 +400,8 @@ def test_restart_preserves_serving_cache_keys(tiny_db, store_dir, tmp_path):
     save_database(db, dataset)
     reopened = open_database(dataset)
     revived = Beas(reopened, constraints=_tiny_constraints())
-    # Same caches, new engine — exactly the restart-with-warm-cache shape.
-    warm_server = QueryServer(
-        revived, result_cache=server.result_cache, plan_cache=server.plan_cache
-    )
+    # Same result cache, new engine — exactly the restart-with-warm-cache shape.
+    warm_server = QueryServer(revived, result_cache=server.result_cache)
     warm = warm_server.serve(sql, alpha=0.5)
     assert warm.result_cache_hit
     assert warm.publication_epoch == cold.publication_epoch

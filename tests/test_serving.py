@@ -506,10 +506,10 @@ class TestQueryServer:
         unenforced = server.serve(QUERIES[0], alpha=0.5, enforce_budget=False)
         assert not unenforced.result_cache_hit
 
-    def test_plan_cache_hit_on_result_miss(self, tiny_beas):
+    def test_plan_memo_hit_on_result_miss(self, tiny_beas):
         server = QueryServer(tiny_beas)
         server.serve(QUERIES[0], alpha=0.5)
-        server.result_cache.clear()  # keep the plan cache
+        server.result_cache.clear()  # keep the plan memo
         replay = server.serve(QUERIES[0], alpha=0.5)
         assert not replay.result_cache_hit and replay.plan_cache_hit
 
@@ -539,11 +539,6 @@ class TestQueryServer:
         # A QueryNode is not looked up: it is fingerprinted per request, as before.
         assert server.serve(parse_query(QUERIES[2]), alpha=0.5).fingerprint == envelope.fingerprint
         assert calls[0] == 2
-
-    def test_mismatched_plan_budget_rejected(self, tiny_beas):
-        plan = tiny_beas.plan(QUERIES[0], alpha=0.25)
-        with pytest.raises(ValueError):
-            tiny_beas.answer(QUERIES[0], alpha=0.5, plan=plan)
 
     def test_degraded_alpha_reported(self, tiny_beas):
         admission = AdmissionController(max_concurrency=1, policy="degrade-alpha")
@@ -575,7 +570,7 @@ class TestQueryServer:
         assert full.served_alpha == 0.5
 
     def test_null_cache_server(self, tiny_beas):
-        server = QueryServer(tiny_beas, result_cache="none", plan_cache="none")
+        server = QueryServer(tiny_beas, result_cache="none")
         first = server.serve(QUERIES[0], alpha=0.5)
         second = server.serve(QUERIES[0], alpha=0.5)
         assert not first.result_cache_hit and not second.result_cache_hit
@@ -629,12 +624,13 @@ class TestQueryServer:
         assert info["program_cache"]["capacity"] >= 0
         server.serve(QUERIES[0], alpha=0.25)
         assert server.cache_info()["statements"] == {"size": 1, "capacity": 1024, "hits": 1, "misses": 1}
+        assert server.cache_info()["plans"] == {"size": 2, "capacity": 512}
 
     def test_clear_caches(self, tiny_beas):
         server = QueryServer(tiny_beas)
         server.serve(QUERIES[0], alpha=0.5)
         server.clear_caches()
-        assert len(server.result_cache) == 0 and len(server.plan_cache) == 0
+        assert len(server.result_cache) == 0 and len(tiny_beas.plans) == 0
         assert server.cache_info()["statements"]["size"] == 0
         assert not server.serve(QUERIES[0], alpha=0.5).result_cache_hit
 
@@ -680,36 +676,6 @@ def test_mutation_invalidates_result_cache(tiny_db, backend_name, executor):
     # And hitting again post-mutation caches under the new epoch.
     assert server.serve(sql, alpha=0.9).result_cache_hit
     assert cold.fingerprint == post.fingerprint  # same query, new epoch
-
-
-def test_plan_cache_survives_budget_preserving_append(tiny_beas):
-    """Regression: a mutation that leaves ``⌊α·|D|⌋`` unchanged keeps plans.
-
-    A :class:`BoundedPlan` is a function of the query shape and the access
-    budget only, so there is no reason to re-plan after an append that does
-    not move the budget floor.  The old plan key carried the publication
-    epoch, forcing a needless re-plan on *every* mutation; only the result
-    cache needs the epoch term.
-    """
-    server = QueryServer(tiny_beas)
-    db = tiny_beas.database
-    sql = "SELECT e.eid FROM emp e WHERE e.dept = 2"
-    alpha = 0.1
-
-    budget_before = db.budget_for(alpha)
-    cold = server.serve(sql, alpha=alpha)
-    assert not cold.plan_cache_hit
-
-    # 65 → 66 tuples: ⌊0.1·65⌋ = ⌊0.1·66⌋ = 6, so the budget is unchanged.
-    db.relation("emp").append((998, 2, 62.0, "g1"))
-    assert db.budget_for(alpha) == budget_before
-
-    post = server.serve(sql, alpha=alpha)
-    assert not post.result_cache_hit  # epoch rotated the *result* key...
-    assert post.plan_cache_hit  # ...but the plan was reused as-is
-    assert post.publication_epoch > cold.publication_epoch
-    # The reused plan still answers correctly against the mutated data.
-    assert_identical(post.rows, tiny_beas.answer(sql, alpha=alpha).rows)
 
 
 # ---------------------------------------------------------------------------
