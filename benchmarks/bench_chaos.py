@@ -1,7 +1,7 @@
 """Chaos soak: deterministic fault injection across every backend × executor.
 
 The contract under test is the paper's graceful-degradation promise applied
-to *failure* instead of load: a fault may cost served α or latency, never
+to *failure* instead of load: a fault may cost latency, never served α,
 correctness or availability.  With a seeded fault plan killing process
 workers mid-query (``parallel.worker.kill`` at a configurable probability,
 plus jittering ``parallel.worker.slow`` sleeps), every storage backend ×
@@ -142,7 +142,7 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
 
     # A query is a hang if it outlives every legitimate bounded path:
     # (retries + 1) rounds against the dispatch deadline, plus margin for
-    # pool respawns and the thread fallback actually computing the answer.
+    # pool respawns and the caller actually computing the answer itself.
     hang_budget = parallel.DISPATCH_DEADLINE * (parallel.DISPATCH_RETRIES + 1) + 30.0
 
     identical = typed_errors = wrong = hangs = 0
@@ -256,7 +256,7 @@ def run(rows: int, queries: int, kill_p: float, smoke: bool) -> dict:
     # about resilience, not speedup, so force a small worker pool.
     previous = configure(shard_workers=max(2, current_config().worker_count))
     process_ok = parallel.probe_process_executor()
-    executors = ("serial", "thread", "process") if process_ok else ("serial", "thread")
+    executors = ("serial", "process") if process_ok else ("serial",)
     combos = []
     data = make_rows(rows)
     # Small cooldown/backoff so a tripped breaker reaches its half-open

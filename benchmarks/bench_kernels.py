@@ -27,20 +27,7 @@ column stores) at several shard counts, against the row baseline —
 ``sharded_scan`` / ``sharded_selection`` / ``sharded_join`` / ``sharded_rc``
 entries record how partition-parallel execution scales with shard count.
 
-Part 4 sweeps the serial and thread **shard executors** (the
-`shard_executor` setting of `repro.config`) at several worker counts over a
-large range-partitioned sharded relation: ``parallel_mask_eval`` (the
-fused-mask engine through ``Store.eval_mask``) and
-``parallel_radius_batch`` (the radius kernel's ``matches_many`` batch API)
-each record serial / thread seconds per worker count.  Neither operation
-ships under the process executor — it runs them on threads — so a process
-leg would time the thread path under another name; the one operation that
-ships is audited in part 7.  Every record carries an ``executor_config``
-block (executor, workers, cpu_count) so entries stay distinguishable across
-PRs; a single-core machine cannot show real multi-worker speedups, which is
-exactly what the recorded ``cpu_count`` makes visible.
-
-Part 5 times the columnar-execution engine added on top of the storage
+Part 4 times the columnar-execution engine added on top of the storage
 layer:
 
 * ``fused_selection`` — the chunked fused-mask engine
@@ -53,7 +40,7 @@ layer:
   faithful reimplementation of the pre-gather tuple-building join
   (``lrow + rrow`` per matched pair) over the same column-backed frames.
 
-Part 6 times the persistent mmap-backed store
+Part 5 times the persistent mmap-backed store
 (:mod:`repro.relational.mmapstore`): ``mmap_cold_open`` reopens a saved
 ``.rpro`` file (map + in-place cast, no decode step) and reads every
 column, vs. rebuilding the same typed-column store from Python rows —
@@ -62,7 +49,7 @@ the per-relation restart cost the RAM-resident backends pay;
 ``mmap`` backend next to the in-RAM ``column`` backend on identical
 data, pinning the steady-state cost of reading through a file mapping.
 
-Part 7 audits the fused select+gather operator of the process executor's
+Part 6 audits the fused select+gather operator of the process executor's
 affinity router (``affinity_select_gather``): one boundary crossing per
 fused call, exact payload bytes returned, home-worker vs stolen tasks —
 cross-checked against the serial reference.  (The off-vs-on routing legs
@@ -70,7 +57,10 @@ recorded in earlier ``BENCH_kernels.json`` files — warm kernel batches
 61× / 185× faster with routing on — went with the knob that selected
 them.)
 
-``--backends`` restricts which storage backends parts 2–3 and 6 exercise
+Every record carries an ``executor_config`` block (executor, workers,
+cpu_count) so entries stay distinguishable across PRs.
+
+``--backends`` restricts which storage backends parts 2–3 and 5 exercise
 (comma-separated, e.g. ``--backends row,sharded``; part 1 is
 backend-independent).  Every timed run cross-checks that both sides return
 identical results, so the benchmark doubles as a coarse differential test.
@@ -555,14 +545,10 @@ COLUMNAR_ENGINE_OPS = {
 
 
 # ---------------------------------------------------------------------------
-# Shard executors: serial vs thread
+# Record metadata and the range-partitioned relation the sharded sections use
 # ---------------------------------------------------------------------------
 
-PARALLEL_SCALE = 100_000
 PARALLEL_SHARDS = 4
-PARALLEL_WORKER_COUNTS = (1, 2, 4)
-PARALLEL_QUERY_COUNT = 1_000
-EXECUTOR_SWEEP = ("serial", "thread")
 
 
 def executor_config() -> dict:
@@ -594,91 +580,6 @@ def _parallel_relation(size: int, rng: random.Random):
     ]
     store = backend_cls.from_rows(len(WIDE_SCHEMA), rows)
     return Relation(WIDE_SCHEMA, store=store), rows
-
-
-def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
-    """Time mask evaluation and radius-kernel batches per executor × workers.
-
-    The thread executor's results are cross-checked against the serial
-    reference, so the sweep doubles as a differential test.
-    """
-    from repro import configure
-    from repro.relational.kernels import RadiusMatcher
-
-    rng = random.Random(size)
-    relation, rows = _parallel_relation(size, rng)
-    store = relation.store
-    schema = relation.schema
-    # The radius workload carries slack on one numeric key, so every probe
-    # is a banded sort-merge walk over the sorted column: the index is cheap
-    # to build (one C-speed sort) while the per-query distance walks
-    # dominate.
-    radius_positions = [1]
-    radius_distances = [NUMERIC]
-    radius_slack = [1.0]
-    probes = [(rng.uniform(0, 100.0),) for _ in range(queries)]
-
-    records = []
-    # Captured before the sweep so the finally block can restore an
-    # environment-derived bound even if the sweep fails early.
-    previous = configure(shard_workers=worker_counts[0])
-    try:
-        for workers in worker_counts:
-            configure(shard_workers=workers)
-            mask_seconds: dict = {}
-            radius_seconds: dict = {}
-            reference_mask = None
-            reference_hits = None
-            configs = {}
-            for mode in EXECUTOR_SWEEP:
-                configure(shard_executor=mode)
-                configs[mode] = executor_config()
-                warm_mask = bytes(SELECTION_CONDITION.mask(store, schema))
-                seconds, masks = _timed_best(
-                    lambda: [
-                        SELECTION_CONDITION.mask(store, schema) for _ in range(3)
-                    ]
-                )
-                mask_seconds[mode] = seconds
-                if reference_mask is None:
-                    reference_mask = warm_mask
-                assert bytes(masks[0]) == reference_mask  # three-way differential
-
-                matcher = RadiusMatcher.from_store(
-                    store, radius_positions, radius_distances, radius_slack
-                )
-                matcher.matches_many(probes[:2])  # warm-up
-                seconds, hits = _timed_best(lambda: matcher.matches_many(probes))
-                radius_seconds[mode] = seconds
-                if reference_hits is None:
-                    reference_hits = hits
-                assert hits == reference_hits
-            for name, seconds in (
-                ("parallel_mask_eval", mask_seconds),
-                ("parallel_radius_batch", radius_seconds),
-            ):
-                records.append(
-                    {
-                        "kernel": name,
-                        "size": size,
-                        "shards": PARALLEL_SHARDS,
-                        "workers": workers,
-                        "queries": queries,
-                        "serial_seconds": round(seconds["serial"], 6),
-                        "thread_seconds": round(seconds["thread"], 6),
-                        "thread_vs_serial": round(
-                            seconds["serial"] / max(seconds["thread"], 1e-9), 2
-                        ),
-                        # At 1 worker, thread mode falls back to the
-                        # sequential path by design; flag whether the pool
-                        # genuinely executed the timed leg.
-                        "thread_engaged": workers > 1,
-                        "executor_config": configs["thread"],
-                    }
-                )
-    finally:
-        configure(previous)
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -928,8 +829,6 @@ def run(
     queries: int = QUERY_COUNT,
     output: Optional[Path] = OUTPUT,
     backends: Sequence[str] = DEFAULT_BACKENDS,
-    parallel_scale: int = PARALLEL_SCALE,
-    parallel_workers: Sequence[int] = PARALLEL_WORKER_COUNTS,
     affinity_scale: int = AFFINITY_SCALE,
 ) -> dict:
     register_sharded_variants()
@@ -987,12 +886,6 @@ def run(
                         "executor_config": executor_config(),
                     }
                 )
-    parallel_results = []
-    if "sharded" in backends:
-        parallel_queries = min(PARALLEL_QUERY_COUNT, 4 * queries)
-        parallel_results = bench_parallel_section(
-            parallel_scale, parallel_queries, parallel_workers
-        )
     affinity_results = []
     if "sharded" in backends:
         affinity_results = bench_affinity_section(affinity_scale)
@@ -1029,7 +922,6 @@ def run(
         "columnar": columnar_results,
         "sharded": sharded_results,
         "mmap": mmap_results,
-        "parallel": parallel_results,
         "affinity": affinity_results,
         "columnar_engine": engine_results,
         "resilience": resilience_results,
@@ -1103,28 +995,6 @@ def run(
                 ],
                 title=(
                     "MmapStore: cold open vs rebuild, warm reads vs ColumnStore "
-                    f"-> {destination}"
-                ),
-            )
-        )
-    if parallel_results:
-        print(
-            format_table(
-                ["operation", "workers", "size", "serial s", "thread s", "serial/thread"],
-                [
-                    [
-                        r["kernel"],
-                        r["workers"],
-                        r["size"],
-                        r["serial_seconds"],
-                        r["thread_seconds"],
-                        f"{r['thread_vs_serial']}x",
-                    ]
-                    for r in parallel_results
-                ],
-                title=(
-                    "Shard executors: serial vs thread "
-                    f"(cpu_count={parallel_results[0]['executor_config']['cpu_count']}) "
                     f"-> {destination}"
                 ),
             )
@@ -1250,8 +1120,6 @@ def main() -> None:
         queries=queries,
         output=None if args.quick else OUTPUT,
         backends=backends,
-        parallel_scale=20_000 if args.quick else PARALLEL_SCALE,
-        parallel_workers=(1, 2) if args.quick else PARALLEL_WORKER_COUNTS,
         affinity_scale=8_000 if args.quick else AFFINITY_SCALE,
     )
     worst = min(

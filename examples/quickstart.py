@@ -154,34 +154,33 @@ def main() -> None:
     assert eight.distinct() == sharded_poi.distinct()
     print(f"sharded8 (range) shard sizes: {[len(s) for s in eight.store.shards]}")
 
-    # --- Shard executors: serial / thread / process -----------------------
+    # --- Shard executors: serial / process -------------------------------
     # How per-shard work actually runs is a setting, orthogonal to the
     # layout.  Every process-wide setting is a field of the one repro.Config
     # (the table is the repro.config module docstring), changed by
     # configure(), which returns the previous Config so that
     # configure(previous) restores it:
     #
-    #   configure(shard_executor="serial")   every shard on the calling thread
-    #   configure(shard_executor="thread")   bounded ThreadPoolExecutor (default)
+    #   configure(shard_executor="serial")   every shard in the caller (default)
     #   configure(shard_executor="process")  worker processes over mapped files
     #
-    # "process" is the one that buys real CPU parallelism for pure-Python
-    # work: the first query publishes each shard's column buffers as one
-    # .rpro file, worker processes mmap it and keep it warm, and every
-    # later query ships only the compiled mask program — never the data.
-    # Exactly one operation crosses the boundary: the fused select+gather
-    # (a selection whose reply, mask plus surviving rows, is smaller than
-    # its input).  Everything else — bare masks, gathers, distance kernels —
-    # runs on the thread path.  Per-row callables, small stores (below the
-    # process_min_rows setting, default 4096 rows — under that, the
-    # round-trip costs more than the work) and anything unpicklable fall
-    # back to the thread path with bit-identical results.  Mutating a store
-    # unlinks its published files; the next query republishes.
+    # "process" ships work to other CPUs: the first query publishes each
+    # shard's column buffers as one .rpro file, worker processes mmap it and
+    # keep it warm, and every later query ships only the compiled mask
+    # program — never the data.  Exactly one operation crosses the
+    # boundary: the fused select+gather (a selection whose reply, mask plus
+    # surviving rows, is smaller than its input).  Everything else — bare
+    # masks, gathers, distance kernels — runs in the caller.  Per-row
+    # callables, small stores (below the process_min_rows setting, default
+    # 4096 rows — under that, the round-trip costs more than the work) and
+    # anything unpicklable run in the caller too, with bit-identical
+    # results.  Mutating a store unlinks its published files; the next
+    # query republishes.
     #
-    # Pool sizing: configure(shard_workers=n) bounds BOTH pools (values < 1
-    # raise; None restores os.cpu_count()).  Environment overrides at import
-    # time: REPRO_SHARD_WORKERS=4 REPRO_SHARD_EXECUTOR=process python app.py
-    # "thread" and "process" tie on one CPU.
+    # Pool sizing: configure(shard_workers=n) sets the number of worker
+    # processes (values < 1 raise; None restores os.cpu_count()).
+    # Environment overrides at import time:
+    # REPRO_SHARD_WORKERS=4 REPRO_SHARD_EXECUTOR=process python app.py
     previous = configure(shard_executor="process")
     process_hotels = sharded_poi.select(
         Conjunction.of(
@@ -193,11 +192,11 @@ def main() -> None:
     )
     configure(previous)
     assert process_hotels == cheap_hotels
-    print("process-executor σ over poi agrees with the thread/serial paths")
+    print("process-executor σ over poi agrees with the serial path")
 
     # Per-row *callable* predicates always scan sequentially in global row
-    # order (they may be stateful); only vectorized predicates fan out per
-    # shard.  shard_workers=1 forces the sequential fallback everywhere.
+    # order (they may be stateful); only vectorized predicates run per
+    # shard.  shard_workers=1 keeps every shard in the caller.
     configure(shard_workers=1)
     assert eight.select(lambda row: row[1] == "hotel").store.backend == "sharded8"
     configure(shard_workers=None)  # restore the default (os.cpu_count())

@@ -49,9 +49,6 @@ class QueryNode:
     def has_difference(self) -> bool:
         return any(isinstance(node, Difference) for node in self.walk())
 
-    def has_union(self) -> bool:
-        return any(isinstance(node, Union) for node in self.walk())
-
     def has_aggregate(self) -> bool:
         return any(isinstance(node, GroupBy) for node in self.walk())
 

@@ -594,9 +594,8 @@ class Evaluator:
         selectivity-ordered — through
         :meth:`~repro.relational.store.Store.select_gather`, which on a
         sharded backend runs the program shard-locally (over the shard's
-        typed buffers, in parallel when the shard pool allows) and — under
-        the process executor — fuses the mask and the survivor gather into a
-        single worker round-trip per shard.  The
+        typed buffers) and — under the process executor — fuses the mask and
+        the survivor gather into a single worker round-trip per shard.  The
         surviving rows are compressed out of the backend in one pass, so no
         per-row tuple is materialized for filtering.  Semantics are
         identical to the former row-at-a-time ``all(check(row) ...)`` loop

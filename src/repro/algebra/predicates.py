@@ -29,8 +29,8 @@ far), and evaluation of the remaining comparisons short-circuits the moment
 the chunk's accumulated mask goes all-zero — so a selective leading
 predicate lets the engine skip most of the work of the others.  The whole
 program routes through :meth:`repro.relational.store.Store.eval_mask`, so a
-sharded store fuses per shard (in parallel when the shard pool allows) and
-stitches per-shard masks back into global row order.  Results are
+sharded store fuses per shard and stitches per-shard masks back into global
+row order.  Results are
 bit-identical to per-row :meth:`CompareOp.evaluate` at every chunk size on
 every backend (AND is commutative and each comparison's chunk mask matches
 its per-value semantics exactly).
@@ -217,8 +217,8 @@ class MaskProgram:
 
     The program runs through :meth:`~repro.relational.store.Store.eval_mask`,
     so a sharded backend executes it once per shard — each shard keeps its
-    own selectivity statistics, avoiding cross-thread races — and stitches
-    the per-shard masks into global row order.
+    own selectivity statistics, so concurrent callers never share them — and
+    stitches the per-shard masks into global row order.
     """
 
     __slots__ = ("binders", "chunk_size")
@@ -524,9 +524,9 @@ class Comparison:
         row tuples) and applies :meth:`CompareOp.column_mask` /
         :meth:`CompareOp.column_mask_pair`.  Evaluation routes through
         :meth:`repro.relational.store.Store.eval_mask`, so a sharded backend
-        evaluates each shard's buffers independently (in parallel when the
-        shard pool allows) and stitches the per-shard masks back into global
-        row order.  Semantics match per-row :meth:`CompareOp.evaluate`
+        evaluates each shard's buffers independently and stitches the
+        per-shard masks back into global row order.  Semantics match per-row
+        :meth:`CompareOp.evaluate`
         exactly on every backend.
         """
         # A one-binder program: run_part short-circuits to a single

@@ -17,8 +17,8 @@ tune lives here, in one frozen :class:`Config` that is swapped whole:
 ==========================  =========  ==============================  ====================  =======
 field                       default    legal values                    environment           workers
 ==========================  =========  ==============================  ====================  =======
-``shard_executor``          "thread"   "serial", "thread", "process"   REPRO_SHARD_EXECUTOR  pinned
-``shard_workers``           None       None (= ``os.cpu_count()``)     REPRO_SHARD_WORKERS   pinned
+``shard_executor``          "serial"   "serial", "process"             REPRO_SHARD_EXECUTOR  no
+``shard_workers``           None       None (= ``os.cpu_count()``)     REPRO_SHARD_WORKERS   yes
                                        or an integer >= 1
 ``process_min_rows``        4096       an integer >= 1                 —                     no
 ``default_backend``         "row"      a registered backend name       REPRO_DEFAULT_BACKEND no
@@ -35,18 +35,20 @@ field                       default    legal values                    environme
 What each one means:
 
 ``shard_executor``
-    How a :class:`~repro.relational.store.ShardedStore` runs per-shard work:
-    sequentially on the caller, on the bounded thread pool, or — for
-    picklable whole-store computations — on the worker processes of
-    :mod:`repro.relational.parallel`.  Anything that cannot take the chosen
-    path falls back towards ``"thread"``; results are bit-identical.
+    Where a :class:`~repro.relational.store.ShardedStore` runs its fused
+    select+gather: in the caller, or on the worker processes of
+    :mod:`repro.relational.parallel`.  Every other per-shard operation, and
+    every dispatch that cannot or does not complete (a small store, an
+    unpicklable masker, an open breaker, a dispatch that gives up), runs in
+    the caller; results are bit-identical.
 ``shard_workers``
-    Width of both shard pools.  ``1`` forces the sequential path.  A change
-    retires the running pools; the next parallel operation re-creates them.
+    Width of the process router: one worker process per slot.  ``1`` keeps
+    all work in the caller.  A change retires the running workers; the next
+    dispatch re-creates them.
 ``process_min_rows``
-    Stores smaller than this stay on the thread path in process mode:
-    shipping work to another process only pays once per-shard work
-    dominates the pickling and the round trip.
+    Stores smaller than this stay in the caller in process mode: shipping
+    work to another process only pays once per-shard work dominates the
+    pickling and the round trip.
 ``default_backend``
     The store layout behind ``Relation(..., backend=None)``.  Checked
     against the backend registry as it stands when :func:`configure` is
@@ -76,11 +78,11 @@ What each one means:
 
 **Workers.**  A worker process imports the package afresh, so the parent
 ships its :class:`Config` by value with the pool's initializer arguments
-and the worker installs it with the two *pinned* fields overridden
-(``shard_workers=1``, ``shard_executor="thread"``: per-shard work inside a
-worker is sequential by construction).  Fields marked *yes* are read
-inside workers, so changing one retires the worker pool and the next
-dispatch spawns workers that carry the new value.
+and the worker installs it unchanged; a worker never dispatches further,
+whatever its ``shard_executor`` says.  Changing a field marked *yes*
+retires the worker pool (``checksum_mode`` is read inside workers,
+``shard_workers`` is the pool's width), and the next dispatch spawns
+workers that carry the new value.
 
 The fault plan (``REPRO_FAULT_PLAN`` / :func:`repro.faults.set_fault_plan`)
 is the fault layer's own instrument, not a setting, and is not held here.
@@ -97,7 +99,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["Config", "ENV", "configure", "current", "declare_backend", "subscribe"]
 
-EXECUTOR_MODES = ("serial", "thread", "process")
+EXECUTOR_MODES = ("serial", "process")
 CHECKSUM_MODES = ("off", "header", "full")
 ADMISSION_POLICIES = ("reject", "queue", "degrade-alpha")
 
@@ -191,7 +193,7 @@ class Config:
     it reaches worker processes.
     """
 
-    shard_executor: str = "thread"
+    shard_executor: str = "serial"
     shard_workers: Optional[int] = None
     process_min_rows: int = 4096
     default_backend: str = "row"
@@ -264,7 +266,7 @@ def subscribe(callback: Callable[[Config, Config], None]) -> None:
     """Call ``callback(previous, new)`` after every :func:`configure` that changed something.
 
     For package modules that own a resource sized by a setting (the shard
-    pools, the program cache); callbacks run outside the configuration lock.
+    router, the program cache); callbacks run outside the configuration lock.
     """
     with _lock:
         _subscribers.append(callback)

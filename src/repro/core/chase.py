@@ -246,13 +246,6 @@ class Chaser:
                 break
         return input_terms if gains else None
 
-    def _uncovered_attributes(self, template: TupleTemplate) -> List[str]:
-        return [
-            attribute
-            for attribute, term in template.cells.items()
-            if isinstance(term, Variable) and not self._variable_marks[term].covered
-        ]
-
     def _frame_family(
         self, template: TupleTemplate
     ) -> Optional[Tuple[TemplateFamily, Dict[str, Term]]]:

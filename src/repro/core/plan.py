@@ -164,11 +164,6 @@ class FetchStep:
     accessor: Accessor
     sources: Tuple[FetchSource, ...]
 
-    @property
-    def output_columns(self) -> Tuple[str, ...]:
-        """Qualified columns of the step's result table: X then Y attributes."""
-        return tuple(f"{self.alias}.{a}" for a in self.accessor.x + self.accessor.y)
-
     def describe(self) -> str:
         sources = ", ".join(str(s) for s in self.sources) or "∅"
         return f"{self.name} = fetch({sources}; {self.accessor.describe()}) -> atom {self.alias}"

@@ -27,10 +27,6 @@ class AccessSchemaError(ReproError):
     """An access template or access schema is malformed or violated."""
 
 
-class ConformanceError(AccessSchemaError):
-    """A database instance does not conform to an access schema."""
-
-
 class PlanError(ReproError):
     """A bounded query plan is malformed or cannot be generated."""
 

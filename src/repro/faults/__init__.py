@@ -1,7 +1,7 @@
 """Deterministic, seedable fault injection for resilience testing.
 
-The paper's contract is *graceful degradation*: a fault may cost served α
-or latency, never correctness or availability.  This package makes that
+The paper's contract is *graceful degradation*: a fault may cost latency,
+never served α, correctness or availability.  This package makes that
 testable.  Production seams carry named **injection probes** —
 ``faults.inject("parallel.worker.kill")`` — that are compiled to a no-op
 fast path (one ``is None`` check) while no plan is installed, and fire

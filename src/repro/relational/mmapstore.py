@@ -48,8 +48,8 @@ open; ``full`` additionally reads and verifies every payload.  A failed
 check raises :exc:`~repro.errors.CorruptShardError` after *quarantining*
 the damaged file (renamed aside with a ``.quarantined`` suffix) so a
 crash-restart loop cannot spin on the same bad bytes — callers on the
-parallel read path treat it as fatal and fall back to the thread path over
-the in-memory buffers.  The ``mmap.open.missing`` / ``mmap.open.corrupt``
+parallel read path treat it as fatal and compute in the caller over the
+in-memory buffers.  The ``mmap.open.missing`` / ``mmap.open.corrupt``
 fault sites (:mod:`repro.faults`) fire here; injected corruption never
 quarantines a healthy file.
 

@@ -1,12 +1,11 @@
 """Process-parallel shard execution: shards published as files, one router.
 
-The sharded backend's fan-out seam (:meth:`ShardedStore.map_shards` /
-:meth:`ShardedStore.eval_mask`) runs on a GIL-bound thread pool, so
-pure-Python chunk masks and distance kernels gain concurrency but no real
-CPU parallelism.  This module is the third execution mode behind
-the ``shard_executor`` setting (:mod:`repro.config`): worker processes that map
-each shard's column buffers from a file and run one operation on it, the
-fused select+gather.  There is one of each mechanism:
+The sharded backend runs its per-shard work (:meth:`ShardedStore.map_shards`
+/ :meth:`ShardedStore.eval_mask`) in the caller.  This module is the other
+execution mode behind the ``shard_executor`` setting (:mod:`repro.config`):
+worker processes that map each shard's column buffers from a file and run
+one operation on it, the fused select+gather.  There is one of each
+mechanism:
 
 * **Publication = files.**  The first process-mode query against a sharded
   store builds its :class:`ShardPublication`: one ``.rpro`` file per shard
@@ -19,8 +18,8 @@ fused select+gather.  There is one of each mechanism:
   read in place through the page cache, nothing is copied or decoded — and
   keep the mapped store in a per-process LRU cache keyed by the token, which
   also pins the file's identity (inode, mtime, size).  A store whose object
-  values do not pickle is remembered as unpublishable and stays on the
-  thread path.
+  values do not pickle is remembered as unpublishable and stays in the
+  caller.
 * **Invalidation** is by replacement: mutating a sharded store retires its
   publication (the files it wrote are unlinked; see
   :meth:`ShardedStore._retire_publication`), as do garbage collection of
@@ -29,10 +28,10 @@ fused select+gather.  There is one of each mechanism:
   by token, so a stale entry can never answer a query; it ages out of the
   LRU.
 * **Start method: forkserver, never fork.**  Pools are created lazily, so
-  the parent usually runs threads by then (the shard thread pool, a server's
-  request threads), and a child forked from a threaded parent can inherit a
-  lock held by a thread that does not exist in the child and wait on it
-  forever.  Workers therefore fork from the single-threaded forkserver,
+  the parent may run threads by then (a server's request threads), and a
+  child forked from a threaded parent can inherit a lock held by a thread
+  that does not exist in the child and wait on it forever.  Workers
+  therefore fork from the single-threaded forkserver,
   which preloads this package once so a respawn costs about what a fork
   does; platforms without forkserver use ``spawn``.
 * **Dispatch = the affinity router.**  The :class:`_AffinityRouter` keeps
@@ -45,7 +44,7 @@ fused select+gather.  There is one of each mechanism:
   outnumber workers: a task whose home slot already has a queue is diverted
   to an idle slot (any worker can resolve any handle — stealing costs cache
   warmth, never correctness).  Routing counters are exposed through
-  :func:`affinity_stats`; the serving layer reports them per request.
+  :func:`affinity_stats`.
 * **Retire = kill.**  A slot whose worker died (``BrokenProcessPool``) or
   overran the dispatch deadline is repaired alone: its pool is retired by
   :func:`_retire_pool` — shut down, then the worker process killed and
@@ -57,10 +56,11 @@ fused select+gather.  There is one of each mechanism:
   retire slots with work in flight the same way.
 * **Settings travel by value.**  A worker imports the package afresh, so
   every pool's initializer receives the parent's
-  :class:`~repro.config.Config` and installs it with ``shard_workers=1``
-  and ``shard_executor="thread"``.  Changing a setting the workers read
-  (``checksum_mode``) or the pool width (``shard_workers``) retires the
-  router, so no worker outlives the settings it was spawned with; the
+  :class:`~repro.config.Config` and installs it unchanged; the worker flag
+  (``_IN_PROCESS_WORKER``) alone keeps a worker from dispatching further.
+  Changing a setting the workers read (``checksum_mode``) or the pool width
+  (``shard_workers``) retires the router, so no worker outlives the
+  settings it was spawned with; the
   settings this module reads — ``process_min_rows``, ``retry_backoff``,
   ``breaker_cooldown`` — are documented in :mod:`repro.config`.
 
@@ -74,26 +74,26 @@ the gathered buffers in :func:`_encode_buffer` form, typed ``array``
 columns as raw bytes — so a select→gather crosses the process boundary
 exactly once per shard.  Workers short-circuit the payload (``None``) when
 every row survives or there is nothing to gather; budget slices truncate
-with the same :func:`~repro.relational.store._truncate_mask` the serial and
-thread paths use.  :meth:`ShardedStore.select_gather` adopts the returned
-buffers as fresh column stores; :func:`select_gather_stats` accounts the
-round-trip bytes.  Everything else a sharded store does — bare masks,
-gathers, distance-kernel and KD-tree probes — runs in the parent on the
-thread/serial path.  Those used to ship as well; on the benchmark's
-``tfacc_sharded`` workload (``cpu_count`` 2, one full pass) the fused
-operator was called 309 times and shipped 43, while the mask round-trip
-(266 calls), kernel radius batches (5) and nearest-neighbour / KD batches
-(0) never shipped and the gather shipped once, and running all of them on
-threads left the pass time and every answer unchanged.
+with the same :func:`~repro.relational.store._truncate_mask` the caller's
+path uses.  :meth:`ShardedStore.select_gather` adopts the returned buffers
+as fresh column stores; :func:`select_gather_stats` accounts the round-trip
+bytes.  Everything else a sharded store does — bare masks, gathers,
+distance-kernel and KD-tree probes — runs in the parent, in the caller.
+Those used to ship as well; on the benchmark's ``tfacc_sharded`` workload
+(``cpu_count`` 2, one full pass) the fused operator was called 309 times
+and shipped 43, while the mask round-trip (266 calls), kernel radius
+batches (5) and nearest-neighbour / KD batches (0) never shipped and the
+gather shipped once, and running all of them in the parent left the pass
+time and every answer unchanged.
 
-**Fallbacks.**  Everything here degrades to the thread path: the parent
-returns ``None`` (and the caller falls back) when the store is smaller than
-the ``process_min_rows`` setting, when the work, its parameters or the store's
-object values fail to pickle, when called from inside a worker (no nested
-pools), or after repeated pool failures (the circuit breaker).  Results are
-bit-identical across ``"serial"``, ``"thread"`` and ``"process"`` modes —
-the cross-backend conformance matrix and the hypothesis properties in
-``tests/test_parallel.py`` enforce this.
+**Fallbacks.**  Everything here degrades to the caller: the parent returns
+``None`` (and the caller computes the answer itself) when the store is
+smaller than the ``process_min_rows`` setting, when the work, its parameters
+or the store's object values fail to pickle, when called from inside a
+worker (no nested pools), or after repeated pool failures (the circuit
+breaker).  Results are bit-identical across ``"serial"`` and ``"process"``
+modes — the cross-backend conformance matrix and the hypothesis properties
+in ``tests/test_parallel.py`` enforce this.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ from array import array
 from collections import OrderedDict
 from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import replace
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -137,7 +136,7 @@ Handle = Tuple[str, str]
 # number of extra submission rounds a failed per-shard dispatch may retry on
 # alternate slots; ``DISPATCH_DEADLINE`` the seconds one round may wait for
 # its shard results, so a wedged worker stalls a query for at most
-# ``deadline × (1 + retries)`` before the thread path answers it;
+# ``deadline × (1 + retries)`` before the caller answers it itself;
 # ``PROBE_TIMEOUT`` the seconds :func:`probe_process_executor` and
 # :func:`worker_cache_stats` wait for a round trip, so a pool that wedges
 # during spawn trips the breaker promptly instead of stalling the caller.
@@ -235,7 +234,7 @@ class _Unpublishable:
     """Sentinel publication for stores whose shards cannot be written.
 
     Remembered on the store so every later process-mode query skips
-    straight to the thread path instead of re-attempting (and re-failing)
+    straight to the caller's path instead of re-attempting (and re-failing)
     the per-shard encode.  Mutation clears it like any publication, so a
     store that sheds its unpicklable values becomes publishable again.
     """
@@ -263,7 +262,7 @@ def _publication_live(publication) -> bool:
 def publication_for(store: Store):
     """The store's live publication, created (or re-created) on first use.
 
-    Returns ``None`` — the caller falls back to the thread path — when the
+    Returns ``None`` — the caller computes the answer itself — when the
     store's shards cannot be published (unpicklable object-column values);
     the failure is remembered until the next mutation.  A publication whose
     files were unlinked behind the store's back (a :func:`shutdown` between
@@ -282,7 +281,7 @@ def publication_for(store: Store):
                 publication.retire()
             try:
                 publication = ShardPublication(store)
-            except Exception:  # repro: ignore[EXC001] unpublishable payload is remembered; callers fall back to threads
+            except Exception:  # repro: ignore[EXC001] unpublishable payload is remembered; callers compute in place
                 store._publication = _UNPUBLISHABLE
                 return None
             _publications.add(publication)
@@ -416,9 +415,9 @@ def _mp_context():
     """The start method of every worker: ``forkserver``, else ``spawn``.
 
     Never ``fork``: pools are created lazily and respawned on repair, when
-    the parent runs threads (the shard thread pool, a server's request
-    threads), and a child forked then can wait forever on a lock some parent
-    thread held at that instant.  The forkserver is single-threaded and
+    the parent may run threads (a server's request threads), and a child
+    forked then can wait forever on a lock some parent thread held at that
+    instant.  The forkserver is single-threaded and
     imports this package once, so each later worker is a cheap fork of it.
     """
     import multiprocessing
@@ -678,8 +677,8 @@ def affinity_stats() -> Dict[str, int]:
     ``hits`` counts tasks executed on their rendezvous home slot, ``steals``
     tasks diverted to an idle slot by work-stealing overflow, ``rehashes``
     slot repairs after worker deaths, ``slots`` the router width.  The
-    serving layer reports per-request deltas of hits/steals in every
-    :class:`~repro.serving.envelope.ServingEnvelope`.
+    counters are process-wide; :meth:`QueryServer.cache_info
+    <repro.serving.server.QueryServer.cache_info>` reports them.
     """
     router = _router
     if router is None:
@@ -737,7 +736,7 @@ def _breaker_enter() -> Optional[str]:
     concurrent holders).  ``"probe"`` — breaker was open, the cooldown
     elapsed, and this caller is the *single* half-open recovery probe.
     ``None`` — refused (open and cooling down, or a probe is already in
-    flight); fall back to the thread path.  Every non-``None`` token must
+    flight); the caller computes in place.  Every non-``None`` token must
     be paired with exactly one :func:`_breaker_exit`.
     """
     global _breaker_opened_at, _breaker_probe_inflight
@@ -858,7 +857,7 @@ def probe_process_executor() -> bool:
 # Cumulative dispatch-resilience accounting (parent side).  ``retries``
 # counts re-submission rounds, ``timeouts`` futures abandoned at the
 # dispatch deadline, ``reroutes`` tasks re-routed away from a failed slot,
-# ``fallbacks`` dispatches that gave up to the thread path, ``fatal``
+# ``fallbacks`` dispatches that gave up to the caller, ``fatal``
 # publication-level failures (vanished or corrupt shard file).
 _dispatch_lock = threading.Lock()
 _DISPATCH_COUNTS = {
@@ -974,7 +973,7 @@ def _dispatch_round(
             else:
                 outcome.cancelled = True
         # repro: ignore[EXC001] fatal publication loss: the caller exits its
-        # breaker token with a strike and falls back to the thread path; the
+        # breaker token with a strike and computes in place; the
         # next query republishes (_publication_live sees the dead handle).
         except (FileNotFoundError, CorruptShardError):
             outcome.fatal = True
@@ -1031,15 +1030,15 @@ def _submit_per_shard(
     Infrastructure failures (a broken pool, a worker past the dispatch
     deadline, a file that vanished under a concurrent mutation) are
     retried up to :data:`DISPATCH_RETRIES` times on alternate
-    slots, then trigger the thread-path fallback; genuine application
-    errors raised by the shipped computation propagate to the caller
-    exactly as they would on the thread path.  Every dispatch holds a
+    slots, then leave the work to the caller; genuine application errors
+    raised by the shipped computation propagate to the caller exactly as
+    they would in the caller's own computation.  Every dispatch holds a
     circuit-breaker token: success closes the breaker, exhausted retries
     strike it, and an open breaker refuses dispatch up front (the half-open
     recovery probe being the one exception).
     """
     publication = publication_for(store)
-    if publication is None:  # unpublishable payloads: thread fallback
+    if publication is None:  # unpublishable payloads: the caller computes
         return None
     token = _breaker_enter()
     if token is None:
@@ -1134,7 +1133,7 @@ def process_select_gather(
     parent materializes from its own shard copy instead.
 
     Returns ``(per-shard masks, per-shard decoded buffer lists)`` in shard
-    order, or ``None`` (thread fallback) when the store is too small, the
+    order, or ``None`` (the caller computes) when the store is too small, the
     masker does not pickle, or the pool is unavailable.
     """
     global _select_gather_calls, _select_gather_result_bytes, _select_gather_object_values
@@ -1248,19 +1247,17 @@ def _worker_init(
     """Initializer run in every worker process.
 
     Marks the process as a worker (no nested pools, no publications) and
-    installs the parent's settings with its own shard execution pinned to
-    one sequential worker — per-shard work inside a worker is small by
-    construction.  The parent's active fault plan ships along as its spec,
-    re-seeded under this pool's incarnation nonce so each worker generation
-    draws its own deterministic fault sequence (see
-    :func:`_worker_initargs`).
+    installs the parent's settings unchanged.  The parent's active fault
+    plan ships along as its spec, re-seeded under this pool's incarnation
+    nonce so each worker generation draws its own deterministic fault
+    sequence (see :func:`_worker_initargs`).
     """
     global _IN_PROCESS_WORKER
     # The initializer runs once per worker process before any task is
     # scheduled, so this write cannot race with anything.
     _IN_PROCESS_WORKER = True  # repro: ignore[STATE001] pre-task worker init
     faults._install_worker_plan(fault_spec, fault_nonce)
-    config.configure(replace(settings, shard_workers=1, shard_executor="thread"))
+    config.configure(settings)
 
 
 def _worker_ping() -> bool:

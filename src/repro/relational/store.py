@@ -24,24 +24,20 @@ Three backends ship with the library:
   ``shard_count`` per-shard :class:`ColumnStore` instances by a partitioner
   (``"hash"``, ``"round_robin"`` or ``"range"``), while the store still
   presents the rows in their original insertion order.  Predicate masks,
-  selections and scans fan out per shard on the configured **shard
-  executor** (the ``shard_executor`` setting, see :mod:`repro.config`):
-  sequentially (``"serial"``), on a bounded
-  :class:`~concurrent.futures.ThreadPoolExecutor` (``"thread"``, the
-  default; ``shard_workers`` bounds it), or — for the fused
-  :meth:`~ShardedStore.select_gather` — on the process pool of
-  :mod:`repro.relational.parallel` (``"process"``), whose workers map the
-  shard buffers from files.  The distance kernels and KD-trees index a
-  sharded store through its whole columns, like any other store.  See
-  :meth:`ShardedStore.configured` for fixing shard count / partitioner
-  and registering the variant as its own backend name.
+  selections and scans run shard by shard in the caller; only the fused
+  :meth:`~ShardedStore.select_gather` can run elsewhere, on the process
+  pool of :mod:`repro.relational.parallel`, when the ``shard_executor``
+  setting (:mod:`repro.config`) is ``"process"``.  The distance kernels and
+  KD-trees index a sharded store through its whole columns, like any other
+  store.  See :meth:`ShardedStore.configured` for fixing shard count /
+  partitioner and registering the variant as its own backend name.
 
 **Shard-aware evaluation.**  Vectorized consumers do not special-case the
 sharded backend; they route whole-store computations through
 :meth:`Store.eval_mask` (predicate byte-masks) and the per-shard accessors
 (:attr:`ShardedStore.shards`, :meth:`ShardedStore.shard_indices`,
 :meth:`ShardedStore.map_shards`).  On row/column stores ``eval_mask`` simply
-runs the computation in place; on a sharded store it fans out per shard and
+runs the computation in place; on a sharded store it runs once per shard and
 stitches the per-shard results back into global row order.
 
 A fourth, persistent tier lives in :mod:`repro.relational.mmapstore`:
@@ -88,7 +84,6 @@ relation/frame for mutation purposes; derived stores are always fresh copies.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from functools import lru_cache
 from itertools import accumulate, chain, compress
@@ -264,12 +259,11 @@ class Store:
 
         ``masker`` maps a store to one mask byte per row (in row order).  The
         default simply applies it to ``self``; partitioned backends override
-        this to run ``masker`` once per shard — possibly in parallel — and
-        stitch the per-shard masks back into global row order.  Vectorized
-        predicate evaluation (:meth:`repro.algebra.predicates.Comparison.mask`
-        and the evaluator's relaxed selections) routes through here, which is
-        what makes selection shard-parallel without the predicates knowing
-        about sharding.
+        this to run ``masker`` once per shard and stitch the per-shard masks
+        back into global row order.  Vectorized predicate evaluation
+        (:meth:`repro.algebra.predicates.Comparison.mask` and the evaluator's
+        relaxed selections) routes through here, which is what makes
+        selection shard-aware without the predicates knowing about sharding.
         """
         mask = masker(self)
         return mask if isinstance(mask, bytearray) else bytearray(mask)
@@ -291,7 +285,7 @@ class Store:
         unlimited): the per-shard α-budget slice ``⌈α·|shard|⌉`` of shipped
         work (see :func:`shard_budget_slices`).  Truncation keeps the *first*
         ``limit`` survivors of each partition in row order, identically on
-        every execution path, so serial/thread/process results stay
+        every execution path, so serial and process results stay
         bit-identical.
 
         The default composes :meth:`eval_mask` and :meth:`select_mask`;
@@ -369,8 +363,8 @@ def _truncate_mask(mask: bytearray, limit: int) -> None:
 
     The α-budget slice applied to one shard's selection: the first
     ``⌈α·|shard|⌉`` survivors (in shard-local row order) are kept, the rest
-    dropped.  Every execution path — serial, thread, and the process-mode
-    fused ``select_gather`` worker — truncates with exactly this function,
+    dropped.  Both execution paths — the caller's and the process-mode
+    fused ``select_gather`` worker — truncate with exactly this function,
     which is what keeps budgeted selections bit-identical across executors.
     """
     kept = 0
@@ -700,7 +694,7 @@ class ColumnStore(Store):
 
 
 # ---------------------------------------------------------------------------
-# Sharded storage: partitioners and the bounded thread pool
+# Sharded storage: partitioners and the partitioned backend
 # ---------------------------------------------------------------------------
 
 # A partitioner maps (row, insertion_index, shard_count) -> shard id.
@@ -751,16 +745,9 @@ register_partitioner("round_robin", _round_robin_partition)
 register_partitioner("range", _range_partition)
 
 
-# Shard-parallel execution: one process-wide bounded ThreadPoolExecutor,
-# created lazily at ``config.current().worker_count`` threads; one worker
-# disables the pool entirely (sequential fallback).  The ``shard_executor``
-# and ``shard_workers`` settings are documented in :mod:`repro.config`.
+# The ``shard_executor`` and ``shard_workers`` settings are documented in
+# :mod:`repro.config`.
 EXECUTOR_MODES = config.EXECUTOR_MODES
-
-_shard_pool = None  # type: Optional[object]
-_shard_pool_lock = threading.Lock()
-_PARALLEL_MIN_ROWS = 4096  # below this, pool overhead dominates
-_POOL_THREAD_PREFIX = "repro-shard"
 
 
 # benchmarks/e2e imports these two names; they go when its own PR re-points
@@ -771,45 +758,6 @@ def set_shard_workers(count: Optional[int]) -> Optional[int]:
 
 def set_shard_executor(mode: Optional[str]) -> str:
     return config.configure(shard_executor=mode).shard_executor
-
-
-def _on_configure(previous: config.Config, new: config.Config) -> None:
-    """Retire the thread pool when the worker count changes; the next use re-creates it."""
-    global _shard_pool
-    if previous.worker_count == new.worker_count:
-        return
-    with _shard_pool_lock:
-        stale, _shard_pool = _shard_pool, None
-    if stale is not None:
-        stale.shutdown(wait=True)
-
-
-config.subscribe(_on_configure)
-
-
-def _pool():
-    """The lazily-created process-wide shard executor (callers checked workers > 1)."""
-    global _shard_pool
-    with _shard_pool_lock:
-        if _shard_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _shard_pool = ThreadPoolExecutor(
-                max_workers=config.current().worker_count, thread_name_prefix=_POOL_THREAD_PREFIX
-            )
-        return _shard_pool
-
-
-def _in_pool_worker() -> bool:
-    """Whether the calling thread is one of the shard pool's own workers.
-
-    Nested shard-parallel work (a sharded store whose shards are themselves
-    sharded, or user callbacks that touch another sharded store) must not
-    re-enter the bounded pool: with every worker blocked waiting on nested
-    tasks that can never be scheduled, the pool deadlocks.  Nested levels
-    run sequentially inside the worker instead.
-    """
-    return threading.current_thread().name.startswith(_POOL_THREAD_PREFIX)
 
 
 class _ShardGather(NamedTuple):
@@ -842,10 +790,9 @@ class ShardedStore(Store):
 
     Derived stores (``select_mask``/``take``/``project``/``head``) preserve
     the shard structure: each surviving row stays in its shard, with
-    per-shard work fanned out through :meth:`map_shards` (thread pool when
-    the store is large and ``shard_workers`` allows, sequential
-    otherwise).  The bit-identity contract is unchanged: values, types and
-    global row order match the row/column backends exactly.
+    per-shard work run in the caller through :meth:`map_shards`.  The
+    bit-identity contract is unchanged: values, types and global row order
+    match the row/column backends exactly.
     """
 
     backend = "sharded"
@@ -934,39 +881,15 @@ class ShardedStore(Store):
         return self._positions()[shard]
 
     def map_shards(
-        self,
-        fn: Callable[..., object],
-        *args_per_shard: Sequence[object],
-        parallel: Optional[bool] = None,
+        self, fn: Callable[..., object], *args_per_shard: Sequence[object]
     ) -> List[object]:
-        """Apply ``fn(shard, ...)`` to every shard, returning results in shard order.
+        """Apply ``fn(shard, ...)`` to every shard, in the caller; results in shard order.
 
         Extra ``args_per_shard`` sequences are zipped alongside the shards
-        (one element per shard).  Runs on the bounded thread pool when the
-        store is large enough, ``shard_workers`` resolves to more than one
-        worker and ``shard_executor`` is not ``"serial"``;
-        ``parallel=True``/``False`` forces either path.  Under the process
-        executor this is still the thread pool: the only work that reaches a
-        worker process is the fused :meth:`select_gather`.
+        (one element per shard).  The only work that leaves the caller is
+        the fused :meth:`select_gather` under the process executor.
         """
-        shards = self._shards
-        settings = config.current()
-        if parallel is None:
-            parallel = (
-                settings.shard_executor != "serial"
-                and len(shards) > 1
-                and len(self._shard_of) >= _PARALLEL_MIN_ROWS
-            )
-        if (
-            parallel
-            and len(shards) > 1
-            and settings.worker_count > 1
-            # Re-entrant submission from a pool worker would deadlock the
-            # bounded pool; nested shard work runs sequentially instead.
-            and not _in_pool_worker()
-        ):
-            return list(_pool().map(fn, shards, *args_per_shard))
-        return [fn(*items) for items in zip(shards, *args_per_shard)]
+        return [fn(*items) for items in zip(self._shards, *args_per_shard)]
 
     # -- internal bookkeeping ------------------------------------------------
     @classmethod
@@ -1154,12 +1077,12 @@ class ShardedStore(Store):
 
     # -- whole-store evaluation ---------------------------------------------
     def _shard_masks(self, masker: Callable[[Store], Sequence[int]]) -> List[Sequence[int]]:
-        """Per-shard masks in shard-local order, fanned out by :meth:`map_shards`.
+        """Per-shard masks in shard-local order, computed in the caller.
 
         Never shipped to worker processes — only the fused
         :meth:`select_gather` crosses the process boundary — so a select
-        whose fused dispatch gave up lands here, on threads, instead of
-        reaching the pool a second time.
+        whose fused dispatch gave up lands here instead of reaching the pool
+        a second time.
         """
         return self.map_shards(masker)
 
@@ -1195,11 +1118,12 @@ class ShardedStore(Store):
         format).  The parent stitches the masks into global order and adopts
         the returned buffers as fresh per-shard column stores.
 
-        Every fallback — thread/serial executors, small or unpublishable
-        stores, a dispatch that gave up — computes the identical result on
-        threads through :meth:`_shard_masks` + per-shard
-        :meth:`~Store.select_mask`, with the same per-shard truncation, so
-        the conformance matrix proves equivalence across all paths.
+        Every fallback — the serial executor, small or unpublishable stores,
+        an unpicklable masker, an open breaker, a dispatch that gave up —
+        computes the identical result in the caller through
+        :meth:`_shard_masks` + per-shard :meth:`~Store.select_mask`, with the
+        same per-shard truncation, so the conformance matrix proves
+        equivalence across both paths.
         """
         if config.current().shard_executor == "process":
             from . import parallel
@@ -1231,7 +1155,7 @@ class ShardedStore(Store):
         ``gathered[i]`` is the shard's gathered column buffers, or ``None``
         when the worker short-circuited (every row survived, or there are no
         columns to gather) — those shards are materialized locally from the
-        parent's own copy, exactly as the thread fallback would.
+        parent's own copy, exactly as the fallback would.
         """
         from . import parallel
 

@@ -40,27 +40,12 @@ class ServingEnvelope:
             (:meth:`Beas._memo_plan`).  ``plan_cache_hit`` is always
             ``False`` on a result hit (the memo is not consulted).
         degraded: whether the served α is lower than the requested one —
-            stepped down by admission load or by the executor breaker.
+            stepped down by admission load (a fault never lowers it).
         degraded_reason: why (``None`` when not degraded):
-            ``"admission-load"`` for the degrade-alpha admission ladder,
-            ``"executor-breaker-open"`` / ``"executor-breaker-half-open"``
-            when the process-executor circuit breaker is recovering and the
-            server trades α for the slower fallback path's latency.
+            ``"admission-load"`` for the degrade-alpha admission ladder.
         wait_seconds: time spent queued for admission (``queue`` policy).
         serve_seconds: total wall-clock time inside the server for this
             request, including admission wait and cache lookups.
-        affinity_hits / affinity_misses: shard tasks this request's
-            computation submitted to their rendezvous-home worker (hits)
-            versus tasks the affinity router stole to an idle worker
-            (misses) — deltas of
-            :func:`repro.relational.parallel.affinity_stats` around the
-            execution.  Both are 0 on a result-cache hit (nothing was
-            computed) and under the serial/thread executors.
-        dispatch_retries: process-dispatch retry rounds
-            (:func:`repro.relational.parallel.dispatch_stats` delta) spent
-            computing this answer — 0 on cache hits and on the
-            serial/thread paths; non-zero means a worker failure was
-            absorbed by re-routing rather than surfacing to the client.
     """
 
     result: QueryResult
@@ -74,10 +59,7 @@ class ServingEnvelope:
     degraded: bool
     wait_seconds: float
     serve_seconds: float
-    affinity_hits: int = 0
-    affinity_misses: int = 0
     degraded_reason: "str | None" = None
-    dispatch_retries: int = 0
 
     @property
     def rows(self) -> Relation:

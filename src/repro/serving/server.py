@@ -17,15 +17,14 @@ a resource ratio α — but is built for *many* requests over a long lifetime:
 4. everything is **observable** through
    :class:`~repro.serving.stats.ServingStats`.
 
-Resilience: a fault anywhere below the server costs served α or latency,
-never correctness or availability.  The result cache is consulted through
-guarded wrappers — an erroring backend (or the ``serving.cache.get`` /
-``serving.cache.put`` fault sites) is treated as a miss and counted, and
-the request recomputes.  When the process-executor circuit breaker
-(:func:`repro.relational.parallel.breaker_state`) is open or probing, the
-server steps served α one extra rung down (the *degraded-mode ladder*) so
-requests riding the slower thread fallback cost proportionally less; the
-envelope reports ``degraded_reason`` and any dispatch retries spent.
+Resilience: a fault anywhere below the server costs latency, never α,
+correctness or availability (only admission load lowers the served α).
+The result cache is consulted through guarded wrappers — an erroring
+backend (or the ``serving.cache.get`` / ``serving.cache.put`` fault sites)
+is treated as a miss and counted, and the request recomputes.  A process
+executor whose circuit breaker
+(:func:`repro.relational.parallel.breaker_state`) is open computes in the
+caller, at the requested α.
 
 Thread-safe: one server instance is meant to be shared by many request
 threads (the concurrency harness in ``benchmarks/bench_serving.py`` drives
@@ -129,8 +128,6 @@ class QueryServer:
             degraded=envelope.degraded,
             wait_seconds=envelope.wait_seconds,
         )
-        if envelope.dispatch_retries:
-            self.stats.count("dispatch_retries", envelope.dispatch_retries)
         if envelope.degraded_reason is not None:
             self.stats.count(f"degraded[{envelope.degraded_reason}]")
         return envelope
@@ -155,38 +152,13 @@ class QueryServer:
         except Exception:
             self.stats.count("result_cache_errors")
 
-    def _breaker_degrade(self, alpha: float, served_alpha: float):
-        """One extra ladder rung while the process executor is unhealthy.
-
-        Returns ``(served_alpha, reason)``.  Only the process executor
-        routes through the breaker; when it is open (cooling down) or
-        half-open (probing), computation rides the slower thread fallback —
-        so the server halves the served α (floored at the admission
-        ladder's bottom rung) to keep per-request cost bounded, exactly the
-        paper's accuracy-for-resources trade applied to failure instead of
-        load.
-        """
-        if config.current().shard_executor != "process":
-            return served_alpha, None
-        state = parallel.breaker_state()["state"]
-        if state == "closed":
-            return served_alpha, None
-        floor = alpha * self.admission.ladder[-1]
-        stepped = max(floor, served_alpha / 2.0)
-        if stepped >= served_alpha:
-            return served_alpha, None
-        return stepped, f"executor-breaker-{state}"
-
     def _serve_admitted(self, query, alpha, ticket, enforce_budget, start):
         """The cache-then-compute path, run while holding an admission slot."""
         ast, fingerprint = self.beas._resolve(query)
         epoch = self.beas.database.publication_epoch
         served_alpha = ticket.served_alpha
-        degraded_reason = "admission-load" if ticket.degraded else None
-        served_alpha, breaker_reason = self._breaker_degrade(alpha, served_alpha)
-        if breaker_reason is not None:
-            degraded_reason = breaker_reason
-        degraded = degraded_reason is not None
+        degraded = ticket.degraded
+        degraded_reason = "admission-load" if degraded else None
 
         result_key = (fingerprint, served_alpha, enforce_budget, epoch)
         cached = self._cache_get(result_key)
@@ -206,14 +178,7 @@ class QueryServer:
                 degraded_reason=degraded_reason,
             )
 
-        # Router counters are process-global, so under concurrent requests
-        # the delta attributes overlapping submissions to whichever request
-        # reads last — good enough for the envelope's observability role.
-        before = parallel.affinity_stats()
-        retries_before = parallel.dispatch_stats()["retries"]
         result, plan_hit = self.beas._answer_ast(ast, fingerprint, served_alpha, enforce_budget)
-        after = parallel.affinity_stats()
-        retries_after = parallel.dispatch_stats()["retries"]
         self._cache_put(result_key, result)
         return ServingEnvelope(
             result=result,
@@ -227,10 +192,7 @@ class QueryServer:
             degraded=degraded,
             wait_seconds=ticket.wait_seconds,
             serve_seconds=time.perf_counter() - start,
-            affinity_hits=after["hits"] - before["hits"],
-            affinity_misses=after["steals"] - before["steals"],
             degraded_reason=degraded_reason,
-            dispatch_retries=retries_after - retries_before,
         )
 
     # -- maintenance --------------------------------------------------------------

@@ -6,8 +6,8 @@ masker — a compiled :class:`~repro.algebra.predicates.MaskProgram`'s
 ``run_part``, with the binders the program holds — is pickled and shipped
 to workers.  A lambda, a function defined inside another function, or a
 local class in a binder position pickles never — and the failure is
-silent, because the executor falls back to the thread path, quietly
-erasing the parallelism the caller asked for.
+silent, because the executor falls back to computing in the caller,
+quietly erasing the parallelism the caller asked for.
 
 The rule therefore guards two conventions:
 

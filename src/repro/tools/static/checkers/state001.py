@@ -1,8 +1,9 @@
 """STATE001 — module-level mutable state must be written behind a lock.
 
-The engine runs the same code from the shard thread pool, the process-pool
-parent, and worker initializers; a module-level dict/list/counter written
-from an arbitrary function is a data race waiting for the first concurrent
+The engine runs the same code from a server's request threads, the
+process-pool parent, and worker initializers; a module-level
+dict/list/counter written from an arbitrary function is a data race
+waiting for the first concurrent
 query.  PRs 3–5 adopted a convention this rule makes structural: module
 state is written only
 
@@ -132,7 +133,7 @@ class SharedStateChecker(Checker):
                         write,
                         f"module-level mutable state {name!r} written outside a "
                         "lock or a designated setter; this races across the "
-                        "thread/process executor seam",
+                        "request-thread/process executor seam",
                     )
                 )
         return iter(findings)

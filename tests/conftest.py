@@ -5,14 +5,15 @@ Any test that takes a ``backend`` fixture argument is automatically
 parametrized over **every registered storage backend**
 (:func:`repro.relational.store.list_backends`) at collection time — row,
 column, the sharded defaults, the 1-/7-shard variants registered below, and
-any backend a later PR registers at import time — **crossed with the shard
+any backend registered at import time — **crossed with the shard
 executors** that matter for that platform: every backend case runs under
-the default ``"thread"`` executor and again under ``"process"`` (the
-worker processes of :mod:`repro.relational.parallel`, which map each shard
-from a published file), with the process-mode size threshold forced to 1 so
-even the small test relations genuinely round-trip through worker
-processes.  Use :func:`assert_identical` / :func:`to_backend` to phrase
-differential assertions against the row-backed reference.
+the default ``"serial"`` executor (every shard in the caller) and again
+under ``"process"`` (the worker processes of
+:mod:`repro.relational.parallel`, which map each shard from a published
+file), with the process-mode size threshold forced to 1 so even the small
+test relations genuinely round-trip through worker processes.  Use
+:func:`assert_identical` / :func:`to_backend` to phrase differential
+assertions against the row-backed reference.
 
 :func:`pytest_unconfigure` is the suite's exit watchdog: a run whose
 interpreter is still alive 15 s after the last test is killed with exit
@@ -52,16 +53,16 @@ for _name, _cls in (
     if _name not in list_backends():
         register_backend(_name, _cls)
 
-# Shard-parallel execution needs more than one worker to engage; single-core
-# CI boxes would otherwise silently test the sequential fallback only.
+# Process execution needs more than one worker to engage; single-core CI
+# boxes would otherwise silently test the in-caller fallback only.
 if current_config().worker_count < 2:
     configure(shard_workers=2)
 
 # One process pool for the whole session (probing spawns it); when the
 # platform cannot run worker processes at all, the matrix collapses to the
-# thread executor instead of failing every process leg.
+# serial executor instead of failing every process leg.
 SHARD_EXECUTORS = (
-    ("thread", "process") if parallel.probe_process_executor() else ("thread",)
+    ("serial", "process") if parallel.probe_process_executor() else ("serial",)
 )
 
 

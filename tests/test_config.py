@@ -22,6 +22,7 @@ import pytest
 import repro
 from repro import Config, configure, current_config
 from repro.config import ENV
+from repro.relational import parallel
 from repro.relational import store as store_module
 from repro.relational.store import RowStore, register_backend
 
@@ -29,7 +30,7 @@ INF, NAN = float("inf"), float("nan")
 
 # field -> (default, legal values, junk values)
 FIELDS = {
-    "shard_executor": ("thread", ["serial", "thread", "process"], ["threads", "", "PROCESS", 0, 1.5, b"thread"]),
+    "shard_executor": ("serial", ["serial", "process"], ["thread", "", "PROCESS", 0, 1.5, b"serial"]),
     "shard_workers": (None, [1, 2, 64], [0, -1, 2.5, "4", True, INF, NAN]),
     "process_min_rows": (4096, [1, 7, 10**9], [0, -5, 1.5, "7", False, INF, NAN]),
     # an unregistered name: test_default_backend_is_checked_against_the_registry_at_the_call
@@ -76,7 +77,7 @@ def test_unknown_settings_raise_and_change_nothing():
     with pytest.raises(TypeError, match="mask_chunk_size"):
         configure(mask_chunk_size=512)
     with pytest.raises(TypeError):
-        configure("thread")  # the positional slot takes a whole Config
+        configure("serial")  # the positional slot takes a whole Config
     assert current_config() is before
 
 
@@ -140,15 +141,18 @@ class TestStoreDir:
         assert current_config() is before
 
 
-def test_only_a_worker_count_change_retires_the_thread_pool():
+def test_only_what_the_workers_carry_retires_the_router():
     workers = current_config().worker_count
-    pool = store_module._pool()
+    router = parallel._ensure_router()  # slots spawn no worker until a task is routed
     configure(shard_workers=workers)  # the value it already has
-    configure(shard_executor="serial", process_min_rows=1, checksum_mode="off")
-    assert store_module._pool() is pool  # warm pools survive everything else
+    configure(shard_executor="process", process_min_rows=1, retry_backoff=0.0)
+    assert parallel._ensure_router() is router  # parent-side decisions keep it warm
+    configure(checksum_mode="off" if current_config().checksum_mode != "off" else "full")
+    assert parallel._router is None  # a setting the workers read
+    router = parallel._ensure_router()
     configure(shard_workers=workers + 1)
-    fresh = store_module._pool()
-    assert fresh is not pool and fresh._max_workers == workers + 1
+    fresh = parallel._ensure_router()
+    assert fresh is not router and fresh.slot_count == workers + 1
 
 
 def test_concurrent_configure_and_current_never_tear():
@@ -158,7 +162,7 @@ def test_concurrent_configure_and_current_never_tear():
     pairs = [
         ("retry_backoff", "breaker_cooldown", [(0.25, 0.25), (2.0, 2.0)]),
         ("process_min_rows", "program_cache_capacity", [(3, 3), (11, 11)]),
-        ("shard_executor", "admission_policy", [("serial", "reject"), ("thread", "queue")]),
+        ("shard_executor", "admission_policy", [("serial", "reject"), ("process", "queue")]),
     ]
     rounds = 300
     torn, errors = [], []
@@ -205,7 +209,7 @@ def test_concurrent_configure_and_current_never_tear():
     assert not any(thread.is_alive() for thread in readers + writers)
     assert not errors and not torn
     last = current_config()  # every writer's final step landed: no lost update
-    assert (last.retry_backoff, last.process_min_rows, last.shard_executor) == (2.0, 11, "thread")
+    assert (last.retry_backoff, last.process_min_rows, last.shard_executor) == (2.0, 11, "process")
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +220,7 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 # variable -> (what to print, a valid value and what it prints, a junk value or None)
 ENV_CASES = {
-    "REPRO_SHARD_EXECUTOR": ("repro.current_config().shard_executor", " Process ", "process", "gpu"),
+    "REPRO_SHARD_EXECUTOR": ("repro.current_config().shard_executor", " Process ", "process", "thread"),
     "REPRO_SHARD_WORKERS": ("repro.current_config().shard_workers", "8", "8", "four"),
     "REPRO_DEFAULT_BACKEND": ("repro.current_config().default_backend", "MMAP", "mmap", "parquet"),
     "REPRO_STORE_DIR": ("repro.current_config().store_dir", "/tmp/repro-env-probe", "/tmp/repro-env-probe", None),

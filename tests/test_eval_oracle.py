@@ -7,7 +7,7 @@ generated SPC / RA / aggregate queries over all four workloads — plus the
 shapes the pruning rule has to get right: no output list, unqualified
 references, an atom no reference names, nested differences — they must agree
 on rows, row order, weights and ``repr(η)``, on every registered backend
-under the serial and the thread executor.  The call-count guards at the end
+under the serial and the process executor.  The call-count guards at the end
 keep the saving from rotting: one ``_eval_spc`` per distinct SPC sub-query
 per answer.
 """
@@ -29,10 +29,9 @@ from repro.relational.store import gather_pairs, list_backends
 from repro.workloads import QueryGenerator, airca, tfacc
 
 import eval_oracle
-from conftest import to_backend, union_compatible
+from conftest import SHARD_EXECUTORS, to_backend, union_compatible
 
 ALPHAS = {"tpch": (0.02, 0.3), "airca": (0.5, 1.0), "tfacc": (0.25, 1.0), "social": (0.05, 0.5)}
-EXECUTORS = ("serial", "thread")
 
 
 def _unqualified(ast, schema):
@@ -98,7 +97,7 @@ def corpora(tpch_workload, tpch_beas, social_workload, social_beas):
 def cell(request):
     """One (backend, shard executor) cell; the executor is applied for the test's duration."""
     backend_name, executor = request.param
-    configure(shard_executor=executor)
+    configure(shard_executor=executor, process_min_rows=1)
     return backend_name
 
 
@@ -106,7 +105,7 @@ def cell(request):
 CELLS = [
     pytest.param((backend_name, executor), id=f"{backend_name}-{executor}")
     for backend_name in list_backends()
-    for executor in (EXECUTORS if "sharded" in backend_name else EXECUTORS[-1:])
+    for executor in (SHARD_EXECUTORS if "sharded" in backend_name else SHARD_EXECUTORS[:1])
 ]
 
 

@@ -13,9 +13,9 @@ Four layers of coverage for PR 10's failure-handling substrate:
   workers are absorbed by retry/re-route/fallback: every query returns a
   bit-identical answer, the counters in
   :func:`~repro.relational.parallel.dispatch_stats` show how.
-* **Serving degradation** — cache-backend faults are treated as misses and
-  counted; an unhealthy breaker steps served α one extra ladder rung down
-  with the reason reported in the envelope.
+* **Serving resilience** — cache-backend faults are treated as misses and
+  counted; an open breaker costs latency, never served α: the answer is
+  computed in the caller at the requested α, bit-identical to a healthy one.
 
 The whole-suite version of the same contract (kills at p=0.1 across every
 backend × executor) lives in ``benchmarks/bench_chaos.py`` and the
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import QueryServer, configure, faults
+from repro import Beas, QueryServer, configure, faults
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import FaultInjectedError, ReproError
 from repro.faults import FaultPlan, FaultRule
@@ -42,7 +42,7 @@ from repro.relational.distance import NUMERIC, TRIVIAL
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 
-from conftest import SHARD_EXECUTORS, assert_identical, identity_key
+from conftest import SHARD_EXECUTORS, assert_identical, identity_key, to_backend
 
 PROCESS_OK = "process" in SHARD_EXECUTORS
 needs_process = pytest.mark.skipif(
@@ -369,8 +369,8 @@ class TestDispatchResilience:
         force_process()
         configure(retry_backoff=0.0)
         # Every worker incarnation dies on its first task; retries re-route
-        # and respawn until the rounds run out, then the thread fallback
-        # serves the exact same bytes.
+        # and respawn until the rounds run out, then the caller's serial
+        # fallback serves the exact same bytes.
         faults.set_fault_plan("seed=5;parallel.worker.kill:at=1")
         try:
             assert select_answer(relation.store) == reference
@@ -496,7 +496,7 @@ class TestChaosReport:
 
     def test_a_process_cell_that_routed_nothing_fails_the_check(self):
         """A process cell over a partitioned store that placed no task on a
-        worker proved nothing; unpartitioned and thread cells never route."""
+        worker proved nothing; unpartitioned and serial cells never route."""
         check_report = load_chaos_bench().check_report
         report = {
             "benchmark": "chaos soak",
@@ -505,7 +505,7 @@ class TestChaosReport:
             "serving": {"wrong_answers": 0, "result_cache_errors": 0},
             "combos": [
                 self.cell("process", 4, 3),
-                self.cell("thread", 4, 0),
+                self.cell("serial", 4, 0),
                 self.cell("process", 1, 0),
             ],
         }
@@ -519,7 +519,7 @@ class TestChaosReport:
 
 
 # ---------------------------------------------------------------------------
-# Serving-layer degradation
+# Serving-layer resilience
 # ---------------------------------------------------------------------------
 
 
@@ -544,56 +544,37 @@ class TestServingResilience:
         server.serve(query, alpha=0.5)
         assert server.serve(query, alpha=0.5).result_cache_hit
 
-    def test_open_breaker_degrades_served_alpha(
-        self, tiny_beas, breaker_guard
+    @pytest.mark.parametrize("backend_name", ["row", "sharded"])
+    def test_open_breaker_keeps_served_alpha(
+        self, tiny_db, tiny_beas, backend_name, breaker_guard
     ):
-        server = QueryServer(tiny_beas)
+        """An open breaker costs latency, never α: the query is computed in
+        the caller at the requested α, bit-identical to the healthy answer —
+        whether or not it touches a sharded store."""
+        beas = Beas(to_backend(tiny_db, backend_name), access_schema=tiny_beas.access_schema)
+        server = QueryServer(beas)
         query = "SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2"
-        configure(shard_executor="process" if PROCESS_OK else "thread")
-        if not PROCESS_OK:
-            pytest.skip("process pool unavailable on this platform")
+        force_process()
         healthy = server.serve(query, alpha=0.5)
         assert healthy.served_alpha == 0.5
         assert healthy.degraded_reason is None
-        assert healthy.dispatch_retries == 0
 
         for _ in range(parallel._MAX_POOL_FAILURES):
             parallel._breaker_strike()
-        degraded = server.serve(query, alpha=0.5)
-        assert degraded.served_alpha == 0.25
-        assert degraded.degraded
-        assert degraded.degraded_reason == "executor-breaker-open"
-        assert not degraded.result_cache_hit  # keyed under the degraded α
-
-        # Closing the breaker restores full-α service; the degraded entry
-        # can never answer for the full-α key.
-        parallel._pool_failures = 0
-        parallel._breaker_opened_at = None
-        restored = server.serve(query, alpha=0.5)
-        assert restored.served_alpha == 0.5
-        assert restored.result_cache_hit
-        assert_identical(degraded.rows, restored.rows)  # α only bounds access
+        assert parallel.breaker_state()["state"] == "open"
+        server.clear_caches()  # the request below must compute, not hit
+        shipped_before = parallel.select_gather_stats()["calls"]
+        broken = server.serve(query, alpha=0.5)
+        assert parallel.select_gather_stats()["calls"] == shipped_before  # nothing reached a worker
+        assert not broken.result_cache_hit
+        assert broken.served_alpha == broken.requested_alpha == 0.5
+        assert not broken.degraded
+        assert broken.degraded_reason is None
+        assert_identical(broken.rows, healthy.rows)  # typed, in order: bit-identical
+        assert repr(broken.eta) == repr(healthy.eta)
 
         counters = server.stats.snapshot()["counters"]
-        assert counters["degraded[executor-breaker-open]"] == 1
-
-    def test_degrade_floors_at_the_ladder_bottom(
-        self, tiny_beas, breaker_guard
-    ):
-        if not PROCESS_OK:
-            pytest.skip("process pool unavailable on this platform")
-        server = QueryServer(tiny_beas)
-        configure(shard_executor="process")
-        floor = 0.5 * server.admission.ladder[-1]
-        for _ in range(parallel._MAX_POOL_FAILURES):
-            parallel._breaker_strike()
-        stepped, reason = server._breaker_degrade(0.5, floor * 1.5)
-        assert stepped == floor
-        assert reason == "executor-breaker-open"
-        # Already at (or below) the floor: no further step, no false reason.
-        unchanged, reason = server._breaker_degrade(0.5, floor)
-        assert unchanged == floor
-        assert reason is None
+        assert not any(name.startswith("degraded[") for name in counters)
 
     def test_cache_info_exposes_resilience_sections(self, tiny_beas, plan_guard):
         server = QueryServer(tiny_beas)

@@ -8,11 +8,11 @@ Three layers of coverage for :mod:`repro.relational.parallel`:
   process boundary).  (What the settings accept is ``tests/test_config.py``.)
 * **End-to-end** — real pool round trips: the fused select+gather — the one
   operation that ships — under ``executor="process"`` must be bit-identical
-  to the serial/thread paths, including after a shard mutation retires the
+  to the serial path, including after a shard mutation retires the
   published files; masks, gathers and kernel batches on a sharded store stay
-  on threads under the process executor and answer identically too, and
+  in the caller under the process executor and answer identically too, and
   nothing but the fused operator is ever submitted to a worker.
-* **Property** — a hypothesis invariant that serial, thread and process
+* **Property** — a hypothesis invariant that serial and process
   select+gather agree on None/NaN/mixed/string columns.
 
 The cross-backend conformance matrix in ``conftest.py`` additionally runs
@@ -22,7 +22,6 @@ every ``backend``-fixture test under the process executor, so whole-query
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import os
 import pickle
@@ -293,17 +292,16 @@ class TestWorkerInternals:
     """Worker-process plumbing, driven in-process (coverage cannot see the
     real workers, so the exact code they run is exercised here directly)."""
 
-    def test_worker_init_pins_sequential_execution(self, monkeypatch):
+    def test_worker_init_installs_the_parents_settings(self, monkeypatch):
         monkeypatch.setattr(parallel, "_IN_PROCESS_WORKER", False)  # undone after the test
-        configure(shard_executor="process", checksum_mode="full")
+        configure(shard_executor="process", checksum_mode="full", process_min_rows=1)
         shipped = current_config()
         parallel._worker_init(shipped)
         assert parallel._IN_PROCESS_WORKER is True
-        assert current_config() == dataclasses.replace(
-            shipped, shard_workers=1, shard_executor="thread"
-        )
+        assert current_config() == shipped
         assert parallel._worker_ping() is True
-        # A worker never spawns nested pools or publications.
+        # The worker flag alone keeps a worker from spawning nested pools or
+        # publications, whatever its shard_executor says.
         relation = Relation(SCHEMA, make_rows(50), backend="sharded")
         assert not parallel.process_eligible(relation.store)
 
@@ -311,11 +309,9 @@ class TestWorkerInternals:
     def test_pools_never_fork_a_threaded_parent(
         self, tiny_db, monkeypatch
     ):
-        """A pool created while the shard thread pool and a QueryServer
+        """A pool created while another live thread and a QueryServer
         request thread are alive asks for forkserver (or spawn), never fork."""
         import multiprocessing
-
-        from repro.relational import store as store_module
 
         asked = []
         get_context = multiprocessing.get_context
@@ -325,7 +321,9 @@ class TestWorkerInternals:
             return get_context(method)
 
         monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
-        store_module._pool().submit(int).result()  # the shard thread pool is up
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait, name="bystander-thread", daemon=True)
+        bystander.start()  # the parent is threaded before any pool exists
         server = QueryServer(
             Beas(
                 to_backend(tiny_db, "sharded"),
@@ -344,8 +342,10 @@ class TestWorkerInternals:
         thread = threading.Thread(target=request, name="request-thread")
         thread.start()
         thread.join(60)
-        assert not thread.is_alive()
-        assert threads_seen[0] > 2  # main + request thread + shard pool threads
+        release.set()
+        bystander.join(60)
+        assert not thread.is_alive() and not bystander.is_alive()
+        assert threads_seen[0] > 2  # main + request thread + the bystander
         assert parallel._router is not None
         assert parallel.affinity_stats()["hits"] > hits_before  # workers really ran
         assert asked and "fork" not in asked
@@ -423,7 +423,7 @@ class TestWorkerInternals:
             monkeypatch.undo()
             parallel.reset_process_pool()
             parallel._pool_failures = failures_before
-        # The thread fallback keeps the query correct throughout.
+        # The in-caller fallback keeps the query correct throughout.
         configure(shard_executor="serial")
         reference = select_answer(relation.store)
         configure(shard_executor="process")
@@ -455,7 +455,7 @@ class TestWorkerInternals:
             parallel._AffinityRouter, "_create_pool", staticmethod(CancellingPool)
         )
         try:
-            # A concurrent reset cancelling the futures degrades to the thread
+            # A concurrent reset cancelling the futures degrades to the caller's
             # path (correct answer) without counting against the breaker.
             assert select_answer(relation.store) == reference
             assert parallel._pool_failures == failures_before
@@ -505,7 +505,7 @@ class TestWorkerInternals:
 
     @needs_process
     def test_one_select_reaches_the_pool_once(self, monkeypatch):
-        """A fused select whose dispatch gives up answers on threads: the
+        """A fused select whose dispatch gives up answers in the caller: the
         same work is not sent to the pool a second time as a bare mask."""
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         configure(shard_executor="serial")
@@ -554,7 +554,7 @@ class TestProcessExecution:
             configure(shard_executor=mode)
             configure(process_min_rows=1)
             masks[mode] = bytes(CONDITION.mask(relation.store, SCHEMA))
-        assert masks["serial"] == masks["thread"] == masks["process"]
+        assert masks["serial"] == masks["process"]
 
     def test_gather_identical_across_executors(self):
         relation = Relation(SCHEMA, make_rows(600), backend="sharded")
@@ -567,7 +567,7 @@ class TestProcessExecution:
 
     def test_kernel_batches_identical(self):
         """A sharded store's kernels answer exactly like a column store's and
-        the nested loops, under the thread and the process executor."""
+        the nested loops, under the serial and the process executor."""
         rows = make_rows(800)
         sharded = Relation(SCHEMA, rows, backend="sharded").store
         column = Relation(SCHEMA, rows, backend="column").store
@@ -578,7 +578,7 @@ class TestProcessExecution:
         distances = [a.distance for a in SCHEMA.attributes]
         expected_min = [naive_min_distance(values, rows, distances) for values in full]
 
-        for executor in ("thread", "process"):
+        for executor in EXECUTOR_MODES:
             configure(shard_executor=executor, process_min_rows=1)
             for store in (sharded, column):
                 matcher = RadiusMatcher.from_store(store, *key)
@@ -620,7 +620,7 @@ class TestProcessExecution:
 
     def test_bare_masks_and_gathers_stay_in_the_parent(self):
         """Only the fused select+gather ships: a bare mask and a bare gather
-        over a sharded store answer on threads under the process executor,
+        over a sharded store answer in the caller under the process executor,
         publishing nothing and dispatching nothing."""
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         indices = [5, 5, 1999, 0, 123, 123, 7]  # duplicates, out of order
@@ -756,7 +756,7 @@ class TestProcessExecution:
         with pytest.raises(RuntimeError, match="application bug"):
             relation.store.select_gather(_raising_masker)
         # A computation's own error is not an infrastructure failure: it
-        # must not count toward the breaker or silently re-run on threads.
+        # must not count toward the breaker or silently re-run in the caller.
         assert parallel._pool_failures == failures_before
 
 
@@ -770,10 +770,8 @@ class TestWorkerSettings:
         return future.result(timeout=30)
 
     def test_a_worker_runs_under_its_parents_settings(self):
-        configure(checksum_mode="full", process_min_rows=1)
-        assert self.ask_worker(current_config) == dataclasses.replace(
-            current_config(), shard_workers=1, shard_executor="thread"
-        )
+        configure(shard_executor="process", checksum_mode="full", process_min_rows=1)
+        assert self.ask_worker(current_config) == current_config()  # exactly, nothing pinned
         # A setting the workers read: the router is retired, and the workers
         # the next dispatch spawns carry the new value.
         configure(checksum_mode="off")
@@ -781,7 +779,7 @@ class TestWorkerSettings:
         assert self.ask_worker(current_config).checksum_mode == "off"
         # Parent-side decisions keep the warm worker.
         pid = self.ask_worker(os.getpid)
-        configure(shard_executor="process", process_min_rows=7)
+        configure(shard_executor="serial", process_min_rows=7)
         assert self.ask_worker(os.getpid) == pid
 
     def test_full_checksums_are_verified_inside_the_workers(self, store_dir, tmp_path):
@@ -801,7 +799,7 @@ class TestWorkerSettings:
         with pytest.raises(CorruptShardError, match="checksum mismatch"):
             MmapStore.open(copy)
         # The worker's open must do the same: the dispatch is fatal, and the
-        # thread fallback answers from the parent's own, undamaged buffers.
+        # caller answers from the parent's own, undamaged buffers.
         fatal_before = parallel.dispatch_stats()["fatal"]
         assert select_answer(relation.store) == reference
         assert parallel.dispatch_stats()["fatal"] == fatal_before + 1
@@ -892,7 +890,7 @@ MIXED_CONDITION = Conjunction.of(
 @settings(max_examples=25, deadline=None)
 @given(rows=st.lists(st.tuples(VALUES, VALUES), min_size=0, max_size=40))
 def test_executors_agree_on_mixed_columns(rows):
-    """Serial, thread and process select+gather are bit-identical on
+    """Serial and process select+gather are bit-identical on
     None/NaN/mixed/string columns (the satellite hypothesis property)."""
     cls = ShardedStore.configured(3, "round_robin")
     store = cls.from_rows(2, rows)
@@ -902,4 +900,4 @@ def test_executors_agree_on_mixed_columns(rows):
     for mode in EXECUTOR_MODES:
         configure(shard_executor=mode)
         results[mode] = select_answer(store, masker)
-    assert results["serial"] == results["thread"] == results["process"]
+    assert results["serial"] == results["process"]

@@ -9,13 +9,14 @@ The load-bearing guarantees under test:
 * **Invalidation by key rotation** — mutating any relation advances the
   database's publication epoch, so the result cache can never serve a
   pre-mutation answer afterwards, on every storage backend under both the
-  serial and thread shard executors.
+  serial and process shard executors.
 * **Admission policies** — reject sheds, queue blocks, degrade-alpha steps
   α down the documented ladder and reports the served α and η.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_identical, to_backend
+from conftest import SHARD_EXECUTORS, assert_identical, to_backend
 from repro import Beas, QueryServer, configure, parse_query, query_fingerprint
 from repro.algebra import predicates
 from repro.algebra.ast import Scan
@@ -626,6 +627,25 @@ class TestQueryServer:
         assert server.cache_info()["statements"] == {"size": 1, "capacity": 1024, "hits": 1, "misses": 1}
         assert server.cache_info()["plans"] == {"size": 2, "capacity": 512}
 
+    @pytest.mark.parametrize("executor", SHARD_EXECUTORS)
+    def test_envelope_reports_only_its_own_request(self, tiny_db, tiny_beas, executor):
+        """Router counters are process-wide, so a per-request delta would
+        credit concurrent requests' shard tasks to whichever request read
+        last: the envelope carries none, and ``cache_info()`` reports them
+        whole."""
+        configure(shard_executor=executor, process_min_rows=1)
+        beas = Beas(to_backend(tiny_db, "sharded"), access_schema=tiny_beas.access_schema)
+        server = QueryServer(beas)
+        before = server.cache_info()["affinity"]
+        envelope = server.serve(QUERIES[0], alpha=0.5)
+        fields = {field.name for field in dataclasses.fields(envelope)}
+        assert not fields & {"affinity_hits", "affinity_misses", "dispatch_retries"}
+        after = server.cache_info()
+        routed = sum(after["affinity"][key] - before[key] for key in ("hits", "steals"))
+        assert (routed > 0) == (executor == "process")  # only the process executor routes
+        assert "retries" in after["dispatch"]
+        assert "dispatch_retries" not in server.stats.snapshot()["counters"]
+
     def test_clear_caches(self, tiny_beas):
         server = QueryServer(tiny_beas)
         server.serve(QUERIES[0], alpha=0.5)
@@ -640,7 +660,7 @@ class TestQueryServer:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", SHARD_EXECUTORS)
 @pytest.mark.parametrize("backend_name", sorted(set(list_backends())))
 def test_mutation_invalidates_result_cache(tiny_db, backend_name, executor):
     """The result cache never serves a pre-mutation answer after a mutation.
@@ -651,7 +671,7 @@ def test_mutation_invalidates_result_cache(tiny_db, backend_name, executor):
     """
     from repro import ConstraintSpec
 
-    configure(shard_executor=executor)
+    configure(shard_executor=executor, process_min_rows=1)
     db = to_backend(tiny_db, backend_name)
     beas = Beas(
         db,

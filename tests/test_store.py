@@ -262,13 +262,12 @@ class TestShardedStore:
             )
             assert list(mask) == [1 if (i % 7) > 3 else 0 for i in range(40)]
 
-    def test_map_shards_parallel_and_sequential_agree(self):
+    def test_map_shards_answers_in_shard_order(self):
         cls = ShardedStore.configured(4, "round_robin")
         store = cls.from_rows(2, [(i, float(i)) for i in range(500)])
-        sizes_seq = store.map_shards(len, parallel=False)
-        configure(shard_workers=4)
-        sizes_par = store.map_shards(len, parallel=True)
-        assert sizes_seq == sizes_par == [len(s) for s in store.shards]
+        assert store.map_shards(len) == [len(s) for s in store.shards]
+        heads = store.map_shards(lambda shard, count: shard.head(count).row_list(), [1, 2, 0, 1])
+        assert heads == [[(0, 0.0)], [(1, 1.0), (5, 5.0)], [], [(3, 3.0)]]
 
     def test_shard_worker_configuration(self):
         configure(shard_workers=3)
@@ -295,10 +294,8 @@ class TestShardedStore:
         assert rel.select(lambda row: row[0] >= 2).rows == ((2,), (3,))
 
     def test_nested_sharded_shards_do_not_deadlock(self):
-        # A sharded store whose shards are themselves sharded used to
-        # deadlock: outer map_shards workers blocked on nested pool
-        # submissions that could never be scheduled.  Nested levels must run
-        # sequentially inside the worker.
+        # A sharded store whose shards are themselves sharded: every level
+        # runs its shards in the caller, so nesting cannot wait on itself.
         register_backend(
             "test-inner-sharded", ShardedStore.configured(2, "range", name="test-inner-sharded")
         )
@@ -306,7 +303,6 @@ class TestShardedStore:
             2, "range", name="test-outer-sharded", shard_backend="test-inner-sharded"
         )
         store = outer.from_rows(2, [(i, float(i)) for i in range(10000)])
-        configure(shard_workers=2)
         mask = bytearray((1 if i % 2 == 0 else 0) for i in range(10000))
         kept = store.select_mask(mask)  # must not hang
         assert kept.row_list() == [(i, float(i)) for i in range(10000) if i % 2 == 0]
