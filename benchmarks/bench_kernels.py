@@ -25,7 +25,8 @@ Part 3 sweeps the same four operations over the **sharded** backend
 (:class:`repro.relational.store.ShardedStore`, range-partitioned per-shard
 column stores) at several shard counts, against the row baseline —
 ``sharded_scan`` / ``sharded_selection`` / ``sharded_join`` / ``sharded_rc``
-entries record how partition-parallel execution scales with shard count.
+entries record what the shard count costs the caller, which reads every
+sharded store through its flat column view.
 
 Part 4 times the columnar-execution engine added on top of the storage
 layer:
@@ -51,7 +52,7 @@ data, pinning the steady-state cost of reading through a file mapping.
 
 Part 6 audits the fused select+gather operator of the process executor's
 affinity router (``affinity_select_gather``): one boundary crossing per
-fused call, exact payload bytes returned, home-worker vs stolen tasks —
+fused call, exact mask bytes returned, home-worker vs stolen tasks —
 cross-checked against the serial reference.  (The off-vs-on routing legs
 recorded in earlier ``BENCH_kernels.json`` files — warm kernel batches
 61× / 185× faster with routing on — went with the knob that selected
@@ -276,7 +277,7 @@ def bench_storage_selection(size: int, queries: int, rng: random.Random, backend
         lambda: [other_rel.select(condition) for _ in range(10)]
     )
     assert row_out[0] == other_out[0]
-    assert other_out[0].backend == backend
+    assert other_out[0].backend == type(other_rel.store).in_memory_class().backend
     return row_seconds, other_seconds
 
 
@@ -596,7 +597,7 @@ def bench_affinity_section(size: int) -> list:
     After one cold warm-up call (publish + spawn), one timed
     ``select_gather`` over a range-partitioned store with workers == shards:
     ``boundary_crossings`` counts fused rounds (each shard crossed once) and
-    ``result_bytes`` the exact mask + typed-buffer payload that came back;
+    ``result_bytes`` the mask bytes that came back (one per row);
     ``home_worker_tasks`` / ``stolen_tasks`` are the router's verdicts.  The
     answer is cross-checked against the serial reference.
     """
@@ -618,7 +619,7 @@ def bench_affinity_section(size: int) -> list:
         ref_mask, ref_store = store.select_gather(program.run_part)
         reference_rows = [ref_store.row(i) for i in range(len(ref_store))]
 
-        # Fused select+gather: one crossing per shard, payload accounted.
+        # Fused select+gather: one crossing per shard, mask bytes accounted.
         configure(shard_executor="process")
         parallel.shutdown()
         store.select_gather(program.run_part)  # cold warm-up (publish + spawn)

@@ -11,8 +11,8 @@ every relation can live row-wise (``backend="row"``, the default — one tuple
 per row), column-wise (``backend="column"`` — one contiguous buffer per
 attribute, ``array('d')``/``array('q')`` for pure float/int columns), or
 horizontally partitioned (``backend="sharded"`` — per-shard column stores
-split by a hash / round-robin / range partitioner, with shard-parallel
-selection).  The whole pipeline —
+split by a hash / round-robin / range partitioner, which the process
+executor ships selections to).  The whole pipeline —
 selection via *fused chunked* predicate mask programs (selectivity-ordered
 short-circuiting), *index-pair* hash joins whose
 outputs are materialized by per-column gather (``Store.take`` /
@@ -122,8 +122,10 @@ def main() -> None:
 
     # --- Sharded storage -------------------------------------------------
     # backend="sharded" partitions each relation across per-shard column
-    # stores (4 shards, round-robin by default).  Selections fan out one
-    # vectorized mask per shard — same answers, partition-parallel work.
+    # stores (4 shards, round-robin by default).  The shards are for
+    # shipping work to worker processes; every read in the caller — this
+    # selection included — goes through one cached global-order column
+    # view, so a sharded relation answers like a column-backed one.
     from repro import configure
     from repro.relational import ShardedStore, register_backend
 
@@ -164,23 +166,30 @@ def main() -> None:
     #   configure(shard_executor="serial")   every shard in the caller (default)
     #   configure(shard_executor="process")  worker processes over mapped files
     #
-    # "process" ships work to other CPUs: the first query publishes each
-    # shard's column buffers as one .rpro file, worker processes mmap it and
-    # keep it warm, and every later query ships only the compiled mask
-    # program — never the data.  Exactly one operation crosses the
-    # boundary: the fused select+gather (a selection whose reply, mask plus
-    # surviving rows, is smaller than its input).  Everything else — bare
-    # masks, gathers, distance kernels — runs in the caller.  Per-row
-    # callables, small stores (below the process_min_rows setting, default
-    # 4096 rows — under that, the round-trip costs more than the work) and
-    # anything unpicklable run in the caller too, with bit-identical
-    # results.  Mutating a store unlinks its published files; the next
-    # query republishes.
+    # "process" ships one thing to other CPUs: the mask of the fused
+    # select+gather the evaluator's filters run over a sharded base
+    # relation — in practice exact answers (Beas.answer_exact), because
+    # fetch frames are column stores.  The first such query publishes each
+    # shard's column buffers as one .rpro file, worker processes mmap it
+    # and keep it warm, and every later query ships only the compiled mask
+    # program; each worker answers with its shard's mask bytes — never the
+    # data.  The
+    # caller stitches the masks and selects the survivors from its column
+    # view.  Everything else — bare masks, gathers, distance kernels — runs
+    # in the caller.  Per-row callables, small stores (below the
+    # process_min_rows setting, default 4096 rows — under that, the
+    # round-trip costs more than the work) and anything unpicklable run in
+    # the caller too, with bit-identical results.  Mutating a store unlinks
+    # its published files; the next query republishes.
     #
     # Pool sizing: configure(shard_workers=n) sets the number of worker
     # processes (values < 1 raise; None restores os.cpu_count()).
     # Environment overrides at import time:
     # REPRO_SHARD_WORKERS=4 REPRO_SHARD_EXECUTOR=process python app.py
+    #
+    # Relation.select reaches Store.eval_mask, never select_gather, so
+    # nothing ships here: the process executor answers this σ exactly as
+    # the serial one does.
     previous = configure(shard_executor="process")
     process_hotels = sharded_poi.select(
         Conjunction.of(
@@ -195,11 +204,9 @@ def main() -> None:
     print("process-executor σ over poi agrees with the serial path")
 
     # Per-row *callable* predicates always scan sequentially in global row
-    # order (they may be stateful); only vectorized predicates run per
-    # shard.  shard_workers=1 keeps every shard in the caller.
-    configure(shard_workers=1)
-    assert eight.select(lambda row: row[1] == "hotel").store.backend == "sharded8"
-    configure(shard_workers=None)  # restore the default (os.cpu_count())
+    # order (they may be stateful).  What a sharded relation derives is a
+    # column store: the shards stay with the base relation.
+    assert eight.select(lambda row: row[1] == "hotel").store.backend == "column"
 
     # --- Columnar execution engine ---------------------------------------
     # Conjunctions do not evaluate one whole column at a time: they compile
@@ -211,8 +218,8 @@ def main() -> None:
     # Joins and products are index-pair joins: the hash/radius kernels emit
     # matched (left_index, right_index) pairs and the output frame is built
     # by per-column *gather* (Store.take / Store.gather_column — indices may
-    # repeat, arrive out of order, or cross shards), so column- and
-    # shard-backed plans never materialize intermediate Python row tuples.
+    # repeat or arrive out of order), so columnar plans never materialize
+    # intermediate Python row tuples.
     gathered = poi.store.take([2, 0, 2])  # out-of-order + duplicate gather
     assert gathered.row_list() == [poi.rows[2], poi.rows[0], poi.rows[2]]
     print("gather semantics: take([2, 0, 2]) returns rows 2, 0, 2 — in that order")

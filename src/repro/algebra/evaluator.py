@@ -74,13 +74,12 @@ class Frame:
     """An intermediate result: tuples under a schema, with per-row weights.
 
     Backed by a :class:`~repro.relational.store.Store` so that column-backed
-    (or shard-partitioned) inputs stay that way through scans, filters and
-    projections.  The classic ``Frame(schema, rows, weights)`` constructor
-    adopts a row list (the shape operator outputs are produced in); pass
-    ``store=`` to adopt an existing backend without materializing tuples
-    (the executor's fetch stage builds fetched frames on the base relation's
-    store class — its in-memory twin for an mmap-backed relation — this way,
-    so frames inherit the database's layout).
+    inputs stay that way through scans, filters and projections.  The
+    classic ``Frame(schema, rows, weights)`` constructor adopts a row list
+    (the shape operator outputs are produced in); pass ``store=`` to adopt
+    an existing backend without materializing tuples (the executor's fetch
+    stage builds fetched frames on the base relation's in-memory twin this
+    way — a column store for column, mmap and sharded relations).
     """
 
     __slots__ = ("schema", "weights", "_store")
@@ -421,12 +420,8 @@ class Evaluator:
             all_hits = map(buckets.get, left.key_tuples(positions_left))
         else:
             # Relaxed join: within-slack matching through the distance
-            # kernels, indexed straight from the build side's column buffers.
-            # The probe side goes through the *batch* API: on a sharded
-            # build side under the process executor, all probe keys ship to
-            # the worker processes in one round per shard (the workers hold
-            # the shard buffers and build the matchers there); otherwise the
-            # batch is the same per-query loop as before.
+            # kernels, indexed straight from the build side's column buffers
+            # and probed through the *batch* API, in the caller.
             distances = [left.schema.attribute(k).distance for k in keys_left]
             matcher = RadiusMatcher.from_store(
                 right.store, positions_right, distances, slack
@@ -592,12 +587,12 @@ class Evaluator:
         :meth:`_comparison_binder`); the whole conjunction then runs as one
         :class:`~repro.algebra.predicates.MaskProgram` — chunked, fused,
         selectivity-ordered — through
-        :meth:`~repro.relational.store.Store.select_gather`, which on a
-        sharded backend runs the program shard-locally (over the shard's
-        typed buffers) and — under the process executor — fuses the mask and
-        the survivor gather into a single worker round-trip per shard.  The
-        surviving rows are compressed out of the backend in one pass, so no
-        per-row tuple is materialized for filtering.  Semantics are
+        :meth:`~repro.relational.store.Store.select_gather` — which, on a
+        sharded base relation under the process executor, evaluates the mask
+        on the shard workers (one round trip per shard, mask bytes back).
+        Fetch frames are never sharded, so this matters for exact scans
+        only.  The surviving rows are compressed out of the backend in one
+        pass, so no per-row tuple is materialized for filtering.  Semantics are
         identical to the former row-at-a-time ``all(check(row) ...)`` loop
         on every backend at every chunk size.
 

@@ -28,9 +28,8 @@ each chunk the comparisons run in ascending order of their
 far), and evaluation of the remaining comparisons short-circuits the moment
 the chunk's accumulated mask goes all-zero — so a selective leading
 predicate lets the engine skip most of the work of the others.  The whole
-program routes through :meth:`repro.relational.store.Store.eval_mask`, so a
-sharded store fuses per shard and stitches per-shard masks back into global
-row order.  Results are
+program routes through :meth:`repro.relational.store.Store.eval_mask` (a
+sharded store runs it over its flat column view).  Results are
 bit-identical to per-row :meth:`CompareOp.evaluate` at every chunk size on
 every backend (AND is commutative and each comparison's chunk mask matches
 its per-value semantics exactly).
@@ -215,10 +214,11 @@ class MaskProgram:
     * **Short-circuiting** — once a chunk's accumulated mask is all zero,
       the remaining predicates are skipped for that chunk.
 
-    The program runs through :meth:`~repro.relational.store.Store.eval_mask`,
-    so a sharded backend executes it once per shard — each shard keeps its
-    own selectivity statistics, so concurrent callers never share them — and
-    stitches the per-shard masks into global row order.
+    The program runs through :meth:`~repro.relational.store.Store.eval_mask`;
+    selectivity statistics live in one :meth:`run_part` call, so concurrent
+    callers never share them.  Under the process executor a sharded store's
+    :meth:`~repro.relational.store.ShardedStore.select_gather` runs the same
+    program once per shard, on the shard workers.
     """
 
     __slots__ = ("binders", "chunk_size")
@@ -523,17 +523,12 @@ class Comparison:
         Pulls the referenced column buffer(s) straight from ``store`` (no
         row tuples) and applies :meth:`CompareOp.column_mask` /
         :meth:`CompareOp.column_mask_pair`.  Evaluation routes through
-        :meth:`repro.relational.store.Store.eval_mask`, so a sharded backend
-        evaluates each shard's buffers independently and stitches the
-        per-shard masks back into global row order.  Semantics match per-row
-        :meth:`CompareOp.evaluate`
+        :meth:`repro.relational.store.Store.eval_mask`, in the caller on
+        every backend.  Semantics match per-row :meth:`CompareOp.evaluate`
         exactly on every backend.
         """
         # A one-binder program: run_part short-circuits to a single
-        # whole-(sub-)store masker call, so this is exactly the former
-        # closure-per-shard evaluation — but the masker is picklable, which
-        # lets a process-mode sharded store's fused ``select_gather`` ship
-        # the same program to its worker processes.
+        # whole-store masker call.
         return MaskProgram([self.chunk_binder(schema)]).mask(store)
 
     def chunk_binder(self, schema: RelationSchema) -> ChunkBinder:
@@ -614,11 +609,9 @@ class Conjunction:
         (default: :data:`MASK_CHUNK_SIZE`), ordered per chunk
         by observed selectivity, short-circuiting once a chunk's mask is all
         zero.  The program runs through
-        :meth:`~repro.relational.store.Store.eval_mask`, so a sharded
-        backend fuses shard-locally and stitches one combined mask per shard
-        (one gather for the conjunction, not one per comparison).  Results
-        equal the per-row AND of :meth:`CompareOp.evaluate` at every chunk
-        size on every backend.
+        :meth:`~repro.relational.store.Store.eval_mask`.  Results equal the
+        per-row AND of :meth:`CompareOp.evaluate` at every chunk size on
+        every backend.
         """
         if not self.comparisons:
             return all_ones(len(store))

@@ -35,10 +35,10 @@ field                       default    legal values                    environme
 What each one means:
 
 ``shard_executor``
-    Where a :class:`~repro.relational.store.ShardedStore` runs its fused
-    select+gather: in the caller, or on the worker processes of
-    :mod:`repro.relational.parallel`.  Every other per-shard operation, and
-    every dispatch that cannot or does not complete (a small store, an
+    Where a :class:`~repro.relational.store.ShardedStore` evaluates the
+    mask of its fused select+gather: in the caller, or on the worker
+    processes of :mod:`repro.relational.parallel`.  Every other operation,
+    and every dispatch that cannot or does not complete (a small store, an
     unpicklable masker, an open breaker, a dispatch that gives up), runs in
     the caller; results are bit-identical.
 ``shard_workers``

@@ -94,10 +94,7 @@ class BeasEvaluator(Evaluator):
         )
         # Survivors are collected as indices (rows assembled column-wise for
         # the guard probes) and gathered out of the backend in one take.
-        # The probes go through the guard's batch API: when the induced
-        # query's answers are shard-backed and the process executor is
-        # active, the whole probe set ships to the worker processes in one
-        # round per shard instead of one ``any_match`` call per row.
+        # The probes go through the guard's batch API, in the caller.
         hits = guard.any_match_many(list(left.store.key_tuples(positions)))
         keep = [index for index, hit in enumerate(hits) if not hit]
         return self._kept_frame(left, keep)
@@ -192,14 +189,13 @@ class PlanExecutor:
 
         The accessor emits the whole step — every ``X``-value's sample —
         column-wise (one value list per ``X ∪ Y`` attribute plus the
-        weights), and the frame is bulk-built from those columns on the same
-        storage layout as the base relation it was fetched from, so a
-        column- or shard-backed database keeps its layout through the
-        evaluation stage: relaxed selections fan out per shard, and the
-        set-difference guard / relaxed joins build their distance kernels
-        per shard instead of over one monolithic buffer.  Frames are scratch
-        data: over an mmap-backed relation they are built on its in-memory
-        twin (:meth:`~repro.relational.store.Store.in_memory_class`).
+        weights), and the frame is bulk-built from those columns on the
+        base relation's in-memory twin
+        (:meth:`~repro.relational.store.Store.in_memory_class`): a row store
+        for a row-backed relation, a :class:`ColumnStore
+        <repro.relational.store.ColumnStore>` for column, mmap and sharded
+        ones.  Frames are scratch data read in the caller, so they neither
+        map a file nor keep a shard layout.
         """
         schema = self._step_schema(step)
         columns, weights = step.accessor.fetch_columns(self._input_values(step), self.meter)

@@ -1,11 +1,10 @@
 """Process-parallel shard execution: shards published as files, one router.
 
-The sharded backend runs its per-shard work (:meth:`ShardedStore.map_shards`
-/ :meth:`ShardedStore.eval_mask`) in the caller.  This module is the other
-execution mode behind the ``shard_executor`` setting (:mod:`repro.config`):
-worker processes that map each shard's column buffers from a file and run
-one operation on it, the fused select+gather.  There is one of each
-mechanism:
+The sharded backend answers every read in the caller, from its flat column
+view.  This module is the other execution mode behind the ``shard_executor``
+setting (:mod:`repro.config`): worker processes that map each shard's column
+buffers from a file and evaluate one thing on it, the mask of the fused
+select+gather.  There is one of each mechanism:
 
 * **Publication = files.**  The first process-mode query against a sharded
   store builds its :class:`ShardPublication`: one ``.rpro`` file per shard
@@ -64,27 +63,20 @@ mechanism:
   settings this module reads — ``process_min_rows``, ``retry_backoff``,
   ``breaker_cooldown`` — are documented in :mod:`repro.config`.
 
-**One operation ships: the fused select+gather.**  A worker runs exactly one
-kind of shard task, :func:`_worker_select_gather` — the one whole-shard
-operation whose reply (a mask plus the surviving rows) is smaller than its
-input.  :func:`process_select_gather` sends each shard's worker ``(pickled
-masker, output column positions, optional per-shard α-budget slice
-⌈α·|shard|⌉)`` and receives ``(mask bytes, packed typed-column payloads)`` —
-the gathered buffers in :func:`_encode_buffer` form, typed ``array``
-columns as raw bytes — so a select→gather crosses the process boundary
-exactly once per shard.  Workers short-circuit the payload (``None``) when
-every row survives or there is nothing to gather; budget slices truncate
-with the same :func:`~repro.relational.store._truncate_mask` the caller's
-path uses.  :meth:`ShardedStore.select_gather` adopts the returned buffers
-as fresh column stores; :func:`select_gather_stats` accounts the round-trip
-bytes.  Everything else a sharded store does — bare masks, gathers,
-distance-kernel and KD-tree probes — runs in the parent, in the caller.
-Those used to ship as well; on the benchmark's ``tfacc_sharded`` workload
-(``cpu_count`` 2, one full pass) the fused operator was called 309 times
-and shipped 43, while the mask round-trip (266 calls), kernel radius
-batches (5) and nearest-neighbour / KD batches (0) never shipped and the
-gather shipped once, and running all of them in the parent left the pass
-time and every answer unchanged.
+**One operation ships: the mask of the fused select+gather.**  A worker runs
+exactly one kind of shard task, :func:`_worker_select_gather`.
+:func:`process_select_gather` sends each shard's worker the pickled masker
+and receives the shard's mask bytes — one byte per row, nothing else, so an
+object column's values never cross the boundary.
+:meth:`ShardedStore.select_gather` stitches the masks into global order and
+selects the survivors from its flat column view in the parent;
+:func:`select_gather_stats` accounts the returned bytes.  Everything else a
+sharded store does — bare masks, gathers, distance-kernel and KD-tree
+probes — runs in the parent, in the caller.  Shipping the survivors'
+columns back instead costs about eight times the bytes (on the benchmark's
+``tfacc_sharded`` workload, ``cpu_count`` 2: 1.59 MB a pass against
+0.20 MB of masks) and hands the parent per-shard buffers it would have to
+re-interleave for every later read.
 
 **Fallbacks.**  Everything here degrades to the caller: the parent returns
 ``None`` (and the caller computes the answer itself) when the store is
@@ -105,25 +97,15 @@ import pickle
 import threading
 import time
 import weakref
-from array import array
 from collections import OrderedDict
 from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import config, faults
 from ..errors import CorruptShardError
 from .mmapstore import MmapStore, forget_anonymous, write_anonymous
-from .store import (
-    ColumnStore,
-    Store,
-    _KIND_EMPTY,
-    _KIND_FLOAT,
-    _KIND_INT,
-    _KIND_OBJECT,
-    _truncate_mask,
-)
+from .store import Store
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -149,29 +131,6 @@ PROBE_TIMEOUT = 10.0
 # benchmark's own PR re-points it at ``configure``.
 def set_process_min_rows(count: Optional[int]) -> int:
     return config.configure(process_min_rows=count).process_min_rows
-
-
-# ---------------------------------------------------------------------------
-# Result codec: gathered column buffers on the trip back
-# ---------------------------------------------------------------------------
-
-_TYPECODE_KINDS = {"d": _KIND_FLOAT, "q": _KIND_INT}
-
-
-def _encode_buffer(buffer: Sequence[object]) -> Tuple[str, Optional[str], object]:
-    """Encode one gathered column buffer for the result trip back."""
-    if isinstance(buffer, array):
-        return ("arr", buffer.typecode, buffer.tobytes())
-    return ("obj", None, list(buffer))
-
-
-def _decode_buffer(encoded: Tuple[str, Optional[str], object]) -> Sequence[object]:
-    tag, typecode, data = encoded
-    if tag == "arr":
-        buf = array(typecode)
-        buf.frombytes(data)
-        return buf
-    return list(data)
 
 
 # ---------------------------------------------------------------------------
@@ -1067,12 +1026,11 @@ def _dumps(obj: object) -> Optional[bytes]:
 
 
 # Fused select+gather accounting (parent side): how many fused calls ran,
-# and how many payload bytes came back across the boundary — the benchmark
+# and how many mask bytes came back across the boundary — the benchmark
 # harness reads the deltas to audit the one-crossing contract.
 _stats_lock = threading.Lock()
 _select_gather_calls = 0
 _select_gather_result_bytes = 0
-_select_gather_object_values = 0
 
 
 def select_gather_stats() -> Dict[str, int]:
@@ -1080,108 +1038,35 @@ def select_gather_stats() -> Dict[str, int]:
 
     ``calls`` counts :func:`process_select_gather` rounds that completed on
     the pool (one boundary crossing per shard each); ``result_bytes`` the
-    exact mask + typed-buffer bytes that crossed back; ``object_values`` the
-    number of object-column values that crossed by pickle (their byte size
-    is codec-dependent, so they are counted, not sized).
+    mask bytes that crossed back — one per row of the store.
     """
     with _stats_lock:
-        return {
-            "calls": _select_gather_calls,
-            "result_bytes": _select_gather_result_bytes,
-            "object_values": _select_gather_object_values,
-        }
-
-
-def adopt_gathered(buffers: Sequence[Sequence[object]], length: int) -> ColumnStore:
-    """Adopt one shard's fused-gather buffers as a fresh column store.
-
-    ``buffers`` are :func:`_decode_buffer` outputs in column-position order
-    — typed ``array`` buffers stay typed, object columns are plain lists —
-    exactly the buffer kinds :meth:`ColumnStore.select_mask` would have
-    produced locally, so the fused path's derived stores are
-    indistinguishable from the fallback's.
-    """
-    kinds: List[str] = []
-    cols: List[Sequence[object]] = []
-    for buffer in buffers:
-        if not len(buffer):
-            kinds.append(_KIND_EMPTY)
-            cols.append([])
-        elif isinstance(buffer, array) and buffer.typecode in _TYPECODE_KINDS:
-            kinds.append(_TYPECODE_KINDS[buffer.typecode])
-            cols.append(buffer)
-        else:
-            kinds.append(_KIND_OBJECT)
-            cols.append(list(buffer))
-    shell = ColumnStore(len(cols))
-    return shell._adopt(kinds, cols, length)
+        return {"calls": _select_gather_calls, "result_bytes": _select_gather_result_bytes}
 
 
 def process_select_gather(
-    store: Store,
-    masker: Callable[[Store], Sequence[int]],
-    positions: Sequence[int],
-    shard_limits: Optional[Sequence[Optional[int]]] = None,
-) -> Optional[Tuple[List[bytearray], List[Optional[List[Sequence[object]]]]]]:
-    """Fused select+gather per shard in one boundary crossing each.
+    store: Store, masker: Callable[[Store], Sequence[int]]
+) -> Optional[List[bytes]]:
+    """Evaluate ``masker`` on every shard's worker, one boundary crossing each.
 
-    Wire format per shard — shipped: ``(pickled masker, output column
-    positions, α-budget slice or None)``; received: ``(mask bytes, packed
-    column payloads)`` where the payloads are :func:`_encode_buffer` tuples
-    for the *selected* rows of every requested column, or ``None`` when the
-    worker short-circuited (every row survived / nothing to gather) and the
-    parent materializes from its own shard copy instead.
-
-    Returns ``(per-shard masks, per-shard decoded buffer lists)`` in shard
-    order, or ``None`` (the caller computes) when the store is too small, the
-    masker does not pickle, or the pool is unavailable.
+    Ships the pickled masker; each worker answers with its shard's mask
+    bytes (shard-local row order).  Returns those masks in shard order, or
+    ``None`` (the caller computes) when the store is too small, the masker
+    does not pickle, or the pool is unavailable.
     """
-    global _select_gather_calls, _select_gather_result_bytes, _select_gather_object_values
+    global _select_gather_calls, _select_gather_result_bytes
     if not process_eligible(store):
         return None
     payload = _dumps(masker)
     if payload is None:
         return None
-    positions = list(positions)
-    shards = store.shards
-    limits = (
-        list(shard_limits) if shard_limits is not None else [None] * len(shards)
-    )
-    if len(limits) != len(shards):
-        raise ValueError(
-            f"expected {len(shards)} shard limits, got {len(limits)}"
-        )
-    results = _submit_per_shard(
-        store,
-        _worker_select_gather,
-        [(payload, positions, limit) for limit in limits],
-    )
-    if results is None:
+    masks = _submit_per_shard(store, _worker_select_gather, [(payload,)] * len(store.shards))
+    if masks is None:
         return None
-    masks: List[bytearray] = []
-    buffers: List[Optional[List[Sequence[object]]]] = []
-    returned_bytes = 0
-    object_values = 0
-    for mask_bytes, encoded in results:
-        masks.append(bytearray(mask_bytes))
-        returned_bytes += len(mask_bytes)
-        if encoded is None:
-            buffers.append(None)
-            continue
-        decoded: List[Sequence[object]] = []
-        for item in encoded:
-            tag, _typecode, data = item
-            if tag == "arr":
-                returned_bytes += len(data)
-            else:
-                object_values += len(data)
-            decoded.append(_decode_buffer(item))
-        buffers.append(decoded)
     with _stats_lock:
         _select_gather_calls += 1
-        _select_gather_result_bytes += returned_bytes
-        _select_gather_object_values += object_values
-    return masks, buffers
+        _select_gather_result_bytes += sum(map(len, masks))
+    return masks
 
 
 # Pinned by benchmarks/e2e: ``spans.install`` wraps these five names, so they
@@ -1302,29 +1187,8 @@ def _resolve_store(handle: Handle) -> Store:
     return store
 
 
-def _worker_select_gather(
-    handle: Handle,
-    masker_payload: bytes,
-    positions: Sequence[int],
-    limit: Optional[int],
-) -> Tuple[bytes, Optional[List[Tuple[str, Optional[str], object]]]]:
-    """The fused operator: mask, budget-truncate, and gather in one task.
-
-    Returns ``(mask bytes, encoded column payloads)``; the payloads are
-    ``None`` when every row survived (the parent's own shard copy is
-    cheaper than shipping the whole shard back) or when there are no
-    columns to gather.
-    """
+def _worker_select_gather(handle: Handle, masker_payload: bytes) -> bytes:
+    """The worker half of the fused select+gather: the shard's mask bytes."""
     _worker_fault_probe()
-    store = _resolve_store(handle)
     masker = pickle.loads(masker_payload)
-    mask = bytearray(masker(store))
-    if limit is not None:
-        _truncate_mask(mask, limit)
-    if not positions or mask.count(1) == len(mask):
-        return bytes(mask), None
-    indices = list(compress(range(len(mask)), mask))
-    return bytes(mask), [
-        _encode_buffer(store.gather_column(position, indices))
-        for position in positions
-    ]
+    return bytes(masker(_resolve_store(handle)))

@@ -249,8 +249,7 @@ class Relation:
         ``mask(store, schema)`` method, such as
         :class:`repro.algebra.predicates.Comparison` /
         :class:`~repro.algebra.predicates.Conjunction` — which is evaluated
-        column-at-a-time over the storage backend and, on a sharded backend,
-        fans out per shard through
+        column-at-a-time over the storage backend through
         :meth:`~repro.relational.store.Store.eval_mask`.  Per-row callables
         deliberately stay on a sequential scan in global row order on every
         backend: the legacy contract allows stateful predicates (budget
@@ -279,9 +278,9 @@ class Relation:
         """Group full tuples by their values on ``attribute_names``.
 
         Group keys are extracted column-wise through
-        :meth:`~repro.relational.store.Store.key_tuples`; a sharded backend
-        extracts them per shard and interleaves back into row order, so the
-        grouping (keys, members and their order) is backend-independent.
+        :meth:`~repro.relational.store.Store.key_tuples` in global row
+        order, so the grouping (keys, members and their order) is
+        backend-independent.
         """
         positions = self.schema.positions(attribute_names)
         groups: Dict[Row, List[Row]] = {}

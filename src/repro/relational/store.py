@@ -23,22 +23,23 @@ Three backends ship with the library:
 * :class:`ShardedStore` — horizontal partitioning: rows are split across
   ``shard_count`` per-shard :class:`ColumnStore` instances by a partitioner
   (``"hash"``, ``"round_robin"`` or ``"range"``), while the store still
-  presents the rows in their original insertion order.  Predicate masks,
-  selections and scans run shard by shard in the caller; only the fused
-  :meth:`~ShardedStore.select_gather` can run elsewhere, on the process
-  pool of :mod:`repro.relational.parallel`, when the ``shard_executor``
-  setting (:mod:`repro.config`) is ``"process"``.  The distance kernels and
-  KD-trees index a sharded store through its whole columns, like any other
-  store.  See :meth:`ShardedStore.configured` for fixing shard count /
-  partitioner and registering the variant as its own backend name.
+  presents the rows in their original insertion order.  The shards exist
+  for *shipping*: under the ``"process"`` ``shard_executor`` setting
+  (:mod:`repro.config`) the fused :meth:`~ShardedStore.select_gather` sends
+  its mask program to the worker processes of
+  :mod:`repro.relational.parallel`, one mapped file per shard.  Everything
+  the caller *reads* — rows, columns, masks, gathers, derivations — goes
+  through one cached global-order :class:`ColumnStore` view, so a sharded
+  store costs the caller what a column store does.  See
+  :meth:`ShardedStore.configured` for fixing shard count / partitioner and
+  registering the variant as its own backend name.
 
 **Shard-aware evaluation.**  Vectorized consumers do not special-case the
 sharded backend; they route whole-store computations through
-:meth:`Store.eval_mask` (predicate byte-masks) and the per-shard accessors
-(:attr:`ShardedStore.shards`, :meth:`ShardedStore.shard_indices`,
-:meth:`ShardedStore.map_shards`).  On row/column stores ``eval_mask`` simply
-runs the computation in place; on a sharded store it runs once per shard and
-stitches the per-shard results back into global row order.
+:meth:`Store.eval_mask` (predicate byte-masks) and
+:meth:`Store.select_gather`.  Order-insensitive sweeps (the RC coverage
+reductions, the kernels' max/min walks) may read partition by partition
+through :meth:`Store.shard_views`.
 
 A fourth, persistent tier lives in :mod:`repro.relational.mmapstore`:
 :class:`~repro.relational.mmapstore.MmapStore` (``"mmap"``) and its sharded
@@ -51,7 +52,9 @@ treat those views and in-memory ``array`` buffers interchangeably.
 ``Relation(schema, rows, backend="column")`` /
 ``Relation.from_columns(...)``, or process-wide via the ``default_backend``
 setting (:mod:`repro.config`).  Derived relations
-(project/select/distinct/...) inherit their source's backend.
+(project/select/distinct/...) of a row or column store keep its backend;
+those of an mmap-backed or sharded store are in-memory
+:class:`ColumnStore`\\s.
 
 **Adding a third-party backend.**  Subclass :class:`Store` and implement the
 abstract core (``__len__``, ``append``, ``row``, ``iter_rows``, ``row_list``,
@@ -83,12 +86,10 @@ relation/frame for mutation purposes; derived stores are always fresh copies.
 
 from __future__ import annotations
 
-import math
 from array import array
-from functools import lru_cache
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .. import config
 
@@ -154,7 +155,9 @@ class Store:
     Concrete backends set the ``backend`` class attribute (the name used by
     ``Relation(..., backend=...)``) and implement the methods below.  All
     derived stores (``select_mask``/``take``/``project``/``head``/``copy``)
-    return a **new** store of the same backend.
+    return a **new** store; ``copy`` keeps the backend, the others may use a
+    plainer in-memory layout (a :class:`ColumnStore` for the mmap and
+    sharded tiers).
     """
 
     backend: str = "abstract"
@@ -239,65 +242,40 @@ class Store:
         survivors) materialize their outputs by gathering each source column
         at those indices instead of building Python row tuples.  Indices may
         repeat, arrive out of order, or be empty.  Column backends gather
-        straight from their typed buffers (returning a typed buffer again);
-        partitioned backends gather per shard and stitch the results back
-        into the requested order.  The returned buffer is always fresh —
-        callers may adopt it.
+        straight from their typed buffers (returning a typed buffer again).
+        The returned buffer is always fresh — callers may adopt it.
         """
         column = self.column(position)
         return list(map(column.__getitem__, indices))
-
-    def gather_indices(self, indices: Sequence[int]) -> Sequence[int]:
-        """``indices`` as :meth:`gather_column` reads them fastest: a builder of
-        several columns calls this once and passes the result to every gather
-        (a partitioned backend translates into its own layout here, once)."""
-        return indices
 
     # -- whole-store evaluation ---------------------------------------------
     def eval_mask(self, masker: Callable[["Store"], Sequence[int]]) -> bytearray:
         """Evaluate a 0/1 byte-mask computation over this store's rows.
 
-        ``masker`` maps a store to one mask byte per row (in row order).  The
-        default simply applies it to ``self``; partitioned backends override
-        this to run ``masker`` once per shard and stitch the per-shard masks
-        back into global row order.  Vectorized predicate evaluation
+        ``masker`` maps a store to one mask byte per row (in row order); it
+        is applied to ``self`` (a sharded store applies it to its flat column
+        view).  Vectorized predicate evaluation
         (:meth:`repro.algebra.predicates.Comparison.mask` and the evaluator's
-        relaxed selections) routes through here, which is what makes
-        selection shard-aware without the predicates knowing about sharding.
+        relaxed selections) routes through here.
         """
         mask = masker(self)
         return mask if isinstance(mask, bytearray) else bytearray(mask)
 
     def select_gather(
-        self,
-        masker: Callable[["Store"], Sequence[int]],
-        shard_limits: Optional[Sequence[Optional[int]]] = None,
+        self, masker: Callable[["Store"], Sequence[int]]
     ) -> Tuple[bytearray, "Store"]:
         """Fused select+gather: evaluate ``masker`` and materialize survivors.
 
         Returns ``(mask, selected)`` where ``mask`` is the 0/1 byte mask in
-        global row order (after any budget truncation) and ``selected`` is a
-        store holding exactly the surviving rows — ``self`` itself when every
-        row survives, so callers can use identity to skip rebuilding.
+        global row order and ``selected`` is a store holding exactly the
+        surviving rows — ``self`` itself when every row survives, so callers
+        can use identity to skip rebuilding.
 
-        ``shard_limits`` optionally caps the number of selected rows per
-        :meth:`shard_views` partition (one entry per view, ``None`` =
-        unlimited): the per-shard α-budget slice ``⌈α·|shard|⌉`` of shipped
-        work (see :func:`shard_budget_slices`).  Truncation keeps the *first*
-        ``limit`` survivors of each partition in row order, identically on
-        every execution path, so serial and process results stay
-        bit-identical.
-
-        The default composes :meth:`eval_mask` and :meth:`select_mask`;
-        partitioned backends override it to ship the whole fused operator to
-        their shard workers in one boundary crossing (see
-        :meth:`ShardedStore.select_gather`).
+        The default composes :meth:`eval_mask` and :meth:`select_mask`; a
+        sharded store may evaluate the mask on its shard workers instead
+        (see :meth:`ShardedStore.select_gather`).
         """
         mask = self.eval_mask(masker)
-        if shard_limits is not None:
-            limit = next(iter(shard_limits), None)
-            if limit is not None:
-                _truncate_mask(mask, limit)
         if mask.count(1) == len(self):
             return mask, self
         return mask, self.select_mask(mask)
@@ -356,36 +334,6 @@ class Store:
     def from_columns(cls, width: int, columns: Sequence[Sequence[object]]) -> "Store":
         """Build a store from per-attribute value sequences (equal lengths)."""
         raise NotImplementedError
-
-
-def _truncate_mask(mask: bytearray, limit: int) -> None:
-    """Zero every set mask byte after the first ``limit`` ones (in place).
-
-    The α-budget slice applied to one shard's selection: the first
-    ``⌈α·|shard|⌉`` survivors (in shard-local row order) are kept, the rest
-    dropped.  Both execution paths — the caller's and the process-mode
-    fused ``select_gather`` worker — truncate with exactly this function,
-    which is what keeps budgeted selections bit-identical across executors.
-    """
-    kept = 0
-    for index, bit in enumerate(mask):
-        if bit:
-            kept += 1
-            if kept > limit:
-                mask[index] = 0
-
-
-def shard_budget_slices(store: Store, alpha: float) -> List[int]:
-    """Per-partition α-budget slices ``⌈α·|shard|⌉`` for ``store``.
-
-    One entry per :meth:`Store.shard_views` partition, aligned with the
-    ``shard_limits`` argument of :meth:`Store.select_gather` — attach these
-    to shipped per-shard work to enforce the paper's bounded-resource
-    contract shard-locally instead of re-checking centrally.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return [math.ceil(alpha * len(view)) for view in store.shard_views()]
 
 
 class RowStore(Store):
@@ -760,24 +708,24 @@ def set_shard_executor(mode: Optional[str]) -> str:
     return config.configure(shard_executor=mode).shard_executor
 
 
-class _ShardGather(NamedTuple):
-    """Row indices of one :class:`ShardedStore`, translated once for every column."""
-
-    indices: Sequence[int]
-    positions: Sequence[int]  # of the indices, in the concatenation of the shard buffers
-    hit: Tuple[int, ...]  # the shards they fall in, ascending
-
-
 class ShardedStore(Store):
     """Partitioned backend: rows split across per-shard :class:`ColumnStore`\\s.
 
+    Shard for shipping, not for reading.  The shards are what the process
+    executor publishes to its workers (:meth:`select_gather`), what
+    :meth:`shard_views` hands order-insensitive sweeps, and what ``copy`` and
+    the ``mmap-sharded`` save keep.  Every other read — ``row``,
+    ``iter_rows``, ``column``, ``key_tuples``, ``gather_column``,
+    ``eval_mask`` and the derivations ``select_mask`` / ``take`` /
+    ``project`` / ``head`` — goes through one global-order
+    :class:`ColumnStore` view (``_flat``), built on the first such read and
+    dropped by every mutation, so derived stores are plain column stores.
+
     The store keeps, besides the shards themselves, one byte per row
     (``_shard_of``) recording which shard holds it; within a shard, rows keep
-    ascending global order, so the original insertion order is always
-    reconstructible (``iter_rows``/``column`` interleave the shard buffers).
-    Range-partitioned (and more generally *contiguous*) stores skip the
-    interleave: their global order is the plain concatenation of the shard
-    buffers, so whole-column reads concatenate typed buffers at C speed.
+    ascending global order, so the global order is the concatenation of the
+    shard buffers gathered at :meth:`_concat` — or the plain concatenation
+    for range-partitioned (more generally *contiguous*) stores.
 
     Class attributes (fix them via :meth:`configured`):
 
@@ -788,11 +736,8 @@ class ShardedStore(Store):
     * ``shard_backend`` — backend name for the per-shard stores
       (``"column"`` by default; any registered backend works).
 
-    Derived stores (``select_mask``/``take``/``project``/``head``) preserve
-    the shard structure: each surviving row stays in its shard, with
-    per-shard work run in the caller through :meth:`map_shards`.  The
-    bit-identity contract is unchanged: values, types and global row order
-    match the row/column backends exactly.
+    The bit-identity contract is unchanged: values, types and global row
+    order match the row/column backends exactly.
     """
 
     backend = "sharded"
@@ -807,7 +752,7 @@ class ShardedStore(Store):
         "_contiguous",
         "_concat_cache",
         "_positions_cache",
-        "_row_cache",
+        "_flat",
         "_publication",
     )
 
@@ -826,7 +771,7 @@ class ShardedStore(Store):
         self._contiguous = True
         self._concat_cache: Optional[Sequence[int]] = None
         self._positions_cache: Optional[List[Sequence[int]]] = None
-        self._row_cache: Optional[List[Row]] = None
+        self._flat: Optional[ColumnStore] = None
         self._publication = None  # the shards as mapped files (parallel.py)
 
     @classmethod
@@ -859,13 +804,9 @@ class ShardedStore(Store):
         return configured
 
     @classmethod
-    def in_memory_class(cls) -> Type["ShardedStore"]:
-        # Same shard count and partitioner over the shard backend's own
-        # in-memory class (itself for every backend but the mmap tier).
-        inner = backend_class(cls.shard_backend).in_memory_class()
-        if inner.backend == cls.shard_backend:
-            return cls
-        return _in_memory_sharded(cls, inner.backend)
+    def in_memory_class(cls) -> Type[ColumnStore]:
+        # Fetch frames are read in the caller and never shipped.
+        return ColumnStore
 
     # -- shard access --------------------------------------------------------
     @property
@@ -886,8 +827,7 @@ class ShardedStore(Store):
         """Apply ``fn(shard, ...)`` to every shard, in the caller; results in shard order.
 
         Extra ``args_per_shard`` sequences are zipped alongside the shards
-        (one element per shard).  The only work that leaves the caller is
-        the fused :meth:`select_gather` under the process executor.
+        (one element per shard).
         """
         return [fn(*items) for items in zip(self._shards, *args_per_shard)]
 
@@ -905,14 +845,14 @@ class ShardedStore(Store):
         )
         out._concat_cache = None
         out._positions_cache = None
-        out._row_cache = None
+        out._flat = None
         out._publication = None
         return out
 
     def _invalidate(self) -> None:
         self._concat_cache = None
         self._positions_cache = None
-        self._row_cache = None
+        self._flat = None
         self.bump_epoch()
         self._retire_publication()
 
@@ -931,7 +871,7 @@ class ShardedStore(Store):
 
     # Pickling a sharded store (e.g. as the shard payload of a *nested*
     # sharded layout crossing into a worker process) must not drag the
-    # process-local publication along.
+    # process-local publication or the flat view along.
     def __getstate__(self):
         return {
             "width": self.width,
@@ -947,7 +887,7 @@ class ShardedStore(Store):
         self._contiguous = state["contiguous"]
         self._concat_cache = None
         self._positions_cache = None
-        self._row_cache = None
+        self._flat = None
         self._publication = None
 
     def _positions(self) -> List[Sequence[int]]:
@@ -967,28 +907,42 @@ class ShardedStore(Store):
             self._positions_cache = positions
         return self._positions_cache
 
-    def _offsets(self) -> List[int]:
-        """Where each shard starts in the concatenation of the shard buffers."""
-        return list(accumulate(map(len, self._shards), initial=0))
-
     def _concat(self) -> Sequence[int]:
-        """Per global row, its position in the concatenation of the shard buffers (cached).
-
-        Minus the shard's :meth:`_offsets` entry, it is the row's index
-        within its shard; a gather is one :func:`_gather` of these positions,
-        then one over the concatenated shard buffers per column.
-        """
+        """Per global row, its position in the concatenation of the shard buffers (cached)."""
         if self._concat_cache is None:
             if self._contiguous:
                 self._concat_cache = range(len(self._shard_of))
             else:
-                cursors = self._offsets()
+                cursors = list(accumulate(map(len, self._shards), initial=0))
                 out = array("q", bytes(8 * len(self._shard_of)))
                 for index, shard in enumerate(self._shard_of):
                     out[index] = cursors[shard]
                     cursors[shard] += 1
                 self._concat_cache = out
         return self._concat_cache
+
+    def _view(self) -> ColumnStore:
+        """The rows as one global-order :class:`ColumnStore` (built on first read, cached).
+
+        Each column is the concatenation of its shard buffers (typed at C
+        speed when every shard's is), gathered once at :meth:`_concat`
+        unless the store is contiguous, into a fresh buffer: the view shares
+        nothing with the shards (nor with a shard's file).
+        :meth:`_invalidate` drops it.
+        """
+        flat = self._flat
+        if flat is None:
+            order = None if self._contiguous else self._concat()
+            columns = []
+            for position in range(self.width):
+                column = _concat_buffers([shard.column(position) for shard in self._shards])
+                values = column if order is None else _gather(column, order)
+                typecode = _buffer_typecode(column)
+                columns.append(array(typecode, values) if typecode is not None else list(values))
+            flat = ColumnStore.adopt_columns(columns)
+            flat._length = len(self._shard_of)  # a zero-width store still has rows
+            self._flat = flat
+        return flat
 
     # -- size / mutation ----------------------------------------------------
     def __len__(self) -> int:
@@ -1005,214 +959,72 @@ class ShardedStore(Store):
         self._shard_of.append(shard)
         self._invalidate()
 
-    # -- row access ---------------------------------------------------------
+    # -- reads: the flat view -------------------------------------------------
     def row(self, index: int) -> Row:
-        size = len(self._shard_of)
-        if index < 0:
-            index += size
-        if not 0 <= index < size:
-            raise IndexError(f"row index {index} out of range")
-        shard = self._shard_of[index]
-        return self._shards[shard].row(self._concat()[index] - self._offsets()[shard])
+        return self._view().row(index)
 
     def iter_rows(self) -> Iterator[Row]:
-        if self._row_cache is not None:
-            return iter(self._row_cache)
-        if self._contiguous:
-            return chain.from_iterable(shard.iter_rows() for shard in self._shards)
-        cursors = [shard.iter_rows() for shard in self._shards]
-        return (next(cursors[shard]) for shard in self._shard_of)
+        return self._view().iter_rows()
 
     def row_list(self) -> List[Row]:
-        if self._row_cache is None:
-            self._row_cache = list(self.iter_rows())
-        return self._row_cache
-
-    # -- column access ------------------------------------------------------
-    def _stitch(self, parts: Sequence[Sequence[object]]) -> Sequence[object]:
-        """Merge per-shard sequences (in shard-local order) into global order."""
-        if len(self._shards) == 1:
-            return parts[0]
-        if self._contiguous:
-            typecode = _uniform_typecode(parts)
-            if typecode is not None:
-                merged = array(typecode)
-                for part in parts:
-                    if len(part):  # empty parts may be plain lists
-                        merged.frombytes(part.tobytes())
-                return merged
-            out: List[object] = []
-            for part in parts:
-                out.extend(part)
-            return out
-        cursors = [iter(part) for part in parts]
-        return [next(cursors[shard]) for shard in self._shard_of]
+        return self._view().row_list()
 
     def column(self, position: int) -> Sequence[object]:
-        return self._stitch([shard.column(position) for shard in self._shards])
+        return self._view().column(position)
+
+    def columns(self) -> List[Sequence[object]]:
+        return self._view().columns()
 
     def key_tuples(self, positions: Sequence[int]) -> Iterator[Tuple[object, ...]]:
-        parts = [shard.key_tuples(positions) for shard in self._shards]
-        if self._contiguous:
-            return chain.from_iterable(parts)
-        return (next(parts[shard]) for shard in self._shard_of)
-
-    def gather_indices(self, indices: Sequence[int]) -> Sequence[int]:
-        if len(self._shards) == 1 or isinstance(indices, _ShardGather):
-            return indices
-        positions = indices if self._contiguous else _gather(self._concat(), indices)
-        hit = tuple(sorted(set(_gather(self._shard_of, indices))))
-        return _ShardGather(indices, positions, hit)
+        return self._view().key_tuples(positions)
 
     def gather_column(self, position: int, indices: Sequence[int]) -> Sequence[object]:
-        if len(self._shards) == 1:
-            return self._shards[0].gather_column(position, indices)
-        composed = self.gather_indices(indices)
-        # The same buffer kinds as an unsharded gather: typed when every
-        # shard actually hit holds the column in one typecode.
-        columns = [shard.column(position) for shard in self._shards]
-        typecode = _uniform_typecode([columns[shard] for shard in composed.hit])
-        values = _gather(_concat_buffers(columns), composed.positions)
-        return array(typecode, values) if typecode is not None else list(values)
-
-    # -- whole-store evaluation ---------------------------------------------
-    def _shard_masks(self, masker: Callable[[Store], Sequence[int]]) -> List[Sequence[int]]:
-        """Per-shard masks in shard-local order, computed in the caller.
-
-        Never shipped to worker processes — only the fused
-        :meth:`select_gather` crosses the process boundary — so a select
-        whose fused dispatch gave up lands here instead of reaching the pool
-        a second time.
-        """
-        return self.map_shards(masker)
-
-    def _stitch_masks(self, parts: Sequence[Sequence[int]]) -> bytearray:
-        """Merge per-shard masks (shard-local order) into one global mask."""
-        if len(self._shards) == 1:
-            return bytearray(parts[0])
-        if self._contiguous:
-            merged = bytearray()
-            for part in parts:
-                merged.extend(part)
-            return merged
-        cursors = [iter(part) for part in parts]
-        return bytearray(next(cursors[shard]) for shard in self._shard_of)
+        return self._view().gather_column(position, indices)
 
     def eval_mask(self, masker: Callable[[Store], Sequence[int]]) -> bytearray:
-        return self._stitch_masks(self._shard_masks(masker))
+        return self._view().eval_mask(masker)
 
-    def select_gather(
-        self,
-        masker: Callable[[Store], Sequence[int]],
-        shard_limits: Optional[Sequence[Optional[int]]] = None,
-    ) -> Tuple[bytearray, "ShardedStore"]:
-        """Fused select+gather, shipped whole to the shard workers.
+    def select_mask(self, mask: Sequence[int]) -> ColumnStore:
+        return self._view().select_mask(mask)
 
-        The one operation the process executor ships.  Each shard's worker
-        receives ``(pickled masker, output column positions, optional
-        α-budget slice)`` in **one** task, evaluates the mask over its warm
-        mapped store, gathers the surviving rows' columns locally, and ships
-        back ``(mask bytes, packed typed-column payloads)`` — one boundary
-        crossing per shard instead of mask-out + central gather (see
-        :func:`repro.relational.parallel.process_select_gather` for the wire
-        format).  The parent stitches the masks into global order and adopts
-        the returned buffers as fresh per-shard column stores.
+    def take(self, indices: Sequence[int]) -> ColumnStore:
+        return self._view().take(indices)
 
-        Every fallback — the serial executor, small or unpublishable stores,
-        an unpicklable masker, an open breaker, a dispatch that gave up —
-        computes the identical result in the caller through
-        :meth:`_shard_masks` + per-shard :meth:`~Store.select_mask`, with the
-        same per-shard truncation, so the conformance matrix proves
-        equivalence across both paths.
+    def project(self, positions: Sequence[int]) -> ColumnStore:
+        return self._view().project(positions)
+
+    def head(self, count: int) -> ColumnStore:
+        return self._view().head(count)
+
+    # -- the one shipped operation --------------------------------------------
+    def select_gather(self, masker: Callable[[Store], Sequence[int]]) -> Tuple[bytearray, Store]:
+        """Fused select+gather; under the process executor the mask is shipped.
+
+        Each shard's worker evaluates ``masker`` over its warm mapped shard
+        file and sends back only the shard's mask bytes
+        (:func:`repro.relational.parallel.process_select_gather`); the
+        parent stitches them into global order — one concatenation, plus one
+        gather at :meth:`_concat` when the store is not contiguous.  The
+        serial executor and every fallback (small or unpublishable stores,
+        an unpicklable masker, an open breaker, a dispatch that gave up)
+        evaluate the mask over the flat view in the caller.  Either way the
+        survivors are selected from the flat view.
         """
+        mask = None
         if config.current().shard_executor == "process":
             from . import parallel
 
-            fused = parallel.process_select_gather(
-                self, masker, range(self.width), shard_limits
-            )
-            if fused is not None:
-                return self._assemble_select_gather(*fused)
-        parts = [bytearray(part) for part in self._shard_masks(masker)]
-        if shard_limits is not None:
-            for part, limit in zip(parts, shard_limits):
-                if limit is not None:
-                    _truncate_mask(part, limit)
-        mask = self._stitch_masks(parts)
-        if mask.count(1) == len(self._shard_of):
+            parts = parallel.process_select_gather(self, masker)
+            if parts is not None:
+                mask = bytearray(b"".join(parts))
+                if not self._contiguous:
+                    mask = bytearray(_gather(mask, self._concat()))
+        flat = self._view()
+        if mask is None:
+            mask = flat.eval_mask(masker)
+        if mask.count(1) == len(flat):
             return mask, self
-        shards = self.map_shards(lambda shard, local: shard.select_mask(local), parts)
-        shard_of = bytearray(compress(self._shard_of, mask))
-        return mask, self._adopt(shards, shard_of, contiguous=self._contiguous)
-
-    def _assemble_select_gather(
-        self,
-        parts: Sequence[bytearray],
-        gathered: Sequence[Optional[List[Sequence[object]]]],
-    ) -> Tuple[bytearray, "ShardedStore"]:
-        """Build the selected store from per-shard fused worker results.
-
-        ``gathered[i]`` is the shard's gathered column buffers, or ``None``
-        when the worker short-circuited (every row survived, or there are no
-        columns to gather) — those shards are materialized locally from the
-        parent's own copy, exactly as the fallback would.
-        """
-        from . import parallel
-
-        mask = self._stitch_masks(parts)
-        if mask.count(1) == len(self._shard_of):
-            return mask, self
-        shards: List[Store] = []
-        for shard, part, buffers in zip(self._shards, parts, gathered):
-            if buffers is None:
-                shards.append(shard.select_mask(part))
-            else:
-                shards.append(parallel.adopt_gathered(buffers, part.count(1)))
-        shard_of = bytearray(compress(self._shard_of, mask))
-        return mask, self._adopt(shards, shard_of, contiguous=self._contiguous)
-
-    # -- derivation ---------------------------------------------------------
-    def _local_masks(self, mask: Sequence[int]) -> List[Sequence[int]]:
-        """Restrict a global mask to each shard's rows (shard-local order)."""
-        if self._contiguous:
-            masks: List[Sequence[int]] = []
-            offset = 0
-            for shard in self._shards:
-                masks.append(mask[offset : offset + len(shard)])
-                offset += len(shard)
-            return masks
-        getter = mask.__getitem__
-        return [bytes(map(getter, positions)) for positions in self._positions()]
-
-    def select_mask(self, mask: Sequence[int]) -> "ShardedStore":
-        local = self._local_masks(mask)
-        shards = self.map_shards(lambda shard, m: shard.select_mask(m), local)
-        shard_of = bytearray(compress(self._shard_of, mask))
-        return self._adopt(shards, shard_of, contiguous=self._contiguous)
-
-    def take(self, indices: Sequence[int]) -> "ShardedStore":
-        shard_of, concat, offsets = self._shard_of, self._concat(), self._offsets()
-        per_shard: List[List[int]] = [[] for _ in self._shards]
-        new_shard_of = bytearray(len(indices))
-        for position, index in enumerate(indices):
-            shard = shard_of[index]
-            new_shard_of[position] = shard
-            per_shard[shard].append(concat[index] - offsets[shard])
-        shards = self.map_shards(lambda shard, idx: shard.take(idx), per_shard)
-        return self._adopt(shards, new_shard_of)
-
-    def project(self, positions: Sequence[int]) -> "ShardedStore":
-        shards = self.map_shards(lambda shard: shard.project(positions))
-        out = self._adopt(shards, bytearray(self._shard_of), contiguous=self._contiguous)
-        out.width = len(positions)
-        return out
-
-    def head(self, count: int) -> "ShardedStore":
-        count = max(0, min(count, len(self._shard_of)))
-        shard_of = bytearray(self._shard_of[:count])
-        counts = [shard_of.count(shard) for shard in range(len(self._shards))]
-        shards = self.map_shards(lambda shard, c: shard.head(c), counts)
-        return self._adopt(shards, shard_of, contiguous=self._contiguous)
+        return mask, flat.select_mask(mask)
 
     def copy(self) -> "ShardedStore":
         shards = self.map_shards(lambda shard: shard.copy())
@@ -1288,12 +1100,6 @@ class ShardedStore(Store):
             ]
             return cls._adopt(shards, shard_of)
         return cls.from_rows(width, zip(*columns))
-
-
-@lru_cache(maxsize=None)
-def _in_memory_sharded(cls: Type[ShardedStore], shard_backend: str) -> Type[ShardedStore]:
-    """``cls`` re-configured over ``shard_backend`` (one class per layout, not per call)."""
-    return cls.configured(name=cls.backend, shard_backend=shard_backend)
 
 
 def _is_sorted(shard_of: Sequence[int]) -> bool:
@@ -1372,10 +1178,9 @@ def preferred_output_class(*stores: Store) -> Type[Store]:
 
     Row-backed inputs keep producing row stores (the legacy layout, cheapest
     when rows will be materialized anyway); as soon as any input is
-    column-backed — including the per-shard column stores of a partitioned
-    input, whose join/product outputs have no natural shard layout — the
-    output is a :class:`ColumnStore`, so columnar pipelines stay columnar
-    end to end.
+    column-backed — including a sharded input, which reads through its flat
+    column view — the output is a :class:`ColumnStore`, so columnar
+    pipelines stay columnar end to end.
     """
     if all(isinstance(store, RowStore) for store in stores):
         return RowStore
@@ -1426,8 +1231,6 @@ def gather_pairs(
             left.width + right.width,
             [left_rows[i] + right_rows[j] for i, j in zip(left_indices, right_indices)],
         )
-    # One translation of the matched indices per side, not one per column.
-    left_indices, right_indices = left.gather_indices(left_indices), right.gather_indices(right_indices)
     sources: List[GatherSource] = [
         (left, position, left_indices) for position in range(left.width)
     ]
@@ -1459,10 +1262,9 @@ def vstack_gather(
             rows = store.row_list()
             out_rows.extend(rows[index] for index in indices)
         return RowStore(width, out_rows)
-    prepared = [(store, store.gather_indices(indices)) for store, indices in parts]
     columns: List[Sequence[object]] = []
     for position in range(width):
-        gathered = [store.gather_column(position, indices) for store, indices in prepared]
+        gathered = [store.gather_column(position, indices) for store, indices in parts]
         columns.append(_concat_buffers(gathered))
     if issubclass(backend_cls, ColumnStore):
         return backend_cls.adopt_columns(columns)  # fresh buffers by contract

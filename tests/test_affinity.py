@@ -3,8 +3,8 @@
 Covers the routing table itself (deterministic rendezvous mapping, work
 stealing, slot repair after worker death), the probe timeout, the
 warm-cache contract (a repeated query maps zero shard files again), and
-bit-identity of the fused ``select_gather`` path — with and without
-per-shard α-budget slices — against the serial reference.
+bit-identity of the fused ``select_gather`` path against the serial
+reference, with only mask bytes on the wire.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.relational import parallel
 from repro.relational.distance import NUMERIC, TRIVIAL
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.store import _truncate_mask, shard_budget_slices
 
 from conftest import SHARD_EXECUTORS, identity_key
 
@@ -258,51 +257,22 @@ class TestWarmCaches:
 
 
 # ---------------------------------------------------------------------------
-# Fused select+gather: bit-identity, budget slices, wire accounting
+# Fused select+gather: bit-identity, wire accounting
 # ---------------------------------------------------------------------------
 
 class TestSelectGather:
-    def test_truncate_mask_keeps_first_survivors(self):
-        mask = bytearray([1, 0, 1, 1, 0, 1])
-        _truncate_mask(mask, 2)
-        assert mask == bytearray([1, 0, 1, 0, 0, 0])
-        untouched = bytearray([1, 1, 0])
-        _truncate_mask(untouched, 5)
-        assert untouched == bytearray([1, 1, 0])
-
-    def test_shard_budget_slices(self):
-        relation = Relation(SCHEMA, make_rows(400), backend="sharded")
-        slices = shard_budget_slices(relation.store, 0.25)
-        views = relation.store.shard_views()
-        assert len(slices) == len(views)
-        assert all(
-            budget == -(-len(view) // 4) for budget, view in zip(slices, views)
-        )
-        assert shard_budget_slices(relation.store, 0.0) == [0] * len(views)
-        row_backed = Relation(SCHEMA, make_rows(10), backend="row")
-        assert shard_budget_slices(row_backed.store, 0.5) == [5]
-        for bad in (-0.1, 1.0001, 2):
-            with pytest.raises(ValueError):
-                shard_budget_slices(relation.store, bad)
-
     def test_select_gather_matches_serial_reference(self, backend):
         """Every backend × executor cell: fused (or fallback) select+gather
-        agrees bit-for-bit with the serial path on the same store, with and
-        without α-budget slices (which depend on the shard layout, so the
-        reference is this store under the serial executor)."""
-        rows = make_rows(900)
-        relation = Relation(SCHEMA, rows, backend=backend)
+        agrees bit-for-bit with the serial path on the same store."""
+        relation = Relation(SCHEMA, make_rows(900), backend=backend)
         program = CONDITION.program(SCHEMA)
         store = relation.store
-        for alpha in (None, 0.0, 0.3, 1.0):
-            limits = None if alpha is None else shard_budget_slices(store, alpha)
-            cell = configure(shard_executor="serial")
-            ref_mask, ref_store = store.select_gather(program.run_part, limits)
-            reference = store_rows(ref_store)
-            configure(cell)
-            mask, selected = store.select_gather(program.run_part, limits)
-            assert bytes(mask) == bytes(ref_mask), f"alpha={alpha}"
-            assert store_rows(selected) == reference, f"alpha={alpha}"
+        cell = configure(shard_executor="serial")
+        ref_mask, ref_store = store.select_gather(program.run_part)
+        configure(cell)
+        mask, selected = store.select_gather(program.run_part)
+        assert bytes(mask) == bytes(ref_mask)
+        assert store_rows(selected) == store_rows(ref_store)
 
     @needs_process
     def test_fused_path_crosses_once_and_counts_bytes(self):
@@ -318,14 +288,20 @@ class TestSelectGather:
         assert bytes(mask) == bytes(ref_mask)
         assert store_rows(selected) == reference
         # One fused round: the shards crossed the boundary once each, and
-        # the returned payload bytes were accounted.
+        # what came back was one mask byte per row, nothing else.
         assert after["calls"] == before["calls"] + 1
-        assert after["result_bytes"] > before["result_bytes"]
+        assert after["result_bytes"] == before["result_bytes"] + len(relation)
 
     @needs_process
     def test_fused_object_columns_round_trip(self):
+        """Object, None and NaN columns come out of a shipped select_gather
+        bit-identical to serial — and none of their values crosses back."""
         rows = [
-            (f"id-{index % 37}", float(index % 100), float((index * 7) % 100))
+            (
+                None if index % 11 == 0 else f"id-{index % 37}",
+                float("nan") if index % 13 == 0 else float(index % 100),
+                None if index % 17 == 0 else float((index * 7) % 100),
+            )
             for index in range(2000)
         ]
         relation = Relation(SCHEMA, rows, backend="sharded")
@@ -337,9 +313,11 @@ class TestSelectGather:
         before = parallel.select_gather_stats()
         mask, selected = relation.store.select_gather(program.run_part)
         after = parallel.select_gather_stats()
+        assert after["calls"] == before["calls"] + 1  # it really shipped
         assert bytes(mask) == bytes(ref_mask)
         assert store_rows(selected) == reference
-        assert after["object_values"] > before["object_values"]
+        assert after["result_bytes"] == before["result_bytes"] + len(rows)
+        assert set(after) == {"calls", "result_bytes"}
 
     @needs_process
     def test_all_survivors_short_circuits_to_identity(self):
@@ -351,6 +329,5 @@ class TestSelectGather:
         force_process()
         mask, selected = relation.store.select_gather(program.run_part)
         assert mask.count(1) == len(relation.store)
-        # The worker short-circuits (no payload shipped) and the parent
-        # returns the original store by identity.
+        # Every row survived: the parent returns the original store by identity.
         assert selected is relation.store

@@ -304,17 +304,11 @@ class TestFetchFramesStayInMemory:
     def test_in_memory_twins(self):
         from repro.relational.store import ColumnStore, RowStore
 
-        assert MmapStore.in_memory_class() is ColumnStore
-        for cls in (RowStore, ColumnStore, ShardedStore, backend_class("sharded7")):
+        for cls in (RowStore, ColumnStore):
             assert cls.in_memory_class() is cls
-        twin = MmapShardedStore.in_memory_class()
-        assert twin is MmapShardedStore.in_memory_class()  # one class per layout, not per call
-        assert issubclass(twin, ShardedStore) and twin is not MmapShardedStore
-        assert (twin.shard_count, twin.partitioner) == (
-            MmapShardedStore.shard_count,
-            MmapShardedStore.partitioner,
-        )
-        assert twin.shard_backend == "column"
+        # Frames are read in the caller, never shipped: one flat column store.
+        for cls in (MmapStore, ShardedStore, backend_class("sharded7"), MmapShardedStore):
+            assert cls.in_memory_class() is ColumnStore
 
     @pytest.mark.parametrize("backend_name", ["mmap", "mmap-sharded"])
     def test_fetching_over_mapped_relations_writes_no_file(self, tiny_db, store_dir, backend_name):

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Beas, ConstraintSpec, QueryServer, configure, current_config, faults
+from repro import Beas, ConstraintSpec, configure, current_config, faults
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import CorruptShardError
 from repro.experiments import build_beas
@@ -45,7 +45,7 @@ from repro.relational.kernels import (
     naive_min_distance,
     naive_radius_matches,
 )
-from repro.relational.mmapstore import MmapStore, write_anonymous
+from repro.relational.mmapstore import MmapShardedStore, MmapStore, write_anonymous
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import ColumnStore, EXECUTOR_MODES, ShardedStore
@@ -174,14 +174,6 @@ class TestPublicationRoundTrip:
         assert clone._publication is None
         self.assert_identical_stores(store, clone)
 
-    def test_buffer_roundtrip(self):
-        from array import array
-
-        typed = array("d", [1.0, 2.0])
-        assert parallel._decode_buffer(parallel._encode_buffer(typed)) == typed
-        objects = [None, "x", 3]
-        assert parallel._decode_buffer(parallel._encode_buffer(objects)) == objects
-
     def test_files_follow_the_publication(self, store_dir):
         """Mutation, GC of the store, and shutdown() each leave no file behind."""
         store = ShardedStore.from_rows(3, make_rows(64))
@@ -220,56 +212,18 @@ def file_handle(store, token=None):
 class TestWorkerFunctions:
     def test_eval_mask_matches_direct_evaluation(self, store_dir):
         """The mask a worker evaluates over the mapped shard file is the mask
-        the parent evaluates over its own buffers, and an α-budget slice
-        keeps exactly the first ``limit`` survivors of it."""
+        the parent evaluates over its own buffers — and all it sends back."""
         store = ColumnStore.from_rows(3, make_rows(200))
         program = CONDITION.program(SCHEMA)
-        masker = pickle.dumps(program.run_part)
-        handle = file_handle(store)
-        direct = store.eval_mask(program.run_part)
-        mask, payloads = parallel._worker_select_gather(handle, masker, [], None)
-        assert bytearray(mask) == direct
-        assert payloads is None
-        survivors = [i for i, bit in enumerate(direct) if bit]
-        assert len(survivors) > 7
-        limited, _ = parallel._worker_select_gather(handle, masker, [], 7)
-        assert [i for i, bit in enumerate(limited) if bit] == survivors[:7]
+        mask = parallel._worker_select_gather(file_handle(store), pickle.dumps(program.run_part))
+        assert isinstance(mask, bytes)
+        assert bytearray(mask) == store.eval_mask(program.run_part)
 
-    def test_gather_roundtrip(self, store_dir):
-        """Every buffer kind a worker gathers comes back with its values and
-        its kind: adopted, it is the store the parent would have selected."""
+    def test_mixed_columns_mask_in_the_worker(self, store_dir):
+        """Every buffer kind a worker maps masks like the parent's own copy."""
         store = ColumnStore.from_columns(len(MIXED_COLUMNS), MIXED_COLUMNS)
-        positions = list(range(store.width))
-        mask, payloads = parallel._worker_select_gather(
-            file_handle(store), pickle.dumps(_every_other_row), positions, None
-        )
+        mask = parallel._worker_select_gather(file_handle(store), pickle.dumps(_every_other_row))
         assert bytearray(mask) == _every_other_row(store)
-        local = store.select_mask(mask)
-        decoded = [parallel._decode_buffer(payload) for payload in payloads]
-        for position, buffer in zip(positions, decoded):
-            assert [identity_key((v,)) for v in buffer] == [
-                identity_key((v,)) for v in local.column(position)
-            ]
-        adopted = parallel.adopt_gathered(decoded, len(local))
-        assert adopted._kinds == local._kinds  # typed buffers stay typed
-        assert [identity_key(r) for r in adopted.iter_rows()] == [
-            identity_key(r) for r in local.iter_rows()
-        ]
-
-    def test_select_gather_worker(self, store_dir):
-        store = ColumnStore.from_rows(3, make_rows(200))
-        program = CONDITION.program(SCHEMA)
-        masker = pickle.dumps(program.run_part)
-        handle = file_handle(store)
-        mask, payloads = parallel._worker_select_gather(handle, masker, [0, 2], 5)
-        expected = program.run_part(store)
-        indices = [i for i, bit in enumerate(expected) if bit][:5]
-        assert [i for i, bit in enumerate(mask) if bit] == indices
-        assert [list(parallel._decode_buffer(p)) for p in payloads] == [
-            list(store.gather_column(position, indices)) for position in (0, 2)
-        ]
-        # Nothing to gather: the payload is short-circuited.
-        assert parallel._worker_select_gather(handle, masker, [], None) == (bytes(expected), None)
 
     def test_store_cache_lru_eviction(self, store_dir, monkeypatch):
         monkeypatch.setattr(parallel, "_STORE_CACHE_LIMIT", 2)
@@ -279,11 +233,11 @@ class TestWorkerFunctions:
         masker = pickle.dumps(CONDITION.program(SCHEMA).run_part)
 
         for handle in handles:
-            parallel._worker_select_gather(handle, masker, [0], None)
+            parallel._worker_select_gather(handle, masker)
         assert "lru-0" not in parallel._STORE_CACHE  # oldest evicted
         # Cached entries are reused (move_to_end path) and re-resolvable.
-        parallel._worker_select_gather(handles[2], masker, [0], None)
-        parallel._worker_select_gather(handles[0], masker, [0], None)
+        parallel._worker_select_gather(handles[2], masker)
+        parallel._worker_select_gather(handles[0], masker)
         assert list(parallel._STORE_CACHE) == ["lru-2", "lru-0"]
         parallel._STORE_CACHE.clear()
 
@@ -309,8 +263,9 @@ class TestWorkerInternals:
     def test_pools_never_fork_a_threaded_parent(
         self, tiny_db, monkeypatch
     ):
-        """A pool created while another live thread and a QueryServer
-        request thread are alive asks for forkserver (or spawn), never fork."""
+        """A pool created while another live thread and a request thread are
+        alive asks for forkserver (or spawn), never fork.  The request is an
+        exact answer: its scan of the sharded base relation is what ships."""
         import multiprocessing
 
         asked = []
@@ -324,11 +279,9 @@ class TestWorkerInternals:
         release = threading.Event()
         bystander = threading.Thread(target=release.wait, name="bystander-thread", daemon=True)
         bystander.start()  # the parent is threaded before any pool exists
-        server = QueryServer(
-            Beas(
-                to_backend(tiny_db, "sharded"),
-                constraints=[ConstraintSpec("emp", ("eid",), ("dept", "salary", "grade"), n=1)],
-            )
+        beas = Beas(
+            to_backend(tiny_db, "sharded"),
+            constraints=[ConstraintSpec("emp", ("eid",), ("dept", "salary", "grade"), n=1)],
         )
         force_process()
         parallel.reset_process_pool()  # the request below must create the pools
@@ -337,7 +290,7 @@ class TestWorkerInternals:
 
         def request():
             threads_seen.append(threading.active_count())
-            server.serve("SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2", alpha=1.0)
+            beas.answer_exact("SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2")
 
         thread = threading.Thread(target=request, name="request-thread")
         thread.start()
@@ -416,7 +369,7 @@ class TestWorkerInternals:
         )
         try:
             program = CONDITION.program(SCHEMA)
-            assert parallel.process_select_gather(relation.store, program.run_part, range(3)) is None
+            assert parallel.process_select_gather(relation.store, program.run_part) is None
             assert parallel._pool_failures == failures_before + 1
             assert parallel.probe_process_executor() is False
         finally:
@@ -474,7 +427,7 @@ class TestWorkerInternals:
         force_process()
         assert parallel.process_eligible(relation.store)
         calls_before = parallel.select_gather_stats()["calls"]
-        assert parallel.process_select_gather(relation.store, lambda part: part, range(3)) is None
+        assert parallel.process_select_gather(relation.store, lambda part: part) is None
         assert parallel.select_gather_stats()["calls"] == calls_before
         assert relation.store._publication is None  # nothing was dispatched
 
@@ -498,7 +451,7 @@ class TestWorkerInternals:
         force_process()
         parallel._pool_failures = parallel._MAX_POOL_FAILURES - 1
         program = CONDITION.program(SCHEMA)
-        assert parallel.process_select_gather(relation.store, program.run_part, range(3)) is not None
+        assert parallel.process_select_gather(relation.store, program.run_part) is not None
         # One good round clears the strikes: only *consecutive* failures
         # can disable process mode.
         assert parallel._pool_failures == 0
@@ -634,25 +587,36 @@ class TestProcessExecution:
         assert relation.store._publication is None
         assert parallel.affinity_stats()["hits"] == hits_before
 
-    def test_mutation_retires_publication(self):
-        relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
+    @pytest.mark.parametrize("layout", ["hash", "round_robin", "range", "mmap-sharded"])
+    def test_mutation_retires_publication(self, layout, store_dir):
+        """An append retires the published files and the flat view: every
+        read after it — column, key tuples, serial and shipped select — sees
+        the new row."""
+        cls = MmapShardedStore if layout == "mmap-sharded" else ShardedStore.configured(4, layout)
+        store = cls.from_rows(3, make_rows(3000))
         force_process()
-        select_answer(relation.store)
-        publication = relation.store._publication
+        first_mask, first_rows = select_answer(store)
+        publication = store._publication
         assert publication is not None
         before = set(publication.written)
-        assert before and all(os.path.exists(path) for path in before)
+        assert all(os.path.exists(path) for path in before)
+        assert (len(store.column(1)), len(list(store.key_tuples([0, 2])))) == (3000, 3000)
 
-        relation.append((999, 10.0, 90.0))  # mutation retires the files
-        assert relation.store._publication is None
+        added = (999, 10.0, 90.0)  # a row the condition keeps
+        store.append(added)  # mutation retires the files and the flat view
+        assert store._publication is None
         assert not any(os.path.exists(path) for path in before)
+        assert store.column(1)[-1] == 10.0 and list(store.key_tuples([0, 2]))[-1] == (999, 90.0)
 
-        process_answer = select_answer(relation.store)
+        calls_before = parallel.select_gather_stats()["calls"]
+        process_answer = select_answer(store)
+        assert parallel.select_gather_stats()["calls"] == calls_before + 1  # it shipped
+        assert process_answer == (first_mask + b"\x01", first_rows + [identity_key(added)])
         configure(shard_executor="serial")
-        assert process_answer == select_answer(relation.store)
+        assert process_answer == select_answer(store)
         # The fresh publication uses fresh file names: stale worker cache
         # entries can never answer for the mutated store.
-        assert not (set(relation.store._publication.written) & before)
+        assert not (set(store._publication.written) & before)
 
     def test_store_with_an_empty_shard_still_dispatches(self):
         cls = ShardedStore.configured(4, "range")
@@ -662,9 +626,9 @@ class TestProcessExecution:
         reference = select_answer(store)
         force_process()
         fallbacks_before = parallel.dispatch_stats()["fallbacks"]
-        fused = parallel.process_select_gather(store, CONDITION.program(SCHEMA).run_part, range(3))
+        masks = parallel.process_select_gather(store, CONDITION.program(SCHEMA).run_part)
         # The empty shard has a file like any other, and a worker answered for it.
-        assert fused is not None and [len(mask) for mask in fused[0]] == [1, 1, 1, 0]
+        assert masks is not None and [len(mask) for mask in masks] == [1, 1, 1, 0]
         assert select_answer(store) == reference
         assert parallel.dispatch_stats()["fallbacks"] == fallbacks_before
 
@@ -714,7 +678,7 @@ class TestProcessExecution:
         )
         try:
             program = CONDITION.program(SCHEMA)
-            assert parallel.process_select_gather(relation.store, program.run_part, range(3)) is None
+            assert parallel.process_select_gather(relation.store, program.run_part) is None
             assert select_answer(relation.store) == reference
         finally:
             monkeypatch.undo()

@@ -632,12 +632,14 @@ class TestQueryServer:
         """Router counters are process-wide, so a per-request delta would
         credit concurrent requests' shard tasks to whichever request read
         last: the envelope carries none, and ``cache_info()`` reports them
-        whole."""
+        whole.  (Fetch frames are column stores, so the shard task comes
+        from the exact answer's scan of the sharded base relation.)"""
         configure(shard_executor=executor, process_min_rows=1)
         beas = Beas(to_backend(tiny_db, "sharded"), access_schema=tiny_beas.access_schema)
         server = QueryServer(beas)
         before = server.cache_info()["affinity"]
         envelope = server.serve(QUERIES[0], alpha=0.5)
+        beas.answer_exact(QUERIES[0])
         fields = {field.name for field in dataclasses.fields(envelope)}
         assert not fields & {"affinity_hits", "affinity_misses", "dispatch_retries"}
         after = server.cache_info()

@@ -21,7 +21,6 @@ from repro import Beas, Database, Relation, configure, current_config, parse_que
 from repro.algebra.evaluator import DatabaseProvider, Evaluator, evaluate_exact
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import SchemaError
-from repro.relational import store as store_module
 from repro.relational.distance import CATEGORICAL, NUMERIC
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import (
@@ -67,6 +66,11 @@ MIXED_ROWS = [
     (4, None, NAN, 10**25),
     (5, "c", 1, True),
 ]
+
+
+def _odd_ids(part):
+    """A picklable masker keeping the rows whose id is odd."""
+    return bytearray(1 if value % 2 else 0 for value in part.column(0))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,31 @@ class TestShardedStore:
         dup = store.copy()
         dup.append((9, "z", 0.0, 0.0))
         assert len(store) == len(MIXED_ROWS) and len(dup) == len(MIXED_ROWS) + 1
+
+    @pytest.mark.parametrize(
+        "layout", [name for name in list_backends() if issubclass(backend_class(name), ShardedStore)]
+    )
+    def test_derived_stores_and_fetch_frames_are_column_stores(self, layout, tiny_db):
+        """Shards are for shipping: what a sharded store derives, and the
+        frames a plan fetches from it, are plain column stores."""
+        from repro import ConstraintSpec
+        from repro.core.executor import PlanExecutor
+
+        store = backend_class(layout).from_rows(4, MIXED_ROWS)
+        derived = [
+            store.select_mask(bytearray([1, 0, 1, 0, 1, 0])),
+            store.take([3, 1, 3]),
+            store.project([2, 0]),
+            store.head(3),
+            store.select_gather(_odd_ids)[1],
+        ]
+        assert [type(d) for d in derived] == [ColumnStore] * len(derived)
+        assert type(store.copy()) is type(store)
+
+        db = to_backend(tiny_db, layout)
+        beas = Beas(db, constraints=[ConstraintSpec("emp", ("eid",), ("dept", "salary", "grade"), n=1)])
+        frames = PlanExecutor(db, beas.plan("SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2", 1.0)).fetch()
+        assert frames and all(type(frame.store) is ColumnStore for frame in frames.values())
 
     def test_shards_are_column_stores(self):
         store = ShardedStore.from_rows(2, [(i, float(i)) for i in range(10)])
@@ -737,51 +766,36 @@ class TestGatherBuilders:
         gathered = mixed.gather_column(0, [10, 3, 0])
         assert list(gathered) == ["s", 3, 0]
 
-    def test_gather_kind_follows_the_shards_actually_hit(self):
-        """Typed when every shard *hit* holds the column typed — not every shard of the store."""
+    @pytest.mark.parametrize("partitioner", ["hash", "round_robin", "range"])
+    def test_sharded_gathers_give_the_column_twins_buffers(self, partitioner):
+        """gather_pairs / gather_columns over a sharded input build the very
+        buffers (typecode and values) they build over its column twin."""
         from array import array
 
-        cls = ShardedStore.configured(4, "round_robin")
-        rows = [(float(i),) for i in range(40)]
-        rows[2] = (None,)  # shard 2's column is a plain list now
-        store = cls.from_rows(1, rows)
-        clean = [index for index in range(40) if index % 4 != 2]
-        for indices in (clean, clean[::-1], [0, 0, 39]):
-            gathered = store.gather_column(0, indices)
-            assert isinstance(gathered, array) and gathered.typecode == "d"
-            assert list(gathered) == [float(index) for index in indices]
-        touched = store.gather_column(0, [6, 2, 1])
-        assert isinstance(touched, list) and touched == [6.0, None, 1.0]
-        assert store.gather_column(0, []) == []
-        assert list(store.gather_column(0, [5])) == [5.0]
+        def buffers(store):
+            return [
+                (col.typecode if isinstance(col, array) else None, [identity_key((v,)) for v in col])
+                for col in store.columns()
+            ]
 
-    @pytest.mark.parametrize("partitioner", ["hash", "round_robin", "range"])
-    def test_sharded_gather_pairs_translates_indices_once_per_side(self, partitioner, monkeypatch):
-        """Twelve columns a side, two translations — not one per column (and not one Python step per value)."""
+        rows = [tuple(float(i * j) if j % 2 else f"s{i}-{j}" for j in range(6)) + (i,) for i in range(60)]
+        rows[2] = rows[2][:1] + (None,) + rows[2][2:]  # demotes one float column to objects
+        rows[7] = rows[7][:3] + (NAN,) + rows[7][4:]
         cls = ShardedStore.configured(4, partitioner)
-        rows = [tuple(float(i * j) if j % 2 else f"s{i}-{j}" for j in range(12)) for i in range(60)]
-        left, right = cls.from_rows(12, rows), cls.from_rows(12, rows[::-1])
-        translated, per_column = [], []
-        original_indices, original_column = cls.gather_indices, cls.gather_column
-
-        def counting_indices(store, indices):
-            if not isinstance(indices, store_module._ShardGather):
-                translated.append(store)
-            return original_indices(store, indices)
-
-        def counting_column(store, position, indices):
-            per_column.append(type(indices))
-            return original_column(store, position, indices)
-
-        monkeypatch.setattr(cls, "gather_indices", counting_indices)
-        monkeypatch.setattr(cls, "gather_column", counting_column)
-        left_indices = [59, 0, 0, 17, 42, 3]
-        right_indices = [1, 1, 58, 30, 7, 7]
-        out = gather_pairs(left, left_indices, right, right_indices)
-        assert translated == [left, right]
-        assert per_column == [store_module._ShardGather] * 24
-        expected = [rows[i] + rows[::-1][j] for i, j in zip(left_indices, right_indices)]
-        assert [identity_key(r) for r in out.row_list()] == [identity_key(r) for r in expected]
+        left, right = cls.from_rows(7, rows), cls.from_rows(7, rows[::-1])
+        twins = ColumnStore.from_rows(7, rows), ColumnStore.from_rows(7, rows[::-1])
+        for left_indices, right_indices in (
+            ([59, 0, 0, 17, 42, 3], [1, 1, 58, 30, 7, 7]),
+            ([2, 5], [0, 9]),
+            ([], []),
+        ):
+            out = gather_pairs(left, left_indices, right, right_indices)
+            expected = gather_pairs(twins[0], left_indices, twins[1], right_indices)
+            assert buffers(out) == buffers(expected)
+            sources = [(left, 6, left_indices), (right, 1, right_indices), (left, 0, right_indices)]
+            twin_sources = [(twins[0], 6, left_indices), (twins[1], 1, right_indices), (twins[0], 0, right_indices)]
+            assert buffers(gather_columns(sources)) == buffers(gather_columns(twin_sources))
+        assert buffers(out) == [(None, [])] * 14
 
     def test_the_row_index_is_eight_bytes_a_row_and_none_when_contiguous(self):
         from array import array
