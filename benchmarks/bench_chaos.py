@@ -12,10 +12,11 @@ reference or failing with a **typed** :exc:`~repro.errors.ReproError` —
 never a wrong answer, never a hang past the dispatch deadline budget.  After
 the plan is cleared, the process path must *heal itself*: the soak asserts
 the circuit breaker returns to ``closed`` and answers stay bit-identical
-without anyone calling ``reset_process_pool()`` — slot repair and the
-half-open recovery probe are the only healing mechanisms allowed.  A
-process cell over a partitioned store must also have routed tasks to the
-workers: a soak that never touched a worker proves nothing.
+without anyone calling ``reset_process_pool()`` — a fresh pool after a
+failed one is retired, and the half-open recovery probe, are the only
+healing mechanisms allowed.  A process cell over a partitioned store must
+also have dispatched tasks to the workers: a soak that never touched a
+worker proves nothing.
 
 A second section soaks the serving layer: a :class:`~repro.serving.server.QueryServer`
 over the CI-scale tpch workload with the result cache raising on
@@ -97,9 +98,8 @@ def select_answer(store, masker):
 
 
 def routed_tasks() -> int:
-    """Tasks the affinity router has placed so far (home hits + steals)."""
-    stats = parallel.affinity_stats()
-    return stats["hits"] + stats["steals"]
+    """Shard tasks submitted to the worker pool so far."""
+    return parallel.dispatch_stats()["tasks"]
 
 
 def chaos_plan(kill_p: float) -> str:
@@ -120,8 +120,8 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
     raise a typed ReproError within the deadline budget.  Phase 3 (heal):
     plan cleared *without* ``reset_process_pool()``; the breaker must return
     to ``closed`` and answers must stay bit-identical within
-    :data:`HEAL_BUDGET_SECONDS`.  ``routed_tasks`` counts the tasks the
-    affinity router placed on workers over both phases.
+    :data:`HEAL_BUDGET_SECONDS`.  ``routed_tasks`` counts the tasks
+    submitted to the workers over both phases.
     """
     relation = Relation(SCHEMA, rows, backend=backend)
     masker = CONDITION.program(SCHEMA).run_part
@@ -131,19 +131,17 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
     routed = 0
 
     def answer():
-        # Per-query deltas: a pool that breaks at submission is replaced
-        # with a fresh router, whose counters start again from zero.
         nonlocal routed
         before = routed_tasks()
         try:
             return select_answer(relation.store, masker)
         finally:
-            routed += max(0, routed_tasks() - before)
+            routed += routed_tasks() - before
 
-    # A query is a hang if it outlives every legitimate bounded path:
-    # (retries + 1) rounds against the dispatch deadline, plus margin for
-    # pool respawns and the caller actually computing the answer itself.
-    hang_budget = parallel.DISPATCH_DEADLINE * (parallel.DISPATCH_RETRIES + 1) + 30.0
+    # A query is a hang if it outlives every legitimate bounded path: one
+    # dispatch deadline, plus margin for a pool respawn and the caller
+    # actually computing the answer itself.
+    hang_budget = parallel.DISPATCH_DEADLINE + 30.0
 
     identical = typed_errors = wrong = hangs = 0
     latencies = []
@@ -169,8 +167,8 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
         faults.set_fault_plan(None, reset_pools=False)
 
     # Heal phase: the process path must come back on its own.  Workers
-    # spawned while the plan was live may still carry it (their deaths are
-    # absorbed by retries); repaired slots read the cleared spec.  The
+    # spawned while the plan was live may still carry it (a death costs one
+    # fallback); the pool that replaces theirs reads the cleared spec.  The
     # breaker cooldown was shrunk by run(), so an opened breaker reaches its
     # half-open probe within the budget.
     heal_started = time.perf_counter()
@@ -208,7 +206,7 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
         "routed_tasks": routed,
         "dispatch_delta": {
             key: dispatch_after[key] - dispatch_before[key]
-            for key in ("retries", "timeouts", "fallbacks", "fatal")
+            for key in ("tasks", "timeouts", "fallbacks", "fatal")
         },
         "breaker": parallel.breaker_state(),
         "fault_sites": faults.fault_stats(),  # {} — the plan is cleared
@@ -259,9 +257,9 @@ def run(rows: int, queries: int, kill_p: float, smoke: bool) -> dict:
     executors = ("serial", "process") if process_ok else ("serial",)
     combos = []
     data = make_rows(rows)
-    # Small cooldown/backoff so a tripped breaker reaches its half-open
-    # probe inside the heal budget; restored below.
-    configure(breaker_cooldown=0.25, retry_backoff=0.01, process_min_rows=1)
+    # A small cooldown so a tripped breaker reaches its half-open probe
+    # inside the heal budget; restored below.
+    configure(breaker_cooldown=0.25, process_min_rows=1)
     try:
         for backend in list_backends():
             for executor in executors:

@@ -50,14 +50,6 @@ the per-relation restart cost the RAM-resident backends pay;
 ``mmap`` backend next to the in-RAM ``column`` backend on identical
 data, pinning the steady-state cost of reading through a file mapping.
 
-Part 6 audits the fused select+gather operator of the process executor's
-affinity router (``affinity_select_gather``): one boundary crossing per
-fused call, exact mask bytes returned, home-worker vs stolen tasks —
-cross-checked against the serial reference.  (The off-vs-on routing legs
-recorded in earlier ``BENCH_kernels.json`` files — warm kernel batches
-61× / 185× faster with routing on — went with the knob that selected
-them.)
-
 Every record carries an ``executor_config`` block (executor, workers,
 cpu_count) so entries stay distinguishable across PRs.
 
@@ -583,77 +575,6 @@ def _parallel_relation(size: int, rng: random.Random):
     return Relation(WIDE_SCHEMA, store=store), rows
 
 
-# ---------------------------------------------------------------------------
-# Fused select+gather on the affinity router (process executor, PR 9)
-# ---------------------------------------------------------------------------
-
-AFFINITY_SCALE = 40_000
-AFFINITY_SHARDS = 4
-
-
-def bench_affinity_section(size: int) -> list:
-    """Audit the fused select+gather operator's one-crossing contract.
-
-    After one cold warm-up call (publish + spawn), one timed
-    ``select_gather`` over a range-partitioned store with workers == shards:
-    ``boundary_crossings`` counts fused rounds (each shard crossed once) and
-    ``result_bytes`` the mask bytes that came back (one per row);
-    ``home_worker_tasks`` / ``stolen_tasks`` are the router's verdicts.  The
-    answer is cross-checked against the serial reference.
-    """
-    from repro import configure
-    from repro.relational import parallel
-    from repro.relational.store import ShardedStore
-
-    rng = random.Random(size)
-    rows = _wide_rows(size, rng)
-    store = ShardedStore.configured(AFFINITY_SHARDS, "range").from_rows(
-        len(WIDE_SCHEMA), rows
-    )
-    program = SELECTION_CONDITION.program(WIDE_SCHEMA)
-
-    previous = configure(shard_workers=AFFINITY_SHARDS)
-    records = []
-    try:
-        configure(shard_executor="serial")
-        ref_mask, ref_store = store.select_gather(program.run_part)
-        reference_rows = [ref_store.row(i) for i in range(len(ref_store))]
-
-        # Fused select+gather: one crossing per shard, mask bytes accounted.
-        configure(shard_executor="process")
-        parallel.shutdown()
-        store.select_gather(program.run_part)  # cold warm-up (publish + spawn)
-        before = parallel.select_gather_stats()
-        affinity_before = parallel.affinity_stats()
-        seconds, fused = _timed(lambda: store.select_gather(program.run_part))
-        after = parallel.select_gather_stats()
-        affinity_after = parallel.affinity_stats()
-        mask, selected = fused
-        assert bytes(mask) == bytes(ref_mask)
-        assert [selected.row(i) for i in range(len(selected))] == reference_rows
-        records.append(
-            {
-                "kernel": "affinity_select_gather",
-                "size": size,
-                "shards": AFFINITY_SHARDS,
-                "workers": AFFINITY_SHARDS,
-                "selected_rows": len(reference_rows),
-                # Fused rounds this query took — 1 means select + gather
-                # crossed the pool boundary once (per shard), not twice.
-                "boundary_crossings": after["calls"] - before["calls"],
-                "result_bytes": after["result_bytes"] - before["result_bytes"],
-                "home_worker_tasks": affinity_after["hits"] - affinity_before["hits"],
-                "stolen_tasks": affinity_after["steals"] - affinity_before["steals"],
-                "warm_seconds": round(seconds, 6),
-                "executor_config": executor_config(),
-            }
-        )
-    finally:
-        configure(previous)
-        parallel.shutdown()
-    return records
-
-
 DEFAULT_BACKENDS = ("row", "column", "sharded", "mmap")
 
 
@@ -673,11 +594,11 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
     measures the failure path itself on the process executor: a warm healthy
     fused ``select_gather`` (the one operation that ships), the same query
     with a seeded ``parallel.worker.kill`` plan (mask and selected rows must
-    stay bit-identical — retries and slot repair absorb the death), and the
-    time for the path to heal — breaker back to ``closed`` with no
-    ``reset_process_pool()`` — once the plan is cleared.  ``routed_tasks``
-    counts the tasks the router placed from the kill on, so a run that
-    never reached a worker is visible as 0.
+    stay bit-identical — the caller answers it and the dead pool is
+    retired), and the time for the path to heal — breaker back to
+    ``closed`` with no ``reset_process_pool()`` — once the plan is cleared.
+    ``routed_tasks`` counts the tasks submitted to workers from the kill on,
+    so a run that never reached a worker is visible as 0.
     """
     import tempfile
 
@@ -733,7 +654,6 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
             shard_executor="process",
             shard_workers=2,
             process_min_rows=1,
-            retry_backoff=0.0,
             breaker_cooldown=0.25,
         )
         program = SELECTION_CONDITION.program(schema)
@@ -751,8 +671,6 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
             assert healthy == reference
             before = parallel.dispatch_stats()
             faults.set_fault_plan("seed=1301;parallel.worker.kill:at=1")
-            # Installing the plan retires the router: count from its successor.
-            routed_before = parallel.affinity_stats()
             try:
                 killed_seconds, killed = _timed(fused)
             finally:
@@ -768,7 +686,6 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
                 time.sleep(0.05)
             recovery_seconds = time.perf_counter() - heal_started
             after = parallel.dispatch_stats()
-            routed_after = parallel.affinity_stats()
             records.append(
                 {
                     "kernel": "recovery_after_kill",
@@ -782,12 +699,10 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
                     "recovery_seconds": round(recovery_seconds, 6),
                     "heal_queries": heal_queries,
                     "healed_without_reset": after["breaker"]["state"] == "closed",
-                    "routed_tasks": sum(
-                        routed_after[key] - routed_before[key] for key in ("hits", "steals")
-                    ),
+                    "routed_tasks": after["tasks"] - before["tasks"],
                     "dispatch_delta": {
                         key: after[key] - before[key]
-                        for key in ("retries", "timeouts", "fallbacks", "fatal")
+                        for key in ("tasks", "timeouts", "fallbacks", "fatal")
                     },
                     "executor_config": executor_config(),
                 }
@@ -830,7 +745,6 @@ def run(
     queries: int = QUERY_COUNT,
     output: Optional[Path] = OUTPUT,
     backends: Sequence[str] = DEFAULT_BACKENDS,
-    affinity_scale: int = AFFINITY_SCALE,
 ) -> dict:
     register_sharded_variants()
     results = []
@@ -887,9 +801,6 @@ def run(
                         "executor_config": executor_config(),
                     }
                 )
-    affinity_results = []
-    if "sharded" in backends:
-        affinity_results = bench_affinity_section(affinity_scale)
     mmap_results = []
     if "mmap" in backends:
         mmap_results = bench_mmap_section(scales, queries)
@@ -923,7 +834,6 @@ def run(
         "columnar": columnar_results,
         "sharded": sharded_results,
         "mmap": mmap_results,
-        "affinity": affinity_results,
         "columnar_engine": engine_results,
         "resilience": resilience_results,
         "static_analysis": static_results,
@@ -998,24 +908,6 @@ def run(
                     "MmapStore: cold open vs rebuild, warm reads vs ColumnStore "
                     f"-> {destination}"
                 ),
-            )
-        )
-    if affinity_results:
-        print(
-            format_table(
-                ["operation", "size", "rows out", "crossings", "result bytes", "warm s"],
-                [
-                    [
-                        r["kernel"],
-                        r["size"],
-                        r["selected_rows"],
-                        r["boundary_crossings"],
-                        r["result_bytes"],
-                        r["warm_seconds"],
-                    ]
-                    for r in affinity_results
-                ],
-                title=f"Fused select+gather boundary accounting -> {destination}",
             )
         )
     print(
@@ -1121,7 +1013,6 @@ def main() -> None:
         queries=queries,
         output=None if args.quick else OUTPUT,
         backends=backends,
-        affinity_scale=8_000 if args.quick else AFFINITY_SCALE,
     )
     worst = min(
         r["speedup"] for r in report["results"] if r["size"] == max(report["scales"])

@@ -72,7 +72,6 @@ from .relational import (
     numeric_attribute,
     numeric_scaled,
     register_backend,
-    register_partitioner,
 )
 from .serving import (
     AdmissionController,
@@ -157,5 +156,4 @@ __all__ = [
     "rc_accuracy",
     "register_backend",
     "register_cache_backend",
-    "register_partitioner",
 ]

@@ -28,7 +28,6 @@ field                       default    legal values                    environme
 ``admission_policy``        "queue"    "reject", "queue",              REPRO_SERVING_POLICY  no
                                        "degrade-alpha"
 ``program_cache_capacity``  0          an integer >= 0                 —                     no
-``retry_backoff``           0.05       finite seconds >= 0             —                     no
 ``breaker_cooldown``        30.0       finite seconds > 0              —                     no
 ==========================  =========  ==============================  ====================  =======
 
@@ -39,10 +38,10 @@ What each one means:
     mask of its fused select+gather: in the caller, or on the worker
     processes of :mod:`repro.relational.parallel`.  Every other operation,
     and every dispatch that cannot or does not complete (a small store, an
-    unpicklable masker, an open breaker, a dispatch that gives up), runs in
+    unpicklable masker, an open breaker, a dispatch that fails), runs in
     the caller; results are bit-identical.
 ``shard_workers``
-    Width of the process router: one worker process per slot.  ``1`` keeps
+    Width of the process pool: its number of worker processes.  ``1`` keeps
     all work in the caller.  A change retires the running workers; the next
     dispatch re-creates them.
 ``process_min_rows``
@@ -69,9 +68,6 @@ What each one means:
     Entries in the compiled-:class:`~repro.algebra.predicates.MaskProgram`
     cache; ``0`` disables it.  :class:`~repro.serving.server.QueryServer`
     raises it to 256 when it finds it at 0.
-``retry_backoff``
-    Base seconds slept before a process-dispatch retry round; round ``n``
-    sleeps ``base · 2^(n-1)``, so a repaired worker slot can finish spawning.
 ``breaker_cooldown``
     Seconds the tripped process-dispatch circuit breaker stays open before
     it admits one half-open recovery probe.
@@ -138,18 +134,13 @@ def _integer(minimum: int) -> Callable[[str, object], int]:
     return check
 
 
-def _seconds(zero_allowed: bool) -> Callable[[str, object], float]:
-    bound = ">= 0" if zero_allowed else "> 0"
-
-    def check(field: str, value: object) -> float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise TypeError(f"{field} must be a finite number of seconds {bound}, got {value!r}")
-        seconds = float(value)
-        if not math.isfinite(seconds) or seconds < 0 or (seconds == 0 and not zero_allowed):
-            raise ValueError(f"{field} must be a finite number of seconds {bound}, got {value!r}")
-        return seconds
-
-    return check
+def _seconds(field: str, value: object) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{field} must be a finite number of seconds > 0, got {value!r}")
+    seconds = float(value)
+    if not math.isfinite(seconds) or seconds <= 0:
+        raise ValueError(f"{field} must be a finite number of seconds > 0, got {value!r}")
+    return seconds
 
 
 def _optional(check: Callable[[str, object], object]) -> Callable[[str, object], object]:
@@ -179,8 +170,7 @@ _CHECKS: Dict[str, Callable[[str, object], object]] = {
     "checksum_mode": _one_of(CHECKSUM_MODES),
     "admission_policy": _one_of(ADMISSION_POLICIES),
     "program_cache_capacity": _integer(0),
-    "retry_backoff": _seconds(zero_allowed=True),
-    "breaker_cooldown": _seconds(zero_allowed=False),
+    "breaker_cooldown": _seconds,
 }
 
 
@@ -201,7 +191,6 @@ class Config:
     checksum_mode: str = "header"
     admission_policy: str = "queue"
     program_cache_capacity: int = 0
-    retry_backoff: float = 0.05
     breaker_cooldown: float = 30.0
 
     def __post_init__(self) -> None:
@@ -265,8 +254,8 @@ def current() -> Config:
 def subscribe(callback: Callable[[Config, Config], None]) -> None:
     """Call ``callback(previous, new)`` after every :func:`configure` that changed something.
 
-    For package modules that own a resource sized by a setting (the shard
-    router, the program cache); callbacks run outside the configuration lock.
+    For package modules that own a resource sized by a setting (the worker
+    pool, the program cache); callbacks run outside the configuration lock.
     """
     with _lock:
         _subscribers.append(callback)

@@ -73,6 +73,11 @@ class CorruptShardError(StorageError, ValueError):
         self.quarantined_to = quarantined_to
         self.injected = injected
 
+    def __reduce__(self):
+        # Rebuilt from its fields, so an open that fails inside a worker
+        # process reaches the parent as this error, not as a broken pool.
+        return type(self), (self.path, self.reason, self.quarantined_to, self.injected)
+
 
 class FaultInjectedError(ReproError):
     """An error raised on purpose by an active fault plan.

@@ -51,12 +51,12 @@ every other site, so adding a site to a plan never changes when existing
 sites fire.  Given the same plan and the same sequence of probe calls, the
 same calls fire — across runs, machines, and interpreter versions.  Worker
 processes receive the active plan spec at pool creation with a ``nonce``
-equal to the pool incarnation number, so a repaired worker's draws differ
+equal to the pool incarnation number, so a respawned worker's draws differ
 from its dead predecessor's (a kill/heal cycle terminates) while remaining
 reproducible for a fixed operation sequence from interpreter start.
 
-Installing a plan resets the process pools (workers must pick the plan up);
-clearing one does not — healed workers are spawned by slot repair and read
+Installing a plan resets the process pool (workers must pick the plan up);
+clearing one does not — the fresh pool that replaces a failed one reads
 the cleared parent spec naturally.
 """
 
@@ -344,9 +344,9 @@ def set_fault_plan(
     Accepts a :class:`FaultPlan` or a spec string; anything else — or a
     malformed spec, or an unknown site — raises :exc:`ValueError`.  Returns
     the previous plan.  Installing a non-``None`` plan retires the process
-    pools so freshly spawned workers receive the plan spec; clearing one
-    deliberately does not (healing worker incarnations are spawned by slot
-    repair and naturally read the cleared spec).
+    pool so freshly spawned workers receive the plan spec; clearing one
+    deliberately does not (the fresh pool that replaces a failed one
+    naturally reads the cleared spec).
     """
     global _plan
     if isinstance(plan, str):

@@ -51,7 +51,6 @@ from .store import (
     make_store,
     preferred_output_class,
     register_backend,
-    register_partitioner,
     vstack_gather,
 )
 
@@ -98,7 +97,6 @@ __all__ = [
     "preferred_output_class",
     "probe_process_executor",
     "register_backend",
-    "register_partitioner",
     "save_database",
     "tuple_distance",
     "vstack_gather",

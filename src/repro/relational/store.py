@@ -645,29 +645,6 @@ class ColumnStore(Store):
 # Sharded storage: partitioners and the partitioned backend
 # ---------------------------------------------------------------------------
 
-# A partitioner maps (row, insertion_index, shard_count) -> shard id.
-Partitioner = Callable[[Row, int, int], int]
-
-_PARTITIONERS: Dict[str, Partitioner] = {}
-
-
-def register_partitioner(name: str, fn: Partitioner) -> None:
-    """Register a partitioning strategy usable by :class:`ShardedStore`."""
-    if not name:
-        raise ValueError("partitioner name must be non-empty")
-    _PARTITIONERS[name] = fn
-
-
-def partitioner_fn(name: str) -> Partitioner:
-    """The partitioner registered under ``name``."""
-    try:
-        return _PARTITIONERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown partitioner {name!r}; available: {sorted(_PARTITIONERS)}"
-        ) from None
-
-
 def _hash_partition(row: Row, index: int, shard_count: int) -> int:
     # Unhashable values (lists, dicts) fall back to the insertion index so
     # the store never rejects a row the other backends would accept.
@@ -675,22 +652,6 @@ def _hash_partition(row: Row, index: int, shard_count: int) -> int:
         return hash(row) % shard_count
     except TypeError:
         return index % shard_count
-
-
-def _round_robin_partition(row: Row, index: int, shard_count: int) -> int:
-    return index % shard_count
-
-
-def _range_partition(row: Row, index: int, shard_count: int) -> int:
-    # Incremental appends keep the shard sequence sorted (contiguity is what
-    # buys range-partitioned stores their C-speed buffer concatenation); bulk
-    # construction rebalances into equal contiguous chunks instead.
-    return shard_count - 1
-
-
-register_partitioner("hash", _hash_partition)
-register_partitioner("round_robin", _round_robin_partition)
-register_partitioner("range", _range_partition)
 
 
 # The ``shard_executor`` and ``shard_workers`` settings are documented in
@@ -731,8 +692,7 @@ class ShardedStore(Store):
 
     * ``shard_count`` — number of shards (1..255; the per-row shard map is a
       ``bytearray``).
-    * ``partitioner`` — ``"hash"``, ``"round_robin"``, ``"range"``, or any
-      name registered with :func:`register_partitioner`.
+    * ``partitioner`` — ``"hash"``, ``"round_robin"`` or ``"range"``.
     * ``shard_backend`` — backend name for the per-shard stores
       (``"column"`` by default; any registered backend works).
 
@@ -791,7 +751,8 @@ class ShardedStore(Store):
         """
         count = shard_count if shard_count is not None else cls.shard_count
         part = partitioner if partitioner is not None else cls.partitioner
-        partitioner_fn(part)  # validate eagerly
+        if part not in ("hash", "round_robin", "range"):  # validate eagerly
+            raise ValueError(f"unknown partitioner {part!r}; available: hash, round_robin, range")
         attrs = {
             "__slots__": (),
             "backend": name or f"{cls.backend}[{count}:{part}]",
@@ -820,16 +781,6 @@ class ShardedStore(Store):
     def shard_indices(self, shard: int) -> Sequence[int]:
         """Global row indices held by ``shard``, ascending (treat as read-only)."""
         return self._positions()[shard]
-
-    def map_shards(
-        self, fn: Callable[..., object], *args_per_shard: Sequence[object]
-    ) -> List[object]:
-        """Apply ``fn(shard, ...)`` to every shard, in the caller; results in shard order.
-
-        Extra ``args_per_shard`` sequences are zipped alongside the shards
-        (one element per shard).
-        """
-        return [fn(*items) for items in zip(self._shards, *args_per_shard)]
 
     # -- internal bookkeeping ------------------------------------------------
     @classmethod
@@ -951,8 +902,17 @@ class ShardedStore(Store):
     def append(self, row: Sequence[object]) -> None:
         added = tuple(row)
         index = len(self._shard_of)
-        shard = partitioner_fn(self.partitioner)(added, index, len(self._shards))
-        shard %= len(self._shards)
+        count = len(self._shards)
+        if self.partitioner == "hash":
+            shard = _hash_partition(added, index, count)
+        elif self.partitioner == "round_robin":
+            shard = index % count
+        else:
+            # "range": appends keep the shard sequence sorted (contiguity is
+            # what buys a range-partitioned store its C-speed buffer
+            # concatenation); bulk construction rebalances into equal
+            # contiguous chunks instead.
+            shard = count - 1
         self._shards[shard].append(added)
         if self._contiguous and self._shard_of and shard < self._shard_of[-1]:
             self._contiguous = False
@@ -1027,7 +987,7 @@ class ShardedStore(Store):
         return mask, flat.select_mask(mask)
 
     def copy(self) -> "ShardedStore":
-        shards = self.map_shards(lambda shard: shard.copy())
+        shards = [shard.copy() for shard in self._shards]
         return self._adopt(shards, bytearray(self._shard_of), contiguous=self._contiguous)
 
     # -- construction -------------------------------------------------------
@@ -1045,9 +1005,8 @@ class ShardedStore(Store):
             # Equal contiguous chunks (the last shard absorbs the remainder).
             chunk = max(1, -(-count // shards))  # ceil division
             return bytearray(min(i // chunk, shards - 1) for i in range(count))
-        fn = partitioner_fn(cls.partitioner)
         return bytearray(
-            fn(row, index, shards) % shards for index, row in enumerate(rows)
+            _hash_partition(row, index, shards) for index, row in enumerate(rows)
         )
 
     @classmethod

@@ -205,8 +205,8 @@ class QueryServer:
     def cache_info(self) -> dict:
         """Result-cache, plan-memo and statement-memo sizes plus the live admission load.
 
-        The ``dispatch`` section (retry/timeout counters and the breaker
-        snapshot) and the ``faults`` section (active fault-plan fire
+        The ``dispatch`` section (task/timeout/fallback counters and the
+        breaker snapshot) and the ``faults`` section (active fault-plan fire
         counts, ``None`` when no plan is installed) make one call enough to
         diagnose a degraded server.
         """
@@ -219,7 +219,6 @@ class QueryServer:
             "policy": self.admission.policy,
             "max_concurrency": self.admission.max_concurrency,
             "program_cache": predicates.program_cache_info(),
-            "affinity": parallel.affinity_stats(),
             "dispatch": parallel.dispatch_stats(),
             "faults": faults.fault_stats(),
         }

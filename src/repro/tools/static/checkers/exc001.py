@@ -17,7 +17,8 @@ prefixes (``submit``/``_submit``, ``dispatch_``/``_dispatch``, ``probe_``,
 * **re-raise** — contain a ``raise`` statement (bare or typed), or
 * **feed the breaker** — call one of the breaker-vocabulary functions
   (``_breaker_strike``, ``_breaker_exit``, ``_strike_locked``,
-  ``reset_process_pool``, ``repair``), or
+  ``reset_process_pool``, or ``_abandon``, which gives a failed dispatch
+  up so it returns its verdict to the caller's breaker token), or
 * carry an explicit ``# repro: ignore[EXC001] <why this swallow is safe>``
   on the ``except`` line (or a justification comment block directly above
   it).
@@ -54,7 +55,7 @@ BREAKER_VOCABULARY = frozenset(
         "_breaker_exit",
         "_strike_locked",
         "reset_process_pool",
-        "repair",
+        "_abandon",
     }
 )
 

@@ -23,11 +23,11 @@ def _submit_per_shard(pool, fn, tasks):
         return None
 
 
-def _dispatch_round(pool, fn, tasks):
+def _dispatch(pool, fn, tasks):
     try:
         return [pool.submit(fn, task) for task in tasks]
     except OSError:
-        reset_process_pool()  # infrastructure verdict: reset and retry
+        reset_process_pool()  # infrastructure verdict: the caller falls back
         return None
 
 

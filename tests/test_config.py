@@ -39,8 +39,7 @@ FIELDS = {
     "checksum_mode": ("header", ["off", "header", "full"], ["paranoid", "FULL", "", 2]),
     "admission_policy": ("queue", ["reject", "queue", "degrade-alpha"], ["best-effort", "", 0]),
     "program_cache_capacity": (0, [0, 1, 256], [-1, 1.5, "8", INF, NAN]),
-    "retry_backoff": (0.05, [0, 0.0, 0.01, 5], [-0.1, INF, -INF, NAN, "fast", True]),
-    "breaker_cooldown": (30.0, [0.001, 0.25, 30], [0, 0.0, -1, INF, NAN, "soon"]),
+    "breaker_cooldown": (30.0, [0.001, 0.25, 30], [0, 0.0, -1, INF, -INF, NAN, "soon", True]),
 }
 
 LEGAL = [(name, value) for name, (_d, legal, _j) in FIELDS.items() for value in legal]
@@ -84,13 +83,13 @@ def test_unknown_settings_raise_and_change_nothing():
 def test_configure_is_atomic():
     before = current_config()
     with pytest.raises(ValueError, match="process_min_rows"):
-        configure(retry_backoff=0.5, checksum_mode="off", process_min_rows=0)
+        configure(breaker_cooldown=0.5, checksum_mode="off", process_min_rows=0)
     assert current_config() is before
 
 
 def test_configure_previous_restores():
     before = current_config()
-    previous = configure(retry_backoff=1.5, admission_policy="reject", process_min_rows=3)
+    previous = configure(breaker_cooldown=1.5, admission_policy="reject", process_min_rows=3)
     assert previous is before and current_config() != before
     configure(previous)
     assert current_config() == before
@@ -100,11 +99,11 @@ def test_configure_previous_restores():
 
 
 def test_config_is_frozen_normalized_and_picklable(tmp_path):
-    config = Config(retry_backoff=1, store_dir=tmp_path / "a" / ".." / "b")
-    assert isinstance(config.retry_backoff, float)
+    config = Config(breaker_cooldown=1, store_dir=tmp_path / "a" / ".." / "b")
+    assert isinstance(config.breaker_cooldown, float)
     assert config.store_dir == str(tmp_path / "b")
     with pytest.raises(dataclasses.FrozenInstanceError):
-        config.retry_backoff = 2.0
+        config.breaker_cooldown = 2.0
     assert pickle.loads(pickle.dumps(config)) == config
     assert Config(shard_workers=3).worker_count == 3
     assert Config().worker_count == max(1, os.cpu_count() or 1)
@@ -141,43 +140,42 @@ class TestStoreDir:
         assert current_config() is before
 
 
-def test_only_what_the_workers_carry_retires_the_router():
+def test_only_what_the_workers_carry_retires_the_pool():
     workers = current_config().worker_count
-    router = parallel._ensure_router()  # slots spawn no worker until a task is routed
+    pool = parallel._ensure_pool()  # no worker starts until a task is submitted
     configure(shard_workers=workers)  # the value it already has
-    configure(shard_executor="process", process_min_rows=1, retry_backoff=0.0)
-    assert parallel._ensure_router() is router  # parent-side decisions keep it warm
+    configure(shard_executor="process", process_min_rows=1, breaker_cooldown=5)
+    assert parallel._ensure_pool() is pool  # parent-side decisions keep it warm
     configure(checksum_mode="off" if current_config().checksum_mode != "off" else "full")
-    assert parallel._router is None  # a setting the workers read
-    router = parallel._ensure_router()
+    assert parallel._pool is None  # a setting the workers read
+    pool = parallel._ensure_pool()
     configure(shard_workers=workers + 1)
-    fresh = parallel._ensure_router()
-    assert fresh is not router and fresh.slot_count == workers + 1
+    assert parallel._pool is None  # its width
+    fresh = parallel._ensure_pool()
+    assert fresh is not pool and fresh._max_workers == workers + 1
 
 
 def test_concurrent_configure_and_current_never_tear():
-    """8 threads: writers move *pairs* of fields together, readers must never
-    see a pair disagree, and no writer's last update may be lost."""
-    # (two fields, the two value pairs their writer alternates between)
-    pairs = [
-        ("retry_backoff", "breaker_cooldown", [(0.25, 0.25), (2.0, 2.0)]),
-        ("process_min_rows", "program_cache_capacity", [(3, 3), (11, 11)]),
-        ("shard_executor", "admission_policy", [("serial", "reject"), ("process", "queue")]),
+    """8 threads: writers move *pairs* of fields together (and one a single
+    field), readers must never see a pair disagree, and no writer's last
+    update may be lost."""
+    # (the fields a writer moves together, the two value tuples it alternates between)
+    writes = [
+        (("breaker_cooldown",), [(0.25,), (2.0,)]),
+        (("process_min_rows", "program_cache_capacity"), [(3, 3), (11, 11)]),
+        (("shard_executor", "admission_policy"), [("serial", "reject"), ("process", "queue")]),
     ]
     rounds = 300
     torn, errors = [], []
     done = threading.Event()
 
-    def write(first, second, values):
+    def write(names, values):
         for step in range(rounds):
-            left, right = values[step % 2]
-            configure(**{first: left, second: right})
+            configure(**dict(zip(names, values[step % 2])))
 
     def read():
         while not done.is_set():
             seen = current_config()
-            if seen.retry_backoff != seen.breaker_cooldown:
-                torn.append(seen)
             if seen.process_min_rows != seen.program_cache_capacity:
                 torn.append(seen)
             if (seen.shard_executor == "serial") != (seen.admission_policy == "reject"):
@@ -189,9 +187,9 @@ def test_concurrent_configure_and_current_never_tear():
         except Exception as exc:  # surfaced below: a thread must not die silently
             errors.append(exc)
 
-    for first, second, values in pairs:  # start consistent, at the value each writer ends on
-        configure(**dict(zip((first, second), values[1])))
-    writers = [threading.Thread(target=guarded, args=(write, *pair)) for pair in pairs]
+    for names, values in writes:  # start consistent, at the value each writer ends on
+        configure(**dict(zip(names, values[1])))
+    writers = [threading.Thread(target=guarded, args=(write, *each)) for each in writes]
     readers = [threading.Thread(target=guarded, args=(read,)) for _ in range(5)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -209,7 +207,7 @@ def test_concurrent_configure_and_current_never_tear():
     assert not any(thread.is_alive() for thread in readers + writers)
     assert not errors and not torn
     last = current_config()  # every writer's final step landed: no lost update
-    assert (last.retry_backoff, last.process_min_rows, last.shard_executor) == (2.0, 11, "process")
+    assert (last.breaker_cooldown, last.process_min_rows, last.shard_executor) == (2.0, 11, "process")
 
 
 # ---------------------------------------------------------------------------

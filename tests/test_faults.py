@@ -10,9 +10,9 @@ Four layers of coverage for PR 10's failure-handling substrate:
   ``reset_process_pool()`` (this is the fails-on-old-code regression for
   the one-way breaker PR 10 replaced).
 * **Dispatch resilience** — injected broken pools, worker kills and wedged
-  workers are absorbed by retry/re-route/fallback: every query returns a
-  bit-identical answer, the counters in
-  :func:`~repro.relational.parallel.dispatch_stats` show how.
+  workers cost one strike and a fallback in the caller: every query returns
+  a bit-identical answer, the next one ships to a fresh pool, and the
+  counters in :func:`~repro.relational.parallel.dispatch_stats` show how.
 * **Serving resilience** — cache-backend faults are treated as misses and
   counted; an open breaker costs latency, never served α: the answer is
   computed in the caller at the requested α, bit-identical to a healthy one.
@@ -28,6 +28,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import random
+import threading
 import time
 from pathlib import Path
 
@@ -323,9 +324,9 @@ class TestBreakerRecovery:
 
     def test_dispatch_stats_shape(self):
         stats = parallel.dispatch_stats()
-        for key in ("retries", "timeouts", "fallbacks", "fatal"):
+        for key in ("tasks", "timeouts", "fallbacks", "fatal"):
             assert isinstance(stats[key], int)
-        assert stats["configured_retries"] == parallel.DISPATCH_RETRIES
+        assert stats["retries"] == 0  # pinned for benchmarks/e2e: nothing retries
         assert stats["deadline_seconds"] == parallel.DISPATCH_DEADLINE
         assert stats["breaker"]["state"] in ("closed", "open", "half-open")
 
@@ -343,39 +344,95 @@ class TestDispatchResilience:
         configure(previous)
         return answer
 
-    def test_injected_broken_pool_is_retried(
-        self, plan_guard, breaker_guard
+    @pytest.mark.parametrize(
+        "plan, counter",
+        [
+            ("seed=3;parallel.dispatch.broken:at=1", None),
+            ("seed=5;parallel.worker.kill:at=1", None),
+            ("seed=4;parallel.publish.unlink:at=1", "fatal"),
+            ("seed=2;parallel.worker.slow:p=1,arg=30", "timeouts"),
+        ],
+        ids=["broken-pool", "dead-worker", "lost-shard-file", "wedged-worker"],
+    )
+    def test_a_failed_dispatch_falls_back_in_the_caller(
+        self, plan, counter, plan_guard, breaker_guard, monkeypatch
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference(relation)
         force_process()
-        configure(retry_backoff=0.0)
-        retries_before = parallel.dispatch_stats()["retries"]
-        faults.set_fault_plan("seed=3;parallel.dispatch.broken:at=1")
+        if counter == "timeouts":  # a spawning pool must not time out the other cases
+            monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.3)
+        failures_before = parallel._pool_failures
+        before = parallel.dispatch_stats()
+        faults.set_fault_plan(plan)
         try:
             assert select_answer(relation.store) == reference
         finally:
             faults.set_fault_plan(None, reset_pools=False)
-        stats = parallel.dispatch_stats()
-        assert stats["retries"] > retries_before
-        # The retry succeeded, so the dispatch verdict closed the breaker.
-        assert stats["breaker"]["state"] == "closed"
+            monkeypatch.undo()  # the next query gets the full deadline
+        after = parallel.dispatch_stats()
+        # One strike, one fallback: nothing retried the dispatch.
+        assert parallel._pool_failures == failures_before + 1
+        assert after["fallbacks"] == before["fallbacks"] + 1
+        if counter is not None:
+            assert after[counter] == before[counter] + 1
+        # The next query ships, and its verdict closes the breaker.
+        calls_before = parallel.select_gather_stats()["calls"]
+        assert select_answer(relation.store) == reference
+        assert parallel.select_gather_stats()["calls"] == calls_before + 1
+        assert parallel._pool_failures == 0
+        assert parallel.breaker_state()["state"] == "closed"
 
-    def test_worker_kill_mid_query_stays_bit_identical(
-        self, plan_guard, breaker_guard
-    ):
+    def test_a_shipped_query_is_the_half_open_probe(self, breaker_guard):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference(relation)
         force_process()
-        configure(retry_backoff=0.0)
-        # Every worker incarnation dies on its first task; retries re-route
-        # and respawn until the rounds run out, then the caller's serial
-        # fallback serves the exact same bytes.
-        faults.set_fault_plan("seed=5;parallel.worker.kill:at=1")
+        configure(breaker_cooldown=0.05)
+        for _ in range(parallel._MAX_POOL_FAILURES):
+            parallel._breaker_strike()
+        calls_before = parallel.select_gather_stats()["calls"]
+        assert select_answer(relation.store) == reference  # open: answered in the caller
+        assert parallel.select_gather_stats()["calls"] == calls_before
+        time.sleep(0.06)
+        recoveries_before = parallel.breaker_state()["recoveries"]
+        assert select_answer(relation.store) == reference
+        assert parallel.select_gather_stats()["calls"] == calls_before + 1  # the probe shipped
+        state = parallel.breaker_state()
+        assert state["state"] == "closed"
+        assert state["recoveries"] == recoveries_before + 1
+
+    def test_a_wedged_pool_fails_each_query_on_it_once(
+        self, plan_guard, breaker_guard, monkeypatch
+    ):
+        """Two queries share the pool when its workers wedge: each answers in
+        the caller after at most one deadline, and neither hangs."""
+        relations = [Relation(SCHEMA, make_rows(3000, seed), backend="sharded") for seed in (11, 12)]
+        references = [self._reference(relation) for relation in relations]
+        force_process()
+        monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.3)
+        fallbacks_before = parallel.dispatch_stats()["fallbacks"]
+        answers = [None, None]
+
+        def ask(index):
+            answers[index] = select_answer(relations[index].store)
+
+        threads = [threading.Thread(target=ask, args=(index,)) for index in range(2)]
+        faults.set_fault_plan("seed=2;parallel.worker.slow:p=1,arg=30")
+        started = time.monotonic()
         try:
-            assert select_answer(relation.store) == reference
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
         finally:
             faults.set_fault_plan(None, reset_pools=False)
+            parallel.reset_process_pool()
+        assert not any(thread.is_alive() for thread in threads)
+        assert time.monotonic() - started < 15.0
+        assert answers == references
+        # The first to time out retires the pool under the other, which
+        # fails on it too (a strike) or sees its tasks cancelled (no verdict).
+        assert 1 <= parallel.dispatch_stats()["fallbacks"] - fallbacks_before <= 2
 
     def test_kill_then_heal_restores_process_path(
         self, plan_guard, breaker_guard
@@ -385,14 +442,13 @@ class TestDispatchResilience:
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference(relation)
         force_process()
-        configure(retry_backoff=0.0)
         faults.set_fault_plan("seed=5;parallel.worker.kill:at=1")
         try:
             assert select_answer(relation.store) == reference
         finally:
             faults.set_fault_plan(None, reset_pools=False)  # heal
-        # Workers spawned while the plan was live may still carry it; the
-        # dispatch absorbs their deaths and re-routes to clean respawns.
+        # The pool that carried the plan died with its worker; the next
+        # dispatch starts a fresh one that reads the cleared spec.
         for _ in range(3):
             assert select_answer(relation.store) == reference
         assert parallel.breaker_state()["state"] == "closed"
@@ -403,10 +459,8 @@ class TestDispatchResilience:
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference(relation)
         force_process()
-        configure(retry_backoff=0.0)
-        monkeypatch.setattr(parallel, "DISPATCH_RETRIES", 1)
         monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.3)
-        timeouts_before = parallel.dispatch_stats()["timeouts"]
+        before = parallel.dispatch_stats()
         wedged = []  # pids of every worker retired at the deadline
         retire_pool = parallel._retire_pool
 
@@ -427,13 +481,12 @@ class TestDispatchResilience:
 
             # Same for shutdown(): a sleeping task in flight is killed, not
             # waited for (this is what used to stall interpreter exit).
-            future, slot = parallel._ensure_router().submit(
-                "wedge", parallel._worker_fault_probe
-            )
+            pool = parallel._ensure_pool()
+            future = pool.submit(parallel._worker_fault_probe)
             while not future.running():
                 assert time.monotonic() - started < 30.0
                 time.sleep(0.01)
-            sleeper = list(slot.pool._processes)
+            sleeper = list(pool._processes)
             stopping = time.monotonic()
             parallel.shutdown()
             assert time.monotonic() - stopping < 2.0
@@ -441,28 +494,11 @@ class TestDispatchResilience:
         finally:
             faults.set_fault_plan(None, reset_pools=False)
             parallel.reset_process_pool()
-        assert parallel.dispatch_stats()["timeouts"] > timeouts_before
-        # Zero hangs past the deadline: bounded rounds, not a 30s stall.
-        assert elapsed < 15.0
-
-    def test_publication_unlink_race_falls_back(
-        self, plan_guard, breaker_guard
-    ):
-        relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
-        reference = self._reference(relation)
-        force_process()
-        configure(retry_backoff=0.0)
-        fatal_before = parallel.dispatch_stats()["fatal"]
-        faults.set_fault_plan("seed=4;parallel.publish.unlink:at=1")
-        try:
-            assert select_answer(relation.store) == reference
-        finally:
-            faults.set_fault_plan(None, reset_pools=False)
-        # The vanished file is fatal for this publication (retrying the
-        # same handles cannot help) — one clean fallback, no wrong answer.
-        assert parallel.dispatch_stats()["fatal"] > fatal_before
-        # The next query republishes and the process path works again.
-        assert select_answer(relation.store) == reference
+        after = parallel.dispatch_stats()
+        # One wedged query waits out one deadline, once, then falls back.
+        assert after["timeouts"] == before["timeouts"] + 1
+        assert after["fallbacks"] == before["fallbacks"] + 1
+        assert elapsed < 15.0  # zero hangs past the deadline, not a 30s stall
 
 
 def load_chaos_bench():
@@ -582,7 +618,7 @@ class TestServingResilience:
         try:
             info = server.cache_info()
             assert info["dispatch"]["breaker"]["state"] in ("closed", "open", "half-open")
-            assert "retries" in info["dispatch"]
+            assert "tasks" in info["dispatch"]
             assert info["faults"] == {"test.x": {"calls": 0, "fires": 0}}
         finally:
             faults.set_fault_plan(None, reset_pools=False)

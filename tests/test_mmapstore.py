@@ -258,15 +258,19 @@ class TestDatasetDirectories:
             assert_identical(reopened.relation(name), tiny_db.relation(name))
             assert reopened.relation(name).store.is_mapped
 
-    def test_sharded_layout_preserved(self, tiny_db, store_dir, tmp_path):
-        db = to_backend(tiny_db, "sharded7")
+    @pytest.mark.parametrize(
+        "layout, shards, partitioner",
+        [("sharded", 4, "round_robin"), ("sharded1", 1, "range"), ("sharded7", 7, "hash")],
+    )
+    def test_sharded_layout_preserved(self, tiny_db, store_dir, tmp_path, layout, shards, partitioner):
+        db = to_backend(tiny_db, layout)
         dataset = tmp_path / "dataset"
         save_database(db, dataset)
         reopened = open_database(dataset)
         store = reopened.relation("emp").store
         assert isinstance(store, ShardedStore)
-        assert len(store.shards) == 7
-        assert store.partitioner == "hash"
+        assert len(store.shards) == shards
+        assert store.partitioner == partitioner
         assert all(isinstance(shard, MmapStore) for shard in store.shards)
         assert_identical(reopened.relation("emp"), tiny_db.relation("emp"))
 
@@ -496,6 +500,22 @@ def _flip_byte(path, offset):
 
 
 class TestCorruptFiles:
+    @pytest.mark.parametrize(
+        "quarantined_to, injected", [(None, False), ("/data/victim.rpro.quarantined", True)]
+    )
+    def test_the_error_pickles_as_itself(self, quarantined_to, injected):
+        """A worker's failed open reaches the parent through pickle: it must
+        arrive as this error with its fields, not break the worker pool."""
+        error = CorruptShardError("/data/victim.rpro", "checksum mismatch", quarantined_to, injected)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is CorruptShardError and str(copy) == str(error)
+        assert (copy.path, copy.reason, copy.quarantined_to, copy.injected) == (
+            "/data/victim.rpro",
+            "checksum mismatch",
+            quarantined_to,
+            injected,
+        )
+
     def _saved(self, tmp_path):
         store = MmapStore.from_rows(4, MIXED_ROWS)
         path = str(tmp_path / f"victim{FILE_SUFFIX}")

@@ -28,6 +28,7 @@ import pickle
 import random
 import shutil
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -285,7 +286,7 @@ class TestWorkerInternals:
         )
         force_process()
         parallel.reset_process_pool()  # the request below must create the pools
-        hits_before = parallel.affinity_stats()["hits"]
+        tasks_before = parallel.dispatch_stats()["tasks"]
         threads_seen = []
 
         def request():
@@ -299,8 +300,8 @@ class TestWorkerInternals:
         bystander.join(60)
         assert not thread.is_alive() and not bystander.is_alive()
         assert threads_seen[0] > 2  # main + request thread + the bystander
-        assert parallel._router is not None
-        assert parallel.affinity_stats()["hits"] > hits_before  # workers really ran
+        assert parallel._pool is not None
+        assert parallel.dispatch_stats()["tasks"] > tasks_before  # workers really ran
         assert asked and "fork" not in asked
 
     def test_unpublishable_payload_falls_back_without_leaking(
@@ -332,21 +333,21 @@ class TestWorkerInternals:
         assert store._publication is None
 
     @needs_process
-    def test_ensure_router_is_race_free(self):
+    def test_ensure_pool_is_race_free(self):
         parallel.reset_process_pool()
-        routers = []
+        pools = []
         barrier = threading.Barrier(2)
 
         def create():
             barrier.wait()
-            routers.append(parallel._ensure_router())
+            pools.append(parallel._ensure_pool())
 
         threads = [threading.Thread(target=create) for _ in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert routers[0] is routers[1]  # one shared router, nothing leaked
+        assert pools[0] is pools[1]  # one shared pool, nothing leaked
 
     @needs_process
     def test_broken_pool_submission_falls_back(self, monkeypatch):
@@ -363,10 +364,7 @@ class TestWorkerInternals:
         force_process()
         parallel.reset_process_pool()
         failures_before = parallel._pool_failures
-        configure(retry_backoff=0.0)
-        monkeypatch.setattr(
-            parallel._AffinityRouter, "_create_pool", staticmethod(FakePool)
-        )
+        monkeypatch.setattr(parallel, "_ensure_pool", FakePool)
         try:
             program = CONDITION.program(SCHEMA)
             assert parallel.process_select_gather(relation.store, program.run_part) is None
@@ -404,9 +402,7 @@ class TestWorkerInternals:
         configure(shard_executor="process")
         parallel.reset_process_pool()
         failures_before = parallel._pool_failures
-        monkeypatch.setattr(
-            parallel._AffinityRouter, "_create_pool", staticmethod(CancellingPool)
-        )
+        monkeypatch.setattr(parallel, "_ensure_pool", CancellingPool)
         try:
             # A concurrent reset cancelling the futures degrades to the caller's
             # path (correct answer) without counting against the breaker.
@@ -463,17 +459,16 @@ class TestWorkerInternals:
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         configure(shard_executor="serial")
         reference = select_answer(relation.store)
-        configure(shard_executor="process", process_min_rows=1, retry_backoff=0.0)
+        configure(shard_executor="process", process_min_rows=1)
         monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.5)
-        monkeypatch.setattr(parallel, "DISPATCH_RETRIES", 1)
         dispatches = []
-        dispatch = parallel._dispatch_with_retries
+        dispatch = parallel._dispatch
 
-        def counting_dispatch(publication, fn, args_per_shard):
-            dispatches.append(fn.__name__)
-            return dispatch(publication, fn, args_per_shard)
+        def counting_dispatch(publication, masker_payload):
+            dispatches.append(len(publication.handles))
+            return dispatch(publication, masker_payload)
 
-        monkeypatch.setattr(parallel, "_dispatch_with_retries", counting_dispatch)
+        monkeypatch.setattr(parallel, "_dispatch", counting_dispatch)
         failures_before = parallel._pool_failures
         fallbacks_before = parallel.dispatch_stats()["fallbacks"]
         previous_plan = faults.set_fault_plan("parallel.worker.slow:p=1,arg=3.0")
@@ -483,14 +478,14 @@ class TestWorkerInternals:
             faults.set_fault_plan(previous_plan, reset_pools=False)
             parallel.reset_process_pool()
             parallel._pool_failures = failures_before
-        assert dispatches == ["_worker_select_gather"]
+        assert dispatches == [len(relation.store.shards)]
         assert parallel.dispatch_stats()["fallbacks"] == fallbacks_before + 1
 
     @needs_process
     def test_reset_pool_with_live_pool(self):
         assert parallel.probe_process_executor() is True  # ensures a live pool
         parallel.reset_process_pool()
-        assert parallel._router is None
+        assert parallel._pool is None
         assert parallel.probe_process_executor() is True  # respawns cleanly
 
 
@@ -581,11 +576,11 @@ class TestProcessExecution:
         mask = bytes(CONDITION.mask(relation.store, SCHEMA))
         gathered = [list(relation.store.gather_column(p, indices)) for p in range(3)]
         force_process()
-        hits_before = parallel.affinity_stats()["hits"]
+        tasks_before = parallel.dispatch_stats()["tasks"]
         assert bytes(CONDITION.mask(relation.store, SCHEMA)) == mask
         assert [list(relation.store.gather_column(p, indices)) for p in range(3)] == gathered
         assert relation.store._publication is None
-        assert parallel.affinity_stats()["hits"] == hits_before
+        assert parallel.dispatch_stats()["tasks"] == tasks_before
 
     @pytest.mark.parametrize("layout", ["hash", "round_robin", "range", "mmap-sharded"])
     def test_mutation_retires_publication(self, layout, store_dir):
@@ -617,6 +612,19 @@ class TestProcessExecution:
         # The fresh publication uses fresh file names: stale worker cache
         # entries can never answer for the mutated store.
         assert not (set(store._publication.written) & before)
+
+    def test_a_reset_pool_keeps_the_publication(self):
+        """Publications are sized by the data, not the pool: the workers
+        that replace a retired pool map the same files."""
+        relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
+        force_process()
+        expected = select_answer(relation.store)
+        publication = relation.store._publication
+        parallel.reset_process_pool()
+        calls_before = parallel.select_gather_stats()["calls"]
+        assert select_answer(relation.store) == expected
+        assert parallel.select_gather_stats()["calls"] == calls_before + 1
+        assert relation.store._publication is publication
 
     def test_store_with_an_empty_shard_still_dispatches(self):
         cls = ShardedStore.configured(4, "range")
@@ -672,10 +680,7 @@ class TestProcessExecution:
 
         parallel.reset_process_pool()
         failures_before = parallel._pool_failures
-        configure(retry_backoff=0.0)
-        monkeypatch.setattr(
-            parallel._AffinityRouter, "_create_pool", staticmethod(no_pool)
-        )
+        monkeypatch.setattr(parallel, "_ensure_pool", no_pool)
         try:
             program = CONDITION.program(SCHEMA)
             assert parallel.process_select_gather(relation.store, program.run_part) is None
@@ -730,16 +735,15 @@ class TestWorkerSettings:
 
     @staticmethod
     def ask_worker(fn):
-        future, _slot = parallel._ensure_router().submit("settings-probe", fn)
-        return future.result(timeout=30)
+        return parallel._ensure_pool().submit(fn).result(timeout=30)
 
     def test_a_worker_runs_under_its_parents_settings(self):
         configure(shard_executor="process", checksum_mode="full", process_min_rows=1)
         assert self.ask_worker(current_config) == current_config()  # exactly, nothing pinned
-        # A setting the workers read: the router is retired, and the workers
+        # A setting the workers read: the pool is retired, and the workers
         # the next dispatch spawns carry the new value.
         configure(checksum_mode="off")
-        assert parallel.affinity_stats()["slots"] == 0
+        assert parallel._pool is None
         assert self.ask_worker(current_config).checksum_mode == "off"
         # Parent-side decisions keep the warm worker.
         pid = self.ask_worker(os.getpid)
@@ -806,19 +810,13 @@ def test_only_the_fused_select_gather_reaches_a_worker(monkeypatch):
     database = to_backend(workload.database, "sharded")
     beas = Beas(database, access_schema=build_beas(workload).access_schema)
     submitted = []
-    submit = parallel._AffinityRouter.submit
-    submit_avoiding = parallel._AffinityRouter.submit_avoiding
+    submit = ProcessPoolExecutor.submit
 
-    def recording_submit(router, token, fn, *args):
+    def recording_submit(pool, fn, *args):
         submitted.append(fn.__name__)
-        return submit(router, token, fn, *args)
+        return submit(pool, fn, *args)
 
-    def recording_submit_avoiding(router, token, avoid_index, fn, *args):
-        submitted.append(fn.__name__)
-        return submit_avoiding(router, token, avoid_index, fn, *args)
-
-    monkeypatch.setattr(parallel._AffinityRouter, "submit", recording_submit)
-    monkeypatch.setattr(parallel._AffinityRouter, "submit_avoiding", recording_submit_avoiding)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
     configure(shard_executor="process", process_min_rows=1, shard_workers=2)
     for query in QueryGenerator(workload, seed=7).workload_mix(12):
         if not union_compatible(query.ast, database.schema):
@@ -826,7 +824,7 @@ def test_only_the_fused_select_gather_reaches_a_worker(monkeypatch):
         for alpha in (0.25, 1.0):
             beas.answer(query.ast, alpha)
         beas.answer_exact(query.ast)
-    assert set(submitted) <= {"_worker_select_gather", "_worker_ping", "_worker_cache_stats"}
+    assert set(submitted) <= {"_worker_select_gather", "_worker_ping"}
     assert "_worker_select_gather" in submitted
 
 

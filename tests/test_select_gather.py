@@ -1,10 +1,9 @@
-"""Sticky shard→worker affinity routing and the fused select+gather operator.
+"""The worker pool's lifecycle and the fused select+gather operator.
 
-Covers the routing table itself (deterministic rendezvous mapping, work
-stealing, slot repair after worker death), the probe timeout, the
-warm-cache contract (a repeated query maps zero shard files again), and
-bit-identity of the fused ``select_gather`` path against the serial
-reference, with only mask bytes on the wire.
+Covers the probe timeout, the pool's lifecycle (memoized, retired whole
+by a reset or by a dead worker, after which the query falls back in the
+caller), and bit-identity of the fused ``select_gather`` path against the
+serial reference, with only mask bytes on the wire.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro import configure, current_config
+from repro import configure, current_config, faults
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.relational import parallel
 from repro.relational.distance import NUMERIC, TRIVIAL
@@ -68,12 +67,12 @@ class TestProbeTimeout:
         configured timeout and count against the breaker — not stall the
         first query for a minute."""
 
-        class WedgedRouter:
-            def submit(self, token, fn, *args):
-                return Future(), None  # never completes
+        class WedgedPool:
+            def submit(self, fn, *args):
+                return Future()  # never completes
 
         failures_before = parallel._pool_failures
-        monkeypatch.setattr(parallel, "_ensure_router", lambda: WedgedRouter())
+        monkeypatch.setattr(parallel, "_ensure_pool", WedgedPool)
         monkeypatch.setattr(parallel, "PROBE_TIMEOUT", 0.05)
         try:
             assert parallel.probe_process_executor() is False
@@ -83,26 +82,11 @@ class TestProbeTimeout:
 
 
 # ---------------------------------------------------------------------------
-# The router itself: rendezvous mapping, stealing, repair
+# The pool: memoized, retired whole
 # ---------------------------------------------------------------------------
 
-class _RecordingPool:
-    """A fake slot pool whose futures stay pending until resolved by hand."""
-
-    def __init__(self):
-        self.futures = []
-
-    def submit(self, fn, *args):
-        future = Future()
-        self.futures.append(future)
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
 class _BrokenFuturePool:
-    """A fake slot pool whose every task dies like a killed worker."""
+    """A fake pool whose every task dies like a killed worker."""
 
     def submit(self, fn, *args):
         future = Future()
@@ -113,147 +97,69 @@ class _BrokenFuturePool:
         pass
 
 
-class TestRouter:
-    def test_deterministic_token_mapping(self):
-        tokens = [f"psm_shard_{index}" for index in range(48)]
-        first = parallel._AffinityRouter(4)
-        second = parallel._AffinityRouter(4)
-        homes = [first.home_index(token) for token in tokens]
-        assert homes == [second.home_index(token) for token in tokens]
-        # Memoized resolution returns the same answer.
-        assert homes == [first.home_index(token) for token in tokens]
-        # Rendezvous actually spreads tokens across slots.
-        assert len(set(homes)) > 1
-        assert all(0 <= home < 4 for home in homes)
+class TestPool:
+    def test_ensure_pool_lifecycle(self):
+        pool = parallel._ensure_pool()
+        assert pool._max_workers == current_config().worker_count
+        assert parallel._ensure_pool() is pool  # memoized
+        parallel.reset_process_pool()  # the pool is retired
+        assert parallel._pool is None
+        assert parallel.worker_cache_stats() is None  # a pin: there is no router
+        fresh = parallel._ensure_pool()
+        assert fresh is not pool
 
-    def test_repair_moves_tokens_only_from_or_to_repaired_slot(self):
-        router = parallel._AffinityRouter(5)
-        tokens = [f"tok-{index}" for index in range(200)]
-        before = {token: router.home_index(token) for token in tokens}
-        repaired = 2
-        router.repair(router._slots[repaired])
-        after = {token: router.home_index(token) for token in tokens}
-        moved = {token for token in tokens if before[token] != after[token]}
-        assert moved  # a bumped generation re-draws the slot's scores
-        for token in moved:
-            assert before[token] == repaired or after[token] == repaired
-        assert router.stats()["rehashes"] == 1
+    def test_every_pool_carries_the_settings_and_a_fresh_fault_nonce(self):
+        """A respawned worker must draw other faults than the one it
+        replaces, or a kill/heal cycle would re-kill every replacement."""
+        first = parallel._ensure_pool()
+        parallel.reset_process_pool()
+        second = parallel._ensure_pool()
+        settings, spec, nonce = second._initargs
+        assert settings == current_config() and spec == faults.active_spec()
+        assert nonce != first._initargs[2]
 
-    def test_work_stealing_overflows_to_idle_slot(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel._AffinityRouter, "_create_pool", staticmethod(_RecordingPool)
-        )
-        router = parallel._AffinityRouter(2)
-        token = "hot-shard"
-        home = router.home_index(token)
-        _f1, s1 = router.submit(token, parallel._worker_ping)
-        _f2, s2 = router.submit(token, parallel._worker_ping)
-        assert s1.index == home and s2.index == home  # below the threshold
-        _f3, s3 = router.submit(token, parallel._worker_ping)
-        assert s3.index != home  # threshold reached, other slot idle: stolen
-        stats = router.stats()
-        assert stats["hits"] == 2 and stats["steals"] == 1
-        # Completion drains the inflight counters via the done callbacks.
-        for slot in router._slots:
-            if slot.pool is not None:
-                for future in slot.pool.futures:
-                    future.set_result(True)
-        assert all(slot.inflight == 0 for slot in router._slots)
+    def test_abandoning_a_replaced_pool_keeps_the_live_one(self):
+        """A dispatch that gives up on a pool a concurrent reset already
+        replaced kills that pool only, never its successor."""
+        stale = parallel._ensure_pool()
+        parallel.reset_process_pool()
+        live = parallel._ensure_pool()
+        parallel._abandon([], stale)
+        assert parallel._pool is live
+        parallel._abandon([], live)
+        assert parallel._pool is None
 
-    def test_single_slot_router_never_steals(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel._AffinityRouter, "_create_pool", staticmethod(_RecordingPool)
-        )
-        router = parallel._AffinityRouter(1)
-        for _ in range(4):
-            _future, slot = router.submit("only", parallel._worker_ping)
-            assert slot.index == 0
-        assert router.stats() == {
-            "hits": 4,
-            "steals": 0,
-            "rehashes": 0,
-            "reroutes": 0,
-            "slots": 1,
-        }
+    @needs_process
+    def test_retiring_an_idle_pool_leaves_no_worker(self):
+        assert parallel.probe_process_executor()
+        workers = list(parallel._pool._processes.values())
+        assert workers
+        parallel.reset_process_pool()
+        assert not any(worker.is_alive() for worker in workers)
 
-    def test_ensure_router_lifecycle(self):
-        router = parallel._ensure_router()
-        assert router.slot_count == current_config().worker_count
-        assert parallel._ensure_router() is router  # memoized
-        parallel.reset_process_pool()  # full re-hash: the router is discarded
-        assert parallel._router is None
-        # Until the next query creates one there is nothing to count or ask.
-        assert parallel.affinity_stats() == {
-            "hits": 0,
-            "steals": 0,
-            "rehashes": 0,
-            "reroutes": 0,
-            "slots": 0,
-        }
-        assert parallel.worker_cache_stats() is None
-        fresh = parallel._ensure_router()
-        assert fresh is not router
-
-    def test_broken_slot_repairs_in_place_and_falls_back(
-        self, monkeypatch
-    ):
-        """Dead workers on the router repair only their slot: the query
-        falls back to threads (correct answer), the breaker takes a single
-        strike, and the repair is visible as a rehash."""
+    def test_dead_workers_retire_the_pool_and_fall_back(self, monkeypatch):
+        """Every task dies: the query falls back to the caller (correct
+        answer), the breaker takes a single strike, and the pool is retired
+        so the next query starts a fresh one."""
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         program = CONDITION.program(SCHEMA)
         configure(shard_executor="serial")
         ref_mask, ref_store = relation.store.select_gather(program.run_part)
         force_process()
         parallel.reset_process_pool()
-        monkeypatch.setattr(
-            parallel._AffinityRouter, "_create_pool", staticmethod(_BrokenFuturePool)
-        )
+        broken = _BrokenFuturePool()
+        retired = []
+        monkeypatch.setattr(parallel, "_ensure_pool", lambda: broken)
+        monkeypatch.setattr(parallel, "_retire_pool", retired.append)
         failures_before = parallel._pool_failures
         try:
             mask, selected = relation.store.select_gather(program.run_part)
             assert bytes(mask) == bytes(ref_mask)
             assert store_rows(selected) == store_rows(ref_store)
-            assert parallel.affinity_stats()["rehashes"] >= 1
+            assert retired == [broken]
             assert parallel._pool_failures == failures_before + 1
         finally:
             parallel._pool_failures = failures_before
-            monkeypatch.undo()
-            parallel.reset_process_pool()
-
-
-# ---------------------------------------------------------------------------
-# Warm caches: a repeated query rebuilds nothing
-# ---------------------------------------------------------------------------
-
-@needs_process
-class TestWarmCaches:
-    def test_repeat_select_maps_no_shard_file_again(self, monkeypatch):
-        # Workers ≈ shards — the regime the router exists for — and
-        # stealing pinned off so the routing is purely sticky (a steal
-        # lands on a cold thief by design; that path is covered above).
-        monkeypatch.setattr(parallel, "_STEAL_THRESHOLD", 10**6)
-        relation = Relation(SCHEMA, make_rows(1200), backend="sharded")
-        shard_count = len(relation.store.shards)
-        configure(shard_workers=shard_count)
-        force_process()
-        parallel.reset_process_pool()
-        program = CONDITION.program(SCHEMA)
-
-        first_mask, first = relation.store.select_gather(program.run_part)
-        warm = parallel.worker_cache_stats()
-        assert warm is not None
-        # Every shard mapped exactly once, somewhere; no worker builds an index.
-        assert sum(stat["store_decodes"] for stat in warm) == shard_count
-        assert all(stat["index_builds"] == 0 for stat in warm)
-
-        second_mask, second = relation.store.select_gather(program.run_part)
-        assert bytes(second_mask) == bytes(first_mask)
-        assert store_rows(second) == store_rows(first)
-        # The repeated query hit only warm workers: zero new decodes.
-        assert parallel.worker_cache_stats() == warm
-
-        parallel.reset_process_pool()
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +224,22 @@ class TestSelectGather:
         assert store_rows(selected) == reference
         assert after["result_bytes"] == before["result_bytes"] + len(rows)
         assert set(after) == {"calls", "result_bytes"}
+
+    @needs_process
+    def test_the_benchmark_pins_count_dispatched_tasks(self):
+        """benchmarks/e2e reads ``affinity_stats``, ``worker_cache_stats`` and
+        ``dispatch_stats()["retries"]``: every task is a "hit", nothing is
+        stolen or retried, and no worker reports cache counters."""
+        relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
+        program = CONDITION.program(SCHEMA)
+        force_process()
+        affinity, dispatch = parallel.affinity_stats(), parallel.dispatch_stats()
+        relation.store.select_gather(program.run_part)
+        shards = len(relation.store.shards)
+        assert parallel.affinity_stats() == {"hits": affinity["hits"] + shards, "steals": 0}
+        assert parallel.dispatch_stats()["tasks"] == dispatch["tasks"] + shards
+        assert parallel.dispatch_stats()["retries"] == 0
+        assert parallel.worker_cache_stats() is None
 
     @needs_process
     def test_all_survivors_short_circuits_to_identity(self):

@@ -629,7 +629,7 @@ class TestQueryServer:
 
     @pytest.mark.parametrize("executor", SHARD_EXECUTORS)
     def test_envelope_reports_only_its_own_request(self, tiny_db, tiny_beas, executor):
-        """Router counters are process-wide, so a per-request delta would
+        """Dispatch counters are process-wide, so a per-request delta would
         credit concurrent requests' shard tasks to whichever request read
         last: the envelope carries none, and ``cache_info()`` reports them
         whole.  (Fetch frames are column stores, so the shard task comes
@@ -637,15 +637,15 @@ class TestQueryServer:
         configure(shard_executor=executor, process_min_rows=1)
         beas = Beas(to_backend(tiny_db, "sharded"), access_schema=tiny_beas.access_schema)
         server = QueryServer(beas)
-        before = server.cache_info()["affinity"]
+        before = server.cache_info()["dispatch"]["tasks"]
         envelope = server.serve(QUERIES[0], alpha=0.5)
         beas.answer_exact(QUERIES[0])
         fields = {field.name for field in dataclasses.fields(envelope)}
         assert not fields & {"affinity_hits", "affinity_misses", "dispatch_retries"}
         after = server.cache_info()
-        routed = sum(after["affinity"][key] - before[key] for key in ("hits", "steals"))
-        assert (routed > 0) == (executor == "process")  # only the process executor routes
-        assert "retries" in after["dispatch"]
+        assert "affinity" not in after
+        shipped = after["dispatch"]["tasks"] - before
+        assert (shipped > 0) == (executor == "process")  # only the process executor ships
         assert "dispatch_retries" not in server.stats.snapshot()["counters"]
 
     def test_clear_caches(self, tiny_beas):

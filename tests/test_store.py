@@ -225,6 +225,38 @@ class TestShardedStore:
         dup.append((9, "z", 0.0, 0.0))
         assert len(store) == len(MIXED_ROWS) and len(dup) == len(MIXED_ROWS) + 1
 
+    @pytest.mark.parametrize("partitioner", ["hash", "round_robin", "range"])
+    def test_appends_land_where_the_partitioner_says(self, partitioner):
+        """One-row appends place rows as bulk construction does ("range"
+        alone rebalances in bulk and appends to the last shard), an
+        unhashable row hashes by its index, and a copy's appends leave the
+        original alone."""
+        rows = [(i, float(i % 5)) for i in range(12)] + [([1], 2.0)]
+
+        def placed(index, row):
+            if partitioner == "round_robin":
+                return index % 3
+            if partitioner == "range":
+                return 2
+            try:
+                return hash(row) % 3
+            except TypeError:
+                return index % 3
+
+        cls = ShardedStore.configured(3, partitioner)
+        grown = cls.from_rows(2, [])
+        for row in rows:
+            grown.append(row)
+        assert list(grown._shard_of) == [placed(i, row) for i, row in enumerate(rows)]  # noqa: SLF001
+        bulk = cls.from_rows(2, rows)
+        if partitioner != "range":
+            assert bulk._shard_of == grown._shard_of  # noqa: SLF001 - layout assertion
+        assert grown.row_list() == bulk.row_list() == rows
+        dup = grown.copy()
+        dup.append((99, 0.0))
+        assert not set(map(id, dup.shards)) & set(map(id, grown.shards))
+        assert grown.row_list() == rows and dup.row_list() == rows + [(99, 0.0)]
+
     @pytest.mark.parametrize(
         "layout", [name for name in list_backends() if issubclass(backend_class(name), ShardedStore)]
     )
@@ -290,13 +322,6 @@ class TestShardedStore:
                 )
             )
             assert list(mask) == [1 if (i % 7) > 3 else 0 for i in range(40)]
-
-    def test_map_shards_answers_in_shard_order(self):
-        cls = ShardedStore.configured(4, "round_robin")
-        store = cls.from_rows(2, [(i, float(i)) for i in range(500)])
-        assert store.map_shards(len) == [len(s) for s in store.shards]
-        heads = store.map_shards(lambda shard, count: shard.head(count).row_list(), [1, 2, 0, 1])
-        assert heads == [[(0, 0.0)], [(1, 1.0), (5, 5.0)], [], [(3, 3.0)]]
 
     def test_shard_worker_configuration(self):
         configure(shard_workers=3)
