@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from repro.access.index import TemplateIndex
 from repro.algebra.spc import to_spc
 from repro.algebra.tableau import build_tableau
 from repro.core.chase import chase
@@ -18,7 +19,6 @@ from repro.core.chat import choose_access_templates
 from repro.core.fetch_plan import fetch_plan_from_chase
 from repro.core.lower_bound import lower_bound
 from repro.experiments import format_table
-from repro.relational.kdtree import KDTree
 from repro.workloads import QueryGenerator
 
 
@@ -28,10 +28,10 @@ def test_ablation_kdtree_vs_random_sampling_resolution(benchmark, tfacc_workload
     rng = random.Random(3)
 
     def run():
-        tree = KDTree(relation)
+        index = TemplateIndex(relation, (), relation.schema.attribute_names)
         rows = []
         for level in (2, 4, 6):
-            kd_res = max(tree.resolution(level).values())
+            kd_res = max(index.resolution(level).values())
             sample = rng.sample(relation.rows, min(len(relation), 2**level))
             # Resolution of a random sample: worst distance from any tuple to
             # its closest sampled tuple (same guarantee an access template needs).

@@ -2,8 +2,8 @@
 
 Each relation gets a multi-dimensional histogram of at most its share of the
 ``α·|D|`` budget: tuples are partitioned into buckets by recursively splitting
-on the attribute with the widest spread (the same K-D partitioning the BEAS
-indexes use — histograms and levelled K-D trees coincide at a fixed level),
+on the attribute with the widest spread (the canonical template index's K-D
+levels — histograms and levelled K-D trees coincide at a fixed level),
 and each bucket is summarised by a representative tuple plus the bucket's
 tuple count.  Queries are answered over the representatives, with bucket
 counts as weights so aggregates estimate totals rather than counting buckets.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from ..relational.kdtree import KDTree
+from ..access.index import TemplateIndex
 from ..relational.relation import Row
 from .base import Approximator
 
@@ -38,15 +38,15 @@ class MultiDimHistogram(Approximator):
             if len(relation) == 0 or allowance == 0:
                 synopses[name] = ([], [])
                 continue
-            tree = KDTree(relation)
+            index = TemplateIndex(relation, (), relation.schema.attribute_names)
             # The deepest level whose frontier still fits in the allowance.
             level = max(0, int(math.floor(math.log2(max(1, allowance)))))
-            level = min(level, tree.exact_level())
-            representatives = tree.representatives(level)
+            level = min(level, index.max_level)
+            representatives = index.fetch((), level)
             while len(representatives) > allowance and level > 0:
                 level -= 1
-                representatives = tree.representatives(level)
+                representatives = index.fetch((), level)
             rows = [rep for rep, _ in representatives]
-            weights = [float(count) for _, count in representatives]
+            weights = [count for _, count in representatives]
             synopses[name] = (rows, weights)
         return synopses

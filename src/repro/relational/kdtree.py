@@ -1,121 +1,75 @@
-"""KD-tree over relation tuples.
+"""KD-tree over relation tuples, for the distance kernels' search.
 
-Section 4.1 of the paper builds the indexes of the canonical access schema
-``A_t`` from a K-D tree: tuples of a relation are treated as
-``m``-dimensional points w.r.t. their per-attribute distance functions, and
-the nodes at level ``k`` of the tree provide the (at most) ``2^k``
-representative tuples of access template ``ψ^R_k = R(∅ → attr(R), 2^k, d̄_k)``.
-
-The resolution ``d̄_k[B]`` is the largest distance, over all level-``k``
-nodes, between the node's representative tuple and any tuple in the node's
-subtree on attribute ``B``.  This is exactly the guarantee an access template
-needs: every tuple of the relation is within ``d̄_k[B]`` of some fetched
-representative on every attribute ``B``.
+Tuples of a relation are treated as ``m``-dimensional points w.r.t. their
+per-attribute distance functions.  The tree answers **within-radius** and
+**nearest-neighbour** queries under those distances; the distance kernels in
+:mod:`repro.relational.kernels` use it to replace quadratic nested-loop
+scans.  This module serves kernel search only: the levelled trees behind
+access templates (Section 4.1) are the flat template index of
+:mod:`repro.access.index`, which splits the same way.
 
 Splitting strategy: at each node we pick the attribute with the largest value
 spread (numeric attributes by range under their distance function,
 non-numeric attributes by number of distinct values) and split the node's
-rows at the median of that attribute.  This mirrors the paper's motivation
-for K-D trees — upgrading from level ``k`` to ``k+1`` should maximise the
-gain in resolution.
+rows at the median of that attribute.
 
 **Columnar construction.**  The tree is built over the relation's storage
 backend: per-attribute column buffers are pulled once
 (:meth:`repro.relational.store.Store.columns`) and every construction
 decision — split choice, median sort, min/max bounds — runs over those
 buffers with *index lists*, never materializing intermediate row tuples.
-Each :class:`KDNode` records the indices of its subtree; its ``rows`` view
-is materialized lazily on first access (level/representative consumers and
-leaf checks), so the node API is unchanged.
+A tree over a sharded relation reads the store's whole columns, which
+concatenate (range-partitioned shards) or interleave the shard buffers
+transparently.
 
-Beyond the level/resolution API that access templates need, the tree also
-answers **within-radius** and **nearest-neighbour** queries under the
-per-attribute distance functions (used by the distance kernels in
-:mod:`repro.relational.kernels` to replace quadratic nested-loop scans).
-Each node carries min/max bounds for its numeric attributes; search prunes a
-subtree when the bound-derived lower bound on some attribute distance already
-exceeds the radius (or the best distance found so far).  Pruning assumes
-numeric distance functions are monotone in ``|x - y|`` (true for the built-in
-absolute and scaled distances); candidate tuples at the leaves are always
-checked with the *exact* distance functions, so results are identical to a
-full nested-loop scan.  A tree over a sharded relation reads the store's
-whole columns, which concatenate (range-partitioned shards) or interleave
-the shard buffers transparently.
+**Search.**  Each node carries min/max bounds for its numeric attributes;
+search prunes a subtree when the bound-derived lower bound on some attribute
+distance already exceeds the radius (or the best distance found so far).
+Pruning assumes numeric distance functions are monotone in ``|x - y|`` (true
+for the built-in absolute and scaled distances); candidate tuples at the
+leaves are always checked with the *exact* distance functions, so results
+are identical to a full nested-loop scan.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .distance import INFINITY, is_real_number
 from .relation import Relation, Row, value_sort_key
 from .schema import RelationSchema
-from .store import _typed_buffer
+
+
+def _spread(values: Sequence[object], distinct: int) -> float:
+    """The split rule's spread of a numeric attribute: the range of its numbers
+    (of its ``distinct`` values when it holds none)."""
+    numbers = [v for v in values if isinstance(v, (int, float))]
+    return float(max(numbers) - min(numbers)) if numbers else float(distinct)
 
 
 class KDNode:
     """One node of the KD-tree.
 
     Attributes:
-        indices: positions (into the tree's master row order) of all tuples
+        indices: positions (into the relation's row order) of all tuples
             in this subtree.
-        representative: the tuple chosen to stand for the subtree.
-        depth: distance from the root (root has depth 0).
         left/right: children, or ``None`` for a leaf.
-        split_attribute: name of the attribute this node split on (if any).
         bounds: per-attribute-position ``(min, max)`` over the subtree's
             values, recorded only for numeric attributes whose values are all
             real numbers (search pruning skips attributes without bounds).
-        rows: all tuples in this subtree (materialized lazily from the
-            tree's columns on first access).
     """
 
-    __slots__ = (
-        "indices",
-        "representative",
-        "depth",
-        "left",
-        "right",
-        "split_attribute",
-        "bounds",
-        "_tree",
-        "_rows",
-    )
+    __slots__ = ("indices", "left", "right", "bounds")
 
-    def __init__(
-        self,
-        indices: List[int],
-        representative: Row,
-        depth: int,
-        tree: "KDTree",
-        bounds: Optional[Dict[int, Tuple[float, float]]] = None,
-    ) -> None:
+    def __init__(self, indices: List[int], bounds: Dict[int, Tuple[float, float]]) -> None:
         self.indices = indices
-        self.representative = representative
-        self.depth = depth
         self.left: Optional["KDNode"] = None
         self.right: Optional["KDNode"] = None
-        self.split_attribute: Optional[str] = None
-        self.bounds: Dict[int, Tuple[float, float]] = bounds if bounds is not None else {}
-        self._tree = tree
-        self._rows: Optional[List[Row]] = None
-
-    @property
-    def rows(self) -> List[Row]:
-        """The subtree's tuples (lazy view over the tree's master rows)."""
-        if self._rows is None:
-            master = self._tree._master_rows()
-            self._rows = [master[i] for i in self.indices]
-        return self._rows
+        self.bounds = bounds
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None and self.right is None
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
 
 
 class KDTree:
@@ -132,11 +86,7 @@ class KDTree:
         self._columns: List[Sequence[object]] = relation.store.columns()
         self._rows: Optional[List[Row]] = None
         size = len(relation)
-        self.root: Optional[KDNode] = (
-            self._build(list(range(size)), depth=0) if size else None
-        )
-        self._levels: Dict[int, List[KDNode]] = {}
-        self._level_columns: Dict[int, Tuple[List[Sequence[object]], array]] = {}
+        self.root: Optional[KDNode] = self._build(list(range(size))) if size else None
 
     def _master_rows(self) -> List[Row]:
         """All tuples in storage order (materialized lazily, then shared)."""
@@ -164,163 +114,33 @@ class KDTree:
                 bounds[position] = (lo, hi)
         return bounds
 
-    def _build(self, indices: List[int], depth: int) -> KDNode:
-        master = self._master_rows()
-        node = KDNode(
-            indices=indices,
-            representative=master[indices[len(indices) // 2]],
-            depth=depth,
-            tree=self,
-            bounds=self._numeric_bounds(indices),
-        )
+    def _build(self, indices: List[int]) -> KDNode:
+        node = KDNode(indices, self._numeric_bounds(indices))
         if len(indices) <= self.max_leaf_size:
             return node
-        split = self._choose_split(indices)
-        if split is None:
+        position = self._choose_split(indices)
+        if position is None:
             return node
-        attr_name, position = split
         column = self._columns[position]
-        ordered = sorted(indices, key=lambda i: self._sort_key(column[i]))
+        ordered = sorted(indices, key=lambda i: value_sort_key(column[i]))
         mid = len(ordered) // 2
-        left_indices, right_indices = ordered[:mid], ordered[mid:]
-        if not left_indices or not right_indices:
-            return node
-        node.split_attribute = attr_name
-        node.representative = master[ordered[mid]]
-        node.left = self._build(left_indices, depth + 1)
-        node.right = self._build(right_indices, depth + 1)
+        node.left = self._build(ordered[:mid])
+        node.right = self._build(ordered[mid:])
         return node
 
-    @staticmethod
-    def _sort_key(value: object) -> Tuple[int, object]:
-        # Shared type-aware total order (None, then numbers, then repr) so
-        # that heterogeneous columns still order deterministically.
-        return value_sort_key(value)
-
-    def _choose_split(self, indices: List[int]) -> Optional[Tuple[str, int]]:
-        """Pick the attribute with the widest spread; ``None`` if all constant."""
-        best: Optional[Tuple[float, str, int]] = None
+    def _choose_split(self, indices: List[int]) -> Optional[int]:
+        """The position of the attribute with the widest spread; ``None`` if all are constant."""
+        best: Optional[Tuple[float, int]] = None
         for position, attribute in enumerate(self.schema.attributes):
             column = self._columns[position]
             values = [column[i] for i in indices]
-            distinct = set(values)
-            if len(distinct) <= 1:
+            distinct = len(set(values))
+            if distinct <= 1:
                 continue
-            if attribute.numeric:
-                numeric = [v for v in values if isinstance(v, (int, float))]
-                if not numeric:
-                    spread = float(len(distinct))
-                else:
-                    spread = float(max(numeric) - min(numeric))
-            else:
-                spread = float(len(distinct))
+            spread = _spread(values, distinct) if attribute.numeric else float(distinct)
             if best is None or spread > best[0]:
-                best = (spread, attribute.name, position)
-        if best is None:
-            return None
-        return best[1], best[2]
-
-    # -- level access --------------------------------------------------------
-    @property
-    def height(self) -> int:
-        """Depth of the deepest node (0 for a single-node tree, -1 if empty)."""
-        if self.root is None:
-            return -1
-
-        def _depth(node: KDNode) -> int:
-            if node.is_leaf:
-                return node.depth
-            return max(_depth(node.left), _depth(node.right))
-
-        return _depth(self.root)
-
-    def level_nodes(self, level: int) -> List[KDNode]:
-        """The frontier of the tree at ``level``.
-
-        These are all nodes at depth ``level`` plus leaves shallower than
-        ``level``; together they partition the relation's tuples and there
-        are at most ``2^level`` of them.
-        """
-        if self.root is None:
-            return []
-        if level in self._levels:
-            return self._levels[level]
-        frontier: List[KDNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.depth == level or node.is_leaf:
-                frontier.append(node)
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
-        self._levels[level] = frontier
-        return frontier
-
-    def representatives(self, level: int) -> List[Tuple[Row, int]]:
-        """``(representative, subtree_size)`` pairs for the level frontier."""
-        return [(node.representative, node.size) for node in self.level_nodes(level)]
-
-    def level_columns(self, level: int) -> Tuple[List[Sequence[object]], array]:
-        """:meth:`representatives` column-wise: per attribute the frontier's
-        values, plus the subtree sizes as floats (the weights a fetch emits).
-
-        Cached per level like the frontier itself, each column in the buffer
-        :func:`~repro.relational.store._typed_buffer` chooses for it (an
-        ``array`` when the frontier's values are all ``float`` or all
-        machine ``int``), so a batched fetch hands a store buffers it adopts
-        without looking at a value.  Treat as read-only.
-        """
-        cached = self._level_columns.get(level)
-        if cached is None:
-            nodes = self.level_nodes(level)
-            cached = self._level_columns[level] = (
-                [_typed_buffer(column)[1] for column in zip(*(node.representative for node in nodes))],
-                array("d", [node.size for node in nodes]),
-            )
-        return cached
-
-    def resolution(self, level: int) -> Dict[str, float]:
-        """Per-attribute resolution ``d̄_level`` of the level frontier.
-
-        ``d̄_level[B]`` bounds, for every tuple of the relation, the distance
-        on ``B`` to the representative of the frontier node containing it.
-        The sweep runs per attribute over the column buffers (indices only,
-        no row tuples).
-        """
-        resolution: Dict[str, float] = {a.name: 0.0 for a in self.schema.attributes}
-        for node in self.level_nodes(level):
-            rep = node.representative
-            for position, attribute in enumerate(self.schema.attributes):
-                dist = attribute.distance
-                column = self._columns[position]
-                worst = 0.0
-                rep_value = rep[position]
-                for index in node.indices:
-                    d = dist(rep_value, column[index])
-                    if d > worst:
-                        worst = d
-                    if worst == INFINITY:
-                        break
-                if worst > resolution[attribute.name]:
-                    resolution[attribute.name] = worst
-        return resolution
-
-    def exact_level(self) -> int:
-        """The smallest level at which every frontier node is a single tuple.
-
-        Fetching this level returns (a representative for) every distinct
-        tuple, i.e. the access template at this level behaves like an access
-        constraint with resolution 0 on duplicate-free relations.
-        """
-        if self.root is None:
-            return 0
-        level = 0
-        while True:
-            nodes = self.level_nodes(level)
-            if all(node.is_leaf for node in nodes):
-                return level
-            level += 1
+                best = (spread, position)
+        return None if best is None else best[1]
 
     # -- search ----------------------------------------------------------------
     def _node_lower_bounds(self, node: KDNode, values: Sequence[object]) -> Dict[int, float]:
@@ -434,24 +254,5 @@ class KDTree:
                 stack.extend(children)
         return best
 
-    # -- bookkeeping ----------------------------------------------------------
-    def node_count(self) -> int:
-        """Total number of nodes in the tree."""
-        if self.root is None:
-            return 0
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.append(node.left)
-                stack.append(node.right)
-        return count
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"KDTree({self.schema.name}, {len(self.relation)} rows, "
-            f"height={self.height})"
-        )
-
+        return f"KDTree({self.schema.name}, {len(self.relation)} rows)"

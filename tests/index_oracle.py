@@ -65,37 +65,45 @@ class OracleConstraintIndex:
         return sum(len(v) for v in self._groups.values())
 
 
+def _frontier(index, key, level):
+    """``(representative, size)`` of every node of ``key``'s frontier at ``level``, read off the node lists."""
+    root = index._groups.get(key)
+    if root is None:
+        return None
+    nodes = index.frontier(root, min(max(level, 0), index.max_level))
+    return [
+        (tuple(column[index._rep[node]] for column in index._columns), index._end[node] - index._start[node])
+        for node in nodes
+    ]
+
+
 def template_fetch(index, x_value, level, meter=None):
     """``TemplateIndex.fetch`` from the frontier nodes themselves."""
-    level = min(max(level, 0), index.max_level)
-    tree = index._trees.get(tuple(x_value))
-    if tree is None:
+    nodes = _frontier(index, tuple(x_value), level)
+    if nodes is None:
         return []
-    nodes = tree.level_nodes(level)
     if meter is not None:
         meter.charge(len(nodes), index.relation_name)
-    return [(tuple(x_value) + node.representative, float(node.size)) for node in nodes]
+    return [(tuple(x_value) + rep, float(size)) for rep, size in nodes]
 
 
 def template_fetch_columns(index, x_values, level, meter=None):
     """``TemplateIndex.fetch_columns`` extending Python lists, one tree and one charge at a time."""
-    level = min(max(level, 0), index.max_level)
     x_columns = [[] for _ in index.x]
     y_columns = [[] for _ in index.y]
     weights = []
     for x_value in x_values:
         key = tuple(x_value)
-        tree = index._trees.get(key)
-        if tree is None:
+        nodes = _frontier(index, key, level)
+        if nodes is None:
             continue
-        nodes = tree.level_nodes(level)
         if meter is not None:
             meter.charge(len(nodes), index.relation_name)
         for column, value in zip(x_columns, key):
             column.extend(repeat(value, len(nodes)))
-        for column, values in zip(y_columns, zip(*(node.representative for node in nodes))):
+        for column, values in zip(y_columns, zip(*(rep for rep, _ in nodes))):
             column.extend(values)
-        weights.extend(float(node.size) for node in nodes)
+        weights.extend(float(size) for _, size in nodes)
     return x_columns + y_columns, weights
 
 

@@ -1,16 +1,21 @@
 """Tests for access templates, constraint/template indexes and conformance."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.access.index import ConstraintIndex, TemplateIndex
 from repro.access.template import TemplateSpec, conforms
+from repro.config import configure
 from repro.errors import AccessSchemaError
+from repro.experiments import build_beas
 from repro.relational.database import AccessMeter
 from repro.relational.distance import CATEGORICAL, NUMERIC
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
+from repro.workloads import tpch
 
 
 @pytest.fixture()
@@ -241,3 +246,15 @@ def test_property_template_index_respects_spec(prices, level):
     spec = index.level_spec(level)
     fetched = {key: [row[1:] for row, _ in index.fetch(key, level)] for key in index.keys()}
     assert conforms(relation, spec, fetched)
+
+
+def test_template_indexes_create_no_store_under_the_mmap_backend(store_dir):
+    """An index reads its relation's own columns: building the access schema
+    under the ``mmap`` default backend writes no file beyond the database's."""
+    configure(default_backend="mmap")
+    workload = tpch.generate(scale=1, seed=3)
+    before = sorted(os.listdir(store_dir))
+    assert before, "the database itself is stored under the pinned directory"
+    beas = build_beas(workload)
+    assert sorted(os.listdir(store_dir)) == before
+    assert beas.access_schema.families

@@ -1,4 +1,4 @@
-"""Unit and property-based tests for the KD-tree used by access-template indexes."""
+"""Unit and property-based tests for the KD-tree search and the levels of the flat template index."""
 
 import random
 
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.access.index import TemplateIndex
 from repro.relational.distance import CATEGORICAL, NUMERIC
 from repro.relational.kdtree import KDTree
 from repro.relational.relation import Relation
@@ -20,78 +21,101 @@ def make_relation(rows):
 
 
 @pytest.fixture()
-def tree():
+def points():
     rng = random.Random(3)
-    rows = [(rng.uniform(0, 100), rng.uniform(0, 10), f"t{i % 4}") for i in range(128)]
-    return KDTree(make_relation(rows))
+    return make_relation([(rng.uniform(0, 100), rng.uniform(0, 10), f"t{i % 4}") for i in range(128)])
+
+
+@pytest.fixture()
+def tree(points):
+    return KDTree(points)
+
+
+def flat_index(relation):
+    """The canonical template family over ``relation``: one tree, ``X = ∅``."""
+    return TemplateIndex(relation, (), relation.schema.attribute_names)
+
+
+def frontier(index, level):
+    return index.frontier(index._groups[()], level)
+
+
+def node_rows(index, relation, node):
+    return [relation.rows[row] for row in index._perm[index._start[node] : index._end[node]]]
+
+
+@pytest.fixture()
+def index(points):
+    return flat_index(points)
 
 
 class TestConstruction:
     def test_empty_relation(self):
         tree = KDTree(make_relation([]))
         assert tree.root is None
-        assert tree.level_nodes(3) == []
-        assert tree.height == -1
-        assert tree.node_count() == 0
+        index = flat_index(make_relation([]))
+        assert index.keys() == [] and index.fetch((), 3) == []
+        assert index.max_level == 0
+        assert index.entry_count == 0
 
     def test_single_row(self):
-        tree = KDTree(make_relation([(1.0, 2.0, "a")]))
-        assert tree.height == 0
-        assert tree.exact_level() == 0
-        assert tree.representatives(0) == [((1.0, 2.0, "a"), 1)]
+        index = flat_index(make_relation([(1.0, 2.0, "a")]))
+        assert index.max_level == 0
+        assert index.fetch((), 0) == [((1.0, 2.0, "a"), 1.0)]
 
     def test_constant_rows_do_not_split(self):
         tree = KDTree(make_relation([(1.0, 2.0, "a")] * 10))
         assert tree.root.is_leaf
-        assert tree.representatives(5) == [((1.0, 2.0, "a"), 10)]
+        index = flat_index(make_relation([(1.0, 2.0, "a")] * 10))
+        assert index.entry_count == 1
+        assert index.fetch((), 5) == [((1.0, 2.0, "a"), 10.0)]
 
 
 class TestLevels:
-    def test_level_zero_is_single_representative(self, tree):
-        reps = tree.representatives(0)
+    def test_level_zero_is_single_representative(self, index):
+        reps = index.fetch((), 0)
         assert len(reps) == 1
         assert reps[0][1] == 128
 
-    def test_level_sizes_bounded_by_powers_of_two(self, tree):
+    def test_level_sizes_bounded_by_powers_of_two(self, index):
         for level in range(0, 8):
-            assert len(tree.level_nodes(level)) <= 2**level
+            assert len(frontier(index, level)) <= 2**level
 
-    def test_levels_partition_rows(self, tree):
+    def test_levels_partition_rows(self, index):
         for level in (0, 2, 4, 6):
-            total = sum(count for _, count in tree.representatives(level))
+            total = sum(count for _, count in index.fetch((), level))
             assert total == 128
 
-    def test_exact_level_has_singleton_nodes(self, tree):
-        level = tree.exact_level()
-        assert all(node.size == 1 for node in tree.level_nodes(level))
+    def test_exact_level_has_singleton_nodes(self, index):
+        assert all(count == 1 for _, count in index.fetch((), index.max_level))
 
-    def test_node_count_bounded(self, tree):
+    def test_node_count_bounded(self, index):
         # A binary tree over n rows has at most 2n - 1 nodes.
-        assert tree.node_count() <= 2 * 128 - 1
+        assert index.entry_count <= 2 * 128 - 1
 
 
 class TestResolution:
-    def test_resolution_monotone_in_level(self, tree):
+    def test_resolution_monotone_in_level(self, index):
         previous = None
-        for level in range(0, tree.exact_level() + 1, 2):
-            resolution = tree.resolution(level)
+        for level in range(0, index.max_level + 1, 2):
+            resolution = index.resolution(level)
             worst = max(resolution.values())
             if previous is not None:
                 assert worst <= previous + 1e-9
             previous = worst
 
-    def test_resolution_zero_at_exact_level(self, tree):
-        resolution = tree.resolution(tree.exact_level())
+    def test_resolution_zero_at_exact_level(self, index):
+        resolution = index.resolution(index.max_level)
         assert max(resolution.values()) == 0.0
 
-    def test_resolution_covers_all_rows(self, tree):
+    def test_resolution_covers_all_rows(self, index, points):
         """Every tuple is within the level resolution of its node representative."""
         for level in (1, 3, 5):
-            resolution = tree.resolution(level)
-            for node in tree.level_nodes(level):
-                rep = node.representative
-                for row in node.rows:
-                    for position, attribute in enumerate(tree.schema.attributes):
+            resolution = index.resolution(level)
+            for node in frontier(index, level):
+                rep = points.rows[index._rep[node]]
+                for row in node_rows(index, points, node):
+                    for position, attribute in enumerate(points.schema.attributes):
                         d = attribute.distance(rep[position], row[position])
                         assert d <= resolution[attribute.name] + 1e-9
 
@@ -152,16 +176,17 @@ class TestSearch:
 def test_property_level_frontier_covers_relation(rows, level):
     """Access-template invariant: at every level, every tuple is represented
     within the computed resolution, and the frontier has at most 2^level nodes."""
-    tree = KDTree(make_relation(rows))
-    frontier = tree.level_nodes(level)
-    assert len(frontier) <= 2**level or len(frontier) == 0
-    resolution = tree.resolution(level)
+    relation = make_relation(rows)
+    index = flat_index(relation)
+    nodes = frontier(index, level)
+    assert len(nodes) <= 2**level or len(nodes) == 0
+    resolution = index.resolution(level)
     covered = 0
-    for node in frontier:
-        rep = node.representative
-        for row in node.rows:
+    for node in nodes:
+        rep = relation.rows[index._rep[node]]
+        for row in node_rows(index, relation, node):
             covered += 1
-            for position, attribute in enumerate(tree.schema.attributes):
+            for position, attribute in enumerate(relation.schema.attributes):
                 assert attribute.distance(rep[position], row[position]) <= resolution[attribute.name] + 1e-9
     assert covered == len(rows)
 
