@@ -309,7 +309,7 @@ def bench_storage_rc(size: int, queries: int, rng: random.Random, backend: str):
     RC shape; the sweep reduces to canonicalized hash-bucket lookups, where
     a column-backed answer set contributes typed buffers directly and a
     sharded one is indexed shard by shard (``rc_nearest`` above covers the
-    numeric KD-tree regime).
+    numeric sorted-band regime).
     """
     rows = [
         (rng.randrange(size), rng.randrange(200), rng.randrange(50))

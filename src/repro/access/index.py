@@ -45,12 +45,14 @@ column that meets a value of another type is demoted to a list first, as a
 **Layout of a template index.**  Building these is nearly all of set-up, so
 a family is flat lists, not a tree object per ``X``-value.  All groups share
 one permutation of ``D_R``'s row numbers, grouped by ``X``-value in
-first-seen order; a node is a ``(start, end)`` range of it.  Splitting a
-node sorts its range in place by the split attribute's *rank* (its place
-under :func:`~repro.relational.relation.value_sort_key`, computed once per
-attribute), so both median halves stay contiguous; the split rule, the
-stable sort, the median and the representative are
-:mod:`repro.relational.kdtree`'s.  Nodes are numbered in preorder, with
+first-seen order; a node is a ``(start, end)`` range of it.  A node splits
+on the attribute of widest spread over its range (a numeric attribute's
+spread is the range of its numbers, any other's its number of distinct
+values; constant attributes never split), by a stable in-place sort of the
+range on that attribute's *rank* (its place under
+:func:`~repro.relational.relation.value_sort_key`, computed once per
+attribute), so both median halves stay contiguous; the row at the middle of the
+range (the first of the upper half) represents the node.  Nodes are numbered in preorder, with
 their range, representative row, depth and children in flat lists;
 ``_groups`` maps each ``X``-value to its root.  A level-``k`` frontier is
 every node of depth ``k`` and every shallower leaf, right subtree first,
@@ -73,7 +75,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..relational.database import AccessMeter
 from ..relational.distance import INFINITY, categorical_distance, is_real_number, numeric_typecode, trivial_distance
-from ..relational.kdtree import _spread
 from ..relational.relation import Relation, Row, value_sort_key
 from ..relational.schema import Attribute
 from ..relational.store import _concat_buffers, _gather, _typed_buffer
@@ -82,6 +83,13 @@ from .template import TemplateSpec
 FetchedRow = Tuple[Row, float]  # (X ∪ Y values, represented-tuple count)
 # One value buffer per X ∪ Y attribute, plus the represented-tuple counts.
 FetchedColumns = Tuple[List[Sequence[object]], List[float]]
+
+
+def _spread(values: Sequence[object], distinct: int) -> float:
+    """The split rule's spread of a numeric attribute: the range of its numbers
+    (of its ``distinct`` values when it holds none)."""
+    numbers = [v for v in values if isinstance(v, (int, float))]
+    return float(max(numbers) - min(numbers)) if numbers else float(distinct)
 
 
 class ConstraintIndex:

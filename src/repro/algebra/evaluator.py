@@ -386,8 +386,8 @@ class Evaluator:
         attribute was fetched via an access template with non-zero
         resolution), the equality is loosened to "within slack" on that key.
         The slack join runs through :class:`repro.relational.kernels.RadiusMatcher`
-        (hash buckets on zero-slack keys, banded sort-merge / KD-tree
-        within-radius search on the slack keys) and produces exactly the
+        (hash buckets on zero-slack keys, one sorted band with per-candidate
+        checks on the slack keys) and produces exactly the
         pairs — in the same order — a nested loop over ``left × right``
         would, with one deliberate exception: a NaN key distance no longer
         counts as a match (the old ``not (dis > slack)`` test made a NaN

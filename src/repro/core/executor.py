@@ -47,11 +47,10 @@ class BeasEvaluator(Evaluator):
     it is guaranteed to be filtered out.
 
     The within-resolution existence test runs through
-    :class:`repro.relational.kernels.RadiusMatcher` (hash buckets /
-    banded search / KD-tree radius queries instead of scanning every
-    ``Q̂2`` answer per ``Q1`` answer); when the fetched frames are
-    shard-backed, the guard indexes each shard independently and merges
-    (``any_match`` over the shards).  The set of surviving rows is
+    :class:`repro.relational.kernels.RadiusMatcher` (hash buckets and one
+    sorted band with per-candidate checks instead of scanning every
+    ``Q̂2`` answer per ``Q1`` answer), which indexes a shard-backed frame
+    through its key columns like any store.  The set of surviving rows is
     identical to the nested-loop scan on every backend.
 
     ``frames`` (optional) memoises the frame of every sub-query evaluated:

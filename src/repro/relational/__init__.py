@@ -1,4 +1,4 @@
-"""Relational substrate: schemas, relations, databases, KD-trees."""
+"""Relational substrate: schemas, relations, databases, distance kernels."""
 
 from .. import config
 from .database import AccessMeter, Database
@@ -12,7 +12,6 @@ from .distance import (
     numeric_scaled,
     tuple_distance,
 )
-from .kdtree import KDNode, KDTree
 from .kernels import (
     NearestNeighbors,
     RadiusMatcher,
@@ -63,8 +62,6 @@ __all__ = [
     "DatabaseSchema",
     "DistanceFunction",
     "INFINITY",
-    "KDNode",
-    "KDTree",
     "MmapShardedStore",
     "MmapStore",
     "NearestNeighbors",

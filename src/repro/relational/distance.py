@@ -30,8 +30,9 @@ DistanceCallable = Callable[[object, object], float]
 def is_real_number(value: object) -> bool:
     """A comparable number (bool counts as its int value, NaN excluded).
 
-    Shared predicate for the KD-tree and the distance kernels: such values
-    can sit in sorted columns and min/max bounds used for search pruning.
+    Shared predicate of the distance kernels and the template indexes: such
+    values can sit in a kernel's sorted band, and a template node's worst
+    distance over them is found at its extreme values.
     """
     return isinstance(value, (int, float)) and value == value
 
@@ -116,9 +117,11 @@ class DistanceFunction:
     Attributes:
         name: human-readable identifier (used in reprs and error messages).
         func: the underlying callable.
-        numeric: whether the attribute participates in KD-tree splitting as
-            a numeric axis.  Non-numeric attributes are indexed by grouping
-            on exact values instead.
+        numeric: whether the attribute is a numeric axis: template-index
+            splits measure its spread as a range, and the distance kernels
+            may sort it into a band, so the distance must be monotone in
+            ``|x - y|``.  Non-numeric attributes are indexed by grouping on
+            exact values instead.
     """
 
     name: str

@@ -22,17 +22,17 @@ This module centralises those scans behind two kernels:
 * :class:`NearestNeighbors` — "what is the minimum tuple distance
   ``min_row max_A dis_A`` from a query row to an indexed row set?".
 
-Strategy is chosen per key from its distance function and threshold:
+Each kernel answers from three strategies, chosen per key from its distance
+function and threshold:
 
 * **hash buckets** for keys whose threshold admits only canonically-equal
   values (zero slack on numeric keys, any finite slack on trivial-distance
   keys, sub-unit slack on categorical keys),
-* a **banded sort-merge** (sorted column + binary-searched window) when a
-  single numeric key carries positive slack,
-* **KD-tree within-radius / nearest-neighbour** queries
-  (:meth:`repro.relational.kdtree.KDTree.within_radius` /
-  :meth:`~repro.relational.kdtree.KDTree.nearest_distance`) when several
-  numeric keys carry slack, and
+* **one sorted band plus per-candidate checks** for the numeric keys that
+  carry slack: a bucket's rows, grouped by their slack-key values, sorted by
+  the *first* slack key; a probe walks outward from a binary search while
+  that key alone can still qualify, and checks every other key per
+  candidate, and
 * a graceful **nested-loop fallback** for everything else (categorical or
   custom distances with positive slack, unhashable values, NaN).
 
@@ -71,24 +71,20 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from math import isnan
+from math import isfinite
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .distance import DistanceFunction, INFINITY, is_real_number
-from .kdtree import KDTree
-from .relation import Relation, Row
-from .schema import Attribute, RelationSchema
+from .relation import Row
+from .schema import Attribute
 from .store import Store
 
 # Key kinds (see classify_key).
 KIND_DROP = "drop"  # threshold admits every pair: key can be ignored
 KIND_EXACT = "exact"  # threshold admits only canonically-equal values: hash bucket
-KIND_BAND = "band"  # positive finite slack on a numeric key: banded / KD search
+KIND_BAND = "band"  # positive finite slack on a numeric key: sorted band
 KIND_CHECK = "check"  # no structure applies: per-candidate distance check
-
-# Buckets smaller than this are scanned linearly instead of KD-indexed.
-_MIN_TREE_SIZE = 16
-_TREE_LEAF_SIZE = 8
 
 
 def classify_key(distance: DistanceFunction, threshold: float) -> str:
@@ -131,9 +127,11 @@ def _canonical(distance: DistanceFunction, value: object) -> object:
     distance coincides with Python equality (``1 == 1.0`` hashes
     consistently).  NaN never equals anything under these distances but *is*
     found by dict identity lookup, so it is replaced with a fresh
-    unmatchable sentinel.  Raises ``TypeError``/``ValueError``/``OverflowError``
-    on values the underlying distance (or hashing) would also choke on;
-    callers catch these and fall back to the nested loop.
+    unmatchable sentinel; so is an infinity under a numeric distance, which
+    is at distance NaN from itself (``inf - inf``).  Raises
+    ``TypeError``/``ValueError``/``OverflowError`` on values the underlying
+    distance (or hashing) would also choke on; callers catch these and fall
+    back to the nested loop.
     """
     if distance.name == "string-prefix":
         return str(value)
@@ -141,7 +139,7 @@ def _canonical(distance: DistanceFunction, value: object) -> object:
         if value is None:
             return None
         coerced = float(value)  # may raise, exactly like absolute_difference
-        if coerced != coerced:
+        if not isfinite(coerced):
             return object()
         return coerced
     if isinstance(value, float) and value != value:
@@ -156,9 +154,9 @@ def _canonical_column(column: Sequence[object], distance: DistanceFunction) -> S
     no ``None``/NaN/strings, so its canonical form is the buffer itself (or
     its C-speed float image for numeric distances); a float buffer
     (``array('d')``) only needs the per-value treatment when it actually
-    contains NaN (one ``math.isnan`` sweep decides).  Plain lists — and any
-    row-backed column — fall back to the per-value loop, so canonical values
-    are identical across backends.
+    contains NaN or an infinity (one ``math.isfinite`` sweep decides).  Plain
+    lists — and any row-backed column — fall back to the per-value loop, so
+    canonical values are identical across backends.
     """
     if isinstance(column, array):
         if distance.name == "string-prefix":
@@ -168,8 +166,9 @@ def _canonical_column(column: Sequence[object], distance: DistanceFunction) -> S
                 # float() semantics at C speed (same rounding for huge ints).
                 return array("d", column)
             return column
-        # 'd': values are floats; only NaN needs the unmatchable sentinel.
-        if not any(map(isnan, column)):
+        # 'd': values are floats; only NaN and infinities need the
+        # unmatchable sentinel.
+        if all(map(isfinite, column)):
             return column
     return [_canonical(distance, value) for value in column]
 
@@ -236,19 +235,18 @@ def naive_min_distance(
 # ---------------------------------------------------------------------------
 
 class _Bucket:
-    """Rows sharing one canonical exact-key value, plus band/check structure."""
+    """Rows sharing one canonical exact-key value, plus their sorted band."""
 
-    __slots__ = ("indices", "band_values", "band_indices", "linear", "tree", "tree_entries")
+    __slots__ = ("indices", "band_values", "band_subs", "band_groups", "linear")
 
     def __init__(self) -> None:
         self.indices: List[int] = []  # all row indices in this bucket
-        self.band_values: List[object] = []  # sorted single-band column
-        self.band_indices: List[int] = []  # aligned with band_values
-        self.linear: List[int] = []  # rows needing exhaustive checks
-        self.tree: Optional[KDTree] = None
-        # Row indices per distinct band sub-tuple, aligned with the tree
-        # relation's row order (KDTree.within_radius_indices points here).
-        self.tree_entries: Optional[List[List[int]]] = None
+        # One entry per distinct band-key sub-tuple, sorted by its first key:
+        # that key, the sub-tuple, and the row indices sharing it.
+        self.band_values: List[object] = []
+        self.band_subs: List[Tuple[object, ...]] = []
+        self.band_groups: List[List[int]] = []
+        self.linear: List[int] = []  # rows whose first band key is not a real number
 
 
 class RadiusMatcher:
@@ -299,6 +297,8 @@ class RadiusMatcher:
         self._exact = [(slot, d) for slot, (d, _, k) in enumerate(keys) if k == KIND_EXACT]
         self._band = [(slot, d, t) for slot, (d, t, k) in enumerate(keys) if k == KIND_BAND]
         self._check = [(slot, d, t) for slot, (d, t, k) in enumerate(keys) if k == KIND_CHECK]
+        # The band keys after the first, with their place in a band sub-tuple.
+        self._later_band = [(place, slot, d, t) for place, (slot, d, t) in enumerate(self._band)][1:]
 
         self._naive = False
         self._buckets: Dict[Tuple[object, ...], _Bucket] = {}
@@ -351,54 +351,22 @@ class RadiusMatcher:
                 bucket = self._buckets[key] = _Bucket()
             bucket.indices.append(index)
 
-        single_band = len(self._band) == 1
+        if not self._band:
+            return
+        # Rows sharing a band sub-tuple are one band entry: the other band
+        # keys are checked once per entry, the check keys once per row.
+        subs = list(zip(*(self._key_columns[slot] for slot, _, _ in self._band)))
         for bucket in self._buckets.values():
-            if single_band:
-                slot, _, _ = self._band[0]
-                column = self._key_columns[slot]
-                sortable: List[Tuple[object, int]] = []
-                for index in bucket.indices:
-                    value = column[index]
-                    if is_real_number(value):
-                        sortable.append((value, index))
-                    else:
-                        bucket.linear.append(index)
-                sortable.sort(key=lambda pair: (pair[0], pair[1]))
-                bucket.band_values = [value for value, _ in sortable]
-                bucket.band_indices = [index for _, index in sortable]
-            elif len(self._band) >= 2 and len(bucket.indices) >= _MIN_TREE_SIZE:
-                self._plant_tree(bucket)
-            else:
-                bucket.linear = list(bucket.indices)
-
-    def _plant_tree(self, bucket: _Bucket) -> None:
-        """Index a bucket's band-key sub-tuples in a KD-tree.
-
-        Each distinct sub-tuple becomes one tree row; ``tree_entries[k]``
-        holds the bucket row indices sharing the tree's k-th sub-tuple, so
-        :meth:`~repro.relational.kdtree.KDTree.within_radius_indices`
-        answers map straight to row indices without re-keying tuples.
-        """
-        attrs = [Attribute(f"k{slot}", dist) for slot, dist, _ in self._band]
-        schema = RelationSchema("kernel", attrs)
-        band_columns = [self._key_columns[slot] for slot, _, _ in self._band]
-        slots: Dict[Tuple[object, ...], int] = {}
-        entries: List[List[int]] = []
-        for index in bucket.indices:
-            sub = tuple(column[index] for column in band_columns)
-            slot = slots.setdefault(sub, len(entries))
-            if slot == len(entries):
-                entries.append([index])
-            else:
-                entries[slot].append(index)
-        bucket.tree_entries = entries
-        # An explicit in-memory backend: this relation is a transient
-        # internal index structure, so it must not follow a persistent
-        # process-default backend (and leak dataset files from workers).
-        bucket.tree = KDTree(
-            Relation(schema, slots.keys(), backend="column"),
-            max_leaf_size=_TREE_LEAF_SIZE,
-        )
+            groups: Dict[Tuple[object, ...], List[int]] = {}
+            for index in bucket.indices:
+                sub = subs[index]
+                if is_real_number(sub[0]):
+                    groups.setdefault(sub, []).append(index)
+                else:
+                    bucket.linear.append(index)
+            bucket.band_subs = sorted(groups, key=itemgetter(0))
+            bucket.band_values = list(map(itemgetter(0), bucket.band_subs))
+            bucket.band_groups = list(map(groups.__getitem__, bucket.band_subs))
 
     # -- queries -------------------------------------------------------------
     def matches(self, values: Sequence[object]) -> List[int]:
@@ -449,22 +417,11 @@ class RadiusMatcher:
         return [(slot, d, self.thresholds[slot]) for slot, d in self._exact]
 
     def _iter_bucket(self, values: Sequence[object], bucket: _Bucket) -> Iterator[int]:
-        if len(self._band) == 1 and (bucket.band_values or bucket.linear):
-            yield from self._iter_banded(values, bucket)
+        if not self._band:
+            for index in bucket.indices:
+                if self._pair_ok(values, index, self._check):
+                    yield index
             return
-        if bucket.tree is not None:
-            sub = tuple(values[slot] for slot, _, _ in self._band)
-            radii = [t for _, _, t in self._band]
-            for match in bucket.tree.within_radius_indices(sub, radii):
-                for index in bucket.tree_entries[match]:
-                    if self._pair_ok(values, index, self._check):
-                        yield index
-            return
-        for index in bucket.linear:
-            if self._pair_ok(values, index, self._band + self._check):
-                yield index
-
-    def _iter_banded(self, values: Sequence[object], bucket: _Bucket) -> Iterator[int]:
         slot, dist, threshold = self._band[0]
         value = values[slot]
         if not is_real_number(value):
@@ -475,22 +432,24 @@ class RadiusMatcher:
                 if self._pair_ok(values, index, self._band + self._check):
                     yield index
             return
-        band_values, band_indices = bucket.band_values, bucket.band_indices
+        band_values, band_subs = bucket.band_values, bucket.band_subs
         center = bisect_left(band_values, value)
-        # Walk outwards while within slack; valid because numeric distances
-        # are monotone in |x - y|.
-        cursor = center - 1
-        while cursor >= 0 and dist(value, band_values[cursor]) <= threshold:
-            if self._pair_ok(values, band_indices[cursor], self._check):
-                yield band_indices[cursor]
-            cursor -= 1
-        cursor = center
-        while cursor < len(band_values) and dist(value, band_values[cursor]) <= threshold:
-            if self._pair_ok(values, band_indices[cursor], self._check):
-                yield band_indices[cursor]
-            cursor += 1
+        # Walk outwards while the first band key is within slack; valid
+        # because numeric distances are monotone in |x - y|.
+        for cursors in (range(center - 1, -1, -1), range(center, len(band_values))):
+            for cursor in cursors:
+                if not dist(value, band_values[cursor]) <= threshold:
+                    break
+                sub = band_subs[cursor]
+                for place, slot, d, t in self._later_band:
+                    if not d(values[slot], sub[place]) <= t:
+                        break
+                else:
+                    for index in bucket.band_groups[cursor]:
+                        if self._pair_ok(values, index, self._check):
+                            yield index
         # Non-real indexed values (None, strings, NaN) never sit in the
-        # sorted column; give them the exact per-pair check.
+        # band; give them the exact per-pair check.
         for index in bucket.linear:
             if self._pair_ok(values, index, self._band + self._check):
                 yield index
@@ -513,15 +472,21 @@ class NearestNeighbors:
     """Minimum tuple distance ``min_row max_A dis_A`` to an indexed row set.
 
     Trivial-distance attributes partition the rows into hash buckets (a
-    finite tuple distance requires equality on every such attribute); within
-    a bucket, the remaining attributes are searched with a KD-tree
-    nearest-neighbour query (large buckets) or a linear scan (small ones).
-    Results are identical to :func:`naive_min_distance` over all rows.
+    finite tuple distance requires equality on every such attribute).  A
+    bucket keeps its distinct sub-tuples over the other attributes sorted by
+    the first numeric one, the *band attribute*; sub-tuples whose value there
+    is not a real number sit on a linear list.  A probe scans that list, then
+    walks outward from its own band value, nearer side first, and stops once
+    the band attribute's distance alone reaches the best tuple distance so
+    far: a tuple distance is a max over attributes, and numeric distances
+    are monotone in ``|x - y|``.  Without a band attribute, or for a probe
+    whose band value is not a real number, the bucket is scanned.  Results
+    are identical to :func:`naive_min_distance` over all rows.
 
     The index is built column-at-a-time: bucket keys are canonicalized one
     column buffer at a time and sub-tuples assembled with ``zip`` over the
-    non-trivial columns.  :meth:`from_store` / :meth:`from_relation` borrow
-    a column-backed store's buffers directly.
+    non-trivial columns.  :meth:`from_store` borrows a column-backed store's
+    buffers directly.
     """
 
     def __init__(
@@ -552,12 +517,15 @@ class NearestNeighbors:
         self._bucket_positions = [
             i for i, a in enumerate(attributes) if a.distance.name == "trivial"
         ]
-        self._other = [
-            (i, a) for i, a in enumerate(attributes) if a.distance.name != "trivial"
-        ]
+        self._other = [i for i, a in enumerate(attributes) if a.distance.name != "trivial"]
+        self._other_distances = [self.distances[i] for i in self._other]
+        # The band attribute's place within a sub-tuple, if there is one.
+        self._band = next(
+            (k for k, d in enumerate(self._other_distances) if d.numeric), None
+        )
         self._naive = False
-        self._buckets: Dict[Tuple[object, ...], List[Tuple[object, ...]]] = {}
-        self._trees: Dict[Tuple[object, ...], KDTree] = {}
+        # Bucket key -> (linear sub-tuples, sorted band values, band sub-tuples).
+        self._buckets: Dict[Tuple[object, ...], Tuple[list, list, list]] = {}
         try:
             self._build()
         except (TypeError, ValueError, OverflowError):
@@ -567,11 +535,6 @@ class NearestNeighbors:
     def from_store(cls, store: Store, attributes: Sequence[Attribute]):
         """Index a store's rows by borrowing its column buffers directly."""
         return cls(None, attributes, columns=store.columns(), size=len(store))
-
-    @classmethod
-    def from_relation(cls, relation: Relation) -> "NearestNeighbors":
-        """Index a relation under its own schema's distance functions."""
-        return cls.from_store(relation.store, relation.schema.attributes)
 
     @property
     def rows(self) -> List[Row]:
@@ -593,20 +556,14 @@ class NearestNeighbors:
         else:
             keys = iter([()] * self._size)
         if self._other:
-            subs: Iterable[Tuple[object, ...]] = zip(
-                *(self._columns[p] for p, _ in self._other)
-            )
+            subs: Iterable[Tuple[object, ...]] = zip(*(self._columns[p] for p in self._other))
         else:
             subs = iter([()] * self._size)
+        grouped: Dict[Tuple[object, ...], List[Tuple[object, ...]]] = {}
         for key, sub in zip(keys, subs):
-            self._buckets.setdefault(key, []).append(sub)
-        if not self._other:
-            return
-        schema = RelationSchema(
-            "kernel", [Attribute(f"k{i}", a.distance) for i, (_, a) in enumerate(self._other)]
-        )
-        other_distances = [a.distance for _, a in self._other]
-        for key, bucket_subs in self._buckets.items():
+            grouped.setdefault(key, []).append(sub)
+        band = self._band
+        for key, bucket_subs in grouped.items():
             # Dedup by per-distance *canonical* form, not by ``==``: values
             # like ``1`` and ``1.0`` compare equal but behave differently
             # under non-numeric distances (``str()`` forms differ for
@@ -616,17 +573,15 @@ class NearestNeighbors:
             distinct: Dict[Tuple[object, ...], Tuple[object, ...]] = {}
             for sub in bucket_subs:
                 canonical = tuple(
-                    _canonical(d, value) for d, value in zip(other_distances, sub)
+                    _canonical(d, value) for d, value in zip(self._other_distances, sub)
                 )
                 distinct.setdefault(canonical, sub)
-            if len(distinct) >= _MIN_TREE_SIZE:
-                # In-memory backend for the same reason as _plant_tree: a
-                # transient index must not persist via the default backend.
-                self._trees[key] = KDTree(
-                    Relation(schema, distinct.values(), backend="column"),
-                    max_leaf_size=_TREE_LEAF_SIZE,
-                )
-                self._buckets[key] = list(distinct.values())
+            linear: List[Tuple[object, ...]] = []
+            banded: List[Tuple[object, ...]] = []
+            for sub in distinct.values():
+                (banded if band is not None and is_real_number(sub[band]) else linear).append(sub)
+            banded.sort(key=itemgetter(band))
+            self._buckets[key] = (linear, list(map(itemgetter(band), banded)), banded)
 
     def min_distance(self, values: Sequence[object]) -> float:
         """Exact minimum tuple distance from ``values`` to any indexed row."""
@@ -642,13 +597,45 @@ class NearestNeighbors:
             return naive_min_distance(values, self.rows, self.distances)
         if bucket is None:
             return INFINITY
-        if not self._other:
-            return 0.0
-        sub = tuple(values[p] for p, _ in self._other)
-        tree = self._trees.get(key)
-        if tree is not None:
-            return tree.nearest_distance(sub)
-        return naive_min_distance(sub, bucket, [a.distance for _, a in self._other])
+        linear, band_values, band_subs = bucket
+        sub = tuple(values[p] for p in self._other)
+        distances = self._other_distances
+        if self._band is None or not is_real_number(sub[self._band]):
+            return naive_min_distance(sub, linear + band_subs, distances)
+        best = naive_min_distance(sub, linear, distances)
+        band = self._band
+        value, dist = sub[band], distances[band]
+        rest = [(k, sub[k], distances[k]) for k in range(len(sub)) if k != band]
+        right = bisect_left(band_values, value)
+        left = right - 1
+        size = len(band_values)
+        near_left = dist(value, band_values[left]) if left >= 0 else INFINITY
+        near_right = dist(value, band_values[right]) if right < size else INFINITY
+        while left >= 0 or right < size:
+            if right >= size or (left >= 0 and near_left < near_right):
+                near, candidate = near_left, band_subs[left]
+                left -= 1
+                near_left = dist(value, band_values[left]) if left >= 0 else INFINITY
+            else:
+                near, candidate = near_right, band_subs[right]
+                right += 1
+                near_right = dist(value, band_values[right]) if right < size else INFINITY
+            if near >= best:
+                break
+            # The band distance is ``near`` already; a NaN one counts as 0,
+            # as in naive_min_distance.
+            worst = near if near > 0.0 else 0.0
+            for k, query_value, distance in rest:
+                d = distance(query_value, candidate[k])
+                if d > worst:
+                    worst = d
+                if worst >= best:
+                    break
+            else:
+                best = worst
+                if best == 0.0:
+                    break
+        return best
 
 
 def max_min_distance(queries: Store, indexed: Store, attributes: Sequence[Attribute]) -> float:

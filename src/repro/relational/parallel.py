@@ -64,8 +64,8 @@ object column's values never cross the boundary.
 :meth:`ShardedStore.select_gather` stitches the masks into global order and
 selects the survivors from its flat column view in the parent;
 :func:`select_gather_stats` accounts the returned bytes.  Everything else a
-sharded store does — bare masks, gathers, distance-kernel and KD-tree
-probes — runs in the parent, in the caller.  Shipping the survivors'
+sharded store does — bare masks, gathers, distance-kernel probes — runs
+in the parent, in the caller.  Shipping the survivors'
 columns back instead costs about eight times the bytes (on the benchmark's
 ``tfacc_sharded`` workload, ``cpu_count`` 2: 1.59 MB a pass against
 0.20 MB of masks) and hands the parent per-shard buffers it would have to

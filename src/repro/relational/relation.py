@@ -36,7 +36,8 @@ def value_sort_key(value: object) -> Tuple[int, object]:
     int/float columns.  Here ``None`` sorts first, then numbers by value
     (``1`` and ``1.0`` — and ``True`` — compare equal, as under ``==``), then
     everything else by ``repr``; NaN falls back to the ``repr`` tier so the
-    ordering stays total.  Also used by the KD-tree to order split columns.
+    ordering stays total.  Also used by the template indexes to order split
+    columns.
     """
     if value is None:
         return (0, 0)

@@ -3,8 +3,8 @@
 A :class:`Store` holds the tuples of one relation and hides *how* they are
 laid out in memory.  :class:`~repro.relational.relation.Relation` is a thin
 facade over a store: every relational operation (projection, selection,
-grouping) and every kernel (distance matching, KD-tree construction, RC
-sweeps) reads through the store API, so the layout is a tunable parameter of
+grouping) and every kernel (distance matching, template-index construction,
+RC sweeps) reads through the store API, so the layout is a tunable parameter of
 the system rather than a hard-wired representation.
 
 Three backends ship with the library:
@@ -19,7 +19,7 @@ Three backends ship with the library:
   reads (:meth:`Store.column`, :meth:`Store.key_tuples`) return whole buffers
   without materializing row tuples, which is what the vectorized predicate
   masks (:meth:`repro.algebra.predicates.Comparison.mask`), the hash-join key
-  extraction, the distance kernels and the KD-tree builder consume.
+  extraction, the distance kernels and the template-index builder consume.
 * :class:`ShardedStore` — horizontal partitioning: rows are split across
   ``shard_count`` per-shard :class:`ColumnStore` instances by a partitioner
   (``"hash"``, ``"round_robin"`` or ``"range"``), while the store still

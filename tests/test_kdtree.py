@@ -1,4 +1,7 @@
-"""Unit and property-based tests for the KD-tree search and the levels of the flat template index."""
+"""Unit and property-based tests for the K-D levels of the flat template index.
+
+The distance kernels' search is tested in ``test_kernels.py``.
+"""
 
 import random
 
@@ -8,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.access.index import TemplateIndex
 from repro.relational.distance import CATEGORICAL, NUMERIC
-from repro.relational.kdtree import KDTree
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 
@@ -24,11 +26,6 @@ def make_relation(rows):
 def points():
     rng = random.Random(3)
     return make_relation([(rng.uniform(0, 100), rng.uniform(0, 10), f"t{i % 4}") for i in range(128)])
-
-
-@pytest.fixture()
-def tree(points):
-    return KDTree(points)
 
 
 def flat_index(relation):
@@ -51,8 +48,6 @@ def index(points):
 
 class TestConstruction:
     def test_empty_relation(self):
-        tree = KDTree(make_relation([]))
-        assert tree.root is None
         index = flat_index(make_relation([]))
         assert index.keys() == [] and index.fetch((), 3) == []
         assert index.max_level == 0
@@ -64,8 +59,6 @@ class TestConstruction:
         assert index.fetch((), 0) == [((1.0, 2.0, "a"), 1.0)]
 
     def test_constant_rows_do_not_split(self):
-        tree = KDTree(make_relation([(1.0, 2.0, "a")] * 10))
-        assert tree.root.is_leaf
         index = flat_index(make_relation([(1.0, 2.0, "a")] * 10))
         assert index.entry_count == 1
         assert index.fetch((), 5) == [((1.0, 2.0, "a"), 10.0)]
@@ -120,46 +113,6 @@ class TestResolution:
                         assert d <= resolution[attribute.name] + 1e-9
 
 
-class TestSearch:
-    def test_within_radius_empty_tree(self):
-        tree = KDTree(make_relation([]))
-        assert tree.within_radius((1.0, 2.0, "a"), [1.0, 1.0, 1.0]) == []
-        assert tree.nearest_distance((1.0, 2.0, "a")) == float("inf")
-
-    def test_within_radius_includes_boundary(self, tree):
-        """A row exactly at the radius on every attribute is a match."""
-        anchor = tree.relation.rows[0]
-        matches = tree.within_radius(anchor, [0.0, 0.0, 0.0])
-        assert anchor in matches
-        for row in matches:
-            assert row[0] == anchor[0] and row[1] == anchor[1] and row[2] == anchor[2]
-
-    def test_within_radius_matches_linear_scan(self, tree):
-        radii = [5.0, 1.0, 0.5]
-        query = (50.0, 5.0, "t1")
-        expected = [
-            row
-            for row in tree.relation.rows
-            if all(
-                attribute.distance(q, v) <= r
-                for q, v, attribute, r in zip(query, row, tree.schema.attributes, radii)
-            )
-        ]
-        assert sorted(tree.within_radius(query, radii)) == sorted(expected)
-
-    def test_nearest_distance_matches_linear_scan(self, tree):
-        distances = [a.distance for a in tree.schema.attributes]
-        for query in [(0.0, 0.0, "t0"), (55.5, 3.3, "t2"), (200.0, -5.0, "zzz")]:
-            expected = min(
-                max(d(q, v) for q, v, d in zip(query, row, distances))
-                for row in tree.relation.rows
-            )
-            assert tree.nearest_distance(query) == expected
-
-    def test_nearest_distance_zero_on_member(self, tree):
-        assert tree.nearest_distance(tree.relation.rows[17]) == 0.0
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     rows=st.lists(
@@ -189,44 +142,3 @@ def test_property_level_frontier_covers_relation(rows, level):
             for position, attribute in enumerate(relation.schema.attributes):
                 assert attribute.distance(rep[position], row[position]) <= resolution[attribute.name] + 1e-9
     assert covered == len(rows)
-
-
-class TestIndexQueries:
-    """Index-returning search variants (consumed by the distance kernels)."""
-
-    def test_within_radius_indices_match_rows(self, tree):
-        rng = random.Random(11)
-        master = tree.relation.store.row_list()
-        for _ in range(20):
-            query = (rng.uniform(0, 100), rng.uniform(0, 10), f"t{rng.randrange(4)}")
-            radii = [rng.uniform(0, 20), rng.uniform(0, 3), 0.5]
-            indices = tree.within_radius_indices(query, radii)
-            # Same traversal: the row view is exactly the gathered indices.
-            assert tree.within_radius(query, radii) == [master[i] for i in indices]
-            # Indices are storage-order positions and hold the predicate.
-            distances = [a.distance for a in tree.schema.attributes]
-            expected = [
-                i
-                for i, row in enumerate(master)
-                if all(d(q, v) <= r for q, v, d, r in zip(query, row, distances, radii))
-            ]
-            assert sorted(indices) == expected
-
-    def test_within_radius_indices_empty_tree(self):
-        tree = KDTree(make_relation([]))
-        assert tree.within_radius_indices((0.0, 0.0, "t0"), [1.0, 1.0, 1.0]) == []
-
-    def test_sharded_tree_indices_are_global(self):
-        """A tree over a sharded relation answers in global row positions,
-        exactly like a tree over the same rows in one store."""
-        rng = random.Random(5)
-        rows = [(rng.uniform(0, 50), rng.uniform(0, 10), f"t{i % 3}") for i in range(90)]
-        schema = make_relation([]).schema
-        sharded = KDTree(Relation(schema, rows, backend="sharded"), max_leaf_size=2)
-        reference = KDTree(Relation(schema, rows), max_leaf_size=2)
-        for _ in range(10):
-            query = (rng.uniform(0, 50), rng.uniform(0, 10), f"t{rng.randrange(3)}")
-            radii = [rng.uniform(0, 10), rng.uniform(0, 2), 0.5]
-            assert sorted(sharded.within_radius_indices(query, radii)) == sorted(
-                reference.within_radius_indices(query, radii)
-            )

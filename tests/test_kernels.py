@@ -7,7 +7,8 @@ slack/resolution boundary (integer grids make ``distance == slack`` common)
 and awkward values (None, NaN, mixed int/float) — at three levels:
 
 * kernel primitives vs. the exported naive references,
-* the KD-tree radius / nearest-neighbour search vs. brute force,
+* the sorted-band radius / nearest-neighbour search on hypothesis inputs
+  vs. brute force,
 * the rewired consumers (relaxed join, BEAS difference guard, RC coverage
   and relevance) vs. local reimplementations of their old nested loops.
 """
@@ -15,7 +16,7 @@ and awkward values (None, NaN, mixed int/float) — at three levels:
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accuracy.rc import (
@@ -36,7 +37,6 @@ from repro.relational.distance import (
     numeric_scaled,
     tuple_distance,
 )
-from repro.relational.kdtree import KDTree
 from repro.relational.kernels import (
     NearestNeighbors,
     RadiusMatcher,
@@ -85,28 +85,42 @@ def test_radius_matcher_matches_naive_on_mixed_columns(seed):
         assert matcher.any_match(query) == bool(expected)
 
 
+@pytest.mark.parametrize("band_keys", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(4))
-def test_radius_matcher_kdtree_path_matches_naive(seed):
-    """Two slack numeric keys per bucket force the KD within-radius path."""
+def test_radius_matcher_multi_band_matches_naive(seed, band_keys):
+    """Several slack numeric keys per bucket: one sorted band on the first,
+    the others checked once per distinct band sub-tuple.  Integer grids put
+    ties exactly at the slack; the later keys hold the ==-equal 1 / 1.0 /
+    True and a numeric string."""
     rng = random.Random(seed)
-    positions = [0, 1, 2]
-    distances = [TRIVIAL, NUMERIC, SCALED]
+    positions = list(range(1 + band_keys))
+    distances = [TRIVIAL, NUMERIC, SCALED, NUMERIC, SCALED][: 1 + band_keys]
 
     def row():
         return (
             rng.choice([0, 1]),  # two large buckets
             rng.choice([None, float("nan"), rng.randint(0, 30)]),
             rng.uniform(0, 20) if rng.random() > 0.1 else None,
-        )
+            rng.choice([None, float("nan"), 1, 1.0, True, "5", rng.randint(0, 12)]),
+            rng.choice([None, 2, 2.0, True, 2.5 * rng.randint(0, 8)]),
+        )[: 1 + band_keys]
 
-    rows = [row() for _ in range(250)]
-    thresholds = [rng.choice([0.0, 5.0]), rng.choice([2.0, 5.0]), rng.choice([1.0, 3.0])]
+    pool = [row() for _ in range(150)]
+    # Duplicated band sub-tuples, in the same bucket and in the other one.
+    rows = pool + [(rng.choice([0, 1]),) + rng.choice(pool)[1:] for _ in range(100)]
+    thresholds = [
+        rng.choice([0.0, 5.0]),
+        rng.choice([2.0, 5.0]),
+        rng.choice([1.0, 3.0]),
+        rng.choice([1.0, 2.0, 3.0]),
+        rng.choice([1.0, 2.0]),
+    ][: 1 + band_keys]
     matcher = RadiusMatcher(rows, positions, distances, thresholds)
     for _ in range(50):
-        query = row()
-        assert matcher.matches(query) == naive_radius_matches(
-            query, rows, positions, distances, thresholds
-        )
+        query = row() if rng.random() > 0.3 else rng.choice(rows)
+        expected = naive_radius_matches(query, rows, positions, distances, thresholds)
+        assert matcher.matches(query) == expected
+        assert matcher.any_match(query) == bool(expected)
 
 
 @settings(max_examples=50, deadline=None)
@@ -133,6 +147,23 @@ def test_zero_slack_numeric_key_matches_float_coercible_values():
         assert matcher.matches(query) == naive_radius_matches(
             query, rows, [0], [NUMERIC], [0.0]
         )
+
+
+def test_infinite_zero_slack_numeric_key_never_matches():
+    """Regression: ``absolute_difference(inf, inf)`` is NaN, so an infinity
+    is within zero slack of nothing, itself included; it must not share a
+    hash bucket with an equal infinity (plain list or typed float buffer)."""
+    inf = float("inf")
+    rows = [(inf,), (-inf,), (5.0,), (inf,)]
+    schema = RelationSchema("r", [Attribute("v", NUMERIC)])
+    typed = RadiusMatcher.from_store(
+        Relation(schema, rows, backend="column").store, [0], [NUMERIC], [0.0]
+    )
+    for matcher in (RadiusMatcher(rows, [0], [NUMERIC], [0.0]), typed):
+        for query in [(inf,), (-inf,), (5,)]:
+            assert matcher.matches(query) == naive_radius_matches(
+                query, rows, [0], [NUMERIC], [0.0]
+            )
 
 
 def test_uncoercible_numeric_key_falls_back_to_nested_loop():
@@ -197,30 +228,50 @@ def test_classify_key_kinds():
     assert classify_key(NUMERIC, -1.0) == "check"
 
 
+def _numeric_row(rng):
+    return (
+        rng.choice([0, 1, 2]),
+        rng.choice([None, float("nan"), "5", True, 1.0, rng.randint(0, 20), rng.uniform(0, 20)]),
+        rng.choice([None, 2.5 * rng.randint(0, 8), rng.uniform(0, 20)]),
+        rng.choice(["a", "b"]),
+    )
+
+
+def _non_numeric_row(rng):
+    row = _mixed_row(rng)
+    return (row[0],) + row[2:]
+
+
+# Attribute layouts of the nearest-neighbour differential: the band attribute
+# (the first numeric non-trivial one) holding None, NaN and numeric strings;
+# a second numeric attribute; and no numeric attribute at all.
+NN_LAYOUTS = {
+    "mixed": ([TRIVIAL, NUMERIC, CATEGORICAL, STRING_PREFIX], _mixed_row),
+    "two_numeric": ([TRIVIAL, NUMERIC, SCALED, CATEGORICAL], _numeric_row),
+    "no_numeric": ([TRIVIAL, CATEGORICAL, STRING_PREFIX], _non_numeric_row),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(NN_LAYOUTS))
 @pytest.mark.parametrize("seed", range(6))
-def test_nearest_neighbors_matches_naive(seed):
+def test_nearest_neighbors_matches_naive(seed, layout):
     rng = random.Random(seed)
-    attributes = [
-        Attribute("id", TRIVIAL),
-        Attribute("num", NUMERIC),
-        Attribute("cat", CATEGORICAL),
-        Attribute("s", STRING_PREFIX),
-    ]
-    rows = [_mixed_row(rng) for _ in range(rng.randint(0, 150))]
+    distances, make_row = NN_LAYOUTS[layout]
+    attributes = [Attribute(f"a{i}", d) for i, d in enumerate(distances)]
+    rows = [make_row(rng) for _ in range(rng.randint(0, 150))]
     neighbors = NearestNeighbors(rows, attributes)
-    distances = [a.distance for a in attributes]
     for _ in range(60):
-        query = _mixed_row(rng)
+        query = make_row(rng) if rng.random() > 0.2 or not rows else rng.choice(rows)
         assert neighbors.min_distance(query) == naive_min_distance(query, rows, distances)
 
 
 def test_nearest_neighbors_dedups_by_canonical_form_not_equality():
     """Regression: ``1`` and ``1.0`` are ``==`` but differ under the
-    string-prefix distance (``str()`` forms '1' vs '1.0').  The KD-tree
-    point dedup used ``dict.fromkeys`` (plain ``==``), dropping the closer
-    representative and inflating the minimum distance on large buckets."""
+    string-prefix distance (``str()`` forms '1' vs '1.0').  A bucket's
+    sub-tuple dedup by ``dict.fromkeys`` (plain ``==``) dropped the closer
+    representative and inflated the minimum distance."""
     attributes = [Attribute("s", STRING_PREFIX)]
-    # 21 canonically-distinct values (tree path) including the ==-equal pair.
+    # 21 canonically-distinct values including the ==-equal pair.
     rows = [(1,), (1.0,)] + [(100 + i,) for i in range(19)]
     neighbors = NearestNeighbors(rows, attributes)
     distances = [a.distance for a in attributes]
@@ -229,7 +280,7 @@ def test_nearest_neighbors_dedups_by_canonical_form_not_equality():
 
 
 # ---------------------------------------------------------------------------
-# KD-tree search vs. brute force
+# Sorted-band search vs. brute force
 # ---------------------------------------------------------------------------
 
 def _points_relation(rows):
@@ -255,23 +306,26 @@ def _points_relation(rows):
     ),
     radii=st.tuples(st.integers(0, 6), st.floats(0, 3), st.floats(0, 1.5)),
 )
-def test_kdtree_search_matches_brute_force(rows, query, radii):
+# Nothing indexed.
+@example(rows=[], query=(1, 2.0, "a"), radii=(1, 1.0, 1.0))
+# A row exactly at the radius on every attribute matches.
+@example(rows=[(3, 2.5, "a"), (9, 2.5, "a")], query=(5, 0.0, "a"), radii=(2, 1.0, 0.0))
+# A member of the set, at radius 0 and at nearest distance 0.
+@example(rows=[(7, 3.5, "b"), (8, 1.0, "a"), (7, 3.5, "b")], query=(7, 3.5, "b"), radii=(0, 0.0, 0.0))
+def test_band_search_matches_brute_force(rows, query, radii):
     relation = _points_relation(rows)
-    tree = KDTree(relation, max_leaf_size=2)
-    distances = [a.distance for a in relation.schema.attributes]
+    attributes = relation.schema.attributes
+    distances = [a.distance for a in attributes]
     radii = [float(r) for r in radii]
+    positions = [0, 1, 2]
 
-    expected_within = [
-        row
-        for row in rows
-        if all(d(q, v) <= r for q, v, d, r in zip(query, row, distances, radii))
-    ]
-    assert sorted(tree.within_radius(query, radii), key=repr) == sorted(
-        expected_within, key=repr
-    )
+    matcher = RadiusMatcher.from_store(relation.store, positions, distances, radii)
+    expected_within = naive_radius_matches(query, rows, positions, distances, radii)
+    assert matcher.matches(query) == expected_within
+    assert matcher.any_match(query) == bool(expected_within)
 
-    expected_nearest = naive_min_distance(query, rows, distances)
-    assert tree.nearest_distance(query) == expected_nearest
+    neighbors = NearestNeighbors.from_store(relation.store, attributes)
+    assert neighbors.min_distance(query) == naive_min_distance(query, rows, distances)
 
 
 # ---------------------------------------------------------------------------

@@ -561,7 +561,7 @@ class TestProcessExecution:
         assert muted.matches_many([rows[0][:2]]) == [[]]
         assert muted.any_match_many([rows[0][:2]]) == [True]  # any_match is not overridden
 
-        neighbors = TaggedNeighbors.from_relation(relation)
+        neighbors = TaggedNeighbors.from_store(relation.store, SCHEMA.attributes)
         assert type(neighbors) is TaggedNeighbors
         assert neighbors.min_distance(rows[0]) == -1.0
         assert relation.store._publication is None

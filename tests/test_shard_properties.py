@@ -7,14 +7,12 @@ Two families of invariants:
   row order, multiplicity, values and value types — for every partitioner
   and shard count, including ``None``, NaN, mixed int/float columns, bools
   and ints beyond 64 bits.
-* **Sharded search equals unsharded search**: a KD-tree over a sharded
-  relation and the distance kernels built over a sharded store
-  (:meth:`RadiusMatcher.from_store
+* **Sharded search equals unsharded search**: the distance kernels built
+  over a sharded store (:meth:`RadiusMatcher.from_store
   <repro.relational.kernels.RadiusMatcher.from_store>`,
   :meth:`NearestNeighbors.from_store
   <repro.relational.kernels.NearestNeighbors.from_store>`) answer exactly
-  like the same tree or kernels over an unsharded store and the naive
-  nested loops.
+  like the same kernels over an unsharded store and the naive nested loops.
 
 Separate from ``test_store.py`` so the matrix tests there still run in
 environments without the optional ``hypothesis`` extra.
@@ -31,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro import Relation
 from repro.relational.distance import NUMERIC, TRIVIAL
-from repro.relational.kdtree import KDTree
 from repro.relational.kernels import (
     NearestNeighbors,
     RadiusMatcher,
@@ -135,25 +132,26 @@ def test_selection_round_trip_preserves_order(rows, shards, partitioner, mask_se
     shards=SHARD_COUNTS,
     partitioner=PARTITIONERS,
 )
-def test_sharded_tree_radius_and_nearest_equal_single_tree(rows, query, radii, shards, partitioner):
-    """A KD-tree over a sharded relation == one tree over a row store (and == naive)."""
-    single = Relation(SEARCH_SCHEMA, rows, backend="row")
+def test_sharded_band_radius_and_nearest_equal_single_store(rows, query, radii, shards, partitioner):
+    """Both kernels over a sharded store == over a row store (and == naive):
+    answers are global row positions whatever the shard layout."""
+    row_store = Relation(SEARCH_SCHEMA, rows, backend="row").store
     cls = ShardedStore.configured(shards, partitioner)
-    sharded = Relation(SEARCH_SCHEMA, store=cls.from_rows(3, [tuple(r) for r in rows]))
-
-    tree = KDTree(single, max_leaf_size=2)
-    sharded_tree = KDTree(sharded, max_leaf_size=2)
-
-    assert sorted(sharded_tree.within_radius_indices(query, list(radii))) == sorted(
-        tree.within_radius_indices(query, list(radii))
-    )
-    merged = sorted(identity_key(r) for r in sharded_tree.within_radius(query, list(radii)))
-    alone = sorted(identity_key(r) for r in tree.within_radius(query, list(radii)))
-    assert merged == alone
-
-    assert sharded_tree.nearest_distance(query) == tree.nearest_distance(query)
+    sharded = cls.from_rows(3, [tuple(r) for r in rows])
+    positions = [0, 1, 2]
     distances = [a.distance for a in SEARCH_SCHEMA.attributes]
-    assert sharded_tree.nearest_distance(query) == naive_min_distance(query, rows, distances)
+    radii = list(radii)
+
+    expected = naive_radius_matches(query, rows, positions, distances, radii)
+    for store in (sharded, row_store):
+        matcher = RadiusMatcher.from_store(store, positions, distances, radii)
+        assert matcher.matches(query) == expected
+        assert matcher.any_match(query) == bool(expected)
+
+    expected_min = naive_min_distance(query, rows, distances)
+    for store in (sharded, row_store):
+        neighbors = NearestNeighbors.from_store(store, SEARCH_SCHEMA.attributes)
+        assert neighbors.min_distance(query) == expected_min
 
 
 @settings(max_examples=50, deadline=None)
