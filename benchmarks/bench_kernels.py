@@ -215,9 +215,7 @@ def register_sharded_variants() -> None:
     for count in SHARD_COUNTS:
         name = f"sharded{count}"
         if name not in list_backends():
-            register_backend(
-                name, ShardedStore.configured(count, "range", name=name)
-            )
+            register_backend(name, ShardedStore.configured(count, name=name))
 
 
 def _wide_rows(size: int, rng: random.Random):
@@ -560,7 +558,7 @@ def executor_config() -> dict:
 def _parallel_relation(size: int, rng: random.Random):
     from repro.relational.store import ShardedStore
 
-    backend_cls = ShardedStore.configured(PARALLEL_SHARDS, "range")
+    backend_cls = ShardedStore.configured(PARALLEL_SHARDS)
     rows = [
         (
             rng.randrange(max(1, size // 100)),
@@ -893,7 +891,7 @@ def run(
                     ]
                     for r in sharded_results
                 ],
-                title=f"ShardedStore vs RowStore (range partitioner) -> {destination}",
+                title=f"ShardedStore vs RowStore -> {destination}",
             )
         )
     if mmap_results:

@@ -10,9 +10,9 @@ Also demonstrates the pluggable storage layer (``repro.relational.store``):
 every relation can live row-wise (``backend="row"``, the default — one tuple
 per row), column-wise (``backend="column"`` — one contiguous buffer per
 attribute, ``array('d')``/``array('q')`` for pure float/int columns), or
-horizontally partitioned (``backend="sharded"`` — per-shard column stores
-split by a hash / round-robin / range partitioner, which the process
-executor ships selections to).  The whole pipeline —
+horizontally partitioned (``backend="sharded"`` — the rows cut into
+contiguous ranges, one column store per shard, which the process executor
+ships selections to).  The whole pipeline —
 selection via *fused chunked* predicate mask programs (selectivity-ordered
 short-circuiting), *index-pair* hash joins whose
 outputs are materialized by per-column gather (``Store.take`` /
@@ -121,8 +121,8 @@ def main() -> None:
     )
 
     # --- Sharded storage -------------------------------------------------
-    # backend="sharded" partitions each relation across per-shard column
-    # stores (4 shards, round-robin by default).  The shards are for
+    # backend="sharded" cuts each relation into contiguous row ranges, one
+    # column store per shard (4 shards by default).  The shards are for
     # shipping work to worker processes; every read in the caller — this
     # selection included — goes through one cached global-order column
     # view, so a sharded relation answers like a column-backed one.
@@ -146,15 +146,14 @@ def main() -> None:
         f"(sizes {[len(s) for s in sharded_poi.store.shards]})"
     )
 
-    # Shard count and partitioner are configurable; a configured variant can
-    # be registered as its own backend name.  Partitioner guidance: "range"
-    # keeps shards contiguous (whole-column reads concatenate typed buffers
-    # at C speed — best for scan-heavy work), "round_robin" balances load
-    # perfectly, "hash" keeps equal rows together.
-    register_backend("sharded8", ShardedStore.configured(8, "range", name="sharded8"))
+    # The shard count is configurable; a configured variant can be
+    # registered as its own backend name.  There is one layout: shard k
+    # holds the k-th of equal contiguous row ranges (the last one takes what
+    # is left), and appends go to the last shard.
+    register_backend("sharded8", ShardedStore.configured(8, name="sharded8"))
     eight = workload.database.relation("poi").with_backend("sharded8")
     assert eight.distinct() == sharded_poi.distinct()
-    print(f"sharded8 (range) shard sizes: {[len(s) for s in eight.store.shards]}")
+    print(f"sharded8 shard sizes: {[len(s) for s in eight.store.shards]}")
 
     # --- Shard executors: serial / process -------------------------------
     # How per-shard work actually runs is a setting, orthogonal to the

@@ -42,7 +42,6 @@ from .store import (
     RowStore,
     ShardedStore,
     Store,
-    available_backends,
     backend_class,
     gather_columns,
     gather_pairs,
@@ -78,7 +77,6 @@ __all__ = [
     "STRING_PREFIX",
     "TRIVIAL",
     "EXECUTOR_MODES",
-    "available_backends",
     "backend_class",
     "build_schema",
     "cleanup_store_dir",

@@ -21,7 +21,8 @@ Saving and reopening a dataset::
     again = MmapStore.open("/data/emp.rpro")  # maps in place; epoch restored
 
 What survives a restart: every value bit-identically (NaN, ``-0.0``,
-mixed-type columns), the shard layout of sharded sources, each store's
+mixed-type columns), the shard count and shard sizes of sharded sources
+(their shards are contiguous row ranges, one file each), each store's
 mutation epoch and the database's publication epoch — a restart is not a
 mutation, so serving-layer cache keys minted before it stay valid after it.
 A schema with unpicklable distance callables is left out of the manifest;
@@ -124,7 +125,7 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 FILE_SUFFIX = ".rpro"
 MANIFEST_NAME = "manifest.rpro"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 _TYPECODE_KINDS = {"d": _KIND_FLOAT, "q": _KIND_INT}
 _KIND_TYPECODES = {_KIND_FLOAT: "d", _KIND_INT: "q"}
@@ -671,13 +672,10 @@ def _rebuild_detached(
     return store
 
 
-# The sharded variant: mmap-backed shards under the standard partitioned
-# layout.  Range partitioning keeps shards contiguous, so whole-column reads
-# concatenate the mapped views at C speed — and every shard hands out its own
-# file, so a process-mode publication writes nothing.
-MmapShardedStore = ShardedStore.configured(
-    4, "range", name="mmap-sharded", shard_backend=MmapStore.backend
-)
+# The sharded variant: mmap-backed shards.  Whole-column reads concatenate
+# the mapped views at C speed, and every shard hands out its own file, so a
+# process-mode publication writes nothing.
+MmapShardedStore = ShardedStore.configured(4, name="mmap-sharded", shard_backend=MmapStore.backend)
 
 register_backend(MmapStore.backend, MmapStore)
 register_backend(MmapShardedStore.backend, MmapShardedStore)
@@ -725,10 +723,10 @@ def write_anonymous(store: Store) -> Tuple[str, str]:
 def save_database(database: Database, directory: os.PathLike) -> str:
     """Write every relation of ``database`` into a dataset directory.
 
-    One ``.rpro`` file per relation (per shard for sharded sources — the
-    shard layout is preserved), plus a manifest recording the schema (when
-    it pickles; pass ``schema=`` to :func:`open_database` otherwise) and the
-    database's publication epoch.  Any source backend works; reopening
+    One ``.rpro`` file per relation (per shard, in shard order, for sharded
+    sources — the shard count and sizes are preserved), plus a manifest
+    recording the schema (when it pickles; pass ``schema=`` to
+    :func:`open_database` otherwise) and the database's publication epoch.  Any source backend works; reopening
     always yields mmap-backed stores.
     """
     directory = os.fspath(directory)
@@ -742,18 +740,7 @@ def save_database(database: Database, directory: os.PathLike) -> str:
                 filename = f"{name}.shard{index}{FILE_SUFFIX}"
                 _write_store_file(os.path.join(directory, filename), shard)
                 files.append(filename)
-            entries.append(
-                {
-                    "name": name,
-                    "layout": "sharded",
-                    "files": files,
-                    "epoch": store.epoch,
-                    "shard_of": bytes(store._shard_of),
-                    "contiguous": store._contiguous,
-                    "shard_count": len(store.shards),
-                    "partitioner": store.partitioner,
-                }
-            )
+            entries.append({"name": name, "layout": "sharded", "files": files, "epoch": store.epoch})
         else:
             filename = f"{name}{FILE_SUFFIX}"
             _write_store_file(os.path.join(directory, filename), store)
@@ -782,9 +769,12 @@ def open_database(
     """Reopen a :func:`save_database` dataset as mmap-backed relations.
 
     Stores map their files directly (no decode step); sharded sources come
-    back as mmap-sharded stores with the saved shard layout.  The persisted
-    publication epoch is restored exactly, so serving-layer cache keys
-    minted before a restart stay valid after it.
+    back as mmap-sharded stores over the saved shard files, in file order.
+    The persisted publication epoch is restored exactly, so serving-layer
+    cache keys minted before a restart stay valid after it.  A manifest of
+    any other :data:`MANIFEST_VERSION` raises :exc:`ValueError`: version 1
+    datasets may hold interleaved shards, which version 2 would reopen with
+    their rows reordered.
     """
     directory = os.fspath(directory)
     manifest_path = os.path.join(directory, MANIFEST_NAME)
@@ -792,6 +782,12 @@ def open_database(
         manifest = pickle.loads(handle.read())
     if manifest.get("format") != _MAGIC.decode("ascii"):
         raise ValueError(f"{manifest_path!r} is not a repro dataset manifest")
+    version = manifest.get("version")
+    if version != MANIFEST_VERSION:
+        raise ValueError(
+            f"{manifest_path!r} has manifest version {version!r}; this release "
+            f"reads version {MANIFEST_VERSION} only"
+        )
     if schema is None:
         schema = manifest.get("schema")
     if schema is None:
@@ -807,14 +803,8 @@ def open_database(
                 MmapStore.open(os.path.join(directory, filename))
                 for filename in entry["files"]
             ]
-            cls = ShardedStore.configured(
-                entry["shard_count"],
-                entry["partitioner"],
-                shard_backend=MmapStore.backend,
-            )
-            store: Store = cls._adopt(
-                shards, bytearray(entry["shard_of"]), contiguous=entry["contiguous"]
-            )
+            cls = ShardedStore.configured(len(shards), shard_backend=MmapStore.backend)
+            store: Store = cls(shards[0].width, shards)
         else:
             store = MmapStore.open(os.path.join(directory, entry["files"][0]))
         store._epoch = entry["epoch"]

@@ -20,10 +20,10 @@ Three backends ship with the library:
   without materializing row tuples, which is what the vectorized predicate
   masks (:meth:`repro.algebra.predicates.Comparison.mask`), the hash-join key
   extraction, the distance kernels and the template-index builder consume.
-* :class:`ShardedStore` — horizontal partitioning: rows are split across
-  ``shard_count`` per-shard :class:`ColumnStore` instances by a partitioner
-  (``"hash"``, ``"round_robin"`` or ``"range"``), while the store still
-  presents the rows in their original insertion order.  The shards exist
+* :class:`ShardedStore` — horizontal partitioning: the rows are cut into
+  ``shard_count`` contiguous ranges, one per-shard :class:`ColumnStore`
+  each, so the rows in insertion order are the shard buffers one after
+  another.  The shards exist
   for *shipping*: under the ``"process"`` ``shard_executor`` setting
   (:mod:`repro.config`) the fused :meth:`~ShardedStore.select_gather` sends
   its mask program to the worker processes of
@@ -31,7 +31,7 @@ Three backends ship with the library:
   the caller *reads* — rows, columns, masks, gathers, derivations — goes
   through one cached global-order :class:`ColumnStore` view, so a sharded
   store costs the caller what a column store does.  See
-  :meth:`ShardedStore.configured` for fixing shard count / partitioner and
+  :meth:`ShardedStore.configured` for fixing the shard count and
   registering the variant as its own backend name.
 
 **Shard-aware evaluation.**  Vectorized consumers do not special-case the
@@ -87,7 +87,7 @@ relation/frame for mutation purposes; derived stores are always fresh copies.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, compress
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
@@ -588,6 +588,7 @@ class ColumnStore(Store):
             return cls(width)
         raw_columns = list(zip(*materialized))
         store = cls.from_columns(width, raw_columns)
+        store._length = len(materialized)  # a zero-width store still has rows
         store._row_cache = materialized
         return store
 
@@ -642,17 +643,8 @@ class ColumnStore(Store):
 
 
 # ---------------------------------------------------------------------------
-# Sharded storage: partitioners and the partitioned backend
+# Sharded storage: the partitioned backend
 # ---------------------------------------------------------------------------
-
-def _hash_partition(row: Row, index: int, shard_count: int) -> int:
-    # Unhashable values (lists, dicts) fall back to the insertion index so
-    # the store never rejects a row the other backends would accept.
-    try:
-        return hash(row) % shard_count
-    except TypeError:
-        return index % shard_count
-
 
 # The ``shard_executor`` and ``shard_workers`` settings are documented in
 # :mod:`repro.config`.
@@ -670,7 +662,7 @@ def set_shard_executor(mode: Optional[str]) -> str:
 
 
 class ShardedStore(Store):
-    """Partitioned backend: rows split across per-shard :class:`ColumnStore`\\s.
+    """Partitioned backend: rows cut into contiguous ranges, one per-shard store each.
 
     Shard for shipping, not for reading.  The shards are what the process
     executor publishes to its workers (:meth:`select_gather`), what
@@ -682,17 +674,15 @@ class ShardedStore(Store):
     :class:`ColumnStore` view (``_flat``), built on the first such read and
     dropped by every mutation, so derived stores are plain column stores.
 
-    The store keeps, besides the shards themselves, one byte per row
-    (``_shard_of``) recording which shard holds it; within a shard, rows keep
-    ascending global order, so the global order is the concatenation of the
-    shard buffers gathered at :meth:`_concat` — or the plain concatenation
-    for range-partitioned (more generally *contiguous*) stores.
+    There is one layout: shard *k* holds the *k*-th range of rows, so the
+    global order is the concatenation of the shard buffers.  Bulk
+    construction cuts the rows into ``shard_count`` equal ranges (the last
+    one takes what is left, see :meth:`_bounds`); an append goes to the last
+    shard.
 
     Class attributes (fix them via :meth:`configured`):
 
-    * ``shard_count`` — number of shards (1..255; the per-row shard map is a
-      ``bytearray``).
-    * ``partitioner`` — ``"hash"``, ``"round_robin"`` or ``"range"``.
+    * ``shard_count`` — number of shards (at least 1).
     * ``shard_backend`` — backend name for the per-shard stores
       (``"column"`` by default; any registered backend works).
 
@@ -702,35 +692,23 @@ class ShardedStore(Store):
 
     backend = "sharded"
     shard_count = 4
-    partitioner = "round_robin"
     shard_backend = ColumnStore.backend
 
-    __slots__ = (
-        "width",
-        "_shards",
-        "_shard_of",
-        "_contiguous",
-        "_concat_cache",
-        "_positions_cache",
-        "_flat",
-        "_publication",
-    )
+    __slots__ = ("width", "_shards", "_flat", "_publication")
 
     @classmethod
     def _validate_shard_count(cls) -> None:
-        # The per-row shard map is a bytearray, so ids must fit in a byte.
-        if not 1 <= cls.shard_count <= 255:
-            raise ValueError(f"shard_count must be in 1..255, got {cls.shard_count}")
+        if cls.shard_count < 1:
+            raise ValueError(f"shard_count must be at least 1, got {cls.shard_count}")
 
-    def __init__(self, width: int) -> None:
-        self._validate_shard_count()
+    def __init__(self, width: int, shards: Optional[List[Store]] = None) -> None:
+        # ``shards`` (in global row order) is adopted without copying.
+        if shards is None:
+            self._validate_shard_count()
+            shard_cls = backend_class(self.shard_backend)
+            shards = [shard_cls(width) for _ in range(self.shard_count)]
         self.width = width
-        shard_cls = backend_class(self.shard_backend)
-        self._shards: List[Store] = [shard_cls(width) for _ in range(self.shard_count)]
-        self._shard_of = bytearray()
-        self._contiguous = True
-        self._concat_cache: Optional[Sequence[int]] = None
-        self._positions_cache: Optional[List[Sequence[int]]] = None
+        self._shards = shards
         self._flat: Optional[ColumnStore] = None
         self._publication = None  # the shards as mapped files (parallel.py)
 
@@ -738,7 +716,7 @@ class ShardedStore(Store):
     def configured(
         cls,
         shard_count: Optional[int] = None,
-        partitioner: Optional[str] = None,
+        *,
         name: Optional[str] = None,
         shard_backend: Optional[str] = None,
     ) -> Type["ShardedStore"]:
@@ -746,21 +724,17 @@ class ShardedStore(Store):
 
         The returned class can be registered as its own backend::
 
-            register_backend("sharded8", ShardedStore.configured(8, "range"))
+            register_backend("sharded8", ShardedStore.configured(8, name="sharded8"))
             Relation(schema, rows, backend="sharded8")
         """
         count = shard_count if shard_count is not None else cls.shard_count
-        part = partitioner if partitioner is not None else cls.partitioner
-        if part not in ("hash", "round_robin", "range"):  # validate eagerly
-            raise ValueError(f"unknown partitioner {part!r}; available: hash, round_robin, range")
         attrs = {
             "__slots__": (),
-            "backend": name or f"{cls.backend}[{count}:{part}]",
+            "backend": name or f"{cls.backend}[{count}]",
             "shard_count": count,
-            "partitioner": part,
             "shard_backend": shard_backend or cls.shard_backend,
         }
-        configured = type(f"ShardedStore_{count}_{part}", (cls,), attrs)
+        configured = type(f"ShardedStore_{count}", (cls,), attrs)
         configured._validate_shard_count()  # fail here, not at first use
         return configured
 
@@ -778,31 +752,22 @@ class ShardedStore(Store):
     def shard_views(self) -> Tuple[Store, ...]:
         return self.shards
 
-    def shard_indices(self, shard: int) -> Sequence[int]:
-        """Global row indices held by ``shard``, ascending (treat as read-only)."""
-        return self._positions()[shard]
-
     # -- internal bookkeeping ------------------------------------------------
     @classmethod
-    def _adopt(
-        cls, shards: List[Store], shard_of: bytearray, contiguous: Optional[bool] = None
-    ) -> "ShardedStore":
-        out = cls.__new__(cls)
-        out.width = shards[0].width if shards else 0
-        out._shards = shards
-        out._shard_of = shard_of
-        out._contiguous = (
-            contiguous if contiguous is not None else _is_sorted(shard_of)
-        )
-        out._concat_cache = None
-        out._positions_cache = None
-        out._flat = None
-        out._publication = None
-        return out
+    def _bounds(cls, count: int) -> List[int]:
+        """The cut points of ``count`` rows: shard *k* holds ``bounds[k]:bounds[k + 1]``.
+
+        Each range holds ``ceil(count / shard_count)`` rows until the rows
+        run out: the last non-empty range takes what is left, and the ranges
+        after it are empty.
+        """
+        # from_rows/from_columns hand __init__ their shards, so the shard
+        # count is checked on the bulk path here.
+        cls._validate_shard_count()
+        chunk = max(1, -(-count // cls.shard_count))  # ceil division
+        return [min(shard * chunk, count) for shard in range(cls.shard_count)] + [count]
 
     def _invalidate(self) -> None:
-        self._concat_cache = None
-        self._positions_cache = None
         self._flat = None
         self.bump_epoch()
         self._retire_publication()
@@ -824,99 +789,37 @@ class ShardedStore(Store):
     # sharded layout crossing into a worker process) must not drag the
     # process-local publication or the flat view along.
     def __getstate__(self):
-        return {
-            "width": self.width,
-            "shards": self._shards,
-            "shard_of": bytes(self._shard_of),
-            "contiguous": self._contiguous,
-        }
+        return {"width": self.width, "shards": self._shards}
 
     def __setstate__(self, state) -> None:
-        self.width = state["width"]
-        self._shards = state["shards"]
-        self._shard_of = bytearray(state["shard_of"])
-        self._contiguous = state["contiguous"]
-        self._concat_cache = None
-        self._positions_cache = None
-        self._flat = None
-        self._publication = None
-
-    def _positions(self) -> List[Sequence[int]]:
-        """Per-shard global row indices (cached; ``range`` objects when contiguous)."""
-        if self._positions_cache is None:
-            if self._contiguous:
-                positions: List[Sequence[int]] = []
-                offset = 0
-                for shard in self._shards:
-                    positions.append(range(offset, offset + len(shard)))
-                    offset += len(shard)
-            else:
-                grown: List[array] = [array("q") for _ in self._shards]
-                for index, shard in enumerate(self._shard_of):
-                    grown[shard].append(index)
-                positions = list(grown)
-            self._positions_cache = positions
-        return self._positions_cache
-
-    def _concat(self) -> Sequence[int]:
-        """Per global row, its position in the concatenation of the shard buffers (cached)."""
-        if self._concat_cache is None:
-            if self._contiguous:
-                self._concat_cache = range(len(self._shard_of))
-            else:
-                cursors = list(accumulate(map(len, self._shards), initial=0))
-                out = array("q", bytes(8 * len(self._shard_of)))
-                for index, shard in enumerate(self._shard_of):
-                    out[index] = cursors[shard]
-                    cursors[shard] += 1
-                self._concat_cache = out
-        return self._concat_cache
+        self.__init__(state["width"], state["shards"])
 
     def _view(self) -> ColumnStore:
         """The rows as one global-order :class:`ColumnStore` (built on first read, cached).
 
         Each column is the concatenation of its shard buffers (typed at C
-        speed when every shard's is), gathered once at :meth:`_concat`
-        unless the store is contiguous, into a fresh buffer: the view shares
-        nothing with the shards (nor with a shard's file).
+        speed when every shard's is), copied into a fresh buffer: the view
+        shares nothing with the shards (nor with a shard's file).
         :meth:`_invalidate` drops it.
         """
         flat = self._flat
         if flat is None:
-            order = None if self._contiguous else self._concat()
             columns = []
             for position in range(self.width):
                 column = _concat_buffers([shard.column(position) for shard in self._shards])
-                values = column if order is None else _gather(column, order)
                 typecode = _buffer_typecode(column)
-                columns.append(array(typecode, values) if typecode is not None else list(values))
+                columns.append(array(typecode, column) if typecode is not None else list(column))
             flat = ColumnStore.adopt_columns(columns)
-            flat._length = len(self._shard_of)  # a zero-width store still has rows
+            flat._length = len(self)  # a zero-width store still has rows
             self._flat = flat
         return flat
 
     # -- size / mutation ----------------------------------------------------
     def __len__(self) -> int:
-        return len(self._shard_of)
+        return sum(map(len, self._shards))
 
     def append(self, row: Sequence[object]) -> None:
-        added = tuple(row)
-        index = len(self._shard_of)
-        count = len(self._shards)
-        if self.partitioner == "hash":
-            shard = _hash_partition(added, index, count)
-        elif self.partitioner == "round_robin":
-            shard = index % count
-        else:
-            # "range": appends keep the shard sequence sorted (contiguity is
-            # what buys a range-partitioned store its C-speed buffer
-            # concatenation); bulk construction rebalances into equal
-            # contiguous chunks instead.
-            shard = count - 1
-        self._shards[shard].append(added)
-        if self._contiguous and self._shard_of and shard < self._shard_of[-1]:
-            self._contiguous = False
-        self._shard_of.append(shard)
+        self._shards[-1].append(tuple(row))
         self._invalidate()
 
     # -- reads: the flat view -------------------------------------------------
@@ -963,8 +866,7 @@ class ShardedStore(Store):
         Each shard's worker evaluates ``masker`` over its warm mapped shard
         file and sends back only the shard's mask bytes
         (:func:`repro.relational.parallel.process_select_gather`); the
-        parent stitches them into global order — one concatenation, plus one
-        gather at :meth:`_concat` when the store is not contiguous.  The
+        parent joins them, in shard order, into the global-order mask.  The
         serial executor and every fallback (small or unpublishable stores,
         an unpicklable masker, an open breaker, a dispatch that gave up)
         evaluate the mask over the flat view in the caller.  Either way the
@@ -977,8 +879,6 @@ class ShardedStore(Store):
             parts = parallel.process_select_gather(self, masker)
             if parts is not None:
                 mask = bytearray(b"".join(parts))
-                if not self._contiguous:
-                    mask = bytearray(_gather(mask, self._concat()))
         flat = self._view()
         if mask is None:
             mask = flat.eval_mask(masker)
@@ -987,88 +887,30 @@ class ShardedStore(Store):
         return mask, flat.select_mask(mask)
 
     def copy(self) -> "ShardedStore":
-        shards = [shard.copy() for shard in self._shards]
-        return self._adopt(shards, bytearray(self._shard_of), contiguous=self._contiguous)
+        return type(self)(self.width, [shard.copy() for shard in self._shards])
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def _bulk_assign(cls, rows: Sequence[Row]) -> bytearray:
-        # from_rows/from_columns adopt buffers without passing __init__, so
-        # the shard-count bound is re-checked on the bulk path as well.
-        cls._validate_shard_count()
-        count = len(rows)
-        shards = cls.shard_count
-        if cls.partitioner == "round_robin":
-            pattern = bytes(range(shards))
-            return bytearray((pattern * (count // shards + 1))[:count])
-        if cls.partitioner == "range":
-            # Equal contiguous chunks (the last shard absorbs the remainder).
-            chunk = max(1, -(-count // shards))  # ceil division
-            return bytearray(min(i // chunk, shards - 1) for i in range(count))
-        return bytearray(
-            _hash_partition(row, index, shards) for index, row in enumerate(rows)
+    def from_rows(cls, width: int, rows: Iterable[Sequence[object]]) -> "ShardedStore":
+        materialized = [row if isinstance(row, tuple) else tuple(row) for row in rows]
+        bounds = cls._bounds(len(materialized))
+        shard_cls = backend_class(cls.shard_backend)
+        return cls(
+            width,
+            [shard_cls.from_rows(width, materialized[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
         )
 
     @classmethod
-    def from_rows(cls, width: int, rows: Iterable[Sequence[object]]) -> "ShardedStore":
-        materialized = [row if isinstance(row, tuple) else tuple(row) for row in rows]
-        shard_of = cls._bulk_assign(materialized)
-        shard_cls = backend_class(cls.shard_backend)
-        if cls.partitioner == "round_robin":
-            chunks: List[Sequence[Row]] = [
-                materialized[shard :: cls.shard_count] for shard in range(cls.shard_count)
-            ]
-        else:
-            grouped: List[List[Row]] = [[] for _ in range(cls.shard_count)]
-            for row, shard in zip(materialized, shard_of):
-                grouped[shard].append(row)
-            chunks = list(grouped)
-        shards: List[Store] = [shard_cls.from_rows(width, chunk) for chunk in chunks]
-        return cls._adopt(shards, shard_of)
-
-    @classmethod
     def from_columns(cls, width: int, columns: Sequence[Sequence[object]]) -> "ShardedStore":
-        if not columns:
-            return cls._adopt(
-                [backend_class(cls.shard_backend)(width) for _ in range(cls.shard_count)],
-                bytearray(),
-                contiguous=True,
-            )
-        count = len(columns[0])
+        bounds = cls._bounds(len(columns[0]) if columns else 0)
         shard_cls = backend_class(cls.shard_backend)
-        if cls.partitioner == "round_robin":
-            shard_of = cls._bulk_assign([()] * count)
-            shards: List[Store] = [
-                shard_cls.from_columns(
-                    width, [column[shard :: cls.shard_count] for column in columns]
-                )
-                for shard in range(cls.shard_count)
-            ]
-            return cls._adopt(shards, shard_of)
-        if cls.partitioner == "range":
-            shard_of = cls._bulk_assign([()] * count)
-            chunk = max(1, -(-count // cls.shard_count))
-            bounds = [
-                (min(shard * chunk, count), min((shard + 1) * chunk, count))
-                for shard in range(cls.shard_count)
-            ]
-            bounds[-1] = (bounds[-1][0], count)
-            shards = [
+        return cls(
+            width,
+            [
                 shard_cls.from_columns(width, [column[lo:hi] for column in columns])
-                for lo, hi in bounds
-            ]
-            return cls._adopt(shards, shard_of)
-        return cls.from_rows(width, zip(*columns))
-
-
-def _is_sorted(shard_of: Sequence[int]) -> bool:
-    """Whether shard ids are non-decreasing (global order == shard concatenation)."""
-    previous = -1
-    for shard in shard_of:
-        if shard < previous:
-            return False
-        previous = shard
-    return True
+                for lo, hi in zip(bounds, bounds[1:])
+            ],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1101,11 +943,6 @@ def list_backends() -> Tuple[str, ...]:
     automatically held to the bit-identity contract.
     """
     return tuple(_BACKENDS)
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of all registered backends (alias of :func:`list_backends`)."""
-    return list_backends()
 
 
 def backend_class(name: str) -> Type[Store]:

@@ -1,8 +1,10 @@
 """Cache backends for the query-serving layer.
 
-The serving facade keeps two caches — answered :class:`~repro.core.framework.QueryResult`\\s
-and compiled :class:`~repro.core.plan.BoundedPlan`\\s — behind one small
-backend contract, mirroring how storage layouts sit behind
+The serving facade keeps one cache, of answered
+:class:`~repro.core.framework.QueryResult`\\s, behind one small backend
+contract (compiled :class:`~repro.core.plan.BoundedPlan`\\s are memoised by
+the engine itself, in :attr:`Beas.plans <repro.core.framework.Beas.plans>`),
+mirroring how storage layouts sit behind
 :func:`repro.relational.store.register_backend`.  A backend is a bounded
 key/value map; the *keys* carry all the invalidation logic (they embed the
 database's publication epoch, so entries computed before a mutation simply

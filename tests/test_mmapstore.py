@@ -39,6 +39,7 @@ from repro.relational import parallel
 from repro.relational.mmapstore import (
     FILE_SUFFIX,
     MANIFEST_NAME,
+    MANIFEST_VERSION,
     MmapShardedStore,
     MmapStore,
     cleanup_store_dir,
@@ -259,20 +260,39 @@ class TestDatasetDirectories:
             assert reopened.relation(name).store.is_mapped
 
     @pytest.mark.parametrize(
-        "layout, shards, partitioner",
-        [("sharded", 4, "round_robin"), ("sharded1", 1, "range"), ("sharded7", 7, "hash")],
+        "layout, shards",
+        [("sharded", 4), ("sharded1", 1), ("sharded7", 7), ("mmap-sharded", 4)],
     )
-    def test_sharded_layout_preserved(self, tiny_db, store_dir, tmp_path, layout, shards, partitioner):
+    def test_sharded_layout_preserved(self, tiny_db, store_dir, tmp_path, layout, shards):
         db = to_backend(tiny_db, layout)
         dataset = tmp_path / "dataset"
         save_database(db, dataset)
         reopened = open_database(dataset)
-        store = reopened.relation("emp").store
-        assert isinstance(store, ShardedStore)
-        assert len(store.shards) == shards
-        assert store.partitioner == partitioner
-        assert all(isinstance(shard, MmapStore) for shard in store.shards)
-        assert_identical(reopened.relation("emp"), tiny_db.relation("emp"))
+        for name in tiny_db.relation_names:
+            saved, store = db.relation(name).store, reopened.relation(name).store
+            assert isinstance(store, ShardedStore)
+            assert store.shard_count == len(store.shards) == shards
+            assert [len(shard) for shard in store.shards] == [len(shard) for shard in saved.shards]
+            assert all(isinstance(shard, MmapStore) for shard in store.shards)
+            assert_identical(reopened.relation(name), tiny_db.relation(name))
+
+    def test_open_rejects_other_manifest_versions(self, tiny_db, store_dir, tmp_path):
+        """A version-1 manifest may describe interleaved shards (a per-row
+        shard map); reading its files in order would reorder the rows."""
+        dataset = tmp_path / "dataset"
+        save_database(to_backend(tiny_db, "sharded"), dataset)
+        manifest_path = os.path.join(dataset, MANIFEST_NAME)
+        with open(manifest_path, "rb") as handle:
+            manifest = pickle.loads(handle.read())
+        assert manifest["version"] == MANIFEST_VERSION == 2
+        manifest["version"] = 1
+        for entry in manifest["relations"]:
+            rows = len(tiny_db.relation(entry["name"]))
+            entry["shard_of"] = bytes(index % len(entry["files"]) for index in range(rows))
+        with open(manifest_path, "wb") as handle:
+            handle.write(pickle.dumps(manifest))
+        with pytest.raises(ValueError, match="version 1.*version 2"):
+            open_database(dataset)
 
     def test_open_without_schema_raises(self, tiny_db, store_dir, tmp_path):
         dataset = tmp_path / "dataset"

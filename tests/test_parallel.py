@@ -46,10 +46,10 @@ from repro.relational.kernels import (
     naive_min_distance,
     naive_radius_matches,
 )
-from repro.relational.mmapstore import MmapShardedStore, MmapStore, write_anonymous
+from repro.relational.mmapstore import MmapStore, write_anonymous
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.store import ColumnStore, EXECUTOR_MODES, ShardedStore
+from repro.relational.store import ColumnStore, EXECUTOR_MODES, ShardedStore, backend_class
 from repro.workloads import tfacc
 from repro.workloads.querygen import QueryGenerator
 
@@ -137,7 +137,7 @@ class TestPublicationRoundTrip:
     def test_shards_resolve_with_values_and_types(self, store_dir, shard_backend):
         # "sharded" shards are the nested layout: each is flattened into
         # one file in its own global row order.
-        cls = ShardedStore.configured(2, "range", shard_backend=shard_backend)
+        cls = ShardedStore.configured(2, shard_backend=shard_backend)
         store = cls.from_columns(len(MIXED_COLUMNS), MIXED_COLUMNS)
         for shard, resolved in zip(store.shards, resolve_published(store)):
             assert isinstance(resolved, MmapStore)
@@ -146,7 +146,7 @@ class TestPublicationRoundTrip:
                 assert resolved._kinds == shard._kinds  # typed buffers stay typed
 
     def test_empty_and_zero_width_stores(self, store_dir):
-        cls = ShardedStore.configured(2, "range")
+        cls = ShardedStore.configured(2)
         empty = cls.from_columns(3, [[], [], []])
         for shard, resolved in zip(empty.shards, resolve_published(empty)):
             self.assert_identical_stores(shard, resolved)
@@ -157,7 +157,7 @@ class TestPublicationRoundTrip:
             assert resolved.width == 0 and len(resolved) == 0
 
     def test_mapped_shards_hand_out_their_own_files(self, store_dir):
-        cls = ShardedStore.configured(2, "range", shard_backend="mmap")
+        cls = ShardedStore.configured(2, shard_backend="mmap")
         store = cls.from_columns(len(MIXED_COLUMNS), MIXED_COLUMNS)
         publication = parallel.publication_for(store)
         assert publication.handles == [shard.file_handle() for shard in store.shards]
@@ -309,7 +309,7 @@ class TestWorkerInternals:
     ):
         rows = make_rows(3000)
         rows[-1] = (threading.Lock(), 1.0, 2.0)  # unpicklable object-column value
-        cls = ShardedStore.configured(4, "range")  # bad value isolated in last shard
+        cls = ShardedStore.configured(4)  # bad value isolated in last shard
         store = cls.from_rows(3, rows)
         force_process()
 
@@ -582,13 +582,12 @@ class TestProcessExecution:
         assert relation.store._publication is None
         assert parallel.dispatch_stats()["tasks"] == tasks_before
 
-    @pytest.mark.parametrize("layout", ["hash", "round_robin", "range", "mmap-sharded"])
+    @pytest.mark.parametrize("layout", ["sharded", "mmap-sharded"])
     def test_mutation_retires_publication(self, layout, store_dir):
         """An append retires the published files and the flat view: every
         read after it — column, key tuples, serial and shipped select — sees
         the new row."""
-        cls = MmapShardedStore if layout == "mmap-sharded" else ShardedStore.configured(4, layout)
-        store = cls.from_rows(3, make_rows(3000))
+        store = backend_class(layout).from_rows(3, make_rows(3000))
         force_process()
         first_mask, first_rows = select_answer(store)
         publication = store._publication
@@ -627,7 +626,7 @@ class TestProcessExecution:
         assert relation.store._publication is publication
 
     def test_store_with_an_empty_shard_still_dispatches(self):
-        cls = ShardedStore.configured(4, "range")
+        cls = ShardedStore.configured(4)
         store = cls.from_rows(3, make_rows(3))
         assert [len(shard) for shard in store.shards] == [1, 1, 1, 0]
         configure(shard_executor="serial")
@@ -854,7 +853,7 @@ MIXED_CONDITION = Conjunction.of(
 def test_executors_agree_on_mixed_columns(rows):
     """Serial and process select+gather are bit-identical on
     None/NaN/mixed/string columns (the satellite hypothesis property)."""
-    cls = ShardedStore.configured(3, "round_robin")
+    cls = ShardedStore.configured(3)
     store = cls.from_rows(2, rows)
     masker = MIXED_CONDITION.program(MIXED_SCHEMA).run_part
     configure(process_min_rows=1)

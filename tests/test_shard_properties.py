@@ -2,11 +2,11 @@
 
 Two families of invariants:
 
-* **Partition → concatenate round trips**: splitting rows across shards and
-  reading them back (``row_list`` / ``column`` / ``key_tuples``) preserves
-  row order, multiplicity, values and value types — for every partitioner
-  and shard count, including ``None``, NaN, mixed int/float columns, bools
-  and ints beyond 64 bits.
+* **Partition → concatenate round trips**: cutting rows into contiguous
+  shard ranges (bulk, then appends) and reading them back (``row_list`` /
+  ``column`` / ``key_tuples``) preserves row order, multiplicity, values and
+  value types — for every shard count, including ``None``, NaN, mixed
+  int/float columns, bools and ints beyond 64 bits.
 * **Sharded search equals unsharded search**: the distance kernels built
   over a sharded store (:meth:`RadiusMatcher.from_store
   <repro.relational.kernels.RadiusMatcher.from_store>`,
@@ -49,7 +49,6 @@ NUMBERS = st.one_of(
     st.booleans(),
 )
 ROWS = st.lists(st.tuples(st.integers(0, 5), CATS, NUMBERS, NUMBERS), max_size=40)
-PARTITIONERS = st.sampled_from(["hash", "round_robin", "range"])
 SHARD_COUNTS = st.integers(1, 7)
 
 POINT_ROWS = st.lists(
@@ -66,17 +65,21 @@ SEARCH_SCHEMA = RelationSchema(
 )
 
 
-def _sharded(rows, shards, partitioner):
-    cls = ShardedStore.configured(shards, partitioner)
-    return cls.from_rows(4, rows)
+def _sharded(rows, shards, appends=0):
+    """The last ``appends`` rows appended one by one after a bulk build of the rest."""
+    bulk = len(rows) - min(appends, len(rows))
+    store = ShardedStore.configured(shards).from_rows(4, rows[:bulk])
+    for row in rows[bulk:]:
+        store.append(row)
+    return store
 
 
 @settings(max_examples=80, deadline=None)
-@given(rows=ROWS, shards=SHARD_COUNTS, partitioner=PARTITIONERS)
-def test_partition_concatenate_round_trip(rows, shards, partitioner):
+@given(rows=ROWS, shards=SHARD_COUNTS, appends=st.integers(0, 10))
+def test_partition_concatenate_round_trip(rows, shards, appends):
     """Splitting across shards and reading back preserves order and types."""
     reference = RowStore.from_rows(4, rows)
-    store = _sharded(rows, shards, partitioner)
+    store = _sharded(rows, shards, appends)
     assert len(store) == len(rows)
     expected = [identity_key(r) for r in reference.row_list()]
     assert [identity_key(r) for r in store.row_list()] == expected
@@ -88,28 +91,31 @@ def test_partition_concatenate_round_trip(rows, shards, partitioner):
     assert [identity_key(k) for k in store.key_tuples([2, 0])] == [
         identity_key(k) for k in reference.key_tuples([2, 0])
     ]
-    # Multiplicity: the shards partition the multiset of rows exactly.
-    shard_union = sorted(
-        identity_key(r) for shard in store.shards for r in shard.iter_rows()
-    )
-    assert shard_union == sorted(expected)
+    # Contiguity: the shards, one after another, are the rows in order; the
+    # bulk-built rows sit in equal ranges and the appended ones in the last.
+    shard_concat = [identity_key(r) for shard in store.shards for r in shard.iter_rows()]
+    assert shard_concat == expected
+    bulk = len(rows) - min(appends, len(rows))
+    chunk = max(1, -(-bulk // shards))
+    sizes = [len(shard) for shard in store.shards]
+    assert sizes[:-1] == [max(0, min(chunk, bulk - k * chunk)) for k in range(shards - 1)]
+    assert sizes[-1] == len(rows) - sum(sizes[:-1])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     rows=ROWS,
     shards=SHARD_COUNTS,
-    partitioner=PARTITIONERS,
     mask_seed=st.integers(0, 2**30),
 )
-def test_selection_round_trip_preserves_order(rows, shards, partitioner, mask_seed):
+def test_selection_round_trip_preserves_order(rows, shards, mask_seed):
     """select_mask / take / head keep the filtered global order on every shard layout."""
     import random
 
     rng = random.Random(mask_seed)
     mask = bytearray(rng.randrange(2) for _ in rows)
     reference = RowStore.from_rows(4, rows)
-    store = _sharded(rows, shards, partitioner)
+    store = _sharded(rows, shards)
     assert [identity_key(r) for r in store.select_mask(mask).row_list()] == [
         identity_key(r) for r in reference.select_mask(mask).row_list()
     ]
@@ -130,13 +136,12 @@ def test_selection_round_trip_preserves_order(rows, shards, partitioner, mask_se
     query=st.tuples(st.integers(0, 3), st.floats(-60, 60), st.floats(-60, 60)),
     radii=st.tuples(st.floats(0, 2), st.floats(0, 30), st.floats(0, 30)),
     shards=SHARD_COUNTS,
-    partitioner=PARTITIONERS,
 )
-def test_sharded_band_radius_and_nearest_equal_single_store(rows, query, radii, shards, partitioner):
+def test_sharded_band_radius_and_nearest_equal_single_store(rows, query, radii, shards):
     """Both kernels over a sharded store == over a row store (and == naive):
     answers are global row positions whatever the shard layout."""
     row_store = Relation(SEARCH_SCHEMA, rows, backend="row").store
-    cls = ShardedStore.configured(shards, partitioner)
+    cls = ShardedStore.configured(shards)
     sharded = cls.from_rows(3, [tuple(r) for r in rows])
     positions = [0, 1, 2]
     distances = [a.distance for a in SEARCH_SCHEMA.attributes]
@@ -160,14 +165,13 @@ def test_sharded_band_radius_and_nearest_equal_single_store(rows, query, radii, 
     query=st.tuples(st.integers(0, 3), st.floats(-60, 60), st.floats(-60, 60)),
     slack=st.floats(0, 10),
     shards=SHARD_COUNTS,
-    partitioner=PARTITIONERS,
 )
-def test_sharded_kernels_equal_naive(rows, query, slack, shards, partitioner):
+def test_sharded_kernels_equal_naive(rows, query, slack, shards):
     """Sharded matcher/NN answers == the unsharded kernels == the nested loops."""
     positions = [0, 1]
     distances = [TRIVIAL, NUMERIC]
     thresholds = [0.0, slack]
-    cls = ShardedStore.configured(shards, partitioner)
+    cls = ShardedStore.configured(shards)
     store = cls.from_rows(3, [tuple(r) for r in rows])
     column = ColumnStore.from_rows(3, [tuple(r) for r in rows])
 

@@ -9,8 +9,8 @@ columns, ``None``, NaN, and the full ``Beas.answer()`` pipeline.
 ``TestBackendConformanceMatrix`` runs the whole differential suite over
 every backend returned by :func:`repro.relational.store.list_backends` (the
 ``backend`` fixture is auto-parametrized in ``conftest.py``): row, column,
-sharded at 1/4/7 shards across all three partitioners — and any backend a
-future PR registers at import time, automatically.
+sharded at 1/4/7 shards, the mmap tier — and any backend a future PR
+registers at import time, automatically.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.relational.store import (
     RowStore,
     ShardedStore,
     and_masks,
-    available_backends,
     backend_class,
     gather_columns,
     gather_pairs,
@@ -140,14 +139,20 @@ class TestStores:
             assert emptied.row_list() == [("hello", None)]
             assert emptied._kinds == ["object", "object"]
 
+    def test_zero_width_rows_still_count(self):
+        # A sharded store's length is the sum of its shards' lengths, so a
+        # shard built from zero-width rows must count them.
+        for cls in (RowStore, ColumnStore, ShardedStore.configured(2)):
+            store = cls.from_rows(0, [()] * 5)
+            assert len(store) == 5
+
     def test_from_columns_equals_from_rows(self):
         columns = list(zip(*MIXED_ROWS))
         for cls in (RowStore, ColumnStore):
             assert cls.from_columns(4, columns).row_list() == MIXED_ROWS
 
     def test_registry_and_default(self):
-        assert {"row", "column", "sharded"} <= set(available_backends())
-        assert available_backends() == list_backends()
+        assert {"row", "column", "sharded"} <= set(list_backends())
         assert backend_class("row") is RowStore
         assert backend_class("sharded") is ShardedStore
         with pytest.raises(ValueError):
@@ -164,7 +169,7 @@ class TestStores:
             backend = "tagged"
 
         register_backend("tagged", TaggedRowStore)
-        assert "tagged" in available_backends()
+        assert "tagged" in list_backends()
         rel = Relation(
             RelationSchema("r", [Attribute("a")]), [(1,), (2,)], backend="tagged"
         )
@@ -183,15 +188,23 @@ class TestStores:
 # ---------------------------------------------------------------------------
 
 class TestShardedStore:
-    @pytest.mark.parametrize("partitioner", ["hash", "round_robin", "range"])
+    @pytest.mark.parametrize("build", ["from_rows", "from_columns"])
     @pytest.mark.parametrize("shards", [1, 2, 4, 7])
-    def test_roundtrip_preserves_order_and_types(self, partitioner, shards):
-        cls = ShardedStore.configured(shards, partitioner)
-        store = cls.from_rows(4, MIXED_ROWS)
+    def test_roundtrip_preserves_order_and_types(self, shards, build):
+        cls = ShardedStore.configured(shards)
+        if build == "from_rows":
+            store = cls.from_rows(4, MIXED_ROWS)
+        else:
+            store = cls.from_columns(4, [[r[p] for r in MIXED_ROWS] for p in range(4)])
         assert len(store) == len(MIXED_ROWS)
-        assert store.shard_count == shards
-        assert sum(len(s) for s in store.shards) == len(MIXED_ROWS)
+        assert store.shard_count == len(store.shards) == shards
+        # Contiguous ranges: the shards, one after another, are the rows in
+        # order, in equal ranges of ceil(rows / shards) but the last.
+        chunk = -(-len(MIXED_ROWS) // shards)
+        sizes = [len(s) for s in store.shards]
+        assert sizes == [max(0, min(chunk, len(MIXED_ROWS) - k * chunk)) for k in range(shards)]
         expected = [identity_key(r) for r in MIXED_ROWS]
+        assert [identity_key(r) for s in store.shards for r in s.iter_rows()] == expected
         assert [identity_key(r) for r in store.row_list()] == expected
         assert [identity_key(r) for r in store.iter_rows()] == expected
         assert [identity_key(store.row(i)) for i in range(len(store))] == expected
@@ -202,9 +215,40 @@ class TestShardedStore:
             identity_key((r[1], r[3])) for r in MIXED_ROWS
         ]
 
-    @pytest.mark.parametrize("partitioner", ["hash", "round_robin", "range"])
-    def test_derivations_preserve_global_order(self, partitioner):
-        cls = ShardedStore.configured(3, partitioner)
+    @pytest.mark.parametrize(
+        ("shards", "rows", "sizes"),
+        [
+            (1, 0, [0]),
+            (1, 5, [5]),
+            (3, 0, [0, 0, 0]),
+            (3, 2, [1, 1, 0]),
+            (3, 9, [3, 3, 3]),
+            (3, 10, [4, 4, 2]),
+            (4, 10, [3, 3, 3, 1]),
+            (4, 6, [2, 2, 2, 0]),
+            (7, 6, [1, 1, 1, 1, 1, 1, 0]),
+        ],
+    )
+    def test_bounds_cut_contiguous_ranges(self, shards, rows, sizes):
+        """``_bounds`` cuts ``rows`` into ranges of ceil(rows / shards) until
+        the rows run out; both bulk builders cut exactly there, so the shards
+        concatenate to the rows in order."""
+        cls = ShardedStore.configured(shards)
+        bounds = cls._bounds(rows)
+        assert bounds[0] == 0 and bounds[-1] == rows and len(bounds) == shards + 1
+        assert [hi - lo for lo, hi in zip(bounds, bounds[1:])] == sizes
+        data = [(i, float(i)) for i in range(rows)]
+        for store in (
+            cls.from_rows(2, data),
+            cls.from_columns(2, [[r[0] for r in data], [r[1] for r in data]]),
+        ):
+            assert [len(s) for s in store.shards] == sizes
+            assert [r for s in store.shards for r in s.iter_rows()] == data
+            assert len(store) == rows and store.row_list() == data
+
+    @pytest.mark.parametrize("shards", [1, 3, 7])
+    def test_derivations_preserve_global_order(self, shards):
+        cls = ShardedStore.configured(shards)
         store = cls.from_rows(4, MIXED_ROWS)
         mask = bytearray([1, 0, 1, 0, 1, 0])
         kept = store.select_mask(mask)
@@ -225,37 +269,38 @@ class TestShardedStore:
         dup.append((9, "z", 0.0, 0.0))
         assert len(store) == len(MIXED_ROWS) and len(dup) == len(MIXED_ROWS) + 1
 
-    @pytest.mark.parametrize("partitioner", ["hash", "round_robin", "range"])
-    def test_appends_land_where_the_partitioner_says(self, partitioner):
-        """One-row appends place rows as bulk construction does ("range"
-        alone rebalances in bulk and appends to the last shard), an
-        unhashable row hashes by its index, and a copy's appends leave the
-        original alone."""
-        rows = [(i, float(i % 5)) for i in range(12)] + [([1], 2.0)]
-
-        def placed(index, row):
-            if partitioner == "round_robin":
-                return index % 3
-            if partitioner == "range":
-                return 2
-            try:
-                return hash(row) % 3
-            except TypeError:
-                return index % 3
-
-        cls = ShardedStore.configured(3, partitioner)
-        grown = cls.from_rows(2, [])
+    @pytest.mark.parametrize("build", ["from_rows", "from_columns"])
+    def test_appends_after_a_bulk_build_go_to_the_last_shard(self, build):
+        """Appends after a bulk build land in the last shard and keep the
+        global order (unhashable values included); every read after one sees
+        it, and a copy's appends leave the original alone."""
+        rows = [(i, float(i % 5)) for i in range(10)]
+        added = [(10, 0.0), ([1], 2.0), ("a", {"k": 1})]
+        cls = ShardedStore.configured(4)
+        if build == "from_rows":
+            store = cls.from_rows(2, rows)
+        else:
+            store = cls.from_columns(2, [[r[0] for r in rows], [r[1] for r in rows]])
+        assert [len(s) for s in store.shards] == [3, 3, 3, 1]
+        assert [store.row(index) for index in range(10)] == rows
+        assert list(store.gather_column(0, [9, 0])) == [9, 0]  # builds the flat view
+        for row in added:
+            store.append(row)
+        assert [len(s) for s in store.shards] == [3, 3, 3, 4]
+        assert store.shards[-1].row_list() == rows[9:] + added
+        assert store.row_list() == rows + added
+        assert list(store.gather_column(0, [10, 0])) == [10, 0]  # the cached view was dropped
+        dup = store.copy()
+        dup.append((99, 0.0))
+        assert not set(map(id, dup.shards)) & set(map(id, store.shards))
+        assert store.row_list() == rows + added
+        assert dup.row_list() == rows + added + [(99, 0.0)]
+        # An empty store takes every append into its last shard.
+        grown = ShardedStore.configured(3)(2)
         for row in rows:
             grown.append(row)
-        assert list(grown._shard_of) == [placed(i, row) for i, row in enumerate(rows)]  # noqa: SLF001
-        bulk = cls.from_rows(2, rows)
-        if partitioner != "range":
-            assert bulk._shard_of == grown._shard_of  # noqa: SLF001 - layout assertion
-        assert grown.row_list() == bulk.row_list() == rows
-        dup = grown.copy()
-        dup.append((99, 0.0))
-        assert not set(map(id, dup.shards)) & set(map(id, grown.shards))
-        assert grown.row_list() == rows and dup.row_list() == rows + [(99, 0.0)]
+        assert [len(s) for s in grown.shards] == [0, 0, 10]
+        assert grown.row_list() == rows
 
     @pytest.mark.parametrize(
         "layout", [name for name in list_backends() if issubclass(backend_class(name), ShardedStore)]
@@ -285,43 +330,24 @@ class TestShardedStore:
     def test_shards_are_column_stores(self):
         store = ShardedStore.from_rows(2, [(i, float(i)) for i in range(10)])
         assert all(isinstance(s, ColumnStore) for s in store.shards)
-        # Per-shard typed buffers survive partitioning.
+        # Per-shard typed buffers survive partitioning, and whole-column
+        # reads concatenate them into one typed buffer.
         assert all(
             s._kinds == ["int", "float"] for s in store.shards if len(s)
         )  # noqa: SLF001 - layout assertion
-
-    def test_shard_indices_partition_the_rows(self):
-        cls = ShardedStore.configured(4, "hash")
-        store = cls.from_rows(2, [(i, i % 3) for i in range(50)])
-        seen = sorted(
-            i for s in range(store.shard_count) for i in store.shard_indices(s)
-        )
-        assert seen == list(range(50))
-        for s in range(store.shard_count):
-            indices = list(store.shard_indices(s))
-            assert indices == sorted(indices)  # ascending global order
-            assert len(indices) == len(store.shards[s])
-
-    def test_range_partitioner_is_contiguous(self):
-        cls = ShardedStore.configured(4, "range")
-        store = cls.from_rows(1, [(i,) for i in range(10)])
-        sizes = [len(s) for s in store.shards]
-        assert sum(sizes) == 10
-        assert store._contiguous  # noqa: SLF001 - layout assertion
         from array import array
 
-        assert isinstance(store.column(0), array)  # typed C-speed concat
+        assert isinstance(store.column(0), array) and list(store.column(0)) == list(range(10))
 
     def test_eval_mask_matches_global_order(self):
-        for partitioner in ("hash", "round_robin", "range"):
-            cls = ShardedStore.configured(3, partitioner)
-            store = cls.from_rows(2, [(i, float(i % 7)) for i in range(40)])
-            mask = store.eval_mask(
-                lambda part: bytearray(
-                    1 if row[1] > 3.0 else 0 for row in part.iter_rows()
-                )
+        cls = ShardedStore.configured(3)
+        store = cls.from_rows(2, [(i, float(i % 7)) for i in range(40)])
+        mask = store.eval_mask(
+            lambda part: bytearray(
+                1 if row[1] > 3.0 else 0 for row in part.iter_rows()
             )
-            assert list(mask) == [1 if (i % 7) > 3 else 0 for i in range(40)]
+        )
+        assert list(mask) == [1 if (i % 7) > 3 else 0 for i in range(40)]
 
     def test_shard_worker_configuration(self):
         configure(shard_workers=3)
@@ -331,14 +357,16 @@ class TestShardedStore:
         assert current_config().worker_count >= 1
 
     def test_configured_registration_and_validation(self):
-        cls = ShardedStore.configured(2, "range", name="test-sharded2")
+        cls = ShardedStore.configured(2, name="test-sharded2")
         assert cls.backend == "test-sharded2"
-        with pytest.raises(ValueError):
-            ShardedStore.configured(2, "no-such-partitioner")
+        with pytest.raises(TypeError):
+            # name is keyword-only: a stale positional second argument must
+            # not silently become the backend's name.
+            ShardedStore.configured(8, "range")
         with pytest.raises(ValueError):
             ShardedStore.configured(0)  # fails eagerly, not at first use
-        with pytest.raises(ValueError):
-            ShardedStore.configured(300)  # shard ids must fit in a byte
+        many = ShardedStore.configured(300).from_rows(1, [(i,) for i in range(600)])
+        assert len(many.shards) == 300 and many.row_list() == [(i,) for i in range(600)]
         register_backend("test-sharded2", cls)
         rel = Relation(
             RelationSchema("r", [Attribute("a")]), [(1,), (2,), (3,)],
@@ -351,10 +379,10 @@ class TestShardedStore:
         # A sharded store whose shards are themselves sharded: every level
         # runs its shards in the caller, so nesting cannot wait on itself.
         register_backend(
-            "test-inner-sharded", ShardedStore.configured(2, "range", name="test-inner-sharded")
+            "test-inner-sharded", ShardedStore.configured(2, name="test-inner-sharded")
         )
         outer = ShardedStore.configured(
-            2, "range", name="test-outer-sharded", shard_backend="test-inner-sharded"
+            2, name="test-outer-sharded", shard_backend="test-inner-sharded"
         )
         store = outer.from_rows(2, [(i, float(i)) for i in range(10000)])
         mask = bytearray((1 if i % 2 == 0 else 0) for i in range(10000))
@@ -375,7 +403,7 @@ class TestShardedStore:
         # fetch stage must not look the backend name up in the registry.
         from repro.relational.store import list_backends
 
-        cls = ShardedStore.configured(3, "round_robin")  # auto-generated name
+        cls = ShardedStore.configured(3)  # auto-generated name
         assert cls.backend not in list_backends()
         db = Database.from_relations(
             [
@@ -398,24 +426,16 @@ class TestShardedStore:
         sql = social.example_queries()[0]
         assert_identical(reference.answer(sql, 0.02).rows, beas.answer(sql, 0.02).rows)
 
-    def test_unhashable_rows_fall_back_to_round_robin(self):
-        cls = ShardedStore.configured(3, "hash")
-        store = cls(2)
-        rows = [(1, 2), ([1], 5), ("a", {"k": 1})]
-        for row in rows:
-            store.append(row)
-        assert store.row_list() == rows
-
     def test_empty_store_and_from_columns(self):
-        for partitioner in ("hash", "round_robin", "range"):
-            cls = ShardedStore.configured(3, partitioner)
-            empty = cls(2)
-            assert len(empty) == 0 and empty.row_list() == []
-            assert empty.select_mask(bytearray()).row_list() == []
-            by_columns = cls.from_columns(4, [list(c) for c in zip(*MIXED_ROWS)])
-            assert [identity_key(r) for r in by_columns.row_list()] == [
-                identity_key(r) for r in MIXED_ROWS
-            ]
+        cls = ShardedStore.configured(3)
+        empty = cls(2)
+        assert len(empty) == 0 and empty.row_list() == []
+        assert empty.select_mask(bytearray()).row_list() == []
+        by_columns = cls.from_columns(4, [list(c) for c in zip(*MIXED_ROWS)])
+        assert [len(s) for s in by_columns.shards] == [2, 2, 2]
+        assert [identity_key(r) for r in by_columns.row_list()] == [
+            identity_key(r) for r in MIXED_ROWS
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +753,7 @@ class TestGatherBuilders:
 
     def test_gather_columns_reorders_and_mixes_sources(self):
         column = ColumnStore.from_rows(4, MIXED_ROWS)
-        sharded = ShardedStore.configured(3, "hash").from_rows(4, MIXED_ROWS)
+        sharded = ShardedStore.configured(3).from_rows(4, MIXED_ROWS)
         out = gather_columns(
             [(column, 2, [0, 1, 2]), (sharded, 0, [2, 1, 0]), (column, 1, [3, 3, 3])]
         )
@@ -772,7 +792,7 @@ class TestGatherBuilders:
     def test_sharded_gather_keeps_typed_buffers(self):
         from array import array
 
-        cls = ShardedStore.configured(4, "hash")
+        cls = ShardedStore.configured(4)
         store = cls.from_rows(2, [(float(i), i) for i in range(40)])
         indices = [37, 2, 2, 19, 0, 31]
         floats = store.gather_column(0, indices)
@@ -791,8 +811,8 @@ class TestGatherBuilders:
         gathered = mixed.gather_column(0, [10, 3, 0])
         assert list(gathered) == ["s", 3, 0]
 
-    @pytest.mark.parametrize("partitioner", ["hash", "round_robin", "range"])
-    def test_sharded_gathers_give_the_column_twins_buffers(self, partitioner):
+    @pytest.mark.parametrize("shards", [1, 4, 7])
+    def test_sharded_gathers_give_the_column_twins_buffers(self, shards):
         """gather_pairs / gather_columns over a sharded input build the very
         buffers (typecode and values) they build over its column twin."""
         from array import array
@@ -806,7 +826,7 @@ class TestGatherBuilders:
         rows = [tuple(float(i * j) if j % 2 else f"s{i}-{j}" for j in range(6)) + (i,) for i in range(60)]
         rows[2] = rows[2][:1] + (None,) + rows[2][2:]  # demotes one float column to objects
         rows[7] = rows[7][:3] + (NAN,) + rows[7][4:]
-        cls = ShardedStore.configured(4, partitioner)
+        cls = ShardedStore.configured(shards)
         left, right = cls.from_rows(7, rows), cls.from_rows(7, rows[::-1])
         twins = ColumnStore.from_rows(7, rows), ColumnStore.from_rows(7, rows[::-1])
         for left_indices, right_indices in (
@@ -821,16 +841,3 @@ class TestGatherBuilders:
             twin_sources = [(twins[0], 6, left_indices), (twins[1], 1, right_indices), (twins[0], 0, right_indices)]
             assert buffers(gather_columns(sources)) == buffers(gather_columns(twin_sources))
         assert buffers(out) == [(None, [])] * 14
-
-    def test_the_row_index_is_eight_bytes_a_row_and_none_when_contiguous(self):
-        from array import array
-
-        interleaved = ShardedStore.configured(4, "round_robin").from_rows(1, [(i,) for i in range(10)])
-        concat = interleaved._concat()  # noqa: SLF001
-        assert isinstance(concat, array) and concat.itemsize == 8
-        assert list(concat) == [0, 3, 6, 8, 1, 4, 7, 9, 2, 5]
-        assert [interleaved.row(index) for index in range(10)] == [(i,) for i in range(10)]
-        contiguous = ShardedStore.configured(4, "range").from_rows(1, [(i,) for i in range(10)])
-        assert contiguous._concat() == range(10)  # noqa: SLF001
-        interleaved.append((10,))
-        assert list(interleaved.gather_column(0, [10, 0])) == [10, 0]  # the cached index was dropped
