@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -591,16 +592,16 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
     pinned next to the mmap section's cold-open win.  ``recovery_after_kill``
     measures the failure path itself on the process executor: a warm healthy
     fused ``select_gather`` (the one operation that ships), the same query
-    with a seeded ``parallel.worker.kill`` plan (mask and selected rows must
-    stay bit-identical — the caller answers it and the dead pool is
-    retired), and the time for the path to heal — breaker back to
-    ``closed`` with no ``reset_process_pool()`` — once the plan is cleared.
+    after a worker of the warm pool exited hard (``os._exit`` sent through
+    the pool; mask and selected rows must stay bit-identical — the caller
+    answers it and the dead pool is retired), and the time for the path to
+    heal — breaker back to ``closed`` with no ``reset_process_pool()``.
     ``routed_tasks`` counts the tasks submitted to workers from the kill on,
     so a run that never reached a worker is visible as 0.
     """
     import tempfile
 
-    from repro import configure, current_config, faults
+    from repro import configure, current_config
     from repro.relational import parallel
     from repro.relational.mmapstore import CHECKSUM_MODES, MmapStore
 
@@ -668,11 +669,10 @@ def bench_resilience_section(size: int, backends: Sequence[str]) -> list:
             healthy_seconds, healthy = _timed_best(fused)
             assert healthy == reference
             before = parallel.dispatch_stats()
-            faults.set_fault_plan("seed=1301;parallel.worker.kill:at=1")
-            try:
-                killed_seconds, killed = _timed(fused)
-            finally:
-                faults.set_fault_plan(None, reset_pools=False)
+            # The pool learns of the death first, so the timed query is the
+            # one whose dispatch finds the pool broken.
+            parallel._ensure_pool().submit(os._exit, 13).exception(timeout=60.0)
+            killed_seconds, killed = _timed(fused)
             assert killed == reference  # a kill costs latency, never bits
             heal_started = time.perf_counter()
             heal_queries = 0
@@ -978,7 +978,7 @@ def run(
                     ]
                     for r in kill_records
                 ],
-                title=f"Recovery after an injected worker kill -> {destination}",
+                title=f"Recovery after a worker kill -> {destination}",
             )
         )
     return report

@@ -35,7 +35,7 @@ Every fetched value, the ``X`` columns included, is the stored one: asked for
 ``1.0`` where ``D_R`` holds ``1``, a fetch answers with the tuples of ``D_R``.
 
 Nothing reads ``_rows`` values as anything but a ``Sequence[int]``: appending
-a tuple to ``D_R`` (ROADMAP item 1(c)) adds its entry at the end of the
+a tuple to ``D_R`` (ROADMAP item 2(c)) adds its entry at the end of the
 table and replaces the ``X``-value's ``range`` by a list with the new row
 number last, leaving every other group's rows — and first-seen order —
 untouched; ``n`` becomes a ``max`` with the grown group's length, and a typed

@@ -80,8 +80,6 @@ retires the worker pool (``checksum_mode`` is read inside workers,
 ``shard_workers`` is the pool's width), and the next dispatch spawns
 workers that carry the new value.
 
-The fault plan (``REPRO_FAULT_PLAN`` / :func:`repro.faults.set_fault_plan`)
-is the fault layer's own instrument, not a setting, and is not held here.
 This module imports nothing from the package.
 """
 

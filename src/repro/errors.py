@@ -56,36 +56,20 @@ class CorruptShardError(StorageError, ValueError):
     Subclasses :exc:`ValueError` as well, because pre-checksum callers
     treated every malformed dataset file as a ``ValueError`` — existing
     ``except ValueError`` handling keeps working.  ``quarantined_to`` is
-    filled in when the opener moved the damaged file aside (injected
-    faults never quarantine a healthy file; see :mod:`repro.faults`).
+    filled in when the opener moved the damaged file aside, and is ``None``
+    when the rename failed.
     """
 
-    def __init__(
-        self,
-        path: str,
-        reason: str,
-        quarantined_to: "str | None" = None,
-        injected: bool = False,
-    ) -> None:
+    def __init__(self, path: str, reason: str, quarantined_to: "str | None" = None) -> None:
         super().__init__(f"corrupt dataset file {path!r}: {reason}")
         self.path = path
         self.reason = reason
         self.quarantined_to = quarantined_to
-        self.injected = injected
 
     def __reduce__(self):
         # Rebuilt from its fields, so an open that fails inside a worker
         # process reaches the parent as this error, not as a broken pool.
-        return type(self), (self.path, self.reason, self.quarantined_to, self.injected)
-
-
-class FaultInjectedError(ReproError):
-    """An error raised on purpose by an active fault plan.
-
-    Only ever raised while a :class:`repro.faults.FaultPlan` is installed;
-    production code paths must treat it exactly like the real failure it
-    stands in for (the whole point of injecting it).
-    """
+        return type(self), (self.path, self.reason, self.quarantined_to)
 
 
 class ServingError(ReproError):

@@ -50,9 +50,9 @@ check raises :exc:`~repro.errors.CorruptShardError` after *quarantining*
 the damaged file (renamed aside with a ``.quarantined`` suffix) so a
 crash-restart loop cannot spin on the same bad bytes — callers on the
 parallel read path treat it as fatal and compute in the caller over the
-in-memory buffers.  The ``mmap.open.missing`` / ``mmap.open.corrupt``
-fault sites (:mod:`repro.faults`) fire here; injected corruption never
-quarantines a healthy file.
+in-memory buffers.  A file that is not there raises ``FileNotFoundError``
+and a file that is not a dataset file at all raises plain ``ValueError``;
+neither is quarantined.
 
 Store states:
 
@@ -101,7 +101,7 @@ import zlib
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from .. import config, faults
+from .. import config
 from ..errors import CorruptShardError
 from .database import Database
 from .relation import Relation
@@ -385,11 +385,6 @@ def _map_file(path: str):
     dataset file at all (bad magic) raises plain :exc:`ValueError` and is
     left where it is.
     """
-    if faults.inject("mmap.open.missing"):
-        raise FileNotFoundError(2, "injected missing dataset file", path)
-    if faults.inject("mmap.open.corrupt"):
-        raise CorruptShardError(path, "injected corruption", injected=True)
-
     def corrupt(reason: str) -> None:
         raise CorruptShardError(path, reason, quarantined_to=_quarantine_file(path))
 
@@ -532,9 +527,8 @@ class MmapStore(ColumnStore):
         try:
             self._attach(path, anonymous=True)
         except (CorruptShardError, FileNotFoundError, OSError):
-            # The reopen failed (or a fault plan made it fail): stay
-            # detached — the in-memory buffers are still bit-identical —
-            # and drop the orphaned file.
+            # The reopen failed: stay detached — the in-memory buffers are
+            # still bit-identical — and drop the orphaned file.
             forget_anonymous(path)
 
     def _materialize(self) -> None:

@@ -79,7 +79,9 @@ worker (no nested pools), when the dispatch fails (a dead or wedged worker,
 a lost or corrupt shard file), or after repeated failures (the circuit
 breaker).  Results are bit-identical across ``"serial"`` and ``"process"``
 modes — the cross-backend conformance matrix and the hypothesis properties
-in ``tests/test_parallel.py`` enforce this.
+in ``tests/test_parallel.py`` enforce this.  ``tests/test_faults.py`` drives
+every fallback against a live pool: it kills a worker, breaks the pool,
+wedges every worker past the deadline and unlinks a published file.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import config, faults
+from .. import config
 from ..errors import CorruptShardError
 from .mmapstore import MmapStore, forget_anonymous, write_anonymous
 from .store import Store
@@ -104,13 +106,14 @@ from .store import Store
 # The token keys the worker-side store cache.
 Handle = Tuple[str, str]
 
-# Fixed bounds of the dispatch path, read at call time (the fault tests
-# shrink them with ``monkeypatch.setattr``).  ``DISPATCH_DEADLINE`` is the
-# seconds a dispatch may wait for its shard results, so a wedged worker
-# stalls a query for at most that long before the caller answers it itself;
-# ``PROBE_TIMEOUT`` the seconds :func:`probe_process_executor` waits for a
-# round trip, so a pool that wedges during spawn trips the breaker promptly
-# instead of stalling the caller.
+# Fixed bounds of the dispatch path, read at call time (tests that wedge
+# every worker shrink them with ``monkeypatch.setattr``).
+# ``DISPATCH_DEADLINE`` is the seconds a dispatch may wait for its shard
+# results, so a wedged worker stalls a query for at most that long before
+# the caller answers it itself; ``PROBE_TIMEOUT`` the seconds
+# :func:`probe_process_executor` waits for a round trip, so a pool that
+# wedges during spawn trips the breaker promptly instead of stalling the
+# caller.
 DISPATCH_DEADLINE = 30.0
 PROBE_TIMEOUT = 10.0
 
@@ -233,13 +236,6 @@ def publication_for(store: Store):
                 return None
             _publications.add(publication)
             store._publication = publication
-            if faults.inject("parallel.publish.unlink"):
-                # Simulated unlink race: one freshly published file vanishes
-                # before any worker maps it.  Workers then hit
-                # FileNotFoundError, dispatch strikes the breaker and falls
-                # back; the next query notices the dead handle via
-                # _publication_live and republishes.
-                _forget_files(publication.written[:1])
     return publication
 
 
@@ -264,12 +260,6 @@ _breaker_opened_at: Optional[float] = None
 _breaker_probe_inflight = False
 _breaker_trips = 0
 _breaker_recoveries = 0
-
-# Monotonic pool-incarnation counter: each pool gets the next value as its
-# workers' fault-plan nonce, so a respawned worker's injected-fault draws
-# differ from its dead predecessor's — a kill/heal cycle terminates instead
-# of re-killing every replacement.
-_pool_incarnation = 0
 
 # Set by the worker initializer: worker processes must never publish or
 # spawn nested pools.
@@ -297,9 +287,8 @@ atexit.register(shutdown)
 def reset_process_pool() -> None:
     """Retire the pool so the next query re-creates it as configured.
 
-    Called when a setting the workers carry changes (:func:`_on_configure`)
-    and by :func:`repro.faults.set_fault_plan`; publications stay alive
-    (they are sized by the data, not the pool).
+    Called when a setting the workers carry changes (:func:`_on_configure`);
+    publications stay alive (they are sized by the data, not the pool).
     """
     global _pool
     with _pool_lock:
@@ -369,23 +358,20 @@ def _ensure_pool():
     """The worker pool at the configured width, created on first use.
 
     No worker starts until a task is submitted.  The initializer ships the
-    parent's settings by value (a worker imports the package afresh and
-    would otherwise run under the defaults), the active fault-plan spec
-    (workers must run the same chaos the parent does) and this pool's
-    incarnation number as the plan nonce (see :data:`_pool_incarnation`).
+    parent's settings by value: a worker imports the package afresh and
+    would otherwise run under the defaults.
     """
-    global _pool, _pool_incarnation
+    global _pool
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
-            _pool_incarnation += 1
             settings = config.current()
             _pool = ProcessPoolExecutor(
                 max_workers=settings.worker_count,
                 mp_context=_mp_context(),
                 initializer=_worker_init,
-                initargs=(settings, faults.active_spec(), str(_pool_incarnation)),
+                initargs=(settings,),
             )
         return _pool
 
@@ -624,8 +610,6 @@ def _dispatch(
     try:
         pool = _ensure_pool()
         for handle in publication.handles:
-            if faults.inject("parallel.dispatch.broken"):
-                raise BrokenProcessPool("injected dispatch fault")
             futures.append(pool.submit(_worker_select_gather, handle, masker_payload))
     except (BrokenProcessPool, RuntimeError, OSError, ValueError, ImportError):
         # No pool could start, or it broke (or a reset shut it down) while
@@ -637,9 +621,9 @@ def _dispatch(
     try:
         masks = [future.result(timeout=max(0.0, deadline - time.monotonic())) for future in futures]
     except (FuturesTimeoutError, BrokenProcessPool) as exc:
-        # A worker wedged past the deadline (or a fault-injected sleep), or
-        # a dead one.  Retiring the pool kills its workers, so the deadline
-        # holds for the workers too and none can poison the next dispatch.
+        # A worker wedged past the deadline, or a dead one.  Retiring the
+        # pool kills its workers, so the deadline holds for the workers too
+        # and none can poison the next dispatch.
         if isinstance(exc, FuturesTimeoutError):
             _note_dispatch("timeouts")
         _abandon(futures, pool)
@@ -751,42 +735,21 @@ _STORE_CACHE: "OrderedDict[str, Store]" = OrderedDict()
 _STORE_CACHE_LIMIT = 64
 
 
-def _worker_init(
-    settings: config.Config, fault_spec: Optional[str] = None, fault_nonce: str = ""
-) -> None:
+def _worker_init(settings: config.Config) -> None:
     """Initializer run in every worker process.
 
     Marks the process as a worker (no nested pools, no publications) and
-    installs the parent's settings unchanged.  The parent's active fault
-    plan ships along as its spec, re-seeded under the pool's incarnation
-    nonce so each pool draws its own deterministic fault sequence (see
-    :func:`_ensure_pool`).
+    installs the parent's settings unchanged.
     """
     global _IN_PROCESS_WORKER
     # The initializer runs once per worker process before any task is
     # scheduled, so this write cannot race with anything.
     _IN_PROCESS_WORKER = True  # repro: ignore[STATE001] pre-task worker init
-    faults._install_worker_plan(fault_spec, fault_nonce)
     config.configure(settings)
 
 
 def _worker_ping() -> bool:
     return True
-
-
-def _worker_fault_probe() -> None:
-    """Fault-injection probes every shard task runs on entry (worker side).
-
-    ``parallel.worker.kill`` exits the worker hard — exactly what the OOM
-    killer or a segfault does to a real worker; the parent sees
-    ``BrokenProcessPool``.  ``parallel.worker.slow`` sleeps the rule's
-    ``arg`` seconds first — a wedged or overloaded worker; long enough, the
-    parent's dispatch deadline fires.  Both are no-ops without a plan.
-    """
-    if faults.inject("parallel.worker.kill"):
-        os._exit(13)
-    if faults.inject("parallel.worker.slow"):
-        time.sleep(faults.fault_arg("parallel.worker.slow", 0.05))
 
 
 def _resolve_store(handle: Handle) -> Store:
@@ -813,6 +776,5 @@ def _resolve_store(handle: Handle) -> Store:
 
 def _worker_select_gather(handle: Handle, masker_payload: bytes) -> bytes:
     """The worker half of the fused select+gather: the shard's mask bytes."""
-    _worker_fault_probe()
     masker = pickle.loads(masker_payload)
     return bytes(masker(_resolve_store(handle)))

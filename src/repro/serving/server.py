@@ -20,9 +20,8 @@ a resource ratio α — but is built for *many* requests over a long lifetime:
 Resilience: a fault anywhere below the server costs latency, never α,
 correctness or availability (only admission load lowers the served α).
 The result cache is consulted through guarded wrappers — an erroring
-backend (or the ``serving.cache.get`` / ``serving.cache.put`` fault sites)
-is treated as a miss and counted, and the request recomputes.  A process
-executor whose circuit breaker
+backend is treated as a miss and counted, and the request recomputes.  A
+process executor whose circuit breaker
 (:func:`repro.relational.parallel.breaker_state`) is open computes in the
 caller, at the requested α.
 
@@ -36,11 +35,10 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .. import config, faults
+from .. import config
 from ..algebra import predicates
 from ..algebra.ast import query_fingerprint
 from ..core.framework import PLAN_MEMO_CAPACITY, Beas, QueryLike
-from ..errors import FaultInjectedError
 from ..relational import parallel
 from .admission import AdmissionController
 from .cache import DEFAULT_MAX_ENTRIES, MISSING, CacheBackend, make_cache
@@ -136,8 +134,6 @@ class QueryServer:
     def _cache_get(self, key):
         """Guarded result-cache read: an erroring backend is a miss, never a failure."""
         try:
-            if faults.inject("serving.cache.get"):
-                raise FaultInjectedError("injected result-cache get fault")
             return self.result_cache.get(key)
         except Exception:
             self.stats.count("result_cache_errors")
@@ -146,8 +142,6 @@ class QueryServer:
     def _cache_put(self, key, value) -> None:
         """Guarded result-cache write: a failed put only costs the next request."""
         try:
-            if faults.inject("serving.cache.put"):
-                raise FaultInjectedError("injected result-cache put fault")
             self.result_cache.put(key, value)
         except Exception:
             self.stats.count("result_cache_errors")
@@ -206,9 +200,8 @@ class QueryServer:
         """Result-cache, plan-memo and statement-memo sizes plus the live admission load.
 
         The ``dispatch`` section (task/timeout/fallback counters and the
-        breaker snapshot) and the ``faults`` section (active fault-plan fire
-        counts, ``None`` when no plan is installed) make one call enough to
-        diagnose a degraded server.
+        breaker snapshot) makes one call enough to diagnose a degraded
+        server.
         """
         memo = self.beas.statements.cache_info()
         return {
@@ -220,5 +213,4 @@ class QueryServer:
             "max_concurrency": self.admission.max_concurrency,
             "program_cache": predicates.program_cache_info(),
             "dispatch": parallel.dispatch_stats(),
-            "faults": faults.fault_stats(),
         }

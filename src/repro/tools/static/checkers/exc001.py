@@ -5,8 +5,8 @@ or publication path always produces a *verdict*: the error propagates to a
 typed :class:`~repro.errors.ReproError`, or it strikes/feeds the executor
 circuit breaker so the fallback machinery engages.  An ``except`` clause
 that quietly eats an exception on those paths converts an infrastructure
-failure into a silent wrong behaviour — the exact bug class the
-fault-injection layer exists to flush out.
+failure into a silent wrong behaviour — the bug class the resilience
+tests in ``tests/test_faults.py`` exist to catch.
 
 The rule is scoped by naming convention: every ``except`` handler whose
 enclosing function name starts with one of the dispatch/publication

@@ -2,9 +2,8 @@
 
 Every process-wide setting is a field of the one :class:`repro.config.Config`
 (validated by its one ``configure()``, seeded by its one ``REPRO_*``
-environment table); the fault plan is the fault layer's own instrument.  So
-outside the two modules that own them — ``repro/config.py`` and
-``repro/faults/__init__.py`` —
+environment table).  So outside the module that owns them,
+``repro/config.py``,
 
 * no ``os.environ`` / ``os.getenv`` read names a ``REPRO_*`` variable (or a
   name the analyzer cannot see, which is as unauditable), and
@@ -22,7 +21,7 @@ from typing import Iterator, List, Optional
 
 from ..core import Checker, Finding, ModuleContext, dotted_name, register_checker
 
-_OWNERS = (("repro", "config.py"), ("faults", "__init__.py"))
+_OWNER = ("repro", "config.py")
 _ENV_PREFIX = "REPRO_"
 _ENV_READS = frozenset({"os.environ.get", "os.getenv", "environ.get"})
 
@@ -42,7 +41,7 @@ class KnobHygieneChecker(Checker):
     title = "settings and REPRO_* environment reads live in repro/config.py"
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if PurePath(ctx.path).parts[-2:] in _OWNERS:
+        if PurePath(ctx.path).parts[-2:] == _OWNER:
             return iter(())
         findings: List[Finding] = []
         for node in ast.walk(ctx.tree):

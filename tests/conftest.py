@@ -27,6 +27,7 @@ import os
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -64,6 +65,37 @@ if current_config().worker_count < 2:
 SHARD_EXECUTORS = (
     ("serial", "process") if parallel.probe_process_executor() else ("serial",)
 )
+
+
+@pytest.fixture
+def occupy_workers():
+    """``occupy(seconds)`` gives every worker of the live pool a ``time.sleep(seconds)`` task.
+
+    It returns the pool once each sleeper has left the queue, so the shard
+    tasks of the next dispatch wait behind them.  The fixture retires every
+    pool it occupied and holds it until the pool's manager thread has
+    exited: on Python 3.11 a pool collected before that thread sees its
+    shutdown leaves a failed dispatch's cancelled tasks behind, and the
+    thread raises ``InvalidStateError`` failing them.
+    """
+    occupied = []  # (pool, its manager thread): shutdown() forgets the thread
+
+    def occupy(seconds):
+        pool = parallel._ensure_pool()
+        sleepers = [pool.submit(time.sleep, seconds) for _ in range(current_config().worker_count)]
+        occupied.append((pool, pool._executor_manager_thread))
+        deadline = time.monotonic() + 30.0
+        while not all(sleeper.running() for sleeper in sleepers):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        return pool
+
+    yield occupy
+    for pool, manager in occupied:
+        if pool is parallel._pool:
+            parallel.reset_process_pool()
+        manager.join(30.0)
+        assert not manager.is_alive()
 
 
 @pytest.fixture(autouse=True)

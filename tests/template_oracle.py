@@ -4,7 +4,7 @@ How ``repro.access.index.TemplateIndex`` was built before it became flat
 node lists over one permutation: a ``Relation`` of every group's ``Y``-values,
 a tree of node objects each holding its subtree's row list, frontiers found
 by walking the tree, and every level's resolution scanned tuple by tuple
-with the distance functions.  ``tests/test_kdtree_oracle.py`` holds the flat
+with the distance functions.  ``tests/test_template_oracle.py`` holds the flat
 index to this: the same levels, the same ``repr`` of every resolution, the
 same frontiers (values of the same types, in the same order, with the same
 counts), the same entry counts and the same fetches.

@@ -224,7 +224,6 @@ ENV_CASES = {
     "REPRO_STORE_DIR": ("repro.current_config().store_dir", "/tmp/repro-env-probe", "/tmp/repro-env-probe", None),
     "REPRO_CHECKSUM": ("repro.current_config().checksum_mode", "full", "full", "ful"),
     "REPRO_SERVING_POLICY": ("repro.current_config().admission_policy", "degrade-alpha", "degrade-alpha", "yolo"),
-    "REPRO_FAULT_PLAN": ("repro.faults.active_spec()", "seed=5;test.x:at=1", "seed=5;test.x:at=1", "no.such.site:p=1"),
 }
 
 
@@ -238,7 +237,7 @@ def import_repro_with(variable, value, expression):
 
 
 def test_the_cases_cover_the_table():
-    assert set(ENV_CASES) == set(ENV) | {"REPRO_FAULT_PLAN"}
+    assert set(ENV_CASES) == set(ENV)
 
 
 @pytest.mark.parametrize("variable", ENV_CASES)

@@ -1,43 +1,38 @@
-"""Deterministic fault injection and the resilience it is meant to prove.
+"""The resilience contract: a failure costs latency, never α or bits.
 
-Four layers of coverage for PR 10's failure-handling substrate:
+Three layers of coverage for the failure-handling paths:
 
-* **Plan mechanics** — :class:`repro.faults.FaultPlan` parsing, validation,
-  canonical round-trips, seeded determinism, per-site independence.
 * **Circuit breaker** — the half-open recovery cycle in
   :mod:`repro.relational.parallel`: an open breaker re-admits one probe
   after the cooldown and closes on success *without*
   ``reset_process_pool()`` (this is the fails-on-old-code regression for
   the one-way breaker PR 10 replaced).
-* **Dispatch resilience** — injected broken pools, worker kills and wedged
-  workers cost one strike and a fallback in the caller: every query returns
-  a bit-identical answer, the next one ships to a fresh pool, and the
-  counters in :func:`~repro.relational.parallel.dispatch_stats` show how.
-* **Serving resilience** — cache-backend faults are treated as misses and
+* **Dispatch resilience** — a broken pool, a worker killed mid-dispatch, a
+  lost shard file and workers wedged past the deadline each cost one strike
+  and a fallback in the caller: every query returns a bit-identical answer,
+  the next one ships to a fresh pool, and the counters in
+  :func:`~repro.relational.parallel.dispatch_stats` show which branch ran.
+  Each failure is real and made by the test: ``os._exit`` and
+  ``time.sleep`` sent through the live pool, a ``SIGKILL`` to a worker pid,
+  a publication whose first file is unlinked before any worker maps it.
+* **Serving resilience** — a raising result-cache backend is a miss and is
   counted; an open breaker costs latency, never served α: the answer is
   computed in the caller at the requested α, bit-identical to a healthy one.
-
-The whole-suite version of the same contract (kills at p=0.1 across every
-backend × executor) lives in ``benchmarks/bench_chaos.py`` and the
-chaos row of the ``tests-modes`` CI job; the contract its report check
-enforces is tested here.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import random
+import signal
 import threading
 import time
-from pathlib import Path
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro import Beas, QueryServer, configure, faults
+from repro import Beas, QueryServer, configure
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
-from repro.errors import FaultInjectedError, ReproError
-from repro.faults import FaultPlan, FaultRule
 from repro.relational import parallel
 from repro.relational.distance import NUMERIC, TRIVIAL
 from repro.relational.relation import Relation
@@ -67,16 +62,6 @@ def make_rows(count: int, seed: int = 11):
         (rng.randrange(max(1, count // 50)), rng.uniform(0, 100), rng.uniform(0, 100))
         for _ in range(count)
     ]
-
-
-@pytest.fixture
-def plan_guard():
-    """No fault plan leaks out of a test."""
-    previous = faults.get_fault_plan()
-    try:
-        yield
-    finally:
-        faults.set_fault_plan(previous, reset_pools=False)
 
 
 @pytest.fixture
@@ -119,146 +104,55 @@ def wait_until_gone(pids, seconds):
     return alive
 
 
-# ---------------------------------------------------------------------------
-# FaultRule / FaultPlan mechanics
-# ---------------------------------------------------------------------------
+# -- the four dispatch failures, each made real by the test ------------------
 
 
-class TestFaultRule:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FaultRule(probability=1.5)
-        with pytest.raises(ValueError):
-            FaultRule(probability=-0.1)
-        with pytest.raises(ValueError):
-            FaultRule(probability=0.5, count=0)
-        with pytest.raises(ValueError):
-            FaultRule(at=(0,))
-        with pytest.raises(ValueError):
-            FaultRule(probability=0.5, arg=-1.0)
-        with pytest.raises(ValueError):
-            FaultRule(probability=0.5, arg=float("nan"))
-        with pytest.raises(ValueError):
-            FaultRule()  # neither p nor at
-
-    def test_spec_fragment(self):
-        assert FaultRule(probability=0.25, count=2).spec() == "p=0.25,count=2"
-        assert FaultRule(at=(5, 2), arg=0.5).spec() == "at=2|5,arg=0.5"
+def break_the_pool(monkeypatch, occupy_workers):
+    """A worker of the warm pool exits hard and the pool knows it: the next
+    dispatch's ``submit`` raises ``BrokenProcessPool``."""
+    death = parallel._ensure_pool().submit(os._exit, 13)
+    assert isinstance(death.exception(timeout=30.0), BrokenProcessPool)
 
 
-class TestFaultPlan:
-    def test_spec_round_trip_is_canonical(self):
-        spec = "parallel.worker.slow:arg=0.05,p=0.2;seed=42;parallel.worker.kill:p=0.1,count=3"
-        plan = FaultPlan.parse(spec)
-        canonical = plan.spec()
-        assert canonical == (
-            "seed=42;parallel.worker.kill:p=0.1,count=3;"
-            "parallel.worker.slow:p=0.2,arg=0.05"
-        )
-        assert FaultPlan.parse(canonical).spec() == canonical
+def kill_a_worker_mid_dispatch(monkeypatch, occupy_workers):
+    """Every worker is busy; one is ``SIGKILL``-ed right after the dispatch
+    submits its tasks, so awaiting them raises ``BrokenProcessPool``.
 
-    def test_unknown_site_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultPlan.parse("parallel.worker.kil:p=0.1")
+    The dispatch resumes once the pool has failed every task (its manager
+    thread exits after that): a task the dispatch cancelled while the pool
+    was still failing them would make that thread raise
+    ``InvalidStateError`` on Python 3.11.
+    """
+    pool = occupy_workers(0.4)
+    note_dispatch = parallel._note_dispatch
 
-    def test_test_prefixed_sites_allowed(self):
-        plan = FaultPlan.parse("test.anything.goes:p=1")
-        assert plan.should_fire("test.anything.goes")
+    def kill_after_submit(name, increment=1):
+        note_dispatch(name, increment)
+        if name == "tasks":
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            pool._executor_manager_thread.join(30.0)
 
-    def test_malformed_specs_rejected(self):
-        for bad in (
-            "seed=banana;parallel.worker.kill:p=0.1",
-            "parallel.worker.kill",  # no colon
-            "parallel.worker.kill:p=",  # no value
-            "parallel.worker.kill:rate=0.1",  # unknown key
-            "parallel.worker.kill:p=lots",
-            "seed=42",  # no sites at all
-            "",
-        ):
-            with pytest.raises(ValueError):
-                FaultPlan.parse(bad)
-
-    def test_at_schedule_fires_exactly(self):
-        plan = FaultPlan.parse("test.x:at=2|4")
-        pattern = [plan.should_fire("test.x") for _ in range(6)]
-        assert pattern == [False, True, False, True, False, False]
-
-    def test_count_caps_fires(self):
-        plan = FaultPlan.parse("test.x:p=1,count=2")
-        assert sum(plan.should_fire("test.x") for _ in range(10)) == 2
-
-    def test_seeded_determinism(self):
-        spec = "seed=7;test.x:p=0.3"
-        first = FaultPlan.parse(spec)
-        second = FaultPlan.parse(spec)
-        pattern_a = [first.should_fire("test.x") for _ in range(200)]
-        pattern_b = [second.should_fire("test.x") for _ in range(200)]
-        assert pattern_a == pattern_b
-        assert any(pattern_a) and not all(pattern_a)
-
-    def test_nonce_changes_the_draws(self):
-        spec = "seed=7;test.x:p=0.3"
-        base = FaultPlan.parse(spec)
-        renonced = base.with_nonce("incarnation-2")
-        pattern_a = [base.should_fire("test.x") for _ in range(200)]
-        pattern_b = [renonced.should_fire("test.x") for _ in range(200)]
-        assert pattern_a != pattern_b
-
-    def test_sites_draw_independently(self):
-        # Adding a second site to the plan must not change when the first
-        # one fires — each site owns its own seeded stream.
-        alone = FaultPlan.parse("seed=9;test.a:p=0.4")
-        paired = FaultPlan.parse("seed=9;test.a:p=0.4;test.b:p=0.9")
-        pattern_alone = []
-        pattern_paired = []
-        for _ in range(100):
-            pattern_alone.append(alone.should_fire("test.a"))
-            paired.should_fire("test.b")  # interleave draws on the other site
-            pattern_paired.append(paired.should_fire("test.a"))
-        assert pattern_alone == pattern_paired
-
-    def test_arg_and_stats(self):
-        plan = FaultPlan.parse("test.x:at=1,arg=0.25")
-        assert plan.arg("test.x") == 0.25
-        assert plan.arg("test.other", default=3.5) == 3.5
-        plan.should_fire("test.x")
-        plan.should_fire("test.x")
-        assert plan.stats() == {"test.x": {"calls": 2, "fires": 1}}
+    monkeypatch.setattr(parallel, "_note_dispatch", kill_after_submit)
 
 
-class TestFaultKnob:
-    def test_inject_is_noop_without_plan(self, plan_guard):
-        faults.set_fault_plan(None, reset_pools=False)
-        assert faults.inject("parallel.worker.kill") is False
-        assert faults.fault_arg("parallel.worker.slow", 0.5) == 0.5
-        assert faults.fault_stats() == {}
-        assert faults.active_spec() is None
+def unlink_a_published_file(monkeypatch, occupy_workers):
+    """A fresh publication loses its first file before any worker maps it
+    (the unlink race): the worker's open raises ``FileNotFoundError``."""
+    publish = parallel.ShardPublication
 
-    def test_set_fault_plan_validates(self, plan_guard):
-        with pytest.raises(ValueError):
-            faults.set_fault_plan(42)
-        with pytest.raises(ValueError):
-            faults.set_fault_plan("no.such.site:p=1")
-        with pytest.raises(ValueError):
-            faults.set_fault_plan("parallel.worker.kill:p=2")
+    def unlinking_publication(store):
+        publication = publish(store)
+        parallel._forget_files(publication.written[:1])
+        return publication
 
-    def test_set_fault_plan_round_trips(self, plan_guard):
-        previous = faults.set_fault_plan("seed=3;test.x:p=1", reset_pools=False)
-        try:
-            installed = faults.get_fault_plan()
-            assert installed is not None
-            assert installed.spec() == "seed=3;test.x:p=1"
-            assert faults.active_spec() == "seed=3;test.x:p=1"
-            assert faults.inject("test.x") is True
-        finally:
-            faults.set_fault_plan(previous, reset_pools=False)
+    monkeypatch.setattr(parallel, "ShardPublication", unlinking_publication)
 
-    def test_env_override_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN_PROBE", "seed=5;test.x:at=1")
-        plan = faults._env_fault_plan("REPRO_FAULT_PLAN_PROBE")
-        assert plan is not None and plan.seed == 5
-        monkeypatch.setenv("REPRO_FAULT_PLAN_PROBE", "   ")
-        assert faults._env_fault_plan("REPRO_FAULT_PLAN_PROBE") is None
+
+def wedge_every_worker(monkeypatch, occupy_workers):
+    """Every worker sleeps 30 s and the deadline is 0.3 s: the dispatch's
+    tasks never start before it passes."""
+    occupy_workers(30.0)
+    monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +226,7 @@ class TestBreakerRecovery:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch resilience under injected faults (real process pools)
+# Dispatch resilience against real process pools
 # ---------------------------------------------------------------------------
 
 
@@ -345,37 +239,36 @@ class TestDispatchResilience:
         return answer
 
     @pytest.mark.parametrize(
-        "plan, counter",
+        "fault, counter, submitted",
         [
-            ("seed=3;parallel.dispatch.broken:at=1", None),
-            ("seed=5;parallel.worker.kill:at=1", None),
-            ("seed=4;parallel.publish.unlink:at=1", "fatal"),
-            ("seed=2;parallel.worker.slow:p=1,arg=30", "timeouts"),
+            (break_the_pool, None, False),
+            (kill_a_worker_mid_dispatch, None, True),
+            (unlink_a_published_file, "fatal", True),
+            (wedge_every_worker, "timeouts", True),
         ],
         ids=["broken-pool", "dead-worker", "lost-shard-file", "wedged-worker"],
     )
     def test_a_failed_dispatch_falls_back_in_the_caller(
-        self, plan, counter, plan_guard, breaker_guard, monkeypatch
+        self, fault, counter, submitted, breaker_guard, monkeypatch, occupy_workers
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference(relation)
         force_process()
-        if counter == "timeouts":  # a spawning pool must not time out the other cases
-            monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.3)
         failures_before = parallel._pool_failures
         before = parallel.dispatch_stats()
-        faults.set_fault_plan(plan)
+        fault(monkeypatch, occupy_workers)
         try:
             assert select_answer(relation.store) == reference
         finally:
-            faults.set_fault_plan(None, reset_pools=False)
             monkeypatch.undo()  # the next query gets the full deadline
         after = parallel.dispatch_stats()
         # One strike, one fallback: nothing retried the dispatch.
         assert parallel._pool_failures == failures_before + 1
         assert after["fallbacks"] == before["fallbacks"] + 1
-        if counter is not None:
-            assert after[counter] == before[counter] + 1
+        for name in ("timeouts", "fatal"):
+            assert after[name] == before[name] + (name == counter)
+        shards = len(relation.store.shards)
+        assert after["tasks"] == before["tasks"] + (shards if submitted else 0)
         # The next query ships, and its verdict closes the breaker.
         calls_before = parallel.select_gather_stats()["calls"]
         assert select_answer(relation.store) == reference
@@ -401,15 +294,12 @@ class TestDispatchResilience:
         assert state["state"] == "closed"
         assert state["recoveries"] == recoveries_before + 1
 
-    def test_a_wedged_pool_fails_each_query_on_it_once(
-        self, plan_guard, breaker_guard, monkeypatch
-    ):
+    def test_a_wedged_pool_fails_each_query_on_it_once(self, breaker_guard, monkeypatch, occupy_workers):
         """Two queries share the pool when its workers wedge: each answers in
         the caller after at most one deadline, and neither hangs."""
         relations = [Relation(SCHEMA, make_rows(3000, seed), backend="sharded") for seed in (11, 12)]
         references = [self._reference(relation) for relation in relations]
         force_process()
-        monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.3)
         fallbacks_before = parallel.dispatch_stats()["fallbacks"]
         answers = [None, None]
 
@@ -417,7 +307,7 @@ class TestDispatchResilience:
             answers[index] = select_answer(relations[index].store)
 
         threads = [threading.Thread(target=ask, args=(index,)) for index in range(2)]
-        faults.set_fault_plan("seed=2;parallel.worker.slow:p=1,arg=30")
+        wedge_every_worker(monkeypatch, occupy_workers)
         started = time.monotonic()
         try:
             for thread in threads:
@@ -425,7 +315,6 @@ class TestDispatchResilience:
             for thread in threads:
                 thread.join(30)
         finally:
-            faults.set_fault_plan(None, reset_pools=False)
             parallel.reset_process_pool()
         assert not any(thread.is_alive() for thread in threads)
         assert time.monotonic() - started < 15.0
@@ -434,32 +323,26 @@ class TestDispatchResilience:
         # fails on it too (a strike) or sees its tasks cancelled (no verdict).
         assert 1 <= parallel.dispatch_stats()["fallbacks"] - fallbacks_before <= 2
 
-    def test_kill_then_heal_restores_process_path(
-        self, plan_guard, breaker_guard
-    ):
+    def test_kill_then_heal_restores_process_path(self, breaker_guard, monkeypatch, occupy_workers):
         # The acceptance criterion: a kill/heal cycle restores the process
         # path WITHOUT reset_process_pool().
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference(relation)
         force_process()
-        faults.set_fault_plan("seed=5;parallel.worker.kill:at=1")
+        kill_a_worker_mid_dispatch(monkeypatch, occupy_workers)
         try:
             assert select_answer(relation.store) == reference
         finally:
-            faults.set_fault_plan(None, reset_pools=False)  # heal
-        # The pool that carried the plan died with its worker; the next
-        # dispatch starts a fresh one that reads the cleared spec.
+            monkeypatch.undo()  # heal
+        # The pool died with its worker; the next dispatch starts a fresh one.
         for _ in range(3):
             assert select_answer(relation.store) == reference
         assert parallel.breaker_state()["state"] == "closed"
 
-    def test_wedged_worker_hits_the_dispatch_deadline(
-        self, plan_guard, breaker_guard, monkeypatch
-    ):
+    def test_wedged_worker_hits_the_dispatch_deadline(self, breaker_guard, monkeypatch, occupy_workers):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference(relation)
         force_process()
-        monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.3)
         before = parallel.dispatch_stats()
         wedged = []  # pids of every worker retired at the deadline
         retire_pool = parallel._retire_pool
@@ -469,8 +352,8 @@ class TestDispatchResilience:
             retire_pool(pool)
 
         monkeypatch.setattr(parallel, "_retire_pool", recording_retire)
+        wedge_every_worker(monkeypatch, occupy_workers)
         started = time.monotonic()
-        faults.set_fault_plan("seed=2;parallel.worker.slow:p=1,arg=30")
         try:
             assert select_answer(relation.store) == reference
             elapsed = time.monotonic() - started
@@ -482,7 +365,7 @@ class TestDispatchResilience:
             # Same for shutdown(): a sleeping task in flight is killed, not
             # waited for (this is what used to stall interpreter exit).
             pool = parallel._ensure_pool()
-            future = pool.submit(parallel._worker_fault_probe)
+            future = pool.submit(time.sleep, 30.0)
             while not future.running():
                 assert time.monotonic() - started < 30.0
                 time.sleep(0.01)
@@ -492,7 +375,6 @@ class TestDispatchResilience:
             assert time.monotonic() - stopping < 2.0
             assert sleeper and wait_until_gone(sleeper, 2.0) == []
         finally:
-            faults.set_fault_plan(None, reset_pools=False)
             parallel.reset_process_pool()
         after = parallel.dispatch_stats()
         # One wedged query waits out one deadline, once, then falls back.
@@ -501,81 +383,31 @@ class TestDispatchResilience:
         assert elapsed < 15.0  # zero hangs past the deadline, not a 30s stall
 
 
-def load_chaos_bench():
-    """``benchmarks/bench_chaos.py`` as a module (it is a script, not a package)."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_chaos.py"
-    spec = importlib.util.spec_from_file_location("bench_chaos", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestChaosReport:
-    @staticmethod
-    def cell(executor, shards, routed):
-        return {
-            "backend": "sharded" if shards > 1 else "column",
-            "executor": executor,
-            "shards": shards,
-            "queries": 2,
-            "identical": 2,
-            "typed_errors": 0,
-            "wrong_answers": 0,
-            "hangs": 0,
-            "healed_without_reset": True,
-            "p50_seconds": 0.0,
-            "max_seconds": 0.0,
-            "dispatch_delta": {},
-            "breaker": {"state": "closed"},
-            "routed_tasks": routed,
-        }
-
-    def test_a_process_cell_that_routed_nothing_fails_the_check(self):
-        """A process cell over a partitioned store that placed no task on a
-        worker proved nothing; unpartitioned and serial cells never route."""
-        check_report = load_chaos_bench().check_report
-        report = {
-            "benchmark": "chaos soak",
-            "plan": "seed=1",
-            "summary": {},
-            "serving": {"wrong_answers": 0, "result_cache_errors": 0},
-            "combos": [
-                self.cell("process", 4, 3),
-                self.cell("serial", 4, 0),
-                self.cell("process", 1, 0),
-            ],
-        }
-        assert check_report(report) == []
-        report["combos"].append(self.cell("process", 4, 0))
-        assert check_report(report) == [
-            "sharded×process: routed no task to a worker (the soak proved nothing)"
-        ]
-        del report["combos"][-1]["routed_tasks"]
-        assert check_report(report) == ["sharded×process: missing field 'routed_tasks'"]
-
-
 # ---------------------------------------------------------------------------
 # Serving-layer resilience
 # ---------------------------------------------------------------------------
 
 
 class TestServingResilience:
-    def test_cache_faults_are_misses_not_failures(self, tiny_beas, plan_guard):
+    def test_cache_faults_are_misses_not_failures(self, tiny_beas, monkeypatch):
         server = QueryServer(tiny_beas)
         query = "SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2"
         baseline = server.serve(query, alpha=0.5)
-        faults.set_fault_plan(
-            "seed=1;serving.cache.get:p=1;serving.cache.put:p=1", reset_pools=False
-        )
+
+        def unavailable(*_args):
+            raise ConnectionError("result-cache backend unavailable")
+
+        monkeypatch.setattr(server.result_cache, "get", unavailable)
+        monkeypatch.setattr(server.result_cache, "put", unavailable)
         try:
             for _ in range(2):
                 envelope = server.serve(query, alpha=0.5)
                 assert not envelope.result_cache_hit  # every lookup "missed"
                 assert_identical(envelope.rows, baseline.rows)
         finally:
-            faults.set_fault_plan(None, reset_pools=False)
+            monkeypatch.undo()
         counters = server.stats.snapshot()["counters"]
-        assert counters["result_cache_errors"] >= 2
+        assert counters["result_cache_errors"] == 4  # a get and a put per request
         # Healed: the next request caches and hits again.
         server.serve(query, alpha=0.5)
         assert server.serve(query, alpha=0.5).result_cache_hit
@@ -612,17 +444,7 @@ class TestServingResilience:
         counters = server.stats.snapshot()["counters"]
         assert not any(name.startswith("degraded[") for name in counters)
 
-    def test_cache_info_exposes_resilience_sections(self, tiny_beas, plan_guard):
-        server = QueryServer(tiny_beas)
-        faults.set_fault_plan("seed=1;test.x:p=1", reset_pools=False)
-        try:
-            info = server.cache_info()
-            assert info["dispatch"]["breaker"]["state"] in ("closed", "open", "half-open")
-            assert "tasks" in info["dispatch"]
-            assert info["faults"] == {"test.x": {"calls": 0, "fires": 0}}
-        finally:
-            faults.set_fault_plan(None, reset_pools=False)
-        assert server.cache_info()["faults"] == {}
-
-    def test_fault_injected_error_is_typed(self):
-        assert issubclass(FaultInjectedError, ReproError)
+    def test_cache_info_exposes_the_dispatch_section(self, tiny_beas):
+        info = QueryServer(tiny_beas).cache_info()
+        assert info["dispatch"]["breaker"]["state"] in ("closed", "open", "half-open")
+        assert "tasks" in info["dispatch"]

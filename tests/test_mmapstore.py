@@ -32,10 +32,10 @@ import pickle
 import pytest
 
 from conftest import SHARD_EXECUTORS, assert_identical, identity_key, to_backend
-from repro import Beas, ConstraintSpec, QueryServer, Relation, configure, faults
+from repro import Beas, ConstraintSpec, QueryServer, Relation, configure
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import CorruptShardError
-from repro.relational import parallel
+from repro.relational import mmapstore, parallel
 from repro.relational.mmapstore import (
     FILE_SUFFIX,
     MANIFEST_NAME,
@@ -520,20 +520,17 @@ def _flip_byte(path, offset):
 
 
 class TestCorruptFiles:
-    @pytest.mark.parametrize(
-        "quarantined_to, injected", [(None, False), ("/data/victim.rpro.quarantined", True)]
-    )
-    def test_the_error_pickles_as_itself(self, quarantined_to, injected):
+    @pytest.mark.parametrize("quarantined_to", [None, "/data/victim.rpro.quarantined"])
+    def test_the_error_pickles_as_itself(self, quarantined_to):
         """A worker's failed open reaches the parent through pickle: it must
         arrive as this error with its fields, not break the worker pool."""
-        error = CorruptShardError("/data/victim.rpro", "checksum mismatch", quarantined_to, injected)
+        error = CorruptShardError("/data/victim.rpro", "checksum mismatch", quarantined_to)
         copy = pickle.loads(pickle.dumps(error))
         assert type(copy) is CorruptShardError and str(copy) == str(error)
-        assert (copy.path, copy.reason, copy.quarantined_to, copy.injected) == (
+        assert (copy.path, copy.reason, copy.quarantined_to) == (
             "/data/victim.rpro",
             "checksum mismatch",
             quarantined_to,
-            injected,
         )
 
     def _saved(self, tmp_path):
@@ -665,46 +662,56 @@ class TestCorruptFiles:
         )
 
 
-class TestInjectedOpenFaults:
-    def test_injected_corrupt_never_quarantines(self, store_dir, tmp_path):
+def fail_the_next_open(monkeypatch, error):
+    """``_map_file`` raises ``error`` once, then maps files again."""
+    map_file = mmapstore._map_file
+    calls = []
+
+    def failing_once(path):
+        calls.append(path)
+        if len(calls) == 1:
+            raise error
+        return map_file(path)
+
+    monkeypatch.setattr(mmapstore, "_map_file", failing_once)
+    return calls
+
+
+class TestFailedOpens:
+    """An open that fails without damaged bytes moves nothing aside."""
+
+    def test_a_failed_open_never_quarantines(self, store_dir, tmp_path, monkeypatch):
         store = MmapStore.from_rows(4, MIXED_ROWS)
         path = str(tmp_path / f"healthy{FILE_SUFFIX}")
         store.save(path)
-        faults.set_fault_plan("seed=7;mmap.open.corrupt:at=1")
-        try:
-            with pytest.raises(CorruptShardError) as excinfo:
-                MmapStore.open(path)
-            assert excinfo.value.injected
-            assert excinfo.value.quarantined_to is None
-            assert os.path.exists(path)
-            reopened = MmapStore.open(path)  # second open: fault spent
-        finally:
-            faults.set_fault_plan(None)
+        fail_the_next_open(monkeypatch, CorruptShardError(path, "unreadable"))
+        with pytest.raises(CorruptShardError) as excinfo:
+            MmapStore.open(path)
+        assert excinfo.value.quarantined_to is None
+        assert os.path.exists(path)
+        reopened = MmapStore.open(path)  # the next open succeeds
         assert [identity_key(r) for r in reopened.row_list()] == [
             identity_key(r) for r in store.row_list()
         ]
 
-    def test_injected_missing_leaves_file_alone(self, store_dir, tmp_path):
+    def test_a_missing_file_error_leaves_the_file_alone(self, store_dir, tmp_path, monkeypatch):
         store = MmapStore.from_rows(4, MIXED_ROWS)
         path = str(tmp_path / f"present{FILE_SUFFIX}")
         store.save(path)
-        faults.set_fault_plan("seed=7;mmap.open.missing:at=1")
-        try:
-            with pytest.raises(FileNotFoundError):
-                MmapStore.open(path)
-        finally:
-            faults.set_fault_plan(None)
+        fail_the_next_open(monkeypatch, FileNotFoundError(2, "no such dataset file", path))
+        with pytest.raises(FileNotFoundError):
+            MmapStore.open(path)
         assert os.path.exists(path)
 
-    def test_anonymous_persist_survives_injected_faults(self, store_dir):
-        # Construction-time persist hits an injected fault: the store stays
-        # detached (bit-identical in memory) instead of failing the build.
-        faults.set_fault_plan("seed=7;mmap.open.corrupt:at=1")
-        try:
-            store = MmapStore.from_rows(4, MIXED_ROWS)
-        finally:
-            faults.set_fault_plan(None)
+    def test_anonymous_persist_survives_a_failed_reopen(self, store_dir, monkeypatch):
+        # Construction-time persist cannot reopen its file: the store stays
+        # detached (bit-identical in memory) instead of failing the build,
+        # and the orphaned file is dropped.
+        calls = fail_the_next_open(monkeypatch, CorruptShardError("anon", "unreadable"))
+        store = MmapStore.from_rows(4, MIXED_ROWS)
+        assert len(calls) == 1
         assert not store.is_mapped
+        assert rpro_files(store_dir) == []
         reference = MmapStore.from_rows(4, MIXED_ROWS)
         assert [identity_key(r) for r in store.row_list()] == [
             identity_key(r) for r in reference.row_list()

@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Beas, ConstraintSpec, configure, current_config, faults
+from repro import Beas, ConstraintSpec, configure, current_config
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import CorruptShardError
 from repro.experiments import build_beas
@@ -453,14 +453,13 @@ class TestWorkerInternals:
         assert parallel._pool_failures == 0
 
     @needs_process
-    def test_one_select_reaches_the_pool_once(self, monkeypatch):
+    def test_one_select_reaches_the_pool_once(self, monkeypatch, occupy_workers):
         """A fused select whose dispatch gives up answers in the caller: the
         same work is not sent to the pool a second time as a bare mask."""
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         configure(shard_executor="serial")
         reference = select_answer(relation.store)
         configure(shard_executor="process", process_min_rows=1)
-        monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.5)
         dispatches = []
         dispatch = parallel._dispatch
 
@@ -471,11 +470,11 @@ class TestWorkerInternals:
         monkeypatch.setattr(parallel, "_dispatch", counting_dispatch)
         failures_before = parallel._pool_failures
         fallbacks_before = parallel.dispatch_stats()["fallbacks"]
-        previous_plan = faults.set_fault_plan("parallel.worker.slow:p=1,arg=3.0")
+        occupy_workers(3.0)  # every worker sleeps through the deadline
+        monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.5)
         try:
             assert select_answer(relation.store) == reference
         finally:
-            faults.set_fault_plan(previous_plan, reset_pools=False)
             parallel.reset_process_pool()
             parallel._pool_failures = failures_before
         assert dispatches == [len(relation.store.shards)]

@@ -87,9 +87,8 @@ def test_knob001_specific_sites():
     assert sum("computed variable name" in message for message in messages) == 1
     for setter in ("set_admission_policy", "set_store_dir"):
         assert sum(setter in message for message in messages) == 1
-    # The two modules that own process-wide state are where those things live.
-    owners = [SRC_TREE / "config.py", SRC_TREE / "faults" / "__init__.py"]
-    assert analyze_paths(owners, rules=["KNOB001"]).findings == []
+    # The module that owns process-wide state is where those things live.
+    assert analyze_paths([SRC_TREE / "config.py"], rules=["KNOB001"]).findings == []
 
 
 def test_exc001_specific_sites():

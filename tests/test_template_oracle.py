@@ -1,4 +1,4 @@
-"""The flat template index under ``src/`` against the per-group trees of ``kdtree_oracle.py``.
+"""The flat template index under ``src/`` against the per-group trees of ``template_oracle.py``.
 
 ``TemplateIndex`` builds every tree of a family by partitioning one
 permutation in place and reads its resolutions off per-node summaries; the
@@ -35,7 +35,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.workloads import airca, social, tfacc, tpch
 
-from kdtree_oracle import OracleTemplateIndex
+from template_oracle import OracleTemplateIndex
 
 MISSING = ("no such X-value",)
 
