@@ -8,20 +8,26 @@ Three layers of coverage for the failure-handling paths:
   ``reset_process_pool()`` (this is the fails-on-old-code regression for
   the one-way breaker PR 10 replaced).
 * **Dispatch resilience** — a broken pool, a worker killed mid-dispatch, a
-  lost shard file and workers wedged past the deadline each cost one strike
-  and a fallback in the caller: every query returns a bit-identical answer,
-  the next one ships to a fresh pool, and the counters in
-  :func:`~repro.relational.parallel.dispatch_stats` show which branch ran.
-  Each failure is real and made by the test: ``os._exit`` and
+  lost or corrupt shard file, workers wedged past the deadline and a pool
+  that cannot start a worker each cost one strike and a fallback in the
+  caller: every query returns a bit-identical answer (an exact answer
+  through the whole query pipeline too), the next one ships, and the
+  counters in :func:`~repro.relational.parallel.dispatch_stats`
+  show which branch ran.  A pool that failed is retired with every worker
+  in it; a lost file keeps the pool.  Consecutive failures trip the
+  breaker.  Each failure is real and made by the test: ``os._exit`` and
   ``time.sleep`` sent through the live pool, a ``SIGKILL`` to a worker pid,
-  a publication whose first file is unlinked before any worker maps it.
+  a publication whose first file is unlinked or cut short before any
+  worker maps it, a start method whose ``Process`` raises ``EAGAIN``.
 * **Serving resilience** — a raising result-cache backend is a miss and is
-  counted; an open breaker costs latency, never served α: the answer is
-  computed in the caller at the requested α, bit-identical to a healthy one.
+  counted, one error per failing call; an open breaker costs latency, never
+  served α: the answer is computed in the caller at the requested α,
+  bit-identical to a healthy one.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import random
 import signal
@@ -31,7 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro import Beas, QueryServer, configure
+from repro import Beas, QueryServer, configure, current_config
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.relational import parallel
 from repro.relational.distance import NUMERIC, TRIVIAL
@@ -104,7 +110,7 @@ def wait_until_gone(pids, seconds):
     return alive
 
 
-# -- the four dispatch failures, each made real by the test ------------------
+# -- the six dispatch failures, each made real by the test -------------------
 
 
 def break_the_pool(monkeypatch, occupy_workers):
@@ -153,6 +159,48 @@ def wedge_every_worker(monkeypatch, occupy_workers):
     tasks never start before it passes."""
     occupy_workers(30.0)
     monkeypatch.setattr(parallel, "DISPATCH_DEADLINE", 0.3)
+
+
+def corrupt_a_published_file(monkeypatch, occupy_workers):
+    """A fresh publication's first file is cut short before any worker maps
+    it: the worker's open quarantines it and raises ``CorruptShardError``."""
+    publish = parallel.ShardPublication
+
+    def corrupting_publication(store):
+        publication = publish(store)
+        with open(publication.written[0], "r+b") as handle:
+            handle.truncate(20)  # the magic and length survive, the header does not
+        return publication
+
+    monkeypatch.setattr(parallel, "ShardPublication", corrupting_publication)
+
+
+def refuse_to_start_a_worker(monkeypatch, occupy_workers):
+    """No pool is live and the next one cannot start a worker (the fork
+    fails with ``EAGAIN``): the dispatch's first ``submit`` raises ``OSError``."""
+    parallel.reset_process_pool()
+    context = parallel._mp_context()
+
+    class NoProcesses:
+        def __getattr__(self, name):
+            return getattr(context, name)
+
+        def Process(self, *_args, **_kwargs):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(parallel, "_mp_context", NoProcesses)
+
+
+# Every failure a dispatch can meet, with the counter it bumps besides
+# ``fallbacks`` and whether its shard tasks reached the pool.
+DISPATCH_FAULTS = [
+    pytest.param(break_the_pool, None, False, id="broken-pool"),
+    pytest.param(kill_a_worker_mid_dispatch, None, True, id="dead-worker"),
+    pytest.param(unlink_a_published_file, "fatal", True, id="lost-shard-file"),
+    pytest.param(wedge_every_worker, "timeouts", True, id="wedged-worker"),
+    pytest.param(corrupt_a_published_file, "fatal", True, id="corrupt-shard-file"),
+    pytest.param(refuse_to_start_a_worker, None, False, id="no-worker-starts"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +286,9 @@ class TestDispatchResilience:
         configure(previous)
         return answer
 
-    @pytest.mark.parametrize(
-        "fault, counter, submitted",
-        [
-            (break_the_pool, None, False),
-            (kill_a_worker_mid_dispatch, None, True),
-            (unlink_a_published_file, "fatal", True),
-            (wedge_every_worker, "timeouts", True),
-        ],
-        ids=["broken-pool", "dead-worker", "lost-shard-file", "wedged-worker"],
-    )
+    @pytest.mark.parametrize("fault, counter, submitted", DISPATCH_FAULTS)
     def test_a_failed_dispatch_falls_back_in_the_caller(
-        self, fault, counter, submitted, breaker_guard, monkeypatch, occupy_workers
+        self, fault, counter, submitted, breaker_guard, monkeypatch, occupy_workers, store_dir
     ):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
         reference = self._reference(relation)
@@ -275,6 +314,141 @@ class TestDispatchResilience:
         assert parallel.select_gather_stats()["calls"] == calls_before + 1
         assert parallel._pool_failures == 0
         assert parallel.breaker_state()["state"] == "closed"
+
+    @pytest.mark.parametrize(
+        "fault, retires",
+        [
+            pytest.param(break_the_pool, True, id="broken-pool"),
+            pytest.param(kill_a_worker_mid_dispatch, True, id="dead-worker"),
+            pytest.param(unlink_a_published_file, False, id="lost-shard-file"),
+            pytest.param(wedge_every_worker, True, id="wedged-worker"),
+            pytest.param(corrupt_a_published_file, False, id="corrupt-shard-file"),
+        ],
+    )
+    def test_only_a_failed_pool_is_retired(
+        self, fault, retires, breaker_guard, monkeypatch, occupy_workers, store_dir
+    ):
+        """A dead or wedged worker retires its whole pool, and no worker of it
+        survives; a lost or corrupt file says nothing about the workers, so
+        the same pool answers the next query."""
+        relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
+        reference = self._reference(relation)
+        force_process()
+        pool = parallel._ensure_pool()
+        retired = []  # (pool, its worker pids) per retirement
+        retire_pool = parallel._retire_pool
+
+        def recording_retire(victim):
+            retired.append((victim, list(victim._processes or ())))
+            retire_pool(victim)
+
+        monkeypatch.setattr(parallel, "_retire_pool", recording_retire)
+        fault(monkeypatch, occupy_workers)
+        try:
+            assert select_answer(relation.store) == reference
+        finally:
+            monkeypatch.undo()
+        if retires:
+            assert [victim for victim, _pids in retired] == [pool]
+            assert wait_until_gone(retired[0][1], 2.0) == []
+        else:
+            assert retired == []
+            assert parallel._pool is pool
+        assert select_answer(relation.store) == reference
+        assert (parallel._pool is pool) is not retires
+
+    def test_a_corrupt_published_file_is_quarantined_and_replaced(
+        self, breaker_guard, monkeypatch, occupy_workers, store_dir
+    ):
+        relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
+        reference = self._reference(relation)
+        force_process()
+        corrupt_a_published_file(monkeypatch, occupy_workers)
+        try:
+            assert select_answer(relation.store) == reference
+        finally:
+            monkeypatch.undo()
+        damaged = relation.store._publication.written[0]
+        assert not os.path.exists(damaged)
+        quarantined = [name for name in os.listdir(store_dir) if name.endswith(".quarantined")]
+        assert quarantined == [os.path.basename(damaged) + ".quarantined"]
+        # The next query publishes fresh files and ships them.
+        calls_before = parallel.select_gather_stats()["calls"]
+        assert select_answer(relation.store) == reference
+        assert parallel.select_gather_stats()["calls"] == calls_before + 1
+        assert damaged not in relation.store._publication.written
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            pytest.param(break_the_pool, id="broken-pool"),
+            pytest.param(unlink_a_published_file, id="lost-shard-file"),
+        ],
+    )
+    def test_consecutive_failures_trip_the_breaker(
+        self, fault, breaker_guard, monkeypatch, occupy_workers, store_dir
+    ):
+        """Every failed dispatch is a strike, whether the workers or the files
+        failed; the last one opens the breaker, queries then stay in the
+        caller until the cooldown ends, and a shipped probe closes it."""
+        relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
+        reference = self._reference(relation)
+        force_process()
+        configure(breaker_cooldown=1.0)
+        parallel._pool_failures = 0
+        trips_before = parallel.breaker_state()["trips"]
+        fallbacks_before = parallel.dispatch_stats()["fallbacks"]
+        try:
+            for _ in range(parallel._MAX_POOL_FAILURES):
+                fault(monkeypatch, occupy_workers)
+                assert select_answer(relation.store) == reference
+        finally:
+            monkeypatch.undo()
+        state = parallel.breaker_state()
+        assert state["state"] == "open"
+        assert state["trips"] == trips_before + 1
+        fallbacks = parallel.dispatch_stats()["fallbacks"]
+        assert fallbacks == fallbacks_before + parallel._MAX_POOL_FAILURES
+        calls_before = parallel.select_gather_stats()["calls"]
+        assert select_answer(relation.store) == reference  # open: answered in the caller
+        assert parallel.select_gather_stats()["calls"] == calls_before
+        assert parallel.dispatch_stats()["fallbacks"] == fallbacks  # refused, not failed
+        time.sleep(current_config().breaker_cooldown + 0.05)
+        assert select_answer(relation.store) == reference
+        assert parallel.select_gather_stats()["calls"] == calls_before + 1  # the probe shipped
+        assert parallel.breaker_state()["state"] == "closed"
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            pytest.param(break_the_pool, id="broken-pool"),
+            pytest.param(unlink_a_published_file, id="lost-shard-file"),
+            pytest.param(wedge_every_worker, id="wedged-worker"),
+            pytest.param(corrupt_a_published_file, id="corrupt-shard-file"),
+            pytest.param(refuse_to_start_a_worker, id="no-worker-starts"),
+        ],
+    )
+    def test_a_failed_dispatch_keeps_the_exact_answer(
+        self, tiny_db, tiny_beas, fault, breaker_guard, monkeypatch, occupy_workers, store_dir
+    ):
+        """Through the whole query pipeline: the exact answer's scan of a
+        sharded base relation fails to dispatch and is answered in the
+        caller, bit-identical to the healthy answer."""
+        beas = Beas(to_backend(tiny_db, "sharded"), access_schema=tiny_beas.access_schema)
+        query = "SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2"
+        force_process()
+        calls_before = parallel.select_gather_stats()["calls"]
+        healthy = beas.answer_exact(query)
+        assert parallel.select_gather_stats()["calls"] > calls_before  # the scan ships
+        parallel.shutdown()  # the next query publishes afresh, under the fault
+        fallbacks_before = parallel.dispatch_stats()["fallbacks"]
+        fault(monkeypatch, occupy_workers)
+        try:
+            broken = beas.answer_exact(query)
+        finally:
+            monkeypatch.undo()
+        assert parallel.dispatch_stats()["fallbacks"] > fallbacks_before
+        assert_identical(broken, healthy)
 
     def test_a_shipped_query_is_the_half_open_probe(self, breaker_guard):
         relation = Relation(SCHEMA, make_rows(3000), backend="sharded")
@@ -410,6 +584,34 @@ class TestServingResilience:
         assert counters["result_cache_errors"] == 4  # a get and a put per request
         # Healed: the next request caches and hits again.
         server.serve(query, alpha=0.5)
+        assert server.serve(query, alpha=0.5).result_cache_hit
+
+    @pytest.mark.parametrize("method", ["get", "put"])
+    def test_one_failing_cache_method_costs_one_error_a_request(
+        self, tiny_beas, monkeypatch, method
+    ):
+        """A failing ``get`` leaves the ``put`` working and the other way
+        round: each request counts one error, and what did reach the cache
+        is what the next request finds once it heals."""
+        server = QueryServer(tiny_beas)
+        query = "SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2"
+        baseline = server.serve(query, alpha=0.5)
+        server.clear_caches()
+
+        def unavailable(*_args):
+            raise ConnectionError("result-cache backend unavailable")
+
+        monkeypatch.setattr(server.result_cache, method, unavailable)
+        try:
+            for _ in range(3):
+                envelope = server.serve(query, alpha=0.5)
+                assert not envelope.result_cache_hit
+                assert_identical(envelope.rows, baseline.rows)
+        finally:
+            monkeypatch.undo()
+        assert server.stats.snapshot()["counters"]["result_cache_errors"] == 3
+        # Only the failing puts left the cache empty.
+        assert server.serve(query, alpha=0.5).result_cache_hit == (method == "get")
         assert server.serve(query, alpha=0.5).result_cache_hit
 
     @pytest.mark.parametrize("backend_name", ["row", "sharded"])

@@ -703,6 +703,39 @@ class TestFailedOpens:
             MmapStore.open(path)
         assert os.path.exists(path)
 
+    def test_a_failed_reopen_after_save_propagates(self, store_dir, tmp_path, monkeypatch):
+        # An explicit save must not succeed silently: the error reaches the
+        # caller, the store keeps its in-memory buffers, and the written
+        # file opens on the next try.
+        store = MmapStore.from_rows(4, MIXED_ROWS)
+        reference = [identity_key(r) for r in store.row_list()]
+        path = str(tmp_path / f"saved{FILE_SUFFIX}")
+        fail_the_next_open(monkeypatch, CorruptShardError(path, "unreadable"))
+        with pytest.raises(CorruptShardError):
+            store.save(path)
+        assert [identity_key(r) for r in store.row_list()] == reference
+        assert os.path.exists(path)
+        assert [identity_key(r) for r in MmapStore.open(path).row_list()] == reference
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            FileNotFoundError(2, "no such dataset file", "anon"),
+            PermissionError(13, "permission denied", "anon"),
+        ],
+        ids=["missing", "unreadable"],
+    )
+    def test_anonymous_persist_survives_any_failed_reopen(self, store_dir, monkeypatch, error):
+        calls = fail_the_next_open(monkeypatch, error)
+        store = MmapStore.from_rows(4, MIXED_ROWS)
+        assert len(calls) == 1
+        assert not store.is_mapped
+        assert rpro_files(store_dir) == []
+        reference = MmapStore.from_rows(4, MIXED_ROWS)
+        assert [identity_key(r) for r in store.row_list()] == [
+            identity_key(r) for r in reference.row_list()
+        ]
+
     def test_anonymous_persist_survives_a_failed_reopen(self, store_dir, monkeypatch):
         # Construction-time persist cannot reopen its file: the store stays
         # detached (bit-identical in memory) instead of failing the build,
