@@ -39,7 +39,7 @@ def test_fig6ef_accuracy_vs_scale(benchmark):
     beas = rc_series["BEAS"]
     # BEAS dominates the one-size-fits-all synopses at every scale.  The
     # paper's stronger claim — accuracy *improving* with |D| under a fixed α —
-    # is not always visible at laptop scale (see EXPERIMENTS.md); we assert
+    # is not always visible at laptop scale (ROADMAP item 11); we assert
     # the weaker, scale-stable form here: no collapse as |D| grows.
     for scale in SCALES:
         assert beas[scale] >= rc_series["Histo"][scale] - 1e-9

@@ -1,4 +1,4 @@
-"""Micro-benchmark: distance kernels vs. naive scans, and column vs. row storage.
+"""Micro-benchmark: distance kernels vs. naive scans, and storage backends vs. plain tuple lists.
 
 Part 1 times the three kernel-accelerated hot paths against their quadratic
 references at several input scales:
@@ -10,20 +10,28 @@ references at several input scales:
 * ``rc_nearest`` — :meth:`repro.relational.kernels.NearestNeighbors.min_distance`
   (RC coverage/relevance) vs. :func:`naive_min_distance`.
 
-Part 2 times the same relational operation on a ``ColumnStore``-backed
-relation vs. a ``RowStore``-backed one (see :mod:`repro.relational.store`):
+Part 2 times a relational operation on a ``ColumnStore``-backed relation
+(see :mod:`repro.relational.store`) vs. the same work done row at a time
+over a plain list of Python tuples — the baseline every ``tuples_seconds``
+field records:
 
-* ``columnar_scan`` — column projection of 2 of 5 attributes,
+* ``columnar_scan`` — column projection of 2 of 5 attributes, vs. a
+  comprehension building one 2-tuple per row,
 * ``columnar_selection`` — a selective vectorized conjunction
-  (:meth:`repro.algebra.predicates.Conjunction.mask`),
+  (:meth:`repro.algebra.predicates.Conjunction.mask`), vs. a comprehension
+  testing each row,
 * ``columnar_join`` — the evaluator's equi-join kernel
-  (:meth:`repro.algebra.evaluator.Evaluator._hash_join`),
+  (:meth:`repro.algebra.evaluator.Evaluator._hash_join`), vs. a dict of
+  right-side buckets probed row by row, one concatenated tuple per match,
 * ``columnar_rc`` — the RC coverage sweep
-  (:func:`repro.accuracy.rc.max_coverage_distance`) over key-shaped answers.
+  (:func:`repro.accuracy.rc.max_coverage_distance`) over key-shaped answers,
+  vs. the same nearest-neighbour kernel built from the tuple list and
+  probed one exact row at a time.
 
 Part 3 sweeps the same four operations over the **sharded** backend
 (:class:`repro.relational.store.ShardedStore`, range-partitioned per-shard
-column stores) at several shard counts, against the row baseline —
+column stores) at several shard counts, against the same tuple-list
+baselines —
 ``sharded_scan`` / ``sharded_selection`` / ``sharded_join`` / ``sharded_rc``
 entries record what the shard count costs the caller, which reads every
 sharded store through its flat column view.
@@ -54,14 +62,16 @@ Every record carries an ``executor_config`` block (executor, workers,
 cpu_count) so entries stay distinguishable across PRs.
 
 ``--backends`` restricts which storage backends parts 2–3 and 5 exercise
-(comma-separated, e.g. ``--backends row,sharded``; part 1 is
+(comma-separated, e.g. ``--backends column,sharded``; part 1 is
 backend-independent).  Every timed run cross-checks that both sides return
-identical results, so the benchmark doubles as a coarse differential test.
+identical results — each backend against the plain-tuple baseline, each
+kernel against its nested loop — so the benchmark doubles as a coarse
+differential test.
 The combined series is written to ``BENCH_kernels.json`` at the repository
 root so future PRs can track the performance trajectory.  Run it directly
 (no pytest needed)::
 
-    python benchmarks/bench_kernels.py [--quick] [--backends row,column,sharded,mmap]
+    python benchmarks/bench_kernels.py [--quick] [--backends column,sharded,mmap]
 """
 
 from __future__ import annotations
@@ -191,7 +201,7 @@ KERNELS = {
 
 
 # ---------------------------------------------------------------------------
-# Storage backends through the same APIs (row baseline vs column / sharded)
+# Storage backends through the same APIs (plain tuple-list baseline vs column / sharded)
 # ---------------------------------------------------------------------------
 
 WIDE_SCHEMA = RelationSchema(
@@ -219,6 +229,15 @@ def register_sharded_variants() -> None:
             register_backend(name, ShardedStore.configured(count, name=name))
 
 
+SELECTION_CONDITION = Conjunction.of(
+    [
+        Comparison(AttrRef(None, "x"), CompareOp.LE, Const(30.0)),
+        Comparison(AttrRef(None, "y"), CompareOp.GT, Const(60.0)),
+        Comparison(AttrRef(None, "a"), CompareOp.LT, Const(35.0)),
+    ]
+)
+
+
 def _wide_rows(size: int, rng: random.Random):
     return [
         (
@@ -233,47 +252,43 @@ def _wide_rows(size: int, rng: random.Random):
 
 
 def _wide_relations(size: int, rng: random.Random, backend: str):
+    """The same rows twice: a plain tuple list, and a relation on ``backend``."""
     rows = _wide_rows(size, rng)
-    return (
-        Relation(WIDE_SCHEMA, rows, backend="row"),
-        Relation(WIDE_SCHEMA, rows, backend=backend),
-    )
+    return rows, Relation(WIDE_SCHEMA, rows, backend=backend)
 
 
 def bench_storage_scan(size: int, queries: int, rng: random.Random, backend: str):
     """Column projection (π x,y without dedup) — the scan-shaped workload."""
-    row_rel, other_rel = _wide_relations(size, rng, backend)
-    row_seconds, row_out = _timed_best(
-        lambda: [row_rel.project(["x", "y"], distinct=False) for _ in range(10)]
+    rows, relation = _wide_relations(size, rng, backend)
+    tuples_seconds, tuples_out = _timed_best(
+        lambda: [[(row[3], row[4]) for row in rows] for _ in range(10)]
     )
-    other_seconds, other_out = _timed_best(
-        lambda: [other_rel.project(["x", "y"], distinct=False) for _ in range(10)]
+    backend_seconds, backend_out = _timed_best(
+        lambda: [relation.project(["x", "y"], distinct=False) for _ in range(10)]
     )
-    assert row_out[0] == other_out[0]
-    return row_seconds, other_seconds
+    assert list(backend_out[0].rows) == tuples_out[0]
+    return tuples_seconds, backend_seconds
 
 
 def bench_storage_selection(size: int, queries: int, rng: random.Random, backend: str):
     """Selective vectorized three-way conjunction (~4% of rows pass)."""
-    row_rel, other_rel = _wide_relations(size, rng, backend)
-    condition = Conjunction.of(
-        [
-            Comparison(AttrRef(None, "x"), CompareOp.LE, Const(30.0)),
-            Comparison(AttrRef(None, "y"), CompareOp.GT, Const(60.0)),
-            Comparison(AttrRef(None, "a"), CompareOp.LT, Const(35.0)),
+    rows, relation = _wide_relations(size, rng, backend)
+    tuples_seconds, tuples_out = _timed_best(
+        lambda: [
+            [row for row in rows if row[3] <= 30.0 and row[4] > 60.0 and row[1] < 35.0]
+            for _ in range(10)
         ]
     )
-    row_seconds, row_out = _timed_best(lambda: [row_rel.select(condition) for _ in range(10)])
-    other_seconds, other_out = _timed_best(
-        lambda: [other_rel.select(condition) for _ in range(10)]
+    backend_seconds, backend_out = _timed_best(
+        lambda: [relation.select(SELECTION_CONDITION) for _ in range(10)]
     )
-    assert row_out[0] == other_out[0]
-    assert other_out[0].backend == type(other_rel.store).in_memory_class().backend
-    return row_seconds, other_seconds
+    assert list(backend_out[0].rows) == tuples_out[0]
+    assert backend_out[0].backend == "column"  # every derived store is a column store
+    return tuples_seconds, backend_seconds
 
 
 def bench_storage_join(size: int, queries: int, rng: random.Random, backend: str):
-    """The evaluator's hash-join kernel: backend vs row-wise key extraction."""
+    """The evaluator's hash-join kernel vs a row-at-a-time dict-bucket join."""
     from repro.algebra.evaluator import Evaluator, Frame, MappingProvider
     from repro.relational.schema import DatabaseSchema
 
@@ -282,17 +297,22 @@ def bench_storage_join(size: int, queries: int, rng: random.Random, backend: str
     r_schema = RelationSchema("r", [Attribute("r.k", TRIVIAL), Attribute("r.w", NUMERIC)])
     l_rows = [(rng.randrange(keys), rng.uniform(0, 100.0)) for _ in range(size)]
     r_rows = [(rng.randrange(keys), rng.uniform(0, 100.0)) for _ in range(size // 2)]
+
+    def tuple_join():
+        buckets = {}
+        for right in r_rows:
+            buckets.setdefault(right[0], []).append(right)
+        return [left + right for left in l_rows for right in buckets.get(left[0], ())]
+
     evaluator = Evaluator(DatabaseSchema([]), MappingProvider({}))
-    outputs = []
-    seconds = []
-    for side in ("row", backend):
-        left = Frame.from_relation(Relation(l_schema, l_rows, backend=side))
-        right = Frame.from_relation(Relation(r_schema, r_rows, backend=side))
-        sec, out = _timed_best(lambda: evaluator._hash_join(left, right, ["l.k"], ["r.k"]))
-        outputs.append(out)
-        seconds.append(sec)
-    assert outputs[0].rows == outputs[1].rows
-    return seconds[0], seconds[1]
+    left = Frame.from_relation(Relation(l_schema, l_rows, backend=backend))
+    right = Frame.from_relation(Relation(r_schema, r_rows, backend=backend))
+    tuples_seconds, tuples_out = _timed_best(tuple_join)
+    backend_seconds, backend_out = _timed_best(
+        lambda: evaluator._hash_join(left, right, ["l.k"], ["r.k"])
+    )
+    assert sorted(backend_out.rows) == sorted(tuples_out)
+    return tuples_seconds, backend_seconds
 
 
 KEY_SCHEMA = RelationSchema(
@@ -308,23 +328,27 @@ def bench_storage_rc(size: int, queries: int, rng: random.Random, backend: str):
     RC shape; the sweep reduces to canonicalized hash-bucket lookups, where
     a column-backed answer set contributes typed buffers directly and a
     sharded one is indexed shard by shard (``rc_nearest`` above covers the
-    numeric sorted-band regime).
+    numeric sorted-band regime).  The baseline builds the same kernel from
+    the tuple list and probes it one exact row at a time.
     """
     rows = [
         (rng.randrange(size), rng.randrange(200), rng.randrange(50))
         for _ in range(size)
     ]
-    row_rel = Relation(KEY_SCHEMA, rows, backend="row")
-    other_rel = Relation(KEY_SCHEMA, rows, backend=backend)
-    exact = Relation(KEY_SCHEMA, [rows[rng.randrange(size)] for _ in range(queries)])
-    row_seconds, row_out = _timed_best(
-        lambda: max_coverage_distance(exact, row_rel, KEY_SCHEMA)
+    relation = Relation(KEY_SCHEMA, rows, backend=backend)
+    exact_rows = [rows[rng.randrange(size)] for _ in range(queries)]
+    exact = Relation(KEY_SCHEMA, exact_rows)
+
+    def tuple_sweep():
+        neighbors = NearestNeighbors(rows, KEY_SCHEMA.attributes)
+        return max(neighbors.min_distance(row) for row in exact_rows)
+
+    tuples_seconds, tuples_out = _timed_best(tuple_sweep)
+    backend_seconds, backend_out = _timed_best(
+        lambda: max_coverage_distance(exact, relation, KEY_SCHEMA)
     )
-    other_seconds, other_out = _timed_best(
-        lambda: max_coverage_distance(exact, other_rel, KEY_SCHEMA)
-    )
-    assert row_out == other_out
-    return row_seconds, other_seconds
+    assert backend_out == tuples_out
+    return tuples_seconds, backend_seconds
 
 
 STORAGE_OPS = {
@@ -416,15 +440,6 @@ def bench_mmap_section(scales, queries: int) -> list:
 # Columnar execution engine (fused masks, gather-built join outputs)
 # ---------------------------------------------------------------------------
 
-SELECTION_CONDITION = Conjunction.of(
-    [
-        Comparison(AttrRef(None, "x"), CompareOp.LE, Const(30.0)),
-        Comparison(AttrRef(None, "y"), CompareOp.GT, Const(60.0)),
-        Comparison(AttrRef(None, "a"), CompareOp.LT, Const(35.0)),
-    ]
-)
-
-
 def bench_fused_selection(size: int, queries: int, rng: random.Random):
     """Chunked fused-mask engine vs the per-row ``CompareOp.evaluate`` loop.
 
@@ -462,15 +477,15 @@ def bench_columnar_join_output(size: int, queries: int, rng: random.Random):
     """Gather-materialized index-pair join vs the PR-3 tuple-building join.
 
     Both run over the same column-backed frames; the baseline reproduces the
-    pre-gather code path exactly (bucket probe emitting ``lrow + rrow``
-    Python tuples into a row store).  The workload is the α-bounded shape
+    pre-gather code path (bucket probe emitting ``lrow + rrow`` Python
+    tuples, then a store built from them).  The workload is the α-bounded shape
     BEAS evaluates: a wide probe side joined against a *small* (budget-
     bounded fetch) build side, so most probe rows find no match — exactly
     where materializing every probe row as a tuple is pure waste.
     """
     from repro.algebra.evaluator import Evaluator, Frame, MappingProvider
     from repro.relational.schema import DatabaseSchema, RelationSchema as RS
-    from repro.relational.store import RowStore
+    from repro.relational.store import ColumnStore
 
     keys = max(1, size // 2)
     build_size = max(1, size // 10)
@@ -517,7 +532,7 @@ def bench_columnar_join_output(size: int, queries: int, rng: random.Random):
             for j in buckets.get(key, ()):
                 rows.append(left_rows[i] + right_rows[j])
                 weights.append(left.weights[i] * right.weights[j])
-        return Frame(out_schema, weights=weights, store=RowStore.from_rows(width, rows))
+        return Frame(out_schema, weights=weights, store=ColumnStore.from_rows(width, rows))
 
     def gather_join():
         left = Frame(l_schema, store=l_store.copy())
@@ -574,7 +589,7 @@ def _parallel_relation(size: int, rng: random.Random):
     return Relation(WIDE_SCHEMA, store=store), rows
 
 
-DEFAULT_BACKENDS = ("row", "column", "sharded", "mmap")
+DEFAULT_BACKENDS = ("column", "sharded", "mmap")
 
 
 # ---------------------------------------------------------------------------
@@ -765,16 +780,16 @@ def run(
     if "column" in backends:
         for size in scales:
             for name, bench in STORAGE_OPS.items():
-                rng = random.Random(size)  # same data for both backends
-                row_seconds, column_seconds = bench(size, queries, rng, "column")
+                rng = random.Random(size)  # same data on both sides
+                tuples_seconds, column_seconds = bench(size, queries, rng, "column")
                 columnar_results.append(
                     {
                         "kernel": f"columnar_{name}",
                         "size": size,
                         "queries": queries,
-                        "row_seconds": round(row_seconds, 6),
+                        "tuples_seconds": round(tuples_seconds, 6),
                         "column_seconds": round(column_seconds, 6),
-                        "speedup": round(row_seconds / max(column_seconds, 1e-9), 2),
+                        "speedup": round(tuples_seconds / max(column_seconds, 1e-9), 2),
                         "executor_config": executor_config(),
                     }
                 )
@@ -784,7 +799,7 @@ def run(
         for shard_count in SHARD_COUNTS:
             for name, bench in STORAGE_OPS.items():
                 rng = random.Random(size)  # same data at every shard count
-                row_seconds, sharded_seconds = bench(
+                tuples_seconds, sharded_seconds = bench(
                     size, queries, rng, f"sharded{shard_count}"
                 )
                 sharded_results.append(
@@ -793,9 +808,9 @@ def run(
                         "size": size,
                         "shards": shard_count,
                         "queries": queries,
-                        "row_seconds": round(row_seconds, 6),
+                        "tuples_seconds": round(tuples_seconds, 6),
                         "sharded_seconds": round(sharded_seconds, 6),
-                        "speedup": round(row_seconds / max(sharded_seconds, 1e-9), 2),
+                        "speedup": round(tuples_seconds / max(sharded_seconds, 1e-9), 2),
                         "executor_config": executor_config(),
                     }
                 )
@@ -822,9 +837,10 @@ def run(
     static_results = bench_static_analysis()
     report = {
         "benchmark": (
-            "distance kernels vs naive nested loops; column/sharded vs row "
-            "storage; fused masks / gather joins vs per-row baselines"
+            "distance kernels vs naive nested loops; column/sharded storage vs "
+            "plain tuple-list loops; fused masks / gather joins vs per-row baselines"
         ),
+        "cpu_count": os.cpu_count(),
         "query_count": queries,
         "scales": list(scales),
         "backends": list(backends),
@@ -868,30 +884,30 @@ def run(
     if columnar_results:
         print(
             format_table(
-                ["operation", "size", "row s", "column s", "speedup"],
+                ["operation", "size", "tuples s", "column s", "speedup"],
                 [
-                    [r["kernel"], r["size"], r["row_seconds"], r["column_seconds"], f"{r['speedup']}x"]
+                    [r["kernel"], r["size"], r["tuples_seconds"], r["column_seconds"], f"{r['speedup']}x"]
                     for r in columnar_results
                 ],
-                title=f"ColumnStore vs RowStore -> {destination}",
+                title=f"ColumnStore vs plain tuple lists -> {destination}",
             )
         )
     if sharded_results:
         print(
             format_table(
-                ["operation", "shards", "size", "row s", "sharded s", "speedup"],
+                ["operation", "shards", "size", "tuples s", "sharded s", "speedup"],
                 [
                     [
                         r["kernel"],
                         r["shards"],
                         r["size"],
-                        r["row_seconds"],
+                        r["tuples_seconds"],
                         r["sharded_seconds"],
                         f"{r['speedup']}x",
                     ]
                     for r in sharded_results
                 ],
-                title=f"ShardedStore vs RowStore -> {destination}",
+                title=f"ShardedStore vs plain tuple lists -> {destination}",
             )
         )
     if mmap_results:
@@ -994,8 +1010,8 @@ def main() -> None:
         default=",".join(DEFAULT_BACKENDS),
         help=(
             "comma-separated storage backends to exercise in the storage "
-            "sections (subset of row,column,sharded,mmap; the row baseline "
-            "always runs)"
+            "sections (subset of column,sharded,mmap; the plain tuple-list "
+            "baselines always run)"
         ),
     )
     args = parser.parse_args()

@@ -4,8 +4,8 @@ The benches use deliberately modest dataset sizes (see
 ``repro.experiments.config``) so that a full ``pytest benchmarks/
 --benchmark-only`` run finishes in a few minutes while still exercising every
 code path of the corresponding experiment.  Each bench prints the series its
-figure plots; EXPERIMENTS.md records a reference run next to the paper's
-numbers.
+figure plots; recording a reference run next to the paper's numbers is
+ROADMAP item 11 (the reproduction ledger).
 """
 
 from __future__ import annotations

@@ -7,19 +7,18 @@ friends' cities" query at several resource ratios, comparing against the exact
 answers.
 
 Also demonstrates the pluggable storage layer (``repro.relational.store``):
-every relation can live row-wise (``backend="row"``, the default — one tuple
-per row), column-wise (``backend="column"`` — one contiguous buffer per
-attribute, ``array('d')``/``array('q')`` for pure float/int columns), or
-horizontally partitioned (``backend="sharded"`` — the rows cut into
+every relation lives column-wise (``backend="column"``, the default — one
+contiguous buffer per attribute, ``array('d')``/``array('q')`` for pure
+float/int columns), in mmap'd files (``backend="mmap"``), or horizontally
+partitioned (``backend="sharded"`` — the rows cut into
 contiguous ranges, one column store per shard, which the process executor
 ships selections to).  The whole pipeline —
 selection via *fused chunked* predicate mask programs (selectivity-ordered
 short-circuiting), *index-pair* hash joins whose
 outputs are materialized by per-column gather (``Store.take`` /
-``Store.gather_column``), KD-tree construction, RC accuracy sweeps — reads
-through the backend and returns bit-identical answers on every backend;
-columnar/sharded storage is simply faster on scan/selection/join-heavy work
-(see ``benchmarks/bench_kernels.py``).
+``Store.gather_column``), template-index construction, RC accuracy sweeps —
+reads through the backend and returns bit-identical answers on every
+backend.
 
 Run:  python examples/quickstart.py
 """
@@ -27,30 +26,12 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import Beas, parse_query, rc_accuracy
-from repro.relational import Database
 from repro.workloads import social
-
-
-def to_column_backend(database: Database) -> Database:
-    """Rebuild every relation of ``database`` on the columnar backend.
-
-    (A process-wide default can be set instead with
-    ``repro.configure(default_backend="column")``, and individual
-    relations can be built columnar directly via
-    ``Relation(schema, rows, backend="column")`` or
-    ``Relation.from_columns(schema, {"price": [...], ...})``.)
-    """
-    return Database.from_relations(
-        [
-            database.relation(name).with_backend("column")
-            for name in database.relation_names
-        ]
-    )
 
 
 def main() -> None:
     workload = social.generate(persons=2000, pois=12000, cities=50, seed=7)
-    database = to_column_backend(workload.database)
+    database = workload.database  # column-backed: the default layout
     poi = database.relation("poi")
     print(
         f"dataset: {database.relation_sizes()}  (|D| = {database.total_tuples}, "
@@ -105,19 +86,6 @@ def main() -> None:
     print(
         f"  exact={result.exact} boundedly_evaluable={result.boundedly_evaluable} "
         f"accessed={result.tuples_accessed} tuples out of {database.total_tuples}"
-    )
-
-    # Row- and column-backed execution are interchangeable: same answers,
-    # different memory layout.
-    row_db = workload.database  # original row-backed instance
-    row_beas = Beas(row_db, constraints=workload.constraints, families=workload.families)
-    row_result = row_beas.answer(query_sql, 0.02)
-    col_result = beas.answer(query_sql, 0.02)
-    assert row_result.rows == col_result.rows
-    print()
-    print(
-        "row- and column-backed BEAS agree: "
-        f"{len(row_result.rows)} == {len(col_result.rows)} answer rows"
     )
 
     # --- Sharded storage -------------------------------------------------

@@ -61,7 +61,6 @@ from .relational import (
     NUMERIC,
     Relation,
     RelationSchema,
-    RowStore,
     STRING_PREFIX,
     ShardedStore,
     Store,
@@ -126,7 +125,6 @@ __all__ = [
     "Relation",
     "RelationSchema",
     "ReproError",
-    "RowStore",
     "ShardedStore",
     "STRING_PREFIX",
     "Scan",

@@ -155,8 +155,8 @@ def _spc_candidates(
     candidates: List[RelevanceCandidate] = []
     seen: Dict[Tuple[Row, float], None] = {}
     # Output values are extracted column-wise; full rows are only consulted
-    # for the relaxation requirement.
-    for row, values in zip(frame.rows, frame.key_tuples(positions)):
+    # for the relaxation requirement, streamed (not cached on the frame).
+    for row, values in zip(frame.store.iter_rows(), frame.key_tuples(positions)):
         requirement = oracle.requirement(row)
         if requirement == INFINITY:
             continue

@@ -24,8 +24,8 @@ matched *index pairs* and materialize outputs by per-column gather
 survivor *indices* and gather them (:func:`~repro.relational.store.vstack_gather`
 / :meth:`~repro.relational.store.Store.take`), and group-by emits its output
 column-by-column — no intermediate Python row tuples are built anywhere in
-the pipeline unless the output backend itself is row-major
-(:func:`~repro.relational.store.preferred_output_class`).
+the pipeline: every operator output is a
+:class:`~repro.relational.store.ColumnStore`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from ..relational.distance import INFINITY
 from ..relational.kernels import RadiusMatcher
 from ..relational.relation import Relation, Row
 from ..relational.schema import DatabaseSchema, RelationSchema
-from ..relational.store import RowStore, Store, _gather, gather_pairs, preferred_output_class, vstack_gather
+from ..relational.store import ColumnStore, Store, _gather, gather_pairs, vstack_gather
 from .ast import (
     Difference,
     GroupBy,
@@ -73,13 +73,12 @@ from .spc import SPCQuery, to_spc
 class Frame:
     """An intermediate result: tuples under a schema, with per-row weights.
 
-    Backed by a :class:`~repro.relational.store.Store` so that column-backed
-    inputs stay that way through scans, filters and projections.  The
-    classic ``Frame(schema, rows, weights)`` constructor adopts a row list
-    (the shape operator outputs are produced in); pass ``store=`` to adopt
-    an existing backend without materializing tuples (the executor's fetch
-    stage builds fetched frames on the base relation's in-memory twin this
-    way — a column store for column, mmap and sharded relations).
+    Backed by a :class:`~repro.relational.store.Store`, so scans, filters
+    and projections read column buffers.  ``Frame(schema, rows, weights)``
+    builds a :class:`~repro.relational.store.ColumnStore` from a row list;
+    pass ``store=`` to adopt an existing store without materializing tuples
+    (scans adopt the base relation's store; the executor's fetch stage and
+    every operator output adopt a fresh column store).
     """
 
     __slots__ = ("schema", "weights", "_store")
@@ -93,7 +92,7 @@ class Frame:
     ) -> None:
         self.schema = schema
         if store is None:
-            store = RowStore.from_rows(len(schema), rows if rows is not None else [])
+            store = ColumnStore.from_rows(len(schema), rows if rows is not None else [])
         self._store = store
         if weights is None:
             weights = [1.0] * len(store)
@@ -154,7 +153,7 @@ class DatabaseProvider(RelationProvider):
 
     def frame_for(self, scan: Scan, output_schema: RelationSchema) -> Frame:
         relation = self.database.scan(scan.relation, self.meter)
-        # Adopt the relation's store directly (row- or column-backed): scans
+        # Adopt the relation's store directly (any backend): scans
         # stay zero-copy and downstream operators read column buffers.
         return Frame(output_schema, weights=[1.0] * len(relation), store=relation.store)
 
@@ -304,12 +303,9 @@ class Evaluator:
     def _live_frame(frame: Frame, live: Sequence[AttrRef]) -> Frame:
         """``frame`` without the columns no ``live`` reference can name.
 
-        Not on the row store, where projecting rebuilds every tuple and costs
-        more than carrying dead values.  An atom no reference names keeps its
-        first column: it still contributes its rows to the join.
+        An atom no reference names keeps its first column: it still
+        contributes its rows to the join.
         """
-        if isinstance(frame.store, RowStore):
-            return frame
         names = frame.schema.attribute_names
         keep = [p for p, name in enumerate(names) if any(may_name(ref, name) for ref in live)] or [0]
         if len(keep) == len(names):
@@ -462,8 +458,7 @@ class Evaluator:
         schema = RelationSchema("×", left.schema.attributes + right.schema.attributes)
         size_left, size_right = len(left), len(right)
         if size_left == 0 or size_right == 0:
-            cls = preferred_output_class(left.store, right.store)
-            return Frame(schema, weights=[], store=cls.from_rows(len(schema), []))
+            return Frame(schema, weights=[], store=ColumnStore(len(schema)))
         if size_right == 1:
             # Singleton side: the product is the other side with one row
             # appended per tuple — a linear gather, not a quadratic loop.
@@ -544,7 +539,7 @@ class Evaluator:
 
     @staticmethod
     def _kept_frame(frame: Frame, keep: Sequence[int]) -> Frame:
-        """The sub-frame at row indices ``keep`` (backend-preserving gather)."""
+        """The sub-frame at row indices ``keep`` (a gather into a column store)."""
         if len(keep) == len(frame):
             return frame
         weights = [frame.weights[index] for index in keep]
@@ -575,8 +570,7 @@ class Evaluator:
             for position in range(key_width):
                 columns[position].append(key[position])
             columns[key_width].append(node.aggregate.apply_weighted(pairs))
-        cls = preferred_output_class(child.store)
-        store = cls.from_columns(len(out_schema), columns)
+        store = ColumnStore.from_columns(len(out_schema), columns)
         return Frame(out_schema, weights=[1.0] * len(groups), store=store)
 
     # -- selection with relaxation --------------------------------------------

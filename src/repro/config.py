@@ -21,7 +21,7 @@ field                       default    legal values                    environme
 ``shard_workers``           None       None (= ``os.cpu_count()``)     REPRO_SHARD_WORKERS   yes
                                        or an integer >= 1
 ``process_min_rows``        4096       an integer >= 1                 —                     no
-``default_backend``         "row"      a registered backend name       REPRO_DEFAULT_BACKEND no
+``default_backend``         "column"   a registered backend name       REPRO_DEFAULT_BACKEND no
 ``store_dir``               None       None (= a lazily created temp   REPRO_STORE_DIR       no
                                        dir) or a creatable path
 ``checksum_mode``           "header"   "off", "header", "full"         REPRO_CHECKSUM        yes
@@ -184,7 +184,7 @@ class Config:
     shard_executor: str = "serial"
     shard_workers: Optional[int] = None
     process_min_rows: int = 4096
-    default_backend: str = "row"
+    default_backend: str = "column"
     store_dir: Optional[str] = None
     checksum_mode: str = "header"
     admission_policy: str = "queue"

@@ -30,7 +30,7 @@ from ..relational.database import AccessMeter, Database
 from ..relational.kernels import RadiusMatcher
 from ..relational.relation import Relation
 from ..relational.schema import Attribute, RelationSchema
-from ..relational.store import Store, gather_columns
+from ..relational.store import ColumnStore, Store, gather_columns
 from .plan import BoundedPlan, FetchStep
 
 
@@ -188,22 +188,14 @@ class PlanExecutor:
 
         The accessor emits the whole step — every ``X``-value's sample —
         column-wise (one value list per ``X ∪ Y`` attribute plus the
-        weights), and the frame is bulk-built from those columns on the
-        base relation's in-memory twin
-        (:meth:`~repro.relational.store.Store.in_memory_class`): a row store
-        for a row-backed relation, a :class:`ColumnStore
-        <repro.relational.store.ColumnStore>` for column, mmap and sharded
-        ones.  Frames are scratch data read in the caller, so they neither
-        map a file nor keep a shard layout.
+        weights), and the frame is bulk-built from those columns as a
+        :class:`~repro.relational.store.ColumnStore`, whatever the base
+        relation's backend.  Frames are scratch data read in the caller, so
+        they neither map a file nor keep a shard layout.
         """
         schema = self._step_schema(step)
         columns, weights = step.accessor.fetch_columns(self._input_values(step), self.meter)
-        # Use the base relation's store *class* directly rather than looking
-        # its backend name up in the registry — a relation may be backed by
-        # an unregistered store (e.g. an unregistered ShardedStore.configured
-        # variant adopted via Relation(schema, store=...)).
-        store_cls = type(self.database.relation(step.relation).store).in_memory_class()
-        return Frame(schema, weights=weights, store=store_cls.from_columns(len(schema), columns))
+        return Frame(schema, weights=weights, store=ColumnStore.from_columns(len(schema), columns))
 
     # -- stage 2: per-atom frames ----------------------------------------------------
     def _build_atom_frames(self) -> Dict[str, Frame]:

@@ -2,8 +2,8 @@
 
 The benchmarks in ``benchmarks/`` are thin wrappers over this module: each
 figure of the paper corresponds to one sweep function here, returning plain
-dictionaries of series that the benchmark prints (and that EXPERIMENTS.md
-records next to the paper's numbers).
+dictionaries of series that the benchmark prints (recording them next to
+the paper's numbers is ROADMAP item 11, the reproduction ledger).
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 The benchmark harnesses print the same rows/series the paper's figures plot;
 these helpers format them as aligned text tables so the output is readable in
-a terminal and easy to paste into EXPERIMENTS.md.
+a terminal and easy to paste into a report (the reproduction ledger of
+ROADMAP item 11).
 """
 
 from __future__ import annotations

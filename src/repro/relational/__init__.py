@@ -12,12 +12,7 @@ from .distance import (
     numeric_scaled,
     tuple_distance,
 )
-from .kernels import (
-    NearestNeighbors,
-    RadiusMatcher,
-    naive_min_distance,
-    naive_radius_matches,
-)
+from .kernels import NearestNeighbors, RadiusMatcher
 from .mmapstore import (  # registers the "mmap" / "mmap-sharded" backends
     MmapShardedStore,
     MmapStore,
@@ -39,7 +34,6 @@ from .schema import (
 from .store import (
     ColumnStore,
     EXECUTOR_MODES,
-    RowStore,
     ShardedStore,
     Store,
     backend_class,
@@ -47,7 +41,6 @@ from .store import (
     gather_pairs,
     list_backends,
     make_store,
-    preferred_output_class,
     register_backend,
     vstack_gather,
 )
@@ -66,12 +59,9 @@ __all__ = [
     "NearestNeighbors",
     "NUMERIC",
     "RadiusMatcher",
-    "naive_min_distance",
-    "naive_radius_matches",
     "Relation",
     "RelationSchema",
     "Row",
-    "RowStore",
     "ShardedStore",
     "Store",
     "STRING_PREFIX",
@@ -89,7 +79,6 @@ __all__ = [
     "numeric_attribute",
     "numeric_scaled",
     "open_database",
-    "preferred_output_class",
     "probe_process_executor",
     "register_backend",
     "save_database",

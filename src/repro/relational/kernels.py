@@ -45,8 +45,8 @@ supported and behaves identically.  A sharded store is indexed through its
 key columns like any store.
 
 **Exact-equivalence contract.**  Every kernel returns *identical* results to
-the naive nested-loop reference implementations that this module also
-exports (:func:`naive_radius_matches`, :func:`naive_min_distance`):
+the naive nested-loop reference implementations in this module
+(:func:`naive_radius_matches`, :func:`naive_min_distance`):
 :meth:`RadiusMatcher.matches` returns the same index set (sorted ascending,
 matching nested-loop emission order) and :meth:`NearestNeighbors.min_distance`
 the same float.  The kernels are drop-in algorithmic replacements — callers
@@ -155,7 +155,7 @@ def _canonical_column(column: Sequence[object], distance: DistanceFunction) -> S
     its C-speed float image for numeric distances); a float buffer
     (``array('d')``) only needs the per-value treatment when it actually
     contains NaN or an infinity (one ``math.isfinite`` sweep decides).  Plain
-    lists — and any row-backed column — fall back to the per-value loop, so
+    lists — and any other column buffer — fall back to the per-value loop, so
     canonical values are identical across backends.
     """
     if isinstance(column, array):

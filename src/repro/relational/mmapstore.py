@@ -99,7 +99,7 @@ import uuid
 import weakref
 import zlib
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import config
 from ..errors import CorruptShardError
@@ -609,10 +609,6 @@ class MmapStore(ColumnStore):
         return out
 
     # -- construction --------------------------------------------------------
-    @classmethod
-    def in_memory_class(cls) -> Type[ColumnStore]:
-        return ColumnStore
-
     @classmethod
     def from_columns(cls, width: int, columns: Sequence[Sequence[object]]) -> "MmapStore":
         store = super().from_columns(width, columns)

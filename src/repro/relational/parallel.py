@@ -573,22 +573,29 @@ def dispatch_stats() -> Dict[str, object]:
 
 
 def _abandon(futures: Sequence[Future], pool=None) -> None:
-    """Give a failed dispatch up: cancel its queued tasks and retire ``pool``.
+    """Give a failed dispatch up: retire ``pool``, or cancel its queued tasks.
 
     A pool is handed over when it is what failed — a dead worker, a task
-    past the deadline, a pool that would not take the tasks — and every
-    worker in it is killed (:func:`_retire_pool`); the next dispatch creates
-    a fresh one.  One that a concurrent reset already replaced is killed
-    all the same.
+    past the deadline, a pool that would not take the tasks — or when a
+    concurrent reset already retired it.  Every worker in it is killed
+    (:func:`_retire_pool`), and the next dispatch creates a fresh pool; one
+    that a reset already replaced is killed all the same.  Its shutdown
+    cancels the dispatch's queued tasks.  Cancelling them here as well let
+    the pool's manager thread, when the pool was collected before that
+    thread saw the shutdown, fail the cancelled futures and die with
+    ``InvalidStateError``.  Without a pool (a lost shard file says nothing
+    about the workers) the pool lives on, so the queued tasks are cancelled
+    here.
     """
     global _pool
-    for future in futures:
-        future.cancel()
-    if pool is not None:
-        with _pool_lock:
-            if _pool is pool:
-                _pool = None
-        _retire_pool(pool)
+    if pool is None:
+        for future in futures:
+            future.cancel()
+        return
+    with _pool_lock:
+        if _pool is pool:
+            _pool = None
+    _retire_pool(pool)
 
 
 def _dispatch(
@@ -631,7 +638,7 @@ def _dispatch(
     except CancelledError:
         # A concurrent reset retired the pool under this dispatch: the
         # resetter already replaced it, so this says nothing about its health.
-        _abandon(futures)
+        _abandon(futures, pool)
         return None, None
     except (FileNotFoundError, CorruptShardError):
         # A shard file vanished or failed its checksum: the workers are fine,

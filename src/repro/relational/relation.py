@@ -3,12 +3,14 @@
 A :class:`Relation` is a bag of tuples positionally aligned with a
 :class:`~repro.relational.schema.RelationSchema`.  Since the storage
 redesign it is a facade over a pluggable :class:`~repro.relational.store.Store`
-backend — row-major tuples (``backend="row"``), per-attribute column
-buffers (``backend="column"``), or horizontally partitioned per-shard
-column stores (``backend="sharded"``); see :mod:`repro.relational.store`
-for the backend contract and how to pick one.  It supports the handful of operations
-the naive evaluator and the BEAS executor need: projection, selection (by
-callable or by a vectorized predicate mask), grouping, and distinct.
+backend — per-attribute column buffers (``backend="column"``, the
+default), horizontally partitioned per-shard column stores
+(``backend="sharded"``), or the mmap-backed files of
+:mod:`repro.relational.mmapstore` (``backend="mmap"``); see
+:mod:`repro.relational.store` for the backend contract and how to pick one.
+It supports the handful of operations the naive evaluator and the BEAS
+executor need: projection, selection (by callable or by a vectorized
+predicate mask), grouping, and distinct.
 
 Relations track nothing about access costs — that is the job of
 :class:`~repro.relational.database.Database`, which wraps tuple retrieval in
@@ -57,9 +59,10 @@ class Relation:
     Args:
         schema: the relation's schema (fixes arity and attribute order).
         rows: optional initial tuples.
-        backend: storage backend name (``"row"``, ``"column"``, or any
-            registered third-party backend); ``None`` uses the process-wide
-            default (the ``default_backend`` setting, :mod:`repro.config`).
+        backend: storage backend name (``"column"``, ``"sharded"``,
+            ``"mmap"``, or any registered third-party backend); ``None`` uses
+            the process-wide default (the ``default_backend`` setting,
+            :mod:`repro.config`: ``"column"`` unless configured).
         store: pre-built store to adopt instead of creating one (internal
             fast path used by derived relations; the store must not be
             shared with another mutating owner).
@@ -129,8 +132,8 @@ class Relation:
         ``columns`` is either a mapping from attribute name to values or a
         sequence of value sequences in schema order; all columns must have
         the same length.  Defaults to the columnar backend (the layout the
-        input is already in); pass ``backend="row"`` (or ``None`` for the
-        process default) to transpose into another backend.
+        input is already in); pass another backend name (or ``None`` for the
+        process default) to build on that backend.
         """
         if isinstance(columns, Mapping):
             missing = [name for name in schema.attribute_names if name not in columns]
@@ -183,7 +186,7 @@ class Relation:
 
     @property
     def backend(self) -> str:
-        """Name of the storage backend (``"row"``, ``"column"``, ...)."""
+        """Name of the storage backend (``"column"``, ``"sharded"``, ...)."""
         return self._store.backend
 
     @property
@@ -305,12 +308,13 @@ class Relation:
         return Relation(self.schema, store=store)
 
     def with_backend(self, backend: str) -> "Relation":
-        """A copy of this relation stored under another backend."""
+        """A copy of this relation stored under another backend.
+
+        Converted column-wise: no row tuples are built on the way.
+        """
         from .store import backend_class
 
-        store = backend_class(backend).from_rows(
-            len(self.schema), self._store.iter_rows()
-        )
+        store = backend_class(backend).from_columns(len(self.schema), self._store.columns())
         return Relation(self.schema, store=store)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -7,11 +7,9 @@ grouping) and every kernel (distance matching, template-index construction,
 RC sweeps) reads through the store API, so the layout is a tunable parameter of
 the system rather than a hard-wired representation.
 
-Three backends ship with the library:
+Two in-memory backends ship with the library:
 
-* :class:`RowStore` — the classic layout: one Python tuple per row, kept in a
-  single list.  Cheap row materialization, row-at-a-time everything.
-* :class:`ColumnStore` — columnar layout: one buffer per attribute.  Pure
+* :class:`ColumnStore` — the default: one buffer per attribute.  Pure
   float columns are held in contiguous ``array.array('d')`` buffers and pure
   int columns in ``array.array('q')`` buffers (falling back to a plain list
   the moment a value of any other type — ``None``, ``bool``, strings, huge
@@ -20,6 +18,8 @@ Three backends ship with the library:
   without materializing row tuples, which is what the vectorized predicate
   masks (:meth:`repro.algebra.predicates.Comparison.mask`), the hash-join key
   extraction, the distance kernels and the template-index builder consume.
+  Every store no caller names — each fetch frame and operator output — is
+  one.
 * :class:`ShardedStore` — horizontal partitioning: the rows are cut into
   ``shard_count`` contiguous ranges, one per-shard :class:`ColumnStore`
   each, so the rows in insertion order are the shard buffers one after
@@ -41,7 +41,7 @@ sharded backend; they route whole-store computations through
 reductions, the kernels' max/min walks) may read partition by partition
 through :meth:`Store.shard_views`.
 
-A fourth, persistent tier lives in :mod:`repro.relational.mmapstore`:
+A third, persistent tier lives in :mod:`repro.relational.mmapstore`:
 :class:`~repro.relational.mmapstore.MmapStore` (``"mmap"``) and its sharded
 variant (``"mmap-sharded"``) keep the same typed-column layout in mmap'd
 files, exposing columns as zero-copy ``memoryview`` casts — the buffer
@@ -52,9 +52,8 @@ treat those views and in-memory ``array`` buffers interchangeably.
 ``Relation(schema, rows, backend="column")`` /
 ``Relation.from_columns(...)``, or process-wide via the ``default_backend``
 setting (:mod:`repro.config`).  Derived relations
-(project/select/distinct/...) of a row or column store keep its backend;
-those of an mmap-backed or sharded store are in-memory
-:class:`ColumnStore`\\s.
+(project/select/distinct/...) are in-memory :class:`ColumnStore`\\s,
+whatever the backend they derive from.
 
 **Adding a third-party backend.**  Subclass :class:`Store` and implement the
 abstract core (``__len__``, ``append``, ``row``, ``iter_rows``, ``row_list``,
@@ -75,8 +74,8 @@ Every backend must preserve **value identity**: a value read back from the
 store must be equal to — and of the same type as — the value that was
 appended (``1`` stays ``int``, ``1.0`` stays ``float``, ``None`` stays
 ``None``, NaN stays NaN).  The differential tests in ``tests/test_store.py``
-hold backends to this: row- and column-backed execution of the same queries
-must return bit-identical relations.
+hold backends to this: every backend must return the same bit-identical
+relations as plain Python rows and the column store do.
 
 **Mutation discipline.**  Buffers returned by :meth:`Store.column` /
 :meth:`Store.row_list` are internal state, exposed without copying for speed;
@@ -213,8 +212,7 @@ class Store:
     def column(self, position: int) -> Sequence[object]:
         """All values of one attribute, in row order (treat as read-only).
 
-        Column backends return their internal buffer without copying; row
-        backends materialize a fresh list.
+        Column backends return their internal buffer without copying.
         """
         raise NotImplementedError
 
@@ -315,17 +313,6 @@ class Store:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def in_memory_class(cls) -> Type["Store"]:
-        """The class scratch stores laid out like this backend are built on.
-
-        ``cls`` itself, unless constructing one has effects beyond memory
-        (the mmap tier writes and maps a file per store): fetch frames are
-        transient per-query data and, like every operator output
-        (:func:`preferred_output_class`), never need to outlive the query.
-        """
-        return cls
-
-    @classmethod
     def from_rows(cls, width: int, rows: Iterable[Sequence[object]]) -> "Store":
         """Build a store of ``width`` columns from row sequences."""
         raise NotImplementedError
@@ -334,76 +321,6 @@ class Store:
     def from_columns(cls, width: int, columns: Sequence[Sequence[object]]) -> "Store":
         """Build a store from per-attribute value sequences (equal lengths)."""
         raise NotImplementedError
-
-
-class RowStore(Store):
-    """Row-major backend: a list of Python tuples (the legacy layout)."""
-
-    backend = "row"
-    __slots__ = ("width", "_rows")
-
-    def __init__(self, width: int, rows: Optional[List[Row]] = None) -> None:
-        self.width = width
-        # ``rows`` is adopted without copying; constructors below guarantee
-        # it is a fresh list of tuples.
-        self._rows: List[Row] = rows if rows is not None else []
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def append(self, row: Sequence[object]) -> None:
-        self._rows.append(tuple(row))
-        self.bump_epoch()
-
-    def row(self, index: int) -> Row:
-        return self._rows[index]
-
-    def iter_rows(self) -> Iterator[Row]:
-        return iter(self._rows)
-
-    def row_list(self) -> List[Row]:
-        return self._rows
-
-    def column(self, position: int) -> Sequence[object]:
-        return [row[position] for row in self._rows]
-
-    def gather_column(self, position: int, indices: Sequence[int]) -> Sequence[object]:
-        # Straight off the row tuples: O(len(indices)), not the default's
-        # O(store size) whole-column materialization followed by a gather.
-        rows = self._rows
-        return [rows[index][position] for index in indices]
-
-    def key_tuples(self, positions: Sequence[int]) -> Iterator[Tuple[object, ...]]:
-        # Row-major: one pass over the rows beats zipping per-column scans.
-        return (tuple(row[p] for p in positions) for row in self._rows)
-
-    def select_mask(self, mask: Sequence[int]) -> "RowStore":
-        return RowStore(self.width, list(compress(self._rows, mask)))
-
-    def take(self, indices: Sequence[int]) -> "RowStore":
-        rows = self._rows
-        return RowStore(self.width, [rows[i] for i in indices])
-
-    def project(self, positions: Sequence[int]) -> "RowStore":
-        return RowStore(
-            len(positions), [tuple(row[p] for p in positions) for row in self._rows]
-        )
-
-    def head(self, count: int) -> "RowStore":
-        return RowStore(self.width, self._rows[:count])
-
-    def copy(self) -> "RowStore":
-        return RowStore(self.width, list(self._rows))
-
-    @classmethod
-    def from_rows(cls, width: int, rows: Iterable[Sequence[object]]) -> "RowStore":
-        # tuple(t) returns t itself for tuples, so adopting pre-tupled rows
-        # is free.
-        return cls(width, [tuple(row) for row in rows])
-
-    @classmethod
-    def from_columns(cls, width: int, columns: Sequence[Sequence[object]]) -> "RowStore":
-        return cls(width, list(zip(*columns)) if columns else [])
 
 
 def _typed_buffer(values: Sequence[object]) -> Tuple[str, Sequence[object]]:
@@ -583,13 +500,13 @@ class ColumnStore(Store):
     # -- construction -------------------------------------------------------
     @classmethod
     def from_rows(cls, width: int, rows: Iterable[Sequence[object]]) -> "ColumnStore":
+        # The input tuples are not kept: the store holds each value once, in
+        # its column buffer (row_list() rebuilds and caches them on demand).
         materialized = [row if isinstance(row, tuple) else tuple(row) for row in rows]
         if not materialized:
             return cls(width)
-        raw_columns = list(zip(*materialized))
-        store = cls.from_columns(width, raw_columns)
+        store = cls.from_columns(width, list(zip(*materialized)))
         store._length = len(materialized)  # a zero-width store still has rows
-        store._row_cache = materialized
         return store
 
     @classmethod
@@ -687,7 +604,7 @@ class ShardedStore(Store):
       (``"column"`` by default; any registered backend works).
 
     The bit-identity contract is unchanged: values, types and global row
-    order match the row/column backends exactly.
+    order match the column backend exactly.
     """
 
     backend = "sharded"
@@ -737,11 +654,6 @@ class ShardedStore(Store):
         configured = type(f"ShardedStore_{count}", (cls,), attrs)
         configured._validate_shard_count()  # fail here, not at first use
         return configured
-
-    @classmethod
-    def in_memory_class(cls) -> Type[ColumnStore]:
-        # Fetch frames are read in the caller and never shipped.
-        return ColumnStore
 
     # -- shard access --------------------------------------------------------
     @property
@@ -918,7 +830,6 @@ class ShardedStore(Store):
 # ---------------------------------------------------------------------------
 
 _BACKENDS: Dict[str, Type[Store]] = {
-    RowStore.backend: RowStore,
     ColumnStore.backend: ColumnStore,
     ShardedStore.backend: ShardedStore,
 }
@@ -969,39 +880,17 @@ def make_store(width: int, backend: Optional[str] = None) -> Store:
 GatherSource = Tuple[Store, int, Sequence[int]]
 
 
-def preferred_output_class(*stores: Store) -> Type[Store]:
-    """The store class operator outputs should be built on.
-
-    Row-backed inputs keep producing row stores (the legacy layout, cheapest
-    when rows will be materialized anyway); as soon as any input is
-    column-backed — including a sharded input, which reads through its flat
-    column view — the output is a :class:`ColumnStore`, so columnar
-    pipelines stay columnar end to end.
-    """
-    if all(isinstance(store, RowStore) for store in stores):
-        return RowStore
-    return ColumnStore
-
-
-def gather_columns(
-    sources: Sequence[GatherSource], backend_cls: Optional[Type[Store]] = None
-) -> Store:
-    """Build one store column-by-column from per-column gathers.
+def gather_columns(sources: Sequence[GatherSource]) -> ColumnStore:
+    """Build one column store column-by-column from per-column gathers.
 
     Each element of ``sources`` describes one output column as a gather of
     ``store``'s column ``position`` at ``indices`` — the column-builder the
-    index-pair joins materialize through: no intermediate row tuples exist
-    unless the chosen output backend itself is row-major.
+    index-pair joins materialize through: no intermediate row tuples exist.
     """
-    if backend_cls is None:
-        backend_cls = preferred_output_class(*{source[0] for source in sources})
-    columns = [
-        store.gather_column(position, indices) for store, position, indices in sources
-    ]
-    if issubclass(backend_cls, ColumnStore):
-        # Gathered buffers are fresh by contract; adopt them without a copy.
-        return backend_cls.adopt_columns(columns)
-    return backend_cls.from_columns(len(sources), columns)
+    # Gathered buffers are fresh by contract; adopt them without a copy.
+    return ColumnStore.adopt_columns(
+        [store.gather_column(position, indices) for store, position, indices in sources]
+    )
 
 
 def gather_pairs(
@@ -1009,62 +898,35 @@ def gather_pairs(
     left_indices: Sequence[int],
     right: Store,
     right_indices: Sequence[int],
-    backend_cls: Optional[Type[Store]] = None,
-) -> Store:
+) -> ColumnStore:
     """Join-output builder: ``left``'s columns gathered at ``left_indices``
     beside ``right``'s columns gathered at ``right_indices``.
 
     ``(left_indices[k], right_indices[k])`` is the k-th matched index pair;
     the output row k is their concatenation, but it is assembled one column
-    at a time.  Row-backed inputs short-circuit to direct tuple
-    concatenation (cheaper than transposing a row store twice).
+    at a time.
     """
-    if backend_cls is None:
-        backend_cls = preferred_output_class(left, right)
-    if backend_cls is RowStore:
-        left_rows, right_rows = left.row_list(), right.row_list()
-        return RowStore(
-            left.width + right.width,
-            [left_rows[i] + right_rows[j] for i, j in zip(left_indices, right_indices)],
-        )
     sources: List[GatherSource] = [
         (left, position, left_indices) for position in range(left.width)
     ]
     sources += [(right, position, right_indices) for position in range(right.width)]
-    return gather_columns(sources, backend_cls)
+    return gather_columns(sources)
 
 
-def vstack_gather(
-    parts: Sequence[Tuple[Store, Sequence[int]]],
-    backend_cls: Optional[Type[Store]] = None,
-) -> Store:
+def vstack_gather(parts: Sequence[Tuple[Store, Sequence[int]]]) -> ColumnStore:
     """Vertical stack of per-part gathers: the rows of each ``(store,
     indices)`` gather, in part order (union-style outputs).
 
     Column buffers are gathered per part and concatenated — typed buffers
-    concatenate at C speed — so no row tuples are materialized for
-    column-backed inputs.
+    concatenate at C speed — so no row tuples are materialized.
     """
-    if backend_cls is None:
-        backend_cls = preferred_output_class(*(store for store, _ in parts))
     if not parts:
         raise ValueError("vstack_gather needs at least one (store, indices) part")
-    width = parts[0][0].width
-    if backend_cls is RowStore:
-        # Row-major output: gather whole row tuples directly (cheaper than
-        # transposing through per-column gathers and back).
-        out_rows: List[Row] = []
-        for store, indices in parts:
-            rows = store.row_list()
-            out_rows.extend(rows[index] for index in indices)
-        return RowStore(width, out_rows)
     columns: List[Sequence[object]] = []
-    for position in range(width):
+    for position in range(parts[0][0].width):
         gathered = [store.gather_column(position, indices) for store, indices in parts]
         columns.append(_concat_buffers(gathered))
-    if issubclass(backend_cls, ColumnStore):
-        return backend_cls.adopt_columns(columns)  # fresh buffers by contract
-    return backend_cls.from_columns(width, columns)
+    return ColumnStore.adopt_columns(columns)  # fresh buffers by contract
 
 
 def _concat_buffers(buffers: Sequence[Sequence[object]]) -> Sequence[object]:

@@ -3,9 +3,9 @@ cross-backend conformance machinery.
 
 Any test that takes a ``backend`` fixture argument is automatically
 parametrized over **every registered storage backend**
-(:func:`repro.relational.store.list_backends`) at collection time — row,
-column, the sharded defaults, the 1-/7-shard variants registered below, and
-any backend registered at import time — **crossed with the shard
+(:func:`repro.relational.store.list_backends`) at collection time — column,
+the sharded defaults, the 1-/7-shard variants registered below, the mmap
+tier, and any backend registered at import time — **crossed with the shard
 executors** that matter for that platform: every backend case runs under
 the default ``"serial"`` executor (every shard in the caller) and again
 under ``"process"`` (the worker processes of
@@ -13,7 +13,7 @@ under ``"process"`` (the worker processes of
 file), with the process-mode size threshold forced to 1 so even the small
 test relations genuinely round-trip through worker processes.  Use
 :func:`assert_identical` / :func:`to_backend` to phrase differential
-assertions against the row-backed reference.
+assertions against plain Python rows or the column-backed reference.
 
 :func:`pytest_unconfigure` is the suite's exit watchdog: a run whose
 interpreter is still alive 15 s after the last test is killed with exit
@@ -72,18 +72,13 @@ def occupy_workers():
     """``occupy(seconds)`` gives every worker of the live pool a ``time.sleep(seconds)`` task.
 
     It returns the pool once each sleeper has left the queue, so the shard
-    tasks of the next dispatch wait behind them.  The fixture retires every
-    pool it occupied and holds it until the pool's manager thread has
-    exited: on Python 3.11 a pool collected before that thread sees its
-    shutdown leaves a failed dispatch's cancelled tasks behind, and the
-    thread raises ``InvalidStateError`` failing them.
+    tasks of the next dispatch wait behind them.  The fixture retires the
+    live pool afterwards, so no sleeper outlives the test.
     """
-    occupied = []  # (pool, its manager thread): shutdown() forgets the thread
 
     def occupy(seconds):
         pool = parallel._ensure_pool()
         sleepers = [pool.submit(time.sleep, seconds) for _ in range(current_config().worker_count)]
-        occupied.append((pool, pool._executor_manager_thread))
         deadline = time.monotonic() + 30.0
         while not all(sleeper.running() for sleeper in sleepers):
             assert time.monotonic() < deadline
@@ -91,11 +86,7 @@ def occupy_workers():
         return pool
 
     yield occupy
-    for pool, manager in occupied:
-        if pool is parallel._pool:
-            parallel.reset_process_pool()
-        manager.join(30.0)
-        assert not manager.is_alive()
+    parallel.reset_process_pool()
 
 
 @pytest.fixture(autouse=True)

@@ -18,6 +18,7 @@ from itertools import repeat
 from repro.algebra.evaluator import Frame
 from repro.core.executor import PlanExecutor
 from repro.errors import PlanError
+from repro.relational.store import ColumnStore
 
 
 class OracleConstraintIndex:
@@ -177,8 +178,7 @@ class OracleExecutor(PlanExecutor):
     def _run_step(self, step):
         schema = self._step_schema(step)
         columns, weights = self._oracles.fetch_columns(step.accessor, self._input_values(step), self.meter)
-        store_cls = type(self.database.relation(step.relation).store).in_memory_class()
-        return Frame(schema, weights=weights, store=store_cls.from_columns(len(schema), columns))
+        return Frame(schema, weights=weights, store=ColumnStore.from_columns(len(schema), columns))
 
 
 def join_pairs(left_keys, left_weights, right_keys, right_weights):

@@ -24,7 +24,7 @@ from repro import Config, configure, current_config
 from repro.config import ENV
 from repro.relational import parallel
 from repro.relational import store as store_module
-from repro.relational.store import RowStore, register_backend
+from repro.relational.store import ColumnStore, list_backends, register_backend
 
 INF, NAN = float("inf"), float("nan")
 
@@ -34,7 +34,7 @@ FIELDS = {
     "shard_workers": (None, [1, 2, 64], [0, -1, 2.5, "4", True, INF, NAN]),
     "process_min_rows": (4096, [1, 7, 10**9], [0, -5, 1.5, "7", False, INF, NAN]),
     # an unregistered name: test_default_backend_is_checked_against_the_registry_at_the_call
-    "default_backend": ("row", ["column", "sharded", "mmap", "row"], ["", 0, 1.5]),
+    "default_backend": ("column", ["column", "sharded", "mmap"], ["", 0, 1.5]),
     "store_dir": (None, [], [123, 1.5, "", b"bytes"]),  # legal paths: TestStoreDir
     "checksum_mode": ("header", ["off", "header", "full"], ["paranoid", "FULL", "", 2]),
     "admission_policy": ("queue", ["reject", "queue", "degrade-alpha"], ["best-effort", "", 0]),
@@ -110,7 +110,7 @@ def test_config_is_frozen_normalized_and_picklable(tmp_path):
 
 
 def test_default_backend_is_checked_against_the_registry_at_the_call():
-    class LateStore(RowStore):
+    class LateStore(ColumnStore):
         backend = "late-registered"
 
     with pytest.raises(ValueError, match="late-registered"):
@@ -123,6 +123,20 @@ def test_default_backend_is_checked_against_the_registry_at_the_call():
         configure(default_backend=None)
         store_module._BACKENDS.pop("late-registered")
         repro.config._backend_names.remove("late-registered")
+
+
+def test_the_column_store_is_the_default_and_the_row_store_is_gone():
+    removed = "row"  # the name of the deleted row-at-a-time store
+    assert Config().default_backend == "column"
+    with pytest.raises(ValueError, match="registered backend name") as refused:
+        configure(default_backend=removed)
+    for name in list_backends():
+        assert repr(name) in str(refused.value)
+    done = import_repro_with("REPRO_DEFAULT_BACKEND", removed, "repro.current_config()")
+    assert done.returncode != 0
+    message = done.stderr.strip().splitlines()[-1]
+    assert message.startswith("ValueError") and "REPRO_DEFAULT_BACKEND" in message
+    assert "'row'" in message and "'column'" in message and "'mmap'" in message
 
 
 class TestStoreDir:

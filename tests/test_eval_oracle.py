@@ -160,9 +160,9 @@ def test_joins_carry_live_columns_only(tiny_db, monkeypatch):
     """Under exact evaluation the join gathers 2 + 2 columns, not emp's 4 + dept's 3."""
     widths = []
 
-    def recording(left, left_indices, right, right_indices, backend_cls=None):
+    def recording(left, left_indices, right, right_indices):
         widths.append((left.width, right.width))
-        return gather_pairs(left, left_indices, right, right_indices, backend_cls)
+        return gather_pairs(left, left_indices, right, right_indices)
 
     monkeypatch.setattr("repro.algebra.evaluator.gather_pairs", recording)
     ast = parse_query(
@@ -171,10 +171,6 @@ def test_joins_carry_live_columns_only(tiny_db, monkeypatch):
     column = to_backend(tiny_db, "column")
     Evaluator(column.schema, DatabaseProvider(column)).evaluate(ast)
     assert sorted(widths[0]) == [2, 2]  # (did, name) and (eid, dept)
-    widths.clear()
-    row = to_backend(tiny_db, "row")
-    Evaluator(row.schema, DatabaseProvider(row)).evaluate(ast)  # the row store is not pruned
-    assert sorted(widths[0]) == [3, 4]
 
 
 class TestEachSubQueryOnce:

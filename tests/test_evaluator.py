@@ -216,14 +216,7 @@ class TestColumnarOperatorOutputs:
         ]
         assert joined.weights == [0.5, 2.0, 1.5, 6.0]
 
-    def test_join_output_stays_row_backed_for_row_inputs(self):
-        from repro.relational.store import RowStore
-
-        evaluator, left, right = self._frames("row")
-        joined = evaluator._hash_join(left, right, ["l.k"], ["r.k"])
-        assert type(joined.store) is RowStore
-
-    @pytest.mark.parametrize("backend_name", ["row", "column", "sharded"])
+    @pytest.mark.parametrize("backend_name", ["column", "sharded"])
     def test_product_pairs_and_weights(self, backend_name):
         evaluator, left, right = self._frames(backend_name)
         product = evaluator._product(left, right)
@@ -233,7 +226,7 @@ class TestColumnarOperatorOutputs:
         expected_weights = [lw * rw for lw in left.weights for rw in right.weights]
         assert product.weights == expected_weights
 
-    @pytest.mark.parametrize("backend_name", ["row", "column", "sharded"])
+    @pytest.mark.parametrize("backend_name", ["column", "sharded"])
     def test_product_fast_paths(self, backend_name):
         from repro.algebra.evaluator import Frame
 

@@ -49,7 +49,7 @@ from repro.relational.mmapstore import (
 )
 from repro.relational.parallel import publication_for
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.store import ShardedStore, backend_class, list_backends
+from repro.relational.store import ColumnStore, ShardedStore, backend_class, list_backends
 
 NAN = float("nan")
 
@@ -107,7 +107,7 @@ class TestMmapStoreRoundTrip:
         assert store.is_mapped
         assert store.path is not None
         assert os.path.dirname(store.path) == store_dir
-        reference = Relation(schema, MIXED_ROWS, backend="row")
+        reference = Relation(schema, MIXED_ROWS, backend="column")
         assert_identical(relation.project(schema.attribute_names), reference)
 
     def test_save_open_bit_identical(self, schema, store_dir, tmp_path):
@@ -154,14 +154,14 @@ class TestMmapStoreRoundTrip:
 
     def test_derivations_leave_no_mapped_buffers(self, schema, store_dir):
         store = MmapStore.from_rows(4, MIXED_ROWS)
-        reference = Relation(schema, MIXED_ROWS, backend="row").store
         for derived, expected in (
-            (store.project([0, 2]), reference.project([0, 2])),
-            (store.head(3), reference.head(3)),
-            (store.take([4, 1, 3]), reference.take([4, 1, 3])),
+            (store.project([0, 2]), [(row[0], row[2]) for row in MIXED_ROWS]),
+            (store.head(3), MIXED_ROWS[:3]),
+            (store.take([4, 1, 3]), [MIXED_ROWS[index] for index in (4, 1, 3)]),
         ):
+            assert type(derived) is ColumnStore
             assert [identity_key(r) for r in derived.row_list()] == [
-                identity_key(r) for r in expected.row_list()
+                identity_key(r) for r in expected
             ]
             # Derived stores own plain in-memory buffers — mutating them
             # must never touch (or depend on) the source file.
@@ -325,15 +325,6 @@ class TestDatasetDirectories:
 
 
 class TestFetchFramesStayInMemory:
-    def test_in_memory_twins(self):
-        from repro.relational.store import ColumnStore, RowStore
-
-        for cls in (RowStore, ColumnStore):
-            assert cls.in_memory_class() is cls
-        # Frames are read in the caller, never shipped: one flat column store.
-        for cls in (MmapStore, ShardedStore, backend_class("sharded7"), MmapShardedStore):
-            assert cls.in_memory_class() is ColumnStore
-
     @pytest.mark.parametrize("backend_name", ["mmap", "mmap-sharded"])
     def test_fetching_over_mapped_relations_writes_no_file(self, tiny_db, store_dir, backend_name):
         from repro.core.executor import PlanExecutor
@@ -347,8 +338,8 @@ class TestFetchFramesStayInMemory:
             plan = beas.plan(sql, 1.0)
             executor = PlanExecutor(db, plan)
             for frame in executor.fetch().values():
-                stores = [frame.store, *getattr(frame.store, "shards", ())]
-                assert not any(isinstance(store, MmapStore) for store in stores)
+                # Read in the caller, never shipped: one flat column store.
+                assert type(frame.store) is ColumnStore
             assert rpro_files(store_dir) == before
             assert_identical(executor.execute(), reference.answer(sql, 1.0).rows)
         for name in db.relation_names:  # base relations stay mmap-backed

@@ -133,7 +133,7 @@ class TestPublicationRoundTrip:
             identity_key(r) for r in right.iter_rows()
         ]
 
-    @pytest.mark.parametrize("shard_backend", ["column", "row", "sharded", "mmap"])
+    @pytest.mark.parametrize("shard_backend", ["column", "sharded", "mmap"])
     def test_shards_resolve_with_values_and_types(self, store_dir, shard_backend):
         # "sharded" shards are the nested layout: each is flattened into
         # one file in its own global row order.
@@ -784,7 +784,7 @@ def test_no_cell_of_the_matrix_needs_shared_memory(backend, monkeypatch):
     monkeypatch.setattr(shm_module, "SharedMemory", unavailable)
     rows = make_rows(600)
     store = Relation(SCHEMA, rows, backend=backend).store
-    reference = Relation(SCHEMA, rows, backend="row").store
+    reference = Relation(SCHEMA, rows, backend="column").store
     run_part = CONDITION.program(SCHEMA).run_part
     fallbacks_before = parallel.dispatch_stats()["fallbacks"]
 

@@ -36,7 +36,7 @@ from repro.relational.kernels import (
     naive_radius_matches,
 )
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.store import ColumnStore, RowStore, ShardedStore
+from repro.relational.store import ColumnStore, ShardedStore
 
 from conftest import identity_key
 
@@ -78,18 +78,17 @@ def _sharded(rows, shards, appends=0):
 @given(rows=ROWS, shards=SHARD_COUNTS, appends=st.integers(0, 10))
 def test_partition_concatenate_round_trip(rows, shards, appends):
     """Splitting across shards and reading back preserves order and types."""
-    reference = RowStore.from_rows(4, rows)
     store = _sharded(rows, shards, appends)
     assert len(store) == len(rows)
-    expected = [identity_key(r) for r in reference.row_list()]
+    expected = [identity_key(r) for r in rows]
     assert [identity_key(r) for r in store.row_list()] == expected
     assert [identity_key(r) for r in store.iter_rows()] == expected
     for position in range(4):
         assert [identity_key((v,)) for v in store.column(position)] == [
-            identity_key((v,)) for v in reference.column(position)
+            identity_key((row[position],)) for row in rows
         ]
     assert [identity_key(k) for k in store.key_tuples([2, 0])] == [
-        identity_key(k) for k in reference.key_tuples([2, 0])
+        identity_key((row[2], row[0])) for row in rows
     ]
     # Contiguity: the shards, one after another, are the rows in order; the
     # bulk-built rows sit in equal ranges and the appended ones in the last.
@@ -114,19 +113,18 @@ def test_selection_round_trip_preserves_order(rows, shards, mask_seed):
 
     rng = random.Random(mask_seed)
     mask = bytearray(rng.randrange(2) for _ in rows)
-    reference = RowStore.from_rows(4, rows)
     store = _sharded(rows, shards)
     assert [identity_key(r) for r in store.select_mask(mask).row_list()] == [
-        identity_key(r) for r in reference.select_mask(mask).row_list()
+        identity_key(r) for r, keep in zip(rows, mask) if keep
     ]
     if rows:
         indices = [rng.randrange(len(rows)) for _ in range(min(10, len(rows)))]
         assert [identity_key(r) for r in store.take(indices).row_list()] == [
-            identity_key(r) for r in reference.take(indices).row_list()
+            identity_key(rows[index]) for index in indices
         ]
     head = rng.randrange(len(rows) + 2)
     assert [identity_key(r) for r in store.head(head).row_list()] == [
-        identity_key(r) for r in reference.head(head).row_list()
+        identity_key(r) for r in rows[:head]
     ]
 
 
@@ -138,9 +136,9 @@ def test_selection_round_trip_preserves_order(rows, shards, mask_seed):
     shards=SHARD_COUNTS,
 )
 def test_sharded_band_radius_and_nearest_equal_single_store(rows, query, radii, shards):
-    """Both kernels over a sharded store == over a row store (and == naive):
+    """Both kernels over a sharded store == over a column store (and == naive):
     answers are global row positions whatever the shard layout."""
-    row_store = Relation(SEARCH_SCHEMA, rows, backend="row").store
+    column = Relation(SEARCH_SCHEMA, rows, backend="column").store
     cls = ShardedStore.configured(shards)
     sharded = cls.from_rows(3, [tuple(r) for r in rows])
     positions = [0, 1, 2]
@@ -148,13 +146,13 @@ def test_sharded_band_radius_and_nearest_equal_single_store(rows, query, radii, 
     radii = list(radii)
 
     expected = naive_radius_matches(query, rows, positions, distances, radii)
-    for store in (sharded, row_store):
+    for store in (sharded, column):
         matcher = RadiusMatcher.from_store(store, positions, distances, radii)
         assert matcher.matches(query) == expected
         assert matcher.any_match(query) == bool(expected)
 
     expected_min = naive_min_distance(query, rows, distances)
-    for store in (sharded, row_store):
+    for store in (sharded, column):
         neighbors = NearestNeighbors.from_store(store, SEARCH_SCHEMA.attributes)
         assert neighbors.min_distance(query) == expected_min
 

@@ -8,9 +8,11 @@ columns, ``None``, NaN, and the full ``Beas.answer()`` pipeline.
 
 ``TestBackendConformanceMatrix`` runs the whole differential suite over
 every backend returned by :func:`repro.relational.store.list_backends` (the
-``backend`` fixture is auto-parametrized in ``conftest.py``): row, column,
-sharded at 1/4/7 shards, the mmap tier — and any backend a future PR
-registers at import time, automatically.
+``backend`` fixture is auto-parametrized in ``conftest.py``): column,
+sharded at 1/4/7 shards, the mmap tier — and any backend registered at
+import time, automatically.  The reference side is plain Python rows where
+the operation is simple enough to state with a list, and the column store
+otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.relational.distance import CATEGORICAL, NUMERIC
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import (
     ColumnStore,
-    RowStore,
     ShardedStore,
     and_masks,
     backend_class,
@@ -33,7 +34,6 @@ from repro.relational.store import (
     gather_pairs,
     list_backends,
     make_store,
-    preferred_output_class,
     register_backend,
     vstack_gather,
 )
@@ -77,9 +77,8 @@ def _odd_ids(part):
 # ---------------------------------------------------------------------------
 
 class TestStores:
-    @pytest.mark.parametrize("cls", [RowStore, ColumnStore])
-    def test_roundtrip_mixed_rows(self, cls):
-        store = cls.from_rows(4, MIXED_ROWS)
+    def test_roundtrip_mixed_rows(self):
+        store = ColumnStore.from_rows(4, MIXED_ROWS)
         assert len(store) == len(MIXED_ROWS)
         assert store.row_list() == MIXED_ROWS
         assert list(store.iter_rows()) == MIXED_ROWS
@@ -91,9 +90,8 @@ class TestStores:
                 identity_key((v,)) for v in expected
             ]
 
-    @pytest.mark.parametrize("cls", [RowStore, ColumnStore])
-    def test_derivations(self, cls):
-        store = cls.from_rows(4, MIXED_ROWS)
+    def test_derivations(self):
+        store = ColumnStore.from_rows(4, MIXED_ROWS)
         mask = bytearray([1, 0, 1, 0, 1, 0])
         assert store.select_mask(mask).row_list() == [MIXED_ROWS[i] for i in (0, 2, 4)]
         assert store.take([3, 1]).row_list() == [MIXED_ROWS[3], MIXED_ROWS[1]]
@@ -142,33 +140,41 @@ class TestStores:
     def test_zero_width_rows_still_count(self):
         # A sharded store's length is the sum of its shards' lengths, so a
         # shard built from zero-width rows must count them.
-        for cls in (RowStore, ColumnStore, ShardedStore.configured(2)):
+        for cls in (ColumnStore, ShardedStore.configured(2)):
             store = cls.from_rows(0, [()] * 5)
             assert len(store) == 5
 
     def test_from_columns_equals_from_rows(self):
         columns = list(zip(*MIXED_ROWS))
-        for cls in (RowStore, ColumnStore):
-            assert cls.from_columns(4, columns).row_list() == MIXED_ROWS
+        assert ColumnStore.from_columns(4, columns).row_list() == MIXED_ROWS
+
+    def test_from_rows_keeps_each_value_once(self):
+        # The input tuples are not cached beside the column buffers.
+        store = ColumnStore.from_rows(4, MIXED_ROWS)
+        assert store._row_cache is None  # noqa: SLF001 - layout assertion
+        assert store.row_list() == MIXED_ROWS
 
     def test_registry_and_default(self):
-        assert {"row", "column", "sharded"} <= set(list_backends())
-        assert backend_class("row") is RowStore
+        assert {"column", "sharded"} <= set(list_backends())
+        assert "row" not in list_backends()
+        assert backend_class("column") is ColumnStore
         assert backend_class("sharded") is ShardedStore
         with pytest.raises(ValueError):
             backend_class("no-such-backend")
-        previous = configure(default_backend="column")
+        previous = configure(default_backend=None)  # the default, whatever the environment says
         assert current_config().default_backend == "column"
-        assert isinstance(make_store(3), ColumnStore)
+        assert type(make_store(3)) is ColumnStore
         assert Relation(RelationSchema("r", [Attribute("a")])).backend == "column"
+        configure(default_backend="sharded")
+        assert isinstance(make_store(3), ShardedStore)
         configure(previous)
-        assert current_config().default_backend == previous.default_backend
+        assert current_config() == previous
 
     def test_register_third_backend(self):
-        class TaggedRowStore(RowStore):
+        class TaggedStore(ColumnStore):
             backend = "tagged"
 
-        register_backend("tagged", TaggedRowStore)
+        register_backend("tagged", TaggedStore)
         assert "tagged" in list_backends()
         rel = Relation(
             RelationSchema("r", [Attribute("a")]), [(1,), (2,)], backend="tagged"
@@ -422,7 +428,7 @@ class TestShardedStore:
             constraints=social_workload.constraints,
             families=social_workload.families,
         )
-        reference = _beas_for(social_workload, "row")
+        reference = _beas_for(social_workload, "column")
         sql = social.example_queries()[0]
         assert_identical(reference.answer(sql, 0.02).rows, beas.answer(sql, 0.02).rows)
 
@@ -451,8 +457,9 @@ class TestRelationFacade:
         assert rel.distinct().backend == "column"
         assert rel.rename("u").backend == "column"
         assert rel.sorted().backend == "column"
-        assert rel.with_backend("row").backend == "row"
-        assert_identical(rel.with_backend("row"), rel)
+        assert rel.with_backend("sharded").backend == "sharded"
+        assert_identical(rel.with_backend("sharded"), rel)
+        assert_identical(rel.with_backend("sharded").with_backend("column"), rel)
 
     def test_from_columns_mapping_and_sequence(self, schema):
         columns = {name: [r[i] for r in MIXED_ROWS] for i, name in enumerate(schema.attribute_names)}
@@ -478,7 +485,7 @@ class TestRelationFacade:
 
     def test_store_width_must_match_schema(self, schema):
         with pytest.raises(SchemaError):
-            Relation(schema, store=RowStore.from_rows(2, [(1, 2)]))
+            Relation(schema, store=ColumnStore.from_rows(2, [(1, 2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +549,7 @@ class TestVectorizedPredicates:
 # The ``backend`` fixture is parametrized over list_backends() in
 # conftest.py, so every identity below runs automatically on each registered
 # backend (including ones registered after this test was written), with the
-# row backend as the reference side.
+# column backend as the reference side.
 # ---------------------------------------------------------------------------
 
 _BEAS_CACHE = {}
@@ -561,16 +568,16 @@ def _beas_for(social_workload, backend: str) -> Beas:
 
 class TestBackendConformanceMatrix:
     def test_matrix_covers_sharded_variants(self):
-        # The matrix must include the row/column references and the sharded
+        # The matrix must include the column reference and the sharded
         # backend at 1, 4 (default) and 7 shards.
         names = set(list_backends())
-        assert {"row", "column", "sharded", "sharded1", "sharded7"} <= names
+        assert {"column", "sharded", "sharded1", "sharded7"} <= names
         assert backend_class("sharded").shard_count == 4
         assert backend_class("sharded1").shard_count == 1
         assert backend_class("sharded7").shard_count == 7
 
     def test_basic_operations(self, schema, backend):
-        base = Relation(schema, MIXED_ROWS, backend="row")
+        base = Relation(schema, MIXED_ROWS, backend="column")
         other = Relation(schema, MIXED_ROWS, backend=backend)
         assert_identical(base.project(["cat"]), other.project(["cat"]))
         assert_identical(
@@ -590,7 +597,7 @@ class TestBackendConformanceMatrix:
             ]
 
     def test_vectorized_masks_identical(self, schema, backend):
-        base = Relation(schema, MIXED_ROWS, backend="row")
+        base = Relation(schema, MIXED_ROWS, backend="column")
         other = Relation(schema, MIXED_ROWS, backend=backend)
         for comparison in PREDICATES:
             assert comparison.mask(other.store, schema) == comparison.mask(
@@ -626,15 +633,15 @@ class TestBackendConformanceMatrix:
         assert_identical(row_result, other_result)
 
     def test_full_beas_answer_identical(self, social_workload, backend):
-        beas_row = _beas_for(social_workload, "row")
+        beas_column = _beas_for(social_workload, "column")
         beas_other = _beas_for(social_workload, backend)
         for sql in social.example_queries():
             for alpha in (0.005, 0.05):
-                row_answer = beas_row.answer(sql, alpha)
+                column_answer = beas_column.answer(sql, alpha)
                 other_answer = beas_other.answer(sql, alpha)
-                assert_identical(row_answer.rows, other_answer.rows)
-                assert row_answer.eta == pytest.approx(other_answer.eta)
-                assert row_answer.tuples_accessed == other_answer.tuples_accessed
+                assert_identical(column_answer.rows, other_answer.rows)
+                assert column_answer.eta == pytest.approx(other_answer.eta)
+                assert column_answer.tuples_accessed == other_answer.tuples_accessed
 
 
 # ---------------------------------------------------------------------------
@@ -657,16 +664,16 @@ GATHER_PATTERNS = [
 class TestGatherConformance:
     """``Store.take`` / ``Store.gather_column`` across every backend.
 
-    The row backend is the reference; every other backend — including the
-    sharded variants, whose gathers split per shard and stitch back — must
-    return bit-identical values in the requested order.
+    Plain Python indexing of the input rows is the reference; every
+    backend — including the sharded variants, whose gathers split per shard
+    and stitch back — must return bit-identical values in the requested
+    order.
     """
 
-    def test_take_matches_row_reference(self, backend):
-        reference = RowStore.from_rows(4, MIXED_ROWS)
+    def test_take_matches_list_reference(self, backend):
         store = backend_class(backend).from_rows(4, MIXED_ROWS)
         for indices in GATHER_PATTERNS:
-            expected = reference.take(indices).row_list()
+            expected = [MIXED_ROWS[index] for index in indices]
             got = store.take(indices).row_list()
             assert [identity_key(r) for r in got] == [
                 identity_key(r) for r in expected
@@ -677,12 +684,11 @@ class TestGatherConformance:
             taken.append((9, "z", 0.5, 7))
             assert len(taken) == len(indices) + 1
 
-    def test_gather_column_matches_row_reference(self, backend):
-        reference = RowStore.from_rows(4, MIXED_ROWS)
+    def test_gather_column_matches_list_reference(self, backend):
         store = backend_class(backend).from_rows(4, MIXED_ROWS)
         for indices in GATHER_PATTERNS:
             for position in range(4):
-                expected = list(reference.gather_column(position, indices))
+                expected = [MIXED_ROWS[index][position] for index in indices]
                 got = list(store.gather_column(position, indices))
                 assert [identity_key((v,)) for v in got] == [
                     identity_key((v,)) for v in expected
@@ -693,20 +699,19 @@ class TestGatherConformance:
         # every sharded variant contributes to (and interleaves within) one
         # gather call.
         rows = [(i, f"s{i % 5}", float(i) / 3.0, i * 7) for i in range(101)]
-        reference = RowStore.from_rows(4, rows)
         store = backend_class(backend).from_rows(4, rows)
         indices = list(range(100, -1, -3)) + list(range(0, 101, 7)) + [50] * 5
-        assert store.take(indices).row_list() == reference.take(indices).row_list()
+        assert store.take(indices).row_list() == [rows[index] for index in indices]
         for position in range(4):
-            assert list(store.gather_column(position, indices)) == list(
-                reference.gather_column(position, indices)
-            )
+            assert list(store.gather_column(position, indices)) == [
+                rows[index][position] for index in indices
+            ]
 
     def test_gathered_relation_through_operators(self, schema, backend):
         # A gather result must behave like any store: run a selection and a
-        # projection over it and compare against the row reference.
+        # projection over it and compare against the column reference.
         indices = [4, 1, 3, 3, 0]
-        base = Relation(schema, MIXED_ROWS, backend="row")
+        base = Relation(schema, MIXED_ROWS, backend="column")
         other = Relation(schema, MIXED_ROWS, backend=backend)
         base_taken = Relation(schema, store=base.store.take(indices))
         other_taken = Relation(schema, store=other.store.take(indices))
@@ -722,16 +727,7 @@ class TestGatherConformance:
 class TestGatherBuilders:
     """The gather-based output builders joins/products materialize through."""
 
-    def test_preferred_output_class(self):
-        row = RowStore.from_rows(4, MIXED_ROWS)
-        column = ColumnStore.from_rows(4, MIXED_ROWS)
-        sharded = ShardedStore.from_rows(4, MIXED_ROWS)
-        assert preferred_output_class(row, row) is RowStore
-        assert preferred_output_class(row, column) is ColumnStore
-        assert preferred_output_class(sharded) is ColumnStore
-        assert preferred_output_class(column, sharded) is ColumnStore
-
-    @pytest.mark.parametrize("backend_name", ["row", "column", "sharded7"])
+    @pytest.mark.parametrize("backend_name", ["column", "sharded7"])
     def test_gather_pairs_equals_tuple_concatenation(self, backend_name):
         cls = backend_class(backend_name)
         left = cls.from_rows(4, MIXED_ROWS)
@@ -747,6 +743,7 @@ class TestGatherBuilders:
             identity_key(r) for r in expected
         ]
         assert out.width == 8
+        assert isinstance(out, ColumnStore)  # every operator output is columnar
         # Empty pair lists build a valid empty store.
         empty = gather_pairs(left, [], right, [])
         assert len(empty) == 0 and empty.width == 8
@@ -767,7 +764,7 @@ class TestGatherBuilders:
             ]
         ]
 
-    @pytest.mark.parametrize("backend_name", ["row", "column", "sharded"])
+    @pytest.mark.parametrize("backend_name", ["column", "sharded"])
     def test_vstack_gather_stacks_parts_in_order(self, backend_name):
         cls = backend_class(backend_name)
         first = cls.from_rows(4, MIXED_ROWS)

@@ -84,7 +84,7 @@ def assert_same_index(index, oracle, where):
 
 
 SMOKE = {
-    "tpch": (lambda: tpch.generate(scale=1, seed=5), "row"),
+    "tpch": (lambda: tpch.generate(scale=1, seed=5), "column"),
     "airca": (lambda: airca.generate(flights=800, airports=30, seed=5), "column"),
     "tfacc": (lambda: tfacc.generate(accidents=500, stops=200, seed=5), "sharded"),
     "social": (lambda: social.generate(persons=150, pois=600, cities=10, max_friends=5, seed=5), "mmap"),
@@ -142,7 +142,7 @@ def relations(draw, finite=False):
     # NaN is unequal even to itself, so a ``set`` tells NaN objects apart by
     # identity alone: every cell gets its own, as a read of a typed column does.
     rows = [tuple(float("nan") if v != v else v for v in row) for row in rows]
-    return Relation(RelationSchema("r", attributes), rows, backend=draw(st.sampled_from(["row", "column"])))
+    return Relation(RelationSchema("r", attributes), rows, backend="column")
 
 
 @settings(max_examples=150, deadline=None)

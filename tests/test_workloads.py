@@ -186,7 +186,7 @@ class TestBackendWorkloadMatrix:
             "social": social_workload,
         }[name]
         sql, alpha = WORKLOAD_QUERIES[name]
-        reference = _workload_beas(name, workload, "row").answer(sql, alpha)
+        reference = _workload_beas(name, workload, "column").answer(sql, alpha)
         answer = _workload_beas(name, workload, backend).answer(sql, alpha)
         assert_identical(reference.rows, answer.rows)
         assert answer.eta == pytest.approx(reference.eta)
