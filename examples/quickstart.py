@@ -53,8 +53,10 @@ def main() -> None:
     )
     print(f"vectorized σ over poi: {len(cheap_hotels)} hotels under $95\n")
 
-    # Offline phase: build the access schema indexes (canonical A_t plus the
-    # workload's declared constraints and template families).
+    # Set-up: declare the access schema (canonical A_t plus the workload's
+    # declared constraints and template families).  A template family builds
+    # its index when a plan first binds it; describe() prints every family's
+    # levels, so it builds them all.
     beas = Beas(database, constraints=workload.constraints, families=workload.families)
     print(beas.access_schema.describe())
     print()

@@ -10,8 +10,8 @@ Quickstart::
     from repro import Beas, Database, Relation, build_schema, NUMERIC
 
     db = Database.from_relations([...])
-    beas = Beas(db)                              # offline: builds A_t indexes
-    result = beas.answer("select ... from ...", alpha=5e-4)
+    beas = Beas(db)                              # declares A_t; builds no template index
+    result = beas.answer("select ... from ...", alpha=5e-4)  # builds the indexes its plan binds
     result.rows, result.eta, result.tuples_accessed
 """
 

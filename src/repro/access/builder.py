@@ -12,7 +12,12 @@
   experiments (Section 8, "Access schema").
 
 The result is an :class:`~repro.access.schema.AccessSchema` that subsumes
-``A_t``, the precondition of the BEAS algorithms.
+``A_t``, the precondition of the BEAS algorithms.  Building it builds the
+constraint indexes (cheap hash tables, and where an undersized declared
+``N`` is rejected) but no template index: each family is declared over the
+current instance of its relation and builds its K-D trees the first time a
+plan binds it (:class:`~repro.access.schema.TemplateFamily`).
+:meth:`~repro.access.schema.AccessSchema.build_all` builds them all at once.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 from ..errors import AccessSchemaError
 from ..relational.database import Database
-from .index import ConstraintIndex, TemplateIndex
+from .index import ConstraintIndex
 from .schema import AccessConstraint, AccessSchema, TemplateFamily
 
 
@@ -59,22 +64,14 @@ class AccessSchemaBuilder:
 
     # -- canonical schema ---------------------------------------------------------
     def build_canonical(self) -> AccessSchema:
-        """``A_t``: one whole-relation template family per relation."""
+        """``A_t``: one whole-relation template family per relation (unbuilt)."""
         families = []
         for relation_name in self.database.relation_names:
             relation = self.database.relation(relation_name)
             if len(relation) == 0:
                 continue
-            schema = relation.schema
-            index = TemplateIndex(
-                relation,
-                x=(),
-                y=schema.attribute_names,
-                max_level=self.max_level,
-            )
-            families.append(
-                TemplateFamily(relation=relation_name, x=(), y=schema.attribute_names, index=index)
-            )
+            attributes = relation.schema.attribute_names
+            families.append(TemplateFamily(relation, x=(), y=attributes, max_level=self.max_level))
         return AccessSchema(families=families)
 
     # -- declared constraints and derived templates ----------------------------------
@@ -91,14 +88,13 @@ class AccessSchemaBuilder:
         return AccessConstraint(spec=index.spec(declared_n), index=index)
 
     def build_family(self, spec: FamilySpec) -> TemplateFamily:
-        relation = self.database.relation(spec.relation)
-        index = TemplateIndex(
-            relation,
+        """The family ``spec`` declares, over the current instance of its relation (unbuilt)."""
+        return TemplateFamily(
+            self.database.relation(spec.relation),
             x=spec.x,
             y=spec.y,
             max_level=spec.max_level if spec.max_level is not None else self.max_level,
         )
-        return TemplateFamily(relation=spec.relation, x=spec.x, y=spec.y, index=index)
 
     def derived_family_spec(self, spec: ConstraintSpec) -> Optional[FamilySpec]:
         """The family ``R(X∪Y → Z, 2^i, d̄_i)`` derived from a constraint.
@@ -125,10 +121,10 @@ class AccessSchemaBuilder:
 
         Args:
             constraints: user-declared access constraints.
-            families: additional template families to build.
+            families: additional template families to declare.
             include_canonical: include the canonical ``A_t`` (required by the
                 BEAS algorithms; disable only for focused unit tests).
-            derive_from_constraints: also build the ``R(X∪Y → Z, 2^i, d̄_i)``
+            derive_from_constraints: also declare the ``R(X∪Y → Z, 2^i, d̄_i)``
                 families the paper derives from every declared constraint.
         """
         schema = AccessSchema()

@@ -42,8 +42,10 @@ untouched; ``n`` becomes a ``max`` with the grown group's length, and a typed
 column that meets a value of another type is demoted to a list first, as a
 ``ColumnStore`` buffer is.
 
-**Layout of a template index.**  Building these is nearly all of set-up, so
-a family is flat lists, not a tree object per ``X``-value.  All groups share
+**Layout of a template index.**  Building these is nearly all of what an
+access schema costs (a family builds its index when a plan first binds it,
+see :class:`~repro.access.schema.TemplateFamily`), so a family is flat
+lists, not a tree object per ``X``-value.  All groups share
 one permutation of ``D_R``'s row numbers, grouped by ``X``-value in
 first-seen order; a node is a ``(start, end)`` range of it.  A node splits
 on the attribute of widest spread over its range (a numeric attribute's
@@ -62,8 +64,10 @@ the trivial and categorical ones, a node's worst distance to its
 representative is the worse of its lowest- and highest-ranked values';
 ``STRING_PREFIX``, custom distances and columns holding ``None`` or NaN scan
 the range.  ``d̄_k`` is the worst over the nodes of depth ``k`` and the
-leaves above them.  The ``Y`` columns are copied at build time: an index
-answers from the data it was built over.
+leaves above them.  The ``Y`` columns are copied when the index is built —
+the first time a plan binds its family, not when the family is declared: an
+index answers from the data it was built over, the relation instance its
+family was declared over.
 """
 
 from __future__ import annotations

@@ -3,9 +3,14 @@
 An :class:`AccessSchema` bundles, for one database instance:
 
 * **access constraints** — ``R(X → Y, N, 0̄)`` backed by
-  :class:`~repro.access.index.ConstraintIndex`, and
+  :class:`~repro.access.index.ConstraintIndex`, built when the constraint is
+  declared (cheap, and where an undersized declared ``N`` is rejected), and
 * **template families** — levelled templates ``R(X → Y, 2^k, d̄_k)`` backed by
-  :class:`~repro.access.index.TemplateIndex`.
+  :class:`~repro.access.index.TemplateIndex`.  A family is a declaration:
+  its index is built over the relation it was declared over the first time
+  anything reads it — in practice the first plan that binds the family —
+  so set-up pays nothing for families no query reads.
+  :meth:`AccessSchema.build_all` builds every family now.
 
 The chase and chAT query the schema for templates *applicable* to a relation
 given the set of attributes already covered; the executor fetches through the
@@ -14,10 +19,12 @@ schema so every access is metered.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..relational.database import AccessMeter, Database
+from ..relational.relation import Relation
 from .index import ConstraintIndex, FetchedRow, TemplateIndex
 from .template import TemplateSpec, conforms
 
@@ -40,14 +47,44 @@ class AccessConstraint:
         return f"AccessConstraint({self.spec.describe()})"
 
 
-@dataclass
 class TemplateFamily:
-    """A family of levelled access templates sharing ``(R, X, Y)``."""
+    """A family of levelled access templates sharing ``(R, X, Y)``.
 
-    relation: str
-    x: Tuple[str, ...]
-    y: Tuple[str, ...]
-    index: TemplateIndex
+    Declared over ``source``, the instance of ``R`` at declaration time; its
+    :class:`TemplateIndex` is built over that instance the first time
+    anything reads :attr:`index` (``max_level``, a resolution or a fetch),
+    exactly once however many threads race to read it.  An instance of ``R``
+    installed later is not seen — as if the index had been built up front.
+    """
+
+    def __init__(
+        self, source: Relation, x: Sequence[str], y: Sequence[str], max_level: Optional[int] = None
+    ) -> None:
+        self.relation = source.schema.name
+        self.x = tuple(x)
+        self.y = tuple(y)
+        source.schema.positions(self.x + self.y)  # an unknown attribute raises at declaration
+        self._max_level = max_level
+        self._source: Optional[Relation] = source  # released once the index is built
+        self._index: Optional[TemplateIndex] = None
+        self._lock = threading.Lock()
+
+    @property
+    def built(self) -> bool:
+        """Whether :attr:`index` has been built (reading this builds nothing)."""
+        return self._index is not None
+
+    @property
+    def index(self) -> TemplateIndex:
+        """The family's index, built on first read."""
+        index = self._index
+        if index is None:
+            with self._lock:
+                index = self._index
+                if index is None:
+                    index = TemplateIndex(self._source, self.x, self.y, max_level=self._max_level)
+                    self._index, self._source = index, None
+        return index
 
     @property
     def max_level(self) -> int:
@@ -67,8 +104,9 @@ class TemplateFamily:
     ) -> List[FetchedRow]:
         return self.index.fetch(x_value, level, meter)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"TemplateFamily({self.relation}: {self.x or '∅'} -> {self.y}, 0..{self.max_level})"
+    def __repr__(self) -> str:
+        levels = f"0..{self._index.max_level}" if self._index is not None else "unbuilt"
+        return f"TemplateFamily({self.relation}: {self.x or '∅'} -> {self.y}, {levels})"
 
 
 class AccessSchema:
@@ -121,10 +159,16 @@ class AccessSchema:
                 return family
         return None
 
+    def build_all(self) -> None:
+        """Build every family's index now, for callers that want eager set-up
+        (a timed experiment, so that no measured plan pays for a build)."""
+        for family in self.families:
+            family.index
+
     # -- counting / size ------------------------------------------------------------
     @property
     def cardinality(self) -> int:
-        """``||A||`` — number of constraints plus number of distinct templates."""
+        """``||A||`` — number of constraints plus number of distinct templates (builds every family)."""
         return len(self.constraints) + sum(f.max_level + 1 for f in self.families)
 
     def distinct_template_groups(self) -> int:
@@ -134,7 +178,7 @@ class AccessSchema:
         return len(groups)
 
     def index_entry_counts(self) -> Dict[str, int]:
-        """Index sizes in entries, split by constraint vs template indexes."""
+        """Index sizes in entries, split by constraint vs template indexes (builds every family)."""
         return {
             "constraints": sum(c.index.entry_count for c in self.constraints),
             "templates": sum(f.index.entry_count for f in self.families),
@@ -151,7 +195,7 @@ class AccessSchema:
         Constraint indexes conform by construction (they return the exact
         values), so the interesting part is the template families: at each
         requested level we verify the cardinality bound and the resolution
-        guarantee against the base relation.
+        guarantee against the base relation.  Builds every family.
         """
         for constraint in self.constraints:
             relation = database.relation(constraint.relation)
@@ -175,7 +219,7 @@ class AccessSchema:
         return True
 
     def describe(self) -> str:
-        """Multi-line human-readable summary of the schema."""
+        """Multi-line human-readable summary of the schema (builds every family)."""
         lines = [f"AccessSchema: {len(self.constraints)} constraints, {len(self.families)} template families"]
         for constraint in self.constraints:
             lines.append(f"  {constraint.spec.describe()}")
@@ -187,8 +231,7 @@ class AccessSchema:
             )
         return "\n".join(lines)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"AccessSchema({len(self.constraints)} constraints, "
-            f"{len(self.families)} families, ||A||={self.cardinality})"
-        )
+    def __repr__(self) -> str:
+        unbuilt = sum(not family.built for family in self.families)
+        size = f"{unbuilt} unbuilt" if unbuilt else f"||A||={self.cardinality}"
+        return f"AccessSchema({len(self.constraints)} constraints, {len(self.families)} families, {size})"

@@ -53,7 +53,7 @@ class StratifiedSampling(Approximator):
             if not columns:
                 # No QCS declared for this relation: fall back to uniform rows.
                 keep = min(len(relation), allowance)
-                rows = rng.sample(relation.rows, keep)
+                rows = list(relation.store.take(rng.sample(range(len(relation)), keep)).iter_rows())
                 weight = len(relation) / keep
                 synopses[name] = (rows, [weight] * keep)
                 continue

@@ -24,10 +24,13 @@ class ExactEvaluation(Approximator):
     name = "Exact"
 
     def _build_synopses(self, budget: int) -> Dict[str, Tuple[List[Row], List[float]]]:
-        return {
-            name: (list(self.database.relation(name).rows), [1.0] * len(self.database.relation(name)))
-            for name in self.database.relation_names
-        }
+        # Streamed from the columns: reading ``relation.rows`` would cache a
+        # row-wise copy of every base relation on its store.
+        synopses: Dict[str, Tuple[List[Row], List[float]]] = {}
+        for name in self.database.relation_names:
+            relation = self.database.relation(name)
+            synopses[name] = (list(relation.store.iter_rows()), [1.0] * len(relation))
+        return synopses
 
     def answer(self, query: QueryNode) -> Relation:
         return evaluate_exact(query, self.database)

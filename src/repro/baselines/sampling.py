@@ -33,7 +33,7 @@ class UniformSampling(Approximator):
             if size == 0 or keep == 0:
                 synopses[name] = ([], [])
                 continue
-            rows = rng.sample(relation.rows, keep)
+            rows = list(relation.store.take(rng.sample(range(size), keep)).iter_rows())
             weight = size / keep
             synopses[name] = (rows, [weight] * keep)
         return synopses

@@ -1,9 +1,12 @@
-"""The BEAS framework (Section 4.2): offline index construction + online answering.
+"""The BEAS framework (Section 4.2): access-schema set-up + online answering.
 
-:class:`Beas` is the user-facing facade.  Offline, it builds (or accepts) an
-access schema over the database — the canonical ``A_t`` plus any declared or
-discovered constraints and templates — together with their indexes.  Online,
-``answer(query, alpha)`` runs the appropriate approximation scheme
+:class:`Beas` is the user-facing facade.  At set-up it declares (or accepts)
+an access schema over the database — the canonical ``A_t`` plus any declared
+or discovered constraints and templates — and builds the constraint
+indexes; each template family's index is built the first time a plan binds
+the family, so a family no query reads is never built
+(:meth:`~repro.access.schema.AccessSchema.build_all` builds them all up
+front).  Online, ``answer(query, alpha)`` runs the appropriate approximation scheme
 (BEAS_SPC / BEAS_RA / BEAS_agg), executes the α-bounded plan under an access
 meter enforcing the budget, and returns the answers with the accuracy bound
 ``η`` and the access accounting.
@@ -71,6 +74,9 @@ class QueryResult:
         boundedly_evaluable: whether the plan uses access constraints only.
         plan: the bounded plan itself (for inspection / explain output).
         plan_seconds / execution_seconds: wall-clock timings of the two phases.
+            The first plan to bind a template family builds that family's
+            index, so its ``plan_seconds`` includes the build (call
+            ``access_schema.build_all()`` first to time planning alone).
         query_class: ``"SPC"``, ``"RA"``, ``"agg(SPC)"`` or ``"agg(RA)"``.
         fingerprint: the canonical query fingerprint
             (:func:`repro.algebra.ast.query_fingerprint`) the plan memo and
@@ -106,11 +112,12 @@ class Beas:
         database: the instance ``D`` to query.
         access_schema: a prebuilt access schema; when omitted the canonical
             ``A_t`` plus any ``constraints`` / ``families`` passed here is
-            built (offline phase, C1 in Fig. 2).
+            declared (C1 in Fig. 2): constraint indexes are built now, each
+            template index when a plan first binds its family.
         constraints / families: declarative specs forwarded to
             :class:`~repro.access.builder.AccessSchemaBuilder`.
-        max_level: cap on template levels materialised by the builder (useful
-            to bound index-construction time on large relations).
+        max_level: cap on template levels materialised by each template
+            index (useful to bound index-construction time on large relations).
     """
 
     def __init__(

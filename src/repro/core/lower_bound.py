@@ -189,7 +189,8 @@ def theoretical_floor(
 
     ``k* = ⌊log2(B / ||Q||)⌋ - 1`` — the level every whole-relation template
     could afford if the budget were split evenly across the query's relation
-    atoms.  The bound returned by BEAS is always at least this floor.
+    atoms.  The bound returned by BEAS is always at least this floor.  Reads
+    every family's resolutions, so it builds every template index.
     """
     relation_count = max(1, node.relation_count())
     per_atom = max(1, budget // relation_count)

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from .. import config
 from ..errors import SchemaError
 from .schema import RelationSchema
-from .store import Store, make_store
+from .store import ColumnStore, Store, make_store
 
 Row = Tuple[object, ...]
 
@@ -301,11 +301,11 @@ class Relation:
 
         The sort key groups values that compare equal under ``==`` (so ``1``
         and ``1.0`` sort together) while keeping heterogeneous columns
-        orderable; see :func:`value_sort_key`.
+        orderable; see :func:`value_sort_key`.  A derived relation: held in
+        a :class:`~repro.relational.store.ColumnStore` whatever this one's backend.
         """
         ordered = sorted(self._store.iter_rows(), key=row_sort_key)
-        store = type(self._store).from_rows(len(self.schema), ordered)
-        return Relation(self.schema, store=store)
+        return Relation(self.schema, store=ColumnStore.from_rows(len(self.schema), ordered))
 
     def with_backend(self, backend: str) -> "Relation":
         """A copy of this relation stored under another backend.

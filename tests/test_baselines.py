@@ -1,5 +1,7 @@
 """Tests for the Sampl / Histo / BlinkDB / Exact baselines."""
 
+import hashlib
+
 import pytest
 
 from repro.algebra.evaluator import evaluate_exact
@@ -8,6 +10,8 @@ from repro.baselines.blinkdb import StratifiedSampling
 from repro.baselines.exact import ExactEvaluation
 from repro.baselines.histogram import MultiDimHistogram
 from repro.baselines.sampling import UniformSampling
+from repro.relational.database import Database
+from repro.workloads import social
 
 SPC_SQL = "select e.salary from emp as e where e.salary <= 60"
 AGG_SQL = "select e.dept, count(e.eid) from emp as e group by e.dept"
@@ -106,3 +110,44 @@ class TestExactBaseline:
         baseline = ExactEvaluation(tiny_db).build(1.0)
         _, accessed = baseline.answer_metered(parse_query(SPC_SQL))
         assert accessed == 60
+
+
+# sha256 of the Sampl and uniform-fallback BlinkDB synopses below, taken when
+# both still drew ``rng.sample(relation.rows, keep)``: drawing row numbers
+# from ``range(len(relation))`` makes the same draws.
+SAMPLED_SYNOPSES_DIGEST = "2b52451a1ac8dbf9416695397d20376fa1783ae7d71e779d1bc4031dfb296f8b"
+
+
+def _social_on(backend: str) -> Database:
+    database = social.generate(persons=150, pois=600, cities=10, max_friends=5, seed=7).database
+    for name in database.relation_names:
+        database.set_relation(name, database.relation(name).with_backend(backend))
+    return database
+
+
+@pytest.mark.parametrize("backend_name", ["column", "mmap", "sharded"])
+def test_sampled_synopses_are_pinned(backend_name, store_dir):
+    database = _social_on(backend_name)
+    digest = hashlib.sha256()
+    for baseline in (UniformSampling(database, seed=5), StratifiedSampling(database, seed=5)):
+        digest.update(repr(sorted(baseline.build(0.1)._provider.synopses.items())).encode())
+    assert digest.hexdigest() == SAMPLED_SYNOPSES_DIGEST
+
+
+@pytest.mark.parametrize("baseline_class", [UniformSampling, StratifiedSampling, ExactEvaluation])
+def test_a_baseline_build_caches_no_rows_on_the_base_relations(baseline_class):
+    database = _social_on("column")
+    baseline_class(database).build(0.1)
+    for name in database.relation_names:
+        relation = database.relation(name)
+        assert relation.store._row_cache is None, name
+        assert relation._rows_view is None, name
+
+
+def test_exact_synopses_are_every_row_once():
+    database = _social_on("column")
+    synopses = ExactEvaluation(database).build(1.0)._provider.synopses
+    for name in database.relation_names:
+        rows, weights = synopses[name]
+        assert rows == list(database.relation(name)) and weights == [1.0] * len(rows)
+

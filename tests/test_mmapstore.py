@@ -152,6 +152,18 @@ class TestMmapStoreRoundTrip:
         assert len(original) == len(MIXED_ROWS)
         assert len(clone) == len(MIXED_ROWS) + 1
 
+    def test_sorting_writes_no_file(self, schema, store_dir):
+        rows = [(i, "abcdefg"[i * 3 % 7], (i * 37) % 11 * 0.5, 50 - i) for i in range(50)]
+        relation = Relation(schema, rows, backend="mmap")
+        files = rpro_files(store_dir)
+        ordered = relation.sorted()
+        assert rpro_files(store_dir) == files
+        assert type(ordered.store) is ColumnStore
+        assert [identity_key(r) for r in ordered.rows] == [
+            identity_key(r) for r in sorted(relation.rows, key=lambda row: row[0])
+        ]
+        assert ordered == relation
+
     def test_derivations_leave_no_mapped_buffers(self, schema, store_dir):
         store = MmapStore.from_rows(4, MIXED_ROWS)
         for derived, expected in (
