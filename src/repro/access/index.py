@@ -48,23 +48,33 @@ see :class:`~repro.access.schema.TemplateFamily`), so a family is flat
 lists, not a tree object per ``X``-value.  All groups share
 one permutation of ``D_R``'s row numbers, grouped by ``X``-value in
 first-seen order; a node is a ``(start, end)`` range of it.  A node splits
-on the attribute of widest spread over its range (a numeric attribute's
-spread is the range of its numbers, any other's its number of distinct
-values; constant attributes never split), by a stable in-place sort of the
-range on that attribute's *rank* (its place under
+on the first attribute of widest spread over its range (a numeric
+attribute's spread is the range of its numbers, any other's its number of
+distinct values; constant attributes never split), by a stable in-place sort
+of the range on that attribute's *rank* (its place under
 :func:`~repro.relational.relation.value_sort_key`, computed once per
-attribute), so both median halves stay contiguous; the row at the middle of the
-range (the first of the upper half) represents the node.  Nodes are numbered in preorder, with
-their range, representative row, depth and children in flat lists;
-``_groups`` maps each ``X``-value to its root.  A level-``k`` frontier is
-every node of depth ``k`` and every shallower leaf, right subtree first,
-gathered into typed buffers once per ``(group, level)``.  Under the built-in
-numeric distances over real numbers (monotone, float rounding included) and
-the trivial and categorical ones, a node's worst distance to its
-representative is the worse of its lowest- and highest-ranked values';
-``STRING_PREFIX``, custom distances and columns holding ``None`` or NaN scan
-the range.  ``d̄_k`` is the worst over the nodes of depth ``k`` and the
-leaves above them.  The ``Y`` columns are copied when the index is built —
+attribute), so both median halves stay contiguous; the row at the middle of
+the range (the first of the upper half) represents the node.
+
+Every tree is built one depth at a time, all groups' nodes of a depth
+together, so the Python cost is per depth and attribute, not per node: each
+node's lowest and highest rank per attribute come from one ``map`` of
+``min`` / ``max`` over the depth's ranges, and a distinct count is taken
+only where a count as large as the node could still win the split.  Nodes
+are numbered breadth first: the groups' roots ``0 .. G-1`` in group order,
+then each depth's nodes left to right, so a node's children are
+consecutive and follow every node of its own depth.  Per node, its range,
+representative row, depth and children sit in flat lists; ``_groups`` maps
+each ``X``-value to its root.  A level-``k`` frontier is every node of
+depth ``k`` and every shallower leaf, right subtree first, gathered into
+typed buffers once per ``(group, level)``.  Under the built-in numeric
+distances over real numbers (monotone, float rounding included) and the
+trivial and categorical ones, a node's worst distance to its representative
+is the worse of its lowest- and highest-ranked values'; over a typed column
+with no infinity that is one batched subtraction per extreme for the whole
+depth.  ``STRING_PREFIX``, custom distances and columns holding ``None`` or
+NaN scan each node's range.  ``d̄_k`` is the worst over the nodes of depth
+``k`` and the leaves above them.  The ``Y`` columns are copied when the index is built —
 the first time a plan binds its family, not when the family is declared: an
 index answers from the data it was built over, the relation instance its
 family was declared over.
@@ -74,8 +84,10 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import chain, repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain, compress, repeat
+from math import isnan
+from operator import ge, gt, ne, sub
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..relational.database import AccessMeter
 from ..relational.distance import INFINITY, categorical_distance, is_real_number, numeric_typecode, trivial_distance
@@ -202,11 +214,7 @@ class TemplateIndex:
         # Per node: its range of _perm, representative row, depth and children (-1: a leaf).
         self._start, self._end, self._rep, self._depth, self._left, self._right = [], [], [], [], [], []
         builder = _TreeBuilder(self, attributes, list(chain.from_iterable(groups.values())))
-        self._groups: Dict[Row, int] = {}
-        start = 0
-        for key, rows in groups.items():
-            self._groups[key] = builder.build(start, start + len(rows), 0)
-            start += len(rows)
+        self._groups: Dict[Row, int] = dict(zip(groups, builder.build(list(map(len, groups.values())))))
         self._perm = array("q", builder.perm)
 
         # The deepest level worth materialising: beyond it every frontier node
@@ -338,17 +346,29 @@ class TemplateIndex:
         )
 
 
-def _value_ranks(column: Sequence[object]) -> Tuple[List[int], List[object]]:
-    """Per row the rank of its value under :func:`value_sort_key`, and a value of every rank.
+def _value_ranks(column: Sequence[object]) -> Tuple[List[int], List[object], bool]:
+    """Per row the rank of its value under :func:`value_sort_key`, the last
+    value seen of every rank, and whether equal ranks mean equal values.
 
     Equal keys get equal ranks, so a stable sort by rank is the stable sort
-    by :func:`value_sort_key` the K-D split has always used.
+    by :func:`value_sort_key` the K-D split has always used.  A typed column
+    of machine ints, or of floats without NaN, is ranked by its sorted
+    distinct numbers (``value_sort_key`` orders numbers by value): no key
+    per value, and only ``-0.0`` and ``0.0`` share a rank.
     """
+    code = numeric_typecode(column)
+    if code is not None:
+        last = dict(zip(column, column))  # each distinct number -> its last occurrence
+        if code == "q" or not any(map(isnan, last)):
+            ordered = sorted(last)
+            rank_of = {value: rank for rank, value in enumerate(ordered)}
+            return list(map(rank_of.__getitem__, column)), list(map(last.__getitem__, ordered)), True
     keys = list(map(value_sort_key, column))
     value_of = dict(zip(keys, column))
     ordered = sorted(value_of)
     rank_of = {key: rank for rank, key in enumerate(ordered)}
-    return list(map(rank_of.__getitem__, keys)), [value_of[key] for key in ordered]
+    ranked = all(map(_ranked_equality, column))
+    return list(map(rank_of.__getitem__, keys)), list(map(value_of.__getitem__, ordered)), ranked
 
 
 def _ranked_equality(value: object) -> bool:
@@ -356,115 +376,280 @@ def _ranked_equality(value: object) -> bool:
     return value is None or (type(value) in (bool, int, float, str) and value == value)
 
 
+def _far(distance: Callable[[object, object], float], rep_value: object, values: Iterable[object]) -> float:
+    """The worst ``distance(rep_value, value)`` over ``values``, 0.0 if none is positive."""
+    far = 0.0
+    for value in values:
+        d = distance(rep_value, value)
+        if d > far:
+            far = d
+            if far == INFINITY:
+                break
+    return far
+
+
+# Below every spread: the attribute is constant over the node, so it cannot split it.
+_NO_SPLIT = -1.0
+# Distances whose worst over a node is one fixed value as soon as two of its values differ.
+_MISMATCH_DISTANCES = (trivial_distance, categorical_distance)
+
+
+def _widest(spreads: List[List[float]], nodes: int, nan_nodes: List[int]) -> List[float]:
+    """Per node the widest of ``spreads`` (NaN aside), but ``_NO_SPLIT`` at ``nan_nodes``."""
+    widest = list(map(max, repeat(_NO_SPLIT), *spreads)) if spreads else [_NO_SPLIT] * nodes
+    for j in nan_nodes:
+        widest[j] = _NO_SPLIT
+    return widest
+
+
 class _TreeBuilder:
-    """Builds a :class:`TemplateIndex`'s trees (layout: module docstring).
+    """Builds a :class:`TemplateIndex`'s trees one depth at a time (layout: module docstring).
 
     Per attribute: ``ranked`` — equal ranks mean equal values, so a node's
-    distinct values are its distinct ranks; ``typed`` — one number type, so
-    a node's range is its extreme ranks'; ``extremes`` — a node's worst
-    distance is the worse of its extremes'.
+    distinct values are its distinct ranks; ``extremes`` — a node's worst
+    distance is the worse of its extremes'; ``floats`` — the float image of
+    its rank values where that worst is one subtraction per extreme (a
+    built-in numeric distance over a finite typed column); ``bounded`` —
+    its rank bounds per node are read; and how its split spread is found:
+
+    * ``ranged`` — a numeric attribute of one number type: the difference
+      of its extreme rank values;
+    * ``unique`` — a non-numeric column of distinct values: the node's size;
+    * ``counted`` — another ranked non-numeric attribute: the node's number
+      of distinct ranks, counted only where a count as large as the node
+      could still win the split against the other kinds' spreads;
+    * ``scanned`` — the rest: read off the node's values (:func:`_spread`).
     """
 
     def __init__(self, index: TemplateIndex, attributes: Sequence[Attribute], perm: List[int]) -> None:
         self.index = index
         self.perm = perm
-        columns = index._columns
         self.names = [attribute.name for attribute in attributes]
         self.numeric = [attribute.numeric for attribute in attributes]
         self.distances = [attribute.distance.func for attribute in attributes]
-        ranked_values = list(map(_value_ranks, columns))
-        self.ranks = [ranks for ranks, _ in ranked_values]
-        self.rank_values = [values for _, values in ranked_values]
-        self.ranked = [all(map(_ranked_equality, column)) for column in columns]
-        self.typed = [numeric_typecode(column) is not None for column in columns]
-        self.extremes = [
-            ranked
-            and (
-                (distance._scale() is not None and all(map(is_real_number, column)))
-                or distance.func in (trivial_distance, categorical_distance)
+        self.ranks: List[List[int]] = []
+        self.rank_values: List[List[object]] = []
+        self.ranked: List[bool] = []
+        self.extremes: List[bool] = []
+        self.floats: List[Optional[List[float]]] = []
+        self.scales: List[Optional[float]] = []
+        self.kinds: List[str] = []
+        for attribute, column in zip(attributes, index._columns):
+            ranks, values, ranked = _value_ranks(column)
+            typed = numeric_typecode(column) is not None
+            scale = attribute.distance._scale()
+            extremes = ranked and (
+                (scale is not None and (typed or all(map(is_real_number, column))))
+                or attribute.distance.func in _MISMATCH_DISTANCES
             )
-            for ranked, distance, column in zip(self.ranked, (a.distance for a in attributes), columns)
+            # inf - inf is NaN where the distance reads 0: a column holding an infinity is not batched.
+            finite = typed and (not values or (values[0] != -INFINITY and values[-1] != INFINITY))
+            self.ranks.append(ranks)
+            self.rank_values.append(values)
+            self.ranked.append(ranked)
+            self.extremes.append(extremes)
+            self.floats.append(list(map(float, values)) if extremes and scale is not None and finite else None)
+            self.scales.append(scale)
+            if ranked and attribute.numeric:
+                self.kinds.append("ranged" if typed else "scanned")
+            elif ranked:
+                self.kinds.append("unique" if len(values) == len(column) else "counted")
+            else:
+                self.kinds.append("scanned")
+        # A trivial or categorical attribute's worst is read off whether any node's extremes differ.
+        self.mismatched = [
+            a for a, extremes in enumerate(self.extremes) if extremes and self.distances[a] in _MISMATCH_DISTANCES
         ]
+        self.bounded = [
+            a
+            for a, kind in enumerate(self.kinds)
+            if kind == "ranged" or (self.extremes[a] and a not in self.mismatched)
+        ]
+        # Only the range of a scanned numeric attribute can be NaN.
+        self.nan_spreads = [a for a, kind in enumerate(self.kinds) if kind == "scanned" and self.numeric[a]]
         # A single tuple is its own representative: only a scanned distance can be nonzero there.
         self.scanned = [a for a, extremes in enumerate(self.extremes) if not extremes]
         self.worst: List[List[float]] = []  # per depth, per attribute: worst node distance
         self.worst_leaf: List[List[float]] = []  # the same over leaves only
 
-    def build(self, start: int, end: int, depth: int) -> int:
-        """The node for ``perm[start:end]`` and its subtree, in preorder; returns its number."""
+    def build(self, sizes: Sequence[int]) -> List[int]:
+        """Build one tree per group (``sizes``: the groups' consecutive ranges
+        of ``perm``), depth by depth; returns the roots' numbers."""
+        ends = list(accumulate(sizes))
+        starts = list(map(sub, ends, sizes))
+        sorted_by = [-1] * len(starts)
+        depth = 0
+        while starts:
+            starts, ends, sorted_by = self._level(depth, starts, ends, sorted_by)
+            depth += 1
+        return list(range(len(sizes)))
+
+    def _level(
+        self, depth: int, starts: List[int], ends: List[int], sorted_by: List[int]
+    ) -> Tuple[List[int], List[int], List[int]]:
+        """Number the nodes of ``depth`` (``perm[start:end]`` each, in order,
+        already sorted by attribute ``sorted_by``), split them, and return
+        their children's ranges and sort attributes."""
         index, perm = self.index, self.perm
-        segment = perm[start:end]
-        size = end - start
-        split, bounds = self._summarize(segment) if size > 1 else (None, [])
-        if split is not None:
-            segment.sort(key=self.ranks[split].__getitem__)
-            perm[start:end] = segment
-        rep = segment[size // 2]
-        node = len(index._rep)
-        per_node = (index._start, index._end, index._rep, index._depth, index._left, index._right)
-        for values, value in zip(per_node, (start, end, rep, depth, -1, -1)):
-            values.append(value)
-        self._fold(depth, split is None, segment, rep, bounds)
-        if split is not None:
-            index._left[node] = self.build(start, start + size // 2, depth + 1)
-            index._right[node] = self.build(start + size // 2, end, depth + 1)
-        return node
+        sizes = list(map(sub, ends, starts))
+        multi = list(compress(range(len(sizes)), map(gt, sizes, repeat(1))))
+        spans = [slice(starts[j], ends[j]) for j in multi]
+        splits, bounds, differs = self._splits(spans) if spans else ([], {}, {})
+        split_of = [-1] * len(sizes)
+        for j, span, a in zip(multi, spans, splits):
+            if a >= 0:
+                if a != sorted_by[j]:  # a range of a sorted range is sorted
+                    perm[span] = sorted(perm[span], key=self.ranks[a].__getitem__)
+                split_of[j] = a
+        reps = [perm[start + size // 2] for start, size in zip(starts, sizes)]
+        self._worst(starts, ends, reps, split_of, [reps[j] for j in multi], bounds, differs)
 
-    def _summarize(self, segment: List[int]) -> Tuple[Optional[int], List[Optional[Tuple[int, int]]]]:
-        """The attribute with the widest spread over ``segment`` (``None`` if
-        all are constant), and per ranked attribute the minimum and maximum rank."""
-        best: Optional[Tuple[float, int]] = None
-        bounds: List[Optional[Tuple[int, int]]] = []
-        for a, column in enumerate(self.index._columns):
-            if self.ranked[a]:
-                present = set(map(self.ranks[a].__getitem__, segment))
-                lo, hi = min(present), max(present)
-                bounds.append((lo, hi))
-                distinct = len(present)
-            else:
-                bounds.append(None)
-                distinct = len(set(map(column.__getitem__, segment)))
+        # Children are numbered after every node of this depth, pairwise in their parents' order.
+        first_child = len(index._rep) + len(sizes)
+        left, right = [-1] * len(sizes), [-1] * len(sizes)
+        child_starts: List[int] = []
+        child_ends: List[int] = []
+        child_sorted_by: List[int] = []
+        for j in compress(range(len(sizes)), map(ge, split_of, repeat(0))):
+            middle = starts[j] + sizes[j] // 2
+            left[j] = first_child + len(child_starts)
+            right[j] = left[j] + 1
+            child_starts += (starts[j], middle)
+            child_ends += (middle, ends[j])
+            child_sorted_by += (split_of[j], split_of[j])
+        index._start += starts
+        index._end += ends
+        index._rep += reps
+        index._depth += repeat(depth, len(sizes))
+        index._left += left
+        index._right += right
+        return child_starts, child_ends, child_sorted_by
+
+    def _splits(
+        self, spans: List[slice]
+    ) -> Tuple[List[int], Dict[int, Tuple[List[int], List[int]]], Dict[int, bool]]:
+        """Per multi-row node (``perm[span]``) the attribute it splits on — the
+        first of the widest spread, -1 if all are constant over it; per
+        bounded attribute the nodes' lowest and highest ranks; and per
+        trivial or categorical attribute whether any node's extremes differ."""
+        rows = list(chain.from_iterable(map(self.perm.__getitem__, spans)))  # scratch of this depth
+        sizes = [span.stop - span.start for span in spans]
+        cuts = list(accumulate(sizes))
+        local = list(map(slice, chain((0,), cuts), cuts))  # each node's part of rows
+        bounds: Dict[int, Tuple[List[int], List[int]]] = {}
+        for a in self.bounded:
+            ranks = list(map(self.ranks[a].__getitem__, rows))
+            parts = list(map(ranks.__getitem__, local))
+            bounds[a] = list(map(min, parts)), list(map(max, parts))
+        spreads: List[Optional[List[float]]] = [None] * len(self.names)
+        for a, kind in enumerate(self.kinds):
+            if kind == "ranged":
+                values = self.rank_values[a]
+                spreads[a] = [float(values[hi] - values[lo]) if hi != lo else _NO_SPLIT for lo, hi in zip(*bounds[a])]
+            elif kind == "unique":
+                spreads[a] = list(map(float, sizes))
+            elif kind == "scanned":
+                spreads[a] = self._scanned_spreads(a, rows, local)
+        # The first attribute of the widest spread wins, so a count wins only
+        # above every earlier spread and at least at every later one; it is at
+        # most the node's size, so it is not taken where that size is not.  A
+        # NaN spread wins as the first candidate: its node's counts are all taken.
+        eager = [a for a, spread in enumerate(spreads) if spread is not None]
+        nan_nodes = [j for a in self.nan_spreads for j in compress(range(len(spans)), map(isnan, spreads[a]))]
+        for a, kind in enumerate(self.kinds):
+            if kind == "counted":
+                before = _widest([spreads[b] for b in eager if b < a], len(spans), nan_nodes)
+                after = _widest([spreads[b] for b in eager if b > a], len(spans), nan_nodes)
+                ranks = list(map(self.ranks[a].__getitem__, rows))
+                counts = [
+                    len(set(ranks[part])) if size > low and size >= high else 0
+                    for part, size, low, high in zip(local, sizes, before, after)
+                ]
+                spreads[a] = [float(n) if n > 1 else _NO_SPLIT for n in counts]
+        best = [_NO_SPLIT] * len(spans)
+        split = [-1] * len(spans)
+        for a, spread in enumerate(spreads):
+            if a in self.nan_spreads:
+                # A NaN spread wins only as the first candidate, and then for good.
+                spread = [INFINITY if s != s and b == _NO_SPLIT else s for s, b in zip(spread, best)]
+            for j in compress(range(len(spans)), map(gt, spread, best)):
+                best[j] = spread[j]
+                split[j] = a
+        differs: Dict[int, bool] = {}
+        for a in self.mismatched:
+            if a in bounds:
+                differs[a] = any(map(ne, *bounds[a]))
+            elif any(map(gt, spreads[a], repeat(_NO_SPLIT))):
+                differs[a] = True  # a candidate's values differ
+            else:  # no spread was taken where they might: look
+                ranks = list(map(self.ranks[a].__getitem__, rows))
+                differs[a] = any(len(set(part)) > 1 for part in map(ranks.__getitem__, local))
+        return split, bounds, differs
+
+    def _scanned_spreads(self, a: int, rows: List[int], local: List[slice]) -> List[float]:
+        """Attribute ``a``'s spread over each node, read off the node's values."""
+        values = list(map(self.index._columns[a].__getitem__, rows))
+        ranks = list(map(self.ranks[a].__getitem__, rows)) if self.ranked[a] else values
+        spreads = []
+        for part in local:
+            distinct = len(set(ranks[part]))
             if distinct <= 1:
-                continue
-            if not self.numeric[a]:
-                spread = float(distinct)
-            elif self.ranked[a] and self.typed[a]:
-                spread = float(self.rank_values[a][hi] - self.rank_values[a][lo])
+                spreads.append(_NO_SPLIT)
+            elif self.numeric[a]:
+                spreads.append(_spread(values[part], distinct))
             else:
-                spread = _spread(list(map(column.__getitem__, segment)), distinct)
-            if best is None or spread > best[0]:
-                best = (spread, a)
-        return (None if best is None else best[1]), bounds
+                spreads.append(float(distinct))
+        return spreads
 
-    def _fold(
-        self, depth: int, leaf: bool, segment: List[int], rep: int, bounds: List[Optional[Tuple[int, int]]]
+    def _worst(
+        self,
+        starts: List[int],
+        ends: List[int],
+        reps: List[int],
+        split_of: List[int],
+        multi_reps: List[int],
+        bounds: Dict[int, Tuple[List[int], List[int]]],
+        differs: Dict[int, bool],
     ) -> None:
-        """Fold the node's worst distance to its representative, per attribute, into its depth's maxima."""
-        while len(self.worst) <= depth:
-            self.worst.append([0.0] * len(self.names))
-            self.worst_leaf.append([0.0] * len(self.names))
-        worst, worst_leaf = self.worst[depth], self.worst_leaf[depth]
-        for a in range(len(self.names)) if bounds else self.scanned:
-            column, distance = self.index._columns[a], self.distances[a]
-            if self.extremes[a]:
-                lo, hi = bounds[a]
-                if lo == hi:
-                    continue  # every value equals the representative's: distance 0
-                values = (self.rank_values[a][lo], self.rank_values[a][hi])
+        """Record the depth's worst node distance to its representative, per
+        attribute, over all its nodes and over its leaves."""
+        columns, perm = self.index._columns, self.perm
+        worst = [0.0] * len(self.names)
+        worst_leaf = [0.0] * len(self.names)
+        for a, extremes in enumerate(self.extremes):
+            if not extremes or not multi_reps:
+                continue  # a leaf's extremes are equal: only split nodes count
+            distance, floats, values = self.distances[a], self.floats[a], self.rank_values[a]
+            if floats is not None:
+                # IEEE subtraction is sign-symmetric and division monotone: the
+                # worst |rep - extreme| / scale is the worst difference / scale.
+                lows, highs = bounds[a]
+                rep_floats = list(map(floats.__getitem__, map(self.ranks[a].__getitem__, multi_reps)))
+                above = max(map(sub, map(floats.__getitem__, highs), rep_floats))
+                below = max(map(sub, rep_floats, map(floats.__getitem__, lows)))
+                far = max(above, below) / self.scales[a]
+                worst[a] = far if far > 0.0 else 0.0
+            elif a in differs:
+                # A node whose extremes differ is as far as any two different values are.
+                if differs[a]:
+                    worst[a] = distance(values[0], values[-1])
             else:
-                values = map(column.__getitem__, segment)
-            rep_value = column[rep]
-            far = 0.0
-            for value in values:
-                d = distance(rep_value, value)
-                if d > far:
-                    far = d
-                    if far == INFINITY:
-                        break
-            if far > worst[a]:
-                worst[a] = far
-            if leaf and far > worst_leaf[a]:
-                worst_leaf[a] = far
+                column = columns[a]
+                for rep, lo, hi in zip(multi_reps, *bounds[a]):
+                    if lo != hi:
+                        far = _far(distance, column[rep], (values[lo], values[hi]))
+                        if far > worst[a]:
+                            worst[a] = far
+        for a in self.scanned:
+            column, distance = columns[a], self.distances[a]
+            for start, end, rep, split in zip(starts, ends, reps, split_of):
+                far = _far(distance, column[rep], map(column.__getitem__, perm[start:end]))
+                if far > worst[a]:
+                    worst[a] = far
+                if split < 0 and far > worst_leaf[a]:
+                    worst_leaf[a] = far
+        self.worst.append(worst)
+        self.worst_leaf.append(worst_leaf)
 
     def resolutions(self, max_level: int) -> List[Dict[str, float]]:
         """``d̄_k`` for ``k = 0..max_level``: the worst node distance over the

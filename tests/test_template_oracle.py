@@ -13,7 +13,9 @@ int/float/bool values and every kind of distance.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -91,19 +93,53 @@ SMOKE = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SMOKE))
-def test_every_family_of_a_workload_matches_the_oracle(name, store_dir):
+def smoke_families(name):
+    """A smoke workload's database, on the backend the benchmark gives it, and its declared families."""
     generate, backend = SMOKE[name]
     workload = generate()
     database = workload.database
     for relation_name in database.relation_names:
         database.set_relation(relation_name, database.relation(relation_name).with_backend(backend))
-    families = build_beas(workload).access_schema.families
+    return database, build_beas(workload).access_schema.families
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE))
+def test_every_family_of_a_workload_matches_the_oracle(name, store_dir):
+    database, families = smoke_families(name)
     assert any(family.x for family in families), f"{name}: no family with a tree per X-value"
     for family in families:
         relation = database.relation(family.relation)
         oracle = OracleTemplateIndex(relation, family.x, family.y)
         assert_same_index(family.index, oracle, f"{name}/{family!r}")
+
+
+def layout_digest(families):
+    """sha256 of every family's permutation, levels, resolutions and every group's frontiers."""
+    digest = hashlib.sha256()
+    for family in families:
+        index = family.index
+        digest.update(repr((family.relation, family.x, family.y, index.max_level, list(index._perm))).encode())
+        for level in index.levels():
+            digest.update(repr(index.resolution(level)).encode())
+            for key in index.keys():
+                digest.update(repr(fetched_rows(index.fetch(key, level))).encode())
+    return digest.hexdigest()
+
+
+# Taken on the recursive builder the level-by-level one replaced: any change
+# to a tree (a split, a median, a representative, a node's depth) moves these.
+LAYOUT_DIGESTS = {
+    "airca": "b99e0fbfb651dbe8b59e8748f7a03e6c7a3cf7910ca32aed09b089f8c0a94eeb",
+    "social": "2d27286f8987597a43068b0c2f70190dc7cbc8023f9b5e8eff01d0a7c5711622",
+    "tfacc": "e73090db1e3c1a6581a89b31e66ebefa5b64bef6a466ac2dbd7f46f572c758af",
+    "tpch": "1a409cb09b917fa802908915286b3512c27694098b5b9c1856fcca0295c776db",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE))
+def test_every_family_of_a_workload_keeps_its_layout(name, store_dir):
+    _, families = smoke_families(name)
+    assert layout_digest(families) == LAYOUT_DIGESTS[name]
 
 
 def distances(finite):
@@ -163,3 +199,72 @@ def test_every_level_of_a_generated_family_conforms(relation, grouped):
     schema = AccessSchemaBuilder(database).build(families=[FamilySpec("r", x, y)], include_canonical=False)
     (family,) = schema.families
     assert schema.check_conformance(database, sample_levels=family.index.levels())
+
+
+def _infinite_mostly(rng):
+    """Over half +inf, so a root's representative and highest value are both +inf."""
+    draw = rng.random()
+    if draw < 0.55:
+        return math.inf
+    return -math.inf if draw < 0.58 else rng.choice([-0.0, 0.0, 1.0, -1.5, 2.25])
+
+
+def adversarial_relation(rows=2000, seed=40):
+    """A deterministic relation whose every depth holds many multi-row nodes,
+    with a column for each path of the level-by-level build.  The numeric
+    ranges are narrow, so counts, sizes and ranges each win splits, and ties
+    straddle the medians."""
+    rng = random.Random(seed)
+    big = 2**53
+    attributes = [
+        Attribute("g", TRIVIAL),  # the X of the grouped family: five groups
+        Attribute("nan", NUMERIC),  # a typed float column with NaN: unranked
+        Attribute("cat", CATEGORICAL),
+        Attribute("addr", STRING_PREFIX),
+        Attribute("key", TRIVIAL),  # all distinct
+        Attribute("q", NUMERIC),
+        Attribute("big", numeric_scaled(3)),  # machine ints beyond 2**53, whose floats round
+        Attribute("mixed", NUMERIC),  # ints beyond 2**53 beside floats: ranked, untyped
+        Attribute("inf", numeric_scaled(5)),  # a typed float column with ±inf, -0.0 and 0.0
+        Attribute("zero", NUMERIC),  # a finite typed float column with -0.0 and 0.0
+        Attribute("none", NUMERIC),  # numbers and None
+        Attribute("sq", SQUARED),
+    ]
+    keys = list(range(rows))
+    rng.shuffle(keys)
+    data = []
+    for key in keys:
+        data.append(
+            (
+                rng.randrange(5),
+                math.nan if rng.random() < 0.03 else float(rng.randrange(9)),
+                rng.choice(["red", "green", "blue", "cyan", "grey", "teal"]),
+                rng.choice("abc") + rng.choice("abcdefgh") + str(rng.randrange(25)),
+                key,
+                rng.randrange(41),
+                big + rng.randrange(7),
+                rng.choice([big + rng.randrange(-3, 4), float(big + 2 * rng.randrange(-2, 3)), 0.5]),
+                _infinite_mostly(rng),
+                rng.choice([-0.0, 0.0, 2.5, -1.0, 0.75]),
+                None if rng.random() < 0.1 else rng.randrange(6),
+                rng.uniform(0, 3),
+            )
+        )
+    return Relation(RelationSchema("adversarial", attributes), data, backend="column")
+
+
+ADVERSARIAL = adversarial_relation()
+
+
+@pytest.mark.parametrize("keyed", [True, False])
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("max_level", [None, 0, 3])
+def test_a_large_adversarial_relation_matches_the_oracle(keyed, grouped, max_level):
+    # Without the all-distinct key, whose spread is the node's size, counts
+    # lose to narrow ranges and are left untaken.
+    relation = ADVERSARIAL
+    names = [name for name in relation.schema.attribute_names if keyed or name != "key"]
+    x, y = (names[:1], names[1:]) if grouped else ((), names)
+    index = TemplateIndex(relation, x, y, max_level=max_level)
+    where = f"adversarial {'grouped' if grouped else 'whole'}, key {keyed}, at max_level {max_level}"
+    assert_same_index(index, OracleTemplateIndex(relation, x, y, max_level=max_level), where)
