@@ -39,8 +39,7 @@ from typing import List, Optional, Sequence
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro import Beas, configure, current_config  # noqa: E402
-from repro.algebra import predicates  # noqa: E402
+from repro import Beas, current_config  # noqa: E402
 from repro.experiments import format_table  # noqa: E402
 from repro.serving import (  # noqa: E402
     AdmissionController,
@@ -214,29 +213,22 @@ def run(
     requests_per_thread = (
         requests_per_thread if requests_per_thread is not None else (8 if smoke else 40)
     )
-    previous = current_config()
     streams: List[dict] = []
     speedups: List[dict] = []
-    try:
-        for name, workload in build_workloads(smoke).items():
-            beas = Beas(
-                workload.database,
-                constraints=workload.constraints,
-                families=workload.families,
-            )
-            queries = query_pool(workload, QUERY_POOL if not smoke else 4)
-            for cache, policy in CELLS:
-                record = run_cell(
-                    beas, queries, cache, policy, threads, requests_per_thread
-                )
-                record["workload"] = name
-                streams.append(record)
-            speedup = measure_warm_speedup(beas, queries, repeats=3 if smoke else 10)
-            speedup["workload"] = name
-            speedups.append(speedup)
-    finally:
-        configure(previous)
-        predicates.clear_program_cache()
+    for name, workload in build_workloads(smoke).items():
+        beas = Beas(
+            workload.database,
+            constraints=workload.constraints,
+            families=workload.families,
+        )
+        queries = query_pool(workload, QUERY_POOL if not smoke else 4)
+        for cache, policy in CELLS:
+            record = run_cell(beas, queries, cache, policy, threads, requests_per_thread)
+            record["workload"] = name
+            streams.append(record)
+        speedup = measure_warm_speedup(beas, queries, repeats=3 if smoke else 10)
+        speedup["workload"] = name
+        speedups.append(speedup)
 
     serving = {
         "benchmark": (

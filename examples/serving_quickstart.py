@@ -57,11 +57,10 @@ def main() -> None:
     )
 
     # 3. Degrade-alpha under load: occupy every admission slot, then serve.
-    # (The policy is named per controller here.  A controller built without
-    # one takes the process-wide ``admission_policy`` setting —
-    # ``repro.configure(admission_policy="degrade-alpha")``; the settings
-    # table is the ``repro.config`` module docstring.  Which cache a server
-    # uses is its own argument: ``QueryServer(beas, result_cache="none")``.)
+    # (The policy is an argument of the controller — ``"queue"`` when none
+    # is named — and the controller one of the server.  Which cache a server
+    # uses is its own argument too: ``QueryServer(beas, result_cache="none")``.
+    # Building a server changes no process-wide setting.)
     admission = AdmissionController(max_concurrency=2, policy="degrade-alpha")
     loaded = QueryServer(beas, admission=admission)
     admission.admit(0.2)

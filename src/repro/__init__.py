@@ -47,7 +47,6 @@ from .errors import (
     QueryError,
     ReproError,
     SchemaError,
-    ServerOverloadedError,
     ServingError,
 )
 from .relational import (
@@ -79,8 +78,6 @@ from .serving import (
     QueryServer,
     ServingEnvelope,
     ServingStats,
-    list_cache_backends,
-    register_cache_backend,
 )
 
 __version__ = "0.3.0"
@@ -130,7 +127,6 @@ __all__ = [
     "Scan",
     "SchemaError",
     "Select",
-    "ServerOverloadedError",
     "ServingEnvelope",
     "ServingError",
     "ServingStats",
@@ -145,7 +141,6 @@ __all__ = [
     "f_measure",
     "key_attribute",
     "list_backends",
-    "list_cache_backends",
     "mac_accuracy",
     "numeric_attribute",
     "numeric_scaled",
@@ -153,5 +148,4 @@ __all__ = [
     "query_fingerprint",
     "rc_accuracy",
     "register_backend",
-    "register_cache_backend",
 ]

@@ -31,9 +31,6 @@ from .predicates import (
     Conjunction,
     Const,
     MaskProgram,
-    cached_program,
-    clear_program_cache,
-    program_cache_info,
 )
 from .relax import RelaxationOracle, relaxed_query, split_condition
 from .spc import SPCQuery, classify, max_spc_subqueries, maximal_induced_query, to_spc
@@ -69,16 +66,13 @@ __all__ = [
     "Union",
     "Variable",
     "build_tableau",
-    "cached_program",
     "canonical_form",
     "classify",
-    "clear_program_cache",
     "condition_on",
     "evaluate_exact",
     "max_spc_subqueries",
     "maximal_induced_query",
     "parse_query",
-    "program_cache_info",
     "query_fingerprint",
     "relaxed_query",
     "resolve_attribute",

@@ -63,7 +63,6 @@ from .predicates import (
     Comparison,
     Conjunction,
     MaskProgram,
-    cached_program,
     chunk_window,
     may_name,
 )
@@ -602,17 +601,9 @@ class Evaluator:
         if not condition:
             return frame
         condition = condition_on(frame.schema, condition)
-        if not any(0 < slack < INFINITY for slack in self.relaxation.values()):
-            # Every comparison compiles strictly (zero or infinite slack falls
-            # back to the strict binder), which is exactly what
-            # ``Conjunction.program`` builds — route through the shared
-            # compiled-program cache so a serving workload re-running the
-            # same query shape skips recompilation.
-            program = cached_program(condition, frame.schema)
-        else:
-            program = MaskProgram(
-                [self._comparison_binder(frame.schema, comparison) for comparison in condition]
-            )
+        program = MaskProgram(
+            [self._comparison_binder(frame.schema, comparison) for comparison in condition]
+        )
         mask, selected = frame.store.select_gather(program.run_part)
         if selected is frame.store:
             return frame

@@ -38,13 +38,12 @@ its per-value semantics exactly).
 from __future__ import annotations
 
 import enum
-import threading
+import operator
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .. import config
 from ..errors import QueryError
 from ..relational.schema import RelationSchema
 from ..relational.store import Store, all_ones, and_masks
@@ -54,92 +53,6 @@ from ..relational.store import Store, all_ones, and_masks
 # L2 while leaving per-chunk Python overhead negligible; results are
 # identical at every chunk size.
 MASK_CHUNK_SIZE = 4096
-
-
-# ---------------------------------------------------------------------------
-# Compiled-program cache (the serving layer's MaskProgram cache)
-# ---------------------------------------------------------------------------
-#
-# Compiling a conjunction resolves every attribute reference against the
-# schema and builds one binder per comparison.  A long-lived server answering
-# the same query shapes over and over repeats that work per request; the
-# bounded LRU below memoizes compiled programs by (condition, schema
-# attribute names, chunk size).  Programs are safe to share: a MaskProgram
-# holds only frozen binders and keeps its adaptive selectivity state local to
-# each ``run_part`` call, so concurrent reuse across threads cannot race.
-# The cache is off by default (the ``program_cache_capacity`` setting of
-# repro.config is 0 — batch reproductions pay nothing); the serving facade
-# turns it on.
-
-_program_cache_lock = threading.Lock()
-_program_cache: "OrderedDict[tuple, MaskProgram]" = OrderedDict()
-_program_cache_hits = 0
-_program_cache_misses = 0
-
-
-def _on_configure(previous: config.Config, new: config.Config) -> None:
-    """Evict least-recently-used programs at once when the capacity shrinks."""
-    with _program_cache_lock:
-        while len(_program_cache) > new.program_cache_capacity:
-            _program_cache.popitem(last=False)
-
-
-config.subscribe(_on_configure)
-
-
-def clear_program_cache() -> None:
-    """Drop every memoized program (capacity unchanged); resets hit counters."""
-    global _program_cache_hits, _program_cache_misses
-    with _program_cache_lock:
-        _program_cache.clear()
-        _program_cache_hits = 0
-        _program_cache_misses = 0
-
-
-def program_cache_info() -> dict:
-    """Size / capacity / hit counters of the compiled-program cache."""
-    with _program_cache_lock:
-        return {
-            "size": len(_program_cache),
-            "capacity": config.current().program_cache_capacity,
-            "hits": _program_cache_hits,
-            "misses": _program_cache_misses,
-        }
-
-
-def cached_program(
-    condition: "Conjunction",
-    schema: RelationSchema,
-    chunk_size: Optional[int] = None,
-) -> "MaskProgram":
-    """Compile ``condition`` against ``schema``, memoizing when enabled.
-
-    Falls back to a fresh compile when the cache is disabled or the
-    condition's constants are unhashable — behaviour is identical either
-    way; only the compile work is saved.
-    """
-    global _program_cache_hits, _program_cache_misses
-    if config.current().program_cache_capacity <= 0:
-        return condition.program(schema, chunk_size)
-    key = (condition, schema.attribute_names, chunk_size)
-    try:
-        with _program_cache_lock:
-            program = _program_cache.get(key)
-            if program is not None:
-                _program_cache.move_to_end(key)
-                _program_cache_hits += 1
-                return program
-    except TypeError:  # unhashable constant somewhere in the condition
-        return condition.program(schema, chunk_size)
-    program = condition.program(schema, chunk_size)
-    with _program_cache_lock:
-        _program_cache_misses += 1
-        capacity = config.current().program_cache_capacity  # may have shrunk meanwhile
-        if capacity > 0:
-            _program_cache[key] = program
-            while len(_program_cache) > capacity:
-                _program_cache.popitem(last=False)
-    return program
 
 
 # A chunk masker, bound to one (sub-)store: maps a row window [lo, hi) to a
@@ -374,30 +287,23 @@ class CompareOp(enum.Enum):
 
         Returns a 0/1 byte per value with semantics identical to calling
         :meth:`evaluate` per value (``None`` and non-comparable pairs fail
-        order comparisons).  The common all-comparable case runs as one
-        tight generator pass — typed numeric buffers (``array.array``) skip
-        the per-value ``None`` guard entirely; a ``TypeError`` from a
-        mixed-type column falls back to the per-value path, which absorbs it
-        pair by pair.
+        order comparisons).  ``=`` / ``!=``, and every order comparison of a
+        typed numeric buffer (``array.array``) with an int/float constant,
+        map the built-in operator over the column: no generator frame and no
+        per-value ``None`` guard.  The other order comparisons run as one
+        ``None``-guarded generator pass; a ``TypeError`` from a mixed-type
+        column falls back to the per-value path, which absorbs it pair by
+        pair.
         """
-        if self is CompareOp.EQ:
-            return bytearray(v == constant for v in values)
-        if self is CompareOp.NE:
-            return bytearray(v != constant for v in values)
+        if self is CompareOp.EQ or self is CompareOp.NE:
+            return bytearray(map(_OPERATOR[self], values, repeat(constant)))
         if constant is None:
             return bytearray(len(values))
         if isinstance(values, array):
             # Typed buffer: every value is a real number, no None/TypeError
             # possible (NaN order comparisons are False, as under evaluate).
             if isinstance(constant, (int, float)):
-                if self is CompareOp.LE:
-                    return bytearray(v <= constant for v in values)
-                if self is CompareOp.LT:
-                    return bytearray(v < constant for v in values)
-                if self is CompareOp.GE:
-                    return bytearray(v >= constant for v in values)
-                if self is CompareOp.GT:
-                    return bytearray(v > constant for v in values)
+                return bytearray(map(_OPERATOR[self], values, repeat(constant)))
             return bytearray(self.evaluate(v, constant) for v in values)
         try:
             if self is CompareOp.LE:
@@ -416,11 +322,9 @@ class CompareOp(enum.Enum):
         self, left_values: Sequence[object], right_values: Sequence[object]
     ) -> bytearray:
         """Vectorized ``left op right`` over two aligned columns."""
+        if self is CompareOp.EQ or self is CompareOp.NE:
+            return bytearray(map(_OPERATOR[self], left_values, right_values))
         pairs = zip(left_values, right_values)
-        if self is CompareOp.EQ:
-            return bytearray(a == b for a, b in pairs)
-        if self is CompareOp.NE:
-            return bytearray(a != b for a, b in pairs)
         try:
             if self is CompareOp.LE:
                 return bytearray(
@@ -463,6 +367,18 @@ class CompareOp(enum.Enum):
         if symbol == "==":
             return cls.EQ
         raise QueryError(f"unknown comparison operator {symbol!r}")
+
+
+# Each operator as a built-in two-argument function, for the mask passes
+# that map it over whole columns.
+_OPERATOR = {
+    CompareOp.EQ: operator.eq,
+    CompareOp.NE: operator.ne,
+    CompareOp.LE: operator.le,
+    CompareOp.LT: operator.lt,
+    CompareOp.GE: operator.ge,
+    CompareOp.GT: operator.gt,
+}
 
 
 @dataclass(frozen=True)
@@ -615,7 +531,7 @@ class Conjunction:
         """
         if not self.comparisons:
             return all_ones(len(store))
-        return cached_program(self, schema, chunk_size).mask(store)
+        return self.program(schema, chunk_size).mask(store)
 
     def program(
         self, schema: RelationSchema, chunk_size: Optional[int] = None

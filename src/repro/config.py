@@ -25,9 +25,6 @@ field                       default    legal values                    environme
 ``store_dir``               None       None (= a lazily created temp   REPRO_STORE_DIR       no
                                        dir) or a creatable path
 ``checksum_mode``           "header"   "off", "header", "full"         REPRO_CHECKSUM        yes
-``admission_policy``        "queue"    "reject", "queue",              REPRO_SERVING_POLICY  no
-                                       "degrade-alpha"
-``program_cache_capacity``  0          an integer >= 0                 —                     no
 ``breaker_cooldown``        30.0       finite seconds > 0              —                     no
 ==========================  =========  ==============================  ====================  =======
 
@@ -61,13 +58,6 @@ What each one means:
     How much of a ``.rpro`` file is CRC-verified when it is opened: nothing,
     the structural header, or the header and every column payload.  CRCs
     are always written.
-``admission_policy``
-    What a new :class:`~repro.serving.admission.AdmissionController` does
-    with a request that arrives at full concurrency.
-``program_cache_capacity``
-    Entries in the compiled-:class:`~repro.algebra.predicates.MaskProgram`
-    cache; ``0`` disables it.  :class:`~repro.serving.server.QueryServer`
-    raises it to 256 when it finds it at 0.
 ``breaker_cooldown``
     Seconds the tripped process-dispatch circuit breaker stays open before
     it admits one half-open recovery probe.
@@ -95,7 +85,6 @@ __all__ = ["Config", "ENV", "configure", "current", "declare_backend", "subscrib
 
 EXECUTOR_MODES = ("serial", "process")
 CHECKSUM_MODES = ("off", "header", "full")
-ADMISSION_POLICIES = ("reject", "queue", "degrade-alpha")
 
 _lock = threading.Lock()  # guards every write to this module's state
 
@@ -166,8 +155,6 @@ _CHECKS: Dict[str, Callable[[str, object], object]] = {
     "default_backend": _backend_name,
     "store_dir": _optional(_directory),
     "checksum_mode": _one_of(CHECKSUM_MODES),
-    "admission_policy": _one_of(ADMISSION_POLICIES),
-    "program_cache_capacity": _integer(0),
     "breaker_cooldown": _seconds,
 }
 
@@ -187,8 +174,6 @@ class Config:
     default_backend: str = "column"
     store_dir: Optional[str] = None
     checksum_mode: str = "header"
-    admission_policy: str = "queue"
-    program_cache_capacity: int = 0
     breaker_cooldown: float = 30.0
 
     def __post_init__(self) -> None:
@@ -223,7 +208,6 @@ ENV: Dict[str, Tuple[str, Callable[[str], object]]] = {
     "REPRO_DEFAULT_BACKEND": ("default_backend", str.lower),
     "REPRO_STORE_DIR": ("store_dir", str),
     "REPRO_CHECKSUM": ("checksum_mode", str.lower),
-    "REPRO_SERVING_POLICY": ("admission_policy", str.lower),
 }
 
 
@@ -253,7 +237,7 @@ def subscribe(callback: Callable[[Config, Config], None]) -> None:
     """Call ``callback(previous, new)`` after every :func:`configure` that changed something.
 
     For package modules that own a resource sized by a setting (the worker
-    pool, the program cache); callbacks run outside the configuration lock.
+    pool); callbacks run outside the configuration lock.
     """
     with _lock:
         _subscribers.append(callback)

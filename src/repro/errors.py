@@ -75,18 +75,3 @@ class CorruptShardError(StorageError, ValueError):
 class ServingError(ReproError):
     """The query-serving layer is misconfigured or failed to serve."""
 
-
-class ServerOverloadedError(ServingError):
-    """Admission control rejected a query because the server is saturated.
-
-    Raised only under the ``reject`` admission policy; ``queue`` blocks the
-    caller instead and ``degrade-alpha`` serves a cheaper α.
-    """
-
-    def __init__(self, in_flight: int, max_concurrency: int) -> None:
-        super().__init__(
-            f"server overloaded: {in_flight} queries in flight "
-            f"(max concurrency {max_concurrency})"
-        )
-        self.in_flight = in_flight
-        self.max_concurrency = max_concurrency

@@ -30,13 +30,10 @@ from .cache import (
     CacheBackend,
     LRUTTLCache,
     NullCache,
-    cache_backend_class,
-    list_cache_backends,
     make_cache,
-    register_cache_backend,
 )
 from .envelope import ServingEnvelope
-from .server import DEFAULT_PROGRAM_CACHE_CAPACITY, QueryServer
+from .server import QueryServer
 from .stats import ServingStats, percentile
 
 __all__ = [
@@ -44,7 +41,6 @@ __all__ = [
     "ALPHA_DEGRADE_LADDER",
     "DEFAULT_MAX_CONCURRENCY",
     "DEFAULT_MAX_ENTRIES",
-    "DEFAULT_PROGRAM_CACHE_CAPACITY",
     "MISSING",
     "AdmissionController",
     "AdmissionTicket",
@@ -54,9 +50,6 @@ __all__ = [
     "QueryServer",
     "ServingEnvelope",
     "ServingStats",
-    "cache_backend_class",
-    "list_cache_backends",
     "make_cache",
     "percentile",
-    "register_cache_backend",
 ]

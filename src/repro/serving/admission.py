@@ -2,13 +2,8 @@
 
 A BEAS deployment promises each query at most ``α·|D|`` tuple accesses —
 but a *server* must also bound what concurrent queries cost in aggregate.
-The :class:`AdmissionController` gates every request through one of three
-policies:
-
-``reject``
-    Fail fast: a request arriving while ``max_concurrency`` queries are in
-    flight raises :exc:`~repro.errors.ServerOverloadedError`.  Load
-    shedding for callers with their own retry/fallback logic.
+The :class:`AdmissionController` gates every request through one of two
+policies, named by its ``policy`` argument:
 
 ``queue``
     Block the caller until a slot frees (closed-loop backpressure).  The
@@ -22,10 +17,7 @@ policies:
     each full multiple of the concurrency target halves the budget, down to
     a 1/16 floor.  This is the paper's knob turned into a load response:
     under pressure the server trades the accuracy bound η (reported in the
-    response envelope) for throughput, instead of latency or availability.
-
-The process-wide default policy is the ``admission_policy`` setting
-(:mod:`repro.config`).
+    response envelope) for throughput, instead of latency.
 """
 
 from __future__ import annotations
@@ -35,10 +27,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .. import config
-from ..errors import ServerOverloadedError, ServingError
+from ..errors import ServingError
 
-ADMISSION_POLICIES = config.ADMISSION_POLICIES
+ADMISSION_POLICIES = ("queue", "degrade-alpha")
 DEFAULT_MAX_CONCURRENCY = 8
 
 # Multiplier ladder for degrade-alpha: rung k serves alpha * LADDER[k],
@@ -77,7 +68,7 @@ class AdmissionController:
     def __init__(
         self,
         max_concurrency: Optional[int] = None,
-        policy: Optional[str] = None,
+        policy: str = "queue",
         ladder: Tuple[float, ...] = ALPHA_DEGRADE_LADDER,
     ) -> None:
         if max_concurrency is None:
@@ -87,8 +78,6 @@ class AdmissionController:
             raise ValueError(
                 f"max_concurrency must be >= 1, got {max_concurrency}"
             )
-        if policy is None:
-            policy = config.current().admission_policy
         if policy not in ADMISSION_POLICIES:
             raise ValueError(
                 f"admission policy must be one of {ADMISSION_POLICIES}, got {policy!r}"
@@ -117,17 +106,11 @@ class AdmissionController:
         """Admit one query requesting resource ratio ``alpha``.
 
         Returns the :class:`AdmissionTicket` saying what α to serve at;
-        raises :exc:`~repro.errors.ServerOverloadedError` under ``reject``
-        when saturated; blocks under ``queue`` until a slot frees.
+        blocks under ``queue`` until a slot frees.
         """
         if not 0 < alpha <= 1:
             raise ValueError(f"resource ratio alpha must be in (0, 1], got {alpha}")
         with self._slot_freed:
-            if self.policy == "reject":
-                if self._in_flight >= self.max_concurrency:
-                    raise ServerOverloadedError(self._in_flight, self.max_concurrency)
-                self._in_flight += 1
-                return AdmissionTicket(alpha, False, 0, 0.0)
             if self.policy == "queue":
                 waited = 0.0
                 if self._in_flight >= self.max_concurrency:

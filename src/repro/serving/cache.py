@@ -3,15 +3,13 @@
 The serving facade keeps one cache, of answered
 :class:`~repro.core.framework.QueryResult`\\s, behind one small backend
 contract (compiled :class:`~repro.core.plan.BoundedPlan`\\s are memoised by
-the engine itself, in :attr:`Beas.plans <repro.core.framework.Beas.plans>`),
-mirroring how storage layouts sit behind
-:func:`repro.relational.store.register_backend`.  A backend is a bounded
-key/value map; the *keys* carry all the invalidation logic (they embed the
-database's publication epoch, so entries computed before a mutation simply
-stop being looked up — see ``serving/README.md``), which keeps the backend
-contract tiny and dependency-free.
+the engine itself, in :attr:`Beas.plans <repro.core.framework.Beas.plans>`).
+A backend is a bounded key/value map; the *keys* carry all the invalidation
+logic (they embed the database's publication epoch, so entries computed
+before a mutation simply stop being looked up — see ``serving/README.md``),
+which keeps the backend contract tiny and dependency-free.
 
-Backends ship in-tree:
+Two backends ship, and a server names one by its ``backend`` string:
 
 ``lru-ttl``
     The default: a thread-safe least-recently-used map with optional
@@ -21,11 +19,9 @@ Backends ship in-tree:
     A null cache that stores nothing — every lookup misses.  Selecting it
     turns caching off without any conditional code in the server.
 
-Third parties register their own (memcached, disk, ...) with
-:func:`register_cache_backend`.  A server names its backends itself
-(``QueryServer(result_cache=...)``, resolved by
-:func:`make_cache`); the cache is not among the process-wide settings of
-:mod:`repro.config`.
+Any other :class:`CacheBackend` is passed to the server as an instance
+(``QueryServer(result_cache=...)``, resolved by :func:`make_cache`); the
+cache is not among the process-wide settings of :mod:`repro.config`.
 """
 
 from __future__ import annotations
@@ -44,11 +40,10 @@ DEFAULT_MAX_ENTRIES = 1024
 class CacheBackend:
     """Contract every serving cache backend implements.
 
-    Constructors must accept the uniform keyword signature
-    ``(max_entries=..., ttl_seconds=...)`` so the server can instantiate any
-    registered backend from configuration alone.  Implementations must be
-    safe under concurrent access — the serving layer calls them from many
-    request threads.
+    Constructors accept the uniform keyword signature
+    ``(max_entries=..., ttl_seconds=...)``, which :func:`make_cache` passes
+    to the named backends.  Implementations must be safe under concurrent
+    access — the serving layer calls them from many request threads.
     """
 
     backend = "?"
@@ -231,36 +226,11 @@ class NullCache(CacheBackend):
         }
 
 
-# ---------------------------------------------------------------------------
-# Backend registry
-# ---------------------------------------------------------------------------
-
+# The backends a name selects (``None`` selects ``lru-ttl``).
 _CACHE_BACKENDS: Dict[str, Type[CacheBackend]] = {
     LRUTTLCache.backend: LRUTTLCache,
     NullCache.backend: NullCache,
 }
-
-
-def register_cache_backend(name: str, cache_class: Type[CacheBackend]) -> None:
-    """Register a third-party :class:`CacheBackend` subclass under ``name``."""
-    if not name:
-        raise ValueError("cache backend name must be non-empty")
-    _CACHE_BACKENDS[name] = cache_class
-
-
-def list_cache_backends() -> Tuple[str, ...]:
-    """Names of all registered cache backends (in registration order)."""
-    return tuple(_CACHE_BACKENDS)
-
-
-def cache_backend_class(name: str) -> Type[CacheBackend]:
-    """The :class:`CacheBackend` subclass registered under ``name``."""
-    try:
-        return _CACHE_BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown cache backend {name!r}; available: {sorted(_CACHE_BACKENDS)}"
-        ) from None
 
 
 def make_cache(
@@ -270,18 +240,19 @@ def make_cache(
 ) -> CacheBackend:
     """Resolve a cache spec to a live backend instance.
 
-    ``None`` builds an :class:`LRUTTLCache`; a string builds that registered
-    backend (``"none"`` disables caching); a :class:`CacheBackend` instance is
-    returned as-is (``max_entries`` / ``ttl_seconds`` are ignored for
-    instances — they were fixed at construction).
+    ``None`` builds an :class:`LRUTTLCache`; ``"lru-ttl"`` or ``"none"``
+    builds that backend (``"none"`` disables caching); a
+    :class:`CacheBackend` instance is returned as-is (``max_entries`` /
+    ``ttl_seconds`` are ignored for instances — they were fixed at
+    construction).
     """
     if isinstance(spec, CacheBackend):
         return spec
     if spec is None:
         spec = LRUTTLCache.backend
-    if not isinstance(spec, str):
+    if not isinstance(spec, str) or spec not in _CACHE_BACKENDS:
         raise ValueError(
-            f"cache spec must be None, a backend name, or a CacheBackend "
-            f"instance, got {type(spec).__name__}"
+            f"cache spec must be None, one of {sorted(_CACHE_BACKENDS)} or a "
+            f"CacheBackend instance, got {spec!r}"
         )
-    return cache_backend_class(spec)(max_entries=max_entries, ttl_seconds=ttl_seconds)
+    return _CACHE_BACKENDS[spec](max_entries=max_entries, ttl_seconds=ttl_seconds)

@@ -40,9 +40,8 @@ class ServingEnvelope:
             (:meth:`Beas._memo_plan`).  ``plan_cache_hit`` is always
             ``False`` on a result hit (the memo is not consulted).
         degraded: whether the served α is lower than the requested one —
-            stepped down by admission load (a fault never lowers it).
-        degraded_reason: why (``None`` when not degraded):
-            ``"admission-load"`` for the degrade-alpha admission ladder.
+            stepped down by the ``degrade-alpha`` admission ladder under
+            load (a fault never lowers it).
         wait_seconds: time spent queued for admission (``queue`` policy).
         serve_seconds: total wall-clock time inside the server for this
             request, including admission wait and cache lookups.
@@ -59,7 +58,6 @@ class ServingEnvelope:
     degraded: bool
     wait_seconds: float
     serve_seconds: float
-    degraded_reason: "str | None" = None
 
     @property
     def rows(self) -> Relation:

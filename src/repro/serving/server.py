@@ -4,16 +4,14 @@
 a resource ratio α — but is built for *many* requests over a long lifetime:
 
 1. every request passes **admission control**
-   (:class:`~repro.serving.admission.AdmissionController`: reject, queue,
-   or degrade α under load);
+   (:class:`~repro.serving.admission.AdmissionController`: queue, or
+   degrade α under load);
 2. answers are **cached** keyed by
    ``(fingerprint, served α, enforce_budget, publication epoch)`` — the
    epoch term makes mutation invalidation automatic (see
    ``serving/README.md`` for the key anatomy);
 3. on a result miss, the engine's plan memo (:meth:`Beas._memo_plan`,
-   keyed by fingerprint × budget) skips re-planning, and execution reuses
-   compiled mask programs through the ``program_cache_capacity`` setting
-   of :mod:`repro.config` (raised by the server unless already configured);
+   keyed by fingerprint × budget) skips re-planning;
 4. everything is **observable** through
    :class:`~repro.serving.stats.ServingStats`.
 
@@ -27,7 +25,8 @@ caller, at the requested α.
 
 Thread-safe: one server instance is meant to be shared by many request
 threads (the concurrency harness in ``benchmarks/bench_serving.py`` drives
-it exactly that way).
+it exactly that way).  A server holds all of its state itself: building
+one changes none of the process-wide settings of :mod:`repro.config`.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .. import config
-from ..algebra import predicates
 from ..algebra.ast import query_fingerprint
 from ..core.framework import PLAN_MEMO_CAPACITY, Beas, QueryLike
 from ..relational import parallel
@@ -47,13 +44,7 @@ from .stats import ServingStats
 
 # ``query_fingerprint`` is not called here (requests resolve through
 # ``Beas._resolve``); ``benchmarks/e2e/spans.py`` replaces it by name.
-__all__ = ["DEFAULT_PROGRAM_CACHE_CAPACITY", "QueryServer", "query_fingerprint"]
-
-# Compiled-program cache capacity the server enables when the setting is still
-# at its batch default (0 = disabled).  A few hundred programs covers any
-# realistic set of hot query shapes; each entry is a handful of small frozen
-# binder objects.
-DEFAULT_PROGRAM_CACHE_CAPACITY = 256
+__all__ = ["QueryServer", "query_fingerprint"]
 
 
 class QueryServer:
@@ -61,19 +52,15 @@ class QueryServer:
 
     Args:
         beas: the engine (database + access schema) to serve.
-        result_cache: a :class:`CacheBackend` instance, a registered
-            backend name, or ``None`` for an
+        result_cache: a :class:`CacheBackend` instance, ``"lru-ttl"``,
+            ``"none"``, or ``None`` for an
             :class:`~repro.serving.cache.LRUTTLCache`.
         admission: a preconfigured :class:`AdmissionController`; ``None``
             builds one with the default concurrency target and the
-            ``admission_policy`` setting (:mod:`repro.config`).
+            ``queue`` policy.
         stats: a :class:`ServingStats` to record into; ``None`` builds one.
         max_entries / ttl_seconds: forwarded when the cache is built from a
             name or the default (ignored for an instance).
-        program_cache_capacity: compiled-mask-program cache size to enable
-            at construction; only applied when the process-wide setting
-            is still 0 (never shrinks a capacity someone already set).
-            ``None`` leaves the setting alone.
     """
 
     def __init__(
@@ -84,17 +71,11 @@ class QueryServer:
         stats: Optional[ServingStats] = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         ttl_seconds: Optional[float] = None,
-        program_cache_capacity: Optional[int] = DEFAULT_PROGRAM_CACHE_CAPACITY,
     ) -> None:
         self.beas = beas
         self.result_cache: CacheBackend = make_cache(result_cache, max_entries, ttl_seconds)
         self.admission = admission if admission is not None else AdmissionController()
         self.stats = stats if stats is not None else ServingStats()
-        if (
-            program_cache_capacity is not None
-            and config.current().program_cache_capacity == 0
-        ):
-            config.configure(program_cache_capacity=program_cache_capacity)
 
     # -- serving -----------------------------------------------------------------
     def serve(
@@ -126,8 +107,6 @@ class QueryServer:
             degraded=envelope.degraded,
             wait_seconds=envelope.wait_seconds,
         )
-        if envelope.degraded_reason is not None:
-            self.stats.count(f"degraded[{envelope.degraded_reason}]")
         return envelope
 
     # -- resilience helpers ------------------------------------------------------
@@ -152,7 +131,6 @@ class QueryServer:
         epoch = self.beas.database.publication_epoch
         served_alpha = ticket.served_alpha
         degraded = ticket.degraded
-        degraded_reason = "admission-load" if degraded else None
 
         result_key = (fingerprint, served_alpha, enforce_budget, epoch)
         cached = self._cache_get(result_key)
@@ -169,7 +147,6 @@ class QueryServer:
                 degraded=degraded,
                 wait_seconds=ticket.wait_seconds,
                 serve_seconds=time.perf_counter() - start,
-                degraded_reason=degraded_reason,
             )
 
         result, plan_hit = self.beas._answer_ast(ast, fingerprint, served_alpha, enforce_budget)
@@ -186,7 +163,6 @@ class QueryServer:
             degraded=degraded,
             wait_seconds=ticket.wait_seconds,
             serve_seconds=time.perf_counter() - start,
-            degraded_reason=degraded_reason,
         )
 
     # -- maintenance --------------------------------------------------------------
@@ -211,6 +187,5 @@ class QueryServer:
             "in_flight": self.admission.in_flight,
             "policy": self.admission.policy,
             "max_concurrency": self.admission.max_concurrency,
-            "program_cache": predicates.program_cache_info(),
             "dispatch": parallel.dispatch_stats(),
         }

@@ -2,8 +2,8 @@
 
 One :class:`ServingStats` instance rides inside each
 :class:`~repro.serving.server.QueryServer` and records every request —
-cache hits and misses for both caches, admission outcomes (rejections,
-queue waits, α degradations), per-query wall-clock latency and the
+cache hits and misses for both caches, admission outcomes (queue waits,
+α degradations), per-query wall-clock latency and the
 histogram of α values actually served.  :meth:`ServingStats.snapshot`
 renders the whole state as one plain dict, which is exactly what the
 concurrency harness (``benchmarks/bench_serving.py``) embeds in the

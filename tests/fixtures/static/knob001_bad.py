@@ -12,7 +12,7 @@ def _env(name):
     return os.environ.get(name)  # a computed name: nothing can audit what this reads
 
 
-def set_admission_policy(policy):
+def set_serving_policy(policy):
     global _policy
     _policy = policy  # unvalidated, unseen by workers, not restored by configure(previous)
 

@@ -37,8 +37,6 @@ FIELDS = {
     "default_backend": ("column", ["column", "sharded", "mmap"], ["", 0, 1.5]),
     "store_dir": (None, [], [123, 1.5, "", b"bytes"]),  # legal paths: TestStoreDir
     "checksum_mode": ("header", ["off", "header", "full"], ["paranoid", "FULL", "", 2]),
-    "admission_policy": ("queue", ["reject", "queue", "degrade-alpha"], ["best-effort", "", 0]),
-    "program_cache_capacity": (0, [0, 1, 256], [-1, 1.5, "8", INF, NAN]),
     "breaker_cooldown": (30.0, [0.001, 0.25, 30], [0, 0.0, -1, INF, -INF, NAN, "soon", True]),
 }
 
@@ -89,7 +87,7 @@ def test_configure_is_atomic():
 
 def test_configure_previous_restores():
     before = current_config()
-    previous = configure(breaker_cooldown=1.5, admission_policy="reject", process_min_rows=3)
+    previous = configure(breaker_cooldown=1.5, checksum_mode="off", process_min_rows=3)
     assert previous is before and current_config() != before
     configure(previous)
     assert current_config() == before
@@ -175,9 +173,9 @@ def test_concurrent_configure_and_current_never_tear():
     update may be lost."""
     # (the fields a writer moves together, the two value tuples it alternates between)
     writes = [
-        (("breaker_cooldown",), [(0.25,), (2.0,)]),
-        (("process_min_rows", "program_cache_capacity"), [(3, 3), (11, 11)]),
-        (("shard_executor", "admission_policy"), [("serial", "reject"), ("process", "queue")]),
+        (("shard_executor",), [("serial",), ("process",)]),
+        (("process_min_rows", "breaker_cooldown"), [(3, 3.0), (11, 11.0)]),
+        (("shard_workers", "default_backend"), [(1, "mmap"), (2, "column")]),
     ]
     rounds = 300
     torn, errors = [], []
@@ -190,9 +188,9 @@ def test_concurrent_configure_and_current_never_tear():
     def read():
         while not done.is_set():
             seen = current_config()
-            if seen.process_min_rows != seen.program_cache_capacity:
+            if seen.process_min_rows != seen.breaker_cooldown:
                 torn.append(seen)
-            if (seen.shard_executor == "serial") != (seen.admission_policy == "reject"):
+            if (seen.shard_workers == 1) != (seen.default_backend == "mmap"):
                 torn.append(seen)
 
     def guarded(fn, *args):
@@ -221,7 +219,7 @@ def test_concurrent_configure_and_current_never_tear():
     assert not any(thread.is_alive() for thread in readers + writers)
     assert not errors and not torn
     last = current_config()  # every writer's final step landed: no lost update
-    assert (last.breaker_cooldown, last.process_min_rows, last.shard_executor) == (2.0, 11, "process")
+    assert (last.shard_executor, last.process_min_rows, last.shard_workers) == ("process", 11, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,6 @@ ENV_CASES = {
     "REPRO_DEFAULT_BACKEND": ("repro.current_config().default_backend", "MMAP", "mmap", "parquet"),
     "REPRO_STORE_DIR": ("repro.current_config().store_dir", "/tmp/repro-env-probe", "/tmp/repro-env-probe", None),
     "REPRO_CHECKSUM": ("repro.current_config().checksum_mode", "full", "full", "ful"),
-    "REPRO_SERVING_POLICY": ("repro.current_config().admission_policy", "degrade-alpha", "degrade-alpha", "yolo"),
 }
 
 

@@ -645,7 +645,7 @@ class TestServingResilience:
         force_process()
         healthy = server.serve(query, alpha=0.5)
         assert healthy.served_alpha == 0.5
-        assert healthy.degraded_reason is None
+        assert not healthy.degraded
 
         for _ in range(parallel._MAX_POOL_FAILURES):
             parallel._breaker_strike()
@@ -657,12 +657,10 @@ class TestServingResilience:
         assert not broken.result_cache_hit
         assert broken.served_alpha == broken.requested_alpha == 0.5
         assert not broken.degraded
-        assert broken.degraded_reason is None
         assert_identical(broken.rows, healthy.rows)  # typed, in order: bit-identical
         assert repr(broken.eta) == repr(healthy.eta)
 
-        counters = server.stats.snapshot()["counters"]
-        assert not any(name.startswith("degraded[") for name in counters)
+        assert "degraded" not in server.stats.snapshot()["counters"]
 
     def test_cache_info_exposes_the_dispatch_section(self, tiny_beas):
         info = QueryServer(tiny_beas).cache_info()

@@ -1,9 +1,23 @@
 """Unit tests for predicates and conjunctions."""
 
+from array import array
+
 import pytest
 
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Conjunction, Const
 from repro.errors import QueryError
+
+INF, NAN = float("inf"), float("nan")
+
+# One column of each kind the whole-column mask passes tell apart: a typed
+# float buffer (NaN, signed zeros, infinities), a typed int buffer, and an
+# object list (None, bool, a string among numbers).
+COLUMNS = {
+    "float": array("d", [-1.5, 0.0, -0.0, 2.0, 2.5, NAN, INF, -INF, 3.0]),
+    "int": array("q", [-(2**62), -1, 0, 2, 3, 2**62, 2, -1, 7]),
+    "object": [None, 1, 2.0, "2", True, 3, None, 2, NAN],
+}
+CONSTANTS = [2, 2.0, -0.0, NAN, INF, True, None, "2"]
 
 
 class TestAttrRef:
@@ -53,6 +67,22 @@ class TestCompareOp:
         assert CompareOp.EQ.is_equality
         assert CompareOp.LE.is_inequality_range
         assert not CompareOp.EQ.is_inequality_range
+
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    @pytest.mark.parametrize("op", list(CompareOp))
+    def test_column_mask_is_evaluate_per_value(self, op, kind):
+        values = COLUMNS[kind]
+        for constant in CONSTANTS:
+            expected = bytearray(op.evaluate(value, constant) for value in values)
+            assert op.column_mask(values, constant) == expected, constant
+
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    @pytest.mark.parametrize("op", list(CompareOp))
+    def test_column_mask_pair_is_evaluate_per_pair(self, op, kind):
+        left = COLUMNS[kind]
+        for right in (left, left[3:] + left[:3], COLUMNS["object"], COLUMNS["float"]):
+            expected = bytearray(op.evaluate(a, b) for a, b in zip(left, right))
+            assert op.column_mask_pair(left, right) == expected, right
 
 
 class TestComparison:

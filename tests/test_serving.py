@@ -10,8 +10,9 @@ The load-bearing guarantees under test:
   database's publication epoch, so the result cache can never serve a
   pre-mutation answer afterwards, on every storage backend under both the
   serial and process shard executors.
-* **Admission policies** — reject sheds, queue blocks, degrade-alpha steps
-  α down the documented ladder and reports the served α and η.
+* **Admission policies** — queue blocks, degrade-alpha steps α down the
+  documented ladder and reports the served α and η.
+* **No process-wide state** — building a server changes no setting.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import SHARD_EXECUTORS, assert_identical, to_backend
-from repro import Beas, QueryServer, configure, parse_query, query_fingerprint
-from repro.algebra import predicates
+from repro import Beas, QueryServer, configure, current_config, parse_query, query_fingerprint
 from repro.algebra.ast import Scan
-from repro.errors import QueryError, ServerOverloadedError, ServingError
+from repro.errors import QueryError, ServingError
 from repro.relational.store import list_backends
 from repro.serving import (
     ALPHA_DEGRADE_LADDER,
@@ -38,11 +38,8 @@ from repro.serving import (
     MISSING,
     NullCache,
     ServingStats,
-    cache_backend_class,
-    list_cache_backends,
     make_cache,
     percentile,
-    register_cache_backend,
 )
 
 QUERIES = [
@@ -51,13 +48,6 @@ QUERIES = [
     "SELECT e.eid, d.name FROM emp e, dept d WHERE e.dept = d.did AND d.did = 1",
     "SELECT e.dept, SUM(e.salary) FROM emp e GROUP BY e.dept",
 ]
-
-
-@pytest.fixture(autouse=True)
-def _clear_program_cache():
-    """The program cache is process-wide: empty it (conftest restores the settings)."""
-    yield
-    predicates.clear_program_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -133,83 +123,6 @@ class TestPublicationEpoch:
         before = db.publication_epoch
         db.relation("emp").append((998, 0, 44.0, "g0"))
         assert db.publication_epoch > before
-
-
-# ---------------------------------------------------------------------------
-# Compiled-program cache (predicates layer)
-# ---------------------------------------------------------------------------
-
-
-class TestProgramCache:
-    def test_disabled_by_default_then_hits_when_enabled(self, tiny_db):
-        from repro.algebra.predicates import (
-            AttrRef,
-            CompareOp,
-            Comparison,
-            Conjunction,
-            Const,
-        )
-
-        schema = tiny_db.relation("emp").schema
-        cond = Conjunction.of(
-            [Comparison(AttrRef(None, "salary"), CompareOp.LE, Const(60.0))]
-        )
-        configure(program_cache_capacity=0)
-        predicates.clear_program_cache()
-        p1 = predicates.cached_program(cond, schema)
-        p2 = predicates.cached_program(cond, schema)
-        assert p1 is not p2  # disabled: fresh compile each time
-
-        configure(program_cache_capacity=4)
-        p3 = predicates.cached_program(cond, schema)
-        p4 = predicates.cached_program(cond, schema)
-        assert p3 is p4
-        info = predicates.program_cache_info()
-        assert info["hits"] >= 1 and info["size"] == 1
-
-        store = tiny_db.relation("emp").store
-        assert p1.mask(store) == p3.mask(store)  # cache never changes results
-
-    def test_lru_eviction_at_capacity(self, tiny_db):
-        from repro.algebra.predicates import (
-            AttrRef,
-            CompareOp,
-            Comparison,
-            Conjunction,
-            Const,
-        )
-
-        schema = tiny_db.relation("emp").schema
-        configure(program_cache_capacity=2)
-        predicates.clear_program_cache()
-        for threshold in (10.0, 20.0, 30.0):
-            cond = Conjunction.of(
-                [Comparison(AttrRef(None, "salary"), CompareOp.LE, Const(threshold))]
-            )
-            predicates.cached_program(cond, schema)
-        assert predicates.program_cache_info()["size"] == 2
-
-    def test_shrinking_capacity_evicts(self, tiny_db):
-        from repro.algebra.predicates import (
-            AttrRef,
-            CompareOp,
-            Comparison,
-            Conjunction,
-            Const,
-        )
-
-        schema = tiny_db.relation("emp").schema
-        configure(program_cache_capacity=8)
-        predicates.clear_program_cache()
-        for threshold in (10.0, 20.0, 30.0):
-            cond = Conjunction.of(
-                [Comparison(AttrRef(None, "salary"), CompareOp.LE, Const(threshold))]
-            )
-            predicates.cached_program(cond, schema)
-        configure(program_cache_capacity=1)
-        assert predicates.program_cache_info()["size"] == 1
-        configure(program_cache_capacity=0)
-        assert predicates.program_cache_info()["size"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -297,27 +210,6 @@ class TestCacheBackends:
         cache.clear()
         assert len(cache) == 0
 
-    def test_registry(self):
-        assert set(list_cache_backends()) >= {"lru-ttl", "none"}
-        assert cache_backend_class("lru-ttl") is LRUTTLCache
-        with pytest.raises(ValueError):
-            cache_backend_class("no-such-cache")
-        with pytest.raises(ValueError):
-            register_cache_backend("", LRUTTLCache)
-
-    def test_register_custom_backend(self):
-        class DictCache(LRUTTLCache):
-            backend = "test-dict"
-
-        register_cache_backend("test-dict", DictCache)
-        try:
-            assert "test-dict" in list_cache_backends()
-            assert isinstance(make_cache("test-dict"), DictCache)
-        finally:
-            from repro.serving import cache as cache_module
-
-            cache_module._CACHE_BACKENDS.pop("test-dict", None)
-
     def test_make_cache_specs(self):
         instance = LRUTTLCache(max_entries=3)
         assert make_cache(instance) is instance
@@ -337,9 +229,11 @@ class TestCacheBackends:
 
 
 class TestAdmission:
-    def test_default_policy_is_the_setting(self):
-        configure(admission_policy="reject")
-        assert AdmissionController().policy == "reject"
+    def test_the_policy_is_an_argument_that_defaults_to_queue(self):
+        assert AdmissionController().policy == "queue"
+        assert AdmissionController(policy="degrade-alpha").policy == "degrade-alpha"
+        with pytest.raises(ValueError, match="admission policy"):
+            AdmissionController(policy="reject")  # no load shedding: queue or step α down
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -359,18 +253,6 @@ class TestAdmission:
             controller.admit(0.0)
         with pytest.raises(ValueError):
             controller.admit(1.5)
-
-    def test_reject_sheds_at_saturation(self):
-        controller = AdmissionController(max_concurrency=2, policy="reject")
-        controller.admit(0.5)
-        controller.admit(0.5)
-        with pytest.raises(ServerOverloadedError) as exc_info:
-            controller.admit(0.5)
-        assert exc_info.value.in_flight == 2
-        assert exc_info.value.max_concurrency == 2
-        controller.release()
-        ticket = controller.admit(0.5)  # a freed slot admits again
-        assert ticket.served_alpha == 0.5 and not ticket.degraded
 
     def test_queue_blocks_until_release(self):
         controller = AdmissionController(max_concurrency=1, policy="queue")
@@ -483,6 +365,13 @@ class TestServingStats:
 
 
 class TestQueryServer:
+    def test_a_server_leaves_the_settings_alone(self, tiny_beas):
+        before = current_config()
+        server = QueryServer(tiny_beas)
+        server.serve(QUERIES[0], alpha=0.5)
+        server.clear_caches()
+        assert current_config() == before
+
     def test_warm_hit_is_bit_identical(self, tiny_beas):
         server = QueryServer(tiny_beas)
         for sql in QUERIES:
@@ -577,19 +466,6 @@ class TestQueryServer:
         assert not first.result_cache_hit and not second.result_cache_hit
         assert_identical(first.rows, second.rows)
 
-    def test_reject_policy_through_server(self, tiny_beas):
-        admission = AdmissionController(max_concurrency=1, policy="reject")
-        server = QueryServer(tiny_beas, admission=admission)
-        admission.admit(0.5)
-        try:
-            with pytest.raises(ServerOverloadedError):
-                server.serve(QUERIES[0], alpha=0.5)
-        finally:
-            admission.release()
-        # The failed admission must not leak a slot.
-        assert admission.in_flight == 0
-        assert server.serve(QUERIES[0], alpha=0.5).rows is not None
-
     def test_concurrent_serving_respects_limit_and_identity(self, tiny_beas):
         admission = AdmissionController(max_concurrency=2, policy="queue")
         server = QueryServer(tiny_beas, admission=admission)
@@ -621,8 +497,10 @@ class TestQueryServer:
         info = server.cache_info()
         assert info["result_cache"]["backend"] == "lru-ttl"
         assert info["in_flight"] == 0
-        assert info["policy"] in ("reject", "queue", "degrade-alpha")
-        assert info["program_cache"]["capacity"] >= 0
+        assert info["policy"] == "queue"
+        assert set(info) == {
+            "result_cache", "plans", "statements", "in_flight", "policy", "max_concurrency", "dispatch"
+        }
         server.serve(QUERIES[0], alpha=0.25)
         assert server.cache_info()["statements"] == {"size": 1, "capacity": 1024, "hits": 1, "misses": 1}
         assert server.cache_info()["plans"] == {"size": 2, "capacity": 512}
@@ -664,12 +542,17 @@ class TestQueryServer:
 
 @pytest.mark.parametrize("executor", SHARD_EXECUTORS)
 @pytest.mark.parametrize("backend_name", sorted(set(list_backends())))
-def test_mutation_invalidates_result_cache(tiny_db, backend_name, executor):
+@pytest.mark.parametrize("policy", ["queue", "degrade-alpha"])
+def test_mutation_invalidates_result_cache(tiny_db, policy, backend_name, executor):
     """The result cache never serves a pre-mutation answer after a mutation.
 
     Mutating any relation store — including a :class:`ShardedStore`, where
     the same ``_invalidate`` call retires the process-mode publication —
     advances the publication epoch and thereby rotates every cache key.
+    Under ``degrade-alpha`` the test holds the controller's only slot, so
+    every request really is stepped down to the ladder's second rung (α = 1
+    is served at ½, where the answer is approximate and the append still
+    moves the budget) and is checked against the engine at that served α.
     """
     from repro import ConstraintSpec
 
@@ -679,25 +562,41 @@ def test_mutation_invalidates_result_cache(tiny_db, backend_name, executor):
         db,
         constraints=[ConstraintSpec("dept", ("did",), ("name", "budget"), n=1)],
     )
-    server = QueryServer(beas)
+    admission = AdmissionController(max_concurrency=1, policy=policy)
+    server = QueryServer(beas, admission=admission)
     sql = "SELECT e.eid FROM emp e WHERE e.dept = 2"
-    cold = server.serve(sql, alpha=0.9)
-    warm = server.serve(sql, alpha=0.9)
-    assert warm.result_cache_hit
+    alpha = served_alpha = 0.9
+    if policy == "degrade-alpha":
+        alpha = 1.0
+        served_alpha = alpha * ALPHA_DEGRADE_LADDER[1]
+        admission.admit(alpha)  # hold the only slot: every request runs at rung 1
+    try:
+        cold = server.serve(sql, alpha=alpha)
+        warm = server.serve(sql, alpha=alpha)
+        assert warm.result_cache_hit
+        assert cold.served_alpha == warm.served_alpha == served_alpha
+        assert cold.degraded == (policy == "degrade-alpha")
 
-    # Mutate mid-stream: the sharded backends retire their publication
-    # here, and every backend bumps its epoch.
-    db.relation("emp").append((997, 2, 61.0, "g2"))
+        # Mutate mid-stream: the sharded backends retire their publication
+        # here, and every backend bumps its epoch.
+        db.relation("emp").append((997, 2, 61.0, "g2"))
 
-    post = server.serve(sql, alpha=0.9)
-    assert not post.result_cache_hit  # the stale entry was never consulted
-    assert not post.plan_cache_hit
-    assert post.publication_epoch > warm.publication_epoch
-    # The served answer is exactly what an uncached engine computes now.
-    assert_identical(post.rows, beas.answer(sql, alpha=0.9).rows)
-    # And hitting again post-mutation caches under the new epoch.
-    assert server.serve(sql, alpha=0.9).result_cache_hit
-    assert cold.fingerprint == post.fingerprint  # same query, new epoch
+        post = server.serve(sql, alpha=alpha)
+        assert not post.result_cache_hit  # the stale entry was never consulted
+        assert not post.plan_cache_hit
+        assert post.publication_epoch > warm.publication_epoch
+        # The served answer is exactly what an uncached engine computes now.
+        fresh = beas.answer(sql, alpha=served_alpha)
+        assert post.served_alpha == served_alpha
+        assert_identical(post.rows, fresh.rows)
+        assert repr(post.eta) == repr(fresh.eta)
+        # And hitting again post-mutation caches under the new epoch.
+        assert server.serve(sql, alpha=alpha).result_cache_hit
+        assert cold.fingerprint == post.fingerprint  # same query, new epoch
+    finally:
+        if policy == "degrade-alpha":
+            admission.release()
+    assert admission.in_flight == 0
 
 
 # ---------------------------------------------------------------------------

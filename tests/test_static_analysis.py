@@ -85,7 +85,7 @@ def test_knob001_specific_sites():
     for variable in ("REPRO_CHECKSUM", "REPRO_SECRET_KNOB", "REPRO_STRICT"):
         assert sum(variable in message for message in messages) == 1
     assert sum("computed variable name" in message for message in messages) == 1
-    for setter in ("set_admission_policy", "set_store_dir"):
+    for setter in ("set_serving_policy", "set_store_dir"):
         assert sum(setter in message for message in messages) == 1
     # The module that owns process-wide state is where those things live.
     assert analyze_paths([SRC_TREE / "config.py"], rules=["KNOB001"]).findings == []
