@@ -1,17 +1,24 @@
 """Evaluation of RA / RA_aggr queries over relation instances.
 
-This evaluator serves two callers:
+One evaluator serves every caller:
 
 * **Exact evaluation** — computing ground-truth answers ``Q(D)`` for the RC /
   MAC / F-measure computations and for the exact baseline.  Scans read base
-  relations (optionally charging an access meter).
+  relations (optionally charging an access meter), and the relaxation is
+  empty.
 * **Plan evaluation** — the BEAS executor evaluates the *evaluation plan*
   ``ξ_E`` over the data fetched by the fetching plan ``ξ_F``.  It supplies a
-  custom :class:`RelationProvider` mapping each scan alias to its fetched
+  :class:`MappingProvider` mapping each scan alias to its fetched
   (approximate) tuples, a per-attribute *relaxation* map describing how much
-  selection conditions must be loosened to compensate for access-template
-  resolutions (Section 5, "evaluation plan"), and per-tuple weights so that
-  ``sum``/``count``/``avg`` can account for collapsed duplicates (Section 7).
+  selection and join conditions must be loosened to compensate for
+  access-template resolutions (Section 5, "evaluation plan"), per-tuple
+  weights so that ``sum``/``count``/``avg`` can account for collapsed
+  duplicates (Section 7), and a memo of evaluated sub-queries.
+
+Set difference always runs the BEAS guard (Section 6, Theorem 6(5)): a
+``Q1`` answer is removed when it lies within the relaxation of some answer to
+``Q2``'s maximal induced query.  Under an empty relaxation — exact
+evaluation, and the baselines' — the guard is the exact set difference.
 
 Joins are evaluated hash-join-style from the SPC canonical form so that exact
 answers over multi-million-row products stay tractable.
@@ -66,7 +73,7 @@ from .predicates import (
     chunk_window,
     may_name,
 )
-from .spc import SPCQuery, to_spc
+from .spc import SPCQuery, maximal_induced_query, to_spc
 
 
 class Frame:
@@ -129,8 +136,10 @@ class Frame:
         return cls(relation.schema, weights=weights, store=relation.store)
 
     def to_relation(self, distinct: bool = False) -> Relation:
-        relation = Relation(self.schema, store=self._store.copy())
-        return relation.distinct() if distinct else relation
+        if distinct:
+            # ``distinct`` gathers the kept rows into a new store already.
+            return Relation(self.schema, store=self._store).distinct()
+        return Relation(self.schema, store=self._store.copy())
 
     def __len__(self) -> int:
         return len(self._store)
@@ -178,12 +187,8 @@ class MappingProvider(RelationProvider):
                     f"fetched data for atom {alias!r} is missing attribute {name!r}"
                 )
         if positions == list(range(len(frame.schema))):
-            return Frame(output_schema, weights=list(frame.weights), store=frame.store)
-        return Frame(
-            output_schema,
-            weights=list(frame.weights),
-            store=frame.store.project(positions),
-        )
+            return Frame(output_schema, weights=frame.weights, store=frame.store)
+        return Frame(output_schema, weights=frame.weights, store=frame.store.project(positions))
 
 
 class Evaluator:
@@ -198,6 +203,12 @@ class Evaluator:
             :class:`MappingProvider` only has a subset of each atom's
             attributes (the ones the chase covered), scans are narrowed to
             these attributes.
+        frames: optional memo of the frame of every sub-query evaluated,
+            shared by every evaluator over the same fetched data: the
+            difference guard evaluates ``Q2`` and then ``Q̂2`` — the same
+            tree unless ``Q2`` nests a difference — and the η′ refinement
+            evaluates ``Q1`` again.  Frames are never mutated, so one may go
+            to two consumers.
     """
 
     def __init__(
@@ -206,11 +217,13 @@ class Evaluator:
         provider: RelationProvider,
         relaxation: Optional[Mapping[str, float]] = None,
         needed_attributes: Optional[Mapping[str, Sequence[str]]] = None,
+        frames: Optional[Dict[QueryNode, Frame]] = None,
     ) -> None:
         self.db_schema = db_schema
         self.provider = provider
         self.relaxation = dict(relaxation or {})
         self.needed_attributes = {k: list(v) for k, v in (needed_attributes or {}).items()}
+        self._frames = frames
 
     # -- public entry point -------------------------------------------------
     def evaluate(self, node: QueryNode) -> Relation:
@@ -229,6 +242,15 @@ class Evaluator:
 
     # -- node dispatch --------------------------------------------------------
     def _eval(self, node: QueryNode) -> Frame:
+        frames = self._frames
+        if frames is None:
+            return self._eval_node(node)
+        frame = frames.get(node)
+        if frame is None:
+            frame = frames[node] = self._eval_node(node)
+        return frame
+
+    def _eval_node(self, node: QueryNode) -> Frame:
         if node.is_spc():
             return self._eval_spc(to_spc(node))
         if isinstance(node, Union):
@@ -456,24 +478,6 @@ class Evaluator:
     def _product(self, left: Frame, right: Frame) -> Frame:
         schema = RelationSchema("×", left.schema.attributes + right.schema.attributes)
         size_left, size_right = len(left), len(right)
-        if size_left == 0 or size_right == 0:
-            return Frame(schema, weights=[], store=ColumnStore(len(schema)))
-        if size_right == 1:
-            # Singleton side: the product is the other side with one row
-            # appended per tuple — a linear gather, not a quadratic loop.
-            right_weight = right.weights[0]
-            weights = [w * right_weight for w in left.weights]
-            store = gather_pairs(
-                left.store, range(size_left), right.store, [0] * size_left
-            )
-            return Frame(schema, weights=weights, store=store)
-        if size_left == 1:
-            left_weight = left.weights[0]
-            weights = [left_weight * w for w in right.weights]
-            store = gather_pairs(
-                left.store, [0] * size_right, right.store, range(size_right)
-            )
-            return Frame(schema, weights=weights, store=store)
         left_indices = [i for i in range(size_left) for _ in range(size_right)]
         right_indices = list(range(size_right)) * size_left
         return self._paired_frame(schema, left, left_indices, right, right_indices)
@@ -482,9 +486,7 @@ class Evaluator:
         names = [resolve_attribute(frame.schema, ref) for ref in columns]
         positions = frame.schema.positions(names)
         schema = RelationSchema("π", tuple(frame.schema.attributes[p] for p in positions))
-        return Frame(
-            schema, weights=list(frame.weights), store=frame.store.project(positions)
-        )
+        return Frame(schema, weights=frame.weights, store=frame.store.project(positions))
 
     def _eval_project(self, node: Project) -> Frame:
         child = self._eval(node.child)
@@ -515,16 +517,45 @@ class Evaluator:
         return Frame(left.schema, weights=weights, store=store)
 
     def _eval_difference(self, node: Difference) -> Frame:
+        """``Q1 − Q2`` with the BEAS set-difference guard (Section 6).
+
+        Where ``Q2``'s data was fetched through access templates (non-zero
+        resolution), plain set difference over approximate answers cannot
+        guarantee Theorem 6(5) (``t ∈ Q2(D) ⇒ t ∉ ξ_α(D)``): a tuple of
+        ``Q2(D)`` might not literally appear among the fetched
+        approximations.  The guard therefore removes every ``Q1``-answer
+        within the fetch resolution of *some* answer to the maximal induced
+        query ``Q̂2`` — any real ``Q2`` answer is represented within that
+        distance, so it is guaranteed to be filtered out.  Under an empty
+        relaxation (exact evaluation, or a plan fetched at resolution 0 on
+        ``Q2``'s attributes) this is the exact set difference.
+
+        The within-resolution existence test runs through
+        :class:`repro.relational.kernels.RadiusMatcher` (hash buckets and one
+        sorted band with per-candidate checks instead of scanning every
+        ``Q̂2`` answer per ``Q1`` answer); the set of surviving rows is
+        identical to the nested-loop scan on every backend.
+        """
         left = self._eval(node.left)
-        right = self._eval(node.right)
-        return self._strict_difference(left, right)
+        right_exact = self._eval(node.right)
+        if all(self.relaxation.get(name, 0.0) == 0.0 for name in right_exact.schema.attribute_names):
+            return self._strict_difference(left, right_exact)
+
+        right = self._eval(maximal_induced_query(node.right))
+        thresholds = [self.relaxation.get(name, 0.0) for name in right.schema.attribute_names]
+        distances = [attribute.distance for attribute in left.schema.attributes]
+        guard = RadiusMatcher.from_store(right.store, list(range(len(distances))), distances, thresholds)
+        # Survivors are collected as indices and gathered out of the backend
+        # in one take; the probes go through the guard's batch API.
+        hits = guard.any_match_many(list(left.store.key_tuples(list(range(len(left.schema))))))
+        return self._kept_frame(left, [index for index, hit in enumerate(hits) if not hit])
 
     @classmethod
     def _strict_difference(cls, left: Frame, right: Frame) -> Frame:
         """Exact set difference: keep-indices over column-wise row keys.
 
-        Shared by exact evaluation and the BEAS guard's zero-resolution
-        branch; the surviving rows are gathered out of the left backend.
+        The guard's branch when no attribute of ``Q2`` is relaxed; the
+        surviving rows are gathered out of the left backend.
         """
         removed = set(right.store.key_tuples(list(range(len(right.schema)))))
         keep = [

@@ -6,7 +6,7 @@ from .beas_spc import plan_spc
 from .bounded import alpha_exact, exact_plan, is_boundedly_evaluable
 from .chase import ChaseResult, ChaseStep, Chaser, Mark, chase
 from .chat import choose_access_templates
-from .executor import BeasEvaluator, PlanExecutor, execute_plan
+from .executor import PlanExecutor
 from .fetch_plan import atom_constants, fetch_plan_from_chase, needed_attributes
 from .framework import Beas, QueryResult
 from .lower_bound import distance_bounds, lower_bound, theoretical_floor
@@ -16,7 +16,6 @@ from .planner import generate_plan
 __all__ = [
     "Accessor",
     "Beas",
-    "BeasEvaluator",
     "BoundedPlan",
     "ChaseResult",
     "ChaseStep",
@@ -33,7 +32,6 @@ __all__ = [
     "choose_access_templates",
     "distance_bounds",
     "exact_plan",
-    "execute_plan",
     "fetch_plan_from_chase",
     "generate_plan",
     "is_boundedly_evaluable",

@@ -60,9 +60,6 @@ class ChaseStep:
         covered_variables: variables newly covered (or upgraded) by the step.
         exact: whether the produced ``Y`` values are exact (constraint with
             exact inputs).
-        provides_frame: whether the executor should use this step's output as
-            the atom's fetched relation (set for the template step that
-            covers all remaining attributes of an atom).
     """
 
     name: str
@@ -72,7 +69,6 @@ class ChaseStep:
     input_terms: Dict[str, Term]
     covered_variables: List[Variable]
     exact: bool
-    provides_frame: bool = False
 
     def describe(self) -> str:
         inputs = ", ".join(f"{a}={t}" for a, t in self.input_terms.items()) or "∅"
@@ -188,7 +184,6 @@ class Chaser:
         template: TupleTemplate,
         accessor: Accessor,
         input_terms: Dict[str, Term],
-        provides_frame: bool,
     ) -> ChaseStep:
         inputs = self._estimated_inputs(input_terms)
         cost = inputs * accessor.n
@@ -218,7 +213,6 @@ class Chaser:
             input_terms=dict(input_terms),
             covered_variables=covered,
             exact=exact,
-            provides_frame=provides_frame,
         )
         self._steps.append(step)
         self._output_sizes[name] = inputs * accessor.n
@@ -273,12 +267,13 @@ class Chaser:
     def _apply_frame_constraint(self, template: TupleTemplate) -> bool:
         """Cover a whole atom with one access constraint if possible.
 
-        Used when an atom's cells are already covered through variables shared
-        with other atoms (so no constraint was "useful" during phase 1), but
-        the atom still needs its own fetch step so the executor can verify
-        its tuples actually exist.  Budget permitting, an exact constraint
-        whose ``X ∪ Y`` spans the atom is preferred over an approximate
-        template.
+        Used when an atom's cells are already covered — through variables
+        shared with other atoms (so no constraint was "useful" during phase
+        1), or by several of its own steps none of which spans it — but the
+        atom still needs one fetch step whose output is its relation, so the
+        executor can verify its tuples actually exist.  Budget permitting, an
+        exact constraint whose ``X ∪ Y`` spans the atom is preferred over an
+        approximate template.
         """
         needed = set(template.cells)
         for constraint in self.schema.constraints_for(template.relation):
@@ -291,7 +286,7 @@ class Chaser:
             inputs = self._estimated_inputs(input_terms)
             if self._tariff + inputs * accessor.n > self.budget:
                 continue
-            self._apply(template, accessor, input_terms, provides_frame=True)
+            self._apply(template, accessor, input_terms)
             return True
         return False
 
@@ -311,22 +306,26 @@ class Chaser:
                     inputs = self._estimated_inputs(input_terms)
                     if self._tariff + inputs * accessor.n > self.budget:
                         continue
-                    self._apply(template, accessor, input_terms, provides_frame=False)
+                    self._apply(template, accessor, input_terms)
                     progress = True
 
-        # Phase 2: make sure every atom has fetch steps of its own spanning
-        # all of its used attributes; otherwise apply a single accessor (an
-        # exact constraint if one spans the atom, else a level-0 template)
-        # that covers the whole atom and provides its fetched frame.
+        # Phase 2: the executor reads each atom's relation from ONE of its
+        # steps, so an atom is done only when its steps cover all of its
+        # cells and one of them spans its non-constant cells on its own (the
+        # executor appends constant cells as columns).  Steps that cover the
+        # atom only between them are not enough: two projections of a
+        # relation joined on a non-key attribute are not the relation.  An
+        # atom that is not done gets one accessor covering all of it — an
+        # exact constraint if one spans the atom within budget, else a
+        # level-0 template.
         for template in self.tableau.templates:
-            covered_here = {
-                attribute
+            own = [
+                set(step.accessor.x + step.accessor.y)
                 for step in self._steps
                 if step.alias == template.alias
-                for attribute in step.accessor.x + step.accessor.y
-                if attribute in template.cells
-            }
-            if set(template.cells) <= covered_here:
+            ]
+            variables = {a for a, term in template.cells.items() if not isinstance(term, Constant)}
+            if set(template.cells) <= set().union(*own) and any(variables <= spans for spans in own):
                 continue
             applied = self._apply_frame_constraint(template)
             if applied:
@@ -338,12 +337,7 @@ class Chaser:
                     f"({template.relation}); the access schema must subsume A_t"
                 )
             family, input_terms = choice
-            self._apply(
-                template,
-                Accessor(family=family, level=0),
-                input_terms,
-                provides_frame=True,
-            )
+            self._apply(template, Accessor(family=family, level=0), input_terms)
 
         self._refresh_atom_marks()
         return ChaseResult(

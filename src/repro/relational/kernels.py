@@ -6,8 +6,8 @@ rows under per-attribute distance functions:
 * the **relaxed join** in :class:`repro.algebra.evaluator.Evaluator`
   (join keys loosened to "within slack" by access-template resolutions),
 * the **BEAS set-difference guard** in
-  :class:`repro.core.executor.BeasEvaluator` (remove every left row within
-  the fetch resolution of some right row),
+  :meth:`repro.algebra.evaluator.Evaluator._eval_difference` (remove every
+  left row within the fetch resolution of some right row),
 * the **RC accuracy measure** in :mod:`repro.accuracy.rc` (coverage and
   relevance are nearest-neighbour distances between answer sets), and
 * **BEAS_RA's η′ refinement** in

@@ -42,7 +42,7 @@ class OracleEvaluator(Evaluator):
 
 
 class OracleBeasEvaluator(OracleEvaluator):
-    """The set-difference guard of ``BeasEvaluator``, every operand evaluated on the spot."""
+    """The set-difference guard of ``Evaluator``, every operand evaluated on the spot."""
 
     def _eval_difference(self, node):
         left = self._eval(node.left)

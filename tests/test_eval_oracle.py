@@ -22,7 +22,7 @@ from repro.algebra.evaluator import DatabaseProvider, Evaluator
 from repro.algebra.predicates import AttrRef
 from repro.algebra.spc import SPCQuery, max_spc_subqueries, to_spc
 from repro.algebra.sql import parse_query
-from repro.core.executor import BeasEvaluator, PlanExecutor
+from repro.core.executor import PlanExecutor
 from repro.experiments import build_beas
 from repro.relational.database import AccessMeter
 from repro.relational.store import gather_pairs, list_backends
@@ -177,13 +177,13 @@ class TestEachSubQueryOnce:
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = []
-        original = BeasEvaluator._eval_spc
+        original = Evaluator._eval_spc
 
         def counting(evaluator, query):
             calls.append(query)
             return original(evaluator, query)
 
-        monkeypatch.setattr(BeasEvaluator, "_eval_spc", counting)
+        monkeypatch.setattr(Evaluator, "_eval_spc", counting)
         return calls
 
     def test_three_differences_under_templates(self, corpora, counted):

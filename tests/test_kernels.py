@@ -27,7 +27,6 @@ from repro.accuracy.rc import (
 )
 from repro.algebra.ast import Difference, Scan
 from repro.algebra.evaluator import Evaluator, Frame, MappingProvider
-from repro.core.executor import BeasEvaluator
 from repro.relational.distance import (
     CATEGORICAL,
     INFINITY,
@@ -422,7 +421,7 @@ def test_beas_difference_guard_identical_to_nested_loop(seed):
     )
 
     relaxation = {"b.v": 2.0}  # non-zero resolution on R2: the guard path runs
-    evaluator = BeasEvaluator(
+    evaluator = Evaluator(
         db_schema,
         MappingProvider({"a": left, "b": right}),
         relaxation=relaxation,
