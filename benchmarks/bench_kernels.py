@@ -21,7 +21,8 @@ field records:
   (:meth:`repro.algebra.predicates.Conjunction.mask`), vs. a comprehension
   testing each row,
 * ``columnar_join`` — the evaluator's equi-join kernel
-  (:meth:`repro.algebra.evaluator.Evaluator._hash_join`), vs. a dict of
+  (:meth:`repro.algebra.evaluator.JoinStep.run`, compiled once outside the
+  timed call, as a memoized plan compiles it), vs. a dict of
   right-side buckets probed row by row, one concatenated tuple per match,
 * ``columnar_rc`` — the RC coverage sweep
   (:func:`repro.accuracy.rc.max_coverage_distance`) over key-shaped answers,
@@ -289,8 +290,7 @@ def bench_storage_selection(size: int, queries: int, rng: random.Random, backend
 
 def bench_storage_join(size: int, queries: int, rng: random.Random, backend: str):
     """The evaluator's hash-join kernel vs a row-at-a-time dict-bucket join."""
-    from repro.algebra.evaluator import Evaluator, Frame, MappingProvider
-    from repro.relational.schema import DatabaseSchema
+    from repro.algebra.evaluator import Frame, JoinStep
 
     keys = max(1, size // 2)
     l_schema = RelationSchema("l", [Attribute("l.k", TRIVIAL), Attribute("l.v", NUMERIC)])
@@ -304,13 +304,11 @@ def bench_storage_join(size: int, queries: int, rng: random.Random, backend: str
             buckets.setdefault(right[0], []).append(right)
         return [left + right for left in l_rows for right in buckets.get(left[0], ())]
 
-    evaluator = Evaluator(DatabaseSchema([]), MappingProvider({}))
+    step = JoinStep.compile(l_schema, r_schema, ["l.k"], ["r.k"], {})
     left = Frame.from_relation(Relation(l_schema, l_rows, backend=backend))
     right = Frame.from_relation(Relation(r_schema, r_rows, backend=backend))
     tuples_seconds, tuples_out = _timed_best(tuple_join)
-    backend_seconds, backend_out = _timed_best(
-        lambda: evaluator._hash_join(left, right, ["l.k"], ["r.k"])
-    )
+    backend_seconds, backend_out = _timed_best(lambda: step.run(left, right))
     assert sorted(backend_out.rows) == sorted(tuples_out)
     return tuples_seconds, backend_seconds
 
@@ -483,8 +481,8 @@ def bench_columnar_join_output(size: int, queries: int, rng: random.Random):
     bounded fetch) build side, so most probe rows find no match — exactly
     where materializing every probe row as a tuple is pure waste.
     """
-    from repro.algebra.evaluator import Evaluator, Frame, MappingProvider
-    from repro.relational.schema import DatabaseSchema, RelationSchema as RS
+    from repro.algebra.evaluator import Frame, JoinStep
+    from repro.relational.schema import RelationSchema as RS
     from repro.relational.store import ColumnStore
 
     keys = max(1, size // 2)
@@ -511,8 +509,8 @@ def bench_columnar_join_output(size: int, queries: int, rng: random.Random):
     r_rows = [(rng.randrange(keys), rng.uniform(0, 100.0)) for _ in range(build_size)]
     l_store = Relation(l_schema, l_rows, backend="column").store
     r_store = Relation(r_schema, r_rows, backend="column").store
-    evaluator = Evaluator(DatabaseSchema([]), MappingProvider({}))
-    out_schema = RS("⋈", l_schema.attributes + r_schema.attributes)
+    step = JoinStep.compile(l_schema, r_schema, ["l.k"], ["r.k"], {})
+    out_schema = step.schema
     width = len(l_schema) + len(r_schema)
 
     # Every BEAS answer evaluates joins over freshly fetched frames, so
@@ -537,7 +535,7 @@ def bench_columnar_join_output(size: int, queries: int, rng: random.Random):
     def gather_join():
         left = Frame(l_schema, store=l_store.copy())
         right = Frame(r_schema, store=r_store.copy())
-        return evaluator._hash_join(left, right, ["l.k"], ["r.k"])
+        return step.run(left, right)
 
     tuple_seconds, tuple_out = _timed_best(tuple_join)
     gather_seconds, gather_out = _timed_best(gather_join)

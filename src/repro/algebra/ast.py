@@ -31,15 +31,34 @@ class QueryNode:
         raise NotImplementedError
 
     def output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
-        """The schema of this operator's result."""
+        """The schema of this operator's result, derived once per database schema.
+
+        Nodes are frozen, so the schema is a function of the node and
+        ``db_schema`` (whose relations are never replaced); the planner, the
+        accuracy bound and the evaluator's compile pass all read the one
+        object remembered here, keyed by the ``db_schema`` object.  One is
+        remembered at a time, and a schema that cannot be derived raises
+        and is not remembered.
+        """
+        memo = self.__dict__.get("_output_schema_of")
+        if memo is not None and memo[0] is db_schema:
+            return memo[1]
+        schema = self._output_schema(db_schema)
+        self.__dict__["_output_schema_of"] = (db_schema, schema)
+        return schema
+
+    def _output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
         raise NotImplementedError
 
     # -- classification helpers ----------------------------------------------
-    def walk(self) -> List["QueryNode"]:
-        """All nodes of the subtree, pre-order."""
-        nodes: List[QueryNode] = [self]
-        for child in self.children():
-            nodes.extend(child.walk())
+    def walk(self) -> Tuple["QueryNode", ...]:
+        """All nodes of the subtree, pre-order (derived once: the node is frozen)."""
+        nodes = self.__dict__.get("_walk")
+        if nodes is None:
+            found: List[QueryNode] = [self]
+            for child in self.children():
+                found.extend(child.walk())
+            nodes = self.__dict__["_walk"] = tuple(found)
         return nodes
 
     def scans(self) -> List["Scan"]:
@@ -93,7 +112,7 @@ class Scan(QueryNode):
     def children(self) -> List[QueryNode]:
         return []
 
-    def output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
+    def _output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
         base = db_schema.relation(self.relation)
         alias = self.effective_alias
         attrs = [Attribute(f"{alias}.{a.name}", a.distance) for a in base.attributes]
@@ -113,7 +132,7 @@ class Select(QueryNode):
     def children(self) -> List[QueryNode]:
         return [self.child]
 
-    def output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
+    def _output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
         return self.child.output_schema(db_schema)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -134,7 +153,7 @@ class Project(QueryNode):
     def children(self) -> List[QueryNode]:
         return [self.child]
 
-    def output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
+    def _output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
         child_schema = self.child.output_schema(db_schema)
         attrs = []
         for ref in self.columns:
@@ -156,7 +175,7 @@ class Product(QueryNode):
     def children(self) -> List[QueryNode]:
         return [self.left, self.right]
 
-    def output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
+    def _output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
         left_schema = self.left.output_schema(db_schema)
         right_schema = self.right.output_schema(db_schema)
         names = set(left_schema.attribute_names) & set(right_schema.attribute_names)
@@ -175,7 +194,7 @@ class Union(QueryNode):
     def children(self) -> List[QueryNode]:
         return [self.left, self.right]
 
-    def output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
+    def _output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
         left_schema = self.left.output_schema(db_schema)
         right_schema = self.right.output_schema(db_schema)
         if len(left_schema) != len(right_schema):
@@ -193,7 +212,7 @@ class Difference(QueryNode):
     def children(self) -> List[QueryNode]:
         return [self.left, self.right]
 
-    def output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
+    def _output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
         left_schema = self.left.output_schema(db_schema)
         right_schema = self.right.output_schema(db_schema)
         if len(left_schema) != len(right_schema):
@@ -211,7 +230,7 @@ class Rename(QueryNode):
     def children(self) -> List[QueryNode]:
         return [self.child]
 
-    def output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
+    def _output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
         child_schema = self.child.output_schema(db_schema)
         rename_map = dict(self.mapping)
         attrs = [
@@ -239,7 +258,7 @@ class GroupBy(QueryNode):
     def children(self) -> List[QueryNode]:
         return [self.child]
 
-    def output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
+    def _output_schema(self, db_schema: DatabaseSchema) -> RelationSchema:
         child_schema = self.child.output_schema(db_schema)
         attrs = []
         for ref in self.group_columns:

@@ -241,14 +241,25 @@ def resolve_position(schema: RelationSchema, ref: AttrRef) -> int:
     qualified = ref.qualified
     if qualified in schema:
         return schema.position(qualified)
-    candidates = [name for name in schema.attribute_names if may_name(ref, name)]
+    return schema.position(_only_candidate(schema.attribute_names, ref))
+
+
+def resolve_name(names: Sequence[str], ref: AttrRef) -> str:
+    """The name among ``names`` that ``ref`` resolves to, by :func:`resolve_position`'s rules.
+
+    For resolving against columns that have no schema object of their own
+    (the evaluator's compile pass resolves an SPC query's output this way).
+    """
+    return ref.qualified if ref.qualified in names else _only_candidate(names, ref)
+
+
+def _only_candidate(names: Sequence[str], ref: AttrRef) -> str:
+    candidates = [name for name in names if may_name(ref, name)]
     if len(candidates) == 1:
-        return schema.position(candidates[0])
+        return candidates[0]
     if not candidates:
-        raise QueryError(
-            f"attribute {qualified!r} not found in schema {list(schema.attribute_names)}"
-        )
-    raise QueryError(f"attribute {qualified!r} is ambiguous: matches {candidates}")
+        raise QueryError(f"attribute {ref.qualified!r} not found in schema {list(names)}")
+    raise QueryError(f"attribute {ref.qualified!r} is ambiguous: matches {candidates}")
 
 
 class CompareOp(enum.Enum):

@@ -163,8 +163,12 @@ def maximal_induced_query(node: QueryNode) -> QueryNode:
 
     For any database ``D``, ``Q̂(D) ⊇ Q(D)``; BEAS_RA uses ``Q̂`` both to
     enforce set-difference semantics without scanning ``D`` and to derive a
-    sound coverage bound (Section 6).
+    sound coverage bound (Section 6).  A subtree with no difference is its
+    own induced query — the same object, so compiled operators and frames
+    are shared with it.
     """
+    if not node.has_difference():
+        return node
     if isinstance(node, Difference):
         return maximal_induced_query(node.left)
     if isinstance(node, Scan):

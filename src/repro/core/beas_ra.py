@@ -21,6 +21,8 @@ is covered by ``ξ_α(D)`` within ``d'``, so by the triangle inequality
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Mapping
+
 from ..access.schema import AccessSchema
 from ..algebra.ast import QueryNode
 from ..algebra.spc import maximal_induced_query
@@ -30,10 +32,12 @@ from ..relational.distance import INFINITY
 from ..relational.kernels import max_min_distance
 from ..relational.relation import Relation
 from ..relational.schema import DatabaseSchema
-from .executor import PlanExecutor
 from .lower_bound import distance_bounds
 from .plan import BoundedPlan
 from .planner import generate_plan
+
+if TYPE_CHECKING:  # the executor compiles a ``Refinement``
+    from .executor import PlanExecutor
 
 
 def plan_ra(
@@ -48,6 +52,23 @@ def plan_ra(
     return generate_plan(query, db_schema, access_schema, budget)
 
 
+class Refinement:
+    """What ``η′`` derives from the query and the fetch resolutions alone.
+
+    ``Q̂`` (:func:`~repro.algebra.spc.maximal_induced_query`), the bounds
+    ``d_rel`` of ``Q`` and ``d̂_cov`` of ``Q̂`` under the resolutions the
+    data is fetched with, and the attributes ``d′`` is measured over.  It
+    depends on the plan, never on the data, so it is compiled with the plan
+    (:class:`~repro.core.executor.CompiledPlan`).
+    """
+
+    def __init__(self, query: QueryNode, resolutions: Mapping[str, float], db_schema: DatabaseSchema) -> None:
+        self.induced_query = maximal_induced_query(query)
+        self.d_rel, _ = distance_bounds(query, resolutions, db_schema)
+        _, self.induced_cov = distance_bounds(self.induced_query, resolutions, db_schema)
+        self.answer_attributes = query.output_schema(db_schema).attributes
+
+
 def refine_bound_with_induced(
     plan: BoundedPlan,
     executor: PlanExecutor,
@@ -60,29 +81,20 @@ def refine_bound_with_induced(
         plan: the executed bounded plan.
         executor: the executor that already fetched the plan's data (reused to
             evaluate the maximal induced query without extra data access).
-        database: the queried database (schema only; no tuples are read).
+        database: the queried database (no tuples are read).
         answers: the approximate answers ``S = ξ_α(D)``.
 
     Returns the refined bound; queries without set difference keep ``plan.eta``.
     """
-    query: QueryNode = plan.query
-    if not query.has_difference():
+    refinement = executor.compiled.refinement
+    if refinement is None:
         return plan.eta
-
-    induced = maximal_induced_query(query)
-    induced_answers = executor.evaluate(induced)
-
-    # Evaluating the induced query made the executor fetch (if it had not
-    # already), so these are the resolutions the data was fetched with.
-    resolutions = executor.resolutions
-    d_rel, _ = distance_bounds(query, resolutions, database.schema)
-    _, induced_cov = distance_bounds(induced, resolutions, database.schema)
+    induced_answers = executor.evaluate(refinement.induced_query)
 
     # d′ = max over induced answers of the distance to the nearest answer: the
     # same one-sided Hausdorff sweep as RC coverage, so it runs through the
     # same nearest-neighbour kernel (one probe per induced answer).
-    schema = query.output_schema(database.schema)
-    d_prime = max_min_distance(induced_answers.store, answers.store, schema.attributes)
+    d_prime = max_min_distance(induced_answers.store, answers.store, refinement.answer_attributes)
     if d_prime == INFINITY:
         return 0.0
-    return 1.0 / (1.0 + max(d_rel, d_prime + induced_cov))
+    return 1.0 / (1.0 + max(refinement.d_rel, d_prime + refinement.induced_cov))

@@ -10,12 +10,13 @@ BEAS subsumes this: when the chase can cover every atom exactly with
 constraints within the budget, the generated plan is a bounded-evaluation
 plan and BEAS returns exact answers.  This module also computes, for Exp-3
 (Fig 6(j)), the smallest resource ratio ``α_exact`` at which the plan for a
-query becomes exact: the tariff of the plan with every template driven to its
-exact level, divided by ``|D|``.
+query becomes exact: the smallest ratio whose budget covers the tariff of the
+plan with every template driven to its exact level.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..access.schema import AccessSchema
@@ -69,12 +70,22 @@ def alpha_exact(
 ) -> float:
     """The smallest resource ratio at which BEAS answers ``query`` exactly.
 
-    Computed as ``tariff(exact plan) / |D|``; boundedly evaluable queries give
-    very small ratios that shrink as ``|D|`` grows (the tariff is independent
-    of ``|D|``), which is the trend Fig 6(j) reports.
+    The smallest ``α`` whose budget ``⌊α·|D|⌋`` (:meth:`Database.budget_for`)
+    covers the tariff ``T`` of the exact plan.  ``T/|D|`` itself is not
+    enough: the product can round down, and the budget it floors to is then
+    ``T - 1``, one tuple short of the exact plan.  Boundedly evaluable
+    queries give very small ratios that shrink as ``|D|`` grows (the tariff
+    is independent of ``|D|``), which is the trend Fig 6(j) reports.
     """
     plan = exact_plan(query, database.schema, access_schema)
     total = max(1, database.total_tuples)
+    tariff = max(1, plan.tariff)
     # The tariff is a worst-case product of cardinality bounds and can exceed
-    # |D|; a full scan always yields exact answers at α = 1, so cap there.
-    return min(1.0, plan.tariff / total)
+    # |D|.  The engine has no scan plan, so no α ≤ 1 affords such a plan; the
+    # ratio is capped at 1 all the same (ROADMAP item 21).
+    if tariff >= total:
+        return 1.0
+    alpha = tariff / total
+    while database.budget_for(alpha) < tariff:
+        alpha = math.nextafter(alpha, 1.0)
+    return alpha

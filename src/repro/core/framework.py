@@ -34,7 +34,7 @@ from . import bounded
 from .beas_agg import plan_aggregate
 from .beas_ra import plan_ra, refine_bound_with_induced
 from .beas_spc import plan_spc
-from .executor import PlanExecutor
+from .executor import CompiledPlan, PlanExecutor
 from .plan import BoundedPlan
 
 QueryLike = Union[str, QueryNode]
@@ -43,7 +43,8 @@ QueryLike = Union[str, QueryNode]
 # bytes of frozen AST plus a 64-character digest.
 STATEMENT_MEMO_CAPACITY = 1024
 # Bounded plans remembered per engine, keyed on ``(fingerprint, budget)``; a
-# plan is a few fetch steps over shared indexes plus the frozen AST.
+# plan is a few fetch steps over shared indexes plus the frozen AST, and its
+# compiled form a few schemas, positions and mask programs.
 PLAN_MEMO_CAPACITY = 512
 
 
@@ -56,6 +57,24 @@ def _statement(text: str) -> Tuple[QueryNode, str]:
     """
     ast = parse_query(text)
     return ast, query_fingerprint(ast)
+
+
+class PlanEntry:
+    """One entry of :attr:`Beas.plans`: a plan, what every answer reads of it, and its compiled form.
+
+    A memoized plan is read-only, so its tariff, exactness and bounded
+    evaluability are read once here; the compiled form is added by the
+    first answer that runs the plan.
+    """
+
+    __slots__ = ("plan", "tariff", "exact", "boundedly_evaluable", "compiled")
+
+    def __init__(self, plan: BoundedPlan) -> None:
+        self.plan = plan
+        self.tariff = plan.tariff
+        self.exact = plan.exact
+        self.boundedly_evaluable = plan.boundedly_evaluable
+        self.compiled: Optional[CompiledPlan] = None
 
 
 @dataclass
@@ -136,9 +155,9 @@ class Beas:
         #: Bounded LRU memo of :func:`_statement` (thread-safe; ``cache_info()``
         #: / ``cache_clear()``), shared by everything that resolves a text.
         self.statements = lru_cache(maxsize=STATEMENT_MEMO_CAPACITY)(_statement)
-        #: Bounded LRU ``(fingerprint, budget) → BoundedPlan`` behind ``answer``,
+        #: Bounded LRU ``(fingerprint, budget) → PlanEntry`` behind ``answer``,
         #: ``plan`` and ``explain`` (:meth:`_memo_plan`); written under a lock.
-        self.plans: OrderedDict[Tuple[str, int], BoundedPlan] = OrderedDict()
+        self.plans: OrderedDict[Tuple[str, int], PlanEntry] = OrderedDict()
         self._plans_lock = threading.Lock()
 
     # -- helpers -----------------------------------------------------------------
@@ -166,10 +185,10 @@ class Beas:
     def plan(self, query: QueryLike, alpha: float) -> BoundedPlan:
         """The α-bounded plan for ``query`` (from the plan memo), not executed."""
         ast, fingerprint = self._resolve(query)
-        return self._memo_plan(ast, fingerprint, self.database.budget_for(alpha))[0]
+        return self._memo_plan(ast, fingerprint, self.database.budget_for(alpha))[0].plan
 
-    def _memo_plan(self, ast: QueryNode, fingerprint: str, budget: int) -> Tuple[BoundedPlan, bool]:
-        """The plan for ``ast`` at ``budget``, and whether :attr:`plans` held it.
+    def _memo_plan(self, ast: QueryNode, fingerprint: str, budget: int) -> Tuple[PlanEntry, bool]:
+        """The plan entry for ``ast`` at ``budget``, and whether :attr:`plans` held it.
 
         Planning reads no data (Section 2.2): a plan is a function of the
         query, the access schema and ``⌊α·|D|⌋``, so an entry stays valid
@@ -179,16 +198,27 @@ class Beas:
         """
         key = (fingerprint, budget)
         with self._plans_lock:
-            plan = self.plans.get(key)
-            if plan is not None:
+            entry = self.plans.get(key)
+            if entry is not None:
                 self.plans.move_to_end(key)
-                return plan, True
-        plan = self._plan_ast(ast, budget)
+                return entry, True
+        entry = PlanEntry(self._plan_ast(ast, budget))
         with self._plans_lock:
-            plan = self.plans.setdefault(key, plan)
+            entry = self.plans.setdefault(key, entry)
             while len(self.plans) > PLAN_MEMO_CAPACITY:
                 self.plans.popitem(last=False)
-        return plan, False
+        return entry, False
+
+    def _keep_compiled(self, entry: PlanEntry, compiled: CompiledPlan) -> None:
+        """Store the compiled form an answer built beside its plan; the first one stored wins.
+
+        Compiling is never eager: the first answer to run a plan compiles it
+        (outside the lock), so planning alone and plans no answer runs cost
+        nothing more.
+        """
+        with self._plans_lock:
+            if entry.compiled is None:
+                entry.compiled = compiled
 
     def clear_plans(self) -> None:
         """Empty the plan memo."""
@@ -233,11 +263,12 @@ class Beas:
         budget = self.database.budget_for(alpha)
 
         start = time.perf_counter()
-        plan, plan_hit = self._memo_plan(ast, fingerprint, budget)
+        entry, plan_hit = self._memo_plan(ast, fingerprint, budget)
         plan_seconds = time.perf_counter() - start
-        boundedly_evaluable = plan.boundedly_evaluable
+        plan = entry.plan
+        boundedly_evaluable = entry.boundedly_evaluable
 
-        if enforce_budget and plan.tariff > budget:
+        if enforce_budget and entry.tariff > budget:
             # The chase must cover every query atom with at least one fetch
             # step, so for very tight budgets even the cheapest plan can carry
             # a tariff above ``α·|D|``.  Executing it would trip the meter
@@ -262,10 +293,13 @@ class Beas:
 
         meter = AccessMeter(budget=budget, enforce=enforce_budget)
         start = time.perf_counter()
-        executor = PlanExecutor(self.database, plan, meter)
+        executor = PlanExecutor(self.database, plan, meter, entry.compiled)
         rows = executor.execute()
+        compiled = executor.compiled
+        if entry.compiled is None:
+            self._keep_compiled(entry, compiled)
         eta = plan.eta
-        if ast.has_difference():
+        if compiled.refinement is not None:
             eta = refine_bound_with_induced(plan, executor, self.database, rows)
         execution_seconds = time.perf_counter() - start
 
@@ -275,12 +309,12 @@ class Beas:
             alpha=alpha,
             budget=budget,
             tuples_accessed=meter.accessed,
-            exact=plan.exact,
+            exact=entry.exact,
             boundedly_evaluable=boundedly_evaluable,
             plan=plan,
             plan_seconds=plan_seconds,
             execution_seconds=execution_seconds,
-            query_class=classify(ast),
+            query_class=compiled.query_class,
             fingerprint=fingerprint,
         ), plan_hit
 

@@ -3,11 +3,11 @@
 Four consumers used to spend O(n·m) nested loops comparing every pair of
 rows under per-attribute distance functions:
 
-* the **relaxed join** in :class:`repro.algebra.evaluator.Evaluator`
-  (join keys loosened to "within slack" by access-template resolutions),
-* the **BEAS set-difference guard** in
-  :meth:`repro.algebra.evaluator.Evaluator._eval_difference` (remove every
-  left row within the fetch resolution of some right row),
+* the **relaxed join**, :class:`repro.algebra.evaluator.JoinStep` (join
+  keys loosened to "within slack" by access-template resolutions),
+* the **BEAS set-difference guard**, the evaluator's compiled difference
+  operator (:meth:`repro.algebra.evaluator.Evaluator.compile`; remove every
+  left row within the fetch resolution of some answer to ``Q̂2``),
 * the **RC accuracy measure** in :mod:`repro.accuracy.rc` (coverage and
   relevance are nearest-neighbour distances between answer sets), and
 * **BEAS_RA's η′ refinement** in

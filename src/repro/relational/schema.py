@@ -54,6 +54,8 @@ class RelationSchema:
     Python tuples positionally aligned with ``attributes``.
     """
 
+    __slots__ = ("name", "attributes", "attribute_names", "_index")
+
     def __init__(self, name: str, attributes: Sequence[Attribute]) -> None:
         if not name:
             raise SchemaError("relation name must be non-empty")

@@ -38,7 +38,7 @@ from repro.relational import parallel
 from repro.relational.distance import CATEGORICAL, NUMERIC, numeric_scaled
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.relational.store import ShardedStore, list_backends, register_backend
-from repro.workloads import social, tpch
+from repro.workloads import QueryGenerator, airca, social, tfacc, tpch
 
 # ---------------------------------------------------------------------------
 # Cross-backend conformance matrix
@@ -188,6 +188,30 @@ def union_compatible(ast, schema) -> bool:
     except QueryError:
         return False
     return True
+
+
+# The end-to-end benchmark's smoke corpora: its datasets at smoke size, its
+# pinned seeds, its six usable queries per workload and its alphas.
+SMOKE_DATA_SEED, SMOKE_QUERY_SEED, SMOKE_QUERIES = 20170301, 7, 6
+SMOKE_CORPORA = {
+    "tpch": (lambda: tpch.generate(scale=1, seed=SMOKE_DATA_SEED), (0.01, 0.02, 0.05)),
+    "airca": (lambda: airca.generate(flights=800, airports=30, seed=SMOKE_DATA_SEED), (0.5, 1.0)),
+    "tfacc": (lambda: tfacc.generate(accidents=500, stops=200, seed=SMOKE_DATA_SEED), (0.25, 1.0)),
+    "social": (
+        lambda: social.generate(persons=150, pois=600, cities=10, max_friends=5, seed=SMOKE_DATA_SEED),
+        (0.05, 0.2),
+    ),
+}
+
+
+def smoke_corpus(name):
+    """``(workload, queries, alphas)`` of one smoke corpus."""
+    generate, alphas = SMOKE_CORPORA[name]
+    workload = generate()
+    wanted = SMOKE_QUERIES + SMOKE_QUERIES // 4 + 2
+    generated = QueryGenerator(workload, seed=SMOKE_QUERY_SEED).workload_mix(wanted)
+    queries = [query for query in generated if union_compatible(query.ast, workload.database.schema)]
+    return workload, queries[:SMOKE_QUERIES], alphas
 
 
 def to_backend(database: Database, backend: str) -> Database:

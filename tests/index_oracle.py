@@ -176,7 +176,7 @@ class OracleExecutor(PlanExecutor):
         return input_values(self._step_frames, step)
 
     def _run_step(self, step):
-        schema = self._step_schema(step)
+        schema = self.compiled.step_schemas[step.name]
         columns, weights = self._oracles.fetch_columns(step.accessor, self._input_values(step), self.meter)
         return Frame(schema, weights=weights, store=ColumnStore.from_columns(len(schema), columns))
 

@@ -1,15 +1,17 @@
 """Plan and exact evaluation under ``src/`` against the straightforward oracle.
 
-``src`` evaluates each sub-query once per answer (a frame memo on the
-``PlanExecutor``) and lets joins carry live columns only; ``eval_oracle.py``
-evaluates every sub-query where it is named and carries every column.  On
+``src`` compiles each query once and evaluates each sub-query once per answer
+(a slot-indexed frame memo on the ``PlanExecutor``), and lets joins carry live
+columns only; ``eval_oracle.py`` evaluates row by row, every sub-query where
+it is named, carrying every column, with no ``Evaluator`` at all.  On
 generated SPC / RA / aggregate queries over all four workloads — plus the
 shapes the pruning rule has to get right: no output list, unqualified
 references, an atom no reference names, nested differences — they must agree
 on rows, row order, weights and ``repr(η)``, on every registered backend
 under the serial and the process executor.  The call-count guards at the end
-keep the saving from rotting: one ``_eval_spc`` per distinct SPC sub-query
-per answer.
+keep the saving from rotting: one SPC operator run per distinct SPC
+sub-query per answer, frames shared and not copied, and no AST node hashed
+by a warm answer.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 import pytest
 
 from repro import Beas, configure
-from repro.algebra.ast import Difference, GroupBy
-from repro.algebra.evaluator import DatabaseProvider, Evaluator
+from repro.algebra.ast import Difference, GroupBy, Product, Project, Rename, Scan, Select, Union
+from repro.algebra.evaluator import DatabaseProvider, Evaluator, _SpcOp
 from repro.algebra.predicates import AttrRef
 from repro.algebra.spc import SPCQuery, max_spc_subqueries, to_spc
 from repro.algebra.sql import parse_query
@@ -138,7 +140,7 @@ def test_answers_match_the_oracle(name, cell, corpora):
             assert result.tuples_accessed == accessed
             if frame is not None:
                 executor = PlanExecutor(database, result.plan, AccessMeter(budget=result.budget))
-                _same_frame(executor._evaluator().evaluate_frame(ast), frame, f"{where} at alpha={alpha}")
+                _same_frame(executor._frame(ast), frame, f"{where} at alpha={alpha}")
                 kinds.add(result.query_class)
     assert {"SPC", "RA", "agg(SPC)"} <= kinds, f"{name}: only {sorted(kinds)} were executed"
 
@@ -177,13 +179,13 @@ class TestEachSubQueryOnce:
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = []
-        original = Evaluator._eval_spc
+        original = _SpcOp.run
 
-        def counting(evaluator, query):
-            calls.append(query)
-            return original(evaluator, query)
+        def counting(operator, provider, frames):
+            calls.append(operator)
+            return original(operator, provider, frames)
 
-        monkeypatch.setattr(Evaluator, "_eval_spc", counting)
+        monkeypatch.setattr(_SpcOp, "run", counting)
         return calls
 
     def test_three_differences_under_templates(self, corpora, counted):
@@ -196,21 +198,37 @@ class TestEachSubQueryOnce:
         _workload, beas, queries = corpora["airca"]
         ast = next(ast for _name, ast, _bounded in queries if len(max_spc_subqueries(ast)) == 4)
         alpha = ALPHAS["airca"][0]
+        beas.clear_plans()
         result = beas.answer(ast, alpha)
         assert not result.exact and result.tuples_accessed > 0
         assert len(counted) == len(set(max_spc_subqueries(ast))) == 4
         counted.clear()
+        beas.answer(ast, alpha)  # warm: the compiled plan, the same four runs
+        assert len(counted) == 4
+        counted.clear()
         eval_oracle.answer(beas, ast, alpha)
-        assert len(counted) == 0  # the oracle runs its own evaluator
+        assert len(counted) == 0  # the oracle runs no compiled operator
 
-    def test_an_spc_answer_hashes_no_tree(self, social_beas):
-        plan = social_beas.plan("select p.city from person as p where p.pid = 3", 0.5)
-        assert PlanExecutor(social_beas.database, plan)._frames is None
-        nested = social_beas.plan(
-            "select p.pid from person as p where p.city = 'NYC' except select p.pid from person as p where p.pid = 3",
-            0.5,
+    def test_an_spc_answer_hashes_no_tree(self, social_beas, monkeypatch):
+        """The frame memo is indexed by slot: answering hashes no frozen AST node, and an SPC answer keeps no frame."""
+        spc = "select p.city from person as p where p.pid = 3"
+        nested = (
+            "select p.pid from person as p where p.city = 'NYC' except select p.pid from person as p where p.pid = 3"
         )
-        assert PlanExecutor(social_beas.database, nested)._frames == {}
+        for sql in (spc, nested):
+            social_beas.answer(sql, 0.5)
+        hashed = []
+        for cls in (Scan, Select, Project, Product, Union, Difference, Rename, GroupBy):
+            original = cls.__hash__
+            monkeypatch.setattr(cls, "__hash__", lambda node, original=original: hashed.append(node) or original(node))
+        for sql in (spc, nested):
+            social_beas.answer(sql, 0.5)
+        assert hashed == []
+        monkeypatch.undo()
+        plan = social_beas.plan(spc, 0.5)
+        executor = PlanExecutor(social_beas.database, plan)
+        executor.execute()
+        assert executor._frames == [None] * executor.compiled.slots
 
     def test_memoised_frames_are_shared_not_copied(self, social_beas):
         sql = (
@@ -221,10 +239,12 @@ class TestEachSubQueryOnce:
         plan = social_beas.plan(ast, 0.2)
         executor = PlanExecutor(social_beas.database, plan, AccessMeter(budget=plan.budget))
         first = executor.execute()
-        frames = dict(executor._frames)
-        assert set(frames) >= {ast, ast.left, ast.right}
-        snapshot = {node: (repr(frame.rows), list(frame.weights)) for node, frame in frames.items()}
+        program = executor.compiled
+        assert program.root.left.shared and program.root.right.shared  # Q1 for η′, Q2 as its own Q̂2
+        frames = {slot: frame for slot, frame in enumerate(executor._frames) if frame is not None}
+        assert set(frames) == {program.root.left.slot, program.root.right.slot}
+        snapshot = {slot: (repr(frame.rows), list(frame.weights)) for slot, frame in frames.items()}
         again = executor.execute()
         assert again.rows == first.rows
-        assert all(executor._frames[node] is frame for node, frame in frames.items())
-        assert snapshot == {node: (repr(frame.rows), list(frame.weights)) for node, frame in frames.items()}
+        assert all(executor._frames[slot] is frame for slot, frame in frames.items())
+        assert snapshot == {slot: (repr(frame.rows), list(frame.weights)) for slot, frame in frames.items()}

@@ -183,10 +183,10 @@ class TestColumnarOperatorOutputs:
 
     @staticmethod
     def _frames(backend):
-        from repro.algebra.evaluator import Frame, MappingProvider
+        from repro.algebra.evaluator import Frame
         from repro.relational.distance import NUMERIC, TRIVIAL
         from repro.relational.relation import Relation
-        from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
+        from repro.relational.schema import Attribute, RelationSchema
 
         l_schema = RelationSchema("l", [Attribute("l.k", TRIVIAL), Attribute("l.v", NUMERIC)])
         r_schema = RelationSchema("r", [Attribute("r.k", TRIVIAL), Attribute("r.w", NUMERIC)])
@@ -198,15 +198,21 @@ class TestColumnarOperatorOutputs:
             Relation(r_schema, [(1, 9.0), (3, 8.0), (1, 7.0)], backend=backend),
             weights=[0.5, 1.0, 2.0],
         )
-        evaluator = Evaluator(DatabaseSchema([]), MappingProvider({}))
-        return evaluator, left, right
+        return left, right
+
+    @staticmethod
+    def _product(left, right):
+        from repro.algebra.evaluator import JoinStep
+
+        return JoinStep.compile(left.schema, right.schema, (), (), {}).run(left, right)
 
     @pytest.mark.parametrize("backend_name", ["column", "sharded", "sharded7"])
     def test_join_output_is_column_backed(self, backend_name):
+        from repro.algebra.evaluator import JoinStep
         from repro.relational.store import ColumnStore
 
-        evaluator, left, right = self._frames(backend_name)
-        joined = evaluator._hash_join(left, right, ["l.k"], ["r.k"])
+        left, right = self._frames(backend_name)
+        joined = JoinStep.compile(left.schema, right.schema, ["l.k"], ["r.k"], {}).run(left, right)
         assert type(joined.store) is ColumnStore
         assert joined.rows == [
             (1, 1.0, 1, 9.0),
@@ -218,8 +224,8 @@ class TestColumnarOperatorOutputs:
 
     @pytest.mark.parametrize("backend_name", ["column", "sharded"])
     def test_product_pairs_and_weights(self, backend_name):
-        evaluator, left, right = self._frames(backend_name)
-        product = evaluator._product(left, right)
+        left, right = self._frames(backend_name)
+        product = self._product(left, right)
         assert len(product) == 9
         assert product.rows[0] == (1, 1.0, 1, 9.0)
         assert product.rows[-1] == (1, 3.0, 1, 7.0)
@@ -233,22 +239,22 @@ class TestColumnarOperatorOutputs:
         from repro.relational.distance import NUMERIC, TRIVIAL
         from repro.relational.schema import Attribute, RelationSchema
 
-        evaluator, left, right = self._frames(backend_name)
+        left, right = self._frames(backend_name)
         s_schema = RelationSchema(
             "s", [Attribute("s.k", TRIVIAL), Attribute("s.w", NUMERIC)]
         )
-        nothing = evaluator._product(left, Frame(s_schema, []))
+        nothing = self._product(left, Frame(s_schema, []))
         assert len(nothing) == 0 and nothing.weights == []
-        assert evaluator._product(Frame(s_schema, []), right).weights == []
+        assert self._product(Frame(s_schema, []), right).weights == []
         single = Frame(s_schema, [(7, 1.5)], weights=[4.0])
-        one = evaluator._product(left, single)
+        one = self._product(left, single)
         assert one.rows == [
             (1, 1.0, 7, 1.5),
             (2, 2.0, 7, 1.5),
             (1, 3.0, 7, 1.5),
         ]
         assert one.weights == [4.0, 8.0, 12.0]
-        flipped = evaluator._product(single, right)
+        flipped = self._product(single, right)
         assert flipped.rows[0] == (7, 1.5, 1, 9.0)
         assert flipped.weights == [2.0, 4.0, 8.0]
 

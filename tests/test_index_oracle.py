@@ -23,7 +23,7 @@ import pytest
 
 from repro import Beas, ConstraintSpec, Database, Relation
 from repro.access.index import ConstraintIndex, TemplateIndex
-from repro.algebra.evaluator import Evaluator, Frame, MappingProvider
+from repro.algebra.evaluator import Frame, JoinStep
 from repro.core.executor import PlanExecutor
 from repro.core.plan import FetchSource
 from repro.errors import BudgetExceededError, PlanError
@@ -31,7 +31,7 @@ from repro.experiments import build_beas
 from repro.relational import store as store_module
 from repro.relational.database import AccessMeter
 from repro.relational.distance import NUMERIC
-from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
+from repro.relational.schema import Attribute, RelationSchema
 from repro.workloads import QueryGenerator, airca, tfacc
 
 import index_oracle
@@ -259,6 +259,7 @@ def _step(x, *sources):
 def _executor(step_frames):
     executor = PlanExecutor.__new__(PlanExecutor)
     executor._step_frames = step_frames
+    executor._program = None  # no compiled plan: the step's sources are laid out on the spot
     return executor
 
 
@@ -345,8 +346,7 @@ def test_join_pairs_and_weights_match_the_oracle(case, backend_name):
     right_rows = [(key, j) for j, key in enumerate(right_keys)]
     left = Frame(schema_l, weights=left_weights, store=Relation(schema_l, left_rows, backend=backend_name).store)
     right = Frame(schema_r, weights=right_weights, store=Relation(schema_r, right_rows, backend=backend_name).store)
-    evaluator = Evaluator(DatabaseSchema([schema_l, schema_r]), MappingProvider({}))
-    joined = evaluator._hash_join(left, right, ["l.k"], ["r.k"])
+    joined = JoinStep.compile(schema_l, schema_r, ["l.k"], ["r.k"], {}).run(left, right)
     left_indices, right_indices, weights = index_oracle.join_pairs(
         [(key,) for key in left_keys], left_weights, [(key,) for key in right_keys], right_weights
     )

@@ -26,7 +26,7 @@ from repro.accuracy.rc import (
     relevance_distance,
 )
 from repro.algebra.ast import Difference, Scan
-from repro.algebra.evaluator import Evaluator, Frame, MappingProvider
+from repro.algebra.evaluator import Evaluator, Frame, JoinStep, MappingProvider
 from repro.relational.distance import (
     CATEGORICAL,
     INFINITY,
@@ -368,8 +368,8 @@ def test_relaxed_join_identical_to_nested_loop(seed):
     right = _frame("R", right_attrs, [rrow() for _ in range(rng.randint(0, 60))], rng)
 
     relaxation = {"l.v": 1.0, "r.v": 1.0}  # slack 2.0 on integer values: boundary ties
-    evaluator = Evaluator(DatabaseSchema([]), MappingProvider({}), relaxation=relaxation)
-    joined = evaluator._hash_join(left, right, ["l.id", "l.v"], ["r.id", "r.v"])
+    step = JoinStep.compile(left.schema, right.schema, ["l.id", "l.v"], ["r.id", "r.v"], relaxation)
+    joined = step.run(left, right)
 
     slack = [0.0, 2.0]
     distances = [TRIVIAL, NUMERIC]
@@ -427,7 +427,7 @@ def test_beas_difference_guard_identical_to_nested_loop(seed):
         relaxation=relaxation,
     )
     node = Difference(Scan("R1", "a"), Scan("R2", "b"))
-    result = evaluator._eval_difference(node)
+    result = evaluator.evaluate_frame(node)
 
     thresholds = [0.0, 2.0]
     distances = [TRIVIAL, NUMERIC]

@@ -16,7 +16,7 @@ import pytest
 
 from repro.algebra.spc import maximal_induced_query
 from repro.algebra.sql import parse_query
-from repro.core.beas_ra import refine_bound_with_induced
+from repro.core.beas_ra import Refinement, refine_bound_with_induced
 from repro.core.executor import PlanExecutor
 from repro.core.lower_bound import distance_bounds
 from repro.experiments import build_beas
@@ -90,13 +90,21 @@ class TestEdgeCases:
         "except select h.address, h.price from poi as h where h.type = 'hotel' and h.price <= 60"
     )
 
+    @staticmethod
+    def _executor(query, db_schema, induced_rows, resolutions):
+        """An executor stub: the chosen induced answers, and the refinement compiled for ``resolutions``."""
+        schema = query.output_schema(db_schema)
+        return SimpleNamespace(
+            evaluate=lambda _induced: Relation(schema, induced_rows),
+            resolutions=resolutions,
+            compiled=SimpleNamespace(refinement=Refinement(query, resolutions, db_schema)),
+        )
+
     def _refine(self, social_db, answer_rows, induced_rows, function=refine_bound_with_induced):
         query = parse_query(self.SQL)
         schema = query.output_schema(social_db.schema)
         plan = SimpleNamespace(query=query, eta=0.25)
-        executor = SimpleNamespace(
-            evaluate=lambda _induced: Relation(schema, induced_rows), resolutions={"h.price": 0.125}
-        )
+        executor = self._executor(query, social_db.schema, induced_rows, {"h.price": 0.125})
         return function(plan, executor, social_db, Relation(schema, answer_rows))
 
     def _both(self, social_db, answer_rows, induced_rows):
@@ -128,9 +136,7 @@ class TestEdgeCases:
         schema = query.output_schema(social_db.schema)
         assert schema.attributes[0].distance.name == "trivial"
         plan = SimpleNamespace(query=query, eta=0.5)
-        executor = SimpleNamespace(
-            evaluate=lambda _induced: Relation(schema, [(1, "NYC"), (2, "NYC")]), resolutions={}
-        )
+        executor = self._executor(query, social_db.schema, [(1, "NYC"), (2, "NYC")], {})
         answers = Relation(schema, [(1, "NYC")])
         assert refine_bound_with_induced(plan, executor, social_db, answers) == 0.0
         assert refine_oracle.refine_bound_with_induced(plan, executor, social_db, answers) == 0.0
@@ -140,9 +146,11 @@ class TestEdgeCases:
         rows = [("1 Main St", 70.0), ("2 Side St", 80.0)]
         assert self._both(social_db, rows, list(reversed(rows))) == 1.0 / (1.0 + max(d_rel, cov))
 
-    def test_queries_without_difference_keep_the_plan_bound(self, social_db):
-        plan = SimpleNamespace(query=parse_query("select h.price from poi as h where h.price <= 60"), eta=0.375)
-        assert refine_bound_with_induced(plan, None, social_db, None) == 0.375
+    def test_queries_without_difference_keep_the_plan_bound(self, social_beas):
+        plan = social_beas.plan("select h.price from poi as h where h.price <= 60", 0.05)
+        executor = PlanExecutor(social_beas.database, plan)
+        assert executor.compiled.refinement is None
+        assert refine_bound_with_induced(plan, executor, social_beas.database, None) == plan.eta
 
 
 def test_refinement_probes_once_per_induced_answer(engines, monkeypatch):

@@ -19,9 +19,7 @@ from repro.experiments import build_beas
 from repro.relational.distance import NUMERIC
 from repro.relational.relation import row_sort_key
 from repro.relational.schema import Attribute, RelationSchema
-from repro.workloads import QueryGenerator, airca, social, tfacc, tpch
-
-from conftest import union_compatible
+from conftest import SMOKE_CORPORA, smoke_corpus
 
 
 @pytest.fixture(scope="module")
@@ -60,27 +58,10 @@ def spans_every_atom(plan):
     return True
 
 
-# The end-to-end benchmark's smoke corpora: its datasets at smoke size, its
-# pinned seeds, its six usable queries per workload and its alphas.
-DATA_SEED, QUERY_SEED, QUERIES = 20170301, 7, 6
-SMOKE = {
-    "tpch": (lambda: tpch.generate(scale=1, seed=DATA_SEED), (0.01, 0.02, 0.05)),
-    "airca": (lambda: airca.generate(flights=800, airports=30, seed=DATA_SEED), (0.5, 1.0)),
-    "tfacc": (lambda: tfacc.generate(accidents=500, stops=200, seed=DATA_SEED), (0.25, 1.0)),
-    "social": (
-        lambda: social.generate(persons=150, pois=600, cities=10, max_friends=5, seed=DATA_SEED),
-        (0.05, 0.2),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SMOKE))
+@pytest.mark.parametrize("name", sorted(SMOKE_CORPORA))
 def test_smoke_corpus_plans_span_every_atom(name):
-    generate, alphas = SMOKE[name]
-    workload = generate()
-    generated = QueryGenerator(workload, seed=QUERY_SEED).workload_mix(QUERIES + QUERIES // 4 + 2)
-    queries = [query for query in generated if union_compatible(query.ast, workload.database.schema)]
+    workload, queries, alphas = smoke_corpus(name)
     beas = build_beas(workload)
-    for query in queries[:QUERIES]:
+    for query in queries:
         for alpha in alphas:
             assert spans_every_atom(beas.plan(query.ast, alpha)), (query.sql, alpha)

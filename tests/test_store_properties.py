@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Relation
-from repro.algebra.evaluator import Evaluator, Frame
+from repro.algebra.evaluator import Frame, JoinStep
 from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Const
 from repro.relational.distance import CATEGORICAL, NUMERIC
 from repro.relational.schema import Attribute, RelationSchema
@@ -107,9 +107,8 @@ def test_property_relaxed_join_bit_identical(left_rows, right_rows, slack):
     for build in (ColumnStore.from_rows, untyped):
         left = Frame(left_schema, store=build(2, left_rows))
         right = Frame(right_schema, store=build(2, right_rows))
-        evaluator = Evaluator.__new__(Evaluator)
-        evaluator.relaxation = dict(relaxation)
-        joined = evaluator._hash_join(left, right, ["l.k", "l.v"], ["r.k", "r.v"])
+        step = JoinStep.compile(left_schema, right_schema, ["l.k", "l.v"], ["r.k", "r.v"], relaxation)
+        joined = step.run(left, right)
         results.append((joined.rows, joined.weights))
     (typed_rows, typed_weights), (plain_rows, plain_weights) = results
     assert keys(typed_rows) == keys(plain_rows)
