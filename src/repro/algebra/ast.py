@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, fields, is_dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import QueryError
 from ..relational.distance import NUMERIC, resolve
@@ -296,6 +296,27 @@ def canonical_form(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return tuple(canonical_form(item) for item in value)
     return (type(value).__name__, repr(value))
+
+
+def transform(value: object, visit: Callable[[object], object]) -> object:
+    """``value`` rebuilt top-down through ``visit``.
+
+    ``visit`` returns a replacement for a value, or ``None`` to have the
+    value's dataclass fields (or tuple items) transformed instead.  What comes
+    back unchanged is the same object, so a tree in which nothing changes is
+    returned as it is, with its memoized schema and walk.
+    """
+    new = visit(value)
+    if new is not None:
+        return new
+    if is_dataclass(value) and not isinstance(value, type):
+        changes = {f.name: transform(getattr(value, f.name), visit) for f in fields(value)}
+        same = all(new is getattr(value, name) for name, new in changes.items())
+        return value if same else replace(value, **changes)
+    if isinstance(value, tuple):
+        items = tuple(transform(item, visit) for item in value)
+        return value if all(a is b for a, b in zip(items, value)) else items
+    return value
 
 
 def query_fingerprint(query: QueryNode) -> str:

@@ -33,19 +33,7 @@ from ..errors import QueryError
 from ..relational.distance import INFINITY
 from ..relational.relation import Row
 from ..relational.schema import DatabaseSchema, RelationSchema
-from .ast import (
-    Difference,
-    GroupBy,
-    Product,
-    Project,
-    QueryNode,
-    Rename,
-    Scan,
-    Select,
-    Union,
-    condition_on,
-    resolve_attribute,
-)
+from .ast import Difference, QueryNode, Select, condition_on, resolve_attribute, transform
 from .predicates import CompareOp, Comparison, Conjunction
 
 
@@ -93,37 +81,23 @@ def relaxed_query(node: QueryNode, db_schema: DatabaseSchema) -> Tuple[QueryNode
     """
     dropped: List[Comparison] = []
 
-    def rewrite(current: QueryNode) -> QueryNode:
-        if isinstance(current, Scan):
-            return current
+    def rewrite(current: object) -> object:
         if isinstance(current, Select):
-            child = rewrite(current.child)
+            child = transform(current.child, rewrite)
             schema = child.output_schema(db_schema)
             split = split_condition(condition_on(schema, current.condition), schema)
             dropped.extend(split.relaxable)
             if split.hard:
                 return Select(child, split.hard)
             return child
-        if isinstance(current, Project):
-            return Project(rewrite(current.child), current.columns)
-        if isinstance(current, Product):
-            return Product(rewrite(current.left), rewrite(current.right))
-        if isinstance(current, Union):
-            return Union(rewrite(current.left), rewrite(current.right))
         if isinstance(current, Difference):
             # Only the positive side is relaxed; the negated side keeps its
             # selections so that relaxation never *adds* tuples to the
             # subtracted set (that would shrink the candidate set unsoundly).
-            return Difference(rewrite(current.left), current.right)
-        if isinstance(current, Rename):
-            return Rename(rewrite(current.child), current.mapping)
-        if isinstance(current, GroupBy):
-            return GroupBy(
-                rewrite(current.child), current.group_columns, current.aggregate, current.agg_column
-            )
-        raise QueryError(f"unsupported node {type(current).__name__}")
+            return Difference(transform(current.left, rewrite), current.right)
+        return None if isinstance(current, QueryNode) else current
 
-    return rewrite(node), dropped
+    return transform(node, rewrite), dropped
 
 
 class RelaxationOracle:

@@ -11,16 +11,18 @@ Three pieces of machinery the BEAS algorithms rely on:
 * :func:`maximal_induced_query` — ``Q̂``, the query obtained by dropping the
   negated side of every set difference, so ``Q̂(D) ⊇ Q(D)`` (used both to
   enforce set-difference semantics and to bound coverage).
+* :func:`scope_aliases` — the query with one alias per relation atom, so the
+  planner and the executor can key an atom's data by its alias.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import QueryError
 from ..relational.schema import DatabaseSchema
-from .ast import Difference, GroupBy, Product, Project, QueryNode, Rename, Scan, Select, Union
+from .ast import Difference, GroupBy, Product, Project, QueryNode, Rename, Scan, Select, Union, transform
 from .predicates import AttrRef, Comparison, Conjunction
 
 
@@ -167,30 +169,60 @@ def maximal_induced_query(node: QueryNode) -> QueryNode:
     own induced query — the same object, so compiled operators and frames
     are shared with it.
     """
-    if not node.has_difference():
-        return node
-    if isinstance(node, Difference):
-        return maximal_induced_query(node.left)
-    if isinstance(node, Scan):
-        return node
-    if isinstance(node, Select):
-        return Select(maximal_induced_query(node.child), node.condition)
-    if isinstance(node, Project):
-        return Project(maximal_induced_query(node.child), node.columns)
-    if isinstance(node, Product):
-        return Product(maximal_induced_query(node.left), maximal_induced_query(node.right))
-    if isinstance(node, Union):
-        return Union(maximal_induced_query(node.left), maximal_induced_query(node.right))
-    if isinstance(node, Rename):
-        return Rename(maximal_induced_query(node.child), node.mapping)
-    if isinstance(node, GroupBy):
-        return GroupBy(
-            maximal_induced_query(node.child),
-            node.group_columns,
-            node.aggregate,
-            node.agg_column,
-        )
-    raise QueryError(f"unsupported node {type(node).__name__}")
+
+    def induced(value: object) -> object:
+        if isinstance(value, Difference):
+            return maximal_induced_query(value.left)
+        return None if isinstance(value, QueryNode) and value.has_difference() else value
+
+    return transform(node, induced)
+
+
+def scope_aliases(query: QueryNode) -> QueryNode:
+    """``query`` with every alias an earlier branch already used renamed (``p`` → ``p_2``).
+
+    A branch is a maximal subtree with no ∪ or −.  A plan keys each atom's
+    constants, attributes and frame step by alias, so two atoms sharing one
+    would read one atom's data.  The renaming covers the whole branch — its
+    scans and the references of its selections, projections, group-bys and
+    renamings — and skips every name the query already uses.  The left-most
+    branch keeps its names, so a set operation's output schema, and every
+    answer column, is unchanged; a query that reuses no alias comes back as
+    the same object.
+    """
+    taken = {scan.effective_alias for scan in query.scans()}
+    used: Set[str] = set()
+
+    def fresh(alias: str) -> str:
+        suffix = 2
+        while f"{alias}_{suffix}" in taken:
+            suffix += 1
+        taken.add(f"{alias}_{suffix}")
+        return f"{alias}_{suffix}"
+
+    def scoped(value: object) -> object:
+        if not isinstance(value, QueryNode):
+            return value
+        if any(isinstance(node, (Union, Difference)) for node in value.walk()):
+            return None  # not yet inside one branch
+        aliases = {scan.effective_alias for scan in value.scans()}
+        renames = {alias: fresh(alias) for alias in sorted(aliases & used)}
+        used.update(aliases)
+        return transform(value, lambda inner: _renamed(inner, renames)) if renames else value
+
+    return transform(query, scoped)
+
+
+def _renamed(value: object, renames: Dict[str, str]) -> object:
+    """``value`` with the aliases in ``renames`` substituted, or ``None`` to look inside it."""
+    if isinstance(value, Scan):
+        return Scan(value.relation, renames.get(value.effective_alias, value.alias))
+    if isinstance(value, AttrRef):
+        return AttrRef(renames.get(value.alias, value.alias), value.attribute)
+    if isinstance(value, Rename):
+        mapping = tuple(tuple(_renamed(AttrRef.parse(n), renames).qualified for n in pair) for pair in value.mapping)
+        return Rename(transform(value.child, lambda inner: _renamed(inner, renames)), mapping)
+    return None
 
 
 def classify(node: QueryNode) -> str:

@@ -70,11 +70,6 @@ class ChaseStep:
     covered_variables: List[Variable]
     exact: bool
 
-    def describe(self) -> str:
-        inputs = ", ".join(f"{a}={t}" for a, t in self.input_terms.items()) or "∅"
-        kind = "exact" if self.exact else "approx"
-        return f"{self.name}: {self.accessor.describe()} on {self.alias} ({inputs}) [{kind}]"
-
 
 @dataclass
 class ChaseResult:
@@ -85,17 +80,14 @@ class ChaseResult:
     atom_marks: Dict[str, Mark]
     variable_producer: Dict[Variable, Tuple[str, str, str]]  # step name, alias, attribute
     tariff: int
+    #: Per atom, the step whose output is the atom's relation (phase 2 of :meth:`Chaser.run`).
+    frames: Dict[str, str]
 
     def all_covered(self) -> bool:
         return all(mark.covered for mark in self.atom_marks.values())
 
     def all_exact(self) -> bool:
         return all(mark is Mark.EXACT for mark in self.atom_marks.values())
-
-    def describe(self) -> str:
-        lines = [step.describe() for step in self.steps]
-        lines.append(f"tariff={self.tariff}")
-        return "\n".join(lines)
 
 
 class Chaser:
@@ -118,6 +110,7 @@ class Chaser:
         self._atom_marks: Dict[str, Mark] = {t.alias: Mark.UNCOVERED for t in tableau.templates}
         self._producer: Dict[Variable, Tuple[str, str, str]] = {}
         self._steps: List[ChaseStep] = []
+        self._frames: Dict[str, str] = {}
         self._output_sizes: Dict[str, int] = {}
         self._tariff = 0
         self._counter = 0
@@ -264,7 +257,7 @@ class Chaser:
                 best = (family, input_terms)
         return best
 
-    def _apply_frame_constraint(self, template: TupleTemplate) -> bool:
+    def _apply_frame_constraint(self, template: TupleTemplate) -> Optional[ChaseStep]:
         """Cover a whole atom with one access constraint if possible.
 
         Used when an atom's cells are already covered — through variables
@@ -273,7 +266,7 @@ class Chaser:
         atom still needs one fetch step whose output is its relation, so the
         executor can verify its tuples actually exist.  Budget permitting, an
         exact constraint whose ``X ∪ Y`` spans the atom is preferred over an
-        approximate template.
+        approximate template.  Returns the step applied, or ``None``.
         """
         needed = set(template.cells)
         for constraint in self.schema.constraints_for(template.relation):
@@ -286,9 +279,8 @@ class Chaser:
             inputs = self._estimated_inputs(input_terms)
             if self._tariff + inputs * accessor.n > self.budget:
                 continue
-            self._apply(template, accessor, input_terms)
-            return True
-        return False
+            return self._apply(template, accessor, input_terms)
+        return None
 
     # -- main loop ------------------------------------------------------------------
     def run(self) -> ChaseResult:
@@ -309,35 +301,33 @@ class Chaser:
                     self._apply(template, accessor, input_terms)
                     progress = True
 
-        # Phase 2: the executor reads each atom's relation from ONE of its
-        # steps, so an atom is done only when its steps cover all of its
+        # Phase 2: the executor reads each atom's relation from ONE step, its
+        # frame step, so an atom is done only when its steps cover all of its
         # cells and one of them spans its non-constant cells on its own (the
-        # executor appends constant cells as columns).  Steps that cover the
-        # atom only between them are not enough: two projections of a
-        # relation joined on a non-key attribute are not the relation.  An
-        # atom that is not done gets one accessor covering all of it — an
-        # exact constraint if one spans the atom within budget, else a
-        # level-0 template.
+        # executor appends constant cells as columns); the last such step is
+        # its frame.  Steps that cover the atom only between them are not
+        # enough: two projections of a relation joined on a non-key attribute
+        # are not the relation.  An atom that is not done gets one accessor
+        # covering all of it, which becomes its frame — an exact constraint if
+        # one spans the atom within budget, else a level-0 template.
         for template in self.tableau.templates:
-            own = [
-                set(step.accessor.x + step.accessor.y)
-                for step in self._steps
-                if step.alias == template.alias
-            ]
+            own = [step for step in self._steps if step.alias == template.alias]
             variables = {a for a, term in template.cells.items() if not isinstance(term, Constant)}
-            if set(template.cells) <= set().union(*own) and any(variables <= spans for spans in own):
+            spanning = [step for step in own if variables <= set(step.accessor.x + step.accessor.y)]
+            if spanning and set(template.cells) <= {a for step in own for a in step.accessor.x + step.accessor.y}:
+                self._frames[template.alias] = spanning[-1].name
                 continue
-            applied = self._apply_frame_constraint(template)
-            if applied:
-                continue
-            choice = self._frame_family(template)
-            if choice is None:
-                raise PlanError(
-                    f"no applicable access template covers atom {template.alias!r} "
-                    f"({template.relation}); the access schema must subsume A_t"
-                )
-            family, input_terms = choice
-            self._apply(template, Accessor(family=family, level=0), input_terms)
+            frame = self._apply_frame_constraint(template)
+            if frame is None:
+                choice = self._frame_family(template)
+                if choice is None:
+                    raise PlanError(
+                        f"no applicable access template covers atom {template.alias!r} "
+                        f"({template.relation}); the access schema must subsume A_t"
+                    )
+                family, input_terms = choice
+                frame = self._apply(template, Accessor(family=family, level=0), input_terms)
+            self._frames[template.alias] = frame.name
 
         self._refresh_atom_marks()
         return ChaseResult(
@@ -346,6 +336,7 @@ class Chaser:
             atom_marks=dict(self._atom_marks),
             variable_producer=dict(self._producer),
             tariff=self._tariff,
+            frames=dict(self._frames),
         )
 
 

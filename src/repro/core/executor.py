@@ -3,8 +3,8 @@
 A plan is a function of the query, the access schema and ``⌊α·|D|⌋``, so
 everything an answer derives from the plan alone is derived once, by
 :class:`CompiledPlan`: each fetch step's schema and where its ``X``-values come
-from, each query atom's spanning step and the layout of its frame, the
-resolutions the data is fetched with, the query compiled by the
+from, the layout of each query atom's frame, the resolutions the data is
+fetched with, the query compiled by the
 :class:`~repro.algebra.evaluator.Evaluator` against them, and — for a query
 with set difference — the η′ refinement's induced query with its distance
 bounds (:class:`~repro.core.beas_ra.Refinement`).  :class:`~repro.core.framework.Beas` keeps the compiled form beside
@@ -18,9 +18,9 @@ and runs it in two stages:
    then fetches through the step's access-constraint or access-template index,
    charging every retrieved tuple to the access meter (so α-boundedness is
    enforced and measurable, not merely promised).  Each query atom's relation
-   is then the frame of one of its steps — the last whose ``X ∪ Y`` spans the
-   atom's non-constant cells — laid out as the atom's scans read it, with its
-   constant cells filled in as columns.
+   is then the frame of the step the chase named for it
+   (:attr:`~repro.core.plan.FetchPlan.frames`) laid out as the atom's scans
+   read it, with its constant cells filled in as columns.
 2. **Evaluate** — run the compiled query over those per-atom frames.  Every
    operator lives in the evaluator: selections and joins relaxed by the
    resolutions of the templates used (Section 5), the set-difference guard
@@ -80,7 +80,7 @@ class _Inputs:
 
 
 class _AtomLayout:
-    """How one query atom's frame is laid out from its spanning step's frame.
+    """How one query atom's frame is laid out from its frame step's frame.
 
     ``schema`` is the scan schema the compiled query reads the atom under;
     ``picks[i]`` is the step-frame position of its ``i``-th column, or
@@ -135,45 +135,31 @@ class CompiledPlan:
             self.refinement = Refinement(query, self.resolutions, db_schema)
             self.induced = evaluator.compile(self.refinement.induced_query)
         self.slots = evaluator.slots
-        self.atoms = {
-            alias: self._layout(plan, alias, evaluator.scan_schemas) for alias in plan.fetch_plan.aliases()
-        }
+        self.atoms = {alias: self._layout(plan, alias, evaluator.scan_schemas) for alias in plan.fetch_plan.frames}
 
     def _layout(
         self, plan: BoundedPlan, alias: str, scan_schemas: Dict[Tuple[str, str], RelationSchema]
     ) -> _AtomLayout:
-        steps = plan.fetch_plan.steps_for(alias)
-        scan_schema = scan_schemas[(steps[0].relation, alias)]
-        needed = plan.needed_attributes.get(alias, ())
-        constants = plan.constants.get(alias, {})
-
         # The atom's relation is one step's frame, never a join of several:
         # two projections of a relation joined on a non-key attribute are not
-        # the relation.  Phase 2 of ``Chaser.run`` guarantees such a step: it
-        # applies one whenever no step of the atom spans its non-constant
-        # cells.  The last one fetched is used.
-        fetched = set(needed) - set(constants)
-        spanning = [step for step in steps if fetched <= set(step.accessor.x + step.accessor.y)]
-        if not spanning:
-            raise PlanError(f"no fetch step of query atom {alias!r} spans {sorted(fetched)}")
-        step = spanning[-1]
+        # the relation.  The chase names that step (``FetchPlan.frames``) and
+        # its phase 2 guarantees it spans the atom's non-constant cells.
+        step = plan.fetch_plan.step(plan.fetch_plan.frames[alias])
+        scan_schema = scan_schemas[(step.relation, alias)]
+        constants = plan.constants.get(alias, {})
         fetched_schema = self.step_schemas[step.name]
 
-        # The constant cells the spanning step did not read are filled in.
-        missing = {
-            f"{alias}.{attribute}": constants[attribute]
-            for attribute in needed
-            if f"{alias}.{attribute}" not in fetched_schema
-        }
+        # The constant cells the frame step did not read are filled in.
         picks: List[Optional[int]] = []
         values: List[object] = []
         for name in scan_schema.attribute_names:
+            attribute = name.split(".", 1)[1]
             if name in fetched_schema:
                 picks.append(fetched_schema.position(name))
                 values.append(None)
-            elif name in missing:
+            elif attribute in constants:
                 picks.append(None)
-                values.append(missing[name])
+                values.append(constants[attribute])
             else:
                 raise EvaluationError(f"fetched data for atom {alias!r} is missing attribute {name!r}")
         if picks == list(range(len(fetched_schema))):
@@ -245,10 +231,7 @@ class PlanExecutor:
         The distinct values of each producing step (read column-wise, in
         first-seen order) are combined as a product, first step slowest.
         """
-        if self._program is not None:
-            inputs = self._program.inputs[step.name]
-        else:  # nothing compiled yet: lay the sources out from the frames at hand
-            inputs = _Inputs(step, lambda name: self._step_frames[name].schema if name in self._step_frames else None)
+        inputs = self.compiled.inputs[step.name]
         groups: List[List[Tuple[object, ...]]] = []
         for step_name, positions in inputs.groups:
             frame = self._step_frames.get(step_name)
@@ -288,7 +271,7 @@ class PlanExecutor:
         return Frame(schema, weights=weights, store=ColumnStore.from_columns(len(schema), columns))
 
     def _atom_frame(self, layout: _AtomLayout) -> Frame:
-        """One atom's frame: its spanning step's columns as the atom's scans read them."""
+        """One atom's frame: its frame step's columns as the atom's scans read them."""
         frame = self._step_frames[layout.step]
         if layout.picks is None:
             return Frame(layout.schema, weights=frame.weights, store=frame.store)

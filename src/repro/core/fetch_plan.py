@@ -1,10 +1,17 @@
 """Deriving fetching plans ``ξ_F`` from chasing sequences (Section 5, step 1).
 
-Each chase step maps one-to-one onto a :class:`~repro.core.plan.FetchStep`:
+Each chase step that is read maps onto a :class:`~repro.core.plan.FetchStep`:
 the accessor is carried over, and the accessor's ``X``-attributes become
 fetch *sources* — constants of the query, or columns of the earlier step
 that covered the shared variable (recorded by the chase as the variable's
-producer).
+producer).  The chase's frame steps carry over as the plan's ``frames``.
+
+Only the steps that are *read* are kept: atoms' frame steps, and the steps
+a kept step draws ``X``-values from.  The others (phase-1 steps that phase 2
+replaced with a frame) are neither fetched nor charged.  That is sound: a
+dropped step has no reader, so no atom's relation and no ``X``-value depends
+on what it would fetch.  Kept steps keep their chase names, so a plan's
+description shows the gap.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from .plan import FetchPlan, FetchSource, FetchStep
 
 
 def fetch_plan_from_chase(tableau: Tableau, result: ChaseResult) -> FetchPlan:
-    """Translate a chasing sequence into a fetching plan."""
+    """Translate a chasing sequence into a fetching plan of the steps that are read."""
     steps: List[FetchStep] = []
     for chase_step in result.steps:
         sources = tuple(
@@ -34,7 +41,13 @@ def fetch_plan_from_chase(tableau: Tableau, result: ChaseResult) -> FetchPlan:
                 sources=sources,
             )
         )
-    return FetchPlan(steps=steps)
+    # A step can read only earlier steps (the executor refuses one that reads
+    # ahead), so one backward walk finds every step that is read.
+    read = set(result.frames.values())
+    for step in reversed(steps):
+        if step.name in read:
+            read.update(source.step for source in step.sources if source.kind == "column")
+    return FetchPlan(steps=[step for step in steps if step.name in read], frames=dict(result.frames))
 
 
 def _source_for(chase_step: ChaseStep, attribute: str, term, result: ChaseResult) -> FetchSource:

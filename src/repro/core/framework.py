@@ -91,7 +91,9 @@ class QueryResult:
         exact: whether the plan fetches with zero resolution everywhere (the
             answers are exact answers ``Q(D)``).
         boundedly_evaluable: whether the plan uses access constraints only.
-        plan: the bounded plan itself (for inspection / explain output).
+        plan: the bounded plan itself (for inspection / explain output); its
+            ``query`` is the alias-scoped AST, the query as given unless a set
+            operation's branches reuse an alias.
         plan_seconds / execution_seconds: wall-clock timings of the two phases.
             The first plan to bind a template family builds that family's
             index, so its ``plan_seconds`` includes the build (call

@@ -19,7 +19,7 @@ data access is needed to compute it, which is what lets BEAS promise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..access.schema import AccessConstraint, TemplateFamily
@@ -191,9 +191,16 @@ def size_bounds(producers: Sequence[Tuple[int, ...]], ns: Sequence[int]) -> List
 
 @dataclass
 class FetchPlan:
-    """An ordered sequence of fetch steps (the fetching plan ``ξ_F``)."""
+    """An ordered sequence of fetch steps (the fetching plan ``ξ_F``).
+
+    ``frames`` names each query atom's *frame step*, the one step whose output
+    is the atom's relation, by alias.  The chase picks it (phase 2 of
+    :meth:`~repro.core.chase.Chaser.run`) among the steps spanning the atom's
+    non-constant cells; the executor reads the atom from it alone.
+    """
 
     steps: List[FetchStep] = field(default_factory=list)
+    frames: Dict[str, str] = field(default_factory=dict)
 
     def __iter__(self):
         return iter(self.steps)
@@ -206,16 +213,6 @@ class FetchPlan:
             if step.name == name:
                 return step
         raise PlanError(f"no fetch step named {name!r}")
-
-    def steps_for(self, alias: str) -> List[FetchStep]:
-        """All steps fetching data for one query atom."""
-        return [step for step in self.steps if step.alias == alias]
-
-    def aliases(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for step in self.steps:
-            seen.setdefault(step.alias, None)
-        return list(seen)
 
     # -- tariff --------------------------------------------------------------
     def producers(self) -> List[Tuple[int, ...]]:
@@ -277,17 +274,8 @@ class FetchPlan:
         return "\n".join(step.describe() for step in self.steps)
 
     def copy(self) -> "FetchPlan":
-        steps = [
-            FetchStep(
-                name=s.name,
-                alias=s.alias,
-                relation=s.relation,
-                accessor=s.accessor.copy(),
-                sources=s.sources,
-            )
-            for s in self.steps
-        ]
-        return FetchPlan(steps=steps)
+        steps = [replace(step, accessor=step.accessor.copy()) for step in self.steps]
+        return FetchPlan(steps=steps, frames=dict(self.frames))
 
 
 @dataclass
@@ -298,7 +286,9 @@ class BoundedPlan:
     one per query and budget and hands the same object to every caller.
 
     Attributes:
-        query: the query AST the plan answers.
+        query: the query AST the plan answers, with one alias per relation
+            atom (:func:`~repro.algebra.spc.scope_aliases`): the query as
+            given unless a set operation's branches reuse an alias.
         fetch_plan: the fetching plan ``ξ_F`` (already budget-constrained).
         budget: the access budget ``⌊α·|D|⌋`` the plan was generated for.
         eta: the deterministic accuracy lower bound deduced for the plan.

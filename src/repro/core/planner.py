@@ -5,7 +5,10 @@ All three approximation schemes follow the same two steps (Sections 5–7):
 1. For every maximal SPC sub-query, build its tableau, chase it under the
    access schema within the budget, and derive the fetching plan; the plans
    are concatenated (with distinct step names) into the fetching plan of the
-   whole query.
+   whole query.  Each sub-query's atoms carry aliases of their own
+   (:func:`~repro.algebra.spc.scope_aliases` renames those a set operation's
+   later branch reuses), so an atom's constants, attributes and frame step
+   are recorded once, by the sub-query that owns it.
 2. Run chAT to upgrade the plan's access templates greedily while keeping the
    tariff within ``B = α·|D|``, and derive the accuracy lower bound ``η``
    from the resolutions of the accessors finally chosen.
@@ -23,7 +26,7 @@ from typing import Dict, List
 from ..access.schema import AccessSchema
 from ..algebra.ast import GroupBy, Project, QueryNode, Select, check_difference_types
 from ..algebra.predicates import AttrRef
-from ..algebra.spc import max_spc_subqueries, to_spc
+from ..algebra.spc import max_spc_subqueries, scope_aliases, to_spc
 from ..algebra.tableau import build_tableau
 from ..errors import PlanError, QueryError
 from ..relational.schema import DatabaseSchema
@@ -64,6 +67,7 @@ def generate_plan(
         raise PlanError(f"budget must be positive, got {budget}")
     check_difference_types(query, db_schema)  # no plan at any budget
 
+    query = scope_aliases(query)
     subqueries = max_spc_subqueries(query)
     if not subqueries:
         raise QueryError("query contains no SPC sub-queries to plan for")
@@ -80,38 +84,18 @@ def generate_plan(
         # Extend the sub-query's output with any attribute the full query
         # references on this sub-query's atoms, so the chase covers (and the
         # fetching plan retrieves) everything downstream operators touch.
-        extra = [
-            ref
-            for ref in global_refs
-            if ref.alias in spc.atoms
-            and not any(
-                existing.alias == ref.alias and existing.attribute == ref.attribute
-                for existing in spc.output
-            )
-        ]
-        if extra:
-            deduped: List[AttrRef] = list(spc.output)
-            for ref in extra:
-                if not any(
-                    r.alias == ref.alias and r.attribute == ref.attribute for r in deduped
-                ):
-                    deduped.append(ref)
-            spc.output = tuple(deduped)
+        for ref in global_refs:
+            if ref.alias in spc.atoms and ref not in spc.output:
+                spc.output += (ref,)
         tableau = build_tableau(spc, db_schema)
         prefix = "T" if len(subqueries) == 1 else f"S{index}_T"
         chaser = Chaser(tableau, access_schema, max(1, remaining), name_prefix=prefix)
-        result = chaser.run()
-        sub_plan = fetch_plan_from_chase(tableau, result)
+        sub_plan = fetch_plan_from_chase(tableau, chaser.run())
         combined.steps.extend(sub_plan.steps)
+        combined.frames.update(sub_plan.frames)
         remaining = max(1, budget - combined.tariff())
-
-        for alias, values in atom_constants(tableau).items():
-            constants.setdefault(alias, {}).update(values)
-        for alias, attributes in needed_attributes(tableau).items():
-            existing = needed.setdefault(alias, [])
-            for attribute in attributes:
-                if attribute not in existing:
-                    existing.append(attribute)
+        constants.update(atom_constants(tableau))
+        needed.update(needed_attributes(tableau))
 
     eta = choose_access_templates(combined, query, budget, db_schema)
 

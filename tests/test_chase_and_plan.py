@@ -202,8 +202,8 @@ class TestGeneratePlan:
         plan = generate_plan(
             parse_query(sql), social_db.schema, social_beas.access_schema, budget=800
         )
-        aliases = plan.fetch_plan.aliases()
-        assert "h" in aliases and "b" in aliases
+        frames = plan.fetch_plan.frames
+        assert plan.fetch_plan.step(frames["h"]).alias == "h" and plan.fetch_plan.step(frames["b"]).alias == "b"
 
     def test_invalid_budget_rejected(self, social_beas, social_db):
         with pytest.raises(PlanError):

@@ -24,7 +24,7 @@ import pytest
 from repro import Beas, ConstraintSpec, Database, Relation
 from repro.access.index import ConstraintIndex, TemplateIndex
 from repro.algebra.evaluator import Frame, JoinStep
-from repro.core.executor import PlanExecutor
+from repro.core.executor import PlanExecutor, _Inputs
 from repro.core.plan import FetchSource
 from repro.errors import BudgetExceededError, PlanError
 from repro.experiments import build_beas
@@ -256,11 +256,16 @@ def _step(x, *sources):
     return types.SimpleNamespace(name="T9", sources=sources, accessor=types.SimpleNamespace(x=tuple(x)))
 
 
-def _executor(step_frames):
+STEP_COLUMNS = {"T1": ("t.a", "t.b", "t.c"), "T2": ("s.u", "s.v")}
+
+
+def _input_values(step_frames, step):
+    """``_input_values(step)`` over ``step_frames``, the step's sources compiled as ``CompiledPlan`` compiles them."""
     executor = PlanExecutor.__new__(PlanExecutor)
     executor._step_frames = step_frames
-    executor._program = None  # no compiled plan: the step's sources are laid out on the spot
-    return executor
+    inputs = _Inputs(step, lambda name: _frame(name, STEP_COLUMNS[name], []).schema)
+    executor._program = types.SimpleNamespace(inputs={step.name: inputs})
+    return executor._input_values(step)
 
 
 T1_ROWS = [(3, "x", 1.5), (1, "y", 2.5), (3, "x", 9.0), (2, "x", 1.5), (1, "y", 0.0), (3, "z", 1.5)]
@@ -295,14 +300,14 @@ def test_input_values_match_the_oracle_including_order(case, backend_name):
             "T1": _frame("T1", ("t.a", "t.b", "t.c"), t1_rows, backend_name),
             "T2": _frame("T2", ("s.u", "s.v"), t2_rows, backend_name),
         }
-        values = _executor(frames)._input_values(step)
+        values = _input_values(frames, step)
         expected = index_oracle.input_values(frames, step)
         assert type(values) is list and typed(values) == typed(expected), (case, len(t1_rows), len(t2_rows))
 
 
 def test_input_values_of_the_cases_are_what_they_say():
     frames = {"T1": _frame("T1", ("t.a", "t.b", "t.c"), T1_ROWS), "T2": _frame("T2", ("s.u", "s.v"), T2_ROWS)}
-    values = {case: _executor(frames)._input_values(step) for case, step in INPUT_CASES.items()}
+    values = {case: _input_values(frames, step) for case, step in INPUT_CASES.items()}
     assert values["const-only"] == [("k", 1)]
     assert values["one-producer"] == [(3, "x"), (1, "y"), (2, "x"), (3, "z")]
     assert values["column-overrides-constant"] == [(3, "k"), (1, "k"), (2, "k")]
@@ -314,7 +319,7 @@ def test_input_values_of_the_cases_are_what_they_say():
 
 def test_a_step_that_reads_ahead_is_refused():
     with pytest.raises(PlanError):
-        _executor({})._input_values(INPUT_CASES["one-producer"])
+        _input_values({}, INPUT_CASES["one-producer"])
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +515,7 @@ def test_a_one_producer_step_returns_the_key_tuples_themselves(social_beas, monk
     assert len(executor._run_step(step)) > 0
     frames = {"T1": _frame("T1", ("t.a", "t.b", "t.c"), T1_ROWS), "T2": _frame("T2", ("s.u", "s.v"), T2_ROWS)}
     with pytest.raises(AssertionError, match="built a product"):  # the patch does bite
-        _executor(frames)._input_values(INPUT_CASES["two-producers"])
+        _input_values(frames, INPUT_CASES["two-producers"])
 
 
 def test_a_fetch_is_not_a_store_gather(monkeypatch):

@@ -1,15 +1,19 @@
 """Every query atom reads the frame of one fetch step, never a join of several.
 
-The executor hands each atom the frame of one of its steps, so the chase must
-give every atom a step whose ``X ∪ Y`` spans the atom's non-constant cells.
-Steps that only cover the atom between them are not enough: under
-``r(a → b)`` and ``r(a → c)`` the two steps of ``select r.b, r.c from r where
-r.a = 1`` are projections of ``r``, and joining them on ``a`` (not a key)
-pairs every ``b`` of ``a = 1`` with every ``c`` — 25 rows for 5, reported
-exact with ``η = 1``.
+The executor hands each atom the frame of the step the chase names for it
+(``FetchPlan.frames``), so that step's ``X ∪ Y`` must span the atom's
+non-constant cells.  Steps that only cover the atom between them are not
+enough: under ``r(a → b)`` and ``r(a → c)`` the two steps of ``select r.b, r.c
+from r where r.a = 1`` are projections of ``r``, and joining them on ``a`` (not
+a key) pairs every ``b`` of ``a = 1`` with every ``c`` — 25 rows for 5,
+reported exact with ``η = 1``.  The phase-1 steps the frame step replaces, and
+that no step reads, are dropped from the plan, so they are neither fetched nor
+charged.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -48,12 +52,34 @@ def test_covering_projections_are_not_joined(projections, sql, alpha):
     assert result.eta <= rc_accuracy(result.plan.query, projections.database, result.rows, exact).accuracy
 
 
+def test_only_the_steps_that_are_read_are_fetched(projections):
+    """Phase 1's ``r(a → c)`` step is replaced by the frame step and read by nothing: it is not fetched or charged."""
+    plan = projections.plan(PROJECTION_QUERIES[0], 1.0)
+    assert [step.name for step in plan.fetch_plan] == ["T1", "T3"] and plan.fetch_plan.frames == {"r": "T3"}
+    assert projections.answer(PROJECTION_QUERIES[0], 1.0).tuples_accessed == 10
+    # The difference's read steps cost exactly its budget at α = 0.1; charging its unread steps too
+    # priced it at 25 and refused it.
+    result = projections.answer(PROJECTION_QUERIES[2], 0.1)
+    assert (result.plan.tariff, result.budget, result.exact) == (20, 20, True)
+    assert len(result.rows) == len(projections.answer_exact(PROJECTION_QUERIES[2])) == 3
+
+
+def test_a_frame_step_that_does_not_span_its_atom_is_caught(projections):
+    plan = projections.plan(PROJECTION_QUERIES[0], 1.0)
+    assert spans_every_atom(plan)
+    fetch_plan = plan.fetch_plan.copy()
+    fetch_plan.frames["r"] = "T1"  # r(a → b) leaves out c
+    assert not spans_every_atom(dataclasses.replace(plan, fetch_plan=fetch_plan))
+
+
 def spans_every_atom(plan):
-    """Whether every atom of ``plan`` has one step whose ``X ∪ Y`` spans its non-constant cells."""
-    for alias in plan.fetch_plan.aliases():
+    """Whether every atom of ``plan`` has a frame step of its own whose ``X ∪ Y`` spans its non-constant cells."""
+    if set(plan.fetch_plan.frames) != set(plan.needed_attributes):
+        return False
+    for alias, name in plan.fetch_plan.frames.items():
         fetched = set(plan.needed_attributes[alias]) - set(plan.constants.get(alias, {}))
-        steps = plan.fetch_plan.steps_for(alias)
-        if not any(fetched <= set(step.accessor.x + step.accessor.y) for step in steps):
+        step = plan.fetch_plan.step(name)
+        if step.alias != alias or not fetched <= set(step.accessor.x + step.accessor.y):
             return False
     return True
 
