@@ -93,7 +93,9 @@ def refine_bound_with_induced(
 
     # d′ = max over induced answers of the distance to the nearest answer: the
     # same one-sided Hausdorff sweep as RC coverage, so it runs through the
-    # same nearest-neighbour kernel (one probe per induced answer).
+    # same nearest-neighbour kernel.  An induced answer with a canonically
+    # equal answer (a twin) is at distance 0, so only those without one, the
+    # rows the set-difference guard removed, are probed.
     d_prime = max_min_distance(induced_answers.store, answers.store, refinement.answer_attributes)
     if d_prime == INFINITY:
         return 0.0

@@ -13,7 +13,8 @@ rows under per-attribute distance functions:
 * **BEAS_RA's η′ refinement** in
   :func:`repro.core.beas_ra.refine_bound_with_induced` (``d′``, the distance
   from every answer of the maximal induced query to its nearest answer —
-  the same sweep as RC coverage, :func:`max_min_distance`).
+  the same sweep as RC coverage, :func:`max_min_distance`, which probes
+  only the induced answers with no canonically equal answer).
 
 This module centralises those scans behind two kernels:
 
@@ -54,7 +55,9 @@ observe no behavioural difference, only speed.  The contract assumes numeric
 distance functions are monotone in ``|x - y|`` and zero exactly on
 numerically-equal values (true for the built-in absolute and scaled
 distances, and required of any custom ``DistanceFunction`` marked
-``numeric=True``); it is enforced by the differential tests in
+``numeric=True``), so a canonically equal twin (:func:`_canonical`) is at
+distance 0 under them and the trivial, categorical and string-prefix
+distances; it is enforced by the differential tests in
 ``tests/test_kernels.py`` on randomised inputs including ties exactly at the
 threshold boundary.
 
@@ -638,30 +641,63 @@ class NearestNeighbors:
         return best
 
 
+# Besides the numeric ones, the distances known to be 0 on canonically equal
+# values (:func:`_canonical`); a custom distance may not be.
+_ZERO_ON_EQUAL = ("trivial", "categorical", "string-prefix")
+
+
+def _canonical_rows(store: Store, distances: Sequence[DistanceFunction]) -> Iterator[Tuple[object, ...]]:
+    return zip(*(_canonical_column(store.column(p), d) for p, d in enumerate(distances)))
+
+
+def _rows_to_probe(queries: Store, indexed: Store, distances: Sequence[DistanceFunction]) -> List[Row]:
+    """The rows of ``queries`` with no canonically equal row (a *twin*) in ``indexed``.
+
+    A twin is at distance 0.  Every row is kept when some distance may not
+    be, or when a value defeats canonicalization or hashing.
+    """
+    # max is order-insensitive, so a sharded ``queries`` is walked shard by
+    # shard straight off the shard buffers.
+    sources = queries.shard_views()
+    if all(d.numeric or d.name in _ZERO_ON_EQUAL for d in distances):
+        try:
+            twins = set(_canonical_rows(indexed, distances))
+            return [
+                row
+                for source in sources
+                for row, key in zip(source.iter_rows(), _canonical_rows(source, distances))
+                if key not in twins
+            ]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return [row for source in sources for row in source.iter_rows()]
+
+
 def max_min_distance(queries: Store, indexed: Store, attributes: Sequence[Attribute]) -> float:
     """``max_t min_s d(t, s)`` over the rows ``t`` of ``queries`` and ``s`` of ``indexed``.
 
     The one-sided Hausdorff distance both the RC coverage measure
     (``queries`` = exact answers, ``indexed`` = approximate answers) and
     BEAS_RA's η′ refinement (induced answers vs. answers) are defined by.
-    ``indexed`` is indexed once (:class:`NearestNeighbors`) and probed once
-    per query row, so the result
-    equals a :func:`naive_min_distance` scan per row.  No query rows gives
-    0, nothing to match them against gives +inf.
+    Only the query rows with no twin in ``indexed`` (:func:`_rows_to_probe`)
+    are probed, against ``indexed`` indexed once (:class:`NearestNeighbors`,
+    not built when no row is left), so the result equals a
+    :func:`naive_min_distance` scan per row.  No query rows gives 0,
+    nothing to match them against gives +inf.
     """
     if len(queries) == 0:
         return 0.0
     if len(indexed) == 0:
         return INFINITY
+    rows = _rows_to_probe(queries, indexed, [a.distance for a in attributes])
+    if not rows:
+        return 0.0
     neighbors = NearestNeighbors.from_store(indexed, attributes)
-    # max is order-insensitive, so a sharded ``queries`` is walked shard by
-    # shard straight off the shard buffers.
     worst = 0.0
-    for source in queries.shard_views():
-        for row in source.iter_rows():
-            d = neighbors.min_distance(row)
-            if d > worst:
-                worst = d
-            if worst == INFINITY:
-                return worst
+    for row in rows:
+        d = neighbors.min_distance(row)
+        if d > worst:
+            worst = d
+        if worst == INFINITY:
+            return worst
     return worst

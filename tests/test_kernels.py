@@ -29,6 +29,7 @@ from repro.algebra.ast import Difference, Scan
 from repro.algebra.evaluator import Evaluator, Frame, JoinStep, MappingProvider
 from repro.relational.distance import (
     CATEGORICAL,
+    DistanceFunction,
     INFINITY,
     NUMERIC,
     STRING_PREFIX,
@@ -39,6 +40,7 @@ from repro.relational.distance import (
 from repro.relational.kernels import (
     NearestNeighbors,
     RadiusMatcher,
+    _canonical,
     classify_key,
     naive_min_distance,
     naive_radius_matches,
@@ -451,15 +453,67 @@ def _rc_row(rng):
     return (rng.randint(0, 3), rng.choice([0, 1, 2, 3, 2.0, None]), rng.choice(["a", "b"]))
 
 
+# Not 0 on equal values, so the coverage sweep may skip no row under it.
+SELF_DISTANT = DistanceFunction("self-distant", lambda x, y: 0.5 if x == y else 1.0)
+
+# The nearest-neighbour layouts plus: the RC schema; ``1`` / ``1.0`` under
+# string-prefix (``1 == 1.0``, but they are 2 apart); and two inputs
+# that must probe every row, a distance that is not 0 on equal values and an
+# unhashable value.  No layout of the last two can reach +inf, so every row
+# really is probed.
+COVERAGE_LAYOUTS = {
+    **NN_LAYOUTS,
+    "rc": ([a.distance for a in RC_SCHEMA.attributes], _rc_row),
+    "prefix_numbers": (
+        [TRIVIAL, STRING_PREFIX, STRING_PREFIX],
+        lambda rng: (rng.randint(0, 1), rng.choice([1, 1.0]), rng.choice([1, 1.0])),
+    ),
+    "self_distant": ([SELF_DISTANT, CATEGORICAL], lambda rng: (rng.randint(0, 2), rng.choice("ab"))),
+    "unhashable": (
+        [CATEGORICAL, SCALED],
+        lambda rng: (rng.choice(["a", ["a"], ("b", ["c"])]), rng.randint(0, 5)),
+    ),
+}
+PROBE_EVERY_ROW = ("self_distant", "unhashable")
+
+
+@pytest.mark.parametrize("queries_backend", ["column", "sharded"])
+@pytest.mark.parametrize("layout", sorted(COVERAGE_LAYOUTS))
 @pytest.mark.parametrize("seed", range(5))
-def test_max_coverage_distance_identical_to_per_row_scan(seed):
+def test_max_coverage_distance_identical_to_per_row_scan(seed, layout, queries_backend, monkeypatch):
     rng = random.Random(seed)
-    exact = Relation(RC_SCHEMA, [_rc_row(rng) for _ in range(rng.randint(0, 60))])
-    approx = Relation(RC_SCHEMA, [_rc_row(rng) for _ in range(rng.randint(0, 60))])
+    distances, make_row = COVERAGE_LAYOUTS[layout]
+    schema = RelationSchema("out", [Attribute(f"a{i}", d) for i, d in enumerate(distances)])
 
-    result = max_coverage_distance(exact, approx, RC_SCHEMA)
+    def row():
+        # ±inf under NUMERIC, where an infinity is at distance NaN from itself.
+        values = make_row(rng)
+        return tuple(
+            rng.choice([v, v, v, INFINITY, -INFINITY]) if d is NUMERIC else v
+            for d, v in zip(distances, values)
+        )
 
-    distances = [a.distance for a in RC_SCHEMA.attributes]
+    approx_rows = [row() for _ in range(rng.randint(0, 60))]
+    # A share of the exact rows are copies of approximate ones: twins.
+    exact_rows = [
+        rng.choice(approx_rows) if approx_rows and rng.random() < 0.4 else row()
+        for _ in range(rng.randint(0, 60))
+    ]
+    # ``queries`` may be sharded; ``indexed`` is a flat column store.
+    exact = Relation(schema, exact_rows, backend=queries_backend)
+    approx = Relation(schema, approx_rows)
+
+    probes = [0]
+    min_distance = NearestNeighbors.min_distance
+
+    def counted_probe(self, values):
+        probes[0] += 1
+        return min_distance(self, values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NearestNeighbors, "min_distance", counted_probe)
+        result = max_coverage_distance(exact, approx, schema)
+
     if len(exact) == 0:
         expected = 0.0
     elif len(approx) == 0:
@@ -469,6 +523,17 @@ def test_max_coverage_distance_identical_to_per_row_scan(seed):
             min(tuple_distance(s, t, distances) for s in approx.rows) for t in exact.rows
         )
     assert result == expected
+    if result == INFINITY:
+        return  # the sweep stops at the first row at +inf
+    if layout in PROBE_EVERY_ROW:
+        assert probes[0] == len(exact)
+    else:
+
+        def key(values):
+            return tuple(_canonical(d, v) for d, v in zip(distances, values))
+
+        twins = set(map(key, approx_rows))
+        assert probes[0] == sum(key(t) not in twins for t in exact_rows)
 
 
 @pytest.mark.parametrize("seed", range(5))

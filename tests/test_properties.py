@@ -79,7 +79,7 @@ def test_set_difference_never_returns_negated_tuples(social_beas, city, alpha):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="access-schema indexes are never rebuilt after a mutation (ROADMAP open item 4(c)): "
+    reason="access-schema indexes are never rebuilt after a mutation (ROADMAP open item 2): "
     "an exact plan answers from the indexes of the database as it was when the engine was built",
 )
 def test_an_exact_answer_follows_a_mutation():

@@ -1,11 +1,14 @@
 """BEAS_RA's η′ refinement under ``src/`` against the nested-scan oracle.
 
 ``refine_bound_with_induced`` computes ``d′`` with one nearest-neighbour probe
-per induced answer (:func:`repro.relational.kernels.max_min_distance`); the
-oracle in ``refine_oracle.py`` scans every (induced answer, answer) pair.
-They must agree on ``repr(η′)`` for generated RA queries with ``except`` over
-all four workloads at the αs the benchmark replays, and on the three edge
-cases of Fig. 5; and the probe count must stay linear in ``|Ŝ|``.
+per induced answer that has no canonically equal answer — a twin is at
+distance 0, so only the rows the set-difference guard removed are probed
+(:func:`repro.relational.kernels.max_min_distance`); the oracle in
+``refine_oracle.py`` scans every (induced answer, answer) pair.  They must
+agree on ``repr(η′)`` for generated RA queries with ``except`` over all four
+workloads at the αs the benchmark replays, and on the three edge cases of
+Fig. 5; and the probe count must equal the number of induced answers without
+a twin, with distance calls far below ``|S|·|Ŝ|``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.core.lower_bound import distance_bounds
 from repro.experiments import build_beas
 from repro.relational.database import AccessMeter
 from repro.relational.distance import DistanceFunction
-from repro.relational.kernels import NearestNeighbors
+from repro.relational.kernels import NearestNeighbors, _canonical
 from repro.relational.relation import Relation
 from repro.workloads import QueryGenerator, airca, tfacc
 
@@ -153,8 +156,23 @@ class TestEdgeCases:
         assert refine_bound_with_induced(plan, executor, social_beas.database, None) == plan.eta
 
 
-def test_refinement_probes_once_per_induced_answer(engines, monkeypatch):
-    """O(|Ŝ|) kernel probes — never |S|·|Ŝ| distance calls — so the nested scan cannot come back unnoticed."""
+def _twinless(induced, answers, distances):
+    """How many induced answers have no answer with equal canonical values, value by value."""
+
+    def key(row):
+        return tuple(_canonical(d, value) for d, value in zip(distances, row))
+
+    answer_keys = set(map(key, answers.rows))
+    return sum(key(row) not in answer_keys for row in induced.rows)
+
+
+def test_refinement_probes_once_per_induced_answer(engines, social_db, monkeypatch):
+    """One kernel probe per induced answer with no twin among the answers — never |S|·|Ŝ| distance calls.
+
+    A twin is at distance 0, so only the rows the set-difference guard
+    removed are probed, and none at all when it removed nothing; the nested
+    scan cannot come back unnoticed.
+    """
     probes, distance_calls = [0], [0]
     min_distance, call = NearestNeighbors.min_distance, DistanceFunction.__call__
 
@@ -165,6 +183,20 @@ def test_refinement_probes_once_per_induced_answer(engines, monkeypatch):
     def counted_call(self, x, y):
         distance_calls[0] += 1
         return call(self, x, y)
+
+    def check(refine, induced, answers):
+        """``refine()`` under the counters: one probe per induced answer without a twin."""
+        distances = [attribute.distance for attribute in answers.schema.attributes]
+        with monkeypatch.context() as patch:
+            patch.setattr(NearestNeighbors, "min_distance", counted_probe)
+            patch.setattr(DistanceFunction, "__call__", counted_call)
+            probes[0] = distance_calls[0] = 0
+            result = refine()
+        assert probes[0] == _twinless(induced, answers, distances)
+        assert distance_calls[0] < len(answers) * len(induced) / 4, (len(answers), len(induced))
+        if probes[0] == 0:
+            assert distance_calls[0] == 0
+        return result
 
     workload, beas = engines["airca"]
     generator = QueryGenerator(workload, seed=5)
@@ -177,12 +209,22 @@ def test_refinement_probes_once_per_induced_answer(engines, monkeypatch):
         induced = executor.evaluate(maximal_induced_query(ast))
         if len(answers) * len(induced) < 400:
             continue
-        with monkeypatch.context() as patch:
-            patch.setattr(NearestNeighbors, "min_distance", counted_probe)
-            patch.setattr(DistanceFunction, "__call__", counted_call)
-            probes[0] = distance_calls[0] = 0
-            refine_bound_with_induced(plan, executor, beas.database, answers)
-        assert 0 < probes[0] <= len(induced) * len(answers.store.shard_views())
-        assert distance_calls[0] < len(answers) * len(induced) / 4, (len(answers), len(induced))
+        check(lambda: refine_bound_with_induced(plan, executor, beas.database, answers), induced, answers)
         checked += 1
     assert checked >= 1
+
+    # The generated airca queries' guards remove nothing, so the probed case
+    # is built by hand: 40 hotel answers above 60, and 20 induced answers
+    # below it that the guard removed.
+    edge = TestEdgeCases()
+    schema = parse_query(edge.SQL).output_schema(social_db.schema)
+    answer_rows = [("1 Main St", 60.5 + n / 2) for n in range(40)]
+    induced_rows = answer_rows + [("1 Main St", 30.0 + n * 1.5) for n in range(20)]
+    actual = check(
+        lambda: edge._refine(social_db, answer_rows, induced_rows),
+        Relation(schema, induced_rows),
+        Relation(schema, answer_rows),
+    )
+    assert probes[0] == 20
+    expected = edge._refine(social_db, answer_rows, induced_rows, refine_oracle.refine_bound_with_induced)
+    assert repr(actual) == repr(expected)
