@@ -4,7 +4,7 @@ Part 1 times the three kernel-accelerated hot paths against their quadratic
 references at several input scales:
 
 * ``relaxed_join`` — :meth:`repro.relational.kernels.RadiusMatcher.matches`
-  (the evaluator's slack join) vs. :func:`naive_radius_matches`,
+  (the evaluator's slack join) vs. a nested loop over :func:`pair_within`,
 * ``difference_guard`` — :meth:`~repro.relational.kernels.RadiusMatcher.any_match`
   (the BEAS set-difference guard) vs. a short-circuiting nested loop,
 * ``rc_nearest`` — :meth:`repro.relational.kernels.NearestNeighbors.min_distance`
@@ -97,7 +97,6 @@ from repro.relational.kernels import (  # noqa: E402
     NearestNeighbors,
     RadiusMatcher,
     naive_min_distance,
-    naive_radius_matches,
     pair_within,
 )
 from repro.relational.relation import Relation  # noqa: E402
@@ -146,9 +145,13 @@ def _timed_best(fn, repeats: int = 3):
 def bench_relaxed_join(size: int, queries: int, rng: random.Random):
     rows = _join_rows(size, rng)
     probes = _join_rows(queries, rng)
-    naive_seconds, naive_out = _timed(
-        lambda: [naive_radius_matches(q, rows, POSITIONS, DISTANCES, SLACK) for q in probes]
-    )
+    def naive_join():
+        return [
+            [index for index, row in enumerate(rows) if pair_within(q, row, POSITIONS, DISTANCES, SLACK)]
+            for q in probes
+        ]
+
+    naive_seconds, naive_out = _timed(naive_join)
     kernel_seconds, kernel_out = _timed(
         lambda: (
             lambda matcher: [matcher.matches(q) for q in probes]

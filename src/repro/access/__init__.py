@@ -1,10 +1,9 @@
-"""Access schemas: templates, constraints, physical indexes, builders, discovery."""
+"""Access schemas: templates, constraints, physical indexes and builders."""
 
 from .builder import AccessSchemaBuilder, ConstraintSpec, FamilySpec
-from .discovery import DiscoveryReport, discover, discover_constraints, discover_families
 from .index import ConstraintIndex, TemplateIndex
 from .schema import AccessConstraint, AccessSchema, TemplateFamily
-from .template import TemplateSpec, conforms
+from .template import TemplateSpec
 
 __all__ = [
     "AccessConstraint",
@@ -12,13 +11,8 @@ __all__ = [
     "AccessSchemaBuilder",
     "ConstraintIndex",
     "ConstraintSpec",
-    "DiscoveryReport",
     "FamilySpec",
     "TemplateFamily",
     "TemplateIndex",
     "TemplateSpec",
-    "conforms",
-    "discover",
-    "discover_constraints",
-    "discover_families",
 ]

@@ -12,21 +12,20 @@ An :class:`AccessSchema` bundles, for one database instance:
   so set-up pays nothing for families no query reads.
   :meth:`AccessSchema.build_all` builds every family now.
 
-The chase and chAT query the schema for templates *applicable* to a relation
-given the set of attributes already covered; the executor fetches through the
-schema so every access is metered.
+The chase and chAT look up each relation's constraints and families here;
+the executor fetches through the schema so every access is metered.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..relational.database import AccessMeter, Database
+from ..relational.database import AccessMeter
 from ..relational.relation import Relation
 from .index import ConstraintIndex, FetchedRow, TemplateIndex
-from .template import TemplateSpec, conforms
+from .template import TemplateSpec
 
 
 @dataclass
@@ -138,27 +137,6 @@ class AccessSchema:
     def families_for(self, relation: str) -> List[TemplateFamily]:
         return [f for f in self.families if f.relation == relation]
 
-    def applicable_constraints(
-        self, relation: str, available: Iterable[str]
-    ) -> List[AccessConstraint]:
-        """Constraints on ``relation`` whose ``X`` is contained in ``available``."""
-        available_set = set(available)
-        return [
-            c for c in self.constraints_for(relation) if set(c.spec.x) <= available_set
-        ]
-
-    def applicable_families(self, relation: str, available: Iterable[str]) -> List[TemplateFamily]:
-        """Template families on ``relation`` whose ``X`` is contained in ``available``."""
-        available_set = set(available)
-        return [f for f in self.families_for(relation) if set(f.x) <= available_set]
-
-    def whole_relation_family(self, relation: str) -> Optional[TemplateFamily]:
-        """The canonical ``R(∅ → attr(R), 2^k, d̄_k)`` family, if present."""
-        for family in self.families_for(relation):
-            if not family.x:
-                return family
-        return None
-
     def build_all(self) -> None:
         """Build every family's index now, for callers that want eager set-up
         (a timed experiment, so that no measured plan pays for a build)."""
@@ -171,12 +149,6 @@ class AccessSchema:
         """``||A||`` — number of constraints plus number of distinct templates (builds every family)."""
         return len(self.constraints) + sum(f.max_level + 1 for f in self.families)
 
-    def distinct_template_groups(self) -> int:
-        """Templates grouped by their X and Y attribute sets (as reported in Exp setup)."""
-        groups = {(c.spec.relation, c.spec.x, c.spec.y) for c in self.constraints}
-        groups |= {(f.relation, f.x, f.y) for f in self.families}
-        return len(groups)
-
     def index_entry_counts(self) -> Dict[str, int]:
         """Index sizes in entries, split by constraint vs template indexes (builds every family)."""
         return {
@@ -187,36 +159,6 @@ class AccessSchema:
     def total_index_entries(self) -> int:
         counts = self.index_entry_counts()
         return counts["constraints"] + counts["templates"]
-
-    # -- conformance -------------------------------------------------------------------
-    def check_conformance(self, database: Database, sample_levels: Sequence[int] = (0,)) -> bool:
-        """Verify ``D |= A`` by checking every constraint and sampled template levels.
-
-        Constraint indexes conform by construction (they return the exact
-        values), so the interesting part is the template families: at each
-        requested level we verify the cardinality bound and the resolution
-        guarantee against the base relation.  Builds every family.
-        """
-        for constraint in self.constraints:
-            relation = database.relation(constraint.relation)
-            fetched = {
-                key: [row[len(constraint.spec.x):] for row, _ in constraint.fetch(key)]
-                for key in constraint.index.keys()
-            }
-            if not conforms(relation, constraint.spec, fetched):
-                return False
-        for family in self.families:
-            relation = database.relation(family.relation)
-            for level in sample_levels:
-                level = min(level, family.max_level)
-                spec = family.spec_at(level)
-                fetched = {
-                    key: [row[len(family.x):] for row, _ in family.fetch(key, level)]
-                    for key in family.index.keys()
-                }
-                if not conforms(relation, spec, fetched):
-                    return False
-        return True
 
     def describe(self) -> str:
         """Multi-line human-readable summary of the schema (builds every family)."""

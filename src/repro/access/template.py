@@ -14,10 +14,9 @@ realise them live in :mod:`repro.access.index`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Mapping, Tuple
 
 from ..errors import AccessSchemaError
-from ..relational.relation import Relation
 
 
 @dataclass(frozen=True)
@@ -78,51 +77,3 @@ class TemplateSpec:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"TemplateSpec({self.describe()})"
-
-
-def conforms(
-    relation: Relation,
-    spec: TemplateSpec,
-    fetched: Mapping[Tuple[object, ...], Sequence[Tuple[object, ...]]],
-) -> bool:
-    """Check ``D |= ψ`` for one relation instance against fetched samples.
-
-    Args:
-        relation: the instance ``D_R``.
-        spec: the template ``ψ``.
-        fetched: for each ``X``-value, the sample ``D̃^N_Y`` the index returns
-            (tuples over the ``Y`` attributes).
-
-    Returns ``True`` iff (a) every sample has at most ``N`` distinct tuples
-    and (b) every real ``Y``-value of ``D_R`` is within ``d̄_Y`` of some
-    sample tuple on every ``Y`` attribute.
-    """
-    schema = relation.schema
-    x_positions = schema.positions(spec.x)
-    y_positions = schema.positions(spec.y)
-    distances = [schema.attribute(a).distance for a in spec.y]
-    resolutions = [spec.resolution_of(a) for a in spec.y]
-
-    groups: Dict[Tuple[object, ...], List[Tuple[object, ...]]] = {}
-    for row in relation:
-        key = tuple(row[p] for p in x_positions)
-        groups.setdefault(key, []).append(tuple(row[p] for p in y_positions))
-
-    for key, y_values in groups.items():
-        sample = list(fetched.get(key, ()))
-        if len(set(sample)) > spec.n:
-            return False
-        if not sample and y_values:
-            return False
-        for y_value in y_values:
-            covered = False
-            for candidate in sample:
-                if all(
-                    dist(yv, cv) <= res
-                    for yv, cv, dist, res in zip(y_value, candidate, distances, resolutions)
-                ):
-                    covered = True
-                    break
-            if not covered:
-                return False
-    return True

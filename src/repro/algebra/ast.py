@@ -78,14 +78,6 @@ class QueryNode:
             for node in self.walk()
         )
 
-    def selection_count(self) -> int:
-        """Number of atomic comparisons across all selections (``#-sel``)."""
-        return sum(
-            len(node.condition)
-            for node in self.walk()
-            if isinstance(node, Select)
-        )
-
     def product_count(self) -> int:
         """Number of Cartesian products in the query (``#-prod``)."""
         return sum(1 for node in self.walk() if isinstance(node, Product))

@@ -508,19 +508,12 @@ class Conjunction:
     def __bool__(self) -> bool:
         return bool(self.comparisons)
 
-    def and_also(self, other: "Conjunction") -> "Conjunction":
-        """The conjunction of two conditions."""
-        return Conjunction(self.comparisons + other.comparisons)
-
     def attributes(self) -> List[AttrRef]:
         """All attribute references mentioned anywhere in the condition."""
         refs: List[AttrRef] = []
         for comparison in self.comparisons:
             refs.extend(comparison.attributes())
         return refs
-
-    def equality_comparisons(self) -> List[Comparison]:
-        return [c for c in self.comparisons if c.op.is_equality]
 
     def mask(
         self,

@@ -68,16 +68,6 @@ class SPCQuery:
                 used.append(ref.attribute)
         return used
 
-    def selection_predicates(self, alias: str) -> List[Comparison]:
-        """Attr/const predicates that constrain attributes of ``alias``."""
-        preds = []
-        for comparison in self.condition:
-            comparison = comparison.normalized()
-            if comparison.is_attr_const and isinstance(comparison.left, AttrRef):
-                if comparison.left.alias == alias:
-                    preds.append(comparison)
-        return preds
-
     def join_predicates(self) -> List[Comparison]:
         """Attr/attr predicates (joins) of the query."""
         return [c for c in self.condition if c.is_attr_attr]

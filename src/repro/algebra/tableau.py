@@ -102,15 +102,6 @@ class Tableau:
                 seen.setdefault(variable, None)
         return list(seen)
 
-    def cells_of(self, variable: Variable) -> List[Tuple[str, str]]:
-        """All ``(alias, attribute)`` cells holding ``variable``."""
-        cells = []
-        for template in self.templates:
-            for attribute, term in template.cells.items():
-                if term == variable:
-                    cells.append((template.alias, attribute))
-        return cells
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Tableau({len(self.templates)} templates, {len(self.all_variables())} variables)"
 

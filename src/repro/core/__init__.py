@@ -9,7 +9,7 @@ from .chat import choose_access_templates
 from .executor import PlanExecutor
 from .fetch_plan import atom_constants, fetch_plan_from_chase, needed_attributes
 from .framework import Beas, QueryResult
-from .lower_bound import distance_bounds, lower_bound, theoretical_floor
+from .lower_bound import distance_bounds, lower_bound
 from .plan import Accessor, BoundedPlan, FetchPlan, FetchSource, FetchStep
 from .planner import generate_plan
 
@@ -41,5 +41,4 @@ __all__ = [
     "plan_ra",
     "plan_spc",
     "refine_bound_with_induced",
-    "theoretical_floor",
 ]

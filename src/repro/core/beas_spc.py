@@ -5,8 +5,11 @@ Given an SPC query ``Q``, an access schema ``A ⊇ A_t`` and a budget
 and a deterministic accuracy lower bound ``η`` such that (Theorem 5):
 
 1. ``F_rel(ξ_α(D), Q, D) ≥ η`` and ``F_cov(ξ_α(D), Q, D) ≥ η``;
-2. ``η`` is never below the query-independent floor
-   ``1/(1 + max_ψ d̄_{ψ,k*})`` (see :func:`repro.core.lower_bound.theoretical_floor`);
+2. ``η`` is never below the paper's query-independent floor
+   ``1/(1 + max_ψ d̄_{ψ,k*})``, ``k* = ⌊log2(B/||Q||)⌋ - 1``.  Under ``A_t``
+   that floor is 0 whenever a whole-relation family carries a ``TRIVIAL``
+   attribute (one differing value puts its resolution at +∞), which is every
+   smoke-corpus position measured, so there it guarantees nothing;
 3. larger budgets never yield smaller ``η`` (monotonicity in α).
 
 Plan generation is the pipeline of :mod:`repro.core.planner`: tableau →

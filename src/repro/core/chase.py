@@ -83,12 +83,6 @@ class ChaseResult:
     #: Per atom, the step whose output is the atom's relation (phase 2 of :meth:`Chaser.run`).
     frames: Dict[str, str]
 
-    def all_covered(self) -> bool:
-        return all(mark.covered for mark in self.atom_marks.values())
-
-    def all_exact(self) -> bool:
-        return all(mark is Mark.EXACT for mark in self.atom_marks.values())
-
 
 class Chaser:
     """Runs the chase for one tableau under one access schema and budget."""

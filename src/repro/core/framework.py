@@ -1,10 +1,10 @@
 """The BEAS framework (Section 4.2): access-schema set-up + online answering.
 
 :class:`Beas` is the user-facing facade.  At set-up it declares (or accepts)
-an access schema over the database — the canonical ``A_t`` plus any declared
-or discovered constraints and templates — and builds the constraint
-indexes; each template family's index is built the first time a plan binds
-the family, so a family no query reads is never built
+an access schema over the database — the canonical ``A_t`` plus any
+declared constraints and templates — and builds the constraint indexes;
+each template family's index is built the first time a plan binds the
+family, so a family no query reads is never built
 (:meth:`~repro.access.schema.AccessSchema.build_all` builds them all up
 front).  Online, ``answer(query, alpha)`` runs the appropriate approximation scheme
 (BEAS_SPC / BEAS_RA / BEAS_agg), executes the α-bounded plan under an access

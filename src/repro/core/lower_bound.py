@@ -43,7 +43,6 @@ an η that is too high.
 
 from __future__ import annotations
 
-import math
 from typing import FrozenSet, Mapping, Optional, Set, Tuple
 
 from ..algebra.aggregates import AggregateFunction
@@ -178,26 +177,3 @@ def lower_bound(
 ) -> float:
     """``L(ξ) = 1 / (1 + max(d_rel, d_cov))``."""
     return bound_of(max(distance_bounds(node, resolutions, db_schema)))
-
-
-def theoretical_floor(
-    node: QueryNode,
-    access_schema,
-    budget: int,
-) -> float:
-    """The query-independent floor of Theorem 5(2): ``1/(1 + max_ψ d̄_{ψ,k*})``.
-
-    ``k* = ⌊log2(B / ||Q||)⌋ - 1`` — the level every whole-relation template
-    could afford if the budget were split evenly across the query's relation
-    atoms.  The bound returned by BEAS is always at least this floor.  Reads
-    every family's resolutions, so it builds every template index.
-    """
-    relation_count = max(1, node.relation_count())
-    per_atom = max(1, budget // relation_count)
-    k_star = max(0, int(math.floor(math.log2(per_atom))) - 1)
-    worst = 0.0
-    for family in access_schema.families:
-        level = min(k_star, family.max_level)
-        res = family.resolution(level)
-        worst = max(worst, max(res.values(), default=0.0))
-    return bound_of(worst)

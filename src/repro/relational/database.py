@@ -202,20 +202,6 @@ class Database:
             meter.charge(len(relation), name)
         return relation
 
-    # -- misc -----------------------------------------------------------------
-    def copy_subset(self, fractions: Mapping[str, float]) -> "Database":
-        """A new database keeping only a prefix fraction of each relation.
-
-        Used by scale-sweep experiments (Fig 6(e,f,j,l)) to derive smaller
-        instances of the same dataset.
-        """
-        relations = []
-        for name, rel in self._relations.items():
-            frac = fractions.get(name, 1.0)
-            keep = max(1, int(len(rel) * frac)) if len(rel) else 0
-            relations.append(Relation(rel.schema, store=rel.store.head(keep)))
-        return Database.from_relations(relations)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         sizes = ", ".join(f"{name}:{len(rel)}" for name, rel in self._relations.items())
         return f"Database({sizes})"

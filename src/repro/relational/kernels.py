@@ -46,11 +46,10 @@ supported and behaves identically.  A sharded store is indexed through its
 key columns like any store.
 
 **Exact-equivalence contract.**  Every kernel returns *identical* results to
-the naive nested-loop reference implementations in this module
-(:func:`naive_radius_matches`, :func:`naive_min_distance`):
-:meth:`RadiusMatcher.matches` returns the same index set (sorted ascending,
-matching nested-loop emission order) and :meth:`NearestNeighbors.min_distance`
-the same float.  The kernels are drop-in algorithmic replacements — callers
+a naive nested loop: :meth:`RadiusMatcher.matches` returns the indices of
+the rows :func:`pair_within` accepts (sorted ascending, matching nested-loop
+emission order) and :meth:`NearestNeighbors.min_distance` the same float as
+:func:`naive_min_distance`.  The kernels are drop-in algorithmic replacements — callers
 observe no behavioural difference, only speed.  The contract assumes numeric
 distance functions are monotone in ``|x - y|`` and zero exactly on
 numerically-equal values (true for the built-in absolute and scaled
@@ -177,8 +176,8 @@ def _canonical_column(column: Sequence[object], distance: DistanceFunction) -> S
 
 
 # ---------------------------------------------------------------------------
-# Naive reference implementations (ground truth for the differential tests,
-# and the explicit fallback when values defeat hashing)
+# Naive scans (ground truth for the differential tests, and the explicit
+# fallback when values defeat hashing)
 # ---------------------------------------------------------------------------
 
 def pair_within(
@@ -193,21 +192,6 @@ def pair_within(
         if not dist(value, row[position]) <= threshold:
             return False
     return True
-
-
-def naive_radius_matches(
-    values: Sequence[object],
-    rows: Sequence[Row],
-    positions: Sequence[int],
-    distances: Sequence[DistanceFunction],
-    thresholds: Sequence[float],
-) -> List[int]:
-    """Nested-loop reference for :meth:`RadiusMatcher.matches`."""
-    return [
-        index
-        for index, row in enumerate(rows)
-        if pair_within(values, row, positions, distances, thresholds)
-    ]
 
 
 def naive_min_distance(
@@ -269,8 +253,8 @@ class RadiusMatcher:
     :meth:`from_store` — no row tuples are ever materialized then).
 
     ``matches(values)`` returns the matching row indices sorted ascending —
-    byte-identical to :func:`naive_radius_matches` — and ``any_match`` is the
-    short-circuiting existence variant.
+    byte-identical to a nested loop over :func:`pair_within` — and
+    ``any_match`` is the short-circuiting existence variant.
     """
 
     def __init__(

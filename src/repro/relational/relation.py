@@ -109,18 +109,6 @@ class Relation:
 
     # -- construction -----------------------------------------------------
     @classmethod
-    def from_dicts(
-        cls,
-        schema: RelationSchema,
-        records: Iterable[dict],
-        backend: Optional[str] = None,
-    ) -> "Relation":
-        """Build a relation from dict records keyed by attribute name."""
-        names = schema.attribute_names
-        rows = [tuple(rec[name] for name in names) for rec in records]
-        return cls(schema, rows, backend=backend)
-
-    @classmethod
     def from_columns(
         cls,
         schema: RelationSchema,
@@ -207,22 +195,10 @@ class Relation:
             self._row_set = set(self._store.iter_rows())
         return tuple(row) in self._row_set
 
-    def is_empty(self) -> bool:
-        return len(self._store) == 0
-
     def column(self, attribute_name: str) -> List[object]:
         """All values of one attribute, in row order (a fresh list)."""
         idx = self.schema.position(attribute_name)
         return list(self._store.column(idx))
-
-    def record(self, row: Row) -> dict:
-        """A dict view of one tuple keyed by attribute name."""
-        return dict(zip(self.schema.attribute_names, row))
-
-    def records(self) -> List[dict]:
-        """Dict views of all tuples."""
-        names = self.schema.attribute_names
-        return [dict(zip(names, row)) for row in self._store.iter_rows()]
 
     # -- relational helpers -------------------------------------------------
     @staticmethod

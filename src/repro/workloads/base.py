@@ -72,20 +72,6 @@ class Workload:
             if a.kind == "categorical" and (relation is None or a.relation == relation)
         ]
 
-    def attribute_info(self, relation: str, attribute: str) -> Optional[AttributeInfo]:
-        for info in self.attributes:
-            if info.relation == relation and info.attribute == attribute:
-                return info
-        return None
-
-    def edges_for(self, relation: str) -> List[JoinEdge]:
-        """Join edges incident to one relation."""
-        return [
-            e
-            for e in self.join_edges
-            if e.left_relation == relation or e.right_relation == relation
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"Workload({self.name}, |D|={self.database.total_tuples}, "

@@ -6,12 +6,13 @@ it is named — the set-difference guard evaluates ``Q2`` and then ``Q̂2``, the
 columns through every join until the final projection, selections test one
 row at a time with the row-level predicates, joins and the guard are nested
 scans over :func:`repro.relational.kernels.pair_within`, and η′ is
-``refine_oracle``'s nested scan.  Only the data comes from ``src``: the base
-relations, and for a bounded answer the per-atom frames ``PlanExecutor.fetch``
-leaves (``tests/test_index_oracle.py`` holds the fetch to its own oracle).
-``tests/test_eval_oracle.py`` holds ``repro.algebra.evaluator`` and
-``repro.core.executor`` to it: same rows in the same order, same weights,
-same ``repr(η)``.
+``refine_oracle``'s nested scan.  :func:`naive_radius_matches`, the same
+nested scan, is the reference for ``RadiusMatcher.matches``.  Only the data
+comes from ``src``: the base relations, and for a bounded answer the
+per-atom frames ``PlanExecutor.fetch`` leaves (``tests/test_index_oracle.py``
+holds the fetch to its own oracle).  ``tests/test_eval_oracle.py`` holds
+``repro.algebra.evaluator`` and ``repro.core.executor`` to it: same rows in
+the same order, same weights, same ``repr(η)``.
 
 What it shares with ``src`` is the semantics it spells out: the join order
 (the smallest atom first, then along the first equality predicate that
@@ -54,6 +55,11 @@ class Table:
     def to_relation(self, distinct):
         relation = Relation(self.schema, self.rows)
         return relation.distinct() if distinct else relation
+
+
+def naive_radius_matches(values, rows, positions, distances, thresholds):
+    """The indices of the ``rows`` within every per-key threshold of ``values``, in row order."""
+    return [index for index, row in enumerate(rows) if pair_within(values, row, positions, distances, thresholds)]
 
 
 def _kept(table, kept):

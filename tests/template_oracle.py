@@ -8,6 +8,10 @@ with the distance functions.  ``tests/test_template_oracle.py`` holds the flat
 index to this: the same levels, the same ``repr`` of every resolution, the
 same frontiers (values of the same types, in the same order, with the same
 counts), the same entry counts and the same fetches.
+
+:func:`conforms` and :func:`check_conformance` check ``D |= ψ`` from the
+definition (Section 2.1): every ``Y``-value of the base relation lies within
+``d̄_Y`` of some fetched tuple, and no ``X``-value fetches more than ``N``.
 """
 
 from array import array
@@ -182,3 +186,61 @@ class OracleTemplateIndex:
     @property
     def entry_count(self):
         return sum(tree.node_count() for tree in self._trees.values())
+
+
+def conforms(relation, spec, fetched):
+    """Whether ``relation |= spec``, given for each ``X``-value the ``Y``-tuples the index fetched.
+
+    True iff (a) every sample has at most ``N`` distinct tuples and (b) every
+    real ``Y``-value is within ``d̄_Y`` of some sample tuple on every ``Y``
+    attribute.
+    """
+    schema = relation.schema
+    x_positions = schema.positions(spec.x)
+    y_positions = schema.positions(spec.y)
+    distances = [schema.attribute(a).distance for a in spec.y]
+    resolutions = [spec.resolution_of(a) for a in spec.y]
+
+    groups = {}
+    for row in relation:
+        key = tuple(row[p] for p in x_positions)
+        groups.setdefault(key, []).append(tuple(row[p] for p in y_positions))
+
+    for key, y_values in groups.items():
+        sample = list(fetched.get(key, ()))
+        if len(set(sample)) > spec.n:
+            return False
+        if not sample and y_values:
+            return False
+        for y_value in y_values:
+            if not any(
+                all(dist(yv, cv) <= res for yv, cv, dist, res in zip(y_value, candidate, distances, resolutions))
+                for candidate in sample
+            ):
+                return False
+    return True
+
+
+def check_conformance(schema, database, sample_levels=(0,)):
+    """Whether ``database |= schema``: every constraint, and every family at ``sample_levels``.
+
+    A level above a family's ``max_level`` checks its top level.  Builds
+    every family.
+    """
+    for constraint in schema.constraints:
+        fetched = {
+            key: [row[len(constraint.spec.x):] for row, _ in constraint.fetch(key)]
+            for key in constraint.index.keys()
+        }
+        if not conforms(database.relation(constraint.relation), constraint.spec, fetched):
+            return False
+    for family in schema.families:
+        for level in sample_levels:
+            level = min(level, family.max_level)
+            fetched = {
+                key: [row[len(family.x):] for row, _ in family.fetch(key, level)]
+                for key in family.index.keys()
+            }
+            if not conforms(database.relation(family.relation), family.spec_at(level), fetched):
+                return False
+    return True

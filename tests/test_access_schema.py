@@ -1,9 +1,19 @@
-"""Tests for access schemas, the canonical builder A_t and discovery."""
+"""Tests for access schemas and the canonical builder A_t."""
 
 
 from repro.access.builder import AccessSchemaBuilder, ConstraintSpec
-from repro.access.discovery import discover, discover_constraints, discover_families
 from repro.access.schema import AccessSchema
+from repro.relational.database import Database
+from repro.relational.relation import Relation
+
+from template_oracle import check_conformance
+
+
+def with_rows(database, name, rows):
+    """``database`` with relation ``name`` replaced by ``rows``."""
+    relations = {r: database.relation(r) for r in database.relation_names}
+    relations[name] = Relation(database.schema.relation(name), rows)
+    return Database(database.schema, relations)
 
 
 class TestBuilder:
@@ -37,7 +47,7 @@ class TestBuilder:
     def test_full_build_subsumes_canonical(self, tiny_beas, tiny_db):
         schema = tiny_beas.access_schema
         for relation in tiny_db.relation_names:
-            assert schema.whole_relation_family(relation) is not None
+            assert any(not family.x for family in schema.families_for(relation))
 
     def test_measured_n_when_not_declared(self, tiny_db):
         builder = AccessSchemaBuilder(tiny_db)
@@ -51,22 +61,9 @@ class TestBuilder:
 
 
 class TestAccessSchemaLookups:
-    def test_applicable_constraints(self, tiny_beas):
-        schema = tiny_beas.access_schema
-        applicable = schema.applicable_constraints("dept", ["did"])
-        assert len(applicable) == 1
-        assert schema.applicable_constraints("dept", ["name"]) == []
-
-    def test_applicable_families(self, tiny_beas):
-        schema = tiny_beas.access_schema
-        families = schema.applicable_families("emp", ["dept"])
-        # The declared (dept -> ...) family and the whole-relation family.
-        assert len(families) >= 2
-
     def test_cardinality_and_groups(self, tiny_beas):
         schema = tiny_beas.access_schema
         assert schema.cardinality > len(schema.constraints)
-        assert schema.distinct_template_groups() >= len(schema.families)
 
     def test_index_sizes(self, tiny_beas, tiny_db):
         counts = tiny_beas.access_schema.index_entry_counts()
@@ -75,7 +72,32 @@ class TestAccessSchemaLookups:
         assert tiny_beas.access_schema.total_index_entries() == sum(counts.values())
 
     def test_conformance_check(self, tiny_beas, tiny_db):
-        assert tiny_beas.access_schema.check_conformance(tiny_db, sample_levels=(0, 2))
+        assert check_conformance(tiny_beas.access_schema, tiny_db, sample_levels=(0, 2))
+
+    def test_conformance_check_clamps_levels_to_each_family_top(self, tiny_beas, tiny_db):
+        top = max(family.max_level for family in tiny_beas.access_schema.families)
+        assert check_conformance(tiny_beas.access_schema, tiny_db, sample_levels=(top + 5,))
+
+    def test_conformance_check_rejects_a_changed_constraint_value(self, tiny_beas, tiny_db):
+        # dept(did -> name, budget, N=1) fetches the budgets it was built on;
+        # a database whose budgets moved is not within d̄_Y = 0 of them.
+        moved = [(did, name, budget + 1.0) for did, name, budget in tiny_db.relation("dept")]
+        assert not check_conformance(tiny_beas.access_schema, with_rows(tiny_db, "dept", moved))
+
+    def test_conformance_check_rejects_an_unindexed_x_value(self, tiny_beas, tiny_db):
+        # A department the constraint index never saw fetches nothing.
+        extra = list(tiny_db.relation("dept")) + [(99, "dept_99", 1.0)]
+        assert not check_conformance(tiny_beas.access_schema, with_rows(tiny_db, "dept", extra))
+
+    def test_conformance_check_rejects_a_family_at_its_exact_level(self, tiny_db):
+        # The canonical schema has families only; at its top level the
+        # whole-relation family of emp fetches exactly the rows it indexed.
+        schema = AccessSchemaBuilder(tiny_db).build_canonical()
+        extra = list(tiny_db.relation("emp")) + [(999, 4, 10_000.0, "g9")]
+        changed = with_rows(tiny_db, "emp", extra)
+        top = max(family.max_level for family in schema.families_for("emp"))
+        assert check_conformance(schema, tiny_db, sample_levels=(top,))
+        assert not check_conformance(schema, changed, sample_levels=(top,))
 
     def test_merge(self, tiny_db):
         builder = AccessSchemaBuilder(tiny_db)
@@ -88,32 +110,3 @@ class TestAccessSchemaLookups:
     def test_describe(self, tiny_beas):
         text = tiny_beas.access_schema.describe()
         assert "AccessSchema" in text and "emp" in text
-
-
-class TestDiscovery:
-    def test_discover_constraints_finds_keys(self, tiny_db):
-        specs = discover_constraints(tiny_db.relation("emp"), max_n=5)
-        xs = {spec.x for spec in specs}
-        assert ("eid",) in xs  # eid is a key: N = 1
-
-    def test_discovered_constraints_respect_max_n(self, tiny_db):
-        specs = discover_constraints(tiny_db.relation("emp"), max_n=5)
-        assert all(spec.n <= 5 for spec in specs)
-
-    def test_discover_families_prefers_large_groups(self, tiny_db):
-        families = discover_families(tiny_db.relation("emp"), min_group_size=10)
-        assert any(spec.x == ("dept",) for spec in families)
-
-    def test_discover_whole_database(self, tiny_db):
-        reports = discover(tiny_db, max_n=100)
-        assert {r.relation for r in reports} == set(tiny_db.relation_names)
-        emp_report = next(r for r in reports if r.relation == "emp")
-        assert emp_report.constraints
-
-    def test_discovered_specs_are_buildable(self, tiny_db):
-        reports = discover(tiny_db, max_n=100)
-        builder = AccessSchemaBuilder(tiny_db)
-        for report in reports:
-            for spec in report.constraints[:2]:
-                constraint = builder.build_constraint(spec)
-                assert constraint.spec.n >= constraint.index.n

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.access.index import ConstraintIndex, TemplateIndex
-from repro.access.template import TemplateSpec, conforms
+from repro.access.template import TemplateSpec
 from repro.config import configure
 from repro.errors import AccessSchemaError
 from repro.experiments import build_beas
@@ -16,6 +16,8 @@ from repro.relational.distance import CATEGORICAL, NUMERIC
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.workloads import tpch
+
+from template_oracle import conforms
 
 
 @pytest.fixture()

@@ -85,7 +85,6 @@ class TestClassification:
         )
         assert q.product_count() == 2
         assert q.relation_count() == 3
-        assert q.selection_count() == 3
 
     def test_walk_and_scans(self):
         q = parse_query("select a.x from r as a, s as b where a.k = b.k")

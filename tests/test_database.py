@@ -103,7 +103,3 @@ class TestDatabase:
     def test_from_relations(self, db):
         clone = Database.from_relations([db.relation("r"), db.relation("s")])
         assert clone.total_tuples == 150
-
-    def test_copy_subset(self, db):
-        smaller = db.copy_subset({"r": 0.5, "s": 0.1})
-        assert smaller.relation_sizes() == {"r": 50, "s": 5}

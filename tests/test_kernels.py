@@ -43,10 +43,11 @@ from repro.relational.kernels import (
     _canonical,
     classify_key,
     naive_min_distance,
-    naive_radius_matches,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
+
+from eval_oracle import naive_radius_matches
 
 SCALED = numeric_scaled(2.5)
 

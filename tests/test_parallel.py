@@ -44,7 +44,6 @@ from repro.relational.kernels import (
     NearestNeighbors,
     RadiusMatcher,
     naive_min_distance,
-    naive_radius_matches,
 )
 from repro.relational.mmapstore import MmapStore, write_anonymous
 from repro.relational.relation import Relation
@@ -54,6 +53,7 @@ from repro.workloads import tfacc
 from repro.workloads.querygen import QueryGenerator
 
 from conftest import SHARD_EXECUTORS, identity_key, to_backend, union_compatible
+from eval_oracle import naive_radius_matches
 
 PROCESS_OK = "process" in SHARD_EXECUTORS
 needs_process = pytest.mark.skipif(

@@ -118,12 +118,6 @@ class TestConjunction:
         assert len(Conjunction.true()) == 0
         assert not Conjunction.true()
 
-    def test_and_also(self):
-        a = Conjunction.of([Comparison(AttrRef(None, "x"), CompareOp.EQ, Const(1))])
-        b = Conjunction.of([Comparison(AttrRef(None, "y"), CompareOp.EQ, Const(2))])
-        combined = a.and_also(b)
-        assert len(combined) == 2
-
     def test_attributes(self):
         c = Conjunction.of(
             [
@@ -132,12 +126,3 @@ class TestConjunction:
             ]
         )
         assert [r.qualified for r in c.attributes()] == ["a.x", "a.y", "b.z"]
-
-    def test_equality_comparisons(self):
-        c = Conjunction.of(
-            [
-                Comparison(AttrRef("a", "x"), CompareOp.EQ, Const(1)),
-                Comparison(AttrRef("a", "y"), CompareOp.LE, Const(2)),
-            ]
-        )
-        assert len(c.equality_comparisons()) == 1

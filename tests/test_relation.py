@@ -29,13 +29,6 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             rel.append((1, "a"))
 
-    def test_from_dicts(self, schema):
-        rel = Relation.from_dicts(schema, [{"eid": 1, "dept": "x", "salary": 3.0}])
-        assert rel.rows == ((1, "x", 3.0),)
-
-    def test_is_empty(self, schema):
-        assert Relation(schema).is_empty()
-
     def test_rows_view_is_immutable(self, relation):
         view = relation.rows
         assert isinstance(view, tuple)
@@ -52,10 +45,6 @@ class TestConstruction:
 class TestAccessors:
     def test_column(self, relation):
         assert relation.column("dept") == ["a", "a", "b", "b"]
-
-    def test_records(self, relation):
-        records = relation.records()
-        assert records[0] == {"eid": 1, "dept": "a", "salary": 10.0}
 
     def test_contains(self, relation):
         assert (1, "a", 10.0) in relation

@@ -33,12 +33,12 @@ from repro.relational.kernels import (
     NearestNeighbors,
     RadiusMatcher,
     naive_min_distance,
-    naive_radius_matches,
 )
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import ColumnStore, ShardedStore
 
 from conftest import identity_key
+from eval_oracle import naive_radius_matches
 
 CATS = st.one_of(st.none(), st.sampled_from(["a", "b", "c"]))
 NUMBERS = st.one_of(

@@ -27,14 +27,12 @@ class TestToSPC:
         assert set(spc.attributes_of("h")) == {"city", "type", "price"}
         assert set(spc.attributes_of("p")) == {"city"}
 
-    def test_join_and_selection_predicates(self):
+    def test_join_predicates(self):
         q = parse_query(
             "select h.price from poi as h, person as p where p.city = h.city and h.price <= 95"
         )
         spc = to_spc(q)
         assert len(spc.join_predicates()) == 1
-        assert len(spc.selection_predicates("h")) == 1
-        assert len(spc.selection_predicates("p")) == 0
 
     def test_non_spc_rejected(self):
         q = parse_query("select r.a from rel as r except select s.a from rel as s")

@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.access.index import TemplateIndex
+from repro.experiments import build_beas
 from repro.relational.distance import CATEGORICAL, NUMERIC
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
+
+from conftest import SMOKE_CORPORA
+
+# Smoke corpora whose declared families have (family, Y attribute) series
+# that get coarser from one level to the next: (rising, all) series.
+RISING_SERIES = {"airca": (13, 36), "tfacc": (5, 43), "tpch": (6, 46)}
 
 
 def make_relation(rows):
@@ -96,6 +103,34 @@ class TestResolution:
             if previous is not None:
                 assert worst <= previous + 1e-9
             previous = worst
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(
+                name,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="ROADMAP item 20: %d of %d series rise between levels" % RISING_SERIES[name],
+                ),
+            )
+            if name in RISING_SERIES
+            else name
+            for name in sorted(SMOKE_CORPORA)
+        ],
+    )
+    def test_declared_resolutions_never_rise_between_levels(self, name):
+        generate, _ = SMOKE_CORPORA[name]
+        schema = build_beas(generate()).access_schema
+        rising = [
+            (f"{family.relation}({','.join(family.x) or '∅'})", attribute, level)
+            for family in schema.families
+            for attribute in family.y
+            for level in range(family.max_level)
+            if family.resolution_of(level + 1, attribute) > family.resolution_of(level, attribute)
+        ]
+        assert rising == [], f"(family, attribute, level) whose next level is coarser: {rising}"
 
     def test_resolution_zero_at_exact_level(self, index):
         resolution = index.resolution(index.max_level)
